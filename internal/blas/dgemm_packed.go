@@ -173,7 +173,7 @@ func packAT(a *matrix.Dense, i0, p0, mc, kc int, dst []float64) {
 		rows := min(packMR, mc-ip)
 		panel := dst[(ip/packMR)*kc*packMR:]
 		for r := 0; r < rows; r++ {
-			col := a.Col(i0+ip+r)[p0 : p0+kc]
+			col := a.Col(i0 + ip + r)[p0 : p0+kc]
 			for kk := 0; kk < kc; kk++ {
 				panel[kk*packMR+r] = col[kk]
 			}

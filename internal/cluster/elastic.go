@@ -240,7 +240,6 @@ func indexOfRank(live []int, r int) int {
 	return -1
 }
 
-
 func newElasticRank(c *mpi.Comm, cfg ElasticConfig, nblocks int, fullA *matrix.Dense, fullB []float64) *elasticRank {
 	st := &elasticRank{
 		comm:    c,

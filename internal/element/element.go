@@ -185,3 +185,43 @@ func (e *Element) InitialGSplit() float64 {
 	c := float64(e.CPU.NumCores()) * e.cfg.Xeon.CoreGFLOPS()
 	return g / (g + c)
 }
+
+// AllocRows distributes total rows across len(weights) resources — the cores
+// of a level-2 host split, the slabs of a hybrid join — in proportion to
+// weights by the largest-remainder method, so the counts sum exactly to
+// total. All-zero weights give everything to the first resource.
+func AllocRows(total int, weights []float64) []int {
+	n := len(weights)
+	out := make([]int, n)
+	if total == 0 || n == 0 {
+		return out
+	}
+	var sum float64
+	for _, w := range weights {
+		sum += w
+	}
+	if sum <= 0 {
+		out[0] = total
+		return out
+	}
+	rems := make([]float64, n)
+	assigned := 0
+	for i, w := range weights {
+		exact := float64(total) * w / sum
+		out[i] = int(exact)
+		assigned += out[i]
+		rems[i] = exact - float64(out[i])
+	}
+	// Hand the leftover rows (fewer than n) to the largest remainders.
+	for ; assigned < total; assigned++ {
+		best := 0
+		for i := 1; i < n; i++ {
+			if rems[i] > rems[best] {
+				best = i
+			}
+		}
+		out[best]++
+		rems[best]--
+	}
+	return out
+}

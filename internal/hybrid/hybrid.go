@@ -261,45 +261,6 @@ func (r *Runner) gpuAdmission(m1 int, earliest sim.Time) (int, bool) {
 	return 0, false
 }
 
-// allocRows distributes total rows proportionally to fracs with the largest
-// remainder method, so the slice counts sum exactly to total.
-func allocRows(total int, fracs []float64) []int {
-	n := len(fracs)
-	out := make([]int, n)
-	if total == 0 || n == 0 {
-		return out
-	}
-	var sum float64
-	for _, f := range fracs {
-		sum += f
-	}
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]rem, n)
-	assigned := 0
-	for i, f := range fracs {
-		exact := float64(total) * f / sum
-		out[i] = int(exact)
-		assigned += out[i]
-		rems[i] = rem{idx: i, frac: exact - float64(out[i])}
-	}
-	// Hand the leftover rows to the largest remainders.
-	for assigned < total {
-		best := 0
-		for i := 1; i < n; i++ {
-			if rems[i].frac > rems[best].frac {
-				best = i
-			}
-		}
-		out[rems[best].idx]++
-		rems[best].frac = -1
-		assigned++
-	}
-	return out
-}
-
 // Gemm executes C = alpha*A*B + beta*C with real data, returning the timing
 // report. The arithmetic is exact; all durations are virtual.
 func (r *Runner) Gemm(alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense, earliest sim.Time) Report {
@@ -368,7 +329,7 @@ func (r *Runner) gemm(alpha float64, a, b *matrix.Dense, beta float64, c *matrix
 				csplits[i] = 1 / float64(nc)
 			}
 		}
-		rows := allocRows(m2, csplits)
+		rows := element.AllocRows(m2, csplits)
 		rep.CoreWorks = make([]float64, len(rows))
 		rep.CoreTimes = make([]float64, len(rows))
 		commActive := m1 > 0

@@ -156,30 +156,6 @@ func TestVariantPartitionerMismatchPanics(t *testing.T) {
 	New(el, element.ACMLGAdaptive, nil)
 }
 
-func TestAllocRows(t *testing.T) {
-	rows := allocRows(10, []float64{0.5, 0.25, 0.25})
-	if rows[0] != 5 || rows[1]+rows[2] != 5 {
-		t.Fatalf("allocRows = %v", rows)
-	}
-	total := 0
-	for _, r := range allocRows(7, []float64{0.33, 0.33, 0.34}) {
-		total += r
-	}
-	if total != 7 {
-		t.Fatalf("allocation must sum exactly: %d", total)
-	}
-	if got := allocRows(0, []float64{1, 1}); got[0] != 0 || got[1] != 0 {
-		t.Fatal("zero rows must allocate nothing")
-	}
-}
-
-func TestAllocRowsSkewed(t *testing.T) {
-	rows := allocRows(100, []float64{0.9, 0.05, 0.05})
-	if rows[0] != 90 || rows[1] != 5 || rows[2] != 5 {
-		t.Fatalf("skewed allocation = %v", rows)
-	}
-}
-
 func TestGemmShapeMismatchPanics(t *testing.T) {
 	el := element.New(element.Config{Seed: 10})
 	run := New(el, element.ACMLG, nil)

@@ -82,13 +82,6 @@ func NewRateDB() *RateDB {
 	return db
 }
 
-func classOf(gpu bool) Class {
-	if gpu {
-		return ClassGPU
-	}
-	return ClassCPU
-}
-
 func (db *RateDB) cell(cls Class, codelet string) *deviceRate {
 	m := db.cells[cls]
 	r, ok := m[codelet]
@@ -97,12 +90,6 @@ func (db *RateDB) cell(cls Class, codelet string) *deviceRate {
 		m[codelet] = r
 	}
 	return r
-}
-
-// Observe feeds one measured execution of the CPU or GPU variant back; the
-// two-device form predates the hybrid class and forwards to ObserveClass.
-func (db *RateDB) Observe(codelet string, gpu bool, flops, seconds float64) {
-	db.ObserveClass(codelet, classOf(gpu), flops, seconds)
 }
 
 // ObserveClass feeds one measured execution back: flops of work finished in
@@ -151,12 +138,6 @@ func (db *RateDB) Seed(codelet string, cls Class, rate float64) {
 	}
 	r.Rate = rate
 	r.Count = 1
-}
-
-// Estimate predicts the duration of flops of work for the codelet on the
-// given device; the two-device form forwards to EstimateClass.
-func (db *RateDB) Estimate(codelet string, gpu bool, flops, modelSeconds float64) float64 {
-	return db.EstimateClass(codelet, classOf(gpu), flops, modelSeconds)
 }
 
 // EstimateClass predicts the duration of flops of work for the codelet's

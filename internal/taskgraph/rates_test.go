@@ -8,7 +8,7 @@ import (
 
 func TestRateDBColdAnswersModel(t *testing.T) {
 	db := NewRateDB()
-	if got := db.Estimate("gemm", true, 1e9, 0.5); got != 0.5 {
+	if got := db.EstimateClass("gemm", ClassGPU, 1e9, 0.5); got != 0.5 {
 		t.Errorf("cold estimate = %v, want the model 0.5", got)
 	}
 }
@@ -16,10 +16,10 @@ func TestRateDBColdAnswersModel(t *testing.T) {
 func TestRateDBWarmsTowardMeasurement(t *testing.T) {
 	db := NewRateDB()
 	// Measured rate 2 GFLOP/s; model claims 1e9 flops take 0.1s (10 GFLOP/s).
-	prev := db.Estimate("gemm", false, 1e9, 0.1)
+	prev := db.EstimateClass("gemm", ClassCPU, 1e9, 0.1)
 	for i := 0; i < 20; i++ {
-		db.Observe("gemm", false, 1e9, 0.5)
-		est := db.Estimate("gemm", false, 1e9, 0.1)
+		db.ObserveClass("gemm", ClassCPU, 1e9, 0.5)
+		est := db.EstimateClass("gemm", ClassCPU, 1e9, 0.1)
 		if est < prev-1e-12 {
 			t.Fatalf("estimate moved away from the measurement: %v after %v", est, prev)
 		}
@@ -32,22 +32,22 @@ func TestRateDBWarmsTowardMeasurement(t *testing.T) {
 
 func TestRateDBQuarantineDiscardsGPUObservations(t *testing.T) {
 	db := NewRateDB()
-	db.Observe("gemm", true, 1e9, 0.5)
-	warm := db.Estimate("gemm", true, 1e9, 0.1)
+	db.ObserveClass("gemm", ClassGPU, 1e9, 0.5)
+	warm := db.EstimateClass("gemm", ClassGPU, 1e9, 0.1)
 	db.Quarantine()
 	if !db.Quarantined() {
 		t.Fatal("Quarantined() = false after Quarantine")
 	}
-	db.Observe("gemm", true, 1e9, 5.0) // outage measurement: must be dropped
-	db.Rewarm(0)                       // full trust back immediately
-	if got := db.Estimate("gemm", true, 1e9, 0.1); got != warm {
+	db.ObserveClass("gemm", ClassGPU, 1e9, 5.0) // outage measurement: must be dropped
+	db.Rewarm(0)                                // full trust back immediately
+	if got := db.EstimateClass("gemm", ClassGPU, 1e9, 0.1); got != warm {
 		t.Errorf("estimate after quarantined store = %v, want unchanged %v", got, warm)
 	}
 	// CPU observations are never quarantined.
 	db2 := NewRateDB()
 	db2.Quarantine()
-	db2.Observe("gemm", false, 1e9, 1.0)
-	if got := db2.Estimate("gemm", false, 1e9, 0.1); got == 0.1 {
+	db2.ObserveClass("gemm", ClassCPU, 1e9, 1.0)
+	if got := db2.EstimateClass("gemm", ClassCPU, 1e9, 0.1); got == 0.1 {
 		t.Error("CPU observation was discarded during GPU quarantine")
 	}
 }
@@ -55,19 +55,19 @@ func TestRateDBQuarantineDiscardsGPUObservations(t *testing.T) {
 func TestRateDBRewarmRestoresTrustGradually(t *testing.T) {
 	db := NewRateDB()
 	for i := 0; i < 50; i++ {
-		db.Observe("gemm", true, 1e9, 0.5) // measured 2 GFLOP/s, model says 10
+		db.ObserveClass("gemm", ClassGPU, 1e9, 0.5) // measured 2 GFLOP/s, model says 10
 	}
-	warm := db.Estimate("gemm", true, 1e9, 0.1)
+	warm := db.EstimateClass("gemm", ClassGPU, 1e9, 0.1)
 	db.Quarantine()
 	db.Rewarm(4)
-	cold := db.Estimate("gemm", true, 1e9, 0.1)
+	cold := db.EstimateClass("gemm", ClassGPU, 1e9, 0.1)
 	if math.Abs(cold-0.1) > 1e-9 {
 		t.Errorf("estimate right after rewarm = %v, want the model 0.1", cold)
 	}
 	prev := cold
 	for i := 0; i < 40; i++ {
-		db.Observe("gemm", true, 1e9, 0.5)
-		est := db.Estimate("gemm", true, 1e9, 0.1)
+		db.ObserveClass("gemm", ClassGPU, 1e9, 0.5)
+		est := db.EstimateClass("gemm", ClassGPU, 1e9, 0.1)
 		if est < prev-1e-12 {
 			t.Fatalf("trust regressed: estimate %v after %v", est, prev)
 		}
@@ -80,8 +80,8 @@ func TestRateDBRewarmRestoresTrustGradually(t *testing.T) {
 
 func TestRateDBJSONRoundTrip(t *testing.T) {
 	db := NewRateDB()
-	db.Observe("gemm", true, 1e9, 0.5)
-	db.Observe("panel", false, 1e8, 0.2)
+	db.ObserveClass("gemm", ClassGPU, 1e9, 0.5)
+	db.ObserveClass("panel", ClassCPU, 1e8, 0.2)
 	b, err := json.Marshal(db)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -97,7 +97,7 @@ func TestRateDBJSONRoundTrip(t *testing.T) {
 	if string(b) != string(b2) {
 		t.Errorf("round trip drifted:\n%s\n%s", b, b2)
 	}
-	if got, want := back.Estimate("gemm", true, 1e9, 9), db.Estimate("gemm", true, 1e9, 9); got != want {
+	if got, want := back.EstimateClass("gemm", ClassGPU, 1e9, 9), db.EstimateClass("gemm", ClassGPU, 1e9, 9); got != want {
 		t.Errorf("restored estimate = %v, want %v", got, want)
 	}
 	if got := back.Codelets(); len(got) != 2 || got[0] != "gemm" || got[1] != "panel" {
@@ -107,11 +107,11 @@ func TestRateDBJSONRoundTrip(t *testing.T) {
 
 func TestRateDBDiscardsBadMeasurements(t *testing.T) {
 	db := NewRateDB()
-	db.Observe("gemm", false, 0, 1)
-	db.Observe("gemm", false, 1e9, 0)
-	db.Observe("gemm", false, math.NaN(), 1)
-	db.Observe("gemm", false, 1e9, math.Inf(1))
-	if got := db.Estimate("gemm", false, 1e9, 0.25); got != 0.25 {
+	db.ObserveClass("gemm", ClassCPU, 0, 1)
+	db.ObserveClass("gemm", ClassCPU, 1e9, 0)
+	db.ObserveClass("gemm", ClassCPU, math.NaN(), 1)
+	db.ObserveClass("gemm", ClassCPU, 1e9, math.Inf(1))
+	if got := db.EstimateClass("gemm", ClassCPU, 1e9, 0.25); got != 0.25 {
 		t.Errorf("estimate after garbage observations = %v, want the model 0.25", got)
 	}
 }

@@ -3,13 +3,12 @@ package taskgraph
 import (
 	"container/heap"
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 
-	"tianhe/internal/abft"
+	"tianhe/internal/cpu"
 	"tianhe/internal/element"
 	"tianhe/internal/fault"
+	"tianhe/internal/gpu"
 	"tianhe/internal/sim"
 	"tianhe/internal/telemetry"
 )
@@ -140,6 +139,36 @@ func (pr *schedProbes) sdcProbes() {
 	pr.verifySeconds = pr.tel.Gauge("taskgraph.abft.verify_seconds")
 }
 
+// instant marks a device-health transition on the fault track.
+func (pr *schedProbes) instant(name string, at sim.Time) {
+	if pr != nil {
+		pr.tracer.Instant("taskgraph.fault", "fault", name, at)
+	}
+}
+
+// flush adds one finished graph's totals to the metrics.
+func (pr *schedProbes) flush(rep *Report, verified bool) {
+	if pr == nil {
+		return
+	}
+	pr.tasks.Add(int64(rep.Tasks))
+	pr.tasksGPU.Add(int64(rep.TasksGPU))
+	pr.tasksCPU.Add(int64(rep.TasksCPU))
+	pr.tasksHyb.Add(int64(rep.TasksHyb))
+	pr.flops.Add(int64(rep.Flops))
+	pr.bytesIn.Add(rep.BytesIn)
+	pr.bytesOut.Add(rep.BytesOut)
+	pr.bytesSkipped.Add(rep.BytesSkipped)
+	pr.makespan.Set(rep.End - rep.Start)
+	if verified {
+		pr.sdcProbes()
+		pr.sdcDetected.Add(int64(rep.SDCDetected))
+		pr.sdcCorr.Add(int64(rep.SDCCorrected))
+		pr.sdcEscal.Add(int64(rep.SDCEscalated))
+		pr.verifySeconds.Add(rep.VerifySeconds)
+	}
+}
+
 func newSchedProbes(tel *telemetry.Telemetry) *schedProbes {
 	if !tel.Enabled() {
 		return nil
@@ -232,1017 +261,94 @@ func (h *readyHeap) Pop() any {
 	return it
 }
 
-// residentEntry tracks one handle cached in device memory.
-type residentEntry struct {
-	bytes int64
-	sp    sim.Span // the booking that produced the device copy
-	dirty bool     // device copy newer than host
-	lru   int
+// run is the working state of one Scheduler.Run, shared by its parts: the
+// residency manager owns device memory, the device plan and the cost step
+// read it to predict, and the executor books through it. The scratch slices
+// are reused across tasks so placement does not allocate per task.
+type run struct {
+	s     *Scheduler
+	dev   *gpu.Device
+	cores []*cpu.Core
+	rep   Report
+	res   residency
+	// window is the double-buffered staging budget for oversized working
+	// sets. A task whose written tiles cannot fit on the device streams them
+	// through this window instead of making them resident, exactly like the
+	// monolithic pipeline's bounded C windows: only the head window gates the
+	// kernel launch, the rest of the traffic rides the DMA engine under the
+	// kernel, and the kernel runs bandwidth-bound when the stream cannot keep
+	// up.
+	window int64
+	sizer  splitSizer
+
+	deps   []sim.Span // kernel dependencies of the booking in flight
+	lateUp []*Handle  // its fresh reads riding the in-stream under the kernel
+	stale  []string   // resident copies its host half overwrites
+}
+
+func (s *Scheduler) newRun(g *Graph, earliest sim.Time) *run {
+	n := len(s.el.CPU.Cores())
+	r := &run{
+		s: s, dev: s.el.GPU, cores: s.el.CPU.Cores(),
+		rep:    Report{Start: earliest, End: earliest, Tasks: g.Len()},
+		window: s.el.GPU.MemBytes() / 4,
+		sizer: splitSizer{usable: make([]bool, n), fr: make([]float64, n),
+			caps: make([]int, n), w: make([]float64, n)},
+	}
+	r.res = newResidency(r.dev, &r.rep)
+	return r
 }
 
 // Run schedules and executes the graph, with no task starting before
 // earliest. Placement is a serial deterministic list-scheduling loop; real
 // host bodies then execute (serially or on Options.Par workers) in an order
-// consistent with the dependency DAG.
+// consistent with the dependency DAG. A task whose own handles overflow device
+// memory aborts the run with ErrWorkingSet.
 func (s *Scheduler) Run(g *Graph, earliest sim.Time) (Report, error) {
 	if err := g.Validate(); err != nil {
 		return Report{}, err
 	}
-	rep := Report{Start: earliest, End: earliest, Tasks: g.Len()}
+	r := s.newRun(g, earliest)
 	tasks := g.Tasks()
 
 	// Dependency bookkeeping.
 	n := len(tasks)
 	indeg := make([]int, n)
 	children := make([][]int, n)
+	ready := &readyHeap{}
 	for _, t := range tasks {
 		indeg[t.id] = len(t.deps)
 		for _, d := range t.deps {
 			children[d] = append(children[d], t.id)
 		}
-	}
-	finish := make([]sim.Time, n)
-
-	ready := &readyHeap{}
-	for _, t := range tasks {
 		if indeg[t.id] == 0 {
 			heap.Push(ready, readyItem{id: t.id, priority: t.Priority, readyAt: earliest})
 		}
 	}
-
-	// Device residency, keyed by handle name; fresh per Run so a graph's
-	// timing never depends on what an earlier graph left in device memory
-	// (checkpoint restores replay bit-identically).
-	resident := make(map[string]*residentEntry)
-	lruTick := 0
-	var memInUse int64
-	dev := s.el.GPU
-	cores := s.el.CPU.Cores()
-
-	dropResidency := func() {
-		resident = make(map[string]*residentEntry)
-		memInUse = 0
-	}
-
-	evictFor := func(need int64, keep map[string]bool) {
-		for memInUse+need > dev.MemBytes() {
-			victim := ""
-			best := int(^uint(0) >> 1)
-			for name, re := range resident {
-				if keep[name] {
-					continue
-				}
-				if re.lru < best {
-					best, victim = re.lru, name
-				}
-			}
-			if victim == "" {
-				panic(fmt.Sprintf("taskgraph: working set of %d bytes exceeds device memory %d", need, dev.MemBytes()))
-			}
-			re := resident[victim]
-			if re.dirty {
-				// The only device copy is newer than the host: write it back
-				// before dropping it.
-				sp := dev.DownloadBytes(re.bytes, re.sp.End)
-				rep.BytesOut += re.bytes
-				if sp.End > rep.End {
-					rep.End = sp.End
-				}
-			}
-			memInUse -= re.bytes
-			delete(resident, victim)
-		}
-	}
-
-	// streamWindow is the double-buffered staging budget for oversized
-	// written working sets. A task whose written tiles cannot fit on the
-	// device streams them through this window instead of making them
-	// resident, exactly like the monolithic pipeline's bounded C windows:
-	// only the head window gates the kernel launch, the rest of the
-	// traffic rides the DMA engine under the kernel, and the kernel runs
-	// bandwidth-bound when the stream cannot keep up.
-	streamWindow := dev.MemBytes() / 4
-
-	// admitGPU applies device-health admission control before a GPU
-	// placement, mirroring the hybrid runner: fault-unaware schedulers stall
-	// on a dead context; fault-aware ones fall back to CPU during the outage
-	// (quarantining the affinity database's GPU rates and dropping the lost
-	// device memory) and re-init + re-warm once the hardware answers.
-	admitGPU := func(at sim.Time) (ok, stalled bool) {
-		if dev.Health() == nil || !dev.ContextDead(at) {
-			return true, false
-		}
-		if !s.opts.GPUFallback {
-			return false, true
-		}
-		if dev.AvailableAt(at) {
-			sp := dev.Reinit(at)
-			dev.DMA.AdvanceTo(sp.End)
-			// The re-created context starts with empty device memory.
-			dropResidency()
-			s.gpuDown = false
-			s.rates.Rewarm(s.opts.RewarmHalfLife)
-			if pr := s.probes; pr != nil {
-				pr.tracer.Instant("taskgraph.fault", "fault", "gpu.reinit", sp.End)
-			}
-			return true, false
-		}
-		if !s.gpuDown {
-			s.gpuDown = true
-			s.rates.Quarantine()
-			dropResidency()
-			if pr := s.probes; pr != nil {
-				pr.tracer.Instant("taskgraph.fault", "fault", "gpu.fallback", at)
-			}
-		}
-		return false, false
-	}
+	finish := make([]sim.Time, n)
 
 	for ready.Len() > 0 {
 		it := heap.Pop(ready).(readyItem)
 		t := tasks[it.id]
-		readyAt := it.readyAt
-		rep.Flops += t.Flops
+		r.rep.Flops += t.Flops
 
-		// Candidate devices. A GPU-only task during an outage waits for the
-		// hardware to answer again (its readiness moves to the restore time,
-		// where admission re-inits the context).
-		gpuOK := t.Costs.GPUSeconds != nil
-		cpuOK := t.Costs.CPUSeconds != nil
-		if gpuOK && dev.Health() != nil && dev.ContextDead(readyAt) {
-			at := readyAt
-			if !cpuOK && !dev.AvailableAt(at) && s.opts.GPUFallback {
-				at = dev.Health().RestoredAt(at)
-				readyAt = at
-			}
-			ok, stalled := admitGPU(at)
-			if stalled {
-				rep.Stalled = true
-				if pr := s.probes; pr != nil {
-					pr.tracer.Instant("taskgraph.fault", "fault", "gpu.stall", readyAt)
-				}
-				return rep, nil
-			}
-			gpuOK = ok
+		readyAt, gpuOK, stalled := r.admit(t, it.readyAt)
+		if stalled {
+			return r.rep, nil
 		}
-		if !gpuOK && !cpuOK {
-			panic(fmt.Sprintf("taskgraph: task %q has no runnable device variant", t.Name))
+		c := r.estimate(t, readyAt, gpuOK)
+		b := r.book(t, c.choose(), &c, readyAt)
+		if r.res.err != nil {
+			return Report{}, r.res.err
 		}
-
-		// Estimate every placement candidate, blending models with measured
-		// rates.
-		const never = 1e30
-		gpuEst, cpuEst, hybEst := sim.Time(never), sim.Time(never), sim.Time(never)
-		bestCore := -1
-		hybRows := 0
-		var hybShares []int
-		if gpuOK {
-			var readFresh, rwFresh, wrFresh int64
-			for _, a := range t.Accesses {
-				if _, ok := resident[a.H.name]; ok {
-					continue
-				}
-				switch a.Mode {
-				case Read:
-					readFresh += a.H.bytes
-				case ReadWrite:
-					rwFresh += a.H.bytes
-					wrFresh += a.H.bytes
-				case Write:
-					wrFresh += a.H.bytes
-				}
-			}
-			gateBytes, upRest, downBytes, _, _ := streamPlan(readFresh, rwFresh, wrFresh, streamWindow)
-			model := t.Costs.GPUSeconds()
-			if upRest+downBytes > 0 {
-				// Streamed: only the head gates the launch; the rest
-				// overlaps the kernel, bandwidth-bound if slower.
-				if streamSec := dev.TransferModel().Seconds(upRest + downBytes); streamSec > model {
-					model = streamSec
-				}
-			}
-			xfer := dev.TransferModel().Seconds(gateBytes)
-			start := dev.Queue.Available()
-			if readyAt > start {
-				start = readyAt
-			}
-			dmaDone := dev.DMA.Available()
-			if readyAt > dmaDone {
-				dmaDone = readyAt
-			}
-			dmaDone += xfer
-			if dmaDone > start {
-				start = dmaDone
-			}
-			gpuEst = start + s.rates.Estimate(t.Codelet, true, t.Flops, model)
-		}
-		if cpuOK {
-			est := s.rates.Estimate(t.Codelet, false, t.Flops, t.Costs.CPUSeconds())
-			for ci, core := range cores {
-				st := core.TL.Available()
-				if readyAt > st {
-					st = readyAt
-				}
-				if fin := st + est; fin < cpuEst {
-					cpuEst, bestCore = fin, ci
-				}
-			}
-		}
-		// Hybrid candidate: the split body occupies the device queue and the
-		// host cores at once. It is ineligible while the device is down
-		// (gpuOK is already false — the CPU body is the degradation path)
-		// and when the oracle's split rounds to a whole-device placement.
-		if t.Hybrid != nil && gpuOK && cpuOK {
-			h := t.Hybrid
-			// devPlan models the device half of a split at a given row
-			// share: the upload bytes that gate the kernel launch (whole
-			// fresh reads plus the written share — or, when the share
-			// overflows the stream window, just the head window), the
-			// overlapped stream time, and the resulting earliest kernel
-			// start. Mirrored exactly by the booking below so the learned
-			// rate predicts what actually gets booked.
-			devPlan := func(m1 int) (start sim.Time, streamSec float64) {
-				var readFresh, rwFresh, wrFresh int64
-				for _, a := range t.Accesses {
-					if _, ok := resident[a.H.name]; ok {
-						continue
-					}
-					fb := a.H.bytes * int64(m1) / int64(h.Rows)
-					switch a.Mode {
-					case Read:
-						if h.SplitReads {
-							readFresh += fb
-						} else {
-							readFresh += a.H.bytes
-						}
-					case ReadWrite:
-						rwFresh += fb
-						wrFresh += fb
-					case Write:
-						wrFresh += fb
-					}
-				}
-				gate, upRest, downBytes, _, _ := streamPlan(readFresh, rwFresh, wrFresh, streamWindow)
-				if upRest+downBytes > 0 {
-					streamSec = dev.TransferModel().Seconds(upRest + downBytes)
-				}
-				start = dev.Queue.Available()
-				if readyAt > start {
-					start = readyAt
-				}
-				dmaDone := dev.DMA.Available()
-				if readyAt > dmaDone {
-					dmaDone = readyAt
-				}
-				dmaDone += sim.Time(dev.TransferModel().Seconds(gate))
-				if dmaDone > start {
-					start = dmaDone
-				}
-				return start, streamSec
-			}
-			if m1 := int(math.Round(float64(h.Rows) * h.Split())); m1 > 0 && m1 < h.Rows {
-				// Cores that cannot join by the kernel's start (busy with a
-				// panel or an earlier slab) are dropped from the split and
-				// their rows handed back to the device — a synchronized
-				// split that waited for every core would serialize behind
-				// whatever the slowest core is doing. If no core is free in
-				// time, fall back to the fully synchronized split.
-				start0, _ := devPlan(m1)
-				usable := make([]bool, len(cores))
-				nUsable := 0
-				for ci := range cores {
-					if cores[ci].TL.Available() <= start0 {
-						usable[ci] = true
-						nUsable++
-					}
-				}
-				if nUsable == 0 {
-					for ci := range cores {
-						usable[ci] = true
-					}
-					nUsable = len(cores)
-				}
-				m2 := h.Rows - m1
-				if nUsable < len(cores) {
-					m2 = m2 * nUsable / len(cores)
-					m1 = h.Rows - m2
-				}
-				if m2 > 0 {
-					fr := make([]float64, len(cores))
-					for i := range fr {
-						if usable[i] {
-							fr[i] = 1
-						}
-					}
-					if h.CSplits != nil {
-						if cs := h.CSplits(); len(cs) == len(cores) {
-							for i := range fr {
-								if usable[i] {
-									fr[i] = cs[i]
-								}
-							}
-						}
-					}
-					shares := allocRows(m2, fr)
-					if h.FillSkew {
-						// Refine toward a synchronized join: each core's slab
-						// starts at max(data ready, core free) — usually
-						// before the kernel, which waits behind the queue and
-						// the upload gate — so size each slab to end exactly
-						// at the device half's projected join. Two passes
-						// close the fixed point (the join barely moves once
-						// the device share is near its final value).
-						var wsum float64
-						for i := range fr {
-							wsum += fr[i]
-						}
-						for pass := 0; pass < 2 && wsum > 0; pass++ {
-							kStart, ss := devPlan(m1)
-							join := kStart + sim.Time(h.GPUSeconds(m1))
-							if se := kStart + sim.Time(ss); se > join {
-								join = se
-							}
-							ref := m2 / nUsable
-							if ref < 1 {
-								ref = 1
-							}
-							secPerRow := h.CPUSeconds(ref) / float64(ref)
-							if secPerRow <= 0 {
-								break
-							}
-							total := 0
-							for ci := range cores {
-								shares[ci] = 0
-								if !usable[ci] || fr[ci] <= 0 {
-									continue
-								}
-								st := readyAt
-								if a := cores[ci].TL.Available(); a > st {
-									st = a
-								}
-								budget := float64(join - st)
-								if budget <= 0 {
-									continue
-								}
-								r := int(budget / secPerRow * fr[ci] * float64(nUsable) / wsum)
-								if r > h.Rows {
-									r = h.Rows
-								}
-								shares[ci] = r
-								total += r
-							}
-							if total > h.Rows-1 {
-								// The cores could swallow the whole task before
-								// the device half finishes; keep one device row
-								// so the booking stays a genuine split.
-								scale := float64(h.Rows-1) / float64(total)
-								total = 0
-								for ci := range shares {
-									shares[ci] = int(float64(shares[ci]) * scale)
-									total += shares[ci]
-								}
-							}
-							m2 = total
-							m1 = h.Rows - m2
-						}
-						// The two-pass fixed point assumes the join moves slowly
-						// with the device share. Transfer-dominated codelets
-						// (SplitReads stencils, where the upload gate scales
-						// with the share) violate that: the map overshoots and
-						// oscillates between a starved and a saturated device
-						// half. capacityAt re-derives the rows the cores could
-						// absorb by a given share's join; when that disagrees
-						// with what the passes assigned, fall back to a
-						// bisection on the device share — the capacity-vs-
-						// demand balance is monotone in m1, so it always lands.
-						capacityAt := func(m1c int) ([]int, int) {
-							kStart, ss := devPlan(m1c)
-							join := kStart + sim.Time(h.GPUSeconds(m1c))
-							if se := kStart + sim.Time(ss); se > join {
-								join = se
-							}
-							ref := (h.Rows - m1c) / nUsable
-							if ref < 1 {
-								ref = 1
-							}
-							secPerRow := h.CPUSeconds(ref) / float64(ref)
-							if secPerRow <= 0 {
-								return nil, 0
-							}
-							caps := make([]int, len(cores))
-							total := 0
-							for ci := range cores {
-								if !usable[ci] || fr[ci] <= 0 {
-									continue
-								}
-								st := readyAt
-								if a := cores[ci].TL.Available(); a > st {
-									st = a
-								}
-								budget := float64(join - st)
-								if budget <= 0 {
-									continue
-								}
-								r := int(budget / secPerRow * fr[ci] * float64(nUsable) / wsum)
-								if r > h.Rows {
-									r = h.Rows
-								}
-								caps[ci] = r
-								total += r
-							}
-							return caps, total
-						}
-						if wsum > 0 && m2 > 0 {
-							tol := m2 / 8
-							if tol < 2 {
-								tol = 2
-							}
-							if _, cap := capacityAt(m1); cap+tol < m2 || cap > m2+tol {
-								lo, hi := 1, h.Rows-1
-								for lo < hi {
-									mid := (lo + hi) / 2
-									if _, c := capacityAt(mid); c >= h.Rows-mid {
-										hi = mid
-									} else {
-										lo = mid + 1
-									}
-								}
-								m1 = lo
-								m2 = h.Rows - m1
-								if caps, cap := capacityAt(m1); cap > 0 {
-									w := make([]float64, len(cores))
-									for i, c := range caps {
-										w[i] = float64(c)
-									}
-									shares = allocRows(m2, w)
-								} else {
-									shares = allocRows(m2, fr)
-								}
-								total := 0
-								for _, r := range shares {
-									total += r
-								}
-								m2 = total
-								m1 = h.Rows - m2
-							}
-						}
-						if m2 == 0 {
-							// Nothing to top up — degenerate back to the
-							// oracle's allocation.
-							m2 = h.Rows - m1
-							shares = allocRows(m2, fr)
-						}
-					}
-					start, streamSec := devPlan(m1)
-					// Rank like the single-device candidates: waiting time
-					// stays outside the learned rate. The candidate runs for
-					// the intrinsic parallel compute time — max of the
-					// device half (compute- or bandwidth-bound) and the
-					// slowest core slab. Folding per-resource queue skew
-					// into the measured rate would let one congested
-					// wavefront poison the class forever.
-					intrinsic := h.GPUSeconds(m1)
-					if streamSec > intrinsic {
-						intrinsic = streamSec
-					}
-					if h.FillSkew {
-						// Skew-filled slabs start before the kernel and end
-						// at the join by construction: measure them in the
-						// kernel-start frame, like the observation, so the
-						// rank is the projected join and the head start that
-						// overlaps earlier work is not double-charged.
-						for ci, rc := range shares {
-							if rc == 0 {
-								continue
-							}
-							st := readyAt
-							if a := cores[ci].TL.Available(); a > st {
-								st = a
-							}
-							if d := float64(st-start) + h.CPUSeconds(rc); d > intrinsic {
-								intrinsic = d
-							}
-						}
-					} else {
-						for ci, rc := range shares {
-							if rc == 0 {
-								continue
-							}
-							if st := cores[ci].TL.Available(); st > start {
-								start = st
-							}
-							if d := h.CPUSeconds(rc); d > intrinsic {
-								intrinsic = d
-							}
-						}
-					}
-					hybEst = start + s.rates.EstimateClass(t.Codelet, ClassHyb, t.Flops, intrinsic)
-					hybRows, hybShares = m1, shares
-				}
-			}
-		}
-
-		// Gather dependency spans once; bookings start after them.
-		depSpan := sim.Span{Start: readyAt, End: readyAt}
-
-		var sp sim.Span
-		var end sim.Time
-		var gpuTail sim.Time
-		var device string
-		hybChosen := hybRows > 0 && hybEst < gpuEst && hybEst <= cpuEst
-		if gpuOK && !hybChosen && gpuEst <= cpuEst {
-			device = "gpu"
-			// Uploads for reads not yet resident; resident reads are skips.
-			keep := make(map[string]bool, len(t.Accesses))
-			for _, a := range t.Accesses {
-				keep[a.H.name] = true
-			}
-			// The fresh working set decides streaming semantics on both
-			// sides: an oversized written set streams through the bounded
-			// window (host copy authoritative), an oversized upload set gates
-			// the launch on a head window only and streams the rest in under
-			// the kernel as it sweeps rows in order.
-			var readFresh, rwFresh, wrFresh int64
-			for _, a := range t.Accesses {
-				if _, ok := resident[a.H.name]; ok {
-					continue
-				}
-				switch a.Mode {
-				case Read:
-					readFresh += a.H.bytes
-				case ReadWrite:
-					rwFresh += a.H.bytes
-					wrFresh += a.H.bytes
-				case Write:
-					wrFresh += a.H.bytes
-				}
-			}
-			gate, upRest, downBytes, rStream, wStream := streamPlan(readFresh, rwFresh, wrFresh, streamWindow)
-			deps := []sim.Span{depSpan}
-			var lateUp []*Handle // fresh reads riding the in-stream under the kernel
-			for _, a := range t.Accesses {
-				if a.Mode == Write {
-					continue
-				}
-				if re, ok := resident[a.H.name]; ok {
-					lruTick++
-					re.lru = lruTick
-					rep.BytesSkipped += re.bytes
-					deps = append(deps, re.sp)
-					continue
-				}
-				if wStream && a.Mode == ReadWrite {
-					continue // streams through the window instead
-				}
-				if rStream {
-					// Uploaded under the kernel after the head gate;
-					// registered resident once the stream span is known.
-					lateUp = append(lateUp, a.H)
-					continue
-				}
-				evictFor(a.H.bytes, keep)
-				up := dev.UploadBytes(a.H.bytes, readyAt)
-				rep.BytesIn += a.H.bytes
-				lruTick++
-				resident[a.H.name] = &residentEntry{bytes: a.H.bytes, sp: up, lru: lruTick}
-				memInUse += a.H.bytes
-				deps = append(deps, up)
-			}
-			if !wStream {
-				// Write-only outputs still occupy device memory.
-				for _, a := range t.Accesses {
-					if a.Mode != Write {
-						continue
-					}
-					if _, ok := resident[a.H.name]; !ok {
-						evictFor(a.H.bytes, keep)
-						lruTick++
-						resident[a.H.name] = &residentEntry{bytes: a.H.bytes, lru: lruTick}
-						memInUse += a.H.bytes
-					}
-				}
-			}
-			if !rStream && !wStream {
-				sp = dev.Kernel(t.Name, t.Costs.GPUSeconds(), deps...)
-				s.rates.Observe(t.Codelet, true, t.Flops, sp.Duration())
-			} else {
-				// The head gates the launch; the rest of the inbound stream
-				// and the whole outbound stream ride the DMA engine under
-				// the kernel, and the task ends only once the last window
-				// has drained.
-				var head int64
-				if rStream {
-					head = gate
-					rep.BytesIn += readFresh + rwFresh
-				} else {
-					head = gate - readFresh // fresh reads already booked above
-					rep.BytesIn += rwFresh
-				}
-				if head > 0 {
-					up := dev.UploadBytes(head, readyAt)
-					deps = append(deps, up)
-				}
-				if wStream {
-					evictFor(streamWindow, keep)
-					memInUse += streamWindow
-				}
-				sp = dev.Kernel(t.Name, t.Costs.GPUSeconds(), deps...)
-				gpuTail = sp.End
-				var restSp sim.Span
-				if upRest > 0 {
-					restSp = dev.UploadBytes(upRest, sp.Start)
-					if restSp.End > gpuTail {
-						gpuTail = restSp.End
-					}
-				}
-				if downBytes > 0 {
-					down := dev.DownloadBytes(downBytes, sp.Start)
-					rep.BytesOut += downBytes
-					if down.End > gpuTail {
-						gpuTail = down.End
-					}
-				}
-				if wStream {
-					memInUse -= streamWindow
-				}
-				// Deferred fresh reads are resident once the in-stream
-				// drains; later readers wait on that span, not the kernel.
-				for _, hd := range lateUp {
-					evictFor(hd.bytes, keep)
-					lruTick++
-					resident[hd.name] = &residentEntry{bytes: hd.bytes, sp: restSp, lru: lruTick}
-					memInUse += hd.bytes
-				}
-				measured := sp.Duration()
-				if ss := dev.TransferModel().Seconds(upRest + downBytes); ss > measured {
-					measured = ss
-				}
-				s.rates.Observe(t.Codelet, true, t.Flops, measured)
-			}
-			// Written handles that are device-resident are now newer than
-			// the host; streamed shares already drained, so the host copy
-			// stays authoritative for them.
-			for _, a := range t.Accesses {
-				if a.Mode == Read {
-					continue
-				}
-				re, ok := resident[a.H.name]
-				if !ok {
-					continue
-				}
-				lruTick++
-				re.lru = lruTick
-				re.sp = sp
-				re.dirty = true
-			}
-			rep.TasksGPU++
-		} else if hybChosen {
-			h := t.Hybrid
-			m1 := hybRows
-			device = fmt.Sprintf("hyb(g%d)", m1)
-			keep := make(map[string]bool, len(t.Accesses))
-			for _, a := range t.Accesses {
-				keep[a.H.name] = true
-			}
-			deps := []sim.Span{depSpan}
-			hostReady := readyAt
-
-			fracOf := func(bytes int64) int64 {
-				return bytes * int64(m1) / int64(h.Rows)
-			}
-			// The fresh working set decides streaming semantics exactly like
-			// the whole-GPU body: reads are needed whole (unless the codelet
-			// declares them row-local), written shares are row-split.
-			var readFresh, rwFresh, wrFresh int64
-			for _, a := range t.Accesses {
-				if _, ok := resident[a.H.name]; ok {
-					continue
-				}
-				switch a.Mode {
-				case Read:
-					if h.SplitReads {
-						readFresh += fracOf(a.H.bytes)
-					} else {
-						readFresh += a.H.bytes
-					}
-				case ReadWrite:
-					fb := fracOf(a.H.bytes)
-					rwFresh += fb
-					wrFresh += fb
-				case Write:
-					wrFresh += fracOf(a.H.bytes)
-				}
-			}
-			gate, upRest, downBytes, rStream, wStream := streamPlan(readFresh, rwFresh, wrFresh, streamWindow)
-			var lateUp []*Handle // fresh reads riding the in-stream under the kernel
-			var transientBytes int64
-
-			// Pure reads are needed whole on both sides: on the device for
-			// the kernel (cacheable, exactly like the GPU body) and current
-			// on the host for the core slabs — a device-dirty read streams
-			// back first. SplitReads codelets upload only the device rows'
-			// share of each fresh read; the partial copy is transient
-			// occupancy, never registered resident.
-			for _, a := range t.Accesses {
-				if a.Mode != Read {
-					continue
-				}
-				if re, ok := resident[a.H.name]; ok {
-					if re.dirty {
-						down := dev.DownloadBytes(re.bytes, re.sp.End)
-						rep.BytesOut += re.bytes
-						re.dirty = false
-						re.sp = down
-						if down.End > hostReady {
-							hostReady = down.End
-						}
-					}
-					lruTick++
-					re.lru = lruTick
-					rep.BytesSkipped += re.bytes
-					deps = append(deps, re.sp)
-					continue
-				}
-				if h.SplitReads {
-					fb := fracOf(a.H.bytes)
-					evictFor(fb, keep)
-					memInUse += fb
-					transientBytes += fb
-					if !rStream {
-						// Fractional head share, booked individually; under
-						// rStream the bytes ride the in-stream instead (the
-						// head gate already counts the fractional readFresh).
-						up := dev.UploadBytes(fb, readyAt)
-						rep.BytesIn += fb
-						deps = append(deps, up)
-					}
-					continue
-				}
-				if rStream {
-					// Uploaded under the kernel after the head gate;
-					// registered resident once the stream span is known.
-					lateUp = append(lateUp, a.H)
-					continue
-				}
-				evictFor(a.H.bytes, keep)
-				up := dev.UploadBytes(a.H.bytes, readyAt)
-				rep.BytesIn += a.H.bytes
-				lruTick++
-				resident[a.H.name] = &residentEntry{bytes: a.H.bytes, sp: up, lru: lruTick}
-				memInUse += a.H.bytes
-				deps = append(deps, up)
-			}
-
-			// Written handles are row-split: the device owns its share only
-			// for the duration of the task (the join downloads it, leaving
-			// the host copy authoritative). An existing resident copy serves
-			// the device rows in place but goes stale at the join. Both
-			// kinds of device occupancy — the transient row share and the
-			// whole stale copy — stay charged to the working-set guard until
-			// the booking completes, so a tile touched from both devices is
-			// counted once and exactly as long as it actually occupies
-			// memory.
-			var stale []string
-			for _, a := range t.Accesses {
-				if a.Mode == Read {
-					continue
-				}
-				fb := fracOf(a.H.bytes)
-				if re, ok := resident[a.H.name]; ok {
-					if re.dirty && a.Mode == ReadWrite {
-						// The host half updates rows whose only current copy
-						// is on the device: write it back before starting.
-						down := dev.DownloadBytes(re.bytes, re.sp.End)
-						rep.BytesOut += re.bytes
-						re.dirty = false
-						re.sp = down
-						if down.End > hostReady {
-							hostReady = down.End
-						}
-					}
-					if a.Mode == ReadWrite {
-						rep.BytesSkipped += fb
-					}
-					lruTick++
-					re.lru = lruTick
-					deps = append(deps, re.sp)
-					stale = append(stale, a.H.name)
-					continue
-				}
-				if wStream {
-					continue // streams through the window instead
-				}
-				evictFor(fb, keep)
-				if a.Mode == ReadWrite && !rStream {
-					up := dev.UploadBytes(fb, hostReady)
-					rep.BytesIn += fb
-					deps = append(deps, up)
-				}
-				memInUse += fb
-				transientBytes += fb
-			}
-			if rStream || wStream {
-				var head int64
-				if rStream {
-					head = gate
-					rep.BytesIn += readFresh + rwFresh
-				} else {
-					head = gate - readFresh // fresh reads already booked above
-					rep.BytesIn += rwFresh
-				}
-				if head > 0 {
-					up := dev.UploadBytes(head, hostReady)
-					deps = append(deps, up)
-				}
-				if wStream {
-					evictFor(streamWindow, keep)
-					memInUse += streamWindow
-					transientBytes += streamWindow
-				}
-			}
-
-			sp = dev.Kernel(t.Name, h.GPUSeconds(m1), deps...)
-
-			// Join: the device's rows of every written handle stream back —
-			// under the kernel for the streamed share, at the drain for
-			// held shares and in-place updates of stale resident copies.
-			gpuEnd := sp.End
-			var restSp sim.Span
-			if upRest > 0 {
-				restSp = dev.UploadBytes(upRest, sp.Start)
-				if restSp.End > gpuEnd {
-					gpuEnd = restSp.End
-				}
-			}
-			if downBytes > 0 {
-				down := dev.DownloadBytes(downBytes, sp.Start)
-				rep.BytesOut += downBytes
-				if down.End > gpuEnd {
-					gpuEnd = down.End
-				}
-			}
-			// Deferred fresh reads are resident once the in-stream drains;
-			// later readers wait on that span, not the kernel.
-			for _, hd := range lateUp {
-				evictFor(hd.bytes, keep)
-				lruTick++
-				resident[hd.name] = &residentEntry{bytes: hd.bytes, sp: restSp, lru: lruTick}
-				memInUse += hd.bytes
-			}
-			for _, a := range t.Accesses {
-				if a.Mode == Read {
-					continue
-				}
-				if wStream {
-					if _, ok := resident[a.H.name]; !ok {
-						continue // already streamed back under the kernel
-					}
-				}
-				fb := fracOf(a.H.bytes)
-				down := dev.DownloadBytes(fb, sp.End)
-				rep.BytesOut += fb
-				if down.End > gpuEnd {
-					gpuEnd = down.End
-				}
-			}
-
-			// Host half: the remaining rows shared across the cores.
-			cpuEnd := hostReady
-			maxSlice := sim.Time(0)
-			coreWorks := make([]float64, len(cores))
-			coreTimes := make([]float64, len(cores))
-			for ci, rc := range hybShares {
-				if rc == 0 {
-					continue
-				}
-				ssp := cores[ci].Work(fmt.Sprintf("%s+c%d", t.Name, ci), h.CPUSeconds(rc), hostReady)
-				coreWorks[ci] = t.Flops * float64(rc) / float64(h.Rows)
-				coreTimes[ci] = float64(ssp.End - ssp.Start)
-				if d := ssp.End - ssp.Start; d > maxSlice {
-					maxSlice = d
-				}
-				if ssp.End > cpuEnd {
-					cpuEnd = ssp.End
-				}
-			}
-
-			// Release the device occupancy the split held: transient row
-			// shares and copies the host half just made stale.
-			memInUse -= transientBytes
-			for _, name := range stale {
-				if re, ok := resident[name]; ok {
-					memInUse -= re.bytes
-					delete(resident, name)
-				}
-			}
-
-			end = gpuEnd
-			if cpuEnd > end {
-				end = cpuEnd
-			}
-			// Feed back the intrinsic parallel compute time — the quantity
-			// the candidate rank predicts. Queue skew between the kernel
-			// start and the core slabs, and the join drain riding the DMA
-			// timeline, both stay out on both sides of the estimate.
-			tg := sp.Duration()
-			if upRest+downBytes > 0 {
-				if ss := dev.TransferModel().Seconds(upRest + downBytes); ss > tg {
-					tg = ss
-				}
-			}
-			measured := tg
-			if h.FillSkew {
-				// Match the estimate's kernel-start frame.
-				if d := cpuEnd - sp.Start; d > measured {
-					measured = d
-				}
-			} else if maxSlice > measured {
-				measured = maxSlice
-			}
-			s.rates.ObserveClass(t.Codelet, ClassHyb, t.Flops, measured)
-			// The oracle's tc is normalized by the participating-core
-			// fraction: a split that dropped busy cores measured only part of
-			// the element's CPU capacity, and feeding the raw slab time would
-			// teach database_g a ratio that ping-pongs between the full-core
-			// and reduced-core regimes instead of the machine's actual
-			// GPU:CPU capacity (the dropping mechanism already rescales the
-			// row shares deterministically at the next placement).
-			nUsed := 0
-			for _, rc := range hybShares {
-				if rc > 0 {
-					nUsed++
-				}
-			}
-			tcOracle := maxSlice
-			if h.FillSkew && cpuEnd > hostReady {
-				// Skew-filled slabs start before the kernel; measure them in
-				// the kernel-start frame so a synchronized join reads as
-				// tc == tg and the oracle keeps the capacity balance instead
-				// of re-learning the skew the scheduler already fills.
-				tcOracle = cpuEnd - sp.Start
-				if tcOracle <= 0 {
-					tcOracle = maxSlice
-				}
-			}
-			if nUsed > 0 && nUsed < len(cores) {
-				tcOracle = tcOracle * sim.Time(nUsed) / sim.Time(len(cores))
-			}
-			if h.Observe != nil {
-				h.Observe(float64(m1)/float64(h.Rows), float64(tg), float64(tcOracle), coreWorks, coreTimes)
-			}
-			if s.opts.Verify && (t.Shape[0] > 0 || t.Shape[1] > 0) {
-				end = s.verifyHybrid(t, m1, sp, gpuEnd, cpuEnd, &rep)
-			}
-			rep.TasksHyb++
-		} else {
-			core := cores[bestCore]
-			device = fmt.Sprintf("cpu%d", bestCore)
-			// Host readers of device-dirty handles wait for the download.
-			start := readyAt
-			for _, a := range t.Accesses {
-				if a.Mode == Write {
-					continue
-				}
-				if re, ok := resident[a.H.name]; ok && re.dirty {
-					down := dev.DownloadBytes(re.bytes, re.sp.End)
-					rep.BytesOut += re.bytes
-					re.dirty = false
-					re.sp = down
-					if down.End > start {
-						start = down.End
-					}
-				}
-			}
-			sp = core.Work(t.Name, t.Costs.CPUSeconds(), start)
-			s.rates.Observe(t.Codelet, false, t.Flops, sp.Duration())
-			// A host write invalidates any device copy.
-			for _, a := range t.Accesses {
-				if a.Mode == Read {
-					continue
-				}
-				if re, ok := resident[a.H.name]; ok {
-					memInUse -= re.bytes
-					delete(resident, a.H.name)
-				}
-			}
-			rep.TasksCPU++
-		}
-
-		if !hybChosen {
-			end = sp.End
-			if gpuTail > end {
-				end = gpuTail
-			}
-			if device == "gpu" && s.opts.Verify && (t.Shape[0] > 0 || t.Shape[1] > 0) {
-				end = s.verifyTask(t, sim.Span{Start: sp.Start, End: end}, &rep)
-			}
+		end := max(b.devEnd, b.hostEnd)
+		if b.class != ClassCPU && s.opts.Verify && (t.Shape[0] > 0 || t.Shape[1] > 0) {
+			end = r.verify(t, &b)
 		}
 		finish[t.id] = end
-		if end > rep.End {
-			rep.End = end
-		}
-		rep.TaskSpans = append(rep.TaskSpans, TaskSpan{
-			Name: t.Name, Codelet: t.Codelet, Device: device, Start: sp.Start, End: end,
+		r.rep.End = max(r.rep.End, end)
+		r.rep.TaskSpans = append(r.rep.TaskSpans, TaskSpan{
+			Name: t.Name, Codelet: t.Codelet, Device: b.device, Start: b.sp.Start, End: end,
 		})
 
 		for _, c := range children[t.id] {
@@ -1250,220 +356,61 @@ func (s *Scheduler) Run(g *Graph, earliest sim.Time) (Report, error) {
 			if indeg[c] == 0 {
 				ra := earliest
 				for _, d := range tasks[c].deps {
-					if finish[d] > ra {
-						ra = finish[d]
-					}
+					ra = max(ra, finish[d])
 				}
 				heap.Push(ready, readyItem{id: c, priority: tasks[c].Priority, readyAt: ra})
 			}
 		}
 	}
 
-	// Final drain: handles whose only up-to-date copy lives on the device
-	// stream back so the host state is complete, in residency order.
-	type drain struct {
-		lru   int
-		bytes int64
-		at    sim.Time
-	}
-	var drains []drain
-	for _, re := range resident {
-		if re.dirty {
-			drains = append(drains, drain{lru: re.lru, bytes: re.bytes, at: re.sp.End})
-		}
-	}
-	sort.Slice(drains, func(i, j int) bool { return drains[i].lru < drains[j].lru })
-	for _, d := range drains {
-		sp := dev.DownloadBytes(d.bytes, d.at)
-		rep.BytesOut += d.bytes
-		if sp.End > rep.End {
-			rep.End = sp.End
-		}
-	}
-
+	r.res.drain()
 	s.runBodies(tasks, children)
+	s.probes.flush(&r.rep, s.opts.Verify)
+	return r.rep, nil
+}
 
-	if pr := s.probes; pr != nil {
-		pr.tasks.Add(int64(rep.Tasks))
-		pr.tasksGPU.Add(int64(rep.TasksGPU))
-		pr.tasksCPU.Add(int64(rep.TasksCPU))
-		pr.tasksHyb.Add(int64(rep.TasksHyb))
-		pr.flops.Add(int64(rep.Flops))
-		pr.bytesIn.Add(rep.BytesIn)
-		pr.bytesOut.Add(rep.BytesOut)
-		pr.bytesSkipped.Add(rep.BytesSkipped)
-		pr.makespan.Set(rep.End - rep.Start)
-		if s.opts.Verify {
-			pr.sdcProbes()
-			pr.sdcDetected.Add(int64(rep.SDCDetected))
-			pr.sdcCorr.Add(int64(rep.SDCCorrected))
-			pr.sdcEscal.Add(int64(rep.SDCEscalated))
-			pr.verifySeconds.Add(rep.VerifySeconds)
+// admit applies device-health admission control before t's candidates are
+// estimated, mirroring the hybrid runner: fault-unaware schedulers stall on a
+// dead context; fault-aware ones fall back to CPU during the outage
+// (quarantining the affinity database's GPU rates and dropping the lost
+// device memory) and re-init + re-warm once the hardware answers. A GPU-only
+// task during an outage waits for the hardware to answer again: its readiness
+// moves to the restore time, where admission re-inits the context. It returns
+// the task's ready time and whether its device variants are candidates.
+func (r *run) admit(t *Task, readyAt sim.Time) (at sim.Time, gpuOK, stalled bool) {
+	s, dev := r.s, r.dev
+	gpuOK = t.Costs.GPUSeconds != nil
+	cpuOK := t.Costs.CPUSeconds != nil
+	if gpuOK && dev.ContextDead(readyAt) {
+		if !cpuOK && !dev.AvailableAt(readyAt) && s.opts.GPUFallback {
+			readyAt = dev.Health().RestoredAt(readyAt)
 		}
-	}
-	return rep, nil
-}
-
-// verifyTask books the ABFT check of one GPU task at its drain and resolves
-// any SDC strike: a localizable single-element corruption re-books just this
-// task's kernel (plus a re-verify), an unlocalizable one counts as an
-// escalation for the caller's checkpoint machinery. Strikes are drawn from
-// the per-task streams keyed by the scheduler-lifetime sequence number, so
-// they depend only on (seed, drain order).
-func (s *Scheduler) verifyTask(t *Task, kernel sim.Span, rep *Report) sim.Time {
-	m, nn, k := t.Shape[0], t.Shape[1], t.Shape[2]
-	ver := abft.VerifySeconds(m, nn, k)
-	end := kernel.End + ver
-	rep.VerifySeconds += ver
-	seq := s.taskSeq
-	s.taskSeq++
-	if pr := s.probes; pr != nil {
-		pr.sdcProbes()
-		pr.tracer.Span("taskgraph.abft", "abft", "verify "+t.Name, kernel.End, end)
-	}
-	hit, struck := s.opts.SDC.SDCTask(seq, kernel.End, m, nn)
-	if !struck {
-		return end
-	}
-	rep.SDCDetected++
-	if abft.Classify(hit.Faults, hit.InChecksum) == abft.Escalate {
-		rep.SDCEscalated++
-		if pr := s.probes; pr != nil {
-			pr.tracer.Instant("taskgraph.abft", "abft", "sdc.escalate "+t.Name, end)
-		}
-		return end
-	}
-	redo := s.el.GPU.Kernel(t.Name+"~redo", t.Costs.GPUSeconds(), sim.Span{Start: end, End: end})
-	end = redo.End + ver
-	rep.VerifySeconds += ver
-	rep.SDCCorrected++
-	rep.RecomputedTasks++
-	if pr := s.probes; pr != nil {
-		pr.tracer.Instant("taskgraph.abft", "abft", "sdc.recompute "+t.Name, end)
-	}
-	return end
-}
-
-// verifyHybrid books the ABFT checks of a split task at its join: the device
-// half is verified at its drain with the same strike geometry as a whole-GPU
-// task, shaped to its row share, while the host half's checksum only costs
-// time — ECC'd host memory is never struck, mirroring the hybrid runner. A
-// localizable strike re-books just the device half's kernel.
-func (s *Scheduler) verifyHybrid(t *Task, m1 int, kernel sim.Span, gpuEnd, cpuEnd sim.Time, rep *Report) sim.Time {
-	nn, k := t.Shape[1], t.Shape[2]
-	m2 := t.Hybrid.Rows - m1
-	verG := abft.VerifySeconds(m1, nn, k)
-	verC := abft.VerifySeconds(m2, nn, k)
-	gEnd := gpuEnd + verG
-	cEnd := cpuEnd + verC
-	rep.VerifySeconds += verG + verC
-	seq := s.taskSeq
-	s.taskSeq++
-	if pr := s.probes; pr != nil {
-		pr.sdcProbes()
-		pr.tracer.Span("taskgraph.abft", "abft", "verify "+t.Name, gpuEnd, gEnd)
-	}
-	end := gEnd
-	if cEnd > end {
-		end = cEnd
-	}
-	hit, struck := s.opts.SDC.SDCTask(seq, gpuEnd, m1, nn)
-	if !struck {
-		return end
-	}
-	rep.SDCDetected++
-	if abft.Classify(hit.Faults, hit.InChecksum) == abft.Escalate {
-		rep.SDCEscalated++
-		if pr := s.probes; pr != nil {
-			pr.tracer.Instant("taskgraph.abft", "abft", "sdc.escalate "+t.Name, end)
-		}
-		return end
-	}
-	redo := s.el.GPU.Kernel(t.Name+"~redo", t.Hybrid.GPUSeconds(m1), sim.Span{Start: gEnd, End: gEnd})
-	rEnd := redo.End + verG
-	rep.VerifySeconds += verG
-	rep.SDCCorrected++
-	rep.RecomputedTasks++
-	if pr := s.probes; pr != nil {
-		pr.tracer.Instant("taskgraph.abft", "abft", "sdc.recompute "+t.Name, rEnd)
-	}
-	if rEnd > end {
-		end = rEnd
-	}
-	return end
-}
-
-// streamPlan decides the transfer shape of a task's fresh working set against
-// the bounded stream window. gate is the upload that must land before the
-// kernel launches, upRest the inbound stream overlapped with the kernel, and
-// down the outbound stream riding under it. rStream reports an oversized
-// upload set (fresh reads plus in-place updates): only a head window gates the
-// launch and the rest streams in as the kernel sweeps rows in order. wStream
-// reports an oversized written set: it cannot become resident, so it cycles
-// through the window and the host copy stays authoritative. The two compose —
-// a trailing-update slab typically overflows both sides at once.
-func streamPlan(readFresh, rwFresh, wrFresh, window int64) (gate, upRest, down int64, rStream, wStream bool) {
-	upFresh := readFresh + rwFresh
-	rStream = upFresh > window
-	wStream = wrFresh > window
-	switch {
-	case rStream:
-		gate = window / 2
-		upRest = upFresh - gate
-	case wStream:
-		head := min(rwFresh, window/2)
-		gate = readFresh + head
-		upRest = rwFresh - head
-	default:
-		gate = upFresh
-	}
-	if wStream {
-		down = wrFresh
-	}
-	return gate, upRest, down, rStream, wStream
-}
-
-// allocRows distributes total rows across shares by largest remainder, the
-// same deterministic rule the hybrid runner uses for its level-2 per-core
-// split.
-func allocRows(total int, fracs []float64) []int {
-	n := len(fracs)
-	out := make([]int, n)
-	if total == 0 || n == 0 {
-		return out
-	}
-	var sum float64
-	for _, f := range fracs {
-		sum += f
-	}
-	if sum <= 0 {
-		out[0] = total
-		return out
-	}
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]rem, n)
-	assigned := 0
-	for i, f := range fracs {
-		exact := float64(total) * f / sum
-		out[i] = int(exact)
-		assigned += out[i]
-		rems[i] = rem{idx: i, frac: exact - float64(out[i])}
-	}
-	for assigned < total {
-		best := 0
-		for i := 1; i < n; i++ {
-			if rems[i].frac > rems[best].frac {
-				best = i
+		switch {
+		case !s.opts.GPUFallback:
+			r.rep.Stalled = true
+			s.probes.instant("gpu.stall", readyAt)
+			return readyAt, false, true
+		case dev.AvailableAt(readyAt):
+			sp := dev.Reinit(readyAt)
+			dev.DMA.AdvanceTo(sp.End)
+			r.res.reset()
+			s.gpuDown = false
+			s.rates.Rewarm(s.opts.RewarmHalfLife)
+			s.probes.instant("gpu.reinit", sp.End)
+		default:
+			gpuOK = false
+			if !s.gpuDown {
+				s.gpuDown = true
+				s.rates.Quarantine()
+				r.res.reset()
+				s.probes.instant("gpu.fallback", readyAt)
 			}
 		}
-		out[rems[best].idx]++
-		rems[best].frac--
-		assigned++
 	}
-	return out
+	if !gpuOK && !cpuOK {
+		panic(fmt.Sprintf("taskgraph: task %q has no runnable device variant", t.Name))
+	}
+	return readyAt, gpuOK, false
 }
 
 // runBodies executes the real host bodies. Serial mode walks the placement

@@ -1,6 +1,7 @@
 package taskgraph
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -310,5 +311,33 @@ func TestSchedulerFinalDrainFlushesDirtyHandles(t *testing.T) {
 	only, _ := rep.Span("only")
 	if rep.End <= only.End {
 		t.Errorf("End = %v not extended past the kernel end %v by the drain", rep.End, only.End)
+	}
+}
+
+// TestWorkingSetOverflowIsATypedError drives the working-set guard: a task
+// whose own reads cannot fit on the device even with everything else evicted
+// makes Run return ErrWorkingSet — it used to panic — and an aborted
+// placement teaches the rate database nothing.
+func TestWorkingSetOverflowIsATypedError(t *testing.T) {
+	const mem = int64(1 << 20)
+	el := element.New(element.Config{Seed: 37, Virtual: true, GPUMem: mem})
+	sch := NewScheduler(el, Options{})
+	g := New()
+	a := g.NewHandle("a", 600<<10)
+	b := g.NewHandle("b", 600<<10)
+	o := g.NewHandle("o", 64)
+	// Both reads must be resident at once; together they exceed the device.
+	g.Add(&Task{Name: "big", Codelet: "k", Flops: 1e9,
+		Costs:    Costs{GPUSeconds: func() float64 { return 0.1 }},
+		Accesses: []Access{{a, Read}, {b, Read}, {o, Write}}})
+	_, err := sch.Run(g, 0)
+	if !errors.Is(err, ErrWorkingSet) {
+		t.Fatalf("Run error = %v, want ErrWorkingSet", err)
+	}
+	if want := fmt.Sprintf("taskgraph: working set of %d bytes exceeds device memory %d", b.Bytes(), mem); err.Error() != want {
+		t.Errorf("message = %q, want %q", err, want)
+	}
+	if got := sch.Rates().Codelets(); len(got) != 0 {
+		t.Errorf("aborted placement fed the rate database: %v", got)
 	}
 }

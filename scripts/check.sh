@@ -1,14 +1,22 @@
 #!/bin/sh
 # check.sh — the full local verification suite: build everything, vet
-# everything, run the tianhelint invariant analyzers, and run every test —
-# under the race detector when the toolchain supports it. CI and
-# `make check` both run exactly this.
+# everything, require gofmt-clean sources, run the tianhelint invariant
+# analyzers, and run every test — under the race detector when the toolchain
+# supports it. CI and `make check` both run exactly this.
 set -eux
 
 cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# gofmt -l names every file that differs from canonical formatting; any
+# name is a failure.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "check.sh: gofmt needed on:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 # -tests also lints _test.go files with the clock/rand contract; -par runs
 # the per-package passes concurrently (findings identical at any setting).
 go run ./cmd/tianhelint -tests -par 8
