@@ -9,6 +9,7 @@ import (
 	"tianhe/internal/hpl"
 	"tianhe/internal/matrix"
 	"tianhe/internal/mpi"
+	"tianhe/internal/perfmodel"
 	rcv "tianhe/internal/recover"
 	"tianhe/internal/sim"
 	"tianhe/internal/taskgraph"
@@ -16,13 +17,17 @@ import (
 
 // Elastic distributed LU: the real small-scale twin of the paper's
 // full-machine runs that survives element death mid-factorization without a
-// global restart. The solver keeps the 1-D column block-cyclic layout of
-// SolveDistributed but stores each global block-column separately and runs
-// every trailing update per block-column, which makes the arithmetic of any
-// column independent of which element computes it — the property the whole
-// recovery story leans on: a run that loses an element mid-way produces
-// factors byte-identical to a run distributed over the survivors from the
-// start.
+// global restart. It is the one solver with a layout of its own rather than a
+// grid of SolveDistributed2D: an ownership table maps each global
+// block-column to an element (column block-cyclic until a death reshuffles
+// it), the right-hand side is replicated, each block-column is stored
+// separately and every trailing update runs per block-column. That makes the
+// arithmetic of any column independent of which element computes it — the
+// property the whole recovery story leans on: a run that loses an element
+// mid-way produces factors byte-identical to a run distributed over the
+// survivors from the start. A grid cannot offer it: its ranks update their
+// whole local trailing block at once, so a column's DGEMM shapes, and with
+// them its bits, depend on what else its owner holds.
 //
 // Redundancy is RAID-style XOR parity over factored columns (see
 // internal/recover): when column k's panel is factored, its owner ships the
@@ -47,17 +52,15 @@ import (
 // other work. Parity is then re-encoded under the shrunk layout and the
 // loop resumes forward. No rollback: no survivor recomputes anything.
 const (
-	elasticPanelRate = 18.0 // GFLOPS, host panel factorization
-	elasticTrsmRate  = 26.0 // GFLOPS, per-column U12 triangular solve
-	elasticGemmRate  = 52.0 // GFLOPS, per-column trailing update (hybrid aggregate)
-	elasticMemGBps   = 8.0  // GB/s for generator reads and XOR folds
-	elasticMemBps    = elasticMemGBps * 1e9
-	replayCPURate    = 18e9 // flops/s for the rebuild codelet's CPU variant
-	replayGPURate    = 80e9 // flops/s for the rebuild codelet's GPU variant
+	elasticGemmRate = 52.0 // GFLOPS, per-column trailing update (hybrid aggregate)
+	elasticMemGBps  = 8.0  // GB/s for generator reads and XOR folds
+	elasticMemBps   = elasticMemGBps * 1e9
+	replayCPURate   = 18e9 // flops/s for the rebuild codelet's CPU variant
+	replayGPURate   = 80e9 // flops/s for the rebuild codelet's GPU variant
 )
 
 // Tags for the elastic solver's communication phases (fresh world, so the
-// space is private; +k%8 rotation within each 16-wide band like hpldist).
+// space is private; +k%8 rotation within each 16-wide band).
 const (
 	tagEPanel = 1000 + iota*16
 	tagESolve
@@ -149,8 +152,8 @@ type elasticRank struct {
 // computes for real; all times are virtual; the whole run is bit-exact from
 // the seed at any -par.
 func SolveElastic(cfg ElasticConfig) (ElasticResult, error) {
-	if cfg.N%cfg.NB != 0 {
-		return ElasticResult{}, fmt.Errorf("cluster: N=%d must be a multiple of NB=%d", cfg.N, cfg.NB)
+	if err := checkShape(cfg.N, cfg.NB); err != nil {
+		return ElasticResult{}, err
 	}
 	if cfg.Ranks <= 0 {
 		return ElasticResult{}, fmt.Errorf("cluster: need at least one rank")
@@ -215,20 +218,10 @@ func SolveElastic(cfg ElasticConfig) (ElasticResult, error) {
 			res.ParityBytes += st.parityBytes
 		}
 	}
-	x := xs[root.comm.Rank()]
-	for _, r := range root.live {
-		if other := xs[r]; other != nil && matrix.VecMaxDiff(x, other) != 0 {
-			return res, fmt.Errorf("cluster: survivors disagree on the solution")
-		}
-	}
-	res.X = x
-	res.Residual = hpl.ScaledResidual(fullA, x, fullB)
-	res.Passed = res.Residual < hpl.ResidualThreshold
-	res.GFLOPS = hpl.LinpackFlops(cfg.N) / float64(end) / 1e9
-	if !res.Passed {
-		return res, fmt.Errorf("cluster: residual %g exceeds threshold", res.Residual)
-	}
-	return res, nil
+	// Only survivors reach the backsolve, so only they have an entry in xs.
+	d, err := finishSolve(fullA, fullB, xs, end)
+	res.X, res.Residual, res.Passed, res.GFLOPS = d.X, d.Residual, d.Passed, d.GFLOPS
+	return res, err
 }
 
 func indexOfRank(live []int, r int) int {
@@ -274,10 +267,6 @@ func (st *elasticRank) refreshStripes() {
 	st.stripes = rcv.Stripes(st.owners, st.live)
 }
 
-func (st *elasticRank) advance(flops, gflops float64) {
-	st.comm.Advance(sim.Time(flops / (gflops * 1e9)))
-}
-
 // factorLoop is the elastic right-looking panel loop. Returns true if this
 // rank died on schedule.
 func (st *elasticRank) factorLoop() (died bool) {
@@ -302,22 +291,18 @@ func (st *elasticRank) factorLoop() (died bool) {
 		owner := st.owners[k]
 		row0 := k * nb
 		m := n - row0
-		var panel *matrix.Dense
-		var ipiv []int
-		rootIdx := indexOfRank(st.live, owner)
+		var buf []float64
 		if owner == me {
 			pv := st.cols[k].View(row0, 0, m, nb)
-			ipiv = make([]int, nb)
+			ipiv := make([]int, nb)
 			if err := hpl.PanelFactor(pv, ipiv); err != nil {
 				panic(fmt.Sprintf("cluster: singular panel at block %d: %v", k, err))
 			}
-			st.advance(float64(nb)*float64(nb)*(float64(m)+float64(nb)/3), elasticPanelRate)
-			panel = pv.Clone()
-			st.comm.GroupBcast(st.live, rootIdx, tagEPanel+k%8, encodePanel(panel, ipiv))
-		} else {
-			buf := st.comm.GroupBcast(st.live, rootIdx, tagEPanel+k%8, nil)
-			panel, ipiv = decodePanel(buf, m, nb)
+			advance(st.comm, float64(nb)*float64(nb)*(float64(m)+float64(nb)/3), perfmodel.HostPanelGFLOPS)
+			buf = packPanel(ipiv, pv)
 		}
+		buf = st.comm.GroupBcast(st.live, indexOfRank(st.live, owner), tagEPanel+k%8, buf)
+		panel, ipiv := unpackPanel(buf, m, nb)
 		st.pivots = append(st.pivots, ipiv)
 
 		// Pivot swaps: all owned columns except the in-place-factored
@@ -354,7 +339,7 @@ func (st *elasticRank) factorLoop() (died bool) {
 		if m > nb {
 			blas.Dgemv(blas.NoTrans, -1, l21, bPanel, 1, st.bTilde[row0+nb:])
 		}
-		st.advance(2*float64(m)*float64(nb), 4)
+		advance(st.comm, 2*float64(m)*float64(nb), 4)
 
 		// Per-block-column trailing update: each owned column right of the
 		// panel gets its own triangular solve and GEMM, so a column's bits
@@ -387,21 +372,13 @@ func (st *elasticRank) ownedAfter(k int) []int {
 }
 
 // updateColumn applies iteration k's triangular solve and trailing GEMM to
-// one owned block-column. The exact same call shapes are used by the replay
-// path, which is what makes reconstruction bit-exact.
+// one owned block-column and books both on the rank's clock.
 func (st *elasticRank) updateColumn(col *matrix.Dense, panel *matrix.Dense, k int) {
-	n, nb := st.cfg.N, st.cfg.NB
-	row0 := k * nb
-	m := n - row0
-	l11 := panel.View(0, 0, nb, nb)
-	u12 := col.View(row0, 0, nb, nb)
-	blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, l11, u12)
-	st.advance(float64(nb)*float64(nb)*float64(nb), elasticTrsmRate)
-	if m > nb {
-		l21 := panel.View(nb, 0, m-nb, nb)
-		a22 := col.View(row0+nb, 0, m-nb, nb)
-		blas.DgemmPacked(-1, l21, u12, 1, a22)
-		st.advance(2*float64(m-nb)*float64(nb)*float64(nb), elasticGemmRate)
+	st.updateColumnAt(col, panel, k)
+	nb := st.cfg.NB
+	advance(st.comm, float64(nb)*float64(nb)*float64(nb), perfmodel.HostTrsmGFLOPS)
+	if m := st.cfg.N - k*nb; m > nb {
+		advance(st.comm, 2*float64(m-nb)*float64(nb)*float64(nb), elasticGemmRate)
 	}
 }
 
@@ -419,15 +396,20 @@ func (st *elasticRank) encodeParity(k, owner int) {
 		st.comm.Send(s.Holder, tagEParity+k%8, st.cols[k].Data)
 		st.parityBytes += int64(8 * n * nb)
 	case s.Holder == me && owner != me:
-		data := st.comm.Recv(owner, tagEParity+k%8)
-		p, ok := st.parity[s.Index]
-		if !ok {
-			p = make([]float64, n*nb)
-			st.parity[s.Index] = p
-		}
-		rcv.XORInto(p, data)
-		st.advance(float64(8*n*nb), elasticMemGBps) // XOR fold at memory rate
+		rcv.XORInto(st.parityBlock(s.Index), st.comm.Recv(owner, tagEParity+k%8))
+		advance(st.comm, float64(8*n*nb), elasticMemGBps) // XOR fold at memory rate
 	}
+}
+
+// parityBlock returns this rank's parity block of a stripe, zeroed on first
+// use.
+func (st *elasticRank) parityBlock(stripe int) []float64 {
+	p, ok := st.parity[stripe]
+	if !ok {
+		p = make([]float64, st.cfg.N*st.cfg.NB)
+		st.parity[stripe] = p
+	}
+	return p
 }
 
 // recoverFrom is the elastic shrink at iteration boundary k: agree on the
@@ -495,16 +477,11 @@ func (st *elasticRank) recoverFrom(failed []int, k int) {
 				if c >= k {
 					continue
 				}
-				p, ok := st.parity[s.Index]
-				if !ok {
-					p = make([]float64, n*nb)
-					st.parity[s.Index] = p
-				}
-				rcv.XORInto(p, factored[c])
+				rcv.XORInto(st.parityBlock(s.Index), factored[c])
 				folded++
 			}
 		}
-		st.advance(float64(folded)*float64(8*n*nb), elasticMemGBps)
+		advance(st.comm, float64(folded)*float64(8*n*nb), elasticMemGBps)
 	}
 
 	// Agree on the epoch's recovery stall (group max), so every survivor
@@ -691,8 +668,10 @@ func (st *elasticRank) replayIteration(col *matrix.Dense, panel *matrix.Dense, i
 	st.updateColumnAt(col, panel, i)
 }
 
-// updateColumnAt is updateColumn without the virtual-time booking — the
-// rebuild graph books the replay cost through the scheduler instead.
+// updateColumnAt is the arithmetic of updateColumn without the virtual-time
+// booking — the rebuild graph books the replay cost through the scheduler
+// instead. The live loop and the replay share these exact call shapes, which
+// is what makes reconstruction bit-exact.
 func (st *elasticRank) updateColumnAt(col *matrix.Dense, panel *matrix.Dense, k int) {
 	n, nb := st.cfg.N, st.cfg.NB
 	row0 := k * nb
@@ -768,7 +747,7 @@ func (st *elasticRank) backSolve() []float64 {
 				uTop := st.cols[k].View(0, 0, row0, nb)
 				blas.Dgemv(blas.NoTrans, 1, uTop, xj, 0, delta)
 			}
-			st.advance(2*float64(row0)*float64(nb), 4)
+			advance(st.comm, 2*float64(row0)*float64(nb), 4)
 			payload = append(xj, delta...)
 			st.comm.GroupBcast(st.live, indexOfRank(st.live, owner), tagESolve+k%8, payload)
 		} else {

@@ -100,7 +100,7 @@ func SimulateElastic(cfg ElasticSimConfig) ElasticSimResult {
 				t = w / (rg + cpuRate)
 			}
 			// Look-ahead: only the panel's excess over the update surfaces.
-			panelSec := float64(nb) * float64(nb) * (float64(m) + float64(nb)/3) / (elasticPanelRate * 1e9)
+			panelSec := float64(nb) * float64(nb) * (float64(m) + float64(nb)/3) / (perfmodel.HostPanelGFLOPS * 1e9)
 			if panelSec > t {
 				t = panelSec
 			}

@@ -10,8 +10,8 @@ import (
 )
 
 // TestRandomizedDistributedConfigs throws a batch of randomized problem
-// sizes, block sizes, grids and variants at both distributed solvers and
-// checks every solution against the serial solver.
+// sizes, block sizes, grids and variants at all three distributed solvers
+// and checks every solution against the serial solver.
 func TestRandomizedDistributedConfigs(t *testing.T) {
 	r := sim.NewRNG(777)
 	for trial := 0; trial < 8; trial++ {
@@ -51,5 +51,26 @@ func TestRandomizedDistributedConfigs(t *testing.T) {
 		if d := matrix.VecMaxDiff(r2.X, want); d > 1e-7 {
 			t.Fatalf("trial %d 2D solution off by %v", trial, d)
 		}
+
+		eranks := 2 + trial%3
+		re, err := SolveElastic(ElasticConfig{N: n, NB: nb, Ranks: eranks, Seed: seed})
+		if err != nil {
+			t.Fatalf("trial %d elastic (n=%d nb=%d ranks=%d): %v", trial, n, nb, eranks, err)
+		}
+		if d := matrix.VecMaxDiff(re.X, want); d > 1e-7 {
+			t.Fatalf("trial %d elastic solution off by %v", trial, d)
+		}
 	}
+}
+
+// FuzzPanelCodec round-trips panels of arbitrary shape, source stride and
+// content through the one codec both solvers broadcast with.
+func FuzzPanelCodec(f *testing.F) {
+	f.Add(uint16(8), uint16(8), uint16(0), uint64(1))
+	f.Add(uint16(40), uint16(8), uint16(0), uint64(2))
+	f.Add(uint16(24), uint16(8), uint16(17), uint64(3))
+	f.Add(uint16(0), uint16(4), uint16(5), uint64(4))
+	f.Fuzz(func(t *testing.T, m, nb, extra uint16, seed uint64) {
+		checkPanelRoundTrip(t, int(m%97), 1+int(nb%16), int(extra%32), seed)
+	})
 }

@@ -8,11 +8,8 @@ package cluster
 import (
 	"fmt"
 
-	"tianhe/internal/adaptive"
-	"tianhe/internal/blas"
 	"tianhe/internal/element"
 	"tianhe/internal/hpl"
-	"tianhe/internal/hybrid"
 	"tianhe/internal/matrix"
 	"tianhe/internal/mpi"
 	"tianhe/internal/sim"
@@ -43,260 +40,76 @@ type DistResult struct {
 	GFLOPS  float64
 }
 
-// Tags used by the solver's communication phases.
-const (
-	tagPanel = iota * 16
-	tagSolveX
-	tagBarrier
-)
-
-// rankState is one rank's working set.
-type rankState struct {
-	comm    *mpi.Comm
-	el      *element.Element
-	runner  *hybrid.Runner
-	local   *matrix.Dense // N x localCols, column block-cyclic
-	bTilde  []float64     // replicated, progressively eliminated rhs
-	nblocks int
-	cfg     DistConfig
-}
-
-// localBlocks returns the global block indices owned by rank q in order.
-func localBlocks(nblocks, q, ranks int) []int {
-	var out []int
-	for b := q; b < nblocks; b += ranks {
-		out = append(out, b)
-	}
-	return out
-}
-
 // SolveDistributed factors and solves a dense system across cfg.Ranks
 // processes, each backed by its own compute element, and verifies the
-// residual against the original matrix. Everything computes for real; all
-// times are virtual.
+// residual against the original matrix: the 1 x Ranks grid of
+// SolveDistributed2D. Everything computes for real; all times are virtual.
 func SolveDistributed(cfg DistConfig) (DistResult, error) {
-	if cfg.N%cfg.NB != 0 {
-		return DistResult{}, fmt.Errorf("cluster: N=%d must be a multiple of NB=%d", cfg.N, cfg.NB)
-	}
-	if cfg.Ranks <= 0 {
-		return DistResult{}, fmt.Errorf("cluster: need at least one rank")
-	}
-	nblocks := cfg.N / cfg.NB
-	fullA, fullB := hpl.Generate(cfg.N, cfg.Seed)
-
-	world := mpi.NewWorld(mpi.Config{Size: cfg.Ranks})
-	results := make([][]float64, cfg.Ranks)
-
-	end := world.Run(func(c *mpi.Comm) {
-		st := newRankState(c, cfg, nblocks, fullA, fullB)
-		st.factorAndEliminate()
-		x := st.backSolve()
-		results[c.Rank()] = x
+	return SolveDistributed2D(Dist2DConfig{
+		N: cfg.N, NB: cfg.NB, P: 1, Q: cfg.Ranks, Seed: cfg.Seed,
+		Variant: cfg.Variant, GPUMem: cfg.GPUMem, GPUTexture: cfg.GPUTexture,
 	})
-
-	x := results[0]
-	for r := 1; r < cfg.Ranks; r++ {
-		if matrix.VecMaxDiff(x, results[r]) != 0 {
-			return DistResult{}, fmt.Errorf("cluster: ranks disagree on the solution")
-		}
-	}
-	res := DistResult{
-		X:       x,
-		Seconds: end,
-	}
-	res.Residual = hpl.ScaledResidual(fullA, x, fullB)
-	res.Passed = res.Residual < hpl.ResidualThreshold
-	res.GFLOPS = hpl.LinpackFlops(cfg.N) / float64(end) / 1e9
-	if !res.Passed {
-		return res, fmt.Errorf("cluster: residual %g exceeds threshold", res.Residual)
-	}
-	return res, nil
 }
 
-func newRankState(c *mpi.Comm, cfg DistConfig, nblocks int, fullA *matrix.Dense, fullB []float64) *rankState {
-	elCfg := element.Config{
-		Seed:        cfg.Seed + uint64(c.Rank())*1000,
-		JitterSigma: -1,
-		GPUMem:      cfg.GPUMem,
-		GPUTexture:  cfg.GPUTexture,
+// checkShape rejects the problem shapes no block-cyclic layout can hold.
+func checkShape(n, nb int) error {
+	if n <= 0 || nb <= 0 || n%nb != 0 {
+		return fmt.Errorf("cluster: N=%d NB=%d: both must be positive and N a multiple of NB", n, nb)
 	}
-	el := element.New(elCfg)
-	var part adaptive.Partitioner
-	if cfg.Variant.Adaptive() {
-		part = adaptive.NewAdaptive(32, hpl.LinpackFlops(cfg.N), el.InitialGSplit(), el.CPU.NumCores())
-	}
-	st := &rankState{
-		comm:    c,
-		el:      el,
-		runner:  hybrid.New(el, cfg.Variant, part),
-		nblocks: nblocks,
-		cfg:     cfg,
-	}
-	// Extract the locally owned block-columns from the global matrix.
-	blocks := localBlocks(nblocks, c.Rank(), cfg.Ranks)
-	st.local = matrix.NewDense(cfg.N, len(blocks)*cfg.NB)
-	for li, b := range blocks {
-		src := fullA.View(0, b*cfg.NB, cfg.N, cfg.NB)
-		dst := st.local.View(0, li*cfg.NB, cfg.N, cfg.NB)
-		dst.CopyFrom(src)
-	}
-	st.bTilde = append([]float64(nil), fullB...)
-	return st
+	return nil
 }
 
-// cpuAdvance charges flops of host-side level-2/3 work to the rank's clock.
-func (st *rankState) cpuAdvance(flops float64, rate float64) {
-	st.comm.Advance(flops / (rate * 1e9))
+// advance charges flops of host-side work at the given rate to a rank's
+// clock (bytes at GB/s book the same way).
+func advance(c *mpi.Comm, flops, gflops float64) {
+	c.Advance(flops / (gflops * 1e9))
 }
 
-// factorAndEliminate runs the right-looking panel loop: factor, broadcast,
-// swap, update — with the rhs eliminated in lockstep so only the triangular
-// backsolve remains afterwards.
-func (st *rankState) factorAndEliminate() {
-	n, nb, ranks := st.cfg.N, st.cfg.NB, st.cfg.Ranks
-	me := st.comm.Rank()
-	for k := 0; k < st.nblocks; k++ {
-		owner := k % ranks
-		row0 := k * nb
-		m := n - row0 // panel height
-		var panel *matrix.Dense
-		var ipiv []int
-		if owner == me {
-			li := k / ranks
-			pv := st.local.View(row0, li*nb, m, nb)
-			ipiv = make([]int, nb)
-			if err := hpl.PanelFactor(pv, ipiv); err != nil {
-				panic(fmt.Sprintf("cluster: singular panel at block %d: %v", k, err))
-			}
-			// Panel factorization cost: mostly half-panel DGEMMs on the host.
-			st.cpuAdvance(float64(nb)*float64(nb)*(float64(m)+float64(nb)/3), 18)
-			panel = pv.Clone()
-			// Broadcast factored panel + pivots.
-			buf := encodePanel(panel, ipiv)
-			st.comm.Bcast(owner, tagPanel+k%8, buf)
-		} else {
-			buf := st.comm.Bcast(owner, tagPanel+k%8, nil)
-			panel, ipiv = decodePanel(buf, m, nb)
-		}
-
-		// Apply the pivot swaps to all locally owned columns except the
-		// owner's already-swapped panel, and to the replicated rhs.
-		for i := 0; i < nb; i++ {
-			gi := row0 + i
-			gp := row0 + ipiv[i]
-			if gi == gp {
-				continue
-			}
-			for lc := 0; lc < st.local.Cols; lc++ {
-				if owner == me && lc/nb == k/ranks {
-					continue // the panel columns were swapped in-place
-				}
-				col := st.local.Col(lc)
-				col[gi], col[gp] = col[gp], col[gi]
-			}
-			st.bTilde[gi], st.bTilde[gp] = st.bTilde[gp], st.bTilde[gi]
-		}
-
-		l11 := panel.View(0, 0, nb, nb)
-		l21 := panel.View(nb, 0, m-nb, nb)
-
-		// Forward-eliminate the replicated rhs with the broadcast panel
-		// (redundant on every rank, so it stays replicated).
-		bPanel := st.bTilde[row0 : row0+nb]
-		blas.Dtrsv(blas.Lower, blas.NoTrans, blas.Unit, l11, bPanel)
-		if m > nb {
-			tail := st.bTilde[row0+nb:]
-			blas.Dgemv(blas.NoTrans, -1, l21, bPanel, 1, tail)
-		}
-		st.cpuAdvance(2*float64(m)*float64(nb), 4)
-
-		// Trailing update of the locally owned columns right of the panel.
-		firstLocal := st.trailingLocalStart(k)
-		cols := st.local.Cols - firstLocal
-		if cols <= 0 || m <= nb {
-			continue
-		}
-		u12 := st.local.View(row0, firstLocal, nb, cols)
-		blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, l11, u12)
-		st.cpuAdvance(float64(nb)*float64(nb)*float64(cols), 26)
-		a22 := st.local.View(row0+nb, firstLocal, m-nb, cols)
-		rep := st.runner.Gemm(-1, l21, u12, 1, a22, st.comm.Now())
-		st.comm.Sync(rep.End)
+// packPanel encodes a factored panel piece and its pivots for broadcast as
+// [ipiv | piece], the piece column-major with a tight leading dimension.
+func packPanel(ipiv []int, piece *matrix.Dense) []float64 {
+	buf := make([]float64, len(ipiv), len(ipiv)+piece.Rows*piece.Cols)
+	for i, v := range ipiv {
+		buf[i] = float64(v)
 	}
-}
-
-// trailingLocalStart returns the first local column strictly right of global
-// block k.
-func (st *rankState) trailingLocalStart(k int) int {
-	me, ranks, nb := st.comm.Rank(), st.cfg.Ranks, st.cfg.NB
-	done := 0
-	for b := me; b <= k; b += ranks {
-		done++
-	}
-	return done * nb
-}
-
-// backSolve finishes U*x = bTilde right to left: each block owner solves its
-// diagonal block, broadcasts x_j together with the elimination delta for the
-// rows above, and every rank applies the delta to its replicated rhs.
-func (st *rankState) backSolve() []float64 {
-	n, nb, ranks := st.cfg.N, st.cfg.NB, st.cfg.Ranks
-	me := st.comm.Rank()
-	x := make([]float64, n)
-	for k := st.nblocks - 1; k >= 0; k-- {
-		owner := k % ranks
-		row0 := k * nb
-		var payload []float64
-		if owner == me {
-			li := k / ranks
-			ujj := st.local.View(row0, li*nb, nb, nb)
-			xj := append([]float64(nil), st.bTilde[row0:row0+nb]...)
-			blas.Dtrsv(blas.Upper, blas.NoTrans, blas.NonUnit, ujj, xj)
-			// Elimination contribution for rows above this block.
-			delta := make([]float64, row0)
-			if row0 > 0 {
-				uTop := st.local.View(0, li*nb, row0, nb)
-				blas.Dgemv(blas.NoTrans, 1, uTop, xj, 0, delta)
-			}
-			st.cpuAdvance(2*float64(row0)*float64(nb), 4)
-			payload = append(xj, delta...)
-			st.comm.Bcast(owner, tagSolveX+k%8, payload)
-		} else {
-			payload = st.comm.Bcast(owner, tagSolveX+k%8, nil)
-		}
-		xj := payload[:nb]
-		delta := payload[nb:]
-		copy(x[row0:row0+nb], xj)
-		for i := range delta {
-			st.bTilde[i] -= delta[i]
-		}
-	}
-	return x
-}
-
-// encodePanel packs a factored panel and its pivots into one float slice.
-func encodePanel(p *matrix.Dense, ipiv []int) []float64 {
-	buf := make([]float64, 0, p.Rows*p.Cols+len(ipiv))
-	for j := 0; j < p.Cols; j++ {
-		buf = append(buf, p.Col(j)...)
-	}
-	for _, v := range ipiv {
-		buf = append(buf, float64(v))
+	for j := 0; j < piece.Cols; j++ {
+		buf = append(buf, piece.Col(j)...)
 	}
 	return buf
 }
 
-// decodePanel is the inverse of encodePanel.
-func decodePanel(buf []float64, m, nb int) (*matrix.Dense, []int) {
-	p := matrix.NewDense(m, nb)
-	off := 0
-	for j := 0; j < nb; j++ {
-		copy(p.Col(j), buf[off:off+m])
-		off += m
-	}
+// unpackPanel is the inverse of packPanel. The piece views buf instead of
+// copying it: the root packed buf itself and mpi.Send hands every receiver a
+// private payload, so nobody else holds the storage.
+func unpackPanel(buf []float64, rows, nb int) (*matrix.Dense, []int) {
 	ipiv := make([]int, nb)
 	for i := range ipiv {
-		ipiv[i] = int(buf[off+i])
+		ipiv[i] = int(buf[i])
 	}
-	return p, ipiv
+	return matrix.FromColMajor(rows, nb, max(rows, 1), buf[nb:]), ipiv
+}
+
+// finishSolve is the tail every real solve shares: the ranks that returned a
+// solution (xs[r] is nil for the dead and the never-started) must agree bit
+// for bit, and that solution must pass the HPL residual check against the
+// original system.
+func finishSolve(a *matrix.Dense, b []float64, xs [][]float64, end sim.Time) (DistResult, error) {
+	var x []float64
+	for _, other := range xs {
+		switch {
+		case other == nil:
+		case x == nil:
+			x = other
+		case matrix.VecMaxDiff(x, other) != 0:
+			return DistResult{}, fmt.Errorf("cluster: ranks disagree on the solution")
+		}
+	}
+	res := DistResult{X: x, Seconds: end}
+	res.Residual = hpl.ScaledResidual(a, x, b)
+	res.Passed = res.Residual < hpl.ResidualThreshold
+	res.GFLOPS = hpl.LinpackFlops(len(b)) / float64(end) / 1e9
+	if !res.Passed {
+		return res, fmt.Errorf("cluster: residual %g exceeds threshold", res.Residual)
+	}
+	return res, nil
 }

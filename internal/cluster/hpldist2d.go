@@ -12,6 +12,7 @@ import (
 	"tianhe/internal/hybrid"
 	"tianhe/internal/matrix"
 	"tianhe/internal/mpi"
+	"tianhe/internal/perfmodel"
 )
 
 // Dist2DConfig describes a real distributed solve on a P x Q block-cyclic
@@ -71,8 +72,8 @@ type state2d struct {
 // SolveDistributed2D factors and solves a dense system on a P x Q grid with
 // real arithmetic and virtual timing, verifying the residual at the end.
 func SolveDistributed2D(cfg Dist2DConfig) (DistResult, error) {
-	if cfg.N%cfg.NB != 0 {
-		return DistResult{}, fmt.Errorf("cluster: N=%d must be a multiple of NB=%d", cfg.N, cfg.NB)
+	if err := checkShape(cfg.N, cfg.NB); err != nil {
+		return DistResult{}, err
 	}
 	if cfg.P <= 0 || cfg.Q <= 0 {
 		return DistResult{}, fmt.Errorf("cluster: invalid %dx%d grid", cfg.P, cfg.Q)
@@ -86,21 +87,7 @@ func SolveDistributed2D(cfg Dist2DConfig) (DistResult, error) {
 		st.factor()
 		results[c.Rank()] = st.backSolve()
 	})
-
-	x := results[0]
-	for r := 1; r < world.Size(); r++ {
-		if matrix.VecMaxDiff(x, results[r]) != 0 {
-			return DistResult{}, fmt.Errorf("cluster: ranks disagree on the solution")
-		}
-	}
-	res := DistResult{X: x, Seconds: end}
-	res.Residual = hpl.ScaledResidual(fullA, x, fullB)
-	res.Passed = res.Residual < hpl.ResidualThreshold
-	res.GFLOPS = hpl.LinpackFlops(cfg.N) / float64(end) / 1e9
-	if !res.Passed {
-		return res, fmt.Errorf("cluster: residual %g exceeds threshold", res.Residual)
-	}
-	return res, nil
+	return finishSolve(fullA, fullB, results, end)
 }
 
 func newState2d(c *mpi.Comm, cfg Dist2DConfig, fullA *matrix.Dense, fullB []float64) *state2d {
@@ -128,7 +115,7 @@ func newState2d(c *mpi.Comm, cfg Dist2DConfig, fullA *matrix.Dense, fullB []floa
 	nb := cfg.NB
 	for bi := p; bi < st.nRowBlocks; bi += cfg.P {
 		for bj := q; bj < st.nColBlocks; bj += cfg.Q {
-			dst := st.local.View((bi/cfg.P)*nb, (bj/cfg.Q)*nb, nb, nb)
+			dst := st.local.View(st.localRow(bi*nb), st.localColOfBlock(bj), nb, nb)
 			if bj < st.nRowBlocks { // regular block of A
 				dst.CopyFrom(fullA.View(bi*nb, bj*nb, nb, nb))
 				continue
@@ -152,41 +139,35 @@ func (st *state2d) localCols() int {
 
 // localRow maps a global row this rank's process row owns to local storage.
 func (st *state2d) localRow(gr int) int {
-	bi := gr / st.cfg.NB
-	return (bi/st.cfg.P)*st.cfg.NB + gr%st.cfg.NB
+	return grid.CyclicLocalIndex(gr/st.cfg.NB, st.cfg.P)*st.cfg.NB + gr%st.cfg.NB
 }
 
+// rowOwner returns the process row that owns global row gr.
+func (st *state2d) rowOwner(gr int) int { return grid.CyclicOwner(gr/st.cfg.NB, st.cfg.P) }
+
 // ownsRow reports whether this rank's process row owns global row gr.
-func (st *state2d) ownsRow(gr int) bool { return (gr/st.cfg.NB)%st.cfg.P == st.p }
+func (st *state2d) ownsRow(gr int) bool { return st.rowOwner(gr) == st.p }
 
 // localColOfBlock maps a global column block this rank owns to its local
 // column offset.
-func (st *state2d) localColOfBlock(bj int) int { return (bj / st.cfg.Q) * st.cfg.NB }
+func (st *state2d) localColOfBlock(bj int) int {
+	return grid.CyclicLocalIndex(bj, st.cfg.Q) * st.cfg.NB
+}
 
 // firstLocalRowAtOrAbove returns the first local row whose global row is
 // >= gr (local rows are ascending in global row).
 func (st *state2d) firstLocalRowAtOrAbove(gr int) int {
-	bi := gr / st.cfg.NB
-	off := gr % st.cfg.NB
-	// Count my blocks strictly below bi.
-	below := 0
-	for b := st.p; b < bi; b += st.cfg.P {
-		below++
+	below := grid.CyclicBlocks(gr/st.cfg.NB, st.p, st.cfg.P) * st.cfg.NB
+	if st.ownsRow(gr) {
+		return below + gr%st.cfg.NB
 	}
-	if bi%st.cfg.P == st.p {
-		return below*st.cfg.NB + off
-	}
-	return below * st.cfg.NB
+	return below
 }
 
 // firstLocalColOfTrailing returns the first local column with global block
 // index > k.
 func (st *state2d) firstLocalColOfTrailing(k int) int {
-	cnt := 0
-	for b := st.q; b <= k; b += st.cfg.Q {
-		cnt++
-	}
-	return cnt * st.cfg.NB
+	return grid.CyclicBlocks(k+1, st.q, st.cfg.Q) * st.cfg.NB
 }
 
 func (st *state2d) colGroup(pcol int) []int {
@@ -205,10 +186,6 @@ func (st *state2d) rowGroup(prow int) []int {
 	return out
 }
 
-func (st *state2d) cpuAdvance(flops, rate float64) {
-	st.comm.Advance(flops / (rate * 1e9))
-}
-
 // factor runs the 2D right-looking panel loop, optionally with depth-1
 // look-ahead.
 func (st *state2d) factor() {
@@ -218,8 +195,8 @@ func (st *state2d) factor() {
 	var piece *matrix.Dense
 	var ipiv []int
 	for k := 0; k < st.nRowBlocks; k++ {
-		pcol := k % st.cfg.Q
-		prow := k % st.cfg.P
+		pcol := grid.CyclicOwner(k, st.cfg.Q)
+		prow := grid.CyclicOwner(k, st.cfg.P)
 		row0 := k * nb
 
 		if piece == nil {
@@ -242,7 +219,7 @@ func (st *state2d) factor() {
 			// Look-ahead: the next panel's owner column updates just that
 			// block column, factors panel k+1 and launches its broadcast —
 			// all while the other ranks chew on the bulk update.
-			nextCol := (k + 1) % st.cfg.Q
+			nextCol := grid.CyclicOwner(k+1, st.cfg.Q)
 			var nextIpiv []int
 			if st.q == nextCol {
 				st.updateRange(k, prow, piece, u12, 0, nb)
@@ -259,7 +236,7 @@ func (st *state2d) factor() {
 		}
 
 		// Trailing update through the hybrid element.
-		st.update(k, prow, piece, u12)
+		st.updateRange(k, prow, piece, u12, 0, -1)
 		piece, ipiv = nil, nil
 	}
 }
@@ -317,12 +294,12 @@ func (st *state2d) panelFactor(k int) []int {
 				for jj := 0; jj < nb; jj++ {
 					seg[jj] = st.local.At(lr, lc+jj)
 				}
-				st.comm.Send(group[(gp/nb)%st.cfg.P], tag2dSwapPanel, seg)
+				st.comm.Send(group[st.rowOwner(gp)], tag2dSwapPanel, seg)
 				for jj := 0; jj < nb; jj++ {
 					st.local.Set(lr, lc+jj, pivRow[jj])
 				}
 			case ownGP:
-				seg := st.comm.Recv(group[(gr0/nb)%st.cfg.P], tag2dSwapPanel)
+				seg := st.comm.Recv(group[st.rowOwner(gr0)], tag2dSwapPanel)
 				lr := st.localRow(gp)
 				for jj := 0; jj < nb; jj++ {
 					st.local.Set(lr, lc+jj, seg[jj])
@@ -341,7 +318,7 @@ func (st *state2d) panelFactor(k int) []int {
 				trail := st.local.View(below, lc+j+1, rows, nb-j-1)
 				blas.Dger(-1, colj.Col(0), pivRow[j+1:], trail)
 			}
-			st.cpuAdvance(2*float64(rows)*float64(nb-j), 10)
+			advance(st.comm, 2*float64(rows)*float64(nb-j), 10)
 		}
 	}
 	return ipiv
@@ -363,27 +340,10 @@ func (st *state2d) panelBcast(k, pcol int, ipiv []int) (*matrix.Dense, []int) {
 
 	var payload []float64
 	if st.q == pcol {
-		lc := st.localColOfBlock(k)
-		payload = make([]float64, nb+pieceRows*nb)
-		for j := 0; j < nb; j++ {
-			payload[j] = float64(ipiv[j])
-		}
-		for jj := 0; jj < nb; jj++ {
-			col := st.local.View(start, lc+jj, pieceRows, 1).Col(0)
-			copy(payload[nb+jj*pieceRows:], col)
-		}
+		payload = packPanel(ipiv, st.local.View(start, st.localColOfBlock(k), pieceRows, nb))
 	}
 	payload = st.comm.BcastWith(st.cfg.PanelBcast, group, pcol, tag2dPanelBcast, payload)
-
-	pivots := make([]int, nb)
-	for j := 0; j < nb; j++ {
-		pivots[j] = int(payload[j])
-	}
-	piece := matrix.NewDense(pieceRows, nb)
-	for jj := 0; jj < nb; jj++ {
-		copy(piece.Col(jj), payload[nb+jj*pieceRows:nb+(jj+1)*pieceRows])
-	}
-	return piece, pivots
+	return unpackPanel(payload, pieceRows, nb)
 }
 
 // applyTrailingSwaps mirrors the panel's row interchanges on the columns
@@ -404,8 +364,7 @@ func (st *state2d) applyTrailingSwaps(k, row0 int, ipiv []int) {
 		if r1 == gp {
 			continue
 		}
-		p1 := (r1 / nb) % st.cfg.P
-		p2 := (gp / nb) % st.cfg.P
+		p1, p2 := st.rowOwner(r1), st.rowOwner(gp)
 		switch {
 		case st.p == p1 && st.p == p2:
 			blas.SwapRows(st.local.View(0, c0, st.local.Rows, cols),
@@ -448,7 +407,7 @@ func (st *state2d) computeAndBcastU12(k, prow int, piece *matrix.Dense) *matrix.
 		l11 := piece.View(0, 0, nb, nb)
 		u12 := st.local.View(st.localRow(row0), c0, nb, cols)
 		blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, l11, u12)
-		st.cpuAdvance(float64(nb)*float64(nb)*float64(cols), 26)
+		advance(st.comm, float64(nb)*float64(nb)*float64(cols), perfmodel.HostTrsmGFLOPS)
 		payload = make([]float64, nb*cols)
 		for j := 0; j < cols; j++ {
 			copy(payload[j*nb:], u12.Col(j))
@@ -457,23 +416,16 @@ func (st *state2d) computeAndBcastU12(k, prow int, piece *matrix.Dense) *matrix.
 	if cols == 0 {
 		return nil
 	}
-	payload = st.comm.GroupBcast(group, prow, tag2dU12, payload)
-	u12 := matrix.NewDense(nb, cols)
-	for j := 0; j < cols; j++ {
-		copy(u12.Col(j), payload[j*nb:(j+1)*nb])
-	}
-	return u12
+	// The payload is this rank's own (packed above or a private copy from
+	// mpi.Send), so U12 views it.
+	return matrix.FromColMajor(nb, cols, nb, st.comm.GroupBcast(group, prow, tag2dU12, payload))
 }
 
-// update applies A22 -= L21 * U12 on the whole local trailing block.
-func (st *state2d) update(k, prow int, piece *matrix.Dense, u12 *matrix.Dense) {
-	st.updateRange(k, prow, piece, u12, 0, -1)
-}
-
-// updateRange applies the trailing update to a column sub-range: colOff is
-// the offset (in columns) within this rank's trailing region and count the
-// width, with -1 meaning "to the end". Look-ahead uses it to update the next
-// panel's block column ahead of the rest.
+// updateRange applies the trailing update A22 -= L21 * U12 to a column
+// sub-range of the local trailing block: colOff is the offset (in columns)
+// within this rank's trailing region and count the width, with -1 meaning
+// "to the end". Look-ahead uses it to update the next panel's block column
+// ahead of the rest.
 func (st *state2d) updateRange(k, prow int, piece *matrix.Dense, u12 *matrix.Dense, colOff, count int) {
 	nb := st.cfg.NB
 	row0 := k * nb
@@ -518,7 +470,7 @@ func (st *state2d) updateRange(k, prow int, piece *matrix.Dense, u12 *matrix.Den
 func (st *state2d) backSolve() []float64 {
 	nb := st.cfg.NB
 	n := st.cfg.N
-	qb := st.nRowBlocks % st.cfg.Q // owner column of the augmented block
+	qb := grid.CyclicOwner(st.nRowBlocks, st.cfg.Q) // owner column of the augmented block
 	lcB := -1
 	if st.q == qb {
 		lcB = st.localColOfBlock(st.nRowBlocks)
@@ -526,8 +478,8 @@ func (st *state2d) backSolve() []float64 {
 	x := make([]float64, n)
 
 	for k := st.nRowBlocks - 1; k >= 0; k-- {
-		prow := k % st.cfg.P
-		pcol := k % st.cfg.Q
+		prow := grid.CyclicOwner(k, st.cfg.P)
+		pcol := grid.CyclicOwner(k, st.cfg.Q)
 		row0 := k * nb
 		diag := st.g.Rank(prow, pcol)
 		yHolder := st.g.Rank(prow, qb)
@@ -552,7 +504,7 @@ func (st *state2d) backSolve() []float64 {
 			}
 			ukk := st.local.View(st.localRow(row0), st.localColOfBlock(k), nb, nb)
 			blas.Dtrsv(blas.Upper, blas.NoTrans, blas.NonUnit, ukk, xk)
-			st.cpuAdvance(float64(nb)*float64(nb), 4)
+			advance(st.comm, float64(nb)*float64(nb), 4)
 		}
 		xk = st.comm.Bcast(diag, tag2dSolveX, xk)
 		copy(x[row0:row0+nb], xk)
@@ -565,7 +517,7 @@ func (st *state2d) backSolve() []float64 {
 			uTop := st.local.View(0, st.localColOfBlock(k), rowsAbove, nb)
 			delta := make([]float64, rowsAbove)
 			blas.Dgemv(blas.NoTrans, 1, uTop, xk, 0, delta)
-			st.cpuAdvance(2*float64(rowsAbove)*float64(nb), 4)
+			advance(st.comm, 2*float64(rowsAbove)*float64(nb), 4)
 			if st.q == qb {
 				for i := 0; i < rowsAbove; i++ {
 					st.local.Set(i, lcB, st.local.At(i, lcB)-delta[i])

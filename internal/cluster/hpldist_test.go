@@ -6,6 +6,7 @@ import (
 	"tianhe/internal/element"
 	"tianhe/internal/hpl"
 	"tianhe/internal/matrix"
+	"tianhe/internal/sim"
 )
 
 func TestSolveDistributedSingleRank(t *testing.T) {
@@ -106,11 +107,94 @@ func TestSolveDistributedSmallGPU(t *testing.T) {
 	}
 }
 
-func TestLocalBlocks(t *testing.T) {
-	got := localBlocks(7, 1, 3)
-	want := []int{1, 4}
-	if len(got) != len(want) || got[0] != 1 || got[1] != 4 {
-		t.Fatalf("localBlocks = %v", got)
+// Every public solver must answer a shape no block-cyclic layout can hold
+// with an error, never a divide-by-zero panic.
+func TestSolversRejectBadShapes(t *testing.T) {
+	solvers := map[string]func(n, nb int) error{
+		"SolveDistributed": func(n, nb int) error {
+			_, err := SolveDistributed(DistConfig{N: n, NB: nb, Ranks: 2, Variant: element.ACMLG})
+			return err
+		},
+		"SolveDistributed2D": func(n, nb int) error {
+			_, err := SolveDistributed2D(Dist2DConfig{N: n, NB: nb, P: 2, Q: 2, Variant: element.ACMLG})
+			return err
+		},
+		"SolveElastic": func(n, nb int) error {
+			_, err := SolveElastic(ElasticConfig{N: n, NB: nb, Ranks: 2})
+			return err
+		},
+	}
+	for _, c := range []struct{ n, nb int }{
+		{256, 0}, {256, -32}, {0, 32}, {-64, 32}, {100, 32},
+	} {
+		for name, solve := range solvers {
+			if err := solve(c.n, c.nb); err == nil {
+				t.Errorf("%s accepted N=%d NB=%d", name, c.n, c.nb)
+			}
+		}
+	}
+}
+
+// SolveDistributed is the 1 x Ranks grid of the 2-D solver, bit for bit.
+func TestSolveDistributedIs1xQGrid(t *testing.T) {
+	r1, err := SolveDistributed(DistConfig{N: 192, NB: 32, Ranks: 3, Seed: 8, Variant: element.ACMLGBoth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := SolveDistributed2D(Dist2DConfig{N: 192, NB: 32, P: 1, Q: 3, Seed: 8, Variant: element.ACMLGBoth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if matrix.VecMaxDiff(r1.X, r2.X) != 0 || r1.Seconds != r2.Seconds {
+		t.Fatalf("1-D and 1x3 runs differ: makespans %v vs %v", r1.Seconds, r2.Seconds)
+	}
+}
+
+// checkPanelRoundTrip packs an m x nb window of a matrix with leading
+// dimension m+extra and checks unpackPanel returns the same pivots and
+// elements as a tight view of the packed buffer.
+func checkPanelRoundTrip(t *testing.T, m, nb, extra int, seed uint64) {
+	t.Helper()
+	backing := matrix.NewDense(m+extra, nb)
+	backing.FillRandom(sim.NewRNG(seed))
+	src := backing.View(extra, 0, m, nb)
+	ipiv := make([]int, nb)
+	for i := range ipiv {
+		ipiv[i] = (i*7 + int(seed%13)) % (m + 1)
+	}
+
+	buf := packPanel(ipiv, src)
+	if len(buf) != nb+m*nb {
+		t.Fatalf("packed %dx%d panel is %d values, want %d", m, nb, len(buf), nb+m*nb)
+	}
+	piece, got := unpackPanel(buf, m, nb)
+	for i := range ipiv {
+		if got[i] != ipiv[i] {
+			t.Fatalf("pivot %d: got %d, want %d", i, got[i], ipiv[i])
+		}
+	}
+	if piece.Rows != m || piece.Cols != nb || !piece.Equal(src) {
+		t.Fatalf("%dx%d piece (stride %d) does not match its %dx%d source", piece.Rows, piece.Cols, piece.Stride, m, nb)
+	}
+	if m > 0 {
+		buf[nb] = -buf[nb] - 1
+		if piece.At(0, 0) != buf[nb] {
+			t.Fatal("unpacked piece must view the payload, not copy it")
+		}
+	}
+}
+
+func TestPanelCodecRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		m, nb, extra int
+	}{
+		{"diagonal block only (m = nb)", 8, 8, 0},
+		{"tall panel (m > nb)", 40, 8, 0},
+		{"source stride exceeds its rows", 24, 8, 17},
+		{"rank with no rows left", 0, 8, 5},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkPanelRoundTrip(t, c.m, c.nb, c.extra, 3) })
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strconv"
 
 	"tianhe/internal/grid"
 	"tianhe/internal/hpl"
@@ -163,8 +164,12 @@ func SimulateScale(cfg ScaleConfig) ScaleResult {
 		es := &elems[e]
 		es.gpuScale = 1 + manuf.Normal(0, 0.015)
 		es.cpuRate = cleanCPU * (1 + manuf.Normal(0, 0.02))
-		es.drift = sim.NewStream(cfg.Seed, "scale/drift/"+itoa(e))
-		es.noise = sim.NewStream(cfg.Seed, "scale/noise/"+itoa(e))
+		// AppendInt into a stack buffer, not Itoa: the stream names then
+		// never reach the heap, at two per element of a 5,120-element run.
+		var digits [20]byte
+		id := strconv.AppendInt(digits[:0], int64(e), 10)
+		es.drift = sim.NewStream(cfg.Seed, "scale/drift/"+string(id))
+		es.noise = sim.NewStream(cfg.Seed, "scale/noise/"+string(id))
 		es.split = gpuModel.PeakGFLOPS / (gpuModel.PeakGFLOPS + float64(perfmodel.ComputeCores)*perfmodel.CPUCoreGFLOPS)
 	}
 
@@ -220,7 +225,7 @@ func SimulateScale(cfg ScaleConfig) ScaleResult {
 					es := &elems[e]
 					// Thermal random walk, clamped.
 					es.gpuScale += es.drift.Normal(0, cfg.DriftSigma)
-					es.gpuScale = clamp(es.gpuScale, 1-cfg.DriftMax, 1+cfg.DriftMax)
+					es.gpuScale = min(max(es.gpuScale, 1-cfg.DriftMax), 1+cfg.DriftMax)
 
 					rg := rgNominal * es.gpuScale
 					// Production-run CPU availability: communication progress,
@@ -257,7 +262,7 @@ func SimulateScale(cfg ScaleConfig) ScaleResult {
 			// The panel-owning process column factors the next panel during
 			// the update (look-ahead); only its excess surfaces.
 			panelSec := float64(cfg.NB) * float64(cfg.NB) *
-				(float64(mloc) + float64(cfg.NB)/3) / (18 * 1e9)
+				(float64(mloc) + float64(cfg.NB)/3) / (perfmodel.HostPanelGFLOPS * 1e9)
 			if panelSec > iterTime {
 				iterTime = panelSec
 			}
@@ -292,28 +297,4 @@ func SimulateScale(cfg ScaleConfig) ScaleResult {
 	res.GFLOPS = totalFlops / total / 1e9
 	res.TFLOPS = res.GFLOPS / 1e3
 	return res
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -1,8 +1,7 @@
 // Package grid implements the P x Q process grid and block-cyclic
 // distribution maps HPL uses to spread an N x N matrix over ranks. The
-// distributed solver uses a 1 x Q (column block-cyclic) layout; the
-// cluster-scale performance model uses the paper's full 2D grids (up to
-// 64 x 80 on TianHe-1).
+// distributed solver and the cluster-scale performance model both run on
+// these grids, from 1 x Q up to the paper's 64 x 80 on TianHe-1.
 package grid
 
 import "fmt"
@@ -70,31 +69,4 @@ func CyclicBlocks(nblocks, idx, count int) int {
 		full++
 	}
 	return full
-}
-
-// LocalExtent returns how many of n global elements, tiled in blocks of nb,
-// the rank at position idx among count ranks owns under block-cyclic
-// distribution (the ScaLAPACK "numroc" computation).
-func LocalExtent(n, nb, idx, count int) int {
-	nblocks := n / nb
-	extra := n % nb
-	out := CyclicBlocks(nblocks, idx, count) * nb
-	if extra > 0 && CyclicOwner(nblocks, count) == idx {
-		out += extra
-	}
-	return out
-}
-
-// TrailingLocal returns the local extent of the trailing submatrix that
-// starts at global block gb (inclusive), for the rank at position idx.
-func TrailingLocal(n, nb, gb, idx, count int) int {
-	total := LocalExtent(n, nb, idx, count)
-	// Subtract the blocks before gb owned by idx.
-	owned := 0
-	for b := 0; b < gb; b++ {
-		if CyclicOwner(b, count) == idx {
-			owned += nb
-		}
-	}
-	return total - owned
 }

@@ -59,50 +59,19 @@ func TestCyclicBlocksSum(t *testing.T) {
 		count := int(cnt)%8 + 1
 		total := 0
 		for i := 0; i < count; i++ {
-			total += CyclicBlocks(n, i, count)
+			owned := 0
+			for b := i; b < n; b += count {
+				owned++
+			}
+			if CyclicBlocks(n, i, count) != owned {
+				return false
+			}
+			total += owned
 		}
 		return total == n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLocalExtent(t *testing.T) {
-	// 10 columns, blocks of 3 over 2 ranks: blocks 0,2 (rank 0) and 1,3
-	// (rank 1); block 3 is the ragged single column.
-	if got := LocalExtent(10, 3, 0, 2); got != 6 {
-		t.Fatalf("rank 0 extent %d", got)
-	}
-	if got := LocalExtent(10, 3, 1, 2); got != 4 {
-		t.Fatalf("rank 1 extent %d", got)
-	}
-}
-
-func TestLocalExtentSumsToN(t *testing.T) {
-	f := func(nRaw, nbRaw, cntRaw uint8) bool {
-		n := int(nRaw) + 1
-		nb := int(nbRaw)%16 + 1
-		count := int(cntRaw)%6 + 1
-		sum := 0
-		for i := 0; i < count; i++ {
-			sum += LocalExtent(n, nb, i, count)
-		}
-		return sum == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTrailingLocal(t *testing.T) {
-	// 12 columns, NB=3, 2 ranks. After factoring block 0 (owned by rank 0),
-	// rank 0 still owns block 2 -> 3 columns; rank 1 owns blocks 1,3 -> 6.
-	if got := TrailingLocal(12, 3, 1, 0, 2); got != 3 {
-		t.Fatalf("rank 0 trailing %d", got)
-	}
-	if got := TrailingLocal(12, 3, 1, 1, 2); got != 6 {
-		t.Fatalf("rank 1 trailing %d", got)
 	}
 }
 

@@ -7,23 +7,15 @@ import (
 	"tianhe/internal/blas"
 	"tianhe/internal/element"
 	"tianhe/internal/matrix"
+	"tianhe/internal/perfmodel"
 	"tianhe/internal/sim"
 	"tianhe/internal/taskgraph"
 )
 
-// Host-side rate models for the graph-expressed factorization's non-GEMM
-// codelets. They match the linpacksim constants: the recursive panel converts
-// most of its flops into half-panel DGEMMs, the triangular solve is BLAS3
-// running just under the straight DGEMM rate, and the row swaps are pure
-// memory traffic.
-const (
-	// GraphPanelGFLOPS is the host rate of the recursive panel factorization.
-	GraphPanelGFLOPS = 18.0
-	// GraphTrsmGFLOPS is the host rate of the U12 triangular solve.
-	GraphTrsmGFLOPS = 26.0
-	// graphSwapGBps is the host bandwidth of pivot row swaps in GB/s.
-	graphSwapGBps = 4.0
-)
+// graphSwapGBps is the host bandwidth of pivot row swaps in GB/s: pure memory
+// traffic. The panel and triangular-solve codelets run at the perfmodel host
+// rates.
+const graphSwapGBps = 4.0
 
 // GraphOptions configures a graph-expressed factorization.
 type GraphOptions struct {
@@ -148,7 +140,7 @@ func BuildLUGraph(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs 
 			Codelet:  "lu.panel",
 			Flops:    panelFlops,
 			Priority: 3,
-			Costs:    taskgraph.Costs{CPUSeconds: func() float64 { return panelFlops / (GraphPanelGFLOPS * 1e9) }},
+			Costs:    taskgraph.Costs{CPUSeconds: func() float64 { return panelFlops / (perfmodel.HostPanelGFLOPS * 1e9) }},
 			Accesses: append(colAccesses(k, k, taskgraph.ReadWrite),
 				taskgraph.Access{H: pivs[k], Mode: taskgraph.Write}),
 		}
@@ -202,7 +194,7 @@ func BuildLUGraph(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs 
 					Flops:    trsmFlops,
 					Priority: 2,
 					Costs: taskgraph.Costs{CPUSeconds: func() float64 {
-						return swapSec() + trsmFlops/(GraphTrsmGFLOPS*1e9)
+						return swapSec() + trsmFlops/(perfmodel.HostTrsmGFLOPS*1e9)
 					}},
 					Accesses: append(accs, taskgraph.Access{H: tiles[k][k], Mode: taskgraph.Read}),
 				}
@@ -281,8 +273,8 @@ func GraphRateSeeds(el *element.Element, nb int) []taskgraph.RateSeed {
 	// a balanced split joins at roughly the sum of the sides' rates.
 	hybRate := gpuRate + float64(el.CPU.NumCores())*cpuRate
 	return []taskgraph.RateSeed{
-		{Codelet: "lu.panel", Class: taskgraph.ClassCPU, Rate: GraphPanelGFLOPS * 1e9},
-		{Codelet: "lu.trsm", Class: taskgraph.ClassCPU, Rate: GraphTrsmGFLOPS * 1e9},
+		{Codelet: "lu.panel", Class: taskgraph.ClassCPU, Rate: perfmodel.HostPanelGFLOPS * 1e9},
+		{Codelet: "lu.trsm", Class: taskgraph.ClassCPU, Rate: perfmodel.HostTrsmGFLOPS * 1e9},
 		{Codelet: "lu.gemm", Class: taskgraph.ClassCPU, Rate: cpuRate},
 		{Codelet: "lu.gemm", Class: taskgraph.ClassGPU, Rate: gpuRate},
 		{Codelet: "lu.gemm", Class: taskgraph.ClassHyb, Rate: hybRate},

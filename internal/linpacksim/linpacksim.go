@@ -26,16 +26,6 @@ import (
 	"tianhe/internal/telemetry"
 )
 
-// PanelRateGFLOPS is the effective rate of the recursive panel factorization
-// on the host cores. The recursion converts most panel flops into DGEMMs of
-// half-panels, so the rate sits below but not far from the host DGEMM rate;
-// only the pivot searches and rank-1 leaves are memory-bound.
-const PanelRateGFLOPS = 18.0
-
-// TrsmRateGFLOPS is the host rate of the U12 triangular solve, a BLAS3
-// operation running slightly below the straight DGEMM rate.
-const TrsmRateGFLOPS = 26.0
-
 // bandTiles is the column width, in nb-tiles, of one hybrid trailing-update
 // band: wide enough to amortize the kernel efficiency s-curve, narrow enough
 // that the band's read set (the whole L block plus the band's U tiles) stays
@@ -405,8 +395,8 @@ func NewSim(cfg Config) *Sim {
 func (s *Sim) graphRateSeeds(nb int) []taskgraph.RateSeed {
 	cpuRate := s.el.CPU.Core(0).Model.Rate(nb, nb, nb, true) * 1e9
 	seeds := []taskgraph.RateSeed{
-		{Codelet: "lu.panel", Class: taskgraph.ClassCPU, Rate: PanelRateGFLOPS * 1e9},
-		{Codelet: "lu.trsm", Class: taskgraph.ClassCPU, Rate: TrsmRateGFLOPS * 1e9},
+		{Codelet: "lu.panel", Class: taskgraph.ClassCPU, Rate: perfmodel.HostPanelGFLOPS * 1e9},
+		{Codelet: "lu.trsm", Class: taskgraph.ClassCPU, Rate: perfmodel.HostTrsmGFLOPS * 1e9},
 		{Codelet: "lu.gemm", Class: taskgraph.ClassCPU, Rate: cpuRate},
 	}
 	if s.cfg.Variant.UsesGPU() {
@@ -456,7 +446,7 @@ func (s *Sim) Step() {
 	// the update lands on the critical path.
 	panelFlops := float64(jb) * float64(jb) * (float64(trailing) + float64(jb)/3)
 	trsmFlops := float64(jb) * float64(jb) * float64(trailing)
-	hostSide := s.t + panelFlops/(PanelRateGFLOPS*1e9) + trsmFlops/(TrsmRateGFLOPS*1e9)
+	hostSide := s.t + panelFlops/(perfmodel.HostPanelGFLOPS*1e9) + trsmFlops/(perfmodel.HostTrsmGFLOPS*1e9)
 
 	if trailing > 0 {
 		rep := s.runner.GemmVirtual(trailing, trailing, jb, 1, s.t)
@@ -527,7 +517,7 @@ func (s *Sim) stepGraph(j, jb, trailing int) {
 		flops := float64(width) * float64(width) * (float64(height) - float64(width)/3)
 		g.Add(&taskgraph.Task{
 			Name: name, Codelet: "lu.panel", Flops: flops, Priority: 3,
-			Costs:    taskgraph.Costs{CPUSeconds: func() float64 { return flops / (PanelRateGFLOPS * 1e9) }},
+			Costs:    taskgraph.Costs{CPUSeconds: func() float64 { return flops / (perfmodel.HostPanelGFLOPS * 1e9) }},
 			Accesses: accs,
 		})
 	}
@@ -559,7 +549,7 @@ func (s *Sim) stepGraph(j, jb, trailing int) {
 		flops := float64(jb) * float64(jb) * float64(cw)
 		g.Add(&taskgraph.Task{
 			Name: fmt.Sprintf("prep(%d,%d)", k, c), Codelet: "lu.trsm", Flops: flops, Priority: 2,
-			Costs: taskgraph.Costs{CPUSeconds: func() float64 { return flops / (TrsmRateGFLOPS * 1e9) }},
+			Costs: taskgraph.Costs{CPUSeconds: func() float64 { return flops / (perfmodel.HostTrsmGFLOPS * 1e9) }},
 			Accesses: []taskgraph.Access{
 				{H: piv, Mode: taskgraph.Read},
 				{H: us[c], Mode: taskgraph.Write},
@@ -686,7 +676,7 @@ func (s *Sim) stepGraph(j, jb, trailing int) {
 				flops := float64(jbNext) * float64(jbNext) * float64(cw)
 				g.Add(&taskgraph.Task{
 					Name: fmt.Sprintf("prep(%d,%d)", k+1, c), Codelet: "lu.trsm", Flops: flops, Priority: 2,
-					Costs: taskgraph.Costs{CPUSeconds: func() float64 { return flops / (TrsmRateGFLOPS * 1e9) }},
+					Costs: taskgraph.Costs{CPUSeconds: func() float64 { return flops / (perfmodel.HostTrsmGFLOPS * 1e9) }},
 					Accesses: []taskgraph.Access{
 						{H: piv2, Mode: taskgraph.Read},
 						// The column's top tile after this iteration's

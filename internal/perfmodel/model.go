@@ -31,6 +31,14 @@ const (
 	// ElementPeakGFLOPS is the aggregate peak the paper quotes for one
 	// compute element (240 GPU + 4 x 10.12 CPU).
 	ElementPeakGFLOPS = GPUPeakGFLOPS + CoresPerCPU*CPUCoreGFLOPS
+	// HostPanelGFLOPS is the effective host rate of the recursive panel
+	// factorization. The recursion converts most panel flops into DGEMMs of
+	// half-panels, so the rate sits below but not far from the host DGEMM
+	// rate; only the pivot searches and rank-1 leaves are memory-bound.
+	HostPanelGFLOPS = 18.0
+	// HostTrsmGFLOPS is the host rate of the U12 triangular solve, a BLAS3
+	// operation running slightly below the straight DGEMM rate.
+	HostTrsmGFLOPS = 26.0
 
 	// HostLinkGBps is the host-memory to PCI-E buffer copy bandwidth for
 	// plain pageable transfers ("on the order of hundreds of MBps").
