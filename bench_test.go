@@ -143,26 +143,30 @@ func BenchmarkTableISchedule(b *testing.B) {
 
 // --- Micro-benchmarks of the real kernels underneath the figures ---
 
-func benchmarkDgemmSize(b *testing.B, n, workers int) {
+func benchmarkDgemm(b *testing.B, m, n, k int, alpha, beta float64, workers int) {
 	r := sim.NewRNG(1)
-	a := matrix.NewDense(n, n)
-	bb := matrix.NewDense(n, n)
-	c := matrix.NewDense(n, n)
+	a := matrix.NewDense(m, k)
+	bb := matrix.NewDense(k, n)
+	c := matrix.NewDense(m, n)
 	a.FillRandom(r)
 	bb.FillRandom(r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blas.DgemmParallel(blas.NoTrans, blas.NoTrans, 1, a, bb, 0, c, workers)
+		blas.DgemmParallel(blas.NoTrans, blas.NoTrans, alpha, a, bb, beta, c, workers)
 	}
-	flops := blas.GemmFlops(n, n, n)
+	flops := blas.GemmFlops(m, n, k)
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }
 
-// BenchmarkDgemm256 measures the pure-Go serial DGEMM kernel.
-func BenchmarkDgemm256(b *testing.B) { benchmarkDgemmSize(b, 256, 1) }
+// BenchmarkDgemm256 measures the serial DGEMM kernel.
+func BenchmarkDgemm256(b *testing.B) { benchmarkDgemm(b, 256, 256, 256, 1, 0, 1) }
+
+// BenchmarkDgemmUpdate960x64 measures the shape LU issues at N=1024, NB=64:
+// the rank-64 trailing update C(960x960) -= A(960x64)*B(64x960).
+func BenchmarkDgemmUpdate960x64(b *testing.B) { benchmarkDgemm(b, 960, 960, 64, -1, 1, 1) }
 
 // BenchmarkDgemm512Parallel measures the parallel DGEMM path.
-func BenchmarkDgemm512Parallel(b *testing.B) { benchmarkDgemmSize(b, 512, 4) }
+func BenchmarkDgemm512Parallel(b *testing.B) { benchmarkDgemm(b, 512, 512, 512, 1, 0, 4) }
 
 // BenchmarkDgetrf measures the real blocked LU factorization.
 func BenchmarkDgetrf(b *testing.B) {
@@ -225,8 +229,8 @@ func BenchmarkHybridGemmReal(b *testing.B) {
 	}
 }
 
-// BenchmarkDgemmPacked measures the GotoBLAS-style packed micro-kernel
-// against the axpy kernel of the same size (see BenchmarkDgemm256).
+// BenchmarkDgemmPacked256 measures DgemmPacked, which is Dgemm under its
+// older name: it should read the same as BenchmarkDgemm256.
 func BenchmarkDgemmPacked256(b *testing.B) {
 	r := sim.NewRNG(5)
 	n := 256

@@ -3,16 +3,9 @@ package blas
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"tianhe/internal/matrix"
-)
-
-// Block sizes for the cache-blocked DGEMM. KC limits the panel of A kept hot
-// in cache during the inner loops; NC limits the slab of C columns a worker
-// owns. They were tuned on a commodity x86-64 core for the pure-Go kernels.
-const (
-	gemmKC = 256
-	gemmNC = 128
 )
 
 func gemmDims(tA, tB Transpose, a, b, c *matrix.Dense) (m, n, k int) {
@@ -58,91 +51,41 @@ func DgemmNaive(tA, tB Transpose, alpha float64, a, b *matrix.Dense, beta float6
 	}
 }
 
-// Dgemm computes C = alpha*op(A)*op(B) + beta*C with a cache-blocked kernel.
-// The NoTrans/NoTrans case — the only one on HPL's critical path — runs a
-// column-axpy kernel blocked over K; the transposed cases route through the
-// packed kernel, whose packing step reads op(X) element-wise into pooled
-// fixed-size buffers, so no O(m·k) transposed copy is ever allocated.
+// Dgemm computes C = alpha*op(A)*op(B) + beta*C for all four (tA, tB)
+// pairs through the one driver and micro-kernel of gemm_kernel.go, in the
+// accumulation order written down there.
 func Dgemm(tA, tB Transpose, alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense) {
 	gemmDims(tA, tB, a, b, c)
-	if tA == Trans || tB == Trans {
-		DgemmPackedOp(tA, tB, alpha, a, b, beta, c)
-		return
-	}
-	dgemmNN(alpha, a, b, beta, c)
+	gemmCols(tA, tB, alpha, a, b, beta, c, 0, c.Cols)
 }
 
-// dgemmNN is the blocked NoTrans/NoTrans kernel.
-func dgemmNN(alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense) {
-	m, n, k := c.Rows, c.Cols, a.Cols
-	if beta != 1 {
-		scaleMatrix(beta, c)
-	}
-	if alpha == 0 || m == 0 || n == 0 || k == 0 {
-		return
-	}
-	for l0 := 0; l0 < k; l0 += gemmKC {
-		lEnd := min(l0+gemmKC, k)
-		for j := 0; j < n; j++ {
-			cj := c.Col(j)
-			bj := b.Col(j)
-			for l := l0; l < lEnd; l++ {
-				if blj := bj[l]; blj != 0 {
-					Daxpy(alpha*blj, a.Col(l), cj)
-				}
-			}
-		}
-	}
-}
-
-func scaleMatrix(beta float64, c *matrix.Dense) {
-	for j := 0; j < c.Cols; j++ {
-		col := c.Col(j)
-		if beta == 0 {
-			for i := range col {
-				col[i] = 0
-			}
-		} else {
-			Dscal(beta, col)
-		}
-	}
-}
-
-// DgemmParallel computes C = alpha*op(A)*op(B) + beta*C, fanning slabs of C
-// columns out to workers goroutines. Workers own disjoint column ranges of C,
-// so no synchronization beyond the final join is needed. Transposed operands
-// go through DgemmPackedParallel, which linearizes op(X) inside per-worker
-// pooled pack buffers instead of materializing a transposed copy per call.
+// DgemmParallel is Dgemm with gemmNC-wide slabs of C columns handed out to
+// workers goroutines. Workers own disjoint columns of C, and an element's
+// accumulation order does not depend on the slab it falls in, so the result
+// is bit-identical to Dgemm for every workers value.
 func DgemmParallel(tA, tB Transpose, alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense, workers int) {
 	gemmDims(tA, tB, a, b, c)
-	if tA == Trans || tB == Trans {
-		DgemmPackedParallel(tA, tB, alpha, a, b, beta, c, workers)
+	slabs := (c.Cols + gemmNC - 1) / gemmNC
+	workers = min(workers, slabs)
+	if workers <= 1 {
+		gemmCols(tA, tB, alpha, a, b, beta, c, 0, c.Cols)
 		return
 	}
-	if workers <= 1 || c.Cols < 2*gemmNC {
-		Dgemm(tA, tB, alpha, a, b, beta, c)
-		return
-	}
-	type slab struct{ j0, j1 int }
-	jobs := make(chan slab, workers)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for s := range jobs {
-				dgemmNN(alpha,
-					a,
-					b.View(0, s.j0, b.Rows, s.j1-s.j0),
-					beta,
-					c.View(0, s.j0, c.Rows, s.j1-s.j0))
+			for {
+				j := (int(next.Add(1)) - 1) * gemmNC
+				if j >= c.Cols {
+					return
+				}
+				gemmCols(tA, tB, alpha, a, b, beta, c, j, min(j+gemmNC, c.Cols))
 			}
 		}()
 	}
-	for j := 0; j < c.Cols; j += gemmNC {
-		jobs <- slab{j, min(j+gemmNC, c.Cols)}
-	}
-	close(jobs)
 	wg.Wait()
 }
 

@@ -26,8 +26,8 @@ func TestDgemmPackedShapes(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {3, 5, 7}, {4, 4, 4}, {5, 5, 5},
 		{16, 16, 16}, {64, 64, 64}, {100, 90, 80},
-		{129, 131, 257}, // straddles MC/KC/NR boundaries
-		{packMC + 1, packNC + 1, packKC + 1},
+		{129, 131, 257}, // straddles the tile, slab and K-block boundaries
+		{gemmABlock/gemmKC + 1, gemmNC + 1, gemmKC + 1},
 	}
 	for i, s := range shapes {
 		packedCase(t, s[0], s[1], s[2], 1, 0, uint64(600+i))
@@ -41,7 +41,7 @@ func TestDgemmPackedAlphaBeta(t *testing.T) {
 }
 
 func TestDgemmPackedFringes(t *testing.T) {
-	// Dimensions deliberately not multiples of the 4x4 micro-kernel.
+	// Dimensions deliberately not multiples of the 8x4 micro-kernel.
 	for i, s := range [][3]int{{6, 7, 9}, {130, 3, 258}, {5, 513, 2}} {
 		packedCase(t, s[0], s[1], s[2], 1.5, 0.5, uint64(800+i))
 	}

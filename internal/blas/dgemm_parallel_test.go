@@ -14,16 +14,7 @@ import (
 func packedOpCase(t *testing.T, tA, tB Transpose, m, n, k int, alpha, beta float64, seed uint64) {
 	t.Helper()
 	r := sim.NewRNG(seed)
-	ar, ac := m, k
-	if tA == Trans {
-		ar, ac = k, m
-	}
-	br, bc := k, n
-	if tB == Trans {
-		br, bc = n, k
-	}
-	a := randDense(r, ar, ac)
-	b := randDense(r, br, bc)
+	a, b := randOp(r, tA, m, k), randOp(r, tB, k, n)
 	c0 := randDense(r, m, n)
 
 	want := c0.Clone()
@@ -46,12 +37,12 @@ func TestDgemmPackedOpAllCombos(t *testing.T) {
 	combos := []struct{ tA, tB Transpose }{
 		{NoTrans, NoTrans}, {Trans, NoTrans}, {NoTrans, Trans}, {Trans, Trans},
 	}
-	// Shapes straddle every blocking constant: packMR/packNR fringes,
-	// m > packMC, k > packKC, and n > packNC (multiple jc slabs).
+	// Shapes straddle every blocking constant: gemmMR/gemmNR fringes,
+	// m > gemmABlock/gemmKC, k > gemmKC, and n > gemmNC (several slabs).
 	shapes := [][3]int{
 		{13, 9, 7}, {1, 1, 1}, {5, 3, 17},
-		{packMC + 5, packNR + 1, packKC + 3},
-		{33, packNC + 77, 31},
+		{gemmABlock/gemmKC + 5, gemmNR + 1, gemmKC + 3},
+		{33, gemmNC + 77, 31},
 		{150, 600, 300},
 	}
 	for i, cb := range combos {
@@ -61,14 +52,14 @@ func TestDgemmPackedOpAllCombos(t *testing.T) {
 	}
 }
 
-// TestDgemmPackedParallelBitIdentical: the parallel jc sharding must produce
-// the exact bytes of the serial packed path for every worker count — workers
-// own disjoint C column slabs and the per-tile accumulation order never
+// TestDgemmPackedParallelBitIdentical: the parallel slab sharding must
+// produce the exact bytes of the serial path for every worker count — workers
+// own disjoint C column slabs and an element's accumulation order never
 // depends on the worker count. This is the same determinism contract the
 // sweep runner makes one level up.
 func TestDgemmPackedParallelBitIdentical(t *testing.T) {
 	r := sim.NewRNG(42)
-	const m, n, k = 97, 2*packNC + 113, 2*packKC + 9
+	const m, n, k = 97, 2*gemmNC + 113, 2*gemmKC + 9
 	a := randDense(r, k, m) // op(A) = A^T
 	b := randDense(r, n, k) // op(B) = B^T
 	c0 := randDense(r, m, n)
@@ -87,9 +78,9 @@ func TestDgemmPackedParallelBitIdentical(t *testing.T) {
 // TestDgemmTransNoPerCallAllocation is the regression test for the
 // DgemmParallel transpose-copy bug: the old code materialized a full
 // a.Transpose() / b.Transpose() on every call — O(m·k) heap traffic per
-// GEMM. The packed route reads op(X) directly into pooled fixed-size
-// buffers, so after warmup a transposed Dgemm performs no per-call
-// allocation at all.
+// GEMM. The driver linearises op(A) block by block into a pooled fixed-size
+// buffer and reads op(B) straight into the multiplier panel, so after warmup
+// a transposed Dgemm performs no per-call allocation at all.
 func TestDgemmTransNoPerCallAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector shadow memory skews allocation accounting")
@@ -101,12 +92,12 @@ func TestDgemmTransNoPerCallAllocation(t *testing.T) {
 	c := matrix.NewDense(m, n)
 
 	call := func() { Dgemm(Trans, NoTrans, 1, a, b, 0, c) }
-	call() // warm the pack-buffer pool
+	call() // warm the block pool
 
 	// GC off so the pool cannot be emptied mid-measurement.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if avg := testing.AllocsPerRun(20, call); avg >= 1 {
-		t.Fatalf("transposed Dgemm allocates %.1f objects per call; the packed route must not allocate", avg)
+		t.Fatalf("transposed Dgemm allocates %.1f objects per call; the driver must not allocate", avg)
 	}
 
 	// Byte-level bound: 20 calls must stay far below one transposed copy

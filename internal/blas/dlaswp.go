@@ -5,22 +5,18 @@ import "tianhe/internal/matrix"
 // Dlaswp applies a sequence of row interchanges to a: for k = k0..k1-1 the
 // row k is swapped with row ipiv[k]. ipiv holds absolute zero-based row
 // indices, the convention Dgetf2 produces. Swapping row k with itself is a
-// no-op, so identity pivots cost nothing.
+// no-op, so identity pivots cost nothing. The whole pivot range is applied
+// inside one column before the next is touched: a column stays in cache for
+// all its swaps, where a row-outer loop pays one cache line per column per
+// pivot.
 func Dlaswp(a *matrix.Dense, ipiv []int, k0, k1 int) {
-	if k0 < 0 || k1 > len(ipiv) || k0 > k1 {
-		panic("blas: Dlaswp pivot range out of bounds")
-	}
-	for k := k0; k < k1; k++ {
-		p := ipiv[k]
-		if p == k {
-			continue
-		}
-		if p < 0 || p >= a.Rows || k >= a.Rows {
-			panic("blas: Dlaswp pivot index out of matrix")
-		}
-		for j := 0; j < a.Cols; j++ {
-			col := a.Col(j)
-			col[k], col[p] = col[p], col[k]
+	checkPivots("Dlaswp", a, ipiv, k0, k1)
+	for j := 0; j < a.Cols; j++ {
+		col := a.Col(j)
+		for k := k0; k < k1; k++ {
+			if p := ipiv[k]; p != k {
+				col[k], col[p] = col[p], col[k]
+			}
 		}
 	}
 }
@@ -28,17 +24,26 @@ func Dlaswp(a *matrix.Dense, ipiv []int, k0, k1 int) {
 // DlaswpInverse applies the interchanges in reverse order, undoing a prior
 // Dlaswp with the same arguments.
 func DlaswpInverse(a *matrix.Dense, ipiv []int, k0, k1 int) {
-	if k0 < 0 || k1 > len(ipiv) || k0 > k1 {
-		panic("blas: DlaswpInverse pivot range out of bounds")
-	}
-	for k := k1 - 1; k >= k0; k-- {
-		p := ipiv[k]
-		if p == k {
-			continue
+	checkPivots("DlaswpInverse", a, ipiv, k0, k1)
+	for j := 0; j < a.Cols; j++ {
+		col := a.Col(j)
+		for k := k1 - 1; k >= k0; k-- {
+			if p := ipiv[k]; p != k {
+				col[k], col[p] = col[p], col[k]
+			}
 		}
-		for j := 0; j < a.Cols; j++ {
-			col := a.Col(j)
-			col[k], col[p] = col[p], col[k]
+	}
+}
+
+// checkPivots panics unless ipiv[k0:k1] is a valid range whose every
+// non-identity interchange stays inside a.
+func checkPivots(name string, a *matrix.Dense, ipiv []int, k0, k1 int) {
+	if k0 < 0 || k1 > len(ipiv) || k0 > k1 {
+		panic("blas: " + name + " pivot range out of bounds")
+	}
+	for k := k0; k < k1; k++ {
+		if p := ipiv[k]; p != k && (p < 0 || p >= a.Rows || k >= a.Rows) {
+			panic("blas: " + name + " pivot index out of matrix")
 		}
 	}
 }

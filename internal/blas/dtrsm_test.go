@@ -144,6 +144,82 @@ func TestDlaswpRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDtrsmBlockedMatchesDtrsv: the diagonal-block solve with kernel updates
+// equals one Dtrsv per column bit for bit, at every order around and beyond
+// the block and tile sizes, with zeros planted in B (Dtrsv skips a zero
+// x[l]; the kernel must skip the same steps).
+func TestDtrsmBlockedMatchesDtrsv(t *testing.T) {
+	for _, kern := range bothKernels {
+		t.Run(kern.name, func(t *testing.T) {
+			setKernel(t, kern.avx2)
+			r := sim.NewRNG(77)
+			for n := 1; n <= 130; n++ {
+				l := offsetView(r, n, n)
+				for j := 0; j < n; j++ {
+					Dscal(0.125, l.Col(j)) // keeps the solution in range at order 130
+					l.Set(j, j, 1+r.Float64())
+				}
+				cols := 1 + r.Intn(13)
+				b := offsetView(r, n, cols)
+				for z := 0; z < n*cols/8; z++ {
+					b.Set(r.Intn(n), r.Intn(cols), 0)
+				}
+				for _, diag := range []Diag{Unit, NonUnit} {
+					want, got := b.Clone(), b.Clone()
+					for j := 0; j < cols; j++ {
+						Dtrsv(Lower, NoTrans, diag, l, want.Col(j))
+					}
+					Dtrsm(Left, Lower, NoTrans, diag, 1, l, got)
+					if !sameBits(got.Data, want.Data) {
+						t.Fatalf("order %d, %d columns, diag %v: blocked Dtrsm differs from Dtrsv per column", n, cols, diag)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDlaswpMatchesRowOuter: applying the whole pivot range inside one
+// column equals the textbook row-by-row interchange, forwards and inverse,
+// with repeated and identity pivots and a partial range.
+func TestDlaswpMatchesRowOuter(t *testing.T) {
+	r := sim.NewRNG(88)
+	for trial := 0; trial < 50; trial++ {
+		rows, cols := 1+r.Intn(40), r.Intn(9)
+		ipiv := make([]int, 1+r.Intn(rows))
+		for k := range ipiv {
+			switch r.Intn(3) {
+			case 0:
+				ipiv[k] = k // identity
+			case 1:
+				ipiv[k] = ipiv[r.Intn(k+1)] // repeats an earlier target
+			default:
+				ipiv[k] = k + r.Intn(rows-k)
+			}
+		}
+		k0 := r.Intn(len(ipiv) + 1)
+		k1 := k0 + r.Intn(len(ipiv)-k0+1)
+		a := offsetView(r, rows, cols)
+
+		want := a.Clone()
+		for k := k0; k < k1; k++ {
+			SwapRows(want, k, ipiv[k])
+		}
+		got := a.Clone()
+		Dlaswp(got, ipiv, k0, k1)
+		if !got.Equal(want) {
+			t.Fatalf("trial %d: Dlaswp %dx%d ipiv=%v [%d,%d) differs from row-outer swaps", trial, rows, cols, ipiv, k0, k1)
+		}
+		for k := k1 - 1; k >= k0; k-- {
+			SwapRows(want, k, ipiv[k])
+		}
+		DlaswpInverse(got, ipiv, k0, k1)
+		if !got.Equal(want) || !got.Equal(a) {
+			t.Fatalf("trial %d: DlaswpInverse does not undo Dlaswp like row-outer swaps", trial)
+		}
+	}
+}
+
 func TestDlaswpIdentityPivots(t *testing.T) {
 	r := sim.NewRNG(13)
 	a := randDense(r, 5, 5)

@@ -1,7 +1,8 @@
 // Package blas implements the dense linear-algebra kernels the Linpack
-// reproduction needs, in pure Go: the Level 1/2/3 BLAS routines used by HPL
-// (DGEMM, DTRSM, DGER, DLASWP, ...) with both simple reference paths and
-// cache-blocked, optionally parallel production paths. All matrices are
+// reproduction needs: the Level 1/2/3 BLAS routines used by HPL (DGEMM,
+// DTRSM, DGER, DLASWP, ...) in Go, with one amd64 assembly micro-kernel
+// under every Level-3 call and a portable Go kernel with the same contract
+// (gemm_kernel.go) everywhere else — no cgo. All matrices are
 // column-major matrix.Dense views; vectors are contiguous []float64 slices
 // (the unit-stride case is the only one HPL exercises).
 package blas
@@ -16,17 +17,19 @@ func Daxpy(alpha float64, x, y []float64) {
 	if alpha == 0 {
 		return
 	}
-	// 4-way unrolling: this loop is the inner kernel of the whole library.
+	// The float64 conversion rounds the product before the add, so the
+	// compiler may not fuse the two into an FMA (it would on arm64 or with
+	// GOAMD64=v3) and results do not depend on the build architecture.
 	n := len(x)
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
+		y[i] += float64(alpha * x[i])
+		y[i+1] += float64(alpha * x[i+1])
+		y[i+2] += float64(alpha * x[i+2])
+		y[i+3] += float64(alpha * x[i+3])
 	}
 	for ; i < n; i++ {
-		y[i] += alpha * x[i]
+		y[i] += float64(alpha * x[i])
 	}
 }
 

@@ -75,13 +75,7 @@ func Dgemv(tA Transpose, alpha float64, a *matrix.Dense, x []float64, beta float
 		panic("blas: Dgemv dimension mismatch")
 	}
 	if beta != 1 {
-		if beta == 0 {
-			for i := range y {
-				y[i] = 0
-			}
-		} else {
-			Dscal(beta, y)
-		}
+		scaleVector(beta, y)
 	}
 	if alpha == 0 {
 		return

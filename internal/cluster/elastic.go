@@ -682,7 +682,7 @@ func (st *elasticRank) updateColumnAt(col *matrix.Dense, panel *matrix.Dense, k 
 	if m > nb {
 		l21 := panel.View(nb, 0, m-nb, nb)
 		a22 := col.View(row0+nb, 0, m-nb, nb)
-		blas.DgemmPacked(-1, l21, u12, 1, a22)
+		blas.Dgemm(blas.NoTrans, blas.NoTrans, -1, l21, u12, 1, a22)
 	}
 }
 

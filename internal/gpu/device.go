@@ -3,7 +3,7 @@
 // memory with 8192x8192 2D-resource limits, a DMA engine whose transfers pay
 // the two-hop host/PCI-E cost, and a command queue executing DGEMM kernels at
 // a shape-dependent rate. Kernels compute real float64 results through the
-// pure-Go BLAS so every optimized path stays verifiable; durations are booked
+// repository's BLAS so every optimized path stays verifiable; durations are booked
 // on sim.Timeline resources in virtual time.
 //
 // A Device may also run in virtual mode (no backing data), used by the

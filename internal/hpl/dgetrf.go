@@ -62,6 +62,7 @@ func Dgetf2(a *matrix.Dense, ipiv []int) error {
 		panic("hpl: ipiv too short")
 	}
 	var firstSingular error
+	row := make([]float64, n) // row j right of the diagonal, gathered for Dger
 	for j := 0; j < n && j < m; j++ {
 		col := a.Col(j)
 		p := j + blas.Idamax(col[j:])
@@ -77,22 +78,14 @@ func Dgetf2(a *matrix.Dense, ipiv []int) error {
 			blas.Dscal(1/col[j], col[j+1:])
 			if j < n-1 {
 				trailing := a.View(j+1, j+1, m-j-1, n-j-1)
-				blas.Dger(-1, col[j+1:], rowSlice(a.View(j, j+1, 1, n-j-1)), trailing)
+				for c := j + 1; c < n; c++ {
+					row[c] = a.At(j, c)
+				}
+				blas.Dger(-1, col[j+1:], row[j+1:], trailing)
 			}
 		}
 	}
 	return firstSingular
-}
-
-// rowSlice extracts a single-row view as a contiguous slice by copying: rows
-// are strided in column-major storage. The panels this runs on are at most
-// NB wide, so the copy is negligible against the rank-1 update it feeds.
-func rowSlice(a *matrix.Dense) []float64 {
-	out := make([]float64, a.Cols)
-	for j := 0; j < a.Cols; j++ {
-		out[j] = a.At(0, j)
-	}
-	return out
 }
 
 // PanelFactor factors an m×n panel (m >= n) with the recursive algorithm HPL

@@ -7,7 +7,7 @@
 //
 // The hardware is simulated (see DESIGN.md for the substitution table): a
 // compute element pairs a quad-core Xeon model with an RV770 GPU model whose
-// kernels really compute (pure-Go BLAS) while their durations are booked in
+// kernels really compute (the Go BLAS of internal/blas) while their durations are booked in
 // deterministic virtual time. Small problems run end-to-end for real —
 // factorizations are residual-checked — and the paper's full-machine
 // configurations are reproduced by a performance simulation with the
