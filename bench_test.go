@@ -18,6 +18,7 @@ import (
 	"tianhe/internal/matrix"
 	"tianhe/internal/pipeline"
 	"tianhe/internal/sim"
+	"tianhe/internal/taskgraph"
 )
 
 // BenchmarkFig8DGEMM regenerates Figure 8: hybrid DGEMM performance by
@@ -198,6 +199,31 @@ func BenchmarkAdaptiveLookupUpdate(b *testing.B) {
 		_ = a.GSplit(obs.Work)
 		a.Observe(obs)
 	}
+}
+
+// BenchmarkSchedulerRunEvicting measures Scheduler.Run alone on the graph-d1
+// shape under eviction pressure: the whole look-ahead-1 factorisation graph at
+// N = 46080 (19,019 tasks over 1,444 tiles of 11.8 MB) against the element's
+// 1 GiB of device memory, so most placements evict. The graph and its element
+// are rebuilt outside the timer, because bookings accumulate on the element.
+func BenchmarkSchedulerRunEvicting(b *testing.B) {
+	var rep taskgraph.Report
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		el := element.New(element.Config{Seed: experiments.DefaultSeed, Virtual: true})
+		g := hpl.BuildLUGraph(46080, nil, nil, el, nil, hpl.GraphOptions{NB: 1216, Lookahead: 1})
+		sch := taskgraph.NewScheduler(el, taskgraph.Options{})
+		b.StartTimer()
+		var err error
+		if rep, err = sch.Run(g, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if rep.BytesOut == 0 {
+		b.Fatal("nothing was written back: the run did not evict")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rep.Tasks), "ns/task")
+	b.ReportMetric(rep.GFLOPS(), "vGFLOPS")
 }
 
 // BenchmarkPipelinePlanning measures task-queue construction for a

@@ -274,16 +274,23 @@ func (d *Device) Upload(src *matrix.Dense, dst *Buffer, earliest sim.Time) sim.S
 		}
 		dst.data.CopyFrom(src)
 	}
-	tr, done := d.transferModel()
-	defer done()
-	return d.DMA.Book("up", earliest, d.transferSeconds(tr.Seconds(dst.Bytes()), earliest))
+	return d.bookTransfer("up", dst.Bytes(), earliest)
 }
 
 // UploadBytes books a shape-only upload of the given size (virtual paths).
 func (d *Device) UploadBytes(bytes int64, earliest sim.Time) sim.Span {
-	tr, done := d.transferModel()
-	defer done()
-	return d.DMA.Book("up", earliest, d.transferSeconds(tr.Seconds(bytes), earliest))
+	return d.bookTransfer("up", bytes, earliest)
+}
+
+// bookTransfer books one transfer of the given size on the DMA engine no
+// earlier than earliest, on whichever path transferModel picks.
+func (d *Device) bookTransfer(label string, bytes int64, earliest sim.Time) sim.Span {
+	tr, acquired := d.transferModel()
+	sp := d.DMA.Book(label, earliest, d.transferSeconds(tr.Seconds(bytes), earliest))
+	if acquired {
+		d.pool.Release(stagingChunks)
+	}
+	return sp
 }
 
 // transferSeconds applies the health transfer factor to a model duration.
@@ -306,16 +313,12 @@ func (d *Device) Download(src *Buffer, dst *matrix.Dense, earliest sim.Time) sim
 		}
 		dst.CopyFrom(src.data)
 	}
-	tr, done := d.transferModel()
-	defer done()
-	return d.DMA.Book("down", earliest, d.transferSeconds(tr.Seconds(src.Bytes()), earliest))
+	return d.bookTransfer("down", src.Bytes(), earliest)
 }
 
 // DownloadBytes books a shape-only download of the given size.
 func (d *Device) DownloadBytes(bytes int64, earliest sim.Time) sim.Span {
-	tr, done := d.transferModel()
-	defer done()
-	return d.DMA.Book("down", earliest, d.transferSeconds(tr.Seconds(bytes), earliest))
+	return d.bookTransfer("down", bytes, earliest)
 }
 
 // Gemm executes C = alpha*A*B + beta*C on device buffers, booking the kernel

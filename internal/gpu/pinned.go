@@ -82,13 +82,15 @@ func (p *PinnedPool) Release(n int) {
 const stagingChunks = 2
 
 // transferModel picks the path for one transfer: the configured (pinned)
-// model when the pool can stage it, the pageable fallback otherwise.
-func (d *Device) transferModel() (perfmodel.Transfer, func()) {
+// model when the pool can stage it, the pageable fallback otherwise. acquired
+// reports that the transfer took its staging chunks from the pool; the caller
+// releases them once the transfer is booked.
+func (d *Device) transferModel() (tr perfmodel.Transfer, acquired bool) {
 	if !d.cfg.Transfer.Chunked || d.pool == nil {
-		return d.cfg.Transfer, func() {}
+		return d.cfg.Transfer, false
 	}
 	if err := d.pool.Acquire(stagingChunks); err != nil {
-		return perfmodel.PageableTransfer(), func() {}
+		return perfmodel.PageableTransfer(), false
 	}
-	return d.cfg.Transfer, func() { d.pool.Release(stagingChunks) }
+	return d.cfg.Transfer, true
 }

@@ -2,6 +2,7 @@ package hpl
 
 import (
 	"fmt"
+	"strconv"
 
 	"tianhe/internal/adaptive"
 	"tianhe/internal/blas"
@@ -99,12 +100,12 @@ func BuildLUGraph(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs 
 	for r := 0; r < geo.t; r++ {
 		tiles[r] = make([]*taskgraph.Handle, geo.t)
 		for c := 0; c < geo.t; c++ {
-			tiles[r][c] = g.NewHandle(fmt.Sprintf("t(%d,%d)", r, c),
+			tiles[r][c] = g.NewHandle(indexed("t", r, c),
 				8*int64(geo.width(r))*int64(geo.width(c)))
 		}
 	}
 	for k := 0; k < geo.t; k++ {
-		pivs[k] = g.NewHandle(fmt.Sprintf("piv(%d)", k), 8*int64(geo.width(k)))
+		pivs[k] = g.NewHandle(indexed("piv", k), 8*int64(geo.width(k)))
 	}
 
 	// colAccesses declares the footprint of a whole-column operation touching
@@ -136,7 +137,7 @@ func BuildLUGraph(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs 
 
 		panelFlops := float64(jb) * float64(jb) * (float64(mp) - float64(jb)/3)
 		panel := &taskgraph.Task{
-			Name:     fmt.Sprintf("panel(%d)", k),
+			Name:     indexed("panel", k),
 			Codelet:  "lu.panel",
 			Flops:    panelFlops,
 			Priority: 3,
@@ -176,7 +177,7 @@ func BuildLUGraph(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs 
 			if c < k {
 				// Pivots applied to the already-factored columns on the left.
 				t = &taskgraph.Task{
-					Name:     fmt.Sprintf("swap(%d,%d)", k, c),
+					Name:     indexed("swap", k, c),
 					Codelet:  "lu.swap",
 					Priority: 1,
 					Costs:    taskgraph.Costs{CPUSeconds: swapSec},
@@ -189,7 +190,7 @@ func BuildLUGraph(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs 
 				// Pivots plus the U12 triangular solve on the right.
 				trsmFlops := float64(jb) * float64(jb) * float64(cw)
 				t = &taskgraph.Task{
-					Name:     fmt.Sprintf("prep(%d,%d)", k, c),
+					Name:     indexed("prep", k, c),
 					Codelet:  "lu.trsm",
 					Flops:    trsmFlops,
 					Priority: 2,
@@ -215,7 +216,7 @@ func BuildLUGraph(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs 
 			for r := k + 1; r < geo.t; r++ {
 				r0, rh := geo.off(r), geo.width(r)
 				t := &taskgraph.Task{
-					Name:    fmt.Sprintf("upd(%d,%d,%d)", k, r, c),
+					Name:    indexed("upd", k, r, c),
 					Codelet: "lu.gemm",
 					Flops:   2 * float64(rh) * float64(cw) * float64(jb),
 					Shape:   [3]int{rh, cw, jb},
@@ -350,4 +351,21 @@ func GraphRun(n int, seed uint64, el *element.Element, opts GraphOptions) (Resul
 		return r, rep, fmt.Errorf("hpl: residual %g exceeds threshold %g", res, ResidualThreshold)
 	}
 	return r, rep, nil
+}
+
+// indexed returns prefix(i) or prefix(i,j,...), byte for byte what fmt prints
+// for "prefix(%d,%d)", formatted into a stack buffer so that a name costs one
+// allocation, the string itself. The whole-factorisation graph names
+// 1,482 handles and 19,019 tasks at the paper's size.
+func indexed(prefix string, idx ...int) string {
+	var buf [48]byte
+	b := append(buf[:0], prefix...)
+	b = append(b, '(')
+	for i, v := range idx {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return string(append(b, ')'))
 }

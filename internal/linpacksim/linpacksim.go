@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"tianhe/internal/adaptive"
 	"tianhe/internal/element"
@@ -504,11 +505,11 @@ func (s *Sim) stepGraph(j, jb, trailing int) {
 	us := make([]*taskgraph.Handle, nt)
 	ts := make([][]*taskgraph.Handle, nt)
 	for i := 0; i < nt; i++ {
-		ls[i] = g.NewHandle(fmt.Sprintf("l(%d)", i), 8*int64(tw(i))*int64(jb))
-		us[i] = g.NewHandle(fmt.Sprintf("u(%d)", i), 8*int64(jb)*int64(tw(i)))
+		ls[i] = g.NewHandle(indexed("l", i), 8*int64(tw(i))*int64(jb))
+		us[i] = g.NewHandle(indexed("u", i), 8*int64(jb)*int64(tw(i)))
 		ts[i] = make([]*taskgraph.Handle, nt)
 		for c := 0; c < nt; c++ {
-			ts[i][c] = g.NewHandle(fmt.Sprintf("t(%d,%d)", i, c), 8*int64(tw(i))*int64(tw(c)))
+			ts[i][c] = g.NewHandle(indexed("t", i, c), 8*int64(tw(i))*int64(tw(c)))
 		}
 	}
 
@@ -529,7 +530,7 @@ func (s *Sim) stepGraph(j, jb, trailing int) {
 		for r := 0; r < nt; r++ {
 			accs = append(accs, taskgraph.Access{H: ls[r], Mode: taskgraph.Write})
 		}
-		addPanel(fmt.Sprintf("panel(%d)", k), trailing+jb, jb, accs)
+		addPanel(indexed("panel", k), trailing+jb, jb, accs)
 	}
 
 	// Columns whose trsm prep the previous graph already ran (look-ahead
@@ -548,7 +549,7 @@ func (s *Sim) stepGraph(j, jb, trailing int) {
 		cw := tw(c)
 		flops := float64(jb) * float64(jb) * float64(cw)
 		g.Add(&taskgraph.Task{
-			Name: fmt.Sprintf("prep(%d,%d)", k, c), Codelet: "lu.trsm", Flops: flops, Priority: 2,
+			Name: indexed("prep", k, c), Codelet: "lu.trsm", Flops: flops, Priority: 2,
 			Costs: taskgraph.Costs{CPUSeconds: func() float64 { return flops / (perfmodel.HostTrsmGFLOPS * 1e9) }},
 			Accesses: []taskgraph.Access{
 				{H: piv, Mode: taskgraph.Read},
@@ -569,7 +570,7 @@ func (s *Sim) stepGraph(j, jb, trailing int) {
 					costs.GPUSeconds = func() float64 { return s.el.GPU.Model().KernelSeconds(rh, cw, jb) }
 				}
 				g.Add(&taskgraph.Task{
-					Name: fmt.Sprintf("upd(%d,%d,%d)", k, r, c), Codelet: "lu.gemm",
+					Name: indexed("upd", k, r, c), Codelet: "lu.gemm",
 					Flops: 2 * float64(rh) * float64(cw) * float64(jb),
 					Shape: [3]int{rh, cw, jb},
 					Costs: costs,
@@ -665,7 +666,7 @@ func (s *Sim) stepGraph(j, jb, trailing int) {
 			piv2 = g.NewHandle("piv'", 8*int64(jbNext))
 			accs = append(accs, taskgraph.Access{H: piv2, Mode: taskgraph.Write})
 		}
-		addPanel(fmt.Sprintf("panel(%d)", k+1), trailing, jbNext, accs)
+		addPanel(indexed("panel", k+1), trailing, jbNext, accs)
 		s.panelAhead = true
 		if prepNext {
 			ntNext := (trailingNext + s.nb - 1) / s.nb
@@ -675,14 +676,14 @@ func (s *Sim) stepGraph(j, jb, trailing int) {
 				cw := twNext(c)
 				flops := float64(jbNext) * float64(jbNext) * float64(cw)
 				g.Add(&taskgraph.Task{
-					Name: fmt.Sprintf("prep(%d,%d)", k+1, c), Codelet: "lu.trsm", Flops: flops, Priority: 2,
+					Name: indexed("prep", k+1, c), Codelet: "lu.trsm", Flops: flops, Priority: 2,
 					Costs: taskgraph.Costs{CPUSeconds: func() float64 { return flops / (perfmodel.HostTrsmGFLOPS * 1e9) }},
 					Accesses: []taskgraph.Access{
 						{H: piv2, Mode: taskgraph.Read},
 						// The column's top tile after this iteration's
 						// update — the data the next trsm solves against.
 						{H: ts[1][c+1], Mode: taskgraph.Read},
-						{H: g.NewHandle(fmt.Sprintf("u'(%d)", c), 8*int64(jbNext)*int64(cw)), Mode: taskgraph.Write},
+						{H: g.NewHandle(indexed("u'", c), 8*int64(jbNext)*int64(cw)), Mode: taskgraph.Write},
 					},
 				})
 			}
@@ -865,4 +866,21 @@ func Run(cfg Config) Result {
 		}
 	}
 	return s.Result()
+}
+
+// indexed returns prefix(i) or prefix(i,j,...), byte for byte what fmt prints
+// for "prefix(%d,%d)", formatted into a stack buffer so that a name costs one
+// allocation, the string itself. The graph stepper names some
+// 1,500 tiles and as many tasks per iteration.
+func indexed(prefix string, idx ...int) string {
+	var buf [48]byte
+	b := append(buf[:0], prefix...)
+	b = append(b, '(')
+	for i, v := range idx {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return string(append(b, ')'))
 }

@@ -27,7 +27,7 @@ type devicePlan struct {
 func (r *run) planDevice(t *Task, m1, rows int, splitReads bool, readyAt sim.Time) devicePlan {
 	var p devicePlan
 	for _, a := range t.Accesses {
-		if r.res.resident(a.H.name) {
+		if r.res.resident(a.H) {
 			continue
 		}
 		fb := rowShare(a.H.bytes, m1, rows)

@@ -19,22 +19,27 @@ func TestWholeGPUPlanIsHybridPlanAtAllRows(t *testing.T) {
 		mem := int64(1<<20) << rng.Intn(8)
 		el := element.New(element.Config{Seed: seed, Virtual: true, GPUMem: mem})
 		g := New()
-		r := NewScheduler(el, Options{}).newRun(g, 0)
 		// Busy timelines, so the earliest start depends on the upload gate.
 		el.GPU.Queue.AdvanceTo(sim.Time(rng.Float64()))
 		el.GPU.DMA.AdvanceTo(sim.Time(rng.Float64()))
 
 		task := &Task{Name: "t"}
+		var cached []*Handle
 		for i, n := 0, 1+rng.Intn(6); i < n; i++ {
 			// Sizes straddle the stream window (mem/4) on both sides.
 			h := g.NewHandle(fmt.Sprintf("h%d", i), int64(1+rng.Intn(96))*mem/256)
 			if rng.Intn(3) == 0 {
-				r.res.admit(h, sim.Span{})
-				if r.res.err != nil {
-					t.Fatal(r.res.err)
-				}
+				cached = append(cached, h)
 			}
 			task.Accesses = append(task.Accesses, Access{h, AccessMode(rng.Intn(3))})
+		}
+		// The run sizes its residency slots from the graph's handles.
+		r := NewScheduler(el, Options{}).newRun(g, 0)
+		for _, h := range cached {
+			r.res.admit(h, sim.Span{})
+			if r.res.err != nil {
+				t.Fatal(r.res.err)
+			}
 		}
 		readyAt := sim.Time(rng.Float64())
 		whole := r.planDevice(task, 1, 1, false, readyAt)

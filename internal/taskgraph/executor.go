@@ -38,7 +38,7 @@ func (r *run) bookCPU(t *Task, core int, readyAt sim.Time) booking {
 	// Host readers of device-dirty handles wait for the download.
 	start := readyAt
 	for _, a := range t.Accesses {
-		if re, ok := r.res.entries[a.H.name]; ok && re.dirty && a.Mode != Write {
+		if re := r.res.lookup(a.H); re != nil && re.dirty && a.Mode != Write {
 			start = max(start, r.res.writeBack(re).End)
 		}
 	}
@@ -47,11 +47,11 @@ func (r *run) bookCPU(t *Task, core int, readyAt sim.Time) booking {
 	// A host write invalidates any device copy.
 	for _, a := range t.Accesses {
 		if a.Mode != Read {
-			r.res.drop(a.H.name)
+			r.res.drop(a.H)
 		}
 	}
 	r.rep.TasksCPU++
-	return booking{class: ClassCPU, device: fmt.Sprintf("cpu%d", core), sp: sp, hostEnd: sp.End}
+	return booking{class: ClassCPU, device: r.coreNames[core], sp: sp, hostEnd: sp.End}
 }
 
 // bookGPU books the whole-device body. The fresh working set decides
@@ -65,7 +65,7 @@ func (r *run) bookGPU(t *Task, p *devicePlan, readyAt sim.Time) booking {
 		if a.Mode == Write {
 			continue
 		}
-		if p.wStream && a.Mode == ReadWrite && !res.resident(a.H.name) {
+		if p.wStream && a.Mode == ReadWrite && !res.resident(a.H) {
 			continue // streams through the window instead
 		}
 		r.stageRead(a.H, p, readyAt)
@@ -73,7 +73,7 @@ func (r *run) bookGPU(t *Task, p *devicePlan, readyAt sim.Time) booking {
 	if !p.wStream {
 		// Write-only outputs still occupy device memory.
 		for _, a := range t.Accesses {
-			if a.Mode == Write && !res.resident(a.H.name) {
+			if a.Mode == Write && !res.resident(a.H) {
 				res.admit(a.H, sim.Span{})
 			}
 		}
@@ -91,7 +91,7 @@ func (r *run) bookGPU(t *Task, p *devicePlan, readyAt sim.Time) booking {
 	// streamed shares already drained, so the host copy stays authoritative
 	// for them.
 	for _, a := range t.Accesses {
-		if re, ok := res.entries[a.H.name]; ok && a.Mode != Read {
+		if re := res.lookup(a.H); re != nil && a.Mode != Read {
 			res.touch(re)
 			re.sp = sp
 			re.dirty = true
@@ -117,7 +117,7 @@ func (r *run) bookHybrid(t *Task, c *candidates, readyAt sim.Time) booking {
 		if a.Mode == Read {
 			continue
 		}
-		if p.wStream && !r.res.resident(a.H.name) {
+		if p.wStream && !r.res.resident(a.H) {
 			continue // already streamed back under the kernel
 		}
 		fb := rowShare(a.H.bytes, m1, h.Rows)
@@ -146,8 +146,8 @@ func (r *run) bookHybrid(t *Task, c *candidates, readyAt sim.Time) booking {
 	// Release the device occupancy the split held: transient row shares and
 	// copies the host half just made stale.
 	r.res.release()
-	for _, name := range r.stale {
-		r.res.drop(name)
+	for _, h := range r.stale {
+		r.res.drop(h)
 	}
 	if r.res.err != nil {
 		return booking{} // an aborted placement teaches the rates and the oracle nothing
@@ -209,11 +209,11 @@ func (r *run) stageHybrid(t *Task, m1 int, p *devicePlan, readyAt sim.Time) sim.
 		if a.Mode != Read {
 			continue
 		}
-		re, ok := res.entries[a.H.name]
+		re := res.lookup(a.H)
 		switch {
-		case ok && re.dirty:
+		case re != nil && re.dirty:
 			hostReady = max(hostReady, res.writeBack(re).End)
-		case !ok && h.SplitReads:
+		case re == nil && h.SplitReads:
 			// Fractional head share, booked individually; under rStream the
 			// bytes ride the in-stream instead (the head gate already counts
 			// the fractional readFresh).
@@ -235,7 +235,7 @@ func (r *run) stageHybrid(t *Task, m1 int, p *devicePlan, readyAt sim.Time) sim.
 			continue
 		}
 		fb := rowShare(a.H.bytes, m1, h.Rows)
-		if re, ok := res.entries[a.H.name]; ok {
+		if re := res.lookup(a.H); re != nil {
 			if a.Mode == ReadWrite {
 				if re.dirty {
 					// The host half updates rows whose only current copy is
@@ -246,7 +246,7 @@ func (r *run) stageHybrid(t *Task, m1 int, p *devicePlan, readyAt sim.Time) sim.
 			}
 			res.touch(re)
 			r.deps = append(r.deps, re.sp)
-			r.stale = append(r.stale, a.H.name)
+			r.stale = append(r.stale, a.H)
 			continue
 		}
 		if p.wStream {
@@ -262,7 +262,7 @@ func (r *run) stageHybrid(t *Task, m1 int, p *devicePlan, readyAt sim.Time) sim.
 // resident copy is a skip, a fresh one uploads and becomes resident — under
 // the kernel, after the head gate, when the plan streams its reads.
 func (r *run) stageRead(h *Handle, p *devicePlan, readyAt sim.Time) {
-	if re, ok := r.res.entries[h.name]; ok {
+	if re := r.res.lookup(h); re != nil {
 		r.res.touch(re)
 		r.rep.BytesSkipped += re.bytes
 		r.deps = append(r.deps, re.sp)

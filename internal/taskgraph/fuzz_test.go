@@ -7,6 +7,73 @@ import (
 	"tianhe/internal/element"
 )
 
+// decodeGraph decodes arbitrary bytes into a task/dependency set: up to 24
+// tasks over six handles with random variants, access modes, priorities and
+// explicit After edges. A handle the bytes pick twice for one task is
+// declared once, as Validate requires. ran counts each body's executions;
+// explicit lists, per task, the After edges asked for, in call order.
+func decodeGraph(data []byte) (g *Graph, ran []int, explicit [][]int) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	n := int(next())%24 + 1
+
+	g = New()
+	handles := make([]*Handle, 6)
+	for i := range handles {
+		handles[i] = g.NewHandle(fmt.Sprintf("h%d", i), int64(i+1)*4096)
+	}
+	ran = make([]int, n)
+	explicit = make([][]int, n)
+	for i := 0; i < n; i++ {
+		sel := next()
+		costs := Costs{}
+		cpuSec := float64(next()%50+1) / 1000
+		gpuSec := float64(next()%50+1) / 1000
+		switch sel % 3 {
+		case 0:
+			costs.CPUSeconds = func() float64 { return cpuSec }
+		case 1:
+			costs.GPUSeconds = func() float64 { return gpuSec }
+		default:
+			costs.CPUSeconds = func() float64 { return cpuSec }
+			costs.GPUSeconds = func() float64 { return gpuSec }
+		}
+		nAcc := int(next()) % 4
+		accs := make([]Access, 0, nAcc)
+		var declared [6]bool
+		for a := 0; a < nAcc; a++ {
+			hi, mode := int(next())%len(handles), AccessMode(next()%3)
+			if !declared[hi] {
+				declared[hi] = true
+				accs = append(accs, Access{H: handles[hi], Mode: mode})
+			}
+		}
+		i := i
+		task := g.Add(&Task{
+			Name:     fmt.Sprintf("t%02d", i),
+			Codelet:  fmt.Sprintf("c%d", sel%4),
+			Flops:    float64(next()+1) * 1e6,
+			Priority: int(next() % 4),
+			Costs:    costs,
+			Accesses: accs,
+			Run:      func() { ran[i]++ },
+		})
+		// Explicit extra edges to earlier tasks, beyond access inference.
+		for e := int(next()) % 3; e > 0 && i > 0; e-- {
+			d := int(next()) % i
+			explicit[i] = append(explicit[i], d)
+			g.After(task, g.Tasks()[d])
+		}
+	}
+	return g, ran, explicit
+}
+
 // FuzzGraphSchedule decodes arbitrary bytes into a task/dependency set and
 // asserts the runtime's structural invariants: the scheduler never
 // deadlocks (Run returns), every task is scheduled and its body executes
@@ -19,59 +86,8 @@ func FuzzGraphSchedule(f *testing.F) {
 	f.Add([]byte{24, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 255, 254, 253})
 	f.Add([]byte{16, 0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 0x77, 0x66, 0x55, 0x44})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() byte {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return b
-		}
-		n := int(next())%24 + 1
-
-		g := New()
-		handles := make([]*Handle, 6)
-		for i := range handles {
-			handles[i] = g.NewHandle(fmt.Sprintf("h%d", i), int64(i+1)*4096)
-		}
-		ran := make([]int, n)
-		for i := 0; i < n; i++ {
-			sel := next()
-			costs := Costs{}
-			cpuSec := float64(next()%50+1) / 1000
-			gpuSec := float64(next()%50+1) / 1000
-			switch sel % 3 {
-			case 0:
-				costs.CPUSeconds = func() float64 { return cpuSec }
-			case 1:
-				costs.GPUSeconds = func() float64 { return gpuSec }
-			default:
-				costs.CPUSeconds = func() float64 { return cpuSec }
-				costs.GPUSeconds = func() float64 { return gpuSec }
-			}
-			nAcc := int(next()) % 4
-			accs := make([]Access, 0, nAcc)
-			for a := 0; a < nAcc; a++ {
-				accs = append(accs, Access{
-					H:    handles[int(next())%len(handles)],
-					Mode: AccessMode(next() % 3),
-				})
-			}
-			i := i
-			task := g.Add(&Task{
-				Name:     fmt.Sprintf("t%02d", i),
-				Codelet:  fmt.Sprintf("c%d", sel%4),
-				Flops:    float64(next()+1) * 1e6,
-				Priority: int(next() % 4),
-				Costs:    costs,
-				Accesses: accs,
-				Run:      func() { ran[i]++ },
-			})
-			// Explicit extra edges to earlier tasks, beyond access inference.
-			for e := int(next()) % 3; e > 0 && i > 0; e-- {
-				g.After(task, g.Tasks()[int(next())%i])
-			}
-		}
+		g, ran, _ := decodeGraph(data)
+		n := len(ran)
 		if err := g.Validate(); err != nil {
 			t.Fatalf("builder produced an invalid graph: %v", err)
 		}

@@ -47,8 +47,9 @@ type Handle struct {
 	bytes int64
 }
 
-// Name returns the handle's name; residency is keyed by it, so names must be
-// unique within a graph.
+// Name returns the handle's name. It labels traces and error messages only:
+// dependency inference and device residency identify a handle by its
+// registration in the graph, so names need not be unique.
 func (h *Handle) Name() string { return h.name }
 
 // Bytes returns the handle's footprint.
@@ -174,18 +175,19 @@ type Graph struct {
 	tasks   []*Task
 	handles []*Handle
 
-	// Inference state, per handle: the last writer and the readers since.
-	lastWriter map[int]int
-	readers    map[int][]int
+	// Inference state, indexed by handle id: the last writer (-1 for none)
+	// and the readers since.
+	lastWriter []int
+	readers    [][]int
+	// depMark, indexed by task id, holds the epoch of the Add or After call
+	// that last saw the task as a dependency: it keeps t.deps duplicate-free
+	// without a set per call.
+	depMark []int
+	epoch   int
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{
-		lastWriter: make(map[int]int),
-		readers:    make(map[int][]int),
-	}
-}
+func New() *Graph { return &Graph{} }
 
 // NewHandle registers a data handle of the given footprint.
 func (g *Graph) NewHandle(name string, bytes int64) *Handle {
@@ -194,6 +196,8 @@ func (g *Graph) NewHandle(name string, bytes int64) *Handle {
 	}
 	h := &Handle{id: len(g.handles), name: name, bytes: bytes}
 	g.handles = append(g.handles, h)
+	g.lastWriter = append(g.lastWriter, -1)
+	g.readers = append(g.readers, nil)
 	return h
 }
 
@@ -220,38 +224,45 @@ func (g *Graph) Add(t *Task) *Task {
 		}
 	}
 	t.id = len(g.tasks)
-	seen := map[int]bool{}
-	dep := func(id int) {
-		if id >= 0 && id != t.id && !seen[id] {
-			seen[id] = true
-			t.deps = append(t.deps, id)
-		}
-	}
+	g.epoch++
 	for _, a := range t.Accesses {
 		if a.H == nil {
 			panic(fmt.Sprintf("taskgraph: task %q declares a nil handle", t.Name))
 		}
+		if !g.owns(a.H) {
+			continue // no inference state to index; Validate reports it
+		}
+		id := a.H.id
 		switch a.Mode {
 		case Read:
-			if w, ok := g.lastWriter[a.H.id]; ok {
-				dep(w)
-			}
-			g.readers[a.H.id] = append(g.readers[a.H.id], t.id)
+			g.dep(t, g.lastWriter[id])
+			g.readers[id] = append(g.readers[id], t.id)
 		case Write, ReadWrite:
-			if w, ok := g.lastWriter[a.H.id]; ok {
-				dep(w)
+			g.dep(t, g.lastWriter[id])
+			for _, r := range g.readers[id] {
+				g.dep(t, r)
 			}
-			for _, r := range g.readers[a.H.id] {
-				dep(r)
-			}
-			g.lastWriter[a.H.id] = t.id
-			g.readers[a.H.id] = nil
+			g.lastWriter[id] = t.id
+			g.readers[id] = g.readers[id][:0]
 		default:
 			panic(fmt.Sprintf("taskgraph: task %q declares unknown access mode %d", t.Name, a.Mode))
 		}
 	}
 	g.tasks = append(g.tasks, t)
+	g.depMark = append(g.depMark, 0)
 	return t
+}
+
+// owns reports whether h was registered by this graph's NewHandle.
+func (g *Graph) owns(h *Handle) bool { return h.id < len(g.handles) && g.handles[h.id] == h }
+
+// dep records that t waits on the earlier task id, once per Add or After
+// call's epoch; -1 (no writer yet) and t itself are not dependencies.
+func (g *Graph) dep(t *Task, id int) {
+	if id >= 0 && id != t.id && g.depMark[id] != g.epoch {
+		g.depMark[id] = g.epoch
+		t.deps = append(t.deps, id)
+	}
 }
 
 // After adds explicit dependencies beyond what access inference produced —
@@ -261,27 +272,27 @@ func (g *Graph) After(t *Task, deps ...*Task) {
 	if len(g.tasks) == 0 || g.tasks[t.id] != t {
 		panic(fmt.Sprintf("taskgraph: After on task %q before Add", t.Name))
 	}
-	seen := map[int]bool{}
+	g.epoch++
 	for _, d := range t.deps {
-		seen[d] = true
+		g.depMark[d] = g.epoch
 	}
 	for _, d := range deps {
 		if g.tasks[d.id] != d {
 			panic(fmt.Sprintf("taskgraph: dependency %q of %q not in this graph", d.Name, t.Name))
 		}
-		if d.id == t.id || seen[d.id] {
-			continue
-		}
-		seen[d.id] = true
-		t.deps = append(t.deps, d.id)
+		g.dep(t, d.id)
 	}
 }
 
-// Validate checks structural invariants: in-range acyclic dependencies and
-// unique task names. The append-only builder cannot produce a cycle, but the
-// scheduler still refuses graphs that fail validation rather than deadlock.
+// Validate checks structural invariants: in-range acyclic dependencies,
+// unique task names, and accesses that name each of the task's handles once
+// and only handles of this graph — residency is indexed by handle id, so a
+// foreign handle would alias one of this graph's. The append-only builder
+// cannot produce a cycle, but the scheduler still refuses graphs that fail
+// validation rather than deadlock.
 func (g *Graph) Validate() error {
 	names := make(map[string]bool, len(g.tasks))
+	declared := make([]int, len(g.handles)) // by handle id: 1 + the last task declaring it
 	for i, t := range g.tasks {
 		if t.id != i {
 			return fmt.Errorf("taskgraph: task %q has id %d at position %d", t.Name, t.id, i)
@@ -290,6 +301,15 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("taskgraph: duplicate task name %q", t.Name)
 		}
 		names[t.Name] = true
+		for _, a := range t.Accesses {
+			if !g.owns(a.H) {
+				return fmt.Errorf("taskgraph: task %q declares handle %q, which is not registered in this graph", t.Name, a.H.name)
+			}
+			if declared[a.H.id] == i+1 {
+				return fmt.Errorf("taskgraph: task %q declares handle %q twice", t.Name, a.H.name)
+			}
+			declared[a.H.id] = i + 1
+		}
 		for _, d := range t.deps {
 			if d < 0 || d >= len(g.tasks) {
 				return fmt.Errorf("taskgraph: task %q depends on out-of-range task %d", t.Name, d)

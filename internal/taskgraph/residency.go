@@ -3,7 +3,6 @@ package taskgraph
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"tianhe/internal/gpu"
 	"tianhe/internal/sim"
@@ -22,61 +21,115 @@ func (e *workingSetError) Error() string {
 
 func (e *workingSetError) Unwrap() error { return ErrWorkingSet }
 
-// residentEntry tracks one handle cached in device memory.
+// residentEntry is one handle's slot in the manager: its device copy while
+// resident, and the pin stamp whether resident or not.
 type residentEntry struct {
 	bytes int64
 	sp    sim.Span // the booking that produced the device copy
 	dirty bool     // device copy newer than host
-	lru   int
+	// resident entries are threaded on the manager's LRU list.
+	resident   bool
+	prev, next *residentEntry
+	pin        int // epoch of the last pin that named this handle
 }
 
-// residency is the device-memory manager of one Run: the resident set keyed
-// by handle name, its LRU clock, and the byte budget — resident copies plus
-// the transient occupancy a booking holds (hybrid row shares, the stream
-// window). It is fresh per Run so a graph's timing never depends on what an
-// earlier graph left in device memory (checkpoint restores replay
+// residency is the device-memory manager of one Run: one slot per handle of
+// the graph indexed by handle id, the resident slots threaded on a list from
+// least to most recently used, and the byte budget — resident copies plus the
+// transient occupancy a booking holds (hybrid row shares, the stream window).
+// Admitting and touching only ever move a slot to the tail, so the first slot
+// from the head outside the keep-set is the least recently used victim
+// without a scan. It is fresh per Run so a graph's timing never depends on
+// what an earlier graph left in device memory (checkpoint restores replay
 // bit-identically). Every write-back it books lands in the run's report.
 type residency struct {
-	dev     *gpu.Device
-	rep     *Report
-	entries map[string]*residentEntry
-	keep    map[string]bool // the task being placed: its handles are never victims
-	tick    int
-	inUse   int64 // resident bytes + held
-	held    int64 // transient occupancy of the booking in flight
-	err     error // first working-set overflow; sticky
+	dev        *gpu.Device
+	rep        *Report
+	entries    []residentEntry
+	head, tail *residentEntry
+	// epoch identifies the keep-set — the handles of the task being placed,
+	// never victims: the slots whose pin equals it.
+	epoch int
+	inUse int64 // resident bytes + held
+	held  int64 // transient occupancy of the booking in flight
+	err   error // first working-set overflow; sticky
 }
 
-func newResidency(dev *gpu.Device, rep *Report) residency {
-	m := residency{dev: dev, rep: rep, keep: make(map[string]bool)}
-	m.reset()
-	return m
+// newResidency returns the manager of a graph with the given handle count.
+func newResidency(dev *gpu.Device, rep *Report, handles int) residency {
+	// Slots start at pin 0: the first epoch is 1, so none starts pinned.
+	return residency{dev: dev, rep: rep, entries: make([]residentEntry, handles), epoch: 1}
 }
 
 // reset forgets every device copy: a lost or re-created context starts with
 // empty device memory.
 func (m *residency) reset() {
-	m.entries = make(map[string]*residentEntry)
+	for re := m.head; re != nil; {
+		next := re.next
+		re.resident, re.prev, re.next = false, nil, nil
+		re = next
+	}
+	m.head, m.tail = nil, nil
 	m.inUse = 0
 }
 
-// resident reports whether name has a device copy.
-func (m *residency) resident(name string) bool {
-	_, ok := m.entries[name]
-	return ok
+// lookup returns h's device copy, nil when it has none.
+func (m *residency) lookup(h *Handle) *residentEntry {
+	if re := &m.entries[h.id]; re.resident {
+		return re
+	}
+	return nil
 }
+
+// resident reports whether h has a device copy.
+func (m *residency) resident(h *Handle) bool { return m.entries[h.id].resident }
 
 // pin makes t's handles the keep-set of the evictions its booking triggers.
 func (m *residency) pin(t *Task) {
-	clear(m.keep)
+	m.epoch++
 	for _, a := range t.Accesses {
-		m.keep[a.H.name] = true
+		m.entries[a.H.id].pin = m.epoch
 	}
 }
 
+// pushBack threads re on the list as the most recently used.
+func (m *residency) pushBack(re *residentEntry) {
+	re.prev, re.next = m.tail, nil
+	if m.tail != nil {
+		m.tail.next = re
+	} else {
+		m.head = re
+	}
+	m.tail = re
+}
+
+func (m *residency) unlink(re *residentEntry) {
+	if re.prev != nil {
+		re.prev.next = re.next
+	} else {
+		m.head = re.next
+	}
+	if re.next != nil {
+		re.next.prev = re.prev
+	} else {
+		m.tail = re.prev
+	}
+	re.prev, re.next = nil, nil
+}
+
+// touch marks a resident copy the most recently used.
 func (m *residency) touch(re *residentEntry) {
-	m.tick++
-	re.lru = m.tick
+	if re != m.tail {
+		m.unlink(re)
+		m.pushBack(re)
+	}
+}
+
+// evict removes a resident copy and returns its bytes to the budget.
+func (m *residency) evict(re *residentEntry) {
+	m.unlink(re)
+	re.resident = false
+	m.inUse -= re.bytes
 }
 
 // evictFor makes room for need more bytes, dropping least-recently-used
@@ -85,13 +138,12 @@ func (m *residency) touch(re *residentEntry) {
 // manager records the error and stops evicting; Run aborts on it once the
 // booking in flight returns.
 func (m *residency) evictFor(need int64) {
+	// Evicting leaves the rest of the list in order, so the search for the
+	// next victim resumes where the last one sat.
+	re := m.head
 	for m.err == nil && m.inUse+need > m.dev.MemBytes() {
-		var victim string
-		var re *residentEntry
-		for name, e := range m.entries {
-			if !m.keep[name] && (re == nil || e.lru < re.lru) {
-				victim, re = name, e
-			}
+		for re != nil && re.pin == m.epoch {
+			re = re.next
 		}
 		if re == nil {
 			m.err = &workingSetError{need: need, mem: m.dev.MemBytes()}
@@ -100,17 +152,26 @@ func (m *residency) evictFor(need int64) {
 		if re.dirty {
 			m.flush(re)
 		}
-		m.inUse -= re.bytes
-		delete(m.entries, victim)
+		victim := re
+		re = re.next
+		m.evict(victim)
 	}
 }
 
 // admit registers h resident with sp as the booking later readers wait on.
+// Admitting a handle that is already resident refreshes its copy in place:
+// the bytes are in the budget already.
 func (m *residency) admit(h *Handle, sp sim.Span) {
-	m.evictFor(h.bytes)
-	m.tick++
-	m.entries[h.name] = &residentEntry{bytes: h.bytes, sp: sp, lru: m.tick}
-	m.inUse += h.bytes
+	re := &m.entries[h.id]
+	if re.resident {
+		m.touch(re)
+	} else {
+		m.evictFor(h.bytes)
+		re.bytes, re.resident = h.bytes, true
+		m.pushBack(re)
+		m.inUse += h.bytes
+	}
+	re.sp, re.dirty = sp, false
 }
 
 // upload books h's transfer to the device no earlier than at and registers
@@ -137,11 +198,10 @@ func (m *residency) release() {
 	m.held = 0
 }
 
-// drop invalidates the device copy of name, if any.
-func (m *residency) drop(name string) {
-	if re, ok := m.entries[name]; ok {
-		m.inUse -= re.bytes
-		delete(m.entries, name)
+// drop invalidates the device copy of h, if any.
+func (m *residency) drop(h *Handle) {
+	if re := m.lookup(h); re != nil {
+		m.evict(re)
 	}
 }
 
@@ -165,14 +225,9 @@ func (m *residency) flush(re *residentEntry) {
 // drain streams back every handle whose only up-to-date copy lives on the
 // device so the host state is complete, in residency order.
 func (m *residency) drain() {
-	var dirty []*residentEntry
-	for _, re := range m.entries {
+	for re := m.head; re != nil; re = re.next {
 		if re.dirty {
-			dirty = append(dirty, re)
+			m.flush(re)
 		}
-	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].lru < dirty[j].lru })
-	for _, re := range dirty {
-		m.flush(re)
 	}
 }

@@ -1,8 +1,8 @@
 package taskgraph
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 	"sync"
 
 	"tianhe/internal/cpu"
@@ -235,13 +235,13 @@ type readyItem struct {
 	readyAt  sim.Time
 }
 
-// readyHeap orders by (-priority, readyAt, id): critical-path tasks first,
-// then earliest-ready, with the creation index as the deterministic
-// tie-breaker.
+// readyHeap is a binary min-heap ordered by (-priority, readyAt, id):
+// critical-path tasks first, then earliest-ready, with the creation index as
+// the deterministic tie-breaker. The order is total, so the pop sequence does
+// not depend on how the heap is laid out.
 type readyHeap []readyItem
 
-func (h readyHeap) Len() int { return len(h) }
-func (h readyHeap) Less(i, j int) bool {
+func (h readyHeap) less(i, j int) bool {
 	if h[i].priority != h[j].priority {
 		return h[i].priority > h[j].priority
 	}
@@ -251,15 +251,72 @@ func (h readyHeap) Less(i, j int) bool {
 	}
 	return h[i].id < h[j].id
 }
-func (h readyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x any)   { *h = append(*h, x.(readyItem)) }
-func (h *readyHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+func (h *readyHeap) push(it readyItem) {
+	*h = append(*h, it)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
 }
+
+func (h *readyHeap) pop() readyItem {
+	n := len(*h) - 1
+	s := (*h)[:n]
+	top := (*h)[0]
+	if n > 0 {
+		s[0] = (*h)[n]
+	}
+	*h = s
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j+1 < n && s.less(j+1, j) {
+			j++
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	return top
+}
+
+// childIndex lists, for every task, the tasks that wait on it, in creation
+// order: one flat slice and the offset of each task's run in it.
+type childIndex struct{ start, list []int }
+
+func newChildIndex(tasks []*Task) childIndex {
+	n := len(tasks)
+	start := make([]int, n+1)
+	for _, t := range tasks {
+		for _, d := range t.deps {
+			start[d+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	list := make([]int, start[n])
+	fill := slices.Clone(start[:n])
+	for _, t := range tasks {
+		for _, d := range t.deps {
+			list[fill[d]] = t.id
+			fill[d]++
+		}
+	}
+	return childIndex{start, list}
+}
+
+func (c childIndex) of(id int) []int { return c.list[c.start[id]:c.start[id+1]] }
 
 // run is the working state of one Scheduler.Run, shared by its parts: the
 // residency manager owns device memory, the device plan and the cost step
@@ -269,8 +326,10 @@ type run struct {
 	s     *Scheduler
 	dev   *gpu.Device
 	cores []*cpu.Core
-	rep   Report
-	res   residency
+	// coreNames are the TaskSpan device labels of the cores.
+	coreNames []string
+	rep       Report
+	res       residency
 	// window is the double-buffered staging budget for oversized working
 	// sets. A task whose written tiles cannot fit on the device streams them
 	// through this window instead of making them resident, exactly like the
@@ -283,19 +342,24 @@ type run struct {
 
 	deps   []sim.Span // kernel dependencies of the booking in flight
 	lateUp []*Handle  // its fresh reads riding the in-stream under the kernel
-	stale  []string   // resident copies its host half overwrites
+	stale  []*Handle  // resident copies its host half overwrites
 }
 
 func (s *Scheduler) newRun(g *Graph, earliest sim.Time) *run {
 	n := len(s.el.CPU.Cores())
 	r := &run{
 		s: s, dev: s.el.GPU, cores: s.el.CPU.Cores(),
-		rep:    Report{Start: earliest, End: earliest, Tasks: g.Len()},
+		coreNames: make([]string, n),
+		rep: Report{Start: earliest, End: earliest, Tasks: g.Len(),
+			TaskSpans: make([]TaskSpan, 0, g.Len())},
 		window: s.el.GPU.MemBytes() / 4,
 		sizer: splitSizer{usable: make([]bool, n), fr: make([]float64, n),
 			caps: make([]int, n), w: make([]float64, n)},
 	}
-	r.res = newResidency(r.dev, &r.rep)
+	for i := range r.coreNames {
+		r.coreNames[i] = fmt.Sprintf("cpu%d", i)
+	}
+	r.res = newResidency(r.dev, &r.rep, len(g.handles))
 	return r
 }
 
@@ -314,21 +378,18 @@ func (s *Scheduler) Run(g *Graph, earliest sim.Time) (Report, error) {
 	// Dependency bookkeeping.
 	n := len(tasks)
 	indeg := make([]int, n)
-	children := make([][]int, n)
-	ready := &readyHeap{}
+	children := newChildIndex(tasks)
+	var ready readyHeap
 	for _, t := range tasks {
 		indeg[t.id] = len(t.deps)
-		for _, d := range t.deps {
-			children[d] = append(children[d], t.id)
-		}
 		if indeg[t.id] == 0 {
-			heap.Push(ready, readyItem{id: t.id, priority: t.Priority, readyAt: earliest})
+			ready.push(readyItem{id: t.id, priority: t.Priority, readyAt: earliest})
 		}
 	}
 	finish := make([]sim.Time, n)
 
-	for ready.Len() > 0 {
-		it := heap.Pop(ready).(readyItem)
+	for len(ready) > 0 {
+		it := ready.pop()
 		t := tasks[it.id]
 		r.rep.Flops += t.Flops
 
@@ -351,14 +412,14 @@ func (s *Scheduler) Run(g *Graph, earliest sim.Time) (Report, error) {
 			Name: t.Name, Codelet: t.Codelet, Device: b.device, Start: b.sp.Start, End: end,
 		})
 
-		for _, c := range children[t.id] {
+		for _, c := range children.of(t.id) {
 			indeg[c]--
 			if indeg[c] == 0 {
 				ra := earliest
 				for _, d := range tasks[c].deps {
 					ra = max(ra, finish[d])
 				}
-				heap.Push(ready, readyItem{id: c, priority: tasks[c].Priority, readyAt: ra})
+				ready.push(readyItem{id: c, priority: tasks[c].Priority, readyAt: ra})
 			}
 		}
 	}
@@ -417,7 +478,7 @@ func (r *run) admit(t *Task, readyAt sim.Time) (at sim.Time, gpuOK, stalled bool
 // order (a topological order); parallel mode runs a worker pool over the
 // dependency DAG. Bodies write disjoint declared handles, so both orders
 // produce bit-identical data.
-func (s *Scheduler) runBodies(tasks []*Task, children [][]int) {
+func (s *Scheduler) runBodies(tasks []*Task, children childIndex) {
 	any := false
 	for _, t := range tasks {
 		if t.Run != nil {
@@ -463,7 +524,7 @@ func (s *Scheduler) runBodies(tasks []*Task, children [][]int) {
 					fn()
 				}
 				mu.Lock()
-				for _, c := range children[id] {
+				for _, c := range children.of(id) {
 					indeg[c]--
 					if indeg[c] == 0 {
 						queue <- c // buffered to n: never blocks

@@ -9,6 +9,7 @@ import (
 
 	"tianhe/internal/element"
 	"tianhe/internal/fault"
+	"tianhe/internal/sim"
 )
 
 func testElement(seed uint64) *element.Element {
@@ -339,5 +340,43 @@ func TestWorkingSetOverflowIsATypedError(t *testing.T) {
 	}
 	if got := sch.Rates().Codelets(); len(got) != 0 {
 		t.Errorf("aborted placement fed the rate database: %v", got)
+	}
+}
+
+// TestReadyHeapPopsInPriorityOrder: whatever the interleaving of pushes and
+// pops, the queue hands tasks out by (-priority, readyAt, id) — with ties at
+// every level, as a wavefront of equal-priority tiles produces.
+func TestReadyHeapPopsInPriorityOrder(t *testing.T) {
+	rng := sim.NewRNG(5)
+	for round := 0; round < 200; round++ {
+		var h, pending readyHeap
+		check := func() {
+			t.Helper()
+			best := 0
+			for i := range pending {
+				if pending.less(i, best) {
+					best = i
+				}
+			}
+			want := pending[best]
+			pending = append(pending[:best], pending[best+1:]...)
+			if got := h.pop(); got != want {
+				t.Fatalf("round %d: popped %+v, want %+v", round, got, want)
+			}
+		}
+		for id, n := 0, 1+rng.Intn(60); id < n; id++ {
+			it := readyItem{id: id, priority: rng.Intn(3), readyAt: sim.Time(rng.Intn(4))}
+			h.push(it)
+			pending = append(pending, it)
+			if rng.Intn(3) == 0 {
+				check()
+			}
+		}
+		for len(pending) > 0 {
+			check()
+		}
+		if len(h) != 0 {
+			t.Fatalf("round %d: %d items left after the last pop", round, len(h))
+		}
 	}
 }

@@ -44,3 +44,40 @@ func TestNoGiantFunctions(t *testing.T) {
 		t.Fatal("parsed no functions: the check is looking at the wrong directory")
 	}
 }
+
+// TestHotPathHasNoStringKeyedMaps keeps handle and task names off the
+// per-task path: residency once found every victim by scanning a
+// map[string]*residentEntry, hashing a name per entry, and that scan was the
+// largest single cost of scheduling a tile graph. Handles and tasks are
+// identified by their dense ids; the one map keyed by a string in these
+// files is Validate's duplicate-task-name set, built once per Run. (The rate
+// database in rates.go is keyed by codelet, a handful per graph.)
+func TestHotPathHasNoStringKeyedMaps(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, name := range []string{"residency.go", "executor.go", "devplan.go", "placement.go", "graph.go"} {
+		file, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allowed := 0
+		for _, decl := range file.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				mt, ok := n.(*ast.MapType)
+				if !ok {
+					return true
+				}
+				if key, ok := mt.Key.(*ast.Ident); !ok || key.Name != "string" {
+					return true
+				}
+				if name == "graph.go" && fn != nil && fn.Name.Name == "Validate" && allowed == 0 {
+					allowed++
+					return true
+				}
+				t.Errorf("%s: a map keyed by string on the task-graph hot path — index by Handle.id or Task.id instead",
+					fset.Position(mt.Pos()))
+				return true
+			})
+		}
+	}
+}
