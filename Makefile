@@ -54,12 +54,13 @@ graphgolden:
 # graphbench regenerates the graph-LU benchmark (monolithic vs graph at each
 # look-ahead depth vs graph+hybrid, N=46080) into a fresh artifact and guards
 # it against the committed BENCH_graphlu.json baseline: every mode's GFLOPS
-# must stay within 10%. Virtual time makes the run bit-exact from the seed,
-# so any drift the guard catches is a real code change — regenerate the
-# baseline deliberately with
+# must stay within 10%, and then the whole artifact must equal the baseline
+# byte for byte. Virtual time makes the run bit-exact from the seed, so any
+# drift is a real code change — regenerate the baseline deliberately with
 # `go run ./cmd/graphtrace -bench -o BENCH_graphlu.json` and commit it.
 graphbench:
 	go run ./cmd/graphtrace -bench -par 8 -o /tmp/tianhe_graphbench.json -baseline BENCH_graphlu.json
+	cmp /tmp/tianhe_graphbench.json BENCH_graphlu.json
 
 # fuzz gives each native fuzz target a short fixed budget on top of its
 # checked-in seed corpus. New crashers land in testdata/fuzz/ — commit them.
@@ -78,12 +79,13 @@ bench:
 # servebench regenerates the serving benchmark (1200 open-loop clients,
 # healthy + lost-gpu sweeps) into a fresh artifact and guards it against
 # the committed BENCH_serve.json baseline: peak and per-rate healthy
-# throughput must stay within 10%. Virtual time makes the run bit-exact
-# from the seed, so any drift the guard catches is a real code change —
-# regenerate the baseline deliberately with
-# `go run ./cmd/tianhed -bench -o BENCH_serve.json` and commit it.
+# throughput must stay within 10%, and then the whole artifact must equal the
+# baseline byte for byte. Virtual time makes the run bit-exact from the seed,
+# so any drift is a real code change — regenerate the baseline deliberately
+# with `go run ./cmd/tianhed -bench -o BENCH_serve.json` and commit it.
 servebench:
 	go run ./cmd/tianhed -bench -par 8 -o /tmp/tianhe_servebench.json -baseline BENCH_serve.json
+	cmp /tmp/tianhe_servebench.json BENCH_serve.json
 
 # parbench measures the parallel sweep runner: faultbench and scalebench at
 # -par 1 vs -par 8 (override with PAR=n), asserting byte-identical output

@@ -2,7 +2,8 @@
 // for internal/serve that multiplexes concurrent solve/DGEMM jobs onto the
 // adaptive hybrid runtime. It runs in two modes.
 //
-// Daemon mode (default) listens on -addr and serves:
+// Daemon mode (default) listens on -addr until SIGINT or SIGTERM, then stops
+// accepting and lets the requests in flight finish. It serves:
 //
 //	POST /v1/jobs  — submit one job ({"tenant","kind","m","n","k"});
 //	                 200 with the job's outcome, 429 with a Retry-After
@@ -28,15 +29,19 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"tianhe/internal/experiments"
@@ -78,12 +83,44 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tianhed: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("tianhed: serving on %s (seed %d, %d workers, queue %d)\n",
-		*addr, *seed, *workers, *queueCap)
-	if err := http.ListenAndServe(*addr, d.mux()); err != nil {
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "tianhed: %v\n", err)
 		os.Exit(1)
 	}
+	fmt.Printf("tianhed: serving on %s (seed %d, %d workers, queue %d)\n",
+		ln.Addr(), *seed, *workers, *queueCap)
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err = serveUntil(ctx, ln, d.mux())
+	stop()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tianhed: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// shutdownTimeout bounds how long a stopping daemon waits for its in-flight
+// requests. A job's answer is one drain of the virtual event loop away, so
+// the bound only matters for a client that stalls mid-request.
+const shutdownTimeout = 5 * time.Second
+
+// serveUntil serves h on ln until ctx is cancelled (SIGINT/SIGTERM in the
+// daemon), then stops accepting connections and waits, at most
+// shutdownTimeout, for the requests already in flight to get their answers.
+func serveUntil(ctx context.Context, ln net.Listener, h http.Handler) error {
+	srv := &http.Server{Handler: h}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	drain, cancel := context.WithTimeout(context.WithoutCancel(ctx), shutdownTimeout)
+	defer cancel()
+	err := srv.Shutdown(drain)
+	<-served // Serve returns ErrServerClosed as soon as Shutdown begins
+	return err
 }
 
 // parseRates parses a comma-separated rate list; empty selects the default

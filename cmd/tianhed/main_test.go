@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -96,6 +99,74 @@ func TestDaemonMetricsAndHealth(t *testing.T) {
 	}
 	if health.Status != "ok" || health.Stats.Completed != 1 {
 		t.Fatalf("health: %+v", health)
+	}
+}
+
+// TestShutdownAnswersInFlightRequest: cancelling the daemon's context (what
+// SIGINT/SIGTERM do) closes the listener but lets a POST /v1/jobs that is
+// already inside the handler finish with its normal answer.
+func TestShutdownAnswersInFlightRequest(t *testing.T) {
+	d := testDaemon(t)
+	ln, err := net.Listen("tcp", "localhost:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan struct{})
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		d.mux().ServeHTTP(w, r)
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stopped := make(chan error, 1)
+	go func() { stopped <- serveUntil(ctx, ln, handler) }()
+
+	// Holding the daemon's lock parks the request inside handleJob.
+	d.mu.Lock()
+	type answer struct {
+		status int
+		body   []byte
+		err    error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post("http://"+ln.Addr().String()+"/v1/jobs", "application/json",
+			strings.NewReader(`{"tenant":"acme","kind":"solve","n":512}`))
+		if err != nil {
+			answered <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		answered <- answer{resp.StatusCode, body, err}
+	}()
+	<-entered
+	cancel()
+	// Shutdown has begun once the listener refuses new connections.
+	for {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			break
+		}
+		conn.Close()
+	}
+	select {
+	case err := <-stopped:
+		t.Fatalf("daemon stopped with a request in flight: %v", err)
+	default:
+	}
+	d.mu.Unlock()
+
+	a := <-answered
+	if a.err != nil || a.status != http.StatusOK {
+		t.Fatalf("in-flight request: status %d, err %v, body %s", a.status, a.err, a.body)
+	}
+	resp, err := serve.ParseResponse(a.body)
+	if err != nil || resp.Status != "ok" || resp.ID != 1 {
+		t.Fatalf("in-flight response: %+v, %v", resp, err)
+	}
+	if err := <-stopped; err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }
 

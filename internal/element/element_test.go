@@ -72,6 +72,24 @@ func TestResetRestoresZero(t *testing.T) {
 	}
 }
 
+func TestSetRecordingCoversEveryTimeline(t *testing.T) {
+	el := New(Config{Seed: 5, Virtual: true})
+	for _, on := range []bool{false, true} {
+		el.SetRecording(on)
+		for _, tl := range el.Timelines() {
+			before := len(tl.Spans())
+			busy := tl.Busy()
+			tl.Book("op", 0, 1)
+			if got := len(tl.Spans()) - before; (got == 1) != on {
+				t.Fatalf("recording %v: %s retained %d spans for one booking", on, tl.Name(), got)
+			}
+			if tl.Busy() != busy+1 {
+				t.Fatalf("recording %v: %s busy %g, want %g", on, tl.Name(), tl.Busy(), busy+1)
+			}
+		}
+	}
+}
+
 func TestCustomCoreCount(t *testing.T) {
 	el := New(Config{Seed: 4, CPUCores: 4})
 	if el.CPU.NumCores() != 4 {

@@ -329,11 +329,7 @@ func NewSim(cfg Config) *Sim {
 		elCfg.Transfer = perfmodel.PageableTransfer()
 	}
 	el := element.New(elCfg)
-	el.GPU.Queue.SetRecording(false)
-	el.GPU.DMA.SetRecording(false)
-	for _, c := range el.CPU.Cores() {
-		c.TL.SetRecording(false)
-	}
+	el.SetRecording(false)
 
 	part := cfg.Part
 	if cfg.Variant.Adaptive() && part == nil {

@@ -12,11 +12,16 @@ type batchKey struct {
 	n, k int
 }
 
-// batch is one coalesced hybrid call in assembly or awaiting dispatch.
+func (j *Job) key() batchKey {
+	return batchKey{kind: j.Kind, n: j.N, k: j.K}
+}
+
+// batch is one coalesced hybrid call in assembly, awaiting dispatch, or
+// executing.
 type batch struct {
 	id   uint64
 	key  batchKey
-	jobs []*pending
+	jobs []Job
 	rows int
 	// opened is the virtual time the first job entered; seq tags the
 	// seal-window event so a stale timer cannot seal a successor batch
@@ -25,10 +30,54 @@ type batch struct {
 	seq    uint64
 	// drained counts device-outage drains of this sealed batch.
 	drained int
+	// start, end and gsplit are the facts of the batch's latest dispatch:
+	// when it was booked, when its hybrid call ends, and the adaptive split
+	// it ran with. Each job's Result is built from them at retirement.
+	start, end sim.Time
+	gsplit     float64
 }
 
 func (b *batch) work() float64 {
 	return 2 * float64(b.rows) * float64(b.key.n) * float64(b.key.k)
+}
+
+// batchQueue is the FIFO of sealed batches awaiting a worker. The live
+// entries are q.items[q.head:]: popping advances head instead of re-slicing,
+// and a requeue at the front steps it back, so neither moves the queue. The
+// popped prefix (one nil pointer per batch) is reclaimed whenever the queue
+// runs empty.
+type batchQueue struct {
+	items []*batch
+	head  int
+}
+
+func (q *batchQueue) len() int { return len(q.items) - q.head }
+
+func (q *batchQueue) front() *batch { return q.items[q.head] }
+
+func (q *batchQueue) pushBack(b *batch) { q.items = append(q.items, b) }
+
+func (q *batchQueue) popFront() *batch {
+	b := q.items[q.head]
+	q.items[q.head] = nil
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return b
+}
+
+// pushFront re-enters a batch ahead of everything queued. Only a batch that
+// was popped comes back this way, so there is normally a vacated slot before
+// head; the shift is the fallback for a queue that emptied in between.
+func (q *batchQueue) pushFront(b *batch) {
+	if q.head == 0 {
+		q.items = append(q.items, nil)
+		copy(q.items[1:], q.items)
+		q.head = 1
+	}
+	q.head--
+	q.items[q.head] = b
 }
 
 // policy is the adaptive batching state for one batch key — the serving
@@ -96,10 +145,9 @@ func (ba *Batcher) policyFor(key batchKey) *policy {
 	return p
 }
 
-// observeArrival feeds one arrival instant into the key's learned arrival
+// observeArrival feeds one arrival instant into a key's learned arrival
 // rate.
-func (ba *Batcher) observeArrival(key batchKey, t sim.Time) {
-	p := ba.policyFor(key)
+func (ba *Batcher) observeArrival(p *policy, t sim.Time) {
 	if p.arrived && t > p.lastArrive {
 		inst := 1 / (t - p.lastArrive)
 		if p.ewmaArrive == 0 {
@@ -163,35 +211,38 @@ type sealTimer struct {
 }
 
 // add places an admitted job into the open batch for its key, opening one
-// if needed. It returns the batches that sealed as a consequence — the
-// open batch the job could not stack into under the row cap, and/or the
-// job's own batch once it reaches the occupancy target, the occupancy cap,
-// or the row cap — and, when the job opened a fresh batch that is still
-// assembling, the seal-window timer the server must schedule.
-func (ba *Batcher) add(p *pending, now sim.Time) (sealed []*batch, timer *sealTimer) {
-	key := p.key()
-	ba.observeArrival(key, now)
-	if b, ok := ba.open[key]; ok && b.rows+p.job.M > ba.maxRows {
-		delete(ba.open, key)
-		sealed = append(sealed, b)
+// if needed. It returns the batches that sealed as a consequence, in seal
+// order with the unused entries nil — the open batch the job could not
+// stack into under the row cap, and/or the job's own batch once it reaches
+// the occupancy target, the occupancy cap, or the row cap — and, when the
+// job opened a fresh batch that is still assembling (armed), the
+// seal-window timer the server must schedule.
+func (ba *Batcher) add(job Job, now sim.Time) (sealed [2]*batch, timer sealTimer, armed bool) {
+	key := job.key()
+	pol := ba.policyFor(key)
+	ba.observeArrival(pol, now)
+	n := 0
+	b := ba.open[key]
+	if b != nil && b.rows+job.M > ba.maxRows {
+		sealed[n] = b
+		n++
+		b = nil
 	}
-	b, ok := ba.open[key]
-	if !ok {
+	if b == nil {
 		ba.nextID++
 		ba.nextSeq++
 		b = &batch{id: ba.nextID, key: key, opened: now, seq: ba.nextSeq}
 		ba.open[key] = b
-		timer = &sealTimer{key: key, seq: b.seq, at: now + ba.window(key)}
+		timer, armed = sealTimer{key: key, seq: b.seq, at: now + pol.window}, true
 	}
-	b.jobs = append(b.jobs, p)
-	b.rows += p.job.M
-	pol := ba.policyFor(key)
+	b.jobs = append(b.jobs, job)
+	b.rows += job.M
 	if len(b.jobs) >= pol.target || len(b.jobs) >= ba.maxBatch || b.rows >= ba.maxRows {
 		delete(ba.open, key)
-		sealed = append(sealed, b)
-		timer = nil
+		sealed[n] = b
+		armed = false
 	}
-	return sealed, timer
+	return sealed, timer, armed
 }
 
 // sealIf closes the open batch identified by (key, seq) if it is still

@@ -202,33 +202,42 @@ func Summarize(s *serve.Server, arrivals int) Report {
 		rep.MeanBatchJobs = float64(st.Completed) / float64(st.Batches)
 	}
 
-	var latencies []float64
-	perTenant := make(map[string]*TenantStats)
+	// One accumulator per tenant: its outcome and its latencies, found with
+	// one lookup per result.
+	type tenantAcc struct {
+		TenantStats
+		lat []float64
+	}
+	latencies := make([]float64, 0, st.Completed)
+	perTenant := make(map[string]*tenantAcc)
 	var order []string
-	tenantLat := make(map[string][]float64)
 	for _, r := range s.Results() {
-		ts, ok := perTenant[r.Tenant]
+		ta, ok := perTenant[r.Tenant]
 		if !ok {
-			ts = &TenantStats{Tenant: r.Tenant}
-			perTenant[r.Tenant] = ts
+			ta = &tenantAcc{TenantStats: TenantStats{Tenant: r.Tenant}}
+			perTenant[r.Tenant] = ta
 			order = append(order, r.Tenant)
 		}
 		if r.Rejected {
-			ts.Rejected++
+			ta.Rejected++
 			continue
 		}
-		ts.Completed++
+		ta.Completed++
 		latencies = append(latencies, r.Latency())
-		tenantLat[r.Tenant] = append(tenantLat[r.Tenant], r.Latency())
+		ta.lat = append(ta.lat, r.Latency())
 	}
-	rep.P50 = exactQuantile(latencies, 0.50)
-	rep.P99 = exactQuantile(latencies, 0.99)
+	// Each slice is the summary's own, so it is sorted in place, once, and
+	// both quantiles read from it.
+	sort.Float64s(latencies)
+	rep.P50 = sortedQuantile(latencies, 0.50)
+	rep.P99 = sortedQuantile(latencies, 0.99)
 	sort.Strings(order)
 	for _, name := range order {
-		ts := perTenant[name]
-		ts.P50Latency = exactQuantile(tenantLat[name], 0.50)
-		ts.P99Latency = exactQuantile(tenantLat[name], 0.99)
-		rep.Tenants = append(rep.Tenants, *ts)
+		ta := perTenant[name]
+		sort.Float64s(ta.lat)
+		ta.P50Latency = sortedQuantile(ta.lat, 0.50)
+		ta.P99Latency = sortedQuantile(ta.lat, 0.99)
+		rep.Tenants = append(rep.Tenants, ta.TenantStats)
 	}
 	return rep
 }
@@ -236,11 +245,17 @@ func Summarize(s *serve.Server, arrivals int) Report {
 // exactQuantile returns the q order statistic of xs (nearest-rank on a
 // sorted copy); 0 when empty.
 func exactQuantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return sortedQuantile(sorted, q)
+}
+
+// sortedQuantile returns the q order statistic (nearest rank) of an
+// ascending slice; 0 when empty.
+func sortedQuantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	idx := int(q * float64(len(sorted)-1))
 	if idx < 0 {
 		idx = 0

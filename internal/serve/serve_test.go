@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -114,7 +116,7 @@ func TestBatcherAdapts(t *testing.T) {
 	// 1000 jobs/s arrivals against a 16 ms batch service time: the target
 	// should converge near λ·s = 16 and the window near target/λ/2 = 8 ms.
 	for i := 1; i <= 200; i++ {
-		ba.observeArrival(key, sim.Time(i)*1e-3)
+		ba.observeArrival(ba.policyFor(key), sim.Time(i)*1e-3)
 		if i%10 == 0 {
 			ba.observeService(key, 16e-3)
 		}
@@ -130,8 +132,19 @@ func TestBatcherAdapts(t *testing.T) {
 
 func TestBatcherSealsOnCaps(t *testing.T) {
 	ba := newBatcher(4, 1000, 1e-3, 1e-2)
-	mk := func(m int) *pending {
-		return &pending{job: Job{Kind: DGEMM, M: m, N: 64, K: 64}}
+	mk := func(m int) Job {
+		return Job{Kind: DGEMM, M: m, N: 64, K: 64}
+	}
+	// add reports the batches one add sealed.
+	add := func(job Job, now sim.Time) []*batch {
+		var out []*batch
+		sealed, _, _ := ba.add(job, now)
+		for _, b := range sealed {
+			if b != nil {
+				out = append(out, b)
+			}
+		}
+		return out
 	}
 	// Push the occupancy target up so only the caps seal.
 	key := batchKey{kind: DGEMM, n: 64, k: 64}
@@ -139,19 +152,23 @@ func TestBatcherSealsOnCaps(t *testing.T) {
 
 	var sealed []*batch
 	for i := 0; i < 4; i++ {
-		s, _ := ba.add(mk(10), 0)
-		sealed = append(sealed, s...)
+		sealed = append(sealed, add(mk(10), 0)...)
 	}
 	if len(sealed) != 1 || len(sealed[0].jobs) != 4 {
 		t.Fatalf("occupancy cap: sealed %d batches", len(sealed))
 	}
 	// Row cap: a job that does not stack seals the open batch.
-	if s, _ := ba.add(mk(600), 1e-4); len(s) != 0 {
+	if s := add(mk(600), 1e-4); len(s) != 0 {
 		t.Fatalf("unexpected seal: %d", len(s))
 	}
-	s, _ := ba.add(mk(600), 2e-4)
+	s := add(mk(600), 2e-4)
 	if len(s) != 1 || s[0].rows != 600 {
 		t.Fatalf("row cap: sealed %v", s)
+	}
+	// A job that fills the row cap on its own seals the open batch it cannot
+	// stack into and then its own, in that order.
+	if s := add(mk(1000), 3e-4); len(s) != 2 || s[0].rows != 600 || s[1].rows != 1000 {
+		t.Fatalf("row cap twice: sealed %v", s)
 	}
 }
 
@@ -160,15 +177,14 @@ func TestBatcherSealTimer(t *testing.T) {
 	// Cold start seals at occupancy 1 (target starts at 1, so unlearned
 	// traffic pays no batching delay); the window timer only appears once
 	// the target has adapted above 1.
-	p0 := &pending{job: Job{Kind: DGEMM, M: 10, N: 64, K: 64}}
-	if sealed, timer := ba.add(p0, 0); len(sealed) != 1 || timer != nil {
-		t.Fatalf("cold start: sealed=%d timer=%v", len(sealed), timer)
+	job := Job{Kind: DGEMM, M: 10, N: 64, K: 64}
+	if sealed, _, armed := ba.add(job, 0); sealed[0] == nil || sealed[1] != nil || armed {
+		t.Fatalf("cold start: sealed=%v armed=%v", sealed, armed)
 	}
 	ba.policyFor(batchKey{kind: DGEMM, n: 64, k: 64}).target = 8
-	p := &pending{job: Job{Kind: DGEMM, M: 10, N: 64, K: 64}}
-	sealed, timer := ba.add(p, 1e-4)
-	if len(sealed) != 0 || timer == nil {
-		t.Fatalf("first add: sealed=%d timer=%v", len(sealed), timer)
+	sealed, timer, armed := ba.add(job, 1e-4)
+	if sealed[0] != nil || !armed {
+		t.Fatalf("first add: sealed=%v armed=%v", sealed, armed)
 	}
 	if b := ba.sealIf(timer.key, timer.seq); b == nil || len(b.jobs) != 1 {
 		t.Fatalf("sealIf missed the open batch")
@@ -379,4 +395,181 @@ func TestRetryAfterEstimate(t *testing.T) {
 	if !sawMeasured {
 		t.Fatalf("every retry-after used the cold-start fallback")
 	}
+}
+
+// TestResultLookup covers Result(id) over the dense id-indexed store: ids the
+// server never issued, issued but unresolved, rejected and completed; and the
+// daemon's submit-one/run-one pattern, whose stores must grow amortised O(1).
+func TestResultLookup(t *testing.T) {
+	s, err := New(Config{Seed: 3, Workers: 1, QueueCap: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint64{0, 1, 1 << 40} {
+		if r, ok := s.Result(id); ok {
+			t.Fatalf("Result(%d) on an empty server resolved: %+v", id, r)
+		}
+	}
+	stream(t, s, 100, 64, 1e-6)
+	for id := uint64(0); id <= 101; id++ {
+		if r, ok := s.Result(id); ok {
+			t.Fatalf("Result(%d) resolved before the event loop ran: %+v", id, r)
+		}
+	}
+	s.Run()
+	st := s.Stats()
+	if st.Rejected == 0 || st.Completed == 0 {
+		t.Fatalf("want both rejections and completions: %+v", st)
+	}
+	rejected, completed := 0, 0
+	for id := uint64(1); id <= 100; id++ {
+		r, ok := s.Result(id)
+		if !ok || r.ID != id {
+			t.Fatalf("Result(%d) = %+v, %v", id, r, ok)
+		}
+		if r.Rejected {
+			rejected++
+		} else {
+			completed++
+		}
+	}
+	if rejected != st.Rejected || completed != st.Completed {
+		t.Fatalf("looked up %d rejected + %d completed, stats %+v", rejected, completed, st)
+	}
+	for pos, r := range s.Results() {
+		if got, _ := s.Result(r.ID); got != r {
+			t.Fatalf("Result(%d) = %+v, but Results()[%d] = %+v", r.ID, got, pos, r)
+		}
+	}
+	for _, id := range []uint64{0, 101, 1 << 40} {
+		if r, ok := s.Result(id); ok {
+			t.Fatalf("Result(%d) resolved an id never issued: %+v", id, r)
+		}
+	}
+
+	// One job per Run, the way cmd/tianhed drives the server: the second
+	// 10,000 rounds may not allocate much more than the first 10,000. Growing
+	// either store to exactly the submitted high-water mark on every round
+	// would make the second half cost gigabytes.
+	d, err := New(Config{Seed: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := func(n int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			id, err := d.SubmitAt(Request{Tenant: "acme", Kind: "dgemm", M: 64, N: 256, K: 256}, d.Now())
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Run()
+			if r, ok := d.Result(id); !ok || r.ID != id || r.Rejected {
+				t.Fatalf("round %d: Result(%d) = %+v, %v", i, id, r, ok)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, second := rounds(10000), rounds(10000)
+	if second > 2*first {
+		t.Fatalf("allocation is not linear in jobs: first 10,000 rounds %d bytes, next 10,000 %d", first, second)
+	}
+}
+
+// TestPoolRetainsNoSpans: the service's elements live as long as the daemon
+// and nothing reads their retained spans, so serve.New turns retention off.
+// A 4000 jobs/s replay leaves every pool timeline empty, while everything
+// that is read — busy time, the utilisation gauges, the metric dump and the
+// Chrome trace streamed through the observer path — matches a pool with
+// retention switched back on.
+func TestPoolRetainsNoSpans(t *testing.T) {
+	replay := func(record bool) (*Server, string, string) {
+		tel := telemetry.New()
+		s, err := New(Config{Seed: 17, Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range s.workers {
+			if record {
+				w.el.SetRecording(true)
+			}
+			w.el.Instrument(tel, fmt.Sprintf("w%d", w.idx))
+		}
+		stream(t, s, 2000, 64, 1.0/4000)
+		s.Run()
+		var metrics, trace strings.Builder
+		tel.Metrics.WriteText(&metrics)
+		if err := tel.Trace.WriteJSON(&trace); err != nil {
+			t.Fatal(err)
+		}
+		return s, metrics.String(), trace.String()
+	}
+	lean, leanMetrics, leanTrace := replay(false)
+	full, fullMetrics, fullTrace := replay(true)
+
+	retained := 0
+	for i, w := range lean.workers {
+		for j, tl := range w.el.Timelines() {
+			if n := len(tl.Spans()); n != 0 {
+				t.Errorf("worker %d %s retains %d spans", i, tl.Name(), n)
+			}
+			ref := full.workers[i].el.Timelines()[j]
+			retained += len(ref.Spans())
+			if tl.Busy() != ref.Busy() || tl.Available() != ref.Available() {
+				t.Errorf("worker %d %s: busy %g until %g, with retention %g until %g",
+					i, tl.Name(), tl.Busy(), tl.Available(), ref.Busy(), ref.Available())
+			}
+		}
+	}
+	if retained == 0 {
+		t.Fatalf("the retaining pool recorded no spans: the comparison proves nothing")
+	}
+	if !strings.Contains(leanMetrics, "element.util.gpu_queue") || !strings.Contains(leanTrace, "w0/gpu.queue") {
+		t.Fatalf("utilisation gauge or resource track missing from the telemetry under comparison")
+	}
+	if leanMetrics != fullMetrics {
+		t.Errorf("metric dump depends on span retention")
+	}
+	if leanTrace != fullTrace {
+		t.Errorf("Chrome trace depends on span retention")
+	}
+	if !reflect.DeepEqual(lean.Results(), full.Results()) {
+		t.Errorf("results depend on span retention")
+	}
+}
+
+// TestBatchQueueOrder: FIFO, with a front requeue landing ahead of everything
+// queued both when a popped slot is free before the head and when the queue
+// ran empty in between.
+func TestBatchQueueOrder(t *testing.T) {
+	var q batchQueue
+	bs := make([]*batch, 6)
+	for i := range bs {
+		bs[i] = &batch{id: uint64(i)}
+	}
+	drain := func(want ...int) {
+		t.Helper()
+		for _, id := range want {
+			if q.len() == 0 {
+				t.Fatalf("queue ran dry before batch %d", id)
+			}
+			if f, b := q.front(), q.popFront(); f != b || b != bs[id] {
+				t.Fatalf("popped batch %d, want %d", b.id, id)
+			}
+		}
+		if q.len() != 0 {
+			t.Fatalf("%d batches left over", q.len())
+		}
+	}
+	q.pushBack(bs[0])
+	q.pushBack(bs[1])
+	q.pushBack(bs[2])
+	popped := q.popFront()
+	q.pushBack(bs[3])
+	q.pushFront(popped) // the vacated slot before head
+	drain(0, 1, 2, 3)
+	q.pushBack(bs[4])
+	q.pushFront(bs[5]) // head is 0: the queue shifts
+	drain(5, 4)
 }

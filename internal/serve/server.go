@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"tianhe/internal/adaptive"
 	"tianhe/internal/element"
@@ -88,16 +89,6 @@ func (c Config) withDefaults() Config {
 // pool's fault-aware runners use after device recovery — the PR 3 value.
 const rewarmHalfLife = 8
 
-// pending is one admitted job moving through the service.
-type pending struct {
-	job Job
-	res Result
-}
-
-func (p *pending) key() batchKey {
-	return batchKey{kind: p.job.Kind, n: p.job.N, k: p.job.K}
-}
-
 // worker is one dispatcher slot: a compute element and its hybrid runner.
 type worker struct {
 	idx  int
@@ -150,12 +141,15 @@ type Server struct {
 	ba  *Batcher
 
 	workers []*worker
-	ready   []*batch // sealed batches awaiting a worker, FIFO; drains re-enter at the front
-	waiting int      // jobs admitted but not yet dispatched
+	ready   batchQueue // sealed batches awaiting a worker, FIFO; drains re-enter at the front
+	waiting int        // jobs admitted but not yet dispatched
 
+	// Each Result is stored once, in completion order. Job ids are dense
+	// (1, 2, ...), so the lookup by id is a slice indexed by id-1 holding
+	// the Result's 1-based position in results (0 while unresolved).
 	nextJobID uint64
 	results   []Result
-	byID      map[uint64]Result
+	resultAt  []int
 	stats     Stats
 
 	probes *serverProbes
@@ -214,11 +208,10 @@ func New(cfg Config) (*Server, error) {
 		lim.MaxRows = cfg.MaxBatchRows // a single job may fill a whole batch
 	}
 	s := &Server{
-		cfg:  cfg,
-		lim:  cfg.Limits,
-		eng:  sim.NewEngine(),
-		ba:   newBatcher(cfg.MaxBatch, cfg.MaxBatchRows, cfg.MinWindow, cfg.MaxWindow),
-		byID: make(map[uint64]Result),
+		cfg: cfg,
+		lim: cfg.Limits,
+		eng: sim.NewEngine(),
+		ba:  newBatcher(cfg.MaxBatch, cfg.MaxBatchRows, cfg.MinWindow, cfg.MaxWindow),
 	}
 	if tel := cfg.Telemetry; tel.Enabled() {
 		s.probes = &serverProbes{
@@ -251,6 +244,10 @@ func New(cfg Config) (*Server, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		elSeed := sim.NewStream(cfg.Seed, fmt.Sprintf("serve/worker%d", i)).Uint64()
 		el := element.New(element.Config{Seed: elSeed, Virtual: true})
+		// Nothing in the service reads retained spans (telemetry streams
+		// bookings through the observer path), and a daemon's pool lives as
+		// long as the process: retention would grow with every batch.
+		el.SetRecording(false)
 		part := adaptive.NewAdaptive(64, maxWork, el.InitialGSplit(), el.CPU.NumCores())
 		run := hybrid.New(el, element.ACMLGBoth, part)
 		// The pool is always fault-aware: a lost device falls back to the
@@ -305,8 +302,10 @@ func (s *Server) Results() []Result { return s.results }
 
 // Result returns the outcome of the given job id, if resolved.
 func (s *Server) Result(id uint64) (Result, bool) {
-	r, ok := s.byID[id]
-	return r, ok
+	if id == 0 || id > uint64(len(s.resultAt)) || s.resultAt[id-1] == 0 {
+		return Result{}, false
+	}
+	return s.results[s.resultAt[id-1]-1], true
 }
 
 // SubmitAt validates a request and schedules its arrival at the given
@@ -363,18 +362,20 @@ func (s *Server) arrive(job Job) {
 		pr.depth.Set(float64(s.waiting))
 		pr.depthPeak.Set(float64(s.stats.QueuePeak))
 	}
-	p := &pending{job: job}
-	sealed, timer := s.ba.add(p, s.eng.Now())
-	if timer != nil {
-		t := *timer
+	sealed, t, armed := s.ba.add(job, s.eng.Now())
+	if armed {
 		s.eng.At(t.at, func() {
 			if b := s.ba.sealIf(t.key, t.seq); b != nil {
-				s.ready = append(s.ready, b)
+				s.ready.pushBack(b)
 				s.pump()
 			}
 		})
 	}
-	s.ready = append(s.ready, sealed...)
+	for _, b := range sealed {
+		if b != nil {
+			s.ready.pushBack(b)
+		}
+	}
 	s.pump()
 }
 
@@ -434,7 +435,7 @@ func (s *Server) failWorker(w *worker) {
 		if pr := s.probes; pr != nil {
 			pr.depth.Set(float64(s.waiting))
 		}
-		s.ready = append([]*batch{b}, s.ready...)
+		s.ready.pushFront(b)
 	}
 	s.pump()
 }
@@ -473,18 +474,16 @@ func outage(w *worker, now sim.Time) bool {
 // degrades but no admitted job ever fails.
 func (s *Server) pump() {
 	now := s.eng.Now()
-	for len(s.ready) > 0 {
+	for s.ready.len() > 0 {
 		w := s.pickWorker()
 		if w == nil {
 			return
 		}
-		b := s.ready[0]
 		if outage(w, now) && s.healthyElsewhere(w, now) {
-			s.drainPark(b, w, now)
+			s.drainPark(s.ready.front(), w, now)
 			continue
 		}
-		s.ready = s.ready[1:]
-		s.execute(b, w)
+		s.execute(s.ready.popFront(), w)
 	}
 }
 
@@ -532,7 +531,7 @@ func (s *Server) execute(b *batch, w *worker) {
 		if pr := s.probes; pr != nil {
 			pr.depth.Set(float64(s.waiting))
 		}
-		s.ready = append([]*batch{b}, s.ready...)
+		s.ready.pushFront(b)
 		s.drainPark(b, w, now)
 		return
 	}
@@ -542,20 +541,7 @@ func (s *Server) execute(b *batch, w *worker) {
 		pr.occupancy.Observe(float64(len(b.jobs)))
 		pr.window.Set(float64(s.ba.window(b.key)))
 	}
-	for _, p := range b.jobs {
-		p.res = Result{
-			ID:        p.job.ID,
-			Tenant:    p.job.Tenant,
-			Kind:      p.job.Kind,
-			Submit:    p.job.Submit,
-			Start:     now,
-			End:       rep.End,
-			BatchID:   b.id,
-			BatchJobs: len(b.jobs),
-			GSplit:    rep.GSplit,
-			Drained:   b.drained,
-		}
-	}
+	b.start, b.end, b.gsplit = now, rep.End, rep.GSplit
 	// An element death aborts the dispatch and bumps the epoch; the stale
 	// completion event then retires nothing — the batch already requeued.
 	epoch := w.epoch
@@ -563,38 +549,60 @@ func (s *Server) execute(b *batch, w *worker) {
 		if w.epoch != epoch {
 			return
 		}
-		s.complete(b, w, now)
+		s.complete(b, w)
 	})
 }
 
 // complete retires a batch: service-rate feedback to the batcher, results
 // out, worker back into the pool.
-func (s *Server) complete(b *batch, w *worker, dispatchedAt sim.Time) {
+func (s *Server) complete(b *batch, w *worker) {
 	now := s.eng.Now()
-	s.ba.observeService(b.key, now-dispatchedAt)
-	for _, p := range b.jobs {
+	s.ba.observeService(b.key, now-b.start)
+	if b.end > s.stats.LastEnd {
+		s.stats.LastEnd = b.end
+	}
+	for i := range b.jobs {
+		job := &b.jobs[i]
 		s.stats.Completed++
-		if p.res.End > s.stats.LastEnd {
-			s.stats.LastEnd = p.res.End
+		res := Result{
+			ID:        job.ID,
+			Tenant:    job.Tenant,
+			Kind:      job.Kind,
+			Submit:    job.Submit,
+			Start:     b.start,
+			End:       b.end,
+			BatchID:   b.id,
+			BatchJobs: len(b.jobs),
+			GSplit:    b.gsplit,
+			Drained:   b.drained,
 		}
 		if pr := s.probes; pr != nil {
 			pr.completed.Inc()
-			pr.latency.Observe(p.res.Latency())
-			tp := pr.tenant(p.res.Tenant)
+			pr.latency.Observe(res.Latency())
+			tp := pr.tenant(res.Tenant)
 			tp.completed.Inc()
-			tp.latency.Observe(p.res.Latency())
+			tp.latency.Observe(res.Latency())
 		}
-		s.finish(p.res)
+		s.finish(res)
 	}
 	w.busy = false
 	w.inflight = nil
 	s.pump()
 }
 
-// finish records a resolved result and notifies the observer.
+// finish records a resolved result and notifies the observer. Every
+// submitted id resolves exactly once, so when either store is full it grows
+// to the submitted high-water mark: one step for a pre-submitted trace,
+// append's amortised doubling when jobs are submitted and run one at a time.
 func (s *Server) finish(res Result) {
+	if len(s.results) == cap(s.results) {
+		s.results = slices.Grow(s.results, int(s.nextJobID)-len(s.results))
+	}
 	s.results = append(s.results, res)
-	s.byID[res.ID] = res
+	if n := len(s.resultAt); int(res.ID) > n {
+		s.resultAt = append(s.resultAt, make([]int, int(s.nextJobID)-n)...)
+	}
+	s.resultAt[res.ID-1] = len(s.results)
 	if s.cfg.OnResult != nil {
 		s.cfg.OnResult(res)
 	}

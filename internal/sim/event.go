@@ -1,47 +1,69 @@
 package sim
 
-import "container/heap"
-
 // Event is a callback scheduled at a virtual time in an Engine.
 type Event struct {
 	At Time
 	Fn func()
 
 	seq int // tie-breaker: FIFO among equal timestamps
-	idx int
 }
 
-type eventHeap []*Event
+// eventHeap is a binary min-heap of event values ordered by (At, seq): time
+// first, then scheduling order. seq is unique, so the order is total and the
+// pop sequence does not depend on the heap's internal layout.
+type eventHeap []Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	//lint:ignore floateq exact-timestamp ties must fall through to the deterministic seq tie-breaker
 	if h[i].At != h[j].At {
 		return h[i].At < h[j].At
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) push(ev Event) {
+	*h = append(*h, ev)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
 }
 
-// Engine is a minimal discrete-event simulation loop. The cluster-scale
-// experiments use it to interleave per-process iteration completions.
+func (h *eventHeap) pop() Event {
+	n := len(*h) - 1
+	s := (*h)[:n]
+	top := (*h)[0]
+	if n > 0 {
+		s[0] = (*h)[n]
+	}
+	(*h)[n] = Event{} // drop the vacated slot's closure
+	*h = s
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j+1 < n && s.less(j+1, j) {
+			j++
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	return top
+}
+
+// Engine is a minimal discrete-event simulation loop: events fire in
+// timestamp order, and events with equal timestamps fire in the order they
+// were scheduled. The serving layer runs its admission, batching and
+// dispatch on it.
 type Engine struct {
 	now     Time
 	events  eventHeap
@@ -59,9 +81,8 @@ func (e *Engine) At(at Time, fn func()) {
 	if at < e.now {
 		panic("sim: scheduling event in the past")
 	}
-	ev := &Event{At: at, Fn: fn, seq: e.nextSeq}
+	e.events.push(Event{At: at, Fn: fn, seq: e.nextSeq})
 	e.nextSeq++
-	heap.Push(&e.events, ev)
 }
 
 // After schedules fn to run d after the current time.
@@ -76,7 +97,7 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*Event)
+	ev := e.events.pop()
 	e.now = ev.At
 	ev.Fn()
 	return true
