@@ -27,10 +27,14 @@ test:
 # faultgolden runs the short fault-injection golden runs on their own:
 # the healthy scenario (hook overhead must be exactly zero) and the
 # lost-gpu scenario (adaptive recovers to >=90% of healthy steady state,
-# static/trained stall). They also run as part of `make test`/`make check`;
-# this target surfaces their verdicts verbosely.
+# static/trained stall), then the fault-arm digests: Linpack under
+# lost-gpu+sdc-single on the graph, graph+hybrid and monolithic steppers and
+# the pipeline's verify/recompute drain, pinned at exact equality, plus the
+# stall outcome of the variants with no fallback. They also run as part of
+# `make test`/`make check`; this target surfaces their verdicts verbosely.
 faultgolden:
 	go test -run 'TestHealthyScenarioHasZeroHookOverhead|TestLostGPUAcceptance' -v ./cmd/faultbench
+	go test -run 'TestFaultArmDigest|TestStalledRunNeverBeatsHealthyTwin' -v ./internal/linpacksim
 
 # recovergolden surfaces the elastic-recovery goldens verbosely: the shrink
 # mapping of the survivor protocol (internal/recover) and the full rendered
@@ -72,6 +76,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzGraphSchedule$$' -fuzztime 10s ./internal/taskgraph
 	go test -run '^$$' -fuzz '^FuzzComposedScenarios$$' -fuzztime 10s ./internal/linpacksim
 	go test -run '^$$' -fuzz '^FuzzPanelCodec$$' -fuzztime 10s ./internal/cluster
+	go test -run '^$$' -fuzz '^FuzzDatabaseGJSON$$' -fuzztime 10s ./internal/adaptive
 
 bench:
 	go test -run xxx -bench . -benchtime 10x .

@@ -13,10 +13,16 @@
 // O(m*n*k), which is what keeps the verification overhead in the low
 // single-digit percents for the paper's 8192-wide tiles (see VerifyFlops).
 //
-// Purity: everything in this package is a pure function of its arguments —
-// no wall clock, no global randomness, no package-level state. The detpure
-// contract in internal/analyzers enforces this, because verification and
-// recomputation run on the recovery hot path of deterministic simulations.
+// The virtual-scale runtimes (pipeline, taskgraph, hybrid, linpacksim) do not
+// hold the numbers, so they share the verdict instead: Tally counts outcomes,
+// Tally.Strike asks the fault injector whether a drained task was struck and
+// classifies the hit, and Probes publishes a tally as metrics (tally.go).
+//
+// Purity: everything in this package is a function of its arguments and the
+// injector's seeded per-task streams — no wall clock, no global randomness,
+// no package-level state. The detpure contract in internal/analyzers enforces
+// this, because verification and recomputation run on the recovery hot path
+// of deterministic simulations.
 package abft
 
 import (

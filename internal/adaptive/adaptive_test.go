@@ -74,9 +74,30 @@ func TestDatabaseGJSONRoundTrip(t *testing.T) {
 }
 
 func TestDatabaseGInvalidJSON(t *testing.T) {
+	for _, blob := range []string{
+		`{"max_work":0,"buckets":[],"touched":[]}`,
+		`{"max_work":10,"initial":0.5,"buckets":[0.5,0.5],"touched":[true]}`,
+		`{"max_work":-3,"initial":0.5,"buckets":[0.5],"touched":[true]}`,
+		`{"max_work":10,"initial":1.01,"buckets":[0.5],"touched":[true]}`,
+		`{"max_work":10,"initial":-0.1,"buckets":[0.5],"touched":[true]}`,
+		`{"max_work":10,"initial":0.5,"buckets":[0.5,7],"touched":[true,true]}`,
+		`{"max_work":10,"initial":0.5,"buckets":[-1e-9],"touched":[false]}`,
+	} {
+		var d DatabaseG
+		if err := json.Unmarshal([]byte(blob), &d); err == nil {
+			t.Errorf("invalid serialization accepted: %s", blob)
+		}
+	}
+	// One past the bucket bound.
+	big := databaseGJSON{MaxWork: 1, Initial: 0.5,
+		Buckets: make([]float64, MaxBuckets+1), Touched: make([]bool, MaxBuckets+1)}
+	blob, err := json.Marshal(big)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var d DatabaseG
-	if err := json.Unmarshal([]byte(`{"max_work":0,"buckets":[],"touched":[]}`), &d); err == nil {
-		t.Fatal("invalid serialization must be rejected")
+	if err := json.Unmarshal(blob, &d); err == nil {
+		t.Errorf("database with %d buckets accepted", MaxBuckets+1)
 	}
 }
 

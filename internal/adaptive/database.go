@@ -31,13 +31,9 @@ type DatabaseG struct {
 	// always the healthy view). While quarantined, stores are discarded:
 	// measurements taken during an outage describe hardware that no longer
 	// exists. After Rewarm, stale buckets are blended back from the initial
-	// peak ratio toward their learned value as trust recovers with a
-	// configurable half-life in observations.
-	quarantined bool
-	warming     bool
-	stale       []bool
-	trust       float64
-	decay       float64 // per-store factor on the remaining distrust, 0.5^(1/halfLife)
+	// peak ratio toward their learned value as trust recovers.
+	trust Trust
+	stale []bool
 }
 
 // NewDatabaseG builds a database with j buckets over workloads in
@@ -91,31 +87,27 @@ func (d *DatabaseG) Lookup(work float64) float64 {
 	defer d.mu.Unlock()
 	i := d.index(work)
 	v := d.buckets[i]
-	if d.warming && d.stale[i] {
-		v = d.initial + (v-d.initial)*d.trust
+	if d.trust.Warming() && d.stale[i] {
+		v = d.initial + (v-d.initial)*d.trust.Weight()
 	}
 	return v
 }
 
 // Store writes a new split for the bucket covering the given workload.
 // While quarantined the write is discarded; during a re-warm it marks the
-// bucket fresh and steps the database-wide trust toward 1 with the
-// half-life configured in Rewarm.
+// bucket fresh and steps the database-wide trust toward 1.
 func (d *DatabaseG) Store(work, split float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.quarantined {
+	if d.trust.Quarantined() {
 		return
 	}
 	i := d.index(work)
 	d.buckets[i] = split
 	d.touched[i] = true
-	if d.warming {
+	if d.trust.Warming() {
 		d.stale[i] = false
-		d.trust = 1 - (1-d.trust)*d.decay
-		if d.trust > 0.999 {
-			d.warming = false
-		}
+		d.trust.Step()
 	}
 }
 
@@ -126,33 +118,25 @@ func (d *DatabaseG) Store(work, split float64) {
 func (d *DatabaseG) Quarantine() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.quarantined = true
+	d.trust.Quarantine()
 }
 
 // Quarantined reports whether stores are currently discarded.
 func (d *DatabaseG) Quarantined() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.quarantined
+	return d.trust.Quarantined()
 }
 
 // Rewarm lifts a quarantine after device recovery. Every previously learned
 // bucket is marked stale and trust drops to zero, so lookups restart from
-// the initial peak ratio; each subsequent Store halves the remaining
-// distrust every halfLife observations (trust after k stores is
-// 1-0.5^(k/halfLife)). halfLife <= 0 restores full trust immediately.
+// the initial peak ratio and converge back along the Trust curve, one step
+// per Store. The runtimes pass RewarmHalfLife; halfLife <= 0 restores full
+// trust immediately.
 func (d *DatabaseG) Rewarm(halfLife float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.quarantined = false
-	if halfLife <= 0 {
-		d.warming = false
-		d.trust = 1
-		return
-	}
-	d.warming = true
-	d.trust = 0
-	d.decay = math.Pow(0.5, 1/halfLife)
+	d.trust.Rewarm(halfLife)
 	if len(d.stale) != len(d.buckets) {
 		d.stale = make([]bool, len(d.buckets))
 	}
@@ -207,14 +191,37 @@ func (d *DatabaseG) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON restores a serialized database.
+// MaxBuckets bounds the bucket count of a deserialized database_g. The
+// runtimes use 64; a file claiming more than this is not one of theirs.
+const MaxBuckets = 1 << 16
+
+// isSplit reports whether v is a GSplit fraction.
+func isSplit(v float64) bool { return v >= 0 && v <= 1 }
+
+// UnmarshalJSON restores a serialized database. The blob comes from outside
+// the program (linpackbench -db <file>), so anything Lookup could not return
+// as a split is rejected: a bucket count outside [1, MaxBuckets], mismatched
+// lengths, a non-positive workload range, or a split or initial value outside
+// [0, 1].
 func (d *DatabaseG) UnmarshalJSON(b []byte) error {
 	var j databaseGJSON
 	if err := json.Unmarshal(b, &j); err != nil {
 		return err
 	}
-	if len(j.Buckets) == 0 || len(j.Buckets) != len(j.Touched) || j.MaxWork <= 0 {
-		return fmt.Errorf("adaptive: invalid database_g serialization")
+	if n := len(j.Buckets); n == 0 || n > MaxBuckets || n != len(j.Touched) {
+		return fmt.Errorf("adaptive: database_g with %d buckets and %d touched flags, want 1..%d of each",
+			n, len(j.Touched), MaxBuckets)
+	}
+	if !(j.MaxWork > 0) {
+		return fmt.Errorf("adaptive: database_g workload range %v not positive", j.MaxWork)
+	}
+	if !isSplit(j.Initial) {
+		return fmt.Errorf("adaptive: database_g initial split %v outside [0, 1]", j.Initial)
+	}
+	for i, v := range j.Buckets {
+		if !isSplit(v) {
+			return fmt.Errorf("adaptive: database_g bucket %d holds split %v outside [0, 1]", i, v)
+		}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -224,11 +231,8 @@ func (d *DatabaseG) UnmarshalJSON(b []byte) error {
 	d.touched = j.Touched
 	// A restore is a fresh healthy state: any in-flight quarantine/re-warm
 	// belongs to the overwritten run.
-	d.quarantined = false
-	d.warming = false
+	d.trust = Trust{}
 	d.stale = nil
-	d.trust = 0
-	d.decay = 0
 	return nil
 }
 

@@ -63,10 +63,6 @@ type faultPolicy struct {
 	part func(el *element.Element) adaptive.Partitioner
 }
 
-// rewarmHalfLife is the re-warm half-life (in observations) the adaptive
-// fallback uses after device recovery.
-const rewarmHalfLife = 8
-
 func faultPolicies(seed uint64, n, ops int) []faultPolicy {
 	work := 2 * float64(n) * float64(n) * float64(n)
 	adaptivePart := func(el *element.Element) adaptive.Partitioner {
@@ -102,7 +98,7 @@ func faultRun(seed uint64, n, ops int, p faultPolicy, in *fault.Injector, tel *t
 	part := adaptive.Instrument(p.part(el), tel)
 	run := hybrid.New(el, element.ACMLGBoth, part)
 	if p.aware {
-		run.EnableGPUFaultFallback(rewarmHalfLife)
+		run.EnableGPUFaultFallback()
 	}
 	if tel.Enabled() {
 		run.Instrument(tel)

@@ -143,13 +143,94 @@ func (d *Device) Reinit(earliest sim.Time) sim.Span {
 	return sp
 }
 
+// Loss classifies a device against its loss record at one instant.
+type Loss uint8
+
+const (
+	// Live: the current context is valid and submissions succeed (also every
+	// device without a health source).
+	Live Loss = iota
+	// Outage: the context is dead and the hardware does not answer.
+	Outage
+	// Restorable: the context is dead but the hardware answers again, so a
+	// re-initialization would succeed.
+	Restorable
+)
+
+// LossAt classifies the device at t. It books nothing and changes nothing.
+func (d *Device) LossAt(t sim.Time) Loss {
+	switch {
+	case !d.ContextDead(t):
+		return Live
+	case d.AvailableAt(t):
+		return Restorable
+	}
+	return Outage
+}
+
+// Admission is what a runtime submitting fresh work at some instant must do
+// about the device, as decided by LossGate.Admit.
+type Admission uint8
+
+const (
+	// Admitted: the context is live; submit normally.
+	Admitted Admission = iota
+	// Stalled: the context is dead and the caller is not fault-aware, so its
+	// submission fails for good. The gate's state is untouched.
+	Stalled
+	// FellBack: the outage was just noticed — run without the device, and
+	// take the once-per-outage actions (quarantine, drop device copies).
+	FellBack
+	// StillDown: the same outage as an earlier FellBack; run without the
+	// device.
+	StillDown
+	// Recovered: the hardware answered again and the gate rebuilt the
+	// context; device work may be submitted and queues behind the re-init.
+	Recovered
+)
+
+// LossGate is the one admission state machine over a device's loss record:
+// dead context → stall, or outage fallback, or re-initialization on restore.
+// Each runtime that submits to the device owns one gate; the once-per-outage
+// FellBack transition is per gate.
+type LossGate struct {
+	dev  *Device
+	down bool // between FellBack and Recovered
+}
+
+// NewLossGate returns the gate a runtime passes before submitting to dev.
+func NewLossGate(dev *Device) LossGate { return LossGate{dev: dev} }
+
+// Admit decides the fate of work submitted at the given instant. armed says
+// whether the caller can run without the device; an unarmed caller gets
+// Stalled on any dead context. On Recovered the gate has booked the context
+// re-initialization on the command queue no earlier than at (the returned
+// span) and held the DMA engine to its end, so no kernel or transfer lands
+// before the new context exists. This is the only place that re-initializes.
+func (g *LossGate) Admit(at sim.Time, armed bool) (Admission, sim.Span) {
+	switch loss := g.dev.LossAt(at); {
+	case loss == Live:
+		return Admitted, sim.Span{}
+	case !armed:
+		return Stalled, sim.Span{}
+	case loss == Restorable:
+		sp := g.dev.Reinit(at)
+		g.dev.DMA.AdvanceTo(sp.End)
+		g.down = false
+		return Recovered, sp
+	case g.down:
+		return StillDown, sim.Span{}
+	}
+	g.down = true
+	return FellBack, sim.Span{}
+}
+
 // healthFactor resolves the rate multiplier for work booked at or after
 // earliest. Device loss is modeled at operation granularity: chunks of an
 // operation admitted before the loss may land inside the window, and they
 // complete at the restore-time rate — as if the loss struck at the
-// operation's completion. Only new admissions observe the outage (the
-// hybrid runner's admission check stalls, falls back, or re-inits before
-// issuing fresh work against a dead context).
+// operation's completion. Only new admissions observe the outage (LossGate
+// stalls, falls back, or re-inits before fresh work meets a dead context).
 func (d *Device) healthFactor(earliest sim.Time, factor func(sim.Time) float64) float64 {
 	f := factor(earliest)
 	if f <= 0 {
@@ -159,17 +240,6 @@ func (d *Device) healthFactor(earliest sim.Time, factor func(sim.Time) float64) 
 		panic("gpu: health factor not positive after device restore")
 	}
 	return f
-}
-
-// kernelFactor returns the health rate multiplier for a kernel booked at
-// or after earliest.
-func (d *Device) kernelFactor(earliest sim.Time) float64 {
-	return d.healthFactor(earliest, d.health.KernelFactor)
-}
-
-// transferFactor is kernelFactor for DMA bookings.
-func (d *Device) transferFactor(earliest sim.Time) float64 {
-	return d.healthFactor(earliest, d.health.TransferFactor)
 }
 
 // TransferModel returns the device's CPU-GPU path model.
@@ -296,7 +366,7 @@ func (d *Device) bookTransfer(label string, bytes int64, earliest sim.Time) sim.
 // transferSeconds applies the health transfer factor to a model duration.
 func (d *Device) transferSeconds(seconds float64, earliest sim.Time) float64 {
 	if d.health != nil {
-		seconds /= d.transferFactor(earliest)
+		seconds /= d.healthFactor(earliest, d.health.TransferFactor)
 	}
 	return seconds
 }
@@ -335,13 +405,12 @@ func (d *Device) Gemm(alpha float64, a, b *Buffer, beta float64, c *Buffer, deps
 	if !d.cfg.Virtual {
 		blas.Dgemm(blas.NoTrans, blas.NoTrans, alpha, a.data, b.data, beta, c.data)
 	}
-	dur := d.kernelSeconds(a.Rows, b.Cols, a.Cols, deps)
-	return d.Queue.BookAfter("gemm", dur, deps...)
+	return d.Kernel("gemm", d.cfg.Model.KernelSeconds(a.Rows, b.Cols, a.Cols), deps...)
 }
 
 // GemmVirtual books a kernel of the given shape without operand buffers.
 func (d *Device) GemmVirtual(m, n, k int, deps ...sim.Span) sim.Span {
-	return d.Queue.BookAfter("gemm", d.kernelSeconds(m, n, k, deps), deps...)
+	return d.Kernel("gemm", d.cfg.Model.KernelSeconds(m, n, k), deps...)
 }
 
 // Kernel books an arbitrary kernel of the given model duration on the
@@ -356,23 +425,7 @@ func (d *Device) Kernel(label string, seconds float64, deps ...sim.Span) sim.Spa
 				earliest = dep.End
 			}
 		}
-		seconds /= d.kernelFactor(earliest)
+		seconds /= d.healthFactor(earliest, d.health.KernelFactor)
 	}
 	return d.Queue.BookAfter(label, seconds, deps...)
-}
-
-// kernelSeconds applies the health kernel factor to a model duration, using
-// the latest dependency end as the submission time.
-func (d *Device) kernelSeconds(m, n, k int, deps []sim.Span) float64 {
-	dur := d.cfg.Model.KernelSeconds(m, n, k)
-	if d.health != nil {
-		var earliest sim.Time
-		for _, dep := range deps {
-			if dep.End > earliest {
-				earliest = dep.End
-			}
-		}
-		dur /= d.kernelFactor(earliest)
-	}
-	return dur
 }

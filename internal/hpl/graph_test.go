@@ -151,10 +151,9 @@ func TestGraphDgetrfRecoversUnderFaults(t *testing.T) {
 			Lookahead: 1,
 			Hybrid:    true,
 			Sched: taskgraph.Options{
-				GPUFallback:    true,
-				RewarmHalfLife: 4,
-				Verify:         true,
-				SDC:            in,
+				GPUFallback: true,
+				Verify:      true,
+				SDC:         in,
 			},
 		})
 		if err != nil {

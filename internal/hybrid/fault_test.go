@@ -22,7 +22,7 @@ func faultElement(t *testing.T, lossFrom, lossTo sim.Time, aware bool) (*Runner,
 	tel := telemetry.New()
 	run.Instrument(tel)
 	if aware {
-		run.EnableGPUFaultFallback(4)
+		run.EnableGPUFaultFallback()
 	}
 	return run, part, tel
 }

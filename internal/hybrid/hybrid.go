@@ -13,6 +13,7 @@ import (
 	"tianhe/internal/adaptive"
 	"tianhe/internal/element"
 	"tianhe/internal/fault"
+	"tianhe/internal/gpu"
 	"tianhe/internal/matrix"
 	"tianhe/internal/pipeline"
 	"tianhe/internal/sim"
@@ -41,14 +42,11 @@ type Report struct {
 	CoreWorks, CoreTimes []float64
 	// BytesIn/BytesOut/BytesSkipped mirror the pipeline report.
 	BytesIn, BytesOut, BytesSkipped int64
-	// SDCDetected/Corrected/Escalated aggregate the ABFT outcomes of the
-	// GPU tasks (EnableABFT); RecomputedTasks counts task re-executions.
-	// CPU slabs are verified too but never struck — the host memory is ECC
-	// protected, so soft errors are a device/DMA phenomenon here.
-	SDCDetected, SDCCorrected, SDCEscalated, RecomputedTasks int
-	// VerifySeconds is the host time spent on checksum verification across
-	// both sides, already included in TG/TC/End.
-	VerifySeconds float64
+	// Tally aggregates the ABFT outcomes of the GPU tasks (EnableABFT). CPU
+	// slabs are verified too but never struck — the host memory is ECC
+	// protected, so soft errors are a device/DMA phenomenon here — and their
+	// checksum time joins VerifySeconds, already included in TG/TC/End.
+	abft.Tally
 }
 
 // Seconds returns the end-to-end duration.
@@ -71,11 +69,11 @@ type Runner struct {
 	exec    *pipeline.Executor
 	probes  *runnerProbes // nil when telemetry is disabled
 
-	// GPU-loss resilience (EnableGPUFaultFallback); zero values = the
-	// fault-unaware seed behaviour.
-	fallback       bool
-	rewarmHalfLife float64
-	gpuDown        bool // currently running in CPU-only fallback
+	// GPU-loss resilience: every submission passes the device's loss gate;
+	// fallback arms it (EnableGPUFaultFallback), unarmed is the fault-unaware
+	// seed behaviour.
+	gate     gpu.LossGate
+	fallback bool
 
 	// abft enables checksum verification of every GPU task at its EO drain
 	// and every CPU slab at its join (EnableABFT).
@@ -92,22 +90,9 @@ type runnerProbes struct {
 	tracer             *telemetry.Tracer
 	utilGPU, utilCores *telemetry.Gauge
 
-	// ABFT probes, registered lazily on the first verified execution so
-	// runs without verification keep their metric dumps unchanged.
-	tel                            *telemetry.Telemetry
-	sdcDetected, sdcCorr, sdcEscal *telemetry.Counter
-	verifySeconds                  *telemetry.Gauge
-}
-
-// sdcProbes fetches the ABFT metric handles on first use.
-func (pr *runnerProbes) sdcProbes() {
-	if pr.sdcDetected != nil {
-		return
-	}
-	pr.sdcDetected = pr.tel.Counter("hybrid.sdc.detected")
-	pr.sdcCorr = pr.tel.Counter("hybrid.sdc.corrected")
-	pr.sdcEscal = pr.tel.Counter("hybrid.sdc.escalated")
-	pr.verifySeconds = pr.tel.Gauge("hybrid.abft.verify_seconds")
+	// abft publishes the verified executions' tallies; it registers on the
+	// first one, so runs without verification keep their metric dumps.
+	abft abft.Probes
 }
 
 // gflopsBuckets span the single-element rates of Figures 8/9.
@@ -136,7 +121,7 @@ func (r *Runner) Instrument(tel *telemetry.Telemetry) {
 		tracer:    tel.Trace,
 		utilGPU:   tel.Gauge("element.util.gpu_queue"),
 		utilCores: tel.Gauge("element.util.cpu_cores"),
-		tel:       tel,
+		abft:      abft.NewProbes(tel, "hybrid"),
 	}
 }
 
@@ -156,6 +141,7 @@ func New(el *element.Element, v element.Variant, part adaptive.Partitioner) *Run
 		variant: v,
 		part:    part,
 		exec:    pipeline.NewExecutor(el.GPU, opts),
+		gate:    gpu.NewLossGate(el.GPU),
 	}
 }
 
@@ -163,15 +149,11 @@ func New(el *element.Element, v element.Variant, part adaptive.Partitioner) *Run
 // paper's adaptivity claim taken end-to-end: while the GPU is lost the
 // runner collapses GSplit to 0 and runs every slice on the compute cores,
 // quarantining database_g so outage measurements never overwrite learned
-// splits; when the device returns it re-initializes the context (booking the
-// reinit on the kernel queue) and re-warms the database with the given
-// half-life in observations (see adaptive.DatabaseG.Rewarm; <= 0 restores
-// full trust immediately). Without this call a device loss permanently
-// poisons the context and the next GPU submission returns a Stalled report.
-func (r *Runner) EnableGPUFaultFallback(rewarmHalfLife float64) {
-	r.fallback = true
-	r.rewarmHalfLife = rewarmHalfLife
-}
+// splits; when the device returns the context is re-initialized (booked on
+// the kernel queue) and the database re-warms over adaptive.RewarmHalfLife
+// observations. Without this call a device loss permanently poisons the
+// context and the next GPU submission returns a Stalled report.
+func (r *Runner) EnableGPUFaultFallback() { r.fallback = true }
 
 // EnableABFT turns on Huang-Abraham checksum verification: every GPU task
 // is checked at its EO drain (localizable corruption recovered by
@@ -195,70 +177,54 @@ func (r *Runner) Element() *element.Element { return r.el }
 func (r *Runner) Partitioner() adaptive.Partitioner { return r.part }
 
 // gpuRows returns how many of m rows go to the GPU.
-func (r *Runner) gpuRows(m int, work float64) (int, float64) {
+func (r *Runner) gpuRows(m int, work float64) int {
 	if !r.variant.UsesGPU() {
-		return 0, 0
+		return 0
 	}
 	if r.part == nil {
-		return m, 1
+		return m
 	}
-	split := r.part.GSplit(work)
-	m1 := int(float64(m)*split + 0.5)
-	if m1 < 0 {
-		m1 = 0
-	}
-	if m1 > m {
-		m1 = m
-	}
-	return m1, split
+	return min(max(int(float64(m)*r.part.GSplit(work)+0.5), 0), m)
 }
 
-// gpuAdmission applies device-health admission control to the planned GPU
-// row count m1 before anything is booked. On the healthy fast path (no
-// health source installed) it costs one nil check. With a dead context the
-// outcome depends on the runner: fault-unaware runners stall (second return
-// true); fault-aware runners either fall back to the CPU (m1 -> 0, with a
-// one-time database_g quarantine at the transition) while the hardware is
-// lost, or — once it answers again — book the context re-initialization,
-// re-warm the database and resume hybrid execution.
-func (r *Runner) gpuAdmission(m1 int, earliest sim.Time) (int, bool) {
-	dev := r.el.GPU
-	if dev.Health() == nil || !r.variant.UsesGPU() || !dev.ContextDead(earliest) {
+// admit passes the planned GPU row count m1 through the device's loss gate
+// before anything is booked and applies the runner's reaction: a
+// fault-unaware runner with device rows stalls (second return true); a
+// fault-aware one runs the whole call on the cores during the outage,
+// quarantining database_g when it begins, and re-warms the database once the
+// gate has rebuilt the context.
+func (r *Runner) admit(m1 int, earliest sim.Time) (int, bool) {
+	if !r.variant.UsesGPU() {
 		return m1, false
 	}
-	if !r.fallback {
+	switch verdict, reinit := r.gate.Admit(earliest, r.fallback); verdict {
+	case gpu.Stalled:
 		if m1 > 0 {
+			r.faultInstant("gpu.stall", earliest)
 			return 0, true
 		}
-		return m1, false
-	}
-	if dev.AvailableAt(earliest) {
-		// Recovery: rebuild the context, then resume the adaptive loop from
-		// the conservative peak-ratio split. Kernels queue behind the reinit
-		// span automatically; the DMA engine is held back explicitly so no
-		// transfer lands before the context exists.
-		sp := dev.Reinit(earliest)
-		dev.DMA.AdvanceTo(sp.End)
-		r.gpuDown = false
+	case gpu.Recovered:
 		if ad, ok := adaptive.AsAdaptive(r.part); ok {
-			ad.G.Rewarm(r.rewarmHalfLife)
+			ad.G.Rewarm(adaptive.RewarmHalfLife)
 		}
-		if pr := r.probes; pr != nil {
-			pr.tracer.Instant("hybrid.fault", "fault", "gpu.reinit", sp.End)
-		}
-		return m1, false
-	}
-	// Outage: collapse GSplit to 0 and run everything on the cores.
-	if !r.gpuDown {
-		r.gpuDown = true
+		r.faultInstant("gpu.reinit", reinit.End)
+	case gpu.FellBack:
 		if ad, ok := adaptive.AsAdaptive(r.part); ok {
 			ad.G.Quarantine()
 		}
-		if pr := r.probes; pr != nil {
-			pr.tracer.Instant("hybrid.fault", "fault", "gpu.fallback", earliest)
-		}
+		r.faultInstant("gpu.fallback", earliest)
+		return 0, false
+	case gpu.StillDown:
+		return 0, false
 	}
-	return 0, false
+	return m1, false
+}
+
+// faultInstant marks a device-health transition on the fault track.
+func (r *Runner) faultInstant(name string, at sim.Time) {
+	if pr := r.probes; pr != nil {
+		pr.tracer.Instant("hybrid.fault", "fault", name, at)
+	}
 }
 
 // Gemm executes C = alpha*A*B + beta*C with real data, returning the timing
@@ -279,13 +245,8 @@ func (r *Runner) GemmVirtual(m, n, k int, beta float64, earliest sim.Time) Repor
 func (r *Runner) gemm(alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense, m, n, k int, earliest sim.Time) Report {
 	virtual := c == nil
 	work := 2 * float64(m) * float64(n) * float64(k)
-	m1, _ := r.gpuRows(m, work)
-	var stalled bool
-	m1, stalled = r.gpuAdmission(m1, earliest)
+	m1, stalled := r.admit(r.gpuRows(m, work), earliest)
 	if stalled {
-		if pr := r.probes; pr != nil {
-			pr.tracer.Instant("hybrid.fault", "fault", "gpu.stall", earliest)
-		}
 		return Report{M: m, N: n, K: k, Work: work, Start: earliest, End: earliest, Stalled: true}
 	}
 	m2 := m - m1
@@ -307,11 +268,7 @@ func (r *Runner) gemm(alpha float64, a, b *matrix.Dense, beta float64, c *matrix
 		}
 		rep.TG = prep.End - earliest
 		rep.BytesIn, rep.BytesOut, rep.BytesSkipped = prep.BytesIn, prep.BytesOut, prep.BytesSkipped
-		rep.SDCDetected += prep.SDCDetected
-		rep.SDCCorrected += prep.SDCCorrected
-		rep.SDCEscalated += prep.SDCEscalated
-		rep.RecomputedTasks += prep.RecomputedTasks
-		rep.VerifySeconds += prep.VerifySeconds
+		rep.Tally = prep.Tally
 		if prep.End > rep.End {
 			rep.End = prep.End
 		}
@@ -394,11 +351,7 @@ func (r *Runner) gemm(alpha float64, a, b *matrix.Dense, beta float64, c *matrix
 		pr.tracer.Sample("hybrid.gflops", rep.End, rep.GFLOPS())
 		r.el.RecordUtilization(pr.utilGPU, pr.utilCores)
 		if r.abft {
-			pr.sdcProbes()
-			pr.sdcDetected.Add(int64(rep.SDCDetected))
-			pr.sdcCorr.Add(int64(rep.SDCCorrected))
-			pr.sdcEscal.Add(int64(rep.SDCEscalated))
-			pr.verifySeconds.Add(rep.VerifySeconds)
+			pr.abft.Publish(rep.Tally)
 		}
 	}
 	return rep

@@ -12,10 +12,10 @@ package linpacksim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 
+	"tianhe/internal/abft"
 	"tianhe/internal/adaptive"
 	"tianhe/internal/element"
 	"tianhe/internal/fault"
@@ -204,22 +204,39 @@ type Result struct {
 	// Part exposes the partitioner after the run (database_g holds the
 	// adapted splits; Fig. 10 plots its snapshot).
 	Part adaptive.Partitioner
+	// Err is nil for a run that factored every column. Otherwise the run
+	// stopped where an iteration could not execute — ErrStalled when the GPU
+	// context died under a variant with no fallback, or the graph scheduler's
+	// own error — and Stalled is set: Seconds is the instant it stopped at,
+	// GFLOPS is 0.
+	Err     error
+	Stalled bool
+	Totals
+}
+
+// Totals is the fault accounting of a whole run. It describes the run, not
+// one attempt: a clean restart from iteration zero carries it over.
+type Totals struct {
 	// Failures counts injected element failures; RedoneIterations the
 	// iterations lost and re-executed; CheckpointSeconds the total critical-
 	// path time spent writing checkpoints.
 	Failures          int
 	RedoneIterations  int
 	CheckpointSeconds float64
-	// SDCDetected counts every corruption strike caught by ABFT across the
-	// whole run (re-executed iterations included, so it always equals the
-	// injector's delivered-strike count); SDCCorrected the strikes recovered
-	// by recomputing just the struck task; SDCEscalated the uncorrectable
-	// remainder; SDCRestores the checkpoint reloads those escalations forced.
-	SDCDetected, SDCCorrected, SDCEscalated, SDCRestores int
-	// VerifySeconds is the total host time spent on checksum verification,
-	// already inside Seconds — the honest overhead of the protection.
-	VerifySeconds float64
+	// Tally is the ABFT outcome of the whole run. The counters are NOT rolled
+	// back on a checkpoint restore (unlike the telemetry counters), so
+	// SDCDetected always equals the injector's delivered-strike count;
+	// VerifySeconds is already inside Seconds — the honest overhead of the
+	// protection.
+	abft.Tally
+	// SDCRestores counts the checkpoint reloads escalations forced.
+	SDCRestores int
 }
+
+// ErrStalled reports a run whose GPU context was lost under a variant with no
+// CPU fallback: the next device submission fails, and on real hardware the
+// host program aborts there.
+var ErrStalled = errors.New("linpacksim: GPU context lost without an adaptive fallback")
 
 // DefaultNB returns the paper's blocking factor for a variant.
 func DefaultNB(v element.Variant) int {
@@ -277,23 +294,15 @@ type Sim struct {
 	iters  int
 	lastJB int // block width of the last completed iteration
 	t      sim.Time
+	err    error // why the run stopped early, nil while it can continue
 
-	failures          int
-	redone            int
-	checkpointSeconds float64
+	totals Totals
 
 	// ABFT accounting (Config.Verify / Config.SDC). lastEscalated marks the
 	// just-stepped iteration as carrying uncorrectable corruption: its
 	// output must not be checkpointed, and Run redoes it from the last good
-	// checkpoint. The counters are plain run totals — unlike the telemetry
-	// counters they are NOT rolled back on restore, so they count every
-	// strike the injector ever delivered (the detected == injected audit).
+	// checkpoint.
 	abftOn        bool
-	sdcDetected   int
-	sdcCorrected  int
-	sdcEscalated  int
-	sdcRestores   int
-	verifySeconds float64
 	lastEscalated bool
 	integrity     *telemetry.Gauge // per-iteration integrity flag, lazy
 
@@ -353,20 +362,19 @@ func NewSim(cfg Config) *Sim {
 			// Composed scenarios can layer full device loss (lost-gpu) onto
 			// the corruption schedule; an adaptive runner arms the CPU
 			// fallback so the loss degrades instead of stalling the run.
-			if cfg.Variant.Adaptive() && cfg.SDC.LostIn(0, sim.Time(math.Inf(1))) {
-				runner.EnableGPUFaultFallback(8)
+			if cfg.Variant.Adaptive() {
+				runner.EnableGPUFaultFallback()
 			}
 		}
 		s.abftOn = true
 	}
 	if cfg.Graph {
 		s.gsched = taskgraph.NewScheduler(el, taskgraph.Options{
-			Telemetry:      cfg.Telemetry,
-			Verify:         s.abftOn,
-			SDC:            cfg.SDC,
-			GPUFallback:    cfg.Variant.Adaptive(),
-			RewarmHalfLife: 8,
-			RateSeeds:      s.graphRateSeeds(nb),
+			Telemetry:   cfg.Telemetry,
+			Verify:      s.abftOn,
+			SDC:         cfg.SDC,
+			GPUFallback: cfg.Variant.Adaptive(),
+			RateSeeds:   s.graphRateSeeds(nb),
 		})
 		// The monolithic pipeline's convention is that each iteration's
 		// host-side factor+prep overlaps the update it feeds — including
@@ -419,10 +427,21 @@ func (s *Sim) Iterations() int { return s.iters }
 // Element returns the compute element the run executes on.
 func (s *Sim) Element() *element.Element { return s.el }
 
-// Step executes one Linpack iteration. It panics once Done.
+// Err reports why the run cannot continue: nil while it can, ErrStalled or
+// the graph scheduler's error once an iteration failed to execute.
+func (s *Sim) Err() error { return s.err }
+
+// Step executes one Linpack iteration. It panics once Done or after Err. An
+// iteration that cannot execute — the device submission stalls on a dead GPU
+// context, or the graph scheduler rejects the iteration's graph — leaves the
+// loop position where it was, the clock at the instant it stopped, and sets
+// Err.
 func (s *Sim) Step() {
 	if s.Done() {
 		panic("linpacksim: step past the last iteration")
+	}
+	if s.err != nil {
+		panic("linpacksim: step after the run stopped: " + s.err.Error())
 	}
 	j := s.j
 	jb := min(s.nb, s.cfg.N-j)
@@ -431,9 +450,10 @@ func (s *Sim) Step() {
 	s.lastEscalated = false
 
 	if s.cfg.Graph {
-		s.stepGraph(j, jb, trailing)
-		s.j = j + jb
-		s.lastJB = jb
+		if s.err = s.stepGraph(j, jb, trailing); s.err == nil {
+			s.j = j + jb
+			s.lastJB = jb
+		}
 		return
 	}
 
@@ -447,8 +467,12 @@ func (s *Sim) Step() {
 
 	if trailing > 0 {
 		rep := s.runner.GemmVirtual(trailing, trailing, jb, 1, s.t)
+		if rep.Stalled {
+			s.err = ErrStalled
+			return
+		}
 		s.t = rep.End
-		s.noteABFT(rep.SDCDetected, rep.SDCCorrected, rep.SDCEscalated, rep.VerifySeconds)
+		s.noteABFT(rep.Tally)
 	}
 	if hostSide > s.t {
 		s.t = hostSide
@@ -459,15 +483,12 @@ func (s *Sim) Step() {
 
 // noteABFT folds one iteration's ABFT outcome into the run totals and the
 // integrity gauge.
-func (s *Sim) noteABFT(detected, corrected, escalated int, verifySeconds float64) {
+func (s *Sim) noteABFT(t abft.Tally) {
 	if !s.abftOn {
 		return
 	}
-	s.sdcDetected += detected
-	s.sdcCorrected += corrected
-	s.sdcEscalated += escalated
-	s.verifySeconds += verifySeconds
-	s.lastEscalated = escalated > 0
+	s.totals.Tally.Add(t)
+	s.lastEscalated = t.SDCEscalated > 0
 	if s.cfg.Telemetry.Enabled() {
 		if s.integrity == nil {
 			s.integrity = s.cfg.Telemetry.Gauge("linpacksim.integrity")
@@ -488,8 +509,9 @@ func (s *Sim) noteABFT(detected, corrected, escalated int, verifySeconds float64
 // lu.panel task that becomes ready as soon as its own column block is up to
 // date, overlapping the rest of the update. The scheduler places every task
 // on the device predicted to finish it first, blending the static models
-// with the rates measured over previous iterations.
-func (s *Sim) stepGraph(j, jb, trailing int) {
+// with the rates measured over previous iterations. A graph the scheduler
+// rejects, or one that stalls on a dead GPU context, is the returned error.
+func (s *Sim) stepGraph(j, jb, trailing int) error {
 	g := taskgraph.New()
 	nt := (trailing + s.nb - 1) / s.nb // tile count of the trailing grid
 	tw := func(i int) int { return min(s.nb, trailing-i*s.nb) }
@@ -688,17 +710,18 @@ func (s *Sim) stepGraph(j, jb, trailing int) {
 	}
 
 	if g.Len() == 0 {
-		return
+		return nil
 	}
 	rep, err := s.gsched.Run(g, s.t)
 	if err != nil {
-		panic(fmt.Sprintf("linpacksim: graph iteration %d: %v", k, err))
-	}
-	if rep.Stalled {
-		panic("linpacksim: graph run stalled — GPU context lost without an adaptive fallback")
+		return fmt.Errorf("linpacksim: graph iteration %d: %w", k, err)
 	}
 	s.t = rep.End
-	s.noteABFT(rep.SDCDetected, rep.SDCCorrected, rep.SDCEscalated, rep.VerifySeconds)
+	if rep.Stalled {
+		return ErrStalled
+	}
+	s.noteABFT(rep.Tally)
+	return nil
 }
 
 // Escalated reports whether the last Step hit uncorrectable corruption: its
@@ -722,31 +745,12 @@ func (s *Sim) Result() Result {
 	res := Result{
 		N: s.cfg.N, NB: s.nb, Variant: s.cfg.Variant,
 		Seconds: s.t, Iterations: s.iters, Part: s.part,
-		Failures:          s.failures,
-		RedoneIterations:  s.redone,
-		CheckpointSeconds: s.checkpointSeconds,
-		SDCDetected:       s.sdcDetected,
-		SDCCorrected:      s.sdcCorrected,
-		SDCEscalated:      s.sdcEscalated,
-		SDCRestores:       s.sdcRestores,
-		VerifySeconds:     s.verifySeconds,
+		Err: s.err, Stalled: s.err != nil, Totals: s.totals,
 	}
-	res.GFLOPS = hpl.LinpackFlops(s.cfg.N) / s.t / 1e9
+	if !res.Stalled {
+		res.GFLOPS = hpl.LinpackFlops(s.cfg.N) / s.t / 1e9
+	}
 	return res
-}
-
-// adoptTotals carries a dead stepper's fault accounting into a fresh one:
-// the counters describe the run, not the attempt, so a clean restart must
-// not zero them.
-func (s *Sim) adoptTotals(old *Sim) {
-	s.failures = old.failures
-	s.redone = old.redone
-	s.checkpointSeconds = old.checkpointSeconds
-	s.sdcDetected = old.sdcDetected
-	s.sdcCorrected = old.sdcCorrected
-	s.sdcEscalated = old.sdcEscalated
-	s.sdcRestores = old.sdcRestores
-	s.verifySeconds = old.verifySeconds
 }
 
 // Run simulates one Linpack execution and returns its timing. Element
@@ -784,15 +788,18 @@ func Run(cfg Config) Result {
 	// from iteration zero carrying the run's accounting, resuming at the
 	// given clock.
 	cleanRestart := func(resume sim.Time, lost int) {
-		old := s
+		totals := s.totals
 		s = NewSim(cfg)
-		s.adoptTotals(old)
-		s.redone += lost
+		s.totals = totals
+		s.totals.RedoneIterations += lost
 		s.Skip(resume)
 		cps = []*Checkpoint{poison(s.Checkpoint())}
 	}
 	for !s.Done() {
 		s.Step()
+		if s.Err() != nil {
+			break
+		}
 		if cfg.CorruptCheckpointsAt > 0 && !corrupted && s.t > cfg.CorruptCheckpointsAt {
 			// At-rest corruption strikes the checkpoint store: every held
 			// generation's seal no longer matches its contents.
@@ -816,7 +823,7 @@ func Run(cfg Config) Result {
 			switch {
 			case err == nil:
 				sec := 8 * float64(s.cfg.N) * float64(s.lastJB) / CheckpointBandwidth
-				s.redone += lost - s.iters
+				s.totals.RedoneIterations += lost - s.iters
 				s.Skip(now + sec)
 				cps = cps[:cpIdx+1]
 			case errors.Is(err, ErrCheckpointsExhausted):
@@ -824,8 +831,8 @@ func Run(cfg Config) Result {
 			default:
 				panic(fmt.Sprintf("linpacksim: escalation restore: %v", err))
 			}
-			s.sdcRestores++
-			if s.sdcRestores > 100*s.cfg.N/s.nb+100 {
+			s.totals.SDCRestores++
+			if s.totals.SDCRestores > 100*s.cfg.N/s.nb+100 {
 				panic("linpacksim: SDC escalations never drain — injected corruption outpaces recovery")
 			}
 			continue
@@ -839,21 +846,21 @@ func Run(cfg Config) Result {
 			_, err := s.RestoreNewest(cps)
 			switch {
 			case err == nil:
-				s.redone += lost - s.iters
+				s.totals.RedoneIterations += lost - s.iters
 				s.Skip(at + restart)
 			case errors.Is(err, ErrCheckpointsExhausted):
 				cleanRestart(at+restart, lost)
 			default:
 				panic(fmt.Sprintf("linpacksim: failover restore: %v", err))
 			}
-			s.failures++
+			s.totals.Failures++
 			continue
 		}
 		if cfg.Checkpoint && !s.Done() {
 			// The incremental checkpoint (this iteration's factored panel)
 			// is written out before the next panel starts.
 			sec := 8 * float64(s.cfg.N) * float64(s.lastJB) / CheckpointBandwidth
-			s.checkpointSeconds += sec
+			s.totals.CheckpointSeconds += sec
 			s.Skip(s.t + sec)
 			cps = append(cps, poison(s.Checkpoint()))
 			if len(cps) > 3 {

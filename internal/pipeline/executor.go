@@ -27,14 +27,6 @@ type Options struct {
 	BlockedEO bool
 	// BlockRows is H, the EO block height. Zero selects 512.
 	BlockRows int
-	// Lookahead is the depth of the CT/NT output deferral in overlap mode:
-	// how many tasks' OUTPUT phases may stay pending while successors book
-	// their inputs and kernels on the transfer thread. Zero selects 1 — the
-	// classic CT/NT pair of Table I, byte-identical to the historical
-	// hard-wired behavior. Deeper values let the single transfer thread
-	// push output batches further behind the kernel stream; without
-	// OverlapInput the strict input -> execute -> output order ignores it.
-	Lookahead int
 	// Tile overrides the tile extent; zero derives it from the device.
 	Tile int
 	// Telemetry receives the executor's probes: task/byte counters, the
@@ -70,9 +62,6 @@ func (o Options) withDefaults(dev *gpu.Device) Options {
 	if o.Tile <= 0 {
 		o.Tile = ChooseTile(dev.TextureLimit(), dev.MemBytes(), o.BlockRows)
 	}
-	if o.Lookahead <= 0 {
-		o.Lookahead = 1
-	}
 	return o
 }
 
@@ -87,16 +76,10 @@ type Report struct {
 	BytesIn, BytesOut, BytesSkipped int64
 	// Tasks is the number of tasks in the queue.
 	Tasks int
-	// SDCDetected counts corruption strikes caught by ABFT verification
-	// (Options.Verify); SDCCorrected the subset recovered by recomputing
-	// just the struck task; SDCEscalated the uncorrectable remainder
-	// (checksum row/column hit, or multiple faults per tile).
-	SDCDetected, SDCCorrected, SDCEscalated int
-	// RecomputedTasks counts task re-executions booked for recovery, and
-	// VerifySeconds the total host time spent on checksum verification —
-	// both included in End, so the overhead is visible in the makespan.
-	RecomputedTasks int
-	VerifySeconds   float64
+	// Tally holds the ABFT outcomes (Options.Verify); the recompute bookings
+	// and the verification time are included in End, so the overhead is
+	// visible in the makespan.
+	abft.Tally
 }
 
 // Seconds returns the end-to-end virtual duration.
@@ -191,6 +174,17 @@ type residentTile struct {
 	bytes int64
 	sp    sim.Span // the transfer that made it resident
 	lru   int
+}
+
+// outputJob defers a task's OUTPUT phase so that, in overlap mode, the next
+// task's N-INPUT transfers are booked on the DMA engine first — the CT/NT
+// program order of Table I.
+type outputJob struct {
+	task    *Task
+	kernel  sim.Span
+	eoStart sim.Time
+	cBuf    *gpu.Buffer
+	cBytes  int64
 }
 
 // run is the shared control loop; hostA/B/C are nil in virtual mode.
@@ -296,15 +290,7 @@ func (e *Executor) run(p *Plan, alpha, beta float64, hostA, hostB, hostC *matrix
 			if err != nil {
 				panic(fmt.Sprintf("pipeline: device alloc %v: %v", id, err))
 			}
-			var src *matrix.Dense
-			switch id.Matrix {
-			case 'A':
-				src = host.View(id.Row*p.Tile, id.Col*p.Tile, rows, cols)
-			case 'B':
-				src = host.View(id.Row*p.Tile, id.Col*p.Tile, rows, cols)
-			case 'C':
-				src = host.View(id.Row*p.Tile, id.Col*p.Tile, rows, cols)
-			}
+			src := host.View(id.Row*p.Tile, id.Col*p.Tile, rows, cols)
 			sp = e.dev.Upload(src, buf, notBefore)
 		}
 		lruTick++
@@ -315,16 +301,6 @@ func (e *Executor) run(p *Plan, alpha, beta float64, hostA, hostB, hostC *matrix
 		return buf, sp
 	}
 
-	// outputJob defers a task's OUTPUT phase so that, in overlap mode, the
-	// next task's N-INPUT transfers are booked on the DMA engine first — the
-	// CT/NT program order of Table I.
-	type outputJob struct {
-		task    *Task
-		kernel  sim.Span
-		eoStart sim.Time
-		cBuf    *gpu.Buffer
-		cBytes  int64
-	}
 	flush := func(job *outputJob) sim.Time {
 		var lastOut sim.Span
 		if e.opts.BlockedEO {
@@ -380,81 +356,12 @@ func (e *Executor) run(p *Plan, alpha, beta float64, hostA, hostB, hostC *matrix
 		return end
 	}
 
-	// verifyTask runs the ABFT check of one drained task on the host: the
-	// verification time lands on the critical path after the tile's last
-	// output block, and a strike delivered by the SDC injector is detected
-	// here. A localizable single-element corruption re-enqueues just this
-	// task — its recompute kernels book on the command queue BEHIND the
-	// next task's already-booked kernels (in overlap mode this flush runs
-	// after the successor's EO stage was issued), so the CT/NT overlap
-	// never stalls; the accumulator tile is re-staged when beta != 0 and
-	// the repaired tile streams back out and re-verifies. Checksum-row
-	// hits and multi-element corruption cannot be localized: they count
-	// as escalations for the caller's checkpoint-restore machinery. On
-	// the real-data path the same bookings model the timing; the data is
-	// exact (strikes are a model, not actual memory corruption).
-	verifyTask := func(job *outputJob, drained sim.Time) sim.Time {
-		task := job.task
-		kTot := 0
-		for _, st := range task.Steps {
-			kTot += st.K
-		}
-		ver := abft.VerifySeconds(task.M, task.N, kTot)
-		end := drained + ver
-		rep.VerifySeconds += ver
-		verBooked := ver
-		seq := e.taskSeq
-		e.taskSeq++
-		if pr != nil {
-			pr.abftProbes()
-			pr.abftVerified.Inc()
-			pr.tracer.Span("pipeline.abft", "abft", "verify "+task.Name, drained, end)
-		}
-		if hit, struck := e.opts.SDC.SDCTask(seq, drained, task.M, task.N); struck {
-			rep.SDCDetected++
-			if abft.Classify(hit.Faults, hit.InChecksum) == abft.Escalate {
-				rep.SDCEscalated++
-				if pr != nil {
-					pr.abftEscal.Inc()
-					pr.tracer.Instant("pipeline.abft", "abft", "sdc.escalate "+task.Name, end)
-				}
-			} else {
-				dep := sim.Span{Start: end, End: end}
-				if beta != 0 {
-					dep = e.dev.UploadBytes(job.cBytes, end)
-					rep.BytesIn += job.cBytes
-				}
-				kern := dep
-				for _, st := range task.Steps {
-					kern = e.dev.GemmVirtual(task.M, task.N, st.K, kern)
-				}
-				out := e.dev.DownloadBytes(job.cBytes, kern.End)
-				rep.BytesOut += job.cBytes
-				end = out.End + ver // the repaired tile re-verifies
-				rep.VerifySeconds += ver
-				verBooked += ver
-				rep.SDCCorrected++
-				rep.RecomputedTasks++
-				if pr != nil {
-					pr.abftCorrected.Inc()
-					pr.tracer.Instant("pipeline.abft", "abft", "sdc.recompute "+task.Name, end)
-				}
-			}
-		}
-		if pr != nil {
-			pr.abftSeconds.Add(verBooked)
-		}
-		if end > rep.End {
-			rep.End = end
-		}
-		return end
-	}
 	// drain flushes a deferred output job and, with verification on, runs
 	// its ABFT check before the task is considered complete.
 	drain := func(job *outputJob) sim.Time {
 		end := flush(job)
 		if e.opts.Verify {
-			end = verifyTask(job, end)
+			end = e.verifyTask(&rep, job, beta, end)
 		}
 		return end
 	}
@@ -464,10 +371,9 @@ func (e *Executor) run(p *Plan, alpha, beta float64, hostA, hostB, hostC *matrix
 	// may begin then; without it they wait for the previous task to finish.
 	prevEOStart := earliest
 	prevTaskEnd := earliest
-	// deferred queues the OUTPUT jobs not yet drained, oldest first; overlap
-	// mode lets it grow to Options.Lookahead tasks deep before the oldest is
-	// forced out (depth 1 is the classic CT/NT pair).
-	var deferred []*outputJob
+	// pending is the one OUTPUT job not yet drained — the CT half of the
+	// CT/NT pair of Table I.
+	var pending *outputJob
 	var prevEO sim.Span // the previous task's full EO stage [eoStart, kernel.End]
 	prevEOSet := false
 
@@ -479,10 +385,10 @@ func (e *Executor) run(p *Plan, alpha, beta float64, hostA, hostB, hostC *matrix
 		} else {
 			// Strict input -> execute -> output: finish the previous task's
 			// output before touching this task's inputs.
-			for _, job := range deferred {
-				prevTaskEnd = drain(job)
+			if pending != nil {
+				prevTaskEnd = drain(pending)
+				pending = nil
 			}
-			deferred = deferred[:0]
 			inputEarliest = prevTaskEnd
 		}
 
@@ -586,20 +492,15 @@ func (e *Executor) run(p *Plan, alpha, beta float64, hostA, hostB, hostC *matrix
 		// OUTPUT: deferred so the next task's inputs can be booked first in
 		// overlap mode (the single transfer thread serves N-INPUT before the
 		// bulk of the EO downloads).
-		job := &outputJob{task: task, kernel: kernel, eoStart: eoStart, cBuf: cBuf, cBytes: cBytes}
-		deferred = append(deferred, job)
-		if e.opts.OverlapInput {
-			for len(deferred) > e.opts.Lookahead {
-				prevTaskEnd = drain(deferred[0])
-				deferred = deferred[1:]
-			}
+		if pending != nil {
+			drain(pending)
 		}
+		pending = &outputJob{task: task, kernel: kernel, eoStart: eoStart, cBuf: cBuf, cBytes: cBytes}
 		prevEOStart = eoStart
 	}
-	for _, job := range deferred {
-		prevTaskEnd = drain(job)
+	if pending != nil {
+		drain(pending)
 	}
-	_ = prevTaskEnd
 
 	// Release any tiles still resident.
 	if !virtual {
@@ -614,6 +515,72 @@ func (e *Executor) run(p *Plan, alpha, beta float64, hostA, hostB, hostC *matrix
 		pr.bytesSkipped.Add(rep.BytesSkipped)
 	}
 	return rep
+}
+
+// verifyTask runs the ABFT check of one drained task on the host: the
+// verification time lands on the critical path after the tile's last output
+// block, and a strike delivered by the SDC injector is detected here. A
+// localizable single-element corruption re-enqueues just this task — its
+// recompute kernels book on the command queue BEHIND the next task's
+// already-booked kernels (in overlap mode this drain runs after the
+// successor's EO stage was issued), so the CT/NT overlap never stalls; the
+// accumulator tile is re-staged when beta != 0 and the repaired tile streams
+// back out and re-verifies. Checksum-row hits and multi-element corruption
+// cannot be localized: they count as escalations for the caller's
+// checkpoint-restore machinery. On the real-data path the same bookings model
+// the timing; the data is exact (strikes are a model, not actual memory
+// corruption).
+func (e *Executor) verifyTask(rep *Report, job *outputJob, beta float64, drained sim.Time) sim.Time {
+	task, pr := job.task, e.probes
+	kTot := 0
+	for _, st := range task.Steps {
+		kTot += st.K
+	}
+	ver := abft.VerifySeconds(task.M, task.N, kTot)
+	end := drained + ver
+	rep.VerifySeconds += ver
+	verBooked := ver
+	seq := e.taskSeq
+	e.taskSeq++
+	if pr != nil {
+		pr.abftProbes()
+		pr.abftVerified.Inc()
+		pr.tracer.Span("pipeline.abft", "abft", "verify "+task.Name, drained, end)
+	}
+	switch outcome, struck := rep.Strike(e.opts.SDC, seq, drained, task.M, task.N); {
+	case !struck:
+	case outcome == abft.Escalate:
+		if pr != nil {
+			pr.abftEscal.Inc()
+			pr.tracer.Instant("pipeline.abft", "abft", "sdc.escalate "+task.Name, end)
+		}
+	default:
+		dep := sim.Span{Start: end, End: end}
+		if beta != 0 {
+			dep = e.dev.UploadBytes(job.cBytes, end)
+			rep.BytesIn += job.cBytes
+		}
+		kern := dep
+		for _, st := range task.Steps {
+			kern = e.dev.GemmVirtual(task.M, task.N, st.K, kern)
+		}
+		out := e.dev.DownloadBytes(job.cBytes, kern.End)
+		rep.BytesOut += job.cBytes
+		end = out.End + ver // the repaired tile re-verifies
+		rep.VerifySeconds += ver
+		verBooked += ver
+		if pr != nil {
+			pr.abftCorrected.Inc()
+			pr.tracer.Instant("pipeline.abft", "abft", "sdc.recompute "+task.Name, end)
+		}
+	}
+	if pr != nil {
+		pr.abftSeconds.Add(verBooked)
+	}
+	if end > rep.End {
+		rep.End = end
+	}
+	return end
 }
 
 // Execute runs C = alpha*A*B + beta*C on the device with real data,

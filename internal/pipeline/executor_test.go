@@ -222,35 +222,3 @@ func TestEarliestOffsetsSchedule(t *testing.T) {
 		t.Fatal("execution must proceed after the offset")
 	}
 }
-
-// TestLookaheadDefaultIsDepthOne: Options.Lookahead zero must reproduce the
-// historical hard-wired single-slot deferral exactly — same report, same
-// virtual times — and an explicit depth 1 is the same schedule.
-func TestLookaheadDefaultIsDepthOne(t *testing.T) {
-	shape := func(o Options) Report {
-		dev := gpu.New(gpu.Config{Virtual: true})
-		return NewExecutor(dev, o).ExecuteVirtual(12288, 12288, 1216, 1, 1)
-	}
-	base := Pipelined()
-	base.Tile = 2048
-	base.BlockRows = 256
-	explicit := base
-	explicit.Lookahead = 1
-	if a, b := shape(base), shape(explicit); a != b {
-		t.Fatalf("Lookahead 0 report %+v differs from explicit depth 1 %+v", a, b)
-	}
-}
-
-// TestLookaheadDeeperStillCorrect: deeper output deferral must keep the
-// arithmetic exact and move the same bytes; only the booking times may shift.
-func TestLookaheadDeeperStillCorrect(t *testing.T) {
-	o := Pipelined()
-	o.Tile = 96
-	o.BlockRows = 32
-	shallow := execCase(t, o, 300, 250, 200, 1.0, 1.0)
-	o.Lookahead = 3
-	deep := execCase(t, o, 300, 250, 200, 1.0, 1.0)
-	if deep.Tasks != shallow.Tasks || deep.BytesIn != shallow.BytesIn || deep.BytesOut != shallow.BytesOut {
-		t.Fatalf("depth-3 deferral changed the work: %+v vs %+v", deep, shallow)
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"tianhe/internal/adaptive"
 	"tianhe/internal/element"
 	"tianhe/internal/fault"
+	"tianhe/internal/gpu"
 	"tianhe/internal/hybrid"
 	"tianhe/internal/sim"
 	"tianhe/internal/telemetry"
@@ -84,10 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// rewarmHalfLife is the database re-warm half-life (in observations) the
-// pool's fault-aware runners use after device recovery — the PR 3 value.
-const rewarmHalfLife = 8
 
 // worker is one dispatcher slot: a compute element and its hybrid runner.
 type worker struct {
@@ -253,7 +250,7 @@ func New(cfg Config) (*Server, error) {
 		// The pool is always fault-aware: a lost device falls back to the
 		// cores (with database_g quarantine and post-restore re-warm)
 		// rather than poisoning the service.
-		run.EnableGPUFaultFallback(rewarmHalfLife)
+		run.EnableGPUFaultFallback()
 		w := &worker{idx: i, el: el, run: run}
 		if scenario && i < struck {
 			inSeed := sim.NewStream(cfg.Seed, fmt.Sprintf("serve/fault%d", i)).Uint64()
@@ -446,23 +443,11 @@ func (s *Server) failWorker(w *worker) {
 // dead device is better than grinding it through the CPU fallback.
 func (s *Server) healthyElsewhere(w *worker, now sim.Time) bool {
 	for _, v := range s.workers {
-		if v == w || v.dead {
-			continue
-		}
-		dev := v.el.GPU
-		if dev.Health() == nil || dev.AvailableAt(now) {
+		if v != w && !v.dead && v.el.GPU.LossAt(now) != gpu.Outage {
 			return true
 		}
 	}
 	return false
-}
-
-// outage reports whether w's device is mid-loss at now: the context is
-// poisoned and the hardware does not answer, so a dispatch would run
-// entirely on the cores.
-func outage(w *worker, now sim.Time) bool {
-	dev := w.el.GPU
-	return dev.Health() != nil && dev.ContextDead(now) && !dev.AvailableAt(now)
 }
 
 // pump matches sealed batches to idle workers until one side runs dry.
@@ -479,7 +464,8 @@ func (s *Server) pump() {
 		if w == nil {
 			return
 		}
-		if outage(w, now) && s.healthyElsewhere(w, now) {
+		// Mid-outage a dispatch would run entirely on the cores.
+		if w.el.GPU.LossAt(now) == gpu.Outage && s.healthyElsewhere(w, now) {
 			s.drainPark(s.ready.front(), w, now)
 			continue
 		}
@@ -500,7 +486,7 @@ func (s *Server) drainPark(b *batch, w *worker, now sim.Time) {
 	w.parked = true
 	restore := w.el.GPU.Health().RestoredAt(now)
 	if restore < now {
-		// Unreachable: outage() implies the loss window covers now, and
+		// Unreachable: gpu.Outage implies the loss window covers now, and
 		// loss windows are half-open, so restore > now. Kept so a broken
 		// health source cannot schedule into the past.
 		restore = now

@@ -175,7 +175,7 @@ func TestSweepRecoversFromGPULoss(t *testing.T) {
 	el := testElement(42)
 	fault.Attach(in, el)
 	s2 := New(testConfig())
-	rep, err := s2.Run(el, taskgraph.Options{GPUFallback: true, RewarmHalfLife: 4})
+	rep, err := s2.Run(el, taskgraph.Options{GPUFallback: true})
 	if err != nil {
 		t.Fatal(err)
 	}

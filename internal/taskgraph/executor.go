@@ -287,12 +287,12 @@ func (r *run) stageShare(bytes int64, upload bool, at sim.Time) {
 // verify books the ABFT checks of a device placement at its join and resolves
 // any SDC strike. The device half is verified at its drain, shaped to the
 // rows it owned; the host half of a split only costs checksum time — ECC'd
-// host memory is never struck, mirroring the hybrid runner — and a whole-GPU
-// task has no host half. A localizable single-element corruption re-books
-// just the device kernel (plus a re-verify), an unlocalizable one counts as
-// an escalation for the caller's checkpoint machinery. Strikes are drawn from
-// the per-task streams keyed by the scheduler-lifetime sequence number, so
-// they depend only on (seed, drain order).
+// host memory is never struck — and a whole-GPU task has no host half. A
+// localizable single-element corruption re-books just the device kernel (plus
+// a re-verify), an unlocalizable one counts as an escalation for the caller's
+// checkpoint machinery. Strikes are drawn from the per-task streams keyed by
+// the scheduler-lifetime sequence number, so they depend only on (seed, drain
+// order).
 func (r *run) verify(t *Task, b *booking) sim.Time {
 	s := r.s
 	rows, nn, k := t.Shape[0], t.Shape[1], t.Shape[2]
@@ -307,18 +307,16 @@ func (r *run) verify(t *Task, b *booking) sim.Time {
 	r.rep.VerifySeconds += verG + verC
 	seq := s.taskSeq
 	s.taskSeq++
-	if pr := s.probes; pr != nil {
-		pr.sdcProbes()
+	pr := s.probes
+	if pr != nil {
 		pr.tracer.Span("taskgraph.abft", "abft", "verify "+t.Name, b.devEnd, gEnd)
 	}
-	hit, struck := s.opts.SDC.SDCTask(seq, b.devEnd, rows, nn)
+	outcome, struck := r.rep.Strike(s.opts.SDC, seq, b.devEnd, rows, nn)
 	if !struck {
 		return end
 	}
-	r.rep.SDCDetected++
-	if abft.Classify(hit.Faults, hit.InChecksum) == abft.Escalate {
-		r.rep.SDCEscalated++
-		if pr := s.probes; pr != nil {
+	if outcome == abft.Escalate {
+		if pr != nil {
 			pr.tracer.Instant("taskgraph.abft", "abft", "sdc.escalate "+t.Name, end)
 		}
 		return end
@@ -332,9 +330,7 @@ func (r *run) verify(t *Task, b *booking) sim.Time {
 	redo := r.dev.Kernel(t.Name+"~redo", redoSec, sim.Span{Start: gEnd, End: gEnd})
 	rEnd := redo.End + verG
 	r.rep.VerifySeconds += verG
-	r.rep.SDCCorrected++
-	r.rep.RecomputedTasks++
-	if pr := s.probes; pr != nil {
+	if pr != nil {
 		pr.tracer.Instant("taskgraph.abft", "abft", "sdc.recompute "+t.Name, rEnd)
 	}
 	return max(end, rEnd)

@@ -158,7 +158,7 @@ func TestHybridLostGPUDegradesToCPUAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault.Attach(in, el)
-	sch := NewScheduler(el, Options{GPUFallback: true, RewarmHalfLife: 4})
+	sch := NewScheduler(el, Options{GPUFallback: true})
 	g := New()
 	h := g.NewHandle("h", 1<<20)
 	for i := 0; i < 24; i++ {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"tianhe/internal/adaptive"
 )
 
 // rateAlpha is the EWMA weight of the newest measurement.
@@ -58,19 +60,16 @@ type deviceRate struct {
 // the CPU, GPU, and hybrid variants, learned the same way database_g learns
 // splits — EWMA refresh after every execution, trust-blended against the
 // static model while warming, quarantined during a device outage and
-// re-warmed with a configurable half-life after recovery.
+// re-warmed after recovery.
 type RateDB struct {
 	mu    sync.Mutex
 	cells [numClasses]map[string]*deviceRate
 
-	// GPU fault-resilience state, mirroring adaptive.DatabaseG: while
-	// quarantined, device-class observations (GPU and hybrid — both describe
-	// lost hardware) are discarded; after Rewarm, device estimates blend back
-	// from the model toward the learned rate as trust recovers.
-	quarantined bool
-	warming     bool
-	trust       float64
-	decay       float64
+	// GPU fault-resilience state: while quarantined, device-class
+	// observations (GPU and hybrid — both describe lost hardware) are
+	// discarded; after Rewarm, device estimates blend back from the model
+	// toward the learned rate as trust recovers.
+	trust adaptive.Trust
 }
 
 // NewRateDB returns an empty affinity database.
@@ -102,7 +101,7 @@ func (db *RateDB) ObserveClass(codelet string, cls Class, flops, seconds float64
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if cls.device() && db.quarantined {
+	if cls.device() && db.trust.Quarantined() {
 		return
 	}
 	r := db.cell(cls, codelet)
@@ -113,11 +112,8 @@ func (db *RateDB) ObserveClass(codelet string, cls Class, flops, seconds float64
 		r.Rate += rateAlpha * (rate - r.Rate)
 	}
 	r.Count++
-	if cls.device() && db.warming {
-		db.trust = 1 - (1-db.trust)*db.decay
-		if db.trust > 0.999 {
-			db.warming = false
-		}
+	if cls.device() && db.trust.Warming() {
+		db.trust.Step()
 	}
 }
 
@@ -153,8 +149,8 @@ func (db *RateDB) EstimateClass(codelet string, cls Class, flops, modelSeconds f
 		return modelSeconds
 	}
 	w := r.Count / (r.Count + rateWarm)
-	if cls.device() && db.warming {
-		w *= db.trust
+	if cls.device() && db.trust.Warming() {
+		w *= db.trust.Weight()
 	}
 	return (1-w)*modelSeconds + w*flops/r.Rate
 }
@@ -165,7 +161,7 @@ func (db *RateDB) EstimateClass(codelet string, cls Class, flops, modelSeconds f
 func (db *RateDB) Quarantine() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.quarantined = true
+	db.trust.Quarantine()
 }
 
 // Quarantined reports whether device-class observations are currently
@@ -173,25 +169,18 @@ func (db *RateDB) Quarantine() {
 func (db *RateDB) Quarantined() bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.quarantined
+	return db.trust.Quarantined()
 }
 
 // Rewarm lifts a quarantine after device recovery: device-class trust drops
-// to zero so estimates restart from the model, and each subsequent
-// observation halves the remaining distrust every halfLife observations.
-// halfLife <= 0 restores full trust immediately.
+// to zero so estimates restart from the model, and each subsequent device
+// observation steps it back along the adaptive.Trust curve. The scheduler
+// passes adaptive.RewarmHalfLife; halfLife <= 0 restores full trust
+// immediately.
 func (db *RateDB) Rewarm(halfLife float64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.quarantined = false
-	if halfLife <= 0 {
-		db.warming = false
-		db.trust = 1
-		return
-	}
-	db.warming = true
-	db.trust = 0
-	db.decay = math.Pow(0.5, 1/halfLife)
+	db.trust.Rewarm(halfLife)
 }
 
 type rateDBJSON struct {
@@ -242,10 +231,7 @@ func (db *RateDB) UnmarshalJSON(b []byte) error {
 			db.cells[p.cls][k] = &c
 		}
 	}
-	db.quarantined = false
-	db.warming = false
-	db.trust = 0
-	db.decay = 0
+	db.trust = adaptive.Trust{}
 	return nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sync"
 
+	"tianhe/internal/abft"
+	"tianhe/internal/adaptive"
 	"tianhe/internal/cpu"
 	"tianhe/internal/element"
 	"tianhe/internal/fault"
@@ -31,10 +33,9 @@ type Options struct {
 	// GPUFallback makes the scheduler resilient to device loss: tasks place
 	// CPU-only while the hardware is gone (quarantining the affinity
 	// database's GPU side), and recovery books the context re-init and
-	// re-warms with RewarmHalfLife. Without it a dead context stalls the run,
-	// like every fault-unaware runtime.
-	GPUFallback    bool
-	RewarmHalfLife float64
+	// re-warms over adaptive.RewarmHalfLife observations. Without it a dead
+	// context stalls the run, like every fault-unaware runtime.
+	GPUFallback bool
 	// RateSeeds plants perfmodel-derived rates into the affinity database's
 	// empty cells before the first placement, so a cold run ranks variants
 	// from the model instead of swinging on the first jittered measurements.
@@ -79,10 +80,9 @@ type Report struct {
 	// BytesIn/BytesOut are the booked transfer volumes; BytesSkipped counts
 	// reads served from device residency.
 	BytesIn, BytesOut, BytesSkipped int64
-	// SDC/ABFT outcome counters, as in the pipeline report.
-	SDCDetected, SDCCorrected, SDCEscalated, RecomputedTasks int
-	// VerifySeconds is the host checksum time, included in End.
-	VerifySeconds float64
+	// Tally holds the ABFT outcomes, as in the pipeline report; the checksum
+	// time and the recompute bookings are included in End.
+	abft.Tally
 	// Stalled reports a fault-unaware scheduler hitting a dead GPU context:
 	// nothing past that submission executed.
 	Stalled bool
@@ -122,21 +122,9 @@ type schedProbes struct {
 	makespan                        *telemetry.Gauge
 	tracer                          *telemetry.Tracer
 
-	// ABFT probes, registered lazily on the first verified task so metric
-	// dumps of unverified runs stay byte-identical.
-	tel                            *telemetry.Telemetry
-	sdcDetected, sdcCorr, sdcEscal *telemetry.Counter
-	verifySeconds                  *telemetry.Gauge
-}
-
-func (pr *schedProbes) sdcProbes() {
-	if pr.sdcDetected != nil {
-		return
-	}
-	pr.sdcDetected = pr.tel.Counter("taskgraph.sdc.detected")
-	pr.sdcCorr = pr.tel.Counter("taskgraph.sdc.corrected")
-	pr.sdcEscal = pr.tel.Counter("taskgraph.sdc.escalated")
-	pr.verifySeconds = pr.tel.Gauge("taskgraph.abft.verify_seconds")
+	// abft publishes verified graphs' tallies; it registers on the first
+	// one, so metric dumps of unverified runs stay byte-identical.
+	abft abft.Probes
 }
 
 // instant marks a device-health transition on the fault track.
@@ -161,11 +149,7 @@ func (pr *schedProbes) flush(rep *Report, verified bool) {
 	pr.bytesSkipped.Add(rep.BytesSkipped)
 	pr.makespan.Set(rep.End - rep.Start)
 	if verified {
-		pr.sdcProbes()
-		pr.sdcDetected.Add(int64(rep.SDCDetected))
-		pr.sdcCorr.Add(int64(rep.SDCCorrected))
-		pr.sdcEscal.Add(int64(rep.SDCEscalated))
-		pr.verifySeconds.Add(rep.VerifySeconds)
+		pr.abft.Publish(rep.Tally)
 	}
 }
 
@@ -184,21 +168,21 @@ func newSchedProbes(tel *telemetry.Telemetry) *schedProbes {
 		bytesSkipped: tel.Counter("taskgraph.bytes_skipped"),
 		makespan:     tel.Gauge("taskgraph.makespan_seconds"),
 		tracer:       tel.Trace,
-		tel:          tel,
+		abft:         abft.NewProbes(tel, "taskgraph"),
 	}
 }
 
 // Scheduler places graphs on one compute element. It persists across graphs:
-// the affinity database, the SDC task counter, and the fault state carry
-// from one Run to the next, which is what lets the per-iteration LU graphs
-// behave like one long adaptive run.
+// the affinity database, the SDC task counter, and the loss gate carry from
+// one Run to the next, which is what lets the per-iteration LU graphs behave
+// like one long adaptive run.
 type Scheduler struct {
 	el     *element.Element
 	opts   Options
 	rates  *RateDB
 	probes *schedProbes
 
-	gpuDown bool
+	gate    gpu.LossGate
 	taskSeq int
 }
 
@@ -215,6 +199,7 @@ func NewScheduler(el *element.Element, opts Options) *Scheduler {
 		opts:   opts,
 		rates:  opts.Affinity,
 		probes: newSchedProbes(opts.Telemetry),
+		gate:   gpu.NewLossGate(el.GPU),
 	}
 }
 
@@ -430,42 +415,39 @@ func (s *Scheduler) Run(g *Graph, earliest sim.Time) (Report, error) {
 	return r.rep, nil
 }
 
-// admit applies device-health admission control before t's candidates are
-// estimated, mirroring the hybrid runner: fault-unaware schedulers stall on a
-// dead context; fault-aware ones fall back to CPU during the outage
-// (quarantining the affinity database's GPU rates and dropping the lost
-// device memory) and re-init + re-warm once the hardware answers. A GPU-only
-// task during an outage waits for the hardware to answer again: its readiness
-// moves to the restore time, where admission re-inits the context. It returns
+// admit passes t through the device's loss gate before its candidates are
+// estimated and applies the scheduler's reaction: a fault-unaware scheduler
+// stalls on a dead context; a fault-aware one places CPU-only during the
+// outage (quarantining the affinity database's device rates and dropping the
+// lost device memory when it begins) and, once the gate has rebuilt the
+// context, starts from empty device memory and re-warms. A GPU-only task
+// during an outage waits for the hardware to answer again: its readiness
+// moves to the restore time, where the gate re-inits the context. It returns
 // the task's ready time and whether its device variants are candidates.
 func (r *run) admit(t *Task, readyAt sim.Time) (at sim.Time, gpuOK, stalled bool) {
 	s, dev := r.s, r.dev
 	gpuOK = t.Costs.GPUSeconds != nil
 	cpuOK := t.Costs.CPUSeconds != nil
-	if gpuOK && dev.ContextDead(readyAt) {
-		if !cpuOK && !dev.AvailableAt(readyAt) && s.opts.GPUFallback {
+	if gpuOK {
+		if !cpuOK && s.opts.GPUFallback && dev.LossAt(readyAt) == gpu.Outage {
 			readyAt = dev.Health().RestoredAt(readyAt)
 		}
-		switch {
-		case !s.opts.GPUFallback:
+		switch verdict, reinit := s.gate.Admit(readyAt, s.opts.GPUFallback); verdict {
+		case gpu.Stalled:
 			r.rep.Stalled = true
 			s.probes.instant("gpu.stall", readyAt)
 			return readyAt, false, true
-		case dev.AvailableAt(readyAt):
-			sp := dev.Reinit(readyAt)
-			dev.DMA.AdvanceTo(sp.End)
+		case gpu.Recovered:
 			r.res.reset()
-			s.gpuDown = false
-			s.rates.Rewarm(s.opts.RewarmHalfLife)
-			s.probes.instant("gpu.reinit", sp.End)
-		default:
+			s.rates.Rewarm(adaptive.RewarmHalfLife)
+			s.probes.instant("gpu.reinit", reinit.End)
+		case gpu.FellBack:
 			gpuOK = false
-			if !s.gpuDown {
-				s.gpuDown = true
-				s.rates.Quarantine()
-				r.res.reset()
-				s.probes.instant("gpu.fallback", readyAt)
-			}
+			s.rates.Quarantine()
+			r.res.reset()
+			s.probes.instant("gpu.fallback", readyAt)
+		case gpu.StillDown:
+			gpuOK = false
 		}
 	}
 	if !gpuOK && !cpuOK {

@@ -174,7 +174,7 @@ func TestSchedulerFallbackAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault.Attach(in, el)
-	sch := NewScheduler(el, Options{GPUFallback: true, RewarmHalfLife: 4})
+	sch := NewScheduler(el, Options{GPUFallback: true})
 	g := chainGraph(20, 3, 1)
 	rep, err := sch.Run(g, 0)
 	if err != nil {
