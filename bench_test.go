@@ -68,7 +68,7 @@ func BenchmarkFig9Linpack(b *testing.B) {
 func BenchmarkFig10SplitAdaptation(b *testing.B) {
 	var touched int
 	for i := 0; i < b.N; i++ {
-		entries, _ := experiments.Fig10(experiments.DefaultSeed, 46080)
+		entries, _ := experiments.Fig10Instrumented(experiments.DefaultSeed, 46080, nil)
 		touched = 0
 		for _, e := range entries {
 			if e.Touched {
@@ -135,7 +135,8 @@ func BenchmarkFig13FullMachineProgress(b *testing.B) {
 func BenchmarkTableISchedule(b *testing.B) {
 	var out string
 	for i := 0; i < b.N; i++ {
-		out = experiments.TableI()
+		p := pipeline.NewPlan(2*4096, 2*4096, 4096, 4096, true)
+		out = pipeline.FormatSchedule(pipeline.Schedule(pipeline.BounceOrderNames(p)))
 	}
 	if len(out) == 0 {
 		b.Fatal("empty schedule")

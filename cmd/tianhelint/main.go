@@ -13,8 +13,9 @@
 // findings with a call path; -why prints it under each finding (JSON output
 // always carries it). -par runs the per-package passes concurrently over
 // the shared read-only module state; findings are byte-identical at any
-// setting. -tests additionally loads in-package _test.go files and applies
-// the checks that opt in (the clock and randomness contracts) to them.
+// setting. -tests additionally loads in-package _test.go files, applies the
+// checks that opt in (the clock and randomness contracts) to them, and
+// turns on deadcode, whose verdicts depend on what the tests set and probe.
 //
 // Findings can be suppressed per site with
 //
@@ -58,7 +59,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 	list := fs.Bool("list", false, "list the available checks and exit")
 	why := fs.Bool("why", false, "print the justifying call path under each interprocedural finding")
 	par := fs.Int("par", 1, "package-level analysis parallelism (findings are identical at any setting)")
-	tests := fs.Bool("tests", false, "also lint in-package _test.go files with the checks that opt in (clock and randomness)")
+	tests := fs.Bool("tests", false, "also load in-package _test.go files: the clock and randomness checks apply inside them, and deadcode (which judges the surface against its tests) runs")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -84,33 +85,42 @@ func run(stdout, stderr io.Writer, args []string) int {
 		}
 	}
 
-	cwd, err := os.Getwd()
+	root, mod, err := load(*tests)
 	if err != nil {
 		fmt.Fprintf(stderr, "tianhelint: %v\n", err)
 		return 2
 	}
-	root, err := analyzers.FindModuleRoot(cwd)
+	return report(stdout, stderr, root, mod, checks, *par, *jsonOut, *why)
+}
+
+// load parses and type-checks the module above the working directory and
+// builds the shared analysis state (call graph, facts, contracts, lock
+// cycles, reachable surface). It is read-only afterwards.
+func load(tests bool) (root string, mod *analyzers.Module, err error) {
+	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintf(stderr, "tianhelint: %v\n", err)
-		return 2
+		return "", nil, err
+	}
+	if root, err = analyzers.FindModuleRoot(cwd); err != nil {
+		return "", nil, err
 	}
 	loader, err := analyzers.NewLoader(root)
 	if err != nil {
-		fmt.Fprintf(stderr, "tianhelint: %v\n", err)
-		return 2
+		return "", nil, err
 	}
-	loader.IncludeTests = *tests
+	loader.IncludeTests = tests
 	pkgs, err := loader.LoadAll()
 	if err != nil {
-		fmt.Fprintf(stderr, "tianhelint: %v\n", err)
-		return 2
+		return "", nil, err
 	}
+	return root, analyzers.BuildModule(loader.Fset(), pkgs, &analyzers.ModuleOptions{IncludeTests: tests}), nil
+}
 
-	// The module (call graph, facts, contracts, lock cycles) is built once
-	// and read-only afterwards; the per-package passes then fan out over the
-	// deterministic sweep runner, so -par N output matches -par 1 exactly.
-	mod := analyzers.BuildModule(loader.Fset(), pkgs, &analyzers.ModuleOptions{IncludeTests: *tests})
-	perPkg := sweep.Map(context.Background(), *par, pkgs, func(i int, pkg *analyzers.Package) []analyzers.Finding {
+// report fans the per-package passes out over the deterministic sweep
+// runner, so -par N output matches -par 1 exactly, prints the findings, and
+// returns the exit code.
+func report(stdout, stderr io.Writer, root string, mod *analyzers.Module, checks []*analyzers.Analyzer, par int, jsonOut, why bool) int {
+	perPkg := sweep.Map(context.Background(), par, mod.Pkgs, func(i int, pkg *analyzers.Package) []analyzers.Finding {
 		return mod.RunPackage(pkg, checks)
 	})
 	var findings []analyzers.Finding
@@ -125,14 +135,14 @@ func run(stdout, stderr io.Writer, args []string) int {
 		}
 		return path
 	}
-	relHops := func(why []string) []string {
-		out := make([]string, len(why))
-		for i, hop := range why {
+	relHops := func(hops []string) []string {
+		out := make([]string, len(hops))
+		for i, hop := range hops {
 			out[i] = strings.ReplaceAll(hop, root+string(filepath.Separator), "")
 		}
 		return out
 	}
-	if *jsonOut {
+	if jsonOut {
 		out := make([]jsonFinding, 0, len(findings))
 		for _, f := range findings {
 			out = append(out, jsonFinding{
@@ -150,7 +160,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 		for _, f := range findings {
 			fmt.Fprintf(stdout, "%s:%d:%d: %s [%s]\n",
 				rel(f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Message, f.Check)
-			if *why {
+			if why {
 				for _, hop := range relHops(f.Why) {
 					fmt.Fprintf(stdout, "\twhy: %s\n", hop)
 				}
@@ -158,7 +168,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 		}
 	}
 	if len(findings) > 0 {
-		if !*jsonOut {
+		if !jsonOut {
 			fmt.Fprintf(stderr, "tianhelint: %d finding(s)\n", len(findings))
 		}
 		return 1

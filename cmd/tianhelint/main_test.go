@@ -2,70 +2,72 @@ package main
 
 import (
 	"bytes"
-	"os"
+	"sync"
 	"testing"
 	"time"
 
 	"tianhe/internal/analyzers"
 )
 
-// TestShippedTreeIsClean is the acceptance gate: the full analyzer suite —
-// including the interprocedural detpure/lockorder/goroleak checks and, via
-// IncludeTests, the clock/rand contract inside _test.go files — must
-// report zero findings over the module as committed. Any new time.Now
-// call, global math/rand use, contract-package impurity, lock-order
-// cycle, or leaked goroutine in the tree fails this test (and therefore
-// `go test ./...` and `make check`).
-func TestShippedTreeIsClean(t *testing.T) {
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, err := analyzers.FindModuleRoot(cwd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := analyzers.NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader.IncludeTests = true
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
-	}
-	if len(pkgs) < 20 {
-		t.Fatalf("loaded only %d packages; the loader is missing parts of the tree", len(pkgs))
-	}
-	mod := analyzers.BuildModule(loader.Fset(), pkgs, &analyzers.ModuleOptions{IncludeTests: true})
-	findings := analyzers.RunModule(mod, analyzers.All())
-	for _, f := range findings {
-		t.Errorf("%s", f)
-	}
+// shipped loads the module as committed — test files included, as make
+// lint does — once per test binary: the load (parse, type-check, call
+// graph, facts) is most of a lint run and read-only afterwards, so every
+// test below analyzes the same one.
+var shipped struct {
+	once sync.Once
+	root string
+	mod  *analyzers.Module
+	err  error
+	took time.Duration
 }
 
-// runLint drives the CLI entry point with captured output.
-func runLint(t *testing.T, args ...string) (string, int) {
+func shippedModule(t *testing.T) (string, *analyzers.Module) {
 	t.Helper()
-	var out, errOut bytes.Buffer
-	code := run(&out, &errOut, args)
-	if code == 2 {
-		t.Fatalf("lint load error: %s", errOut.String())
+	shipped.once.Do(func() {
+		start := time.Now() //lint:ignore nowalltime guarding the wall-clock latency of the lint run itself
+		shipped.root, shipped.mod, shipped.err = load(true)
+		shipped.took = time.Since(start) //lint:ignore nowalltime guarding the wall-clock latency of the lint run itself
+	})
+	if shipped.err != nil {
+		t.Fatalf("loading module packages: %v", shipped.err)
 	}
-	return out.String(), code
+	return shipped.root, shipped.mod
+}
+
+// TestShippedTreeIsClean is the acceptance gate: the full analyzer suite —
+// including the interprocedural detpure/lockorder/goroleak checks, the
+// deadcode surface audit and, via IncludeTests, the clock/rand contract
+// inside _test.go files — must report zero findings over the module as
+// committed. Any new time.Now call, global math/rand use, contract-package
+// impurity, lock-order cycle, leaked goroutine, or export nothing calls in
+// the tree fails this test (and therefore `go test ./...` and `make check`).
+func TestShippedTreeIsClean(t *testing.T) {
+	_, mod := shippedModule(t)
+	if len(mod.Pkgs) < 20 {
+		t.Fatalf("loaded only %d packages; the loader is missing parts of the tree", len(mod.Pkgs))
+	}
+	for _, f := range analyzers.RunModule(mod, analyzers.All()) {
+		t.Errorf("%s", f)
+	}
 }
 
 // TestParFindingsIdentical pins the -par contract: the whole-module run at
 // -par 1 and -par 8 must produce byte-identical output and the same exit
 // code (the passes fan out over read-only module state, so this also runs
-// the suite's concurrency under -race in CI). The serial run doubles as
-// the latency guard: whole-module analysis must stay under 30 seconds or
-// `make lint` stops being something people run before committing.
+// the suite's concurrency under -race in CI). The load plus the serial run
+// doubles as the latency guard: whole-module analysis must stay under 30
+// seconds or `make lint` stops being something people run before committing.
 func TestParFindingsIdentical(t *testing.T) {
+	root, mod := shippedModule(t)
+	lint := func(par int) (string, int) {
+		var out, errOut bytes.Buffer
+		code := report(&out, &errOut, root, mod, analyzers.All(), par, false, false)
+		return out.String(), code
+	}
 	start := time.Now() //lint:ignore nowalltime guarding the wall-clock latency of the lint run itself
-	serial, codeSerial := runLint(t, "-tests", "-par", "1")
-	elapsed := time.Since(start) //lint:ignore nowalltime guarding the wall-clock latency of the lint run itself
-	parallel, codeParallel := runLint(t, "-tests", "-par", "8")
+	serial, codeSerial := lint(1)
+	elapsed := shipped.took + time.Since(start) //lint:ignore nowalltime guarding the wall-clock latency of the lint run itself
+	parallel, codeParallel := lint(8)
 	if serial != parallel {
 		t.Errorf("-par 1 and -par 8 output differ:\n--- par 1 ---\n%s\n--- par 8 ---\n%s", serial, parallel)
 	}

@@ -9,12 +9,13 @@
 //
 // On top of the per-package syntactic checks sits an interprocedural layer:
 // a whole-module call graph (callgraph.go), a per-function fact store
-// propagated to fixpoint and serializable per package (facts.go), and a
-// declarative per-package contract table (contracts.go) driving the
-// detpure, lockorder, and goroleak checks. The shared state is built once
-// per run (module.go) and is read-only afterwards, so per-package passes
-// run concurrently under -par with byte-identical findings, and every
-// interprocedural finding carries the call path that justifies it (-why).
+// propagated to fixpoint (facts.go), and a declarative per-package contract
+// table (contracts.go) driving the detpure, lockorder, and goroleak checks;
+// deadcode reads the same load for what the module reaches (deadcode.go).
+// The shared state is built once per run (module.go) and is read-only
+// afterwards, so per-package passes run concurrently under -par with
+// byte-identical findings, and every interprocedural finding carries the
+// call path that justifies it (-why).
 //
 // The suite is stdlib-only (go/ast, go/parser, go/types, go/importer): the
 // module has zero dependencies and the lint layer must not be the thing
@@ -117,7 +118,7 @@ func All() []*Analyzer {
 		FaultNil,
 		FloatEq,
 		MapIterOrder,
-		MutexCopy,
+		DeadCode,
 		DetPure,
 		LockOrder,
 		GoroLeak,
@@ -134,14 +135,9 @@ func Lookup(name string) *Analyzer {
 	return nil
 }
 
-// Run builds the shared module state, applies each analyzer to each
-// package, applies lint:ignore suppression, and returns the surviving
-// findings sorted by position.
-func Run(fset *token.FileSet, pkgs []*Package, checks []*Analyzer) []Finding {
-	return RunModule(BuildModule(fset, pkgs, nil), checks)
-}
-
-// RunModule runs the checks over every package of an already-built module.
+// RunModule runs the checks over every package of an already-built module,
+// applies lint:ignore suppression, and returns the surviving findings sorted
+// by position.
 func RunModule(m *Module, checks []*Analyzer) []Finding {
 	var findings []Finding
 	for _, pkg := range m.Pkgs {

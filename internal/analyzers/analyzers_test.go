@@ -1,9 +1,7 @@
 package analyzers
 
 import (
-	"bytes"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -14,7 +12,6 @@ func TestTelemetryNil(t *testing.T) { RunFixture(t, TelemetryNil, "telemetrynil"
 func TestFaultNil(t *testing.T)     { RunFixture(t, FaultNil, "faultnil") }
 func TestFloatEq(t *testing.T)      { RunFixture(t, FloatEq, "floateq") }
 func TestMapIterOrder(t *testing.T) { RunFixture(t, MapIterOrder, "mapiterorder") }
-func TestMutexCopy(t *testing.T)    { RunFixture(t, MutexCopy, "mutexcopy") }
 func TestGoroLeak(t *testing.T)     { RunFixture(t, GoroLeak, "goroleak") }
 
 // detpureContracts is the fixture contract table: four packages carry
@@ -32,11 +29,15 @@ func detpureContracts() *ContractTable {
 }
 
 func TestDetPure(t *testing.T) {
-	RunModuleFixture(t, []*Analyzer{DetPure}, "detpure", detpureContracts())
+	RunModuleFixture(t, []*Analyzer{DetPure}, "detpure", &ModuleOptions{Contracts: detpureContracts()})
 }
 
 func TestLockOrder(t *testing.T) {
 	RunModuleFixture(t, []*Analyzer{LockOrder}, "lockcycle", nil)
+}
+
+func TestDeadCode(t *testing.T) {
+	RunModuleFixture(t, []*Analyzer{DeadCode}, "deadcode", &ModuleOptions{IncludeTests: true})
 }
 
 // TestTransitiveLeakOldSuiteMissed pins the acceptance case for retiring
@@ -45,7 +46,7 @@ func TestLockOrder(t *testing.T) {
 // check charges it with the wall-clock read two hops away in leaf, and
 // carries the full call path as the finding's why.
 func TestTransitiveLeakOldSuiteMissed(t *testing.T) {
-	l, pkgs := loadFixtureTree(t, "detpure")
+	l, pkgs := loadFixtureTree(t, "detpure", false)
 	var core *Package
 	for _, p := range pkgs {
 		if p.Path == "tianhelint.test/detpure/core" {
@@ -56,7 +57,7 @@ func TestTransitiveLeakOldSuiteMissed(t *testing.T) {
 		t.Fatal("fixture package core not loaded")
 	}
 
-	old := Run(l.Fset(), []*Package{core}, []*Analyzer{NoWallTime, NoGlobalRand})
+	old := RunModule(BuildModule(l.Fset(), []*Package{core}, nil), []*Analyzer{NoWallTime, NoGlobalRand})
 	if len(old) != 0 {
 		t.Fatalf("per-package syntactic checks on core alone found %d findings, want 0: %v", len(old), old)
 	}
@@ -80,43 +81,8 @@ func TestTransitiveLeakOldSuiteMissed(t *testing.T) {
 	}
 }
 
-// TestFactsRoundTrip checks that one package's facts serialize to a
-// deterministic artifact and decode back to the same summaries.
-func TestFactsRoundTrip(t *testing.T) {
-	l, pkgs := loadFixtureTree(t, "detpure")
-	mod := BuildModule(l.Fset(), pkgs, &ModuleOptions{Contracts: detpureContracts()})
-	const path = FixtureModule + "/detpure/mid"
-
-	enc, err := mod.Facts.EncodePackage(path)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	s2 := NewFactStore()
-	if err := s2.DecodePackage(path, enc); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	enc2, err := s2.EncodePackage(path)
-	if err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if !bytes.Equal(enc, enc2) {
-		t.Errorf("facts round-trip is not byte-identical:\n  first:  %s\n  second: %s", enc, enc2)
-	}
-
-	f := s2.FuncFacts(path, "Normalize")
-	if f == nil {
-		t.Fatal("decoded store lost facts for mid.Normalize")
-	}
-	if f.Taint[taintClock].Source != "time.Now" {
-		t.Errorf("mid.Normalize clock taint source = %q, want time.Now", f.Taint[taintClock].Source)
-	}
-	if !reflect.DeepEqual(f, mod.Facts.FuncFacts(path, "Normalize")) {
-		t.Error("decoded facts for mid.Normalize differ from the live store")
-	}
-}
-
 func TestSuiteIsComplete(t *testing.T) {
-	want := []string{"nowalltime", "noglobalrand", "telemetrynil", "faultnil", "floateq", "mapiterorder", "mutexcopy", "detpure", "lockorder", "goroleak"}
+	want := []string{"nowalltime", "noglobalrand", "telemetrynil", "faultnil", "floateq", "mapiterorder", "deadcode", "detpure", "lockorder", "goroleak"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("All() has %d analyzers, want %d", len(got), len(want))
@@ -154,7 +120,7 @@ func TestMalformedDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run(l.Fset(), []*Package{pkg}, []*Analyzer{NoWallTime})
+	findings := RunModule(BuildModule(l.Fset(), []*Package{pkg}, nil), []*Analyzer{NoWallTime})
 	var directives, wallTime int
 	for _, f := range findings {
 		switch f.Check {

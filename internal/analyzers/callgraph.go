@@ -22,7 +22,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // FuncNode is one function in the module call graph: a declared function or
@@ -588,12 +587,4 @@ func sortedClassNames[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// shortPath trims the module prefix from an import path for messages.
-func shortPath(path string) string {
-	if i := strings.LastIndex(path, "/internal/"); i >= 0 {
-		return path[i+len("/internal/"):]
-	}
-	return path
 }

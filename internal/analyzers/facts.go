@@ -3,55 +3,49 @@ package analyzers
 // The facts layer: per-function summaries computed once over the call
 // graph and shared by the interprocedural analyzers. The shape mirrors
 // golang.org/x/tools analysis facts — a summary is attached to a function
-// object, packages are processed in dependency order, and a package's
-// facts serialize to a self-contained artifact — so a check written
-// against this store ports to the real driver without redesign. Dynamic
-// (interface-dispatch) edges can point at packages later in the order, so
-// after the in-order seeding the store runs a whole-graph fixpoint; the
-// result is identical, the staging just keeps the common static-call case
-// cheap and the serialization story per-package.
+// object and keyed per package — so a check written against this store
+// ports to the real driver without redesign. Dynamic (interface-dispatch)
+// edges can point at packages later in the order, so after seeding each
+// function's direct facts the store runs a whole-graph fixpoint.
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
-	"sort"
 )
 
 // Step is one hop of a summary's witness path: either the direct source
 // ("calls time.Now") or a call that reaches it ("calls serve.drain").
 type Step struct {
 	// File/Line/Col locate the witness site.
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	File string
+	Line int
+	Col  int
 	// What describes the hop, e.g. "calls time.Now" or "calls mpi.(*Comm).Send".
-	What string `json:"what"`
+	What string
 	// Source names the ultimate source this path reaches, e.g. "time.Now".
-	Source string `json:"source,omitempty"`
+	Source string
 	// Next is the Key() of the next function on the path; "" terminates.
-	Next string `json:"next,omitempty"`
+	Next string
 }
 
 // FuncFacts is the summary of one function.
 type FuncFacts struct {
 	// Taint maps a taint kind (clock, rand, env) to the witness of the
 	// first path by which this function reaches a source of that kind.
-	Taint map[string]Step `json:"taint,omitempty"`
+	Taint map[string]Step
 	// Writes maps a package-level variable's name to the witness of a path
 	// by which this function (transitively) writes it.
-	Writes map[string]Step `json:"writes,omitempty"`
+	Writes map[string]Step
 	// Locks maps a lock class to the witness of a path by which this
 	// function (transitively) acquires it.
-	Locks map[string]Step `json:"locks,omitempty"`
+	Locks map[string]Step
 	// Terminates reports that a goroutine-termination signal (channel
 	// receive, select, channel range, WaitGroup.Done/Wait, ctx.Done) is
 	// reachable from this function.
-	Terminates bool `json:"terminates,omitempty"`
+	Terminates bool
 }
 
-// FactStore holds every function's facts, keyed per package so one
-// package's summaries encode and decode as a unit.
+// FactStore holds every function's facts, keyed per package.
 type FactStore struct {
 	// pkgs maps import path -> function key -> facts.
 	pkgs map[string]map[string]*FuncFacts
@@ -81,27 +75,6 @@ func (s *FactStore) facts(node *FuncNode) *FuncFacts {
 		m[node.Name] = f
 	}
 	return f
-}
-
-// EncodePackage serializes one package's facts to JSON. Map keys are
-// emitted sorted, so equal fact sets encode byte-identically.
-func (s *FactStore) EncodePackage(pkgPath string) ([]byte, error) {
-	m := s.pkgs[pkgPath]
-	if m == nil {
-		return nil, fmt.Errorf("analyzers: no facts recorded for %s", pkgPath)
-	}
-	return json.Marshal(m)
-}
-
-// DecodePackage loads one package's facts from EncodePackage output,
-// replacing any facts already held for that path.
-func (s *FactStore) DecodePackage(pkgPath string, data []byte) error {
-	m := make(map[string]*FuncFacts)
-	if err := json.Unmarshal(data, &m); err != nil {
-		return fmt.Errorf("analyzers: decoding facts for %s: %w", pkgPath, err)
-	}
-	s.pkgs[pkgPath] = m
-	return nil
 }
 
 // computeFacts seeds every function's direct summary and then propagates
@@ -231,15 +204,4 @@ func whyPath(s *FactStore, g *callGraph, start *FuncNode, pick func(*FuncFacts) 
 // findNode resolves a Key() back to its node.
 func findNode(g *callGraph, key string) *FuncNode {
 	return g.byKey[key]
-}
-
-// sortedFuncNames lists the function keys with facts in pkgPath, sorted.
-func (s *FactStore) sortedFuncNames(pkgPath string) []string {
-	m := s.pkgs[pkgPath]
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,24 +36,23 @@ func RunFixture(t *testing.T, a *Analyzer, fixture string) {
 		t.Fatalf("loading fixture %s: %v", fixture, err)
 	}
 
-	findings := Run(l.Fset(), []*Package{pkg}, []*Analyzer{a})
+	findings := RunModule(BuildModule(l.Fset(), []*Package{pkg}, nil), []*Analyzer{a})
 	diffWants(t, l.Fset(), []*Package{pkg}, findings)
 }
 
 // RunModuleFixture loads every package under testdata/src/<fixture> —
 // including nested directories importing each other as
 // "tianhelint.test/<fixture>/<sub>" — builds the shared interprocedural
-// state with the given contract table (nil for the shipped defaults), runs
-// the checks over every fixture package, and diffs the findings against
-// the fixtures' `// want` comments. This is how the transitive-taint,
-// lock-cycle, and facts fixtures exercise cross-package chains.
-func RunModuleFixture(t *testing.T, checks []*Analyzer, fixture string, contracts *ContractTable) *Module {
+// state with the given options (nil for the shipped defaults; IncludeTests
+// also loads the fixture's _test.go files), runs the checks over every
+// fixture package, and diffs the findings against the fixtures' `// want`
+// comments. This is how the transitive-taint, lock-cycle, and dead-code
+// fixtures exercise cross-package chains.
+func RunModuleFixture(t *testing.T, checks []*Analyzer, fixture string, opt *ModuleOptions) {
 	t.Helper()
-	l, pkgs := loadFixtureTree(t, fixture)
-	mod := BuildModule(l.Fset(), pkgs, &ModuleOptions{Contracts: contracts})
-	findings := RunModule(mod, checks)
+	l, pkgs := loadFixtureTree(t, fixture, opt != nil && opt.IncludeTests)
+	findings := RunModule(BuildModule(l.Fset(), pkgs, opt), checks)
 	diffWants(t, l.Fset(), pkgs, findings)
-	return mod
 }
 
 // FixtureModule is the import-path prefix fixture packages load under.
@@ -60,7 +60,7 @@ const FixtureModule = "tianhelint.test"
 
 // loadFixtureTree loads testdata/src/<fixture> and every package directory
 // below it, in sorted order.
-func loadFixtureTree(t *testing.T, fixture string) (*Loader, []*Package) {
+func loadFixtureTree(t *testing.T, fixture string, tests bool) (*Loader, []*Package) {
 	t.Helper()
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -70,19 +70,17 @@ func loadFixtureTree(t *testing.T, fixture string) (*Loader, []*Package) {
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
+	l.IncludeTests = tests
 	dir := filepath.Join(root, "internal", "analyzers", "testdata", "src", fixture)
-	l.AddModule(FixtureModule+"/"+fixture, dir)
+	l.aux = append(l.aux, auxModule{FixtureModule + "/" + fixture, dir})
 
 	var dirs []string
 	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if !d.IsDir() && strings.HasSuffix(d.Name(), ".go") {
-			pd := filepath.Dir(path)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != pd {
-				dirs = append(dirs, pd)
-			}
+		if !d.IsDir() && strings.HasSuffix(d.Name(), ".go") && !strings.HasSuffix(d.Name(), "_test.go") {
+			dirs = append(dirs, filepath.Dir(path))
 		}
 		return nil
 	})
@@ -90,6 +88,7 @@ func loadFixtureTree(t *testing.T, fixture string) (*Loader, []*Package) {
 		t.Fatalf("walking fixture %s: %v", fixture, err)
 	}
 	sort.Strings(dirs)
+	dirs = slices.Compact(dirs) // one entry per file so far
 	var pkgs []*Package
 	for _, pd := range dirs {
 		rel, err := filepath.Rel(dir, pd)

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one parsed and type-checked (non-test) package.
@@ -44,24 +45,18 @@ type Loader struct {
 	IncludeTests bool
 
 	fset *token.FileSet
-	std  types.ImporterFrom
+	std  *sharedImporter
 	pkgs map[string]*Package // by import path; nil marks in-progress
 	aux  []auxModule         // extra import-path prefixes (fixture modules)
 }
 
 // auxModule maps an import-path prefix outside the main module onto a
-// directory tree — how multi-package test fixtures give their packages
-// stable import paths without a second go.mod.
+// directory tree: imports of prefix or prefix/<rel> resolve to dir/<rel>.
+// It is how the fixture harness gives the multi-package fixtures under
+// testdata/src stable import paths without a second go.mod.
 type auxModule struct {
 	prefix string
 	dir    string
-}
-
-// AddModule registers an auxiliary module: imports of prefix or
-// prefix/<rel> resolve to dir/<rel>. Fixture harnesses use this to load
-// importer chains under testdata/src.
-func (l *Loader) AddModule(prefix, dir string) {
-	l.aux = append(l.aux, auxModule{prefix, dir})
 }
 
 // NewLoader builds a loader for the module rooted at root, reading the
@@ -75,18 +70,38 @@ func NewLoader(root string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		return nil, fmt.Errorf("analyzers: source importer lacks ImporterFrom")
-	}
+	stdlib.once.Do(func() {
+		stdlib.fset = token.NewFileSet()
+		stdlib.imp = importer.ForCompiler(stdlib.fset, "source", nil).(types.ImporterFrom)
+	})
 	return &Loader{
 		Root:   abs,
 		Module: mod,
-		fset:   fset,
-		std:    std,
+		fset:   stdlib.fset,
+		std:    &stdlib,
 		pkgs:   make(map[string]*Package),
 	}, nil
+}
+
+// stdlib is the process-wide standard-library importer. Type-checking the
+// standard library from source is most of a load and does not depend on
+// the module being loaded, so every Loader shares one importer — and with
+// it one FileSet, which positions must resolve against.
+var stdlib sharedImporter
+
+// sharedImporter serializes the source importer, whose package cache is
+// not safe for concurrent loaders.
+type sharedImporter struct {
+	once sync.Once
+	mu   sync.Mutex
+	fset *token.FileSet
+	imp  types.ImporterFrom
+}
+
+func (s *sharedImporter) importFrom(path, dir string) (*types.Package, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.imp.ImportFrom(path, dir, 0)
 }
 
 // FindModuleRoot walks up from dir to the nearest directory holding go.mod.
@@ -151,7 +166,7 @@ func (l *Loader) ImportFrom(path, dir string, _ types.ImportMode) (*types.Packag
 		}
 		return pkg.Types, nil
 	}
-	return l.std.ImportFrom(path, dir, 0)
+	return l.std.importFrom(path, dir)
 }
 
 // moduleRel returns the module-root-relative slash path of an import path
@@ -281,6 +296,7 @@ func buildableFile(f *ast.File) bool {
 // fixtures and hidden directories. Packages come back sorted by path.
 func (l *Loader) LoadAll() ([]*Package, error) {
 	var dirs []string
+	seen := make(map[string]bool)
 	err := filepath.WalkDir(l.Root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -293,8 +309,10 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 			return nil
 		}
 		if strings.HasSuffix(d.Name(), ".go") && !strings.HasSuffix(d.Name(), "_test.go") {
-			dir := filepath.Dir(path)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
+			// A directory's files straddle its subdirectories in walk
+			// order (serve/job.go, serve/loadgen/, serve/server.go).
+			if dir := filepath.Dir(path); !seen[dir] {
+				seen[dir] = true
 				dirs = append(dirs, dir)
 			}
 		}

@@ -23,6 +23,7 @@ type Module struct {
 
 	graph      *callGraph
 	lockCycles []lockCycle
+	surface    *surface
 }
 
 // ModuleOptions configures BuildModule.
@@ -50,6 +51,7 @@ func BuildModule(fset *token.FileSet, pkgs []*Package, opt *ModuleOptions) *Modu
 	m.graph = buildCallGraph(fset, pkgs)
 	m.Facts = computeFacts(fset, m.graph)
 	m.lockCycles = computeLockCycles(fset, m.graph, m.Facts)
+	m.surface = buildSurface(fset, pkgs)
 	return m
 }
 

@@ -47,34 +47,6 @@ func (s *Series) Last() Point {
 	return s.Points[len(s.Points)-1]
 }
 
-// Mean returns the average y value.
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range s.Points {
-		sum += p.Y
-	}
-	return sum / float64(len(s.Points))
-}
-
-// MeanWhere returns the average y over points whose x satisfies keep.
-func (s *Series) MeanWhere(keep func(x float64) bool) float64 {
-	var sum float64
-	var n int
-	for _, p := range s.Points {
-		if keep(p.X) {
-			sum += p.Y
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // GainOver returns the mean relative improvement of s over base across the
 // x values where both are defined and keep(x) holds (nil keep means all).
 func (s *Series) GainOver(base *Series, keep func(x float64) bool) float64 {
@@ -130,13 +102,4 @@ func Table(w io.Writer, xLabel, yUnit string, series ...*Series) {
 	if yUnit != "" {
 		fmt.Fprintf(w, "(values in %s)\n", yUnit)
 	}
-}
-
-// GFLOPS converts a flop count and duration to GFLOPS, 0 for non-positive
-// durations.
-func GFLOPS(flops, seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return flops / seconds / 1e9
 }

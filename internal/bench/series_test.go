@@ -35,32 +35,6 @@ func TestSeriesLastEmptyPanics(t *testing.T) {
 	(&Series{}).Last()
 }
 
-func TestSeriesMean(t *testing.T) {
-	s := &Series{}
-	if s.Mean() != 0 {
-		t.Fatal("empty mean must be 0")
-	}
-	s.Add(1, 2)
-	s.Add(2, 4)
-	if s.Mean() != 3 {
-		t.Fatalf("mean = %v", s.Mean())
-	}
-}
-
-func TestSeriesMeanWhere(t *testing.T) {
-	s := &Series{}
-	s.Add(1, 10)
-	s.Add(2, 20)
-	s.Add(3, 30)
-	got := s.MeanWhere(func(x float64) bool { return x > 1 })
-	if got != 25 {
-		t.Fatalf("MeanWhere = %v", got)
-	}
-	if s.MeanWhere(func(float64) bool { return false }) != 0 {
-		t.Fatal("no matching points must yield 0")
-	}
-}
-
 func TestGainOver(t *testing.T) {
 	base := &Series{}
 	base.Add(1, 100)
@@ -125,14 +99,5 @@ func TestTableSortsX(t *testing.T) {
 	out := sb.String()
 	if strings.Index(out, "\n2 ") > strings.Index(out, "\n10 ") && strings.Index(out, "\n10 ") >= 0 {
 		t.Fatalf("rows not sorted by x:\n%s", out)
-	}
-}
-
-func TestGFLOPSHelper(t *testing.T) {
-	if GFLOPS(2e9, 2) != 1 {
-		t.Fatalf("GFLOPS = %v", GFLOPS(2e9, 2))
-	}
-	if GFLOPS(1, 0) != 0 {
-		t.Fatal("non-positive duration must yield 0")
 	}
 }

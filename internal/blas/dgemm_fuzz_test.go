@@ -45,7 +45,7 @@ func FuzzDGEMMPackedVsNaive(f *testing.F) {
 			want := c0.Clone()
 			DgemmNaive(tA, tB, alpha, a, b, beta, want)
 			got := c0.Clone()
-			DgemmPackedOp(tA, tB, alpha, a, b, beta, got)
+			Dgemm(tA, tB, alpha, a, b, beta, got)
 
 			if d := got.MaxDiff(want); d > tol {
 				t.Fatalf("driver vs naive DGEMM disagree: (%v,%v) %dx%dx%d alpha=%g beta=%g seed=%d: max diff %g > tol %g",

@@ -9,7 +9,7 @@ import (
 	"tianhe/internal/sim"
 )
 
-// packedOpCase checks DgemmPackedOp and DgemmPackedParallel against the
+// packedOpCase checks Dgemm and DgemmParallel against the
 // naive oracle for one shape/op combination.
 func packedOpCase(t *testing.T, tA, tB Transpose, m, n, k int, alpha, beta float64, seed uint64) {
 	t.Helper()
@@ -21,15 +21,15 @@ func packedOpCase(t *testing.T, tA, tB Transpose, m, n, k int, alpha, beta float
 	DgemmNaive(tA, tB, alpha, a, b, beta, want)
 
 	got := c0.Clone()
-	DgemmPackedOp(tA, tB, alpha, a, b, beta, got)
+	Dgemm(tA, tB, alpha, a, b, beta, got)
 	if d := got.MaxDiff(want); d > 1e-11 {
-		t.Fatalf("DgemmPackedOp(%v,%v,%dx%dx%d) diff=%v", tA, tB, m, n, k, d)
+		t.Fatalf("Dgemm(%v,%v,%dx%dx%d) diff=%v", tA, tB, m, n, k, d)
 	}
 
 	gotP := c0.Clone()
-	DgemmPackedParallel(tA, tB, alpha, a, b, beta, gotP, 4)
+	DgemmParallel(tA, tB, alpha, a, b, beta, gotP, 4)
 	if d := gotP.MaxDiff(want); d > 1e-11 {
-		t.Fatalf("DgemmPackedParallel(%v,%v,%dx%dx%d) diff=%v", tA, tB, m, n, k, d)
+		t.Fatalf("DgemmParallel(%v,%v,%dx%dx%d) diff=%v", tA, tB, m, n, k, d)
 	}
 }
 
@@ -65,10 +65,10 @@ func TestDgemmPackedParallelBitIdentical(t *testing.T) {
 	c0 := randDense(r, m, n)
 
 	want := c0.Clone()
-	DgemmPackedOp(Trans, Trans, 1.5, a, b, 0.25, want)
+	Dgemm(Trans, Trans, 1.5, a, b, 0.25, want)
 	for _, workers := range []int{1, 2, 3, 4, 16} {
 		got := c0.Clone()
-		DgemmPackedParallel(Trans, Trans, 1.5, a, b, 0.25, got, workers)
+		DgemmParallel(Trans, Trans, 1.5, a, b, 0.25, got, workers)
 		if d := got.MaxDiff(want); d != 0 {
 			t.Fatalf("workers=%d: result differs from serial by %v — parallel GEMM must be bit-identical", workers, d)
 		}

@@ -40,24 +40,6 @@ func Dscal(alpha float64, x []float64) {
 	}
 }
 
-// Dcopy copies x into y.
-func Dcopy(x, y []float64) {
-	if len(x) != len(y) {
-		panic("blas: Dcopy length mismatch")
-	}
-	copy(y, x)
-}
-
-// Dswap exchanges the contents of x and y.
-func Dswap(x, y []float64) {
-	if len(x) != len(y) {
-		panic("blas: Dswap length mismatch")
-	}
-	for i := range x {
-		x[i], y[i] = y[i], x[i]
-	}
-}
-
 // Ddot returns the dot product of x and y.
 func Ddot(x, y []float64) float64 {
 	if len(x) != len(y) {
@@ -68,30 +50,6 @@ func Ddot(x, y []float64) float64 {
 		s += x[i] * y[i]
 	}
 	return s
-}
-
-// Dnrm2 returns the Euclidean norm of x, with scaling to avoid overflow.
-func Dnrm2(x []float64) float64 {
-	var scale, ssq float64
-	ssq = 1
-	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
-	}
-	if scale == 0 {
-		return 0
-	}
-	return scale * math.Sqrt(ssq)
 }
 
 // Dasum returns the sum of absolute values of x.

@@ -74,40 +74,9 @@ func TestDscal(t *testing.T) {
 	}
 }
 
-func TestDcopyDswap(t *testing.T) {
-	x := []float64{1, 2}
-	y := []float64{3, 4}
-	Dswap(x, y)
-	if x[0] != 3 || y[0] != 1 {
-		t.Fatal("Dswap failed")
-	}
-	Dcopy(x, y)
-	if y[0] != 3 || y[1] != 4 {
-		t.Fatal("Dcopy failed")
-	}
-}
-
 func TestDdot(t *testing.T) {
 	if got := Ddot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Fatalf("Ddot = %v", got)
-	}
-}
-
-func TestDnrm2(t *testing.T) {
-	if got := Dnrm2([]float64{3, 4}); got != 5 {
-		t.Fatalf("Dnrm2 = %v", got)
-	}
-	if got := Dnrm2(nil); got != 0 {
-		t.Fatalf("Dnrm2(nil) = %v", got)
-	}
-}
-
-func TestDnrm2Overflow(t *testing.T) {
-	big := math.MaxFloat64 / 2
-	got := Dnrm2([]float64{big, big})
-	want := big * math.Sqrt2
-	if math.IsInf(got, 0) || !almostEqual(got, want, 1e-14) {
-		t.Fatalf("Dnrm2 overflow handling: got %v want %v", got, want)
 	}
 }
 
@@ -138,17 +107,6 @@ func TestDdotCommutative(t *testing.T) {
 		x := randSlice(r, int(n%64))
 		y := randSlice(r, len(x))
 		return Ddot(x, y) == Ddot(y, x)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDnrm2MatchesDdot(t *testing.T) {
-	r := sim.NewRNG(2)
-	f := func(n uint8) bool {
-		x := randSlice(r, int(n%64)+1)
-		return almostEqual(Dnrm2(x), math.Sqrt(Ddot(x, x)), 1e-12)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

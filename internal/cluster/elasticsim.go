@@ -31,8 +31,6 @@ type ElasticSimConfig struct {
 	// of the healthy makespan; zero runs healthy. The victim owns an
 	// average share of columns (the model does not pick a specific rank).
 	FailFrac float64
-	// Downclock applies the 575 MHz GPU engine clock of the long runs.
-	Downclock bool
 }
 
 // ElasticSimResult reports one modeled run, with the checkpoint/restart
@@ -68,9 +66,6 @@ func SimulateElastic(cfg ElasticSimConfig) ElasticSimResult {
 	nb := cfg.NB
 	nblocks := cfg.N / nb
 	gpu := perfmodel.DefaultGPU()
-	if cfg.Downclock {
-		gpu = gpu.Downclocked()
-	}
 	transfer := perfmodel.DefaultTransfer()
 	net := perfmodel.DefaultNetwork()
 	crossCabinet := q > 64

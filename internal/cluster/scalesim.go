@@ -43,31 +43,33 @@ func (p Policy) String() string {
 type ScaleConfig struct {
 	N, NB     int
 	Processes int
-	// ElementsPerCabinet controls cross-cabinet communication costs and the
-	// cabinet count; zero selects the TianHe-1 packing of 64.
-	ElementsPerCabinet int
-	Seed               uint64
-	Policy             Policy
+	Seed      uint64
+	Policy    Policy
 	// Downclock applies the 575 MHz GPU engine clock of the long runs.
 	Downclock bool
-	// DriftSigma and DriftMax shape the per-element GPU thermal random walk
-	// (per-iteration step and clamp). Zeros select 0.004 and 0.08.
-	DriftSigma, DriftMax float64
 	// RecordProgress retains the cumulative-performance curve (Fig. 13).
 	RecordProgress bool
-	// PerIterOverheadSec aggregates the distributed per-iteration costs that
-	// do not scale with the trailing matrix: pivot-exchange latencies inside
-	// the panel factorization, process synchronization, and the GPU buffer
-	// re-setup each new trailing size forces. Zero selects 0.8 s, calibrated
-	// against the paper's single-cabinet result; it is what makes the
-	// endgame expensive (Fig. 13's late performance drop).
-	PerIterOverheadSec float64
 	// Workers shards the per-iteration element loop across real cores.
 	// Elements carry independent RNG streams and per-element state, and the
 	// iteration reduction is a max, so the result is bit-identical for any
 	// worker count. Values <= 1 run the serial loop.
 	Workers int
 }
+
+// The scale model's own constants, beside the hardware ones in perfmodel.
+const (
+	// driftSigma and driftMax shape the per-element GPU thermal random
+	// walk: the per-iteration step and the clamp around 1.
+	driftSigma = 0.004
+	driftMax   = 0.08
+	// perIterOverheadSec aggregates the distributed per-iteration costs that
+	// do not scale with the trailing matrix: pivot-exchange latencies inside
+	// the panel factorization, process synchronization, and the GPU buffer
+	// re-setup each new trailing size forces. Calibrated against the paper's
+	// single-cabinet result; it is what makes the endgame expensive
+	// (Fig. 13's late performance drop).
+	perIterOverheadSec = 0.8
+)
 
 // ProgressPoint is one sample of the Fig. 13 curve.
 type ProgressPoint struct {
@@ -135,18 +137,6 @@ type elementState struct {
 
 // SimulateScale runs the large-scale Linpack model and returns its timing.
 func SimulateScale(cfg ScaleConfig) ScaleResult {
-	if cfg.ElementsPerCabinet <= 0 {
-		cfg.ElementsPerCabinet = 64
-	}
-	if cfg.DriftSigma == 0 {
-		cfg.DriftSigma = 0.004
-	}
-	if cfg.PerIterOverheadSec == 0 {
-		cfg.PerIterOverheadSec = 0.8
-	}
-	if cfg.DriftMax == 0 {
-		cfg.DriftMax = 0.08
-	}
 	g := grid.Squarish(cfg.Processes)
 	gpuModel := perfmodel.DefaultGPU()
 	if cfg.Downclock {
@@ -154,7 +144,7 @@ func SimulateScale(cfg ScaleConfig) ScaleResult {
 	}
 	transfer := perfmodel.DefaultTransfer()
 	net := perfmodel.DefaultNetwork()
-	crossCabinet := cfg.Processes > cfg.ElementsPerCabinet
+	crossCabinet := cfg.Processes > perfmodel.ElementsPerCabinet
 
 	// Per-element state.
 	elems := make([]elementState, cfg.Processes)
@@ -188,6 +178,9 @@ func SimulateScale(cfg ScaleConfig) ScaleResult {
 	}
 
 	loadFrac := runLoadFraction(cfg.Processes)
+	// Hoisted so the per-iteration closure below captures one bool, not a
+	// copy of cfg.
+	adaptive := cfg.Policy == PolicyAdaptive
 	var total, flopsDone float64
 	totalFlops := hpl.LinpackFlops(cfg.N)
 	res := ScaleResult{N: cfg.N, NB: cfg.NB, Processes: cfg.Processes, Grid: g}
@@ -224,8 +217,8 @@ func SimulateScale(cfg ScaleConfig) ScaleResult {
 				for e := lo; e < hi; e++ {
 					es := &elems[e]
 					// Thermal random walk, clamped.
-					es.gpuScale += es.drift.Normal(0, cfg.DriftSigma)
-					es.gpuScale = min(max(es.gpuScale, 1-cfg.DriftMax), 1+cfg.DriftMax)
+					es.gpuScale += es.drift.Normal(0, driftSigma)
+					es.gpuScale = min(max(es.gpuScale, 1-driftMax), 1+driftMax)
 
 					rg := rgNominal * es.gpuScale
 					// Production-run CPU availability: communication progress,
@@ -244,7 +237,7 @@ func SimulateScale(cfg ScaleConfig) ScaleResult {
 					if t > sl {
 						sl = t
 					}
-					if cfg.Policy == PolicyAdaptive {
+					if adaptive {
 						// The Section IV update from this iteration's measured
 						// rates, used next iteration.
 						es.split = rg / (rg + rc)
@@ -274,7 +267,7 @@ func SimulateScale(cfg ScaleConfig) ScaleResult {
 		swapBytes := int64(8 * cfg.NB * nloc)
 		iterTime += net.BcastSeconds(panelBytes, g.Q, crossCabinet)
 		iterTime += net.BcastSeconds(swapBytes, g.P, crossCabinet)
-		iterTime += cfg.PerIterOverheadSec
+		iterTime += perIterOverheadSec
 
 		total += iterTime
 		flopsDone += iterFlops

@@ -111,12 +111,6 @@ func New(cfg Config) *Element {
 	}
 }
 
-// Virtual reports whether the element skips real arithmetic.
-func (e *Element) Virtual() bool { return e.cfg.Virtual }
-
-// Seed returns the element's randomness seed.
-func (e *Element) Seed() uint64 { return e.cfg.Seed }
-
 // Now returns the element-wide virtual time: the latest point any of its
 // resources is booked to.
 func (e *Element) Now() sim.Time {

@@ -15,7 +15,6 @@ import (
 	"tianhe/internal/element"
 	"tianhe/internal/hybrid"
 	"tianhe/internal/linpacksim"
-	"tianhe/internal/pipeline"
 	"tianhe/internal/sweep"
 	"tianhe/internal/telemetry"
 )
@@ -25,13 +24,6 @@ const DefaultSeed = 2009 // the Top500 list year the paper's run appeared in
 
 // Fig8Sizes is the DGEMM sweep of Figure 8.
 var Fig8Sizes = []int{2048, 4096, 6144, 8192, 10240, 12288, 14336, 16384}
-
-// Fig8 measures hybrid DGEMM GFLOPS by matrix size for the five
-// configurations. Adaptive variants report the second-run value, as the
-// paper does ("the first run updates the databases").
-func Fig8(seed uint64, sizes []int) []*bench.Series {
-	return Fig8Instrumented(seed, sizes, nil, 1)
-}
 
 // variantPoint is one (variant, size) cell of the Fig. 8/9 sweeps; the cells
 // are flattened variant-major so the sweep results land in serial order.
@@ -66,11 +58,13 @@ func variantSeries(sizes []int, gs []float64) []*bench.Series {
 	return out
 }
 
-// Fig8Instrumented is Fig8 with telemetry attached: runner counters, the
-// adaptive GSplit/CSplit series, and live resource traces with tracks
-// prefixed "<variant>.N<size>/". A nil bundle reproduces Fig8 exactly. The
-// (variant, size) cells are independent simulated runs and execute on par
-// workers; output is byte-identical for every par.
+// Fig8Instrumented measures hybrid DGEMM GFLOPS by matrix size for the
+// five configurations. Adaptive variants report the second-run value, as
+// the paper does ("the first run updates the databases"). A non-nil bundle
+// receives runner counters, the adaptive GSplit/CSplit series, and live
+// resource traces with tracks prefixed "<variant>.N<size>/"; it does not
+// change the figures. The (variant, size) cells are independent simulated
+// runs and execute on par workers; output is byte-identical for every par.
 func Fig8Instrumented(seed uint64, sizes []int, tel *telemetry.Telemetry, par int) []*bench.Series {
 	if sizes == nil {
 		sizes = Fig8Sizes
@@ -106,16 +100,11 @@ func Fig8Instrumented(seed uint64, sizes []int, tel *telemetry.Telemetry, par in
 // N = 46000; NB = 1216 rounds it to 46080's neighborhood).
 var Fig9Sizes = []int{4864, 9728, 14592, 19456, 24320, 29184, 34048, 38912, 43776, 46080}
 
-// Fig9 measures single-element Linpack GFLOPS by problem size for the five
-// configurations. The vendor-library baseline runs with pageable transfers
-// (unmodified HPL hands it pageable memory); the optimized variants stage
-// through the pinned pool.
-func Fig9(seed uint64, sizes []int) []*bench.Series {
-	return Fig9Instrumented(seed, sizes, nil, 1)
-}
-
-// Fig9Instrumented is Fig9 with telemetry threaded through every simulated
-// Linpack run. A nil bundle reproduces Fig9 exactly. Each (variant, size)
+// Fig9Instrumented measures single-element Linpack GFLOPS by problem size
+// for the five configurations, with telemetry (nil for none) threaded
+// through every simulated run. The vendor-library baseline runs with
+// pageable transfers (unmodified HPL hands it pageable memory); the
+// optimized variants stage through the pinned pool. Each (variant, size)
 // Linpack is an independent simulation; par workers run them concurrently
 // with byte-identical output.
 func Fig9Instrumented(seed uint64, sizes []int, tel *telemetry.Telemetry, par int) []*bench.Series {
@@ -134,17 +123,12 @@ func Fig9Instrumented(seed uint64, sizes []int, tel *telemetry.Telemetry, par in
 	return variantSeries(sizes, gs)
 }
 
-// Fig10 runs one adaptive Linpack and returns database_g's split per
-// workload bucket (GSplit versus workload, Figure 10), along with the
-// initial peak-ratio value.
-func Fig10(seed uint64, n int) (entries []adaptive.Entry, initial float64) {
-	return Fig10Instrumented(seed, n, nil)
-}
-
-// Fig10Instrumented is Fig10 with telemetry attached: the run's per-update
-// GSplit/CSplit evolution lands in the bundle's tracer as the
-// "adaptive.gsplit" / "adaptive.work" / "adaptive.csplit.core<i>" counter
-// series (linpackbench -splits reads them from there).
+// Fig10Instrumented runs one adaptive Linpack and returns database_g's
+// split per workload bucket (GSplit versus workload, Figure 10), along with
+// the initial peak-ratio value. With a bundle attached the run's per-update
+// GSplit/CSplit evolution lands in its tracer as the "adaptive.gsplit" /
+// "adaptive.work" / "adaptive.csplit.core<i>" counter series (linpackbench
+// -splits reads them from there).
 func Fig10Instrumented(seed uint64, n int, tel *telemetry.Telemetry) (entries []adaptive.Entry, initial float64) {
 	if n <= 0 {
 		n = 46080
@@ -237,14 +221,6 @@ func Fig13(seed uint64, par int) []cluster.ProgressPoint {
 		Workers: par,
 	})
 	return r.Progress
-}
-
-// TableI renders the CT/NT pipeline schedule of Table I for the 2x2 task
-// split of Fig. 5 (tasks bounce-ordered T0, T1, T3, T2).
-func TableI() string {
-	p := pipeline.NewPlan(2*4096, 2*4096, 4096, 4096, true)
-	rows := pipeline.Schedule(pipeline.BounceOrderNames(p))
-	return pipeline.FormatSchedule(rows)
 }
 
 // scaledN grows a base problem size with sqrt(units), rounded down to a

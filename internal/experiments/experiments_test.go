@@ -6,6 +6,7 @@ import (
 
 	"tianhe/internal/bench"
 	"tianhe/internal/element"
+	"tianhe/internal/pipeline"
 )
 
 // quick sweeps keep the test suite fast; the full sweeps run in the cmd
@@ -28,7 +29,7 @@ func seriesByName(t *testing.T, ss []*bench.Series, name string) *bench.Series {
 }
 
 func TestFig8Ordering(t *testing.T) {
-	ss := Fig8(1, quickFig8)
+	ss := Fig8Instrumented(1, quickFig8, nil, 1)
 	if len(ss) != 5 {
 		t.Fatalf("Fig8 must produce five series, got %d", len(ss))
 	}
@@ -46,7 +47,7 @@ func TestFig8Ordering(t *testing.T) {
 }
 
 func TestFig8GainsNearPaper(t *testing.T) {
-	ss := Fig8(DefaultSeed, nil)
+	ss := Fig8Instrumented(DefaultSeed, nil, nil, 1)
 	acmlg := seriesByName(t, ss, "ACMLG")
 	adaptive := seriesByName(t, ss, "ACMLG+adaptive")
 	pipe := seriesByName(t, ss, "ACMLG+pipe")
@@ -70,7 +71,7 @@ func TestFig8GainsNearPaper(t *testing.T) {
 func TestFig8PipeUselessBelow8192(t *testing.T) {
 	// The paper: no pipeline benefit for N <= 8192 beyond the EO fusion;
 	// the gain must at least be clearly larger above 8192 than below.
-	ss := Fig8(DefaultSeed, nil)
+	ss := Fig8Instrumented(DefaultSeed, nil, nil, 1)
 	acmlg := seriesByName(t, ss, "ACMLG")
 	pipe := seriesByName(t, ss, "ACMLG+pipe")
 	small := pipe.GainOver(acmlg, func(x float64) bool { return x <= 8192 })
@@ -81,7 +82,7 @@ func TestFig8PipeUselessBelow8192(t *testing.T) {
 }
 
 func TestFig9HeadlineRatios(t *testing.T) {
-	ss := Fig9(DefaultSeed, []int{46080})
+	ss := Fig9Instrumented(DefaultSeed, []int{46080}, nil, 1)
 	get := func(name string) float64 {
 		v, ok := seriesByName(t, ss, name).Y(46080)
 		if !ok {
@@ -107,7 +108,7 @@ func TestFig9HeadlineRatios(t *testing.T) {
 }
 
 func TestFig9MonotoneInN(t *testing.T) {
-	ss := Fig9(1, quickFig9)
+	ss := Fig9Instrumented(1, quickFig9, nil, 1)
 	for _, s := range ss {
 		prev := 0.0
 		for _, p := range s.Points {
@@ -120,7 +121,7 @@ func TestFig9MonotoneInN(t *testing.T) {
 }
 
 func TestFig10SplitsAdapt(t *testing.T) {
-	entries, initial := Fig10(DefaultSeed, 24320)
+	entries, initial := Fig10Instrumented(DefaultSeed, 24320, nil)
 	if initial < 0.85 || initial > 0.92 {
 		t.Fatalf("initial split %v, paper reports 0.889", initial)
 	}
@@ -145,7 +146,7 @@ func TestFig10SplitsAdapt(t *testing.T) {
 }
 
 func TestFig10SmallWorkloadsLowerSplit(t *testing.T) {
-	entries, initial := Fig10(DefaultSeed, 46080)
+	entries, initial := Fig10Instrumented(DefaultSeed, 46080, nil)
 	// The paper: values differ significantly from the initial 0.889 for
 	// small workloads and settle with growing workload.
 	var firstTouched, lastTouched float64
@@ -222,7 +223,9 @@ func TestFig13LateDrop(t *testing.T) {
 }
 
 func TestTableIRendering(t *testing.T) {
-	out := TableI()
+	// The 2x2 task split of Fig. 5, bounce-ordered T0, T1, T3, T2.
+	p := pipeline.NewPlan(2*4096, 2*4096, 4096, 4096, true)
+	out := pipeline.FormatSchedule(pipeline.Schedule(pipeline.BounceOrderNames(p)))
 	for _, want := range []string{"T0", "T1", "T3", "T2", "N-Input", "EO"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table I output missing %q:\n%s", want, out)

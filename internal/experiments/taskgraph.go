@@ -6,69 +6,9 @@ import (
 
 	"tianhe/internal/element"
 	"tianhe/internal/linpacksim"
-	"tianhe/internal/stencil"
 	"tianhe/internal/sweep"
-	"tianhe/internal/taskgraph"
 	"tianhe/internal/telemetry"
 )
-
-// StencilBlockZs is the slab-depth sweep of the stencil decomposition study:
-// how coarse the Z-decomposition can get before the per-task working set
-// stops fitting device memory, and how fine before scheduling overheads and
-// halo re-reads erode the wavefront.
-var StencilBlockZs = []int{8, 16, 32, 48}
-
-// StencilGrid is the Fig-8-class grid the sweep schedules: just under half a
-// billion points, virtual (placement and transfers only).
-var StencilGrid = stencil.Config{NX: 768, NY: 768, NZ: 768, Steps: 4}
-
-// StencilCell is one BlockZ point of StencilSweep.
-type StencilCell struct {
-	BlockZ int
-	// Blocks and Tasks describe the decomposition (Tasks = Steps x Blocks).
-	Blocks, Tasks int
-	// Seconds and GFLOPS are the scheduled makespan and achieved rate.
-	Seconds float64
-	GFLOPS  float64
-	// GPUShare is the fraction of slab tasks the affinity scheduler placed
-	// on the GPU.
-	GPUShare float64
-	// BytesIn counts host-to-device traffic; BytesSkipped the reads served
-	// from device residency (the scheduler's locality win).
-	BytesIn, BytesSkipped int64
-}
-
-// StencilSweep schedules the Fig-8-class Jacobi sweep at each slab depth and
-// reports how the decomposition granularity moves makespan, placement and
-// traffic. The points are independent virtual runs on par workers; output is
-// byte-identical for every par.
-func StencilSweep(seed uint64, blockZs []int, tel *telemetry.Telemetry, par int) []StencilCell {
-	if blockZs == nil {
-		blockZs = StencilBlockZs
-	}
-	return sweep.MapTel(context.Background(), par, tel, blockZs,
-		func(_ int, bz int, tel *telemetry.Telemetry) StencilCell {
-			cfg := StencilGrid
-			cfg.BlockZ = bz
-			cfg.Seed = seed
-			s := stencil.NewVirtual(cfg)
-			el := element.New(element.Config{Seed: seed, Virtual: true})
-			rep, err := s.Run(el, taskgraph.Options{Telemetry: tel})
-			if err != nil {
-				panic("experiments: virtual stencil sweep failed: " + err.Error())
-			}
-			return StencilCell{
-				BlockZ:       bz,
-				Blocks:       s.Config().Blocks(),
-				Tasks:        rep.Tasks,
-				Seconds:      rep.Seconds(),
-				GFLOPS:       rep.GFLOPS(),
-				GPUShare:     float64(rep.TasksGPU) / float64(rep.Tasks),
-				BytesIn:      rep.BytesIn,
-				BytesSkipped: rep.BytesSkipped,
-			}
-		})
-}
 
 // GraphLUDepths is the look-ahead sweep of the graph-LU study.
 var GraphLUDepths = []int{0, 1, 2}

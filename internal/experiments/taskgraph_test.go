@@ -13,59 +13,6 @@ import (
 	"tianhe/internal/telemetry"
 )
 
-// renderStencilCells prints the sweep cells as the cmd binaries would.
-func renderStencilCells(cells []StencilCell) []byte {
-	var buf bytes.Buffer
-	for _, c := range cells {
-		fmt.Fprintf(&buf, "%+v\n", c)
-	}
-	return buf.Bytes()
-}
-
-func TestStencilSweepShape(t *testing.T) {
-	cells := StencilSweep(DefaultSeed, nil, telemetry.Disabled(), 1)
-	if len(cells) != len(StencilBlockZs) {
-		t.Fatalf("%d cells, want %d", len(cells), len(StencilBlockZs))
-	}
-	gpuTasks := 0
-	for i, c := range cells {
-		if c.BlockZ != StencilBlockZs[i] {
-			t.Errorf("cell %d BlockZ = %d, want %d", i, c.BlockZ, StencilBlockZs[i])
-		}
-		if c.Tasks != StencilGrid.Steps*c.Blocks {
-			t.Errorf("BlockZ %d: %d tasks for %d blocks", c.BlockZ, c.Tasks, c.Blocks)
-		}
-		if c.Seconds <= 0 || c.GFLOPS <= 0 {
-			t.Errorf("BlockZ %d: degenerate cell %+v", c.BlockZ, c)
-		}
-		if c.GPUShare < 0 || c.GPUShare > 1 {
-			t.Errorf("BlockZ %d: GPU share %.2f outside [0,1]", c.BlockZ, c.GPUShare)
-		}
-		gpuTasks += int(c.GPUShare*float64(c.Tasks) + 0.5)
-	}
-	// The memory-bound kernel mostly stays on the host — shipping three slabs
-	// over the bus costs more than the GPU's bandwidth advantage saves — but
-	// the affinity scheduler must still probe the device, not write it off.
-	if gpuTasks == 0 {
-		t.Error("no slab task of any decomposition ever ran on the GPU")
-	}
-}
-
-// TestParDeterminismStencilSweep: the stencil decomposition sweep must be
-// byte-identical between the serial loop and the worker pool, cells and
-// telemetry both. Runs under -race in scripts/check.sh.
-func TestParDeterminismStencilSweep(t *testing.T) {
-	run := func(par int) ([]byte, []byte) {
-		tel := telemetry.New()
-		cells := StencilSweep(DefaultSeed, nil, tel, par)
-		return renderStencilCells(cells), telBytes(t, tel)
-	}
-	cells1, tel1 := run(1)
-	cells8, tel8 := run(8)
-	diffBytes(t, "StencilSweep cells", cells1, cells8)
-	diffBytes(t, "StencilSweep telemetry", tel1, tel8)
-}
-
 // TestGraphLUGain: the graph-LU study at a reduced size still orders the
 // modes correctly — depth 1 beats depth 0 (the look-ahead win the monolithic
 // loop cannot express) and the baseline gain is 0 by construction.

@@ -425,18 +425,6 @@ func (in *Injector) crossCabinet(a, b int) bool {
 
 // ---- element failure ------------------------------------------------------
 
-// ElementFailAt returns the virtual time of the first scheduled element
-// failure; ok is false when none is scheduled (or the injector is nil).
-// It is shorthand for ElementFailures()[0]; elastic-recovery consumers
-// that survive K sequential failures should walk the full schedule.
-func (in *Injector) ElementFailAt() (sim.Time, bool) {
-	fs := in.ElementFailures()
-	if len(fs) == 0 {
-		return 0, false
-	}
-	return fs[0].Start, true
-}
-
 // ElementFailures returns every scheduled element failure in start order
 // (ties broken by schedule position, so composed scenarios replay
 // identically). Event.Core names the victim element when the scenario set

@@ -31,7 +31,7 @@ func TestNilInjectorIsHealthy(t *testing.T) {
 	if dur, drop := in.AdjustMessage(0, 1, 8, 0, 2e-6); dur != 2e-6 || drop {
 		t.Fatalf("nil AdjustMessage = %v, %v", dur, drop)
 	}
-	if _, ok := in.ElementFailAt(); ok {
+	if len(in.ElementFailures()) != 0 {
 		t.Fatal("nil injector schedules a failure")
 	}
 	if in.Events() != nil || in.Seed() != 0 {
@@ -197,11 +197,11 @@ func TestElementFailAt(t *testing.T) {
 		Event{Kind: ElementFail, Start: 90},
 		Event{Kind: ElementFail, Start: 40},
 	)
-	at, ok := in.ElementFailAt()
-	if !ok || at != 40 {
-		t.Fatalf("ElementFailAt = %v, %v; want 40, true", at, ok)
+	fs := in.ElementFailures()
+	if len(fs) != 2 || fs[0].Start != 40 || fs[1].Start != 90 {
+		t.Fatalf("ElementFailures = %+v; want the failures at 40 then 90", fs)
 	}
-	if _, ok := New(1).ElementFailAt(); ok {
+	if len(New(1).ElementFailures()) != 0 {
 		t.Fatal("failure scheduled on an empty injector")
 	}
 }

@@ -103,11 +103,6 @@ func (d *Device) Pool() *PinnedPool { return d.pool }
 // Model returns the device's kernel-rate model.
 func (d *Device) Model() perfmodel.GPU { return d.cfg.Model }
 
-// SetModel replaces the kernel-rate model, e.g. when the engine clock is
-// reduced mid-experiment or thermal drift rescales the chip's rate. Already
-// booked spans are unaffected.
-func (d *Device) SetModel(m perfmodel.GPU) { d.cfg.Model = m }
-
 // SetHealth installs a health source for fault injection; nil (the default)
 // keeps the device permanently healthy with no per-operation overhead.
 func (d *Device) SetHealth(h Health) { d.health = h }
@@ -369,21 +364,6 @@ func (d *Device) transferSeconds(seconds float64, earliest sim.Time) float64 {
 		seconds /= d.healthFactor(earliest, d.health.TransferFactor)
 	}
 	return seconds
-}
-
-// Download copies src back to host memory dst, booking the DMA engine.
-func (d *Device) Download(src *Buffer, dst *matrix.Dense, earliest sim.Time) sim.Span {
-	if src.freed {
-		panic("gpu: download from freed buffer")
-	}
-	if !d.cfg.Virtual {
-		if src.Rows != dst.Rows || src.Cols != dst.Cols {
-			panic(fmt.Sprintf("gpu: download shape mismatch %dx%d -> %dx%d",
-				src.Rows, src.Cols, dst.Rows, dst.Cols))
-		}
-		dst.CopyFrom(src.data)
-	}
-	return d.bookTransfer("down", src.Bytes(), earliest)
 }
 
 // DownloadBytes books a shape-only download of the given size.

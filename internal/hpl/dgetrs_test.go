@@ -47,7 +47,10 @@ func TestDgetrsAgreesWithSolveFactored(t *testing.T) {
 
 func TestInvertRoundTrip(t *testing.T) {
 	a, lu, ipiv, _ := factored(t, 40, 24)
-	inv := Invert(lu, ipiv)
+	// A^{-1} by solving for the identity's columns: Dgetrs with n right-hand sides.
+	inv := matrix.NewDense(40, 40)
+	inv.Identity()
+	Dgetrs(blas.NoTrans, lu, ipiv, inv)
 	prod := matrix.NewDense(40, 40)
 	blas.Dgemm(blas.NoTrans, blas.NoTrans, 1, a, inv, 0, prod)
 	id := matrix.NewDense(40, 40)

@@ -34,13 +34,8 @@ type GraphOptions struct {
 	// monolithic loop performs. The scheduler still chooses per task among
 	// cpu, gpu, and hybrid by earliest predicted finish.
 	Hybrid bool
-	// Part is the split oracle hybrid bodies consult: database_g keyed by
-	// tile work decides the GPU row fraction, database_c the per-core shares
-	// of the host half. nil with Hybrid set builds a fresh adaptive
-	// partitioner from the element's peak ratio.
-	Part adaptive.Partitioner
-	// Sched carries the scheduler knobs: affinity database, ABFT
-	// verification, fault fallback, telemetry and body parallelism.
+	// Sched carries the scheduler knobs: rate seeds, ABFT verification,
+	// fault fallback, telemetry and body parallelism.
 	Sched taskgraph.Options
 }
 
@@ -120,8 +115,11 @@ func BuildLUGraph(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs 
 
 	core := el.CPU.Core(0)
 	gpu := el.GPU
-	part := opts.Part
-	if opts.Hybrid && part == nil {
+	// part is the split oracle hybrid bodies consult: database_g keyed by
+	// tile work decides the GPU row fraction, database_c the per-core shares
+	// of the host half, starting from the element's peak ratio.
+	var part adaptive.Partitioner
+	if opts.Hybrid {
 		// Bucket splits by tile work: full NB³ update tiles land in the top
 		// bucket, the narrower edge tiles in lower ones — the same shape
 		// keying the monolithic loop's database_g uses for trailing updates.

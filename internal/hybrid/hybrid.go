@@ -167,15 +167,6 @@ func (r *Runner) EnableABFT(sdc *fault.Injector) {
 	r.exec.EnableVerify(sdc)
 }
 
-// Variant returns the runner's configuration.
-func (r *Runner) Variant() element.Variant { return r.variant }
-
-// Element returns the underlying compute element.
-func (r *Runner) Element() *element.Element { return r.el }
-
-// Partitioner returns the policy, nil for the fixed variants.
-func (r *Runner) Partitioner() adaptive.Partitioner { return r.part }
-
 // gpuRows returns how many of m rows go to the GPU.
 func (r *Runner) gpuRows(m int, work float64) int {
 	if !r.variant.UsesGPU() {

@@ -123,7 +123,7 @@ type Config struct {
 
 	// FailAt injects an element failure at the given virtual time: the run
 	// loses all volatile state when its clock first passes FailAt and
-	// resumes RestartSec later — from the last per-iteration checkpoint
+	// resumes DefaultRestartSec later — from the last per-iteration checkpoint
 	// when Checkpoint is set, from iteration zero otherwise. Zero disables
 	// failure injection.
 	FailAt sim.Time
@@ -132,9 +132,6 @@ type Config struct {
 	// events carried by the SDC injector (composed scenarios like
 	// "element-fail+sdc-single") join the schedule too; see failureSchedule.
 	FailAts []sim.Time
-	// RestartSec is the outage + relaunch time charged on failure; zero
-	// selects DefaultRestartSec.
-	RestartSec sim.Time
 	// Checkpoint enables per-iteration checkpointing: after every iteration
 	// the factored panel is written out (costing the panel's bytes at
 	// CheckpointBandwidth on the critical path) so a failure redoes at most
@@ -419,10 +416,6 @@ func (s *Sim) Done() bool { return s.j >= s.cfg.N }
 
 // Time returns the run's virtual clock.
 func (s *Sim) Time() sim.Time { return s.t }
-
-// Iterations returns the number of iterations executed so far (including
-// re-executions after a restore).
-func (s *Sim) Iterations() int { return s.iters }
 
 // Element returns the compute element the run executes on.
 func (s *Sim) Element() *element.Element { return s.el }
@@ -757,17 +750,13 @@ func (s *Sim) Result() Result {
 // failures (FailAt, FailAts, or ElementFail events on the SDC injector)
 // strike when the clock first passes each scheduled instant: the run
 // restores from the last checkpoint (Checkpoint true) or restarts from
-// iteration zero, resumes RestartSec after the failure, and the lost
+// iteration zero, resumes DefaultRestartSec after the failure, and the lost
 // iterations are re-executed. When every checkpoint generation is itself
 // corrupt (ErrCheckpointsExhausted), the run falls back to a clean restart
 // from iteration zero instead of aborting — forward progress degrades, it
 // never stops.
 func Run(cfg Config) Result {
 	s := NewSim(cfg)
-	restart := cfg.RestartSec
-	if restart <= 0 {
-		restart = DefaultRestartSec
-	}
 	fails := cfg.failureSchedule()
 	nextFail := 0
 	// cps keeps the two newest good checkpoints (plus the empty initial
@@ -827,7 +816,7 @@ func Run(cfg Config) Result {
 				s.Skip(now + sec)
 				cps = cps[:cpIdx+1]
 			case errors.Is(err, ErrCheckpointsExhausted):
-				cleanRestart(now+restart, lost)
+				cleanRestart(now+DefaultRestartSec, lost)
 			default:
 				panic(fmt.Sprintf("linpacksim: escalation restore: %v", err))
 			}
@@ -847,9 +836,9 @@ func Run(cfg Config) Result {
 			switch {
 			case err == nil:
 				s.totals.RedoneIterations += lost - s.iters
-				s.Skip(at + restart)
+				s.Skip(at + DefaultRestartSec)
 			case errors.Is(err, ErrCheckpointsExhausted):
-				cleanRestart(at+restart, lost)
+				cleanRestart(at+DefaultRestartSec, lost)
 			default:
 				panic(fmt.Sprintf("linpacksim: failover restore: %v", err))
 			}

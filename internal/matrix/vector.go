@@ -31,15 +31,6 @@ func VecNormInf(v []float64) float64 {
 	return mx
 }
 
-// VecNormOne returns the 1-norm of v.
-func VecNormOne(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
 // VecMaxDiff returns the largest absolute difference between two equal-length
 // vectors.
 func VecMaxDiff(a, b []float64) float64 {

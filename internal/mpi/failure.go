@@ -69,12 +69,6 @@ func (w *World) DeadAt(r int) (sim.Time, bool) {
 	return t, ok
 }
 
-// Dead reports whether rank r has died, from this endpoint's view.
-func (c *Comm) Dead(r int) bool {
-	_, ok := c.world.DeadAt(r)
-	return ok
-}
-
 // RecvFromOrFail is RecvFrom for a directed source on a fabric where the
 // peer may be dead: it blocks until a matching message arrives OR the
 // source is registered dead with no matching message pending, in which case

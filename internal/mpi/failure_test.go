@@ -62,8 +62,8 @@ func TestDieWakesBlockedReceiver(t *testing.T) {
 			if _, err := c.RecvFromOrFail(0, 9); err == nil {
 				t.Error("expected failure error from dead rank 0")
 			}
-			if !c.Dead(0) {
-				t.Error("Dead(0) = false after suspicion")
+			if _, dead := c.world.DeadAt(0); !dead {
+				t.Error("rank 0 not registered dead after suspicion")
 			}
 		}
 	})
@@ -79,5 +79,5 @@ func TestRecvFromOrFailNeedsDirectedSource(t *testing.T) {
 			t.Fatal("RecvFromOrFail(Any) must panic")
 		}
 	}()
-	w.Comm(0).RecvFromOrFail(Any, 0)
+	w.comms[0].RecvFromOrFail(Any, 0)
 }

@@ -79,23 +79,6 @@ func (c *Comm) indexOf(members []int, rank int) int {
 	panic(fmt.Sprintf("mpi: rank %d not in group %v", rank, members))
 }
 
-// GroupBarrier synchronizes the group members.
-func (c *Comm) GroupBarrier(members []int, tag int) {
-	n := len(members)
-	if n <= 1 {
-		return
-	}
-	me := c.groupIndex(members)
-	if me == 0 {
-		for i := 1; i < n; i++ {
-			c.Recv(Any, tag)
-		}
-	} else {
-		c.Send(members[0], tag, nil)
-	}
-	c.GroupBcast(members, 0, tag+1, nil)
-}
-
 // SendRecv exchanges payloads with a peer: both sides call it with each
 // other's rank and the same tag pair, avoiding the deadlock a naive
 // recv-then-send ordering would invite on a synchronous fabric.

@@ -82,25 +82,6 @@ func TestGroupMaxLocSingleton(t *testing.T) {
 	})
 }
 
-func TestGroupBarrier(t *testing.T) {
-	w := NewWorld(Config{Size: 5})
-	members := []int{0, 2, 4}
-	clocks := make([]float64, 5)
-	w.Run(func(c *Comm) {
-		switch c.Rank() {
-		case 0, 2, 4:
-			c.Advance(float64(c.Rank()))
-			c.GroupBarrier(members, 30)
-			clocks[c.Rank()] = c.Now()
-		}
-	})
-	for _, r := range members {
-		if clocks[r] < 4 {
-			t.Fatalf("rank %d left the group barrier at %v", r, clocks[r])
-		}
-	}
-}
-
 func TestSendRecvExchange(t *testing.T) {
 	w := NewWorld(Config{Size: 2})
 	w.Run(func(c *Comm) {
@@ -119,5 +100,5 @@ func TestGroupIndexPanicsForOutsider(t *testing.T) {
 			t.Fatal("outsider in group op should panic")
 		}
 	}()
-	w.Comm(0).GroupBcast([]int{1, 2}, 0, 1, nil)
+	w.comms[0].GroupBcast([]int{1, 2}, 0, 1, nil)
 }

@@ -110,9 +110,6 @@ type rankQueue struct {
 type Config struct {
 	// Size is the number of ranks.
 	Size int
-	// Network is the fabric model; the zero value selects the TianHe-1 QDR
-	// InfiniBand model.
-	Network perfmodel.Network
 	// RanksPerCabinet controls when messages pay the second-level-switch
 	// hop; 0 means a single cabinet (never).
 	RanksPerCabinet int
@@ -140,9 +137,6 @@ func NewWorld(cfg Config) *World {
 	if cfg.Size <= 0 {
 		panic("mpi: world size must be positive")
 	}
-	if cfg.Network == (perfmodel.Network{}) {
-		cfg.Network = perfmodel.DefaultNetwork()
-	}
 	if cfg.RetryTimeout == 0 {
 		cfg.RetryTimeout = DefaultRetryTimeout
 	}
@@ -151,7 +145,7 @@ func NewWorld(cfg Config) *World {
 	}
 	w := &World{
 		size:            cfg.Size,
-		net:             cfg.Network,
+		net:             perfmodel.DefaultNetwork(),
 		ranksPerCabinet: cfg.RanksPerCabinet,
 		fault:           cfg.LinkFault,
 		retryTimeout:    cfg.RetryTimeout,
@@ -180,14 +174,6 @@ func NewWorld(cfg Config) *World {
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
 
-// Comm returns rank r's communicator handle.
-func (w *World) Comm(r int) *Comm {
-	if r < 0 || r >= w.size {
-		panic(fmt.Sprintf("mpi: rank %d out of world size %d", r, w.size))
-	}
-	return w.comms[r]
-}
-
 // crossCabinet reports whether two ranks sit in different cabinets.
 func (w *World) crossCabinet(a, b int) bool {
 	if w.ranksPerCabinet <= 0 {
@@ -214,9 +200,6 @@ type Comm struct {
 
 // Rank returns this endpoint's rank.
 func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the world size.
-func (c *Comm) Size() int { return c.world.size }
 
 // Now returns the rank's virtual time.
 func (c *Comm) Now() sim.Time { return c.clock.Now() }

@@ -202,7 +202,7 @@ func TestSendToSelfPanics(t *testing.T) {
 			t.Fatal("send to self should panic")
 		}
 	}()
-	w.Comm(0).Send(0, 1, nil)
+	w.comms[0].Send(0, 1, nil)
 }
 
 func TestWorldValidation(t *testing.T) {

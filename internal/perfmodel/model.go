@@ -183,15 +183,6 @@ func (t Transfer) Seconds(bytes int64) float64 {
 	return TransferSetupSec + hostSec + devSec
 }
 
-// GBps returns the effective bandwidth for a transfer of the given size.
-func (t Transfer) GBps(bytes int64) float64 {
-	sec := t.Seconds(bytes)
-	if sec == 0 {
-		return 0
-	}
-	return float64(bytes) / sec / 1e9
-}
-
 // CPUCore models one Xeon core executing the DGEMM kernels of the host math
 // library.
 type CPUCore struct {
@@ -211,13 +202,6 @@ type CPUCore struct {
 	// Bias is a deterministic per-core manufacturing/DVFS rate factor
 	// (around 1); it is what makes equal static core splits suboptimal.
 	Bias float64
-}
-
-// DefaultCore returns the nominal compute-core model (an E5540 core, the
-// majority part of the machine). bias perturbs the core's rate, and
-// l2Shared marks the comm-adjacent core.
-func DefaultCore(bias float64, l2Shared bool) CPUCore {
-	return CoreForXeon(XeonE5540, bias, l2Shared)
 }
 
 // Rate returns the core's effective GFLOPS on a DGEMM slice of shape

@@ -133,7 +133,7 @@ func TestTransferMonotonicInSize(t *testing.T) {
 
 func TestTransferEffectiveBandwidth(t *testing.T) {
 	tr := DefaultTransfer()
-	g := tr.GBps(1 << 30)
+	g := float64(1<<30) / tr.Seconds(1<<30) / 1e9
 	// Effective rate is bounded by the slower hop.
 	if g > PinnedLinkGBps || g < 0.8*PinnedLinkGBps {
 		t.Fatalf("effective bandwidth %v GB/s out of expected range", g)
@@ -143,7 +143,7 @@ func TestTransferEffectiveBandwidth(t *testing.T) {
 func TestCPUCoreRateNearPaperMKL(t *testing.T) {
 	// Four cores on a large DGEMM should land in the 35-40 GFLOPS band:
 	// the paper's host-only Linpack is 196.7/5.49 = 35.8 GFLOPS.
-	c := DefaultCore(1, false)
+	c := CoreForXeon(XeonE5540, 1, false)
 	rate4 := 4 * c.Rate(4096, 4096, 4096, false)
 	if rate4 < 35 || rate4 > 40 {
 		t.Fatalf("4-core MKL-like rate %v, want within [35, 40]", rate4)
@@ -151,8 +151,8 @@ func TestCPUCoreRateNearPaperMKL(t *testing.T) {
 }
 
 func TestCPUCoreInterference(t *testing.T) {
-	shared := DefaultCore(1, true)
-	clean := DefaultCore(1, false)
+	shared := CoreForXeon(XeonE5540, 1, true)
+	clean := CoreForXeon(XeonE5540, 1, false)
 	m := 2048
 	if shared.Rate(m, m, m, true) >= clean.Rate(m, m, m, true) {
 		t.Fatal("L2-shared core must slow down while comm is active")
@@ -164,7 +164,7 @@ func TestCPUCoreInterference(t *testing.T) {
 
 func TestCPUCoreInterferenceMagnitude(t *testing.T) {
 	// The paper's example: a core dropping from 10 to 9 GFLOPS (about 10%).
-	c := DefaultCore(1, true)
+	c := CoreForXeon(XeonE5540, 1, true)
 	loss := 1 - c.Rate(4096, 4096, 4096, true)/c.Rate(4096, 4096, 4096, false)
 	if loss < 0.05 || loss > 0.15 {
 		t.Fatalf("interference loss %v, want around 10%%", loss)
@@ -172,15 +172,15 @@ func TestCPUCoreInterferenceMagnitude(t *testing.T) {
 }
 
 func TestCPUCoreBias(t *testing.T) {
-	fast := DefaultCore(1.03, false)
-	slow := DefaultCore(0.97, false)
+	fast := CoreForXeon(XeonE5540, 1.03, false)
+	slow := CoreForXeon(XeonE5540, 0.97, false)
 	if fast.Rate(1024, 1024, 1024, false) <= slow.Rate(1024, 1024, 1024, false) {
 		t.Fatal("bias must order core rates")
 	}
 }
 
 func TestCPUSecondsConsistentWithRate(t *testing.T) {
-	c := DefaultCore(1, false)
+	c := CoreForXeon(XeonE5540, 1, false)
 	m, n, k := 512, 256, 128
 	flops := 2 * float64(m) * float64(n) * float64(k)
 	sec := c.Seconds(m, n, k, false)

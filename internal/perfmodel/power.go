@@ -10,31 +10,11 @@ const (
 	CabinetPowerKW = 18.5
 	// ElementsPerCabinet is the compute-element packing (32 nodes x 2).
 	ElementsPerCabinet = 64
-	// NodesPerCabinet is the node packing of one cabinet.
-	NodesPerCabinet = 32
-	// Cabinets is the full TianHe-1 configuration.
-	Cabinets = 80
 )
-
-// ElementPowerW returns the average per-element power draw implied by the
-// cabinet measurement (network and cooling-fan overheads amortized in).
-func ElementPowerW() float64 {
-	return CabinetPowerKW * 1e3 / ElementsPerCabinet
-}
 
 // SystemPowerKW returns the draw of the given number of cabinets.
 func SystemPowerKW(cabinets int) float64 {
 	return CabinetPowerKW * float64(cabinets)
-}
-
-// MFLOPSPerWatt converts an achieved TFLOPS figure on the given number of
-// cabinets to the Green500 metric. The paper reports 379.24 MFLOPS/W for
-// 563.1 TFLOPS on 80 cabinets.
-func MFLOPSPerWatt(tflops float64, cabinets int) float64 {
-	if cabinets <= 0 {
-		return 0
-	}
-	return tflops * 1e6 / (SystemPowerKW(cabinets) * 1e3)
 }
 
 // TrainingEnergyKWh returns the energy cost of a Qilin-style training phase:

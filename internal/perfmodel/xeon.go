@@ -67,7 +67,3 @@ func CoreForXeon(x Xeon, bias float64, l2Shared bool) CPUCore {
 		Bias:             bias,
 	}
 }
-
-// E5450Fraction is the share of compute elements backed by E5450 sockets on
-// TianHe-1 (1024 of 5120).
-const E5450Fraction = 1024.0 / 5120.0

@@ -24,14 +24,6 @@ func TestXeonInterference(t *testing.T) {
 	}
 }
 
-func TestCoreForXeonMatchesDefault(t *testing.T) {
-	a := DefaultCore(1.02, true)
-	b := CoreForXeon(XeonE5540, 1.02, true)
-	if a != b {
-		t.Fatal("DefaultCore must be the E5540 model")
-	}
-}
-
 func TestE5450HigherClockButLowerEfficiency(t *testing.T) {
 	old := CoreForXeon(XeonE5450, 1, false)
 	nehalem := CoreForXeon(XeonE5540, 1, false)
@@ -42,11 +34,5 @@ func TestE5450HigherClockButLowerEfficiency(t *testing.T) {
 	}
 	if old.MaxEfficiency >= nehalem.MaxEfficiency {
 		t.Fatal("E5450 efficiency ceiling must sit below Nehalem's")
-	}
-}
-
-func TestE5450Fraction(t *testing.T) {
-	if E5450Fraction != 0.2 {
-		t.Fatalf("1024 of 5120 is 20%%, got %v", E5450Fraction)
 	}
 }

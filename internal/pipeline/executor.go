@@ -157,9 +157,6 @@ func NewExecutor(dev *gpu.Device, opts Options) *Executor {
 	return &Executor{dev: dev, opts: opts.withDefaults(dev), probes: newExecProbes(opts.Telemetry)}
 }
 
-// Options returns the executor's resolved options.
-func (e *Executor) Options() Options { return e.opts }
-
 // EnableVerify turns on ABFT verification on a built executor, optionally
 // with an SDC injector supplying corruption strikes — the hybrid runner's
 // fault-wiring path (see Options.Verify).

@@ -51,15 +51,6 @@ func (t *Task) BTile(s Step) TileID { return TileID{Matrix: 'B', Row: s.KIdx, Co
 // CTile returns the task's output tile.
 func (t *Task) CTile() TileID { return TileID{Matrix: 'C', Row: t.I, Col: t.J} }
 
-// Flops returns the floating-point operations of the task.
-func (t *Task) Flops() float64 {
-	var k int
-	for _, s := range t.Steps {
-		k += s.K
-	}
-	return 2 * float64(t.M) * float64(t.N) * float64(k)
-}
-
 // Plan is the tiling of one DGEMM into a task queue.
 type Plan struct {
 	M, N, K                    int

@@ -121,11 +121,20 @@ func TestKSerpentineReuse(t *testing.T) {
 	}
 }
 
+// taskFlops is the operation count of one task over all its K steps.
+func taskFlops(t *Task) float64 {
+	var k int
+	for _, s := range t.Steps {
+		k += s.K
+	}
+	return 2 * float64(t.M) * float64(t.N) * float64(k)
+}
+
 func TestPlanFlopsConservation(t *testing.T) {
 	p := NewPlan(5000, 3000, 2000, 1024, true)
 	var sum float64
 	for _, task := range p.Tasks {
-		sum += task.Flops()
+		sum += taskFlops(task)
 	}
 	if total := p.TotalFlops(); sum != total {
 		t.Fatalf("task flops %v != plan flops %v", sum, total)

@@ -19,7 +19,7 @@ func TestPropertyPlanCoversAnyShape(t *testing.T) {
 		seen := map[[2]int]bool{}
 		area := 0
 		for _, task := range p.Tasks {
-			sum += task.Flops()
+			sum += taskFlops(task)
 			key := [2]int{task.I, task.J}
 			if seen[key] {
 				return false

@@ -44,16 +44,6 @@ func NewMembership(q int) Membership {
 	return Membership{World: q, Live: live}
 }
 
-// Index returns rank's position among the live members, or -1.
-func (m Membership) Index(rank int) int {
-	for i, r := range m.Live {
-		if r == rank {
-			return i
-		}
-	}
-	return -1
-}
-
 // Shrink removes the failed ranks and advances the epoch. Ranks not
 // currently live are ignored; the survivors keep their relative order —
 // that ordering IS the renumbering contract, golden-tested so it can never
@@ -149,17 +139,6 @@ func (l Layout) Adopt(failed, live []int) (Layout, []Adoption) {
 		}
 	}
 	return next, ads
-}
-
-// ColumnsOf lists the columns rank owns, ascending.
-func (l Layout) ColumnsOf(rank int) []int {
-	var cols []int
-	for b, o := range l.Owners {
-		if o == rank {
-			cols = append(cols, b)
-		}
-	}
-	return cols
 }
 
 func sortedCopy(xs []int) []int {

@@ -37,10 +37,6 @@ type batch struct {
 	gsplit     float64
 }
 
-func (b *batch) work() float64 {
-	return 2 * float64(b.rows) * float64(b.key.n) * float64(b.key.k)
-}
-
 // batchQueue is the FIFO of sealed batches awaiting a worker. The live
 // entries are q.items[q.head:]: popping advances head instead of re-slicing,
 // and a requeue at the front steps it back, so neither moves the queue. The
@@ -260,15 +256,4 @@ func (ba *Batcher) sealIf(key batchKey, seq uint64) *batch {
 // window returns the current assembly window for a key.
 func (ba *Batcher) window(key batchKey) sim.Time {
 	return ba.policyFor(key).window
-}
-
-// Target returns the current occupancy target for a (kind, n, k) shape —
-// exposed for tests and the metrics endpoint.
-func (ba *Batcher) Target(kind Kind, n, k int) int {
-	return ba.policyFor(batchKey{kind, n, k}).target
-}
-
-// Window returns the current assembly window for a (kind, n, k) shape.
-func (ba *Batcher) Window(kind Kind, n, k int) sim.Time {
-	return ba.policyFor(batchKey{kind, n, k}).window
 }

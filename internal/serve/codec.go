@@ -40,7 +40,7 @@ func ParseRequest(data []byte, lim Limits) (Request, Job, error) {
 	if err := json.Unmarshal(data, &req); err != nil {
 		return Request{}, Job{}, fmt.Errorf("serve: bad request JSON: %w", err)
 	}
-	job, err := jobFromRequest(req, lim)
+	job, err := jobFromRequest(req, lim.withDefaults())
 	if err != nil {
 		return Request{}, Job{}, err
 	}

@@ -102,11 +102,6 @@ type Job struct {
 	Submit sim.Time
 }
 
-// Work returns the job's admitted flop count.
-func (j Job) Work() float64 {
-	return 2 * float64(j.M) * float64(j.N) * float64(j.K)
-}
-
 // solveK returns the K dimension of the solve admission model: a solve of
 // order n carries 2/3·n³ flops, which the n x n x ceil(n/3) update shape
 // reproduces (to rounding) on the same hybrid backends.
@@ -114,10 +109,10 @@ func solveK(n int) int {
 	return (n + 2) / 3
 }
 
-// jobFromRequest validates a request against the limits and expands it to a
-// Job (ID and Submit are assigned by the server at admission).
+// jobFromRequest validates a request against resolved limits (no zero
+// fields: see Limits.withDefaults) and expands it to a Job (ID and Submit
+// are assigned by the server at admission).
 func jobFromRequest(req Request, lim Limits) (Job, error) {
-	lim = lim.withDefaults()
 	if req.Tenant == "" {
 		return Job{}, fmt.Errorf("serve: request missing tenant")
 	}

@@ -30,38 +30,30 @@ type Config struct {
 	// Horizon is the arrival window: clients emit from time 0 to Horizon.
 	// 0 selects DefaultHorizon.
 	Horizon sim.Time
-	// Tenants maps clients onto billing tenants round-robin. Nil selects
-	// DefaultTenants.
-	Tenants []string
-	// SolveFraction is the fraction of jobs that are dense solves; the
-	// rest are DGEMM updates. 0 selects DefaultSolveFraction; negative
-	// means no solves.
-	SolveFraction float64
-	// Shapes are the DGEMM row counts (M) clients draw uniformly; the
-	// shared (N, K) stays fixed per config so jobs can coalesce. Nil
-	// selects DefaultShapes. SolveOrders likewise for solve jobs.
-	Shapes      []int
-	SolveOrders []int
-	// N, K is the shared DGEMM batch shape. 0 selects 256.
-	N, K int
 }
 
 // Defaults for zero Config fields.
 const (
-	DefaultClients       = 1024
-	DefaultRate          = 2000.0
-	DefaultHorizon       = sim.Time(0.25)
-	DefaultSolveFraction = 0.25
+	DefaultClients = 1024
+	DefaultRate    = 2000.0
+	DefaultHorizon = sim.Time(0.25)
 )
 
-// DefaultTenants is the default tenant population.
-var DefaultTenants = []string{"alpha", "beta", "gamma", "delta"}
+// The traffic mix. Clients map onto the billing tenants round-robin; a
+// quarter of the jobs are dense solves and the rest DGEMM updates; DGEMM
+// row counts (M) and solve orders are drawn uniformly, and the shared
+// (N, K) batch shape stays fixed so jobs can coalesce.
+const (
+	solveFraction = 0.25
+	batchN        = 256
+	batchK        = 256
+)
 
-// DefaultShapes are the default DGEMM row draws.
-var DefaultShapes = []int{32, 64, 128, 256}
-
-// DefaultSolveOrders are the default solve order draws.
-var DefaultSolveOrders = []int{256, 512}
+var (
+	tenants     = []string{"alpha", "beta", "gamma", "delta"}
+	shapes      = []int{32, 64, 128, 256}
+	solveOrders = []int{256, 512}
+)
 
 func (c Config) withDefaults() Config {
 	if c.Clients == 0 {
@@ -72,26 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Horizon == 0 {
 		c.Horizon = DefaultHorizon
-	}
-	if c.Tenants == nil {
-		c.Tenants = DefaultTenants
-	}
-	if c.SolveFraction == 0 {
-		c.SolveFraction = DefaultSolveFraction
-	} else if c.SolveFraction < 0 {
-		c.SolveFraction = 0
-	}
-	if c.Shapes == nil {
-		c.Shapes = DefaultShapes
-	}
-	if c.SolveOrders == nil {
-		c.SolveOrders = DefaultSolveOrders
-	}
-	if c.N == 0 {
-		c.N = 256
-	}
-	if c.K == 0 {
-		c.K = 256
 	}
 	return c
 }
@@ -111,7 +83,7 @@ func Generate(cfg Config) []Arrival {
 	var out []Arrival
 	for c := 0; c < cfg.Clients; c++ {
 		rng := sim.NewStream(cfg.Seed, fmt.Sprintf("loadgen/client%d", c))
-		tenant := cfg.Tenants[c%len(cfg.Tenants)]
+		tenant := tenants[c%len(tenants)]
 		t := sim.Time(0)
 		for {
 			// Exponential interarrival at the client's share of the rate.
@@ -121,16 +93,16 @@ func Generate(cfg Config) []Arrival {
 				break
 			}
 			var req serve.Request
-			if rng.Float64() < cfg.SolveFraction {
+			if rng.Float64() < solveFraction {
 				req = serve.Request{
 					Tenant: tenant, Kind: "solve",
-					N: cfg.SolveOrders[rng.Intn(len(cfg.SolveOrders))],
+					N: solveOrders[rng.Intn(len(solveOrders))],
 				}
 			} else {
 				req = serve.Request{
 					Tenant: tenant, Kind: "dgemm",
-					M: cfg.Shapes[rng.Intn(len(cfg.Shapes))],
-					N: cfg.N, K: cfg.K,
+					M: shapes[rng.Intn(len(shapes))],
+					N: batchN, K: batchK,
 				}
 			}
 			out = append(out, Arrival{At: t, Client: c, Req: req})
@@ -240,14 +212,6 @@ func Summarize(s *serve.Server, arrivals int) Report {
 		rep.Tenants = append(rep.Tenants, ta.TenantStats)
 	}
 	return rep
-}
-
-// exactQuantile returns the q order statistic of xs (nearest-rank on a
-// sorted copy); 0 when empty.
-func exactQuantile(xs []float64, q float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return sortedQuantile(sorted, q)
 }
 
 // sortedQuantile returns the q order statistic (nearest rank) of an

@@ -54,7 +54,7 @@ func TestGenerateRateAndMix(t *testing.T) {
 	}
 	frac := float64(solves) / float64(len(trace))
 	if frac < 0.15 || frac > 0.35 {
-		t.Fatalf("solve fraction %g, want near %g", frac, DefaultSolveFraction)
+		t.Fatalf("solve fraction %g, want near %g", frac, solveFraction)
 	}
 }
 
@@ -82,8 +82,8 @@ func TestReplayThousandClients(t *testing.T) {
 	if rep.Throughput <= 0 || rep.P50 <= 0 || rep.P99 < rep.P50 {
 		t.Fatalf("degenerate summary: %+v", rep)
 	}
-	if len(rep.Tenants) != len(DefaultTenants) {
-		t.Fatalf("tenants: %d, want %d", len(rep.Tenants), len(DefaultTenants))
+	if len(rep.Tenants) != len(tenants) {
+		t.Fatalf("tenants: %d, want %d", len(rep.Tenants), len(tenants))
 	}
 	if !sort.SliceIsSorted(rep.Tenants, func(i, j int) bool {
 		return rep.Tenants[i].Tenant < rep.Tenants[j].Tenant
@@ -93,14 +93,14 @@ func TestReplayThousandClients(t *testing.T) {
 }
 
 func TestExactQuantile(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	if q := exactQuantile(xs, 0.5); q != 3 {
+	xs := []float64{1, 2, 3, 4, 5}
+	if q := sortedQuantile(xs, 0.5); q != 3 {
 		t.Fatalf("p50 = %g", q)
 	}
-	if q := exactQuantile(xs, 1); q != 5 {
+	if q := sortedQuantile(xs, 1); q != 5 {
 		t.Fatalf("p100 = %g", q)
 	}
-	if q := exactQuantile(nil, 0.5); q != 0 {
+	if q := sortedQuantile(nil, 0.5); q != 0 {
 		t.Fatalf("empty quantile = %g", q)
 	}
 }

@@ -28,9 +28,36 @@ func TestJobValidation(t *testing.T) {
 		{"solve over limit", Request{Tenant: "a", Kind: "solve", N: DefaultMaxRows + 1}, false},
 	}
 	for _, c := range cases {
-		_, err := jobFromRequest(c.req, Limits{})
+		_, err := jobFromRequest(c.req, Limits{}.withDefaults())
 		if (err == nil) != c.ok {
 			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestServerLimits pins which limits a server admits by: the package
+// defaults for a zero Config.Limits (resolved once, in New), and an
+// explicit smaller cap when one is configured.
+func TestServerLimits(t *testing.T) {
+	cases := []struct {
+		name string
+		lim  Limits
+		m    int
+		err  string // "" admits
+	}{
+		{"default cap admits a full batch of rows", Limits{}, DefaultMaxRows, ""},
+		{"default cap rejects one row more", Limits{}, DefaultMaxRows + 1, "serve: dgemm rows 8193 exceed the 8192-row job limit"},
+		{"explicit cap admits at the cap", Limits{MaxRows: 100}, 100, ""},
+		{"explicit cap rejects above it", Limits{MaxRows: 100}, 101, "serve: dgemm rows 101 exceed the 100-row job limit"},
+	}
+	for _, c := range cases {
+		s, err := New(Config{Seed: 1, Limits: c.lim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.SubmitAt(Request{Tenant: "t", Kind: "dgemm", M: c.m, N: 16, K: 16}, 0)
+		if got := fmt.Sprint(err); (c.err == "" && err != nil) || (c.err != "" && got != c.err) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.err)
 		}
 	}
 }
@@ -39,12 +66,12 @@ func TestSolveAdmissionFlops(t *testing.T) {
 	// The solve admission model must carry the LU's 2/3·n³ flops to within
 	// the rounding of ceil(n/3).
 	for _, n := range []int{33, 100, 512, 1000, 8192} {
-		job, err := jobFromRequest(Request{Tenant: "t", Kind: "solve", N: n}, Limits{})
+		job, err := jobFromRequest(Request{Tenant: "t", Kind: "solve", N: n}, Limits{}.withDefaults())
 		if err != nil {
 			t.Fatalf("solve n=%d: %v", n, err)
 		}
 		want := 2.0 / 3.0 * float64(n) * float64(n) * float64(n)
-		got := job.Work()
+		got := 2 * float64(job.M) * float64(job.N) * float64(job.K)
 		if rel := (got - want) / want; rel < 0 || rel > 0.07 {
 			t.Errorf("solve n=%d admitted work %g, want %g (+0..7%%), rel %g", n, got, want, rel)
 		}
@@ -388,7 +415,7 @@ func TestRetryAfterEstimate(t *testing.T) {
 		if r.RetryAfter <= 0 {
 			t.Fatalf("non-positive retry-after: %+v", r)
 		}
-		if r.RetryAfter != float64(DefaultMaxWindow) {
+		if r.RetryAfter != float64(maxBatchWindow) {
 			sawMeasured = true
 		}
 	}

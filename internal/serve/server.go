@@ -26,15 +26,6 @@ type Config struct {
 	// retry-after estimate — the queue never grows without bound.
 	// 0 selects DefaultQueueCap.
 	QueueCap int
-	// MaxBatch caps batch occupancy (jobs per coalesced call); the
-	// adaptive target stays at or below it. 0 selects DefaultMaxBatch.
-	MaxBatch int
-	// MaxBatchRows caps the stacked row count of one batch (the GPU's 2D
-	// resource limit). 0 selects DefaultMaxRows.
-	MaxBatchRows int
-	// MinWindow and MaxWindow bound the adaptive assembly window. 0
-	// selects DefaultMinWindow / DefaultMaxWindow.
-	MinWindow, MaxWindow sim.Time
 	// Limits bound admissible job shapes (zero value: package defaults).
 	Limits Limits
 	// Scenario optionally names a fault scenario (see fault.Scenarios)
@@ -47,18 +38,22 @@ type Config struct {
 	StruckWorkers   int
 	// Telemetry receives the service's probes; nil disables them.
 	Telemetry *telemetry.Telemetry
-	// OnResult, when set, observes every result (rejections included) in
-	// completion order.
-	OnResult func(Result)
 }
 
 // Defaults for the zero Config fields.
 const (
-	DefaultWorkers   = 4
-	DefaultQueueCap  = 2048
-	DefaultMaxBatch  = 64
-	DefaultMinWindow = sim.Time(200e-6)
-	DefaultMaxWindow = sim.Time(20e-3)
+	DefaultWorkers  = 4
+	DefaultQueueCap = 2048
+)
+
+// The batching envelope: occupancy is capped at maxBatchJobs jobs and
+// DefaultMaxRows stacked rows (the GPU's 2D resource limit, which is also
+// the most one job may contribute), and the adaptive assembly window stays
+// within [minBatchWindow, maxBatchWindow].
+const (
+	maxBatchJobs   = 64
+	minBatchWindow = sim.Time(200e-6)
+	maxBatchWindow = sim.Time(20e-3)
 )
 
 func (c Config) withDefaults() Config {
@@ -67,18 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCap == 0 {
 		c.QueueCap = DefaultQueueCap
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.MaxBatchRows == 0 {
-		c.MaxBatchRows = DefaultMaxRows
-	}
-	if c.MinWindow == 0 {
-		c.MinWindow = DefaultMinWindow
-	}
-	if c.MaxWindow == 0 {
-		c.MaxWindow = DefaultMaxWindow
 	}
 	if c.StruckWorkers == 0 {
 		c.StruckWorkers = 1
@@ -201,14 +184,11 @@ func (pr *serverProbes) tenant(name string) *tenantProbes {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	lim := cfg.Limits.withDefaults()
-	if cfg.MaxBatchRows > lim.MaxRows {
-		lim.MaxRows = cfg.MaxBatchRows // a single job may fill a whole batch
-	}
 	s := &Server{
 		cfg: cfg,
-		lim: cfg.Limits,
+		lim: lim,
 		eng: sim.NewEngine(),
-		ba:  newBatcher(cfg.MaxBatch, cfg.MaxBatchRows, cfg.MinWindow, cfg.MaxWindow),
+		ba:  newBatcher(maxBatchJobs, DefaultMaxRows, minBatchWindow, maxBatchWindow),
 	}
 	if tel := cfg.Telemetry; tel.Enabled() {
 		s.probes = &serverProbes{
@@ -236,7 +216,7 @@ func New(cfg Config) (*Server, error) {
 	if struck < 0 || struck > cfg.Workers {
 		struck = cfg.Workers
 	}
-	maxWork := 2 * float64(cfg.MaxBatchRows) * float64(lim.MaxDim) * float64(lim.MaxDim)
+	maxWork := 2 * DefaultMaxRows * float64(lim.MaxDim) * float64(lim.MaxDim)
 	deaths := 0
 	for i := 0; i < cfg.Workers; i++ {
 		elSeed := sim.NewStream(cfg.Seed, fmt.Sprintf("serve/worker%d", i)).Uint64()
@@ -281,15 +261,8 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Engine exposes the service's event loop (the load generator schedules
-// arrival events onto it).
-func (s *Server) Engine() *sim.Engine { return s.eng }
-
 // Now returns the current virtual time.
 func (s *Server) Now() sim.Time { return s.eng.Now() }
-
-// Batcher exposes the adaptive batching state (tests and metrics).
-func (s *Server) Batcher() *Batcher { return s.ba }
 
 // Stats returns the run's aggregate counters so far.
 func (s *Server) Stats() Stats { return s.stats }
@@ -381,12 +354,12 @@ func (s *Server) arrive(job Job) {
 func (s *Server) retryAfter() float64 {
 	now := s.eng.Now()
 	if s.stats.Completed == 0 || now <= 0 {
-		return float64(s.cfg.MaxWindow)
+		return float64(maxBatchWindow)
 	}
 	rate := float64(s.stats.Completed) / now
 	est := float64(s.waiting) / rate
-	if est < float64(s.cfg.MinWindow) {
-		est = float64(s.cfg.MinWindow)
+	if est < float64(minBatchWindow) {
+		est = float64(minBatchWindow)
 	}
 	return est
 }
@@ -576,10 +549,10 @@ func (s *Server) complete(b *batch, w *worker) {
 	s.pump()
 }
 
-// finish records a resolved result and notifies the observer. Every
-// submitted id resolves exactly once, so when either store is full it grows
-// to the submitted high-water mark: one step for a pre-submitted trace,
-// append's amortised doubling when jobs are submitted and run one at a time.
+// finish records a resolved result. Every submitted id resolves exactly
+// once, so when either store is full it grows to the submitted high-water
+// mark: one step for a pre-submitted trace, append's amortised doubling when
+// jobs are submitted and run one at a time.
 func (s *Server) finish(res Result) {
 	if len(s.results) == cap(s.results) {
 		s.results = slices.Grow(s.results, int(s.nextJobID)-len(s.results))
@@ -589,7 +562,4 @@ func (s *Server) finish(res Result) {
 		s.resultAt = append(s.resultAt, make([]int, int(s.nextJobID)-n)...)
 	}
 	s.resultAt[res.ID-1] = len(s.results)
-	if s.cfg.OnResult != nil {
-		s.cfg.OnResult(res)
-	}
 }

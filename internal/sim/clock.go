@@ -42,10 +42,3 @@ func (c *Clock) Sync(tm Time) Time {
 	}
 	return c.now
 }
-
-// Reset returns the clock to zero.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = 0
-}

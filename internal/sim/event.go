@@ -85,9 +85,6 @@ func (e *Engine) At(at Time, fn func()) {
 	e.nextSeq++
 }
 
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
-
 // Pending reports the number of scheduled events.
 func (e *Engine) Pending() int { return len(e.events) }
 
@@ -106,18 +103,6 @@ func (e *Engine) Step() bool {
 // Run executes events until none remain, returning the final time.
 func (e *Engine) Run() Time {
 	for e.Step() {
-	}
-	return e.now
-}
-
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to deadline if it is later than the last event.
-func (e *Engine) RunUntil(deadline Time) Time {
-	for len(e.events) > 0 && e.events[0].At <= deadline {
-		e.Step()
-	}
-	if deadline > e.now {
-		e.now = deadline
 	}
 	return e.now
 }

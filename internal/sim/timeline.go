@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -182,25 +181,4 @@ func Latest(ts ...*Timeline) Time {
 		}
 	}
 	return m
-}
-
-// MergeSpans gathers the spans of several timelines into one list sorted by
-// start time, prefixing each label with its resource name. Used for the
-// textual pipeline traces.
-func MergeSpans(ts ...*Timeline) []Span {
-	var all []Span
-	for _, t := range ts {
-		for _, s := range t.Spans() {
-			s.Label = t.Name() + ":" + s.Label
-			all = append(all, s)
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		//lint:ignore floateq exact-start ties must fall through to the label tie-breaker for a total order
-		if all[i].Start != all[j].Start {
-			return all[i].Start < all[j].Start
-		}
-		return all[i].Label < all[j].Label
-	})
-	return all
 }

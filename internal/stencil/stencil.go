@@ -34,6 +34,9 @@ const (
 // -6c scale and the alpha multiply-add).
 const flopsPerCell = 8.0
 
+// alpha is the diffusion coefficient: 1/8 is stable for the 7-point operator.
+const alpha = 0.125
+
 // Config describes one sweep.
 type Config struct {
 	// NX, NY, NZ are the grid dimensions in points.
@@ -42,9 +45,6 @@ type Config struct {
 	Steps int
 	// BlockZ is the Z-slab depth of the decomposition; <= 0 selects 8.
 	BlockZ int
-	// Alpha is the diffusion coefficient; 0 selects 1/8 (stable for the
-	// 7-point operator).
-	Alpha float64
 	// Hybrid arms slab tasks with the split CPU+GPU body: a slab's XY-rows
 	// divide between the device and the host cores by an adaptive GSplit
 	// learned per slab size, the same oracle the LU trailing update uses.
@@ -59,9 +59,6 @@ func (c Config) withDefaults() Config {
 	if c.BlockZ <= 0 {
 		c.BlockZ = 8
 	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.125
-	}
 	return c
 }
 
@@ -70,9 +67,6 @@ func (c Config) Blocks() int { return (c.NZ + c.BlockZ - 1) / c.BlockZ }
 
 // points returns the grid size.
 func (c Config) points() int { return c.NX * c.NY * c.NZ }
-
-// Flops returns the total operation count of the sweep.
-func (c Config) Flops() float64 { return flopsPerCell * float64(c.points()) * float64(c.Steps) }
 
 // Sweep is one sweep instance: the configuration plus, for real runs, the
 // two parity buffers the tasks ping-pong between.
@@ -122,7 +116,6 @@ func (s *Sweep) Result() []float64 {
 // their value over (Dirichlet).
 func (s *Sweep) updateSlab(in, out []float64, z0, z1 int) {
 	nx, ny, nz := s.cfg.NX, s.cfg.NY, s.cfg.NZ
-	alpha := s.cfg.Alpha
 	for k := z0; k < z1; k++ {
 		for j := 0; j < ny; j++ {
 			base := nx * (j + ny*k)

@@ -47,11 +47,6 @@ type Handle struct {
 	bytes int64
 }
 
-// Name returns the handle's name. It labels traces and error messages only:
-// dependency inference and device residency identify a handle by its
-// registration in the graph, so names need not be unique.
-func (h *Handle) Name() string { return h.name }
-
 // Bytes returns the handle's footprint.
 func (h *Handle) Bytes() int64 { return h.bytes }
 

@@ -3,7 +3,6 @@ package taskgraph
 import (
 	"encoding/json"
 	"math"
-	"sort"
 	"sync"
 
 	"tianhe/internal/adaptive"
@@ -233,23 +232,4 @@ func (db *RateDB) UnmarshalJSON(b []byte) error {
 	}
 	db.trust = adaptive.Trust{}
 	return nil
-}
-
-// Codelets returns the sorted union of codelet names with any learned rate,
-// for reports and tests.
-func (db *RateDB) Codelets() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	seen := map[string]bool{}
-	for _, m := range db.cells {
-		for k := range m {
-			seen[k] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

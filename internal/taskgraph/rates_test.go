@@ -78,6 +78,15 @@ func TestRateDBRewarmRestoresTrustGradually(t *testing.T) {
 	}
 }
 
+// learnedCells counts the (class, codelet) cells holding a rate.
+func learnedCells(db *RateDB) int {
+	n := 0
+	for _, m := range db.cells {
+		n += len(m)
+	}
+	return n
+}
+
 func TestRateDBJSONRoundTrip(t *testing.T) {
 	db := NewRateDB()
 	db.ObserveClass("gemm", ClassGPU, 1e9, 0.5)
@@ -100,8 +109,8 @@ func TestRateDBJSONRoundTrip(t *testing.T) {
 	if got, want := back.EstimateClass("gemm", ClassGPU, 1e9, 9), db.EstimateClass("gemm", ClassGPU, 1e9, 9); got != want {
 		t.Errorf("restored estimate = %v, want %v", got, want)
 	}
-	if got := back.Codelets(); len(got) != 2 || got[0] != "gemm" || got[1] != "panel" {
-		t.Errorf("Codelets = %v, want [gemm panel]", got)
+	if back.cells[ClassGPU]["gemm"] == nil || back.cells[ClassCPU]["panel"] == nil || learnedCells(&back) != 2 {
+		t.Errorf("restored cells = %v, want gemm on the GPU and panel on the CPU only", back.cells)
 	}
 }
 

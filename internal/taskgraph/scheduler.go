@@ -17,11 +17,6 @@ import (
 
 // Options configures a Scheduler.
 type Options struct {
-	// Affinity is the measured-rate database placement decisions blend with
-	// the static cost models; nil builds a fresh one. Sharing one database
-	// across graphs is how the runtime learns: the LU stepper feeds every
-	// iteration's measurements into the next iteration's placements.
-	Affinity *RateDB
 	// Telemetry receives the scheduler's probes; nil disables them.
 	Telemetry *telemetry.Telemetry
 	// Verify enables ABFT checksum verification of every GPU task that
@@ -102,17 +97,6 @@ func (r Report) GFLOPS() float64 {
 	return r.Flops / s / 1e9
 }
 
-// Span returns the recorded span of the named task; ok is false when the
-// task was not scheduled (stalled run).
-func (r Report) Span(name string) (TaskSpan, bool) {
-	for _, ts := range r.TaskSpans {
-		if ts.Name == name {
-			return ts, true
-		}
-	}
-	return TaskSpan{}, false
-}
-
 // schedProbes holds the scheduler's metric handles, fetched once.
 type schedProbes struct {
 	tasks, tasksGPU, tasksCPU       *telemetry.Counter
@@ -188,16 +172,14 @@ type Scheduler struct {
 
 // NewScheduler builds a scheduler over the element.
 func NewScheduler(el *element.Element, opts Options) *Scheduler {
-	if opts.Affinity == nil {
-		opts.Affinity = NewRateDB()
-	}
+	rates := NewRateDB()
 	for _, sd := range opts.RateSeeds {
-		opts.Affinity.Seed(sd.Codelet, sd.Class, sd.Rate)
+		rates.Seed(sd.Codelet, sd.Class, sd.Rate)
 	}
 	return &Scheduler{
 		el:     el,
 		opts:   opts,
-		rates:  opts.Affinity,
+		rates:  rates,
 		probes: newSchedProbes(opts.Telemetry),
 		gate:   gpu.NewLossGate(el.GPU),
 	}

@@ -12,6 +12,17 @@ import (
 	"tianhe/internal/sim"
 )
 
+// Span returns the recorded span of the named task; ok is false when the
+// task was not scheduled (stalled run).
+func (r Report) Span(name string) (TaskSpan, bool) {
+	for _, ts := range r.TaskSpans {
+		if ts.Name == name {
+			return ts, true
+		}
+	}
+	return TaskSpan{}, false
+}
+
 func testElement(seed uint64) *element.Element {
 	return element.New(element.Config{Seed: seed, Virtual: true})
 }
@@ -338,8 +349,8 @@ func TestWorkingSetOverflowIsATypedError(t *testing.T) {
 	if want := fmt.Sprintf("taskgraph: working set of %d bytes exceeds device memory %d", b.Bytes(), mem); err.Error() != want {
 		t.Errorf("message = %q, want %q", err, want)
 	}
-	if got := sch.Rates().Codelets(); len(got) != 0 {
-		t.Errorf("aborted placement fed the rate database: %v", got)
+	if n := learnedCells(sch.Rates()); n != 0 {
+		t.Errorf("aborted placement fed %d cells of the rate database", n)
 	}
 }
 

@@ -332,14 +332,6 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
 }
 
-// Bounds returns the bucket upper bounds.
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return append([]float64(nil), h.bounds...)
-}
-
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
@@ -388,19 +380,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return h.Sum() / float64(n)
-}
-
-// BucketCounts returns a copy of the per-bucket counts; the last entry is
-// the overflow bucket.
-func (h *Histogram) BucketCounts() []int64 {
-	if h == nil {
-		return nil
-	}
-	out := make([]int64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.counts[i].Load()
-	}
-	return out
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) by linear interpolation

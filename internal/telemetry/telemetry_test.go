@@ -42,13 +42,12 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		h.Observe(v)
 	}
 	want := []int64{2, 2, 2, 2} // (-inf,1] (1,2] (2,4] (4,+inf)
-	got := h.BucketCounts()
-	if len(got) != len(want) {
-		t.Fatalf("bucket count = %d, want %d", len(got), len(want))
+	if len(h.counts) != len(want) {
+		t.Fatalf("bucket count = %d, want %d", len(h.counts), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("bucket %d = %d, want %d", i, got[i], want[i])
+		if got := h.counts[i].Load(); got != want[i] {
+			t.Errorf("bucket %d = %d, want %d", i, got, want[i])
 		}
 	}
 	if h.Count() != 8 {
@@ -231,8 +230,7 @@ func TestTracerSeries(t *testing.T) {
 	if len(got) != 2 || got[0].V != 10 || got[1].V != 20 {
 		t.Fatalf("Series = %+v, want [{1 10} {2 20}]", got)
 	}
-	names := tr.SeriesNames()
-	if len(names) != 2 {
-		t.Fatalf("SeriesNames = %v, want 2 names", names)
+	if other := tr.Series("other"); len(other) != 1 || other[0].V != 99 {
+		t.Fatalf("Series(other) = %+v, want [{1.5 99}]", other)
 	}
 }

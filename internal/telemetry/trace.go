@@ -71,9 +71,6 @@ func NewTracer() *Tracer {
 	return &Tracer{tids: make(map[string]int)}
 }
 
-// Enabled reports whether events are recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 func (t *Tracer) add(e Event) {
 	t.mu.Lock()
 	if _, ok := t.tids[e.Track]; !ok {
@@ -139,24 +136,6 @@ func (t *Tracer) Series(name string) []Sample {
 	for _, e := range t.events {
 		if e.Phase == PhaseCounter && e.Name == name {
 			out = append(out, Sample{T: e.Start, V: e.Value})
-		}
-	}
-	return out
-}
-
-// SeriesNames returns the distinct counter series names in first-use order.
-func (t *Tracer) SeriesNames() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	seen := make(map[string]bool)
-	var out []string
-	for _, e := range t.events {
-		if e.Phase == PhaseCounter && !seen[e.Name] {
-			seen[e.Name] = true
-			out = append(out, e.Name)
 		}
 	}
 	return out
