@@ -7,6 +7,7 @@ import (
 
 	"tianhe/internal/matrix"
 	"tianhe/internal/sim"
+	"tianhe/internal/sim/simtest"
 )
 
 // packedOpCase checks Dgemm and DgemmParallel against the
@@ -82,7 +83,7 @@ func TestDgemmPackedParallelBitIdentical(t *testing.T) {
 // buffer and reads op(B) straight into the multiplier panel, so after warmup
 // a transposed Dgemm performs no per-call allocation at all.
 func TestDgemmTransNoPerCallAllocation(t *testing.T) {
-	if raceEnabled {
+	if simtest.RaceEnabled {
 		t.Skip("race-detector shadow memory skews allocation accounting")
 	}
 	const m, n, k = 256, 96, 256

@@ -550,11 +550,11 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 				members++
 			}
 		}
-		g.Add(&taskgraph.Task{
+		g.Add(taskgraph.Task{
 			Name:    fmt.Sprintf("xor%03d", rb.Col),
 			Codelet: "rebuild.xor",
 			Flops:   float64(members+1) * float64(n*nb),
-			Costs: taskgraph.Costs{CPUSeconds: func() float64 {
+			Costs: taskgraph.Costs{CPUSeconds: func(*taskgraph.Task) float64 {
 				return float64(members+1) * float64(8*n*nb) / elasticMemBps
 			}},
 			Run: func() {
@@ -566,8 +566,7 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 				}
 				factored[rb.Col] = acc
 			},
-			Accesses: accs,
-		})
+		}, accs...)
 	}
 	// Historical panels: undo later iterations' row swaps on each factored
 	// column so replay sees the panel exactly as iteration i broadcast it.
@@ -578,11 +577,11 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 		for _, rb := range xors {
 			reads = append(reads, taskgraph.Access{H: handle(rb.Col), Mode: taskgraph.Read})
 		}
-		g.Add(&taskgraph.Task{
+		g.Add(taskgraph.Task{
 			Name:    "hist",
 			Codelet: "rebuild.hist",
 			Flops:   float64(k) * float64(n*nb),
-			Costs: taskgraph.Costs{CPUSeconds: func() float64 {
+			Costs: taskgraph.Costs{CPUSeconds: func(*taskgraph.Task) float64 {
 				return float64(k) * float64(8*n*nb) / elasticMemBps
 			}},
 			Run: func() {
@@ -590,10 +589,14 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 					hist[i] = st.unswapPanel(factored[i], i, k)
 				}
 			},
-			Accesses: append(reads, taskgraph.Access{H: histH, Mode: taskgraph.Write}),
-		})
+		}, append(reads, taskgraph.Access{H: histH, Mode: taskgraph.Write})...)
 		// Replay chains: regenerate, then apply iterations 0..k-1 with the
-		// exact per-column call shapes of the live loop.
+		// exact per-column call shapes of the live loop. The replay codelet's
+		// cost is its work, whichever column and iteration.
+		replayCosts := taskgraph.Costs{
+			CPUSeconds: func(t *taskgraph.Task) float64 { return t.Flops / replayCPURate },
+			GPUSeconds: func(t *taskgraph.Task) float64 { return t.Flops / replayGPURate },
+		}
 		for _, rb := range mine {
 			if rb.Source != rcv.FromReplay {
 				continue
@@ -601,40 +604,33 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 			rb := rb
 			col := matrix.NewDense(n, nb)
 			st.cols[rb.Col] = col
-			g.Add(&taskgraph.Task{
+			g.Add(taskgraph.Task{
 				Name:    fmt.Sprintf("gen%03d", rb.Col),
 				Codelet: "rebuild.gen",
 				Flops:   float64(n * nb),
-				Costs: taskgraph.Costs{CPUSeconds: func() float64 {
+				Costs: taskgraph.Costs{CPUSeconds: func(*taskgraph.Task) float64 {
 					return float64(8*n*nb) / elasticMemBps
 				}},
 				Run: func() {
 					col.CopyFrom(st.fullA.View(0, rb.Col*nb, n, nb))
 				},
-				Accesses: []taskgraph.Access{{H: handle(rb.Col), Mode: taskgraph.Write}},
-			})
+			}, taskgraph.Access{H: handle(rb.Col), Mode: taskgraph.Write})
 			for i := 0; i < k; i++ {
 				i := i
 				m := n - i*nb
-				flops := 2 * float64(m-nb) * float64(nb) * float64(nb)
-				g.Add(&taskgraph.Task{
+				g.Add(taskgraph.Task{
 					Name:     fmt.Sprintf("rep%03d.%03d", rb.Col, i),
 					Codelet:  "rebuild.replay",
-					Flops:    flops,
+					Flops:    2 * float64(m-nb) * float64(nb) * float64(nb),
 					Shape:    [3]int{m - nb, nb, nb},
 					Priority: 1,
-					Costs: taskgraph.Costs{
-						CPUSeconds: func() float64 { return flops / replayCPURate },
-						GPUSeconds: func() float64 { return flops / replayGPURate },
-					},
+					Costs:    replayCosts,
 					Run: func() {
 						st.replayIteration(col, hist[i], i)
 					},
-					Accesses: []taskgraph.Access{
-						{H: handle(rb.Col), Mode: taskgraph.ReadWrite},
-						{H: histH, Mode: taskgraph.Read},
-					},
-				})
+				},
+					taskgraph.Access{H: handle(rb.Col), Mode: taskgraph.ReadWrite},
+					taskgraph.Access{H: histH, Mode: taskgraph.Read})
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package hpl
 
 import (
 	"fmt"
-	"strconv"
 
 	"tianhe/internal/adaptive"
 	"tianhe/internal/blas"
@@ -86,176 +85,215 @@ func BuildLUGraph(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs 
 			panic("hpl: ipiv too short")
 		}
 	}
-	geo := luTiles{n: n, nb: opts.NB, t: (n + opts.NB - 1) / opts.NB}
-	g := taskgraph.New()
+	b := newLUBuilder(n, a, ipiv, el, errs, opts)
+	for k := 0; k < b.geo.t; k++ {
+		b.iterStart = append(b.iterStart, b.g.Len())
+		b.addPanel(k)
+		b.addSwapsAndPreps(k)
+		b.addUpdates(k)
+	}
+	return b.g
+}
 
-	// One handle per matrix tile plus one per panel's pivot block.
-	tiles := make([][]*taskgraph.Handle, geo.t)
-	pivs := make([]*taskgraph.Handle, geo.t)
+// luBuilder is a whole-factorization graph under construction.
+type luBuilder struct {
+	g    *taskgraph.Graph
+	geo  luTiles
+	a    *matrix.Dense // nil builds the virtual form, with no bodies
+	ipiv []int
+	errs []error
+	opts GraphOptions
+
+	tiles []*taskgraph.Handle // one per matrix tile, row-major t×t
+	pivs  []*taskgraph.Handle // one per panel's pivot block
+	// iterStart[k] is the id of iteration k's first task: ids are creation
+	// order, so iteration k is Tasks()[iterStart[k]:iterStart[k+1]].
+	iterStart []int
+	accs      []taskgraph.Access // scratch for column-long access lists
+
+	// The codelets' cost functions, shared by all their tasks.
+	panelCosts, gemmCosts taskgraph.Costs
+	// part is the split oracle hybrid bodies consult: database_g keyed by
+	// tile work decides the GPU row fraction, database_c the per-core shares
+	// of the host half, starting from the element's peak ratio.
+	part adaptive.Partitioner
+	el   *element.Element
+}
+
+func (b *luBuilder) tile(r, c int) *taskgraph.Handle { return b.tiles[r*b.geo.t+c] }
+
+// newLUBuilder registers the handles and makes the per-codelet cost functions.
+func newLUBuilder(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs []error, opts GraphOptions) *luBuilder {
+	geo := luTiles{n: n, nb: opts.NB, t: (n + opts.NB - 1) / opts.NB}
+	core, gpu := el.CPU.Core(0), el.GPU
+	b := &luBuilder{
+		g: taskgraph.New(), geo: geo, a: a, ipiv: ipiv, errs: errs, opts: opts,
+		tiles: make([]*taskgraph.Handle, geo.t*geo.t),
+		pivs:  make([]*taskgraph.Handle, geo.t),
+		el:    el,
+	}
 	for r := 0; r < geo.t; r++ {
-		tiles[r] = make([]*taskgraph.Handle, geo.t)
 		for c := 0; c < geo.t; c++ {
-			tiles[r][c] = g.NewHandle(indexed("t", r, c),
+			b.tiles[r*geo.t+c] = b.g.NewHandle(taskgraph.Name("t(%d,%d)", r, c),
 				8*int64(geo.width(r))*int64(geo.width(c)))
 		}
 	}
 	for k := 0; k < geo.t; k++ {
-		pivs[k] = g.NewHandle(indexed("piv", k), 8*int64(geo.width(k)))
+		b.pivs[k] = b.g.NewHandle(taskgraph.Name("piv(%d)", k), 8*int64(geo.width(k)))
 	}
-
-	// colAccesses declares the footprint of a whole-column operation touching
-	// rows >= the diagonal block (pivoting never reaches above it).
-	colAccesses := func(k, c int, mode taskgraph.AccessMode) []taskgraph.Access {
-		accs := make([]taskgraph.Access, 0, geo.t-k+1)
-		for r := k; r < geo.t; r++ {
-			accs = append(accs, taskgraph.Access{H: tiles[r][c], Mode: mode})
-		}
-		return accs
+	b.panelCosts.CPUSeconds = func(t *taskgraph.Task) float64 { return t.Flops / (perfmodel.HostPanelGFLOPS * 1e9) }
+	b.gemmCosts = taskgraph.Costs{
+		CPUSeconds: func(t *taskgraph.Task) float64 { return core.Seconds(t.Shape[0], t.Shape[1], t.Shape[2], false) },
+		GPUSeconds: func(t *taskgraph.Task) float64 {
+			return gpu.Model().KernelSeconds(t.Shape[0], t.Shape[1], t.Shape[2])
+		},
 	}
-
-	core := el.CPU.Core(0)
-	gpu := el.GPU
-	// part is the split oracle hybrid bodies consult: database_g keyed by
-	// tile work decides the GPU row fraction, database_c the per-core shares
-	// of the host half, starting from the element's peak ratio.
-	var part adaptive.Partitioner
 	if opts.Hybrid {
 		// Bucket splits by tile work: full NB³ update tiles land in the top
 		// bucket, the narrower edge tiles in lower ones — the same shape
 		// keying the monolithic loop's database_g uses for trailing updates.
 		maxWork := 2 * float64(opts.NB) * float64(opts.NB) * float64(opts.NB)
-		part = adaptive.NewAdaptive(64, maxWork, el.InitialGSplit(), el.CPU.NumCores())
+		b.part = adaptive.NewAdaptive(64, maxWork, el.InitialGSplit(), el.CPU.NumCores())
 	}
-	var iter [][]*taskgraph.Task // all tasks of iteration k, for depth barriers
-	for k := 0; k < geo.t; k++ {
-		k := k
-		j, jb := geo.off(k), geo.width(k)
-		mp := n - j // panel height
-		var tasks []*taskgraph.Task
+	return b
+}
 
-		panelFlops := float64(jb) * float64(jb) * (float64(mp) - float64(jb)/3)
-		panel := &taskgraph.Task{
-			Name:     indexed("panel", k),
-			Codelet:  "lu.panel",
-			Flops:    panelFlops,
-			Priority: 3,
-			Costs:    taskgraph.Costs{CPUSeconds: func() float64 { return panelFlops / (perfmodel.HostPanelGFLOPS * 1e9) }},
-			Accesses: append(colAccesses(k, k, taskgraph.ReadWrite),
-				taskgraph.Access{H: pivs[k], Mode: taskgraph.Write}),
+// colAccesses declares, in the builder's scratch, the footprint of a
+// whole-column operation touching rows >= the diagonal block (pivoting never
+// reaches above it), followed by extra.
+func (b *luBuilder) colAccesses(k, c int, mode taskgraph.AccessMode, extra ...taskgraph.Access) []taskgraph.Access {
+	accs := b.accs[:0]
+	for r := k; r < b.geo.t; r++ {
+		accs = append(accs, taskgraph.Access{H: b.tile(r, c), Mode: mode})
+	}
+	b.accs = append(accs, extra...)
+	return b.accs
+}
+
+// addPanel books panel(k), gated by the look-ahead depth barrier.
+func (b *luBuilder) addPanel(k int) {
+	a, ipiv, errs := b.a, b.ipiv, b.errs
+	j, jb := b.geo.off(k), b.geo.width(k)
+	mp := b.geo.n - j // panel height
+	panel := taskgraph.Task{
+		Name:     taskgraph.Name("panel(%d)", k),
+		Codelet:  "lu.panel",
+		Flops:    float64(jb) * float64(jb) * (float64(mp) - float64(jb)/3),
+		Priority: 3,
+		Costs:    b.panelCosts,
+	}
+	if a != nil {
+		panel.Run = func() {
+			piv := ipiv[j : j+jb]
+			if err := PanelFactor(a.View(j, j, mp, jb), piv); err != nil && errs != nil {
+				errs[k] = ErrSingular{Step: j + err.(ErrSingular).Step}
+			}
+			for i := range piv {
+				piv[i] += j // rebase panel-relative pivots to absolute rows
+			}
+		}
+	}
+	t := b.g.Add(panel, b.colAccesses(k, k, taskgraph.ReadWrite,
+		taskgraph.Access{H: b.pivs[k], Mode: taskgraph.Write})...)
+	if b.opts.Lookahead >= 0 {
+		if gate := k - 1 - b.opts.Lookahead; gate >= 0 {
+			b.g.After(t, b.g.Tasks()[b.iterStart[gate]:b.iterStart[gate+1]]...)
+		}
+	}
+}
+
+// addSwapsAndPreps books panel k's pivots onto every other column block:
+// swap(k,c) on the already-factored columns to the left, prep(k,c) — pivots
+// plus the U12 triangular solve — on the right. Their costs need the panel
+// and column widths, which a task does not carry, so each keeps a cost
+// function of its own; there are O(t²) of them against O(t³) updates.
+func (b *luBuilder) addSwapsAndPreps(k int) {
+	a, ipiv, n := b.a, b.ipiv, b.geo.n
+	j, jb := b.geo.off(k), b.geo.width(k)
+	for c := 0; c < b.geo.t; c++ {
+		if c == k {
+			continue
+		}
+		c0, cw := b.geo.off(c), b.geo.width(c)
+		swapSec := 16 * float64(jb) * float64(cw) / (graphSwapGBps * 1e9)
+		pivots := taskgraph.Access{H: b.pivs[k], Mode: taskgraph.Read}
+		if c < k {
+			t := taskgraph.Task{
+				Name:     taskgraph.Name("swap(%d,%d)", k, c),
+				Codelet:  "lu.swap",
+				Priority: 1,
+				Costs:    taskgraph.Costs{CPUSeconds: func(*taskgraph.Task) float64 { return swapSec }},
+			}
+			if a != nil {
+				t.Run = func() { blas.Dlaswp(a.View(0, c0, n, cw), ipiv, j, j+jb) }
+			}
+			b.g.Add(t, b.colAccesses(k, c, taskgraph.ReadWrite, pivots)...)
+			continue
+		}
+		t := taskgraph.Task{
+			Name:     taskgraph.Name("prep(%d,%d)", k, c),
+			Codelet:  "lu.trsm",
+			Flops:    float64(jb) * float64(jb) * float64(cw),
+			Priority: 2,
+			Costs: taskgraph.Costs{CPUSeconds: func(t *taskgraph.Task) float64 {
+				return swapSec + t.Flops/(perfmodel.HostTrsmGFLOPS*1e9)
+			}},
 		}
 		if a != nil {
-			panel.Run = func() {
-				piv := ipiv[j : j+jb]
-				if err := PanelFactor(a.View(j, j, mp, jb), piv); err != nil && errs != nil {
-					errs[k] = ErrSingular{Step: j + err.(ErrSingular).Step}
-				}
-				for i := range piv {
-					piv[i] += j // rebase panel-relative pivots to absolute rows
-				}
+			t.Run = func() {
+				blas.Dlaswp(a.View(0, c0, n, cw), ipiv, j, j+jb)
+				blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit,
+					1, a.View(j, j, jb, jb), a.View(j, c0, jb, cw))
 			}
 		}
-		g.Add(panel)
-		tasks = append(tasks, panel)
-		if opts.Lookahead >= 0 {
-			if gate := k - 1 - opts.Lookahead; gate >= 0 {
-				g.After(panel, iter[gate]...)
-			}
-		}
-
-		for c := 0; c < geo.t; c++ {
-			if c == k {
-				continue
-			}
-			c := c
-			c0, cw := geo.off(c), geo.width(c)
-			swapSec := func() float64 { return 16 * float64(jb) * float64(cw) / (graphSwapGBps * 1e9) }
-			accs := append(colAccesses(k, c, taskgraph.ReadWrite),
-				taskgraph.Access{H: pivs[k], Mode: taskgraph.Read})
-			var t *taskgraph.Task
-			if c < k {
-				// Pivots applied to the already-factored columns on the left.
-				t = &taskgraph.Task{
-					Name:     indexed("swap", k, c),
-					Codelet:  "lu.swap",
-					Priority: 1,
-					Costs:    taskgraph.Costs{CPUSeconds: swapSec},
-					Accesses: accs,
-				}
-				if a != nil {
-					t.Run = func() { blas.Dlaswp(a.View(0, c0, n, cw), ipiv, j, j+jb) }
-				}
-			} else {
-				// Pivots plus the U12 triangular solve on the right.
-				trsmFlops := float64(jb) * float64(jb) * float64(cw)
-				t = &taskgraph.Task{
-					Name:     indexed("prep", k, c),
-					Codelet:  "lu.trsm",
-					Flops:    trsmFlops,
-					Priority: 2,
-					Costs: taskgraph.Costs{CPUSeconds: func() float64 {
-						return swapSec() + trsmFlops/(perfmodel.HostTrsmGFLOPS*1e9)
-					}},
-					Accesses: append(accs, taskgraph.Access{H: tiles[k][k], Mode: taskgraph.Read}),
-				}
-				if a != nil {
-					t.Run = func() {
-						blas.Dlaswp(a.View(0, c0, n, cw), ipiv, j, j+jb)
-						blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit,
-							1, a.View(j, j, jb, jb), a.View(j, c0, jb, cw))
-					}
-				}
-			}
-			g.Add(t)
-			tasks = append(tasks, t)
-		}
-
-		for c := k + 1; c < geo.t; c++ {
-			c0, cw := geo.off(c), geo.width(c)
-			for r := k + 1; r < geo.t; r++ {
-				r0, rh := geo.off(r), geo.width(r)
-				t := &taskgraph.Task{
-					Name:    indexed("upd", k, r, c),
-					Codelet: "lu.gemm",
-					Flops:   2 * float64(rh) * float64(cw) * float64(jb),
-					Shape:   [3]int{rh, cw, jb},
-					Costs: taskgraph.Costs{
-						CPUSeconds: func() float64 { return core.Seconds(rh, cw, jb, false) },
-						GPUSeconds: func() float64 { return gpu.Model().KernelSeconds(rh, cw, jb) },
-					},
-					Accesses: []taskgraph.Access{
-						{H: tiles[r][k], Mode: taskgraph.Read},
-						{H: tiles[k][c], Mode: taskgraph.Read},
-						{H: tiles[r][c], Mode: taskgraph.ReadWrite},
-					},
-				}
-				if opts.Hybrid {
-					flops := t.Flops
-					t.Hybrid = &taskgraph.Hybrid{
-						Rows:       rh,
-						Split:      func() float64 { return part.GSplit(flops) },
-						GPUSeconds: func(rows int) float64 { return gpu.Model().KernelSeconds(rows, cw, jb) },
-						CPUSeconds: func(rows int) float64 { return core.Seconds(rows, cw, jb, false) },
-						CSplits:    part.CSplits,
-						Observe: func(gsplit, tg, tc float64, coreWorks, coreTimes []float64) {
-							part.Observe(adaptive.Observation{Work: flops, GSplit: gsplit, TG: tg, TC: tc,
-								CoreWorks: coreWorks, CoreTimes: coreTimes})
-						},
-					}
-				}
-				if a != nil {
-					t.Run = func() {
-						blas.Dgemm(blas.NoTrans, blas.NoTrans,
-							-1, a.View(r0, j, rh, jb), a.View(j, c0, jb, cw),
-							1, a.View(r0, c0, rh, cw))
-					}
-				}
-				g.Add(t)
-				tasks = append(tasks, t)
-			}
-		}
-		iter = append(iter, tasks)
+		b.g.Add(t, b.colAccesses(k, c, taskgraph.ReadWrite, pivots,
+			taskgraph.Access{H: b.tile(k, k), Mode: taskgraph.Read})...)
 	}
-	return g
+}
+
+// addUpdates books iteration k's trailing update, upd(k,r,c) for every tile
+// below and right of the diagonal block, column by column.
+func (b *luBuilder) addUpdates(k int) {
+	a, part, core, gpu := b.a, b.part, b.el.CPU.Core(0), b.el.GPU
+	j, jb := b.geo.off(k), b.geo.width(k)
+	for c := k + 1; c < b.geo.t; c++ {
+		c0, cw := b.geo.off(c), b.geo.width(c)
+		for r := k + 1; r < b.geo.t; r++ {
+			r0, rh := b.geo.off(r), b.geo.width(r)
+			t := taskgraph.Task{
+				Name:    taskgraph.Name("upd(%d,%d,%d)", k, r, c),
+				Codelet: "lu.gemm",
+				Flops:   2 * float64(rh) * float64(cw) * float64(jb),
+				Shape:   [3]int{rh, cw, jb},
+				Costs:   b.gemmCosts,
+			}
+			if part != nil {
+				flops := t.Flops
+				t.Hybrid = &taskgraph.Hybrid{
+					Rows:       rh,
+					Split:      func() float64 { return part.GSplit(flops) },
+					GPUSeconds: func(rows int) float64 { return gpu.Model().KernelSeconds(rows, cw, jb) },
+					CPUSeconds: func(rows int) float64 { return core.Seconds(rows, cw, jb, false) },
+					CSplits:    part.CSplits,
+					Observe: func(gsplit, tg, tc float64, coreWorks, coreTimes []float64) {
+						part.Observe(adaptive.Observation{Work: flops, GSplit: gsplit, TG: tg, TC: tc,
+							CoreWorks: coreWorks, CoreTimes: coreTimes})
+					},
+				}
+			}
+			if a != nil {
+				t.Run = func() {
+					blas.Dgemm(blas.NoTrans, blas.NoTrans,
+						-1, a.View(r0, j, rh, jb), a.View(j, c0, jb, cw),
+						1, a.View(r0, c0, rh, cw))
+				}
+			}
+			b.g.Add(t,
+				taskgraph.Access{H: b.tile(r, k), Mode: taskgraph.Read},
+				taskgraph.Access{H: b.tile(k, c), Mode: taskgraph.Read},
+				taskgraph.Access{H: b.tile(r, c), Mode: taskgraph.ReadWrite})
+		}
+	}
 }
 
 // GraphRateSeeds returns perfmodel-derived cold-start priors for the LU
@@ -349,21 +387,4 @@ func GraphRun(n int, seed uint64, el *element.Element, opts GraphOptions) (Resul
 		return r, rep, fmt.Errorf("hpl: residual %g exceeds threshold %g", res, ResidualThreshold)
 	}
 	return r, rep, nil
-}
-
-// indexed returns prefix(i) or prefix(i,j,...), byte for byte what fmt prints
-// for "prefix(%d,%d)", formatted into a stack buffer so that a name costs one
-// allocation, the string itself. The whole-factorisation graph names
-// 1,482 handles and 19,019 tasks at the paper's size.
-func indexed(prefix string, idx ...int) string {
-	var buf [48]byte
-	b := append(buf[:0], prefix...)
-	b = append(b, '(')
-	for i, v := range idx {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return string(append(b, ')'))
 }

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"tianhe/internal/abft"
 	"tianhe/internal/adaptive"
@@ -314,6 +313,14 @@ type Sim struct {
 	// as each column band lands, filling the cores' post-slab idle windows),
 	// so the next Step must not rebook them.
 	prepAhead bool
+	// graph is rebuilt in place by every Step; handles is the flat table its
+	// l/u/tile handles are kept in and accs the scratch that long access lists
+	// (panels, bands) are assembled in before Add copies them. The codelets'
+	// cost functions are made once: they read the task they are handed.
+	graph                            *taskgraph.Graph
+	handles                          []*taskgraph.Handle
+	accs                             []taskgraph.Access
+	panelCosts, trsmCosts, gemmCosts taskgraph.Costs
 }
 
 // NewSim builds the element, partitioner and runner for one run, positioned
@@ -373,6 +380,17 @@ func NewSim(cfg Config) *Sim {
 			GPUFallback: cfg.Variant.Adaptive(),
 			RateSeeds:   s.graphRateSeeds(nb),
 		})
+		s.graph = taskgraph.New()
+		s.panelCosts.CPUSeconds = func(t *taskgraph.Task) float64 { return t.Flops / (perfmodel.HostPanelGFLOPS * 1e9) }
+		s.trsmCosts.CPUSeconds = func(t *taskgraph.Task) float64 { return t.Flops / (perfmodel.HostTrsmGFLOPS * 1e9) }
+		s.gemmCosts.CPUSeconds = func(t *taskgraph.Task) float64 {
+			return el.CPU.Core(0).Seconds(t.Shape[0], t.Shape[1], t.Shape[2], true)
+		}
+		if cfg.Variant.UsesGPU() {
+			s.gemmCosts.GPUSeconds = func(t *taskgraph.Task) float64 {
+				return el.GPU.Model().KernelSeconds(t.Shape[0], t.Shape[1], t.Shape[2])
+			}
+		}
 		// The monolithic pipeline's convention is that each iteration's
 		// host-side factor+prep overlaps the update it feeds — including
 		// the very first, whose panel factors while problem setup (matrix
@@ -504,44 +522,113 @@ func (s *Sim) noteABFT(t abft.Tally) {
 // on the device predicted to finish it first, blending the static models
 // with the rates measured over previous iterations. A graph the scheduler
 // rejects, or one that stalls on a dead GPU context, is the returned error.
+// Every iteration rebuilds the Sim's one graph in place: each is the last one
+// minus a tile row and column, so after the first nothing new is allocated
+// but the names.
 func (s *Sim) stepGraph(j, jb, trailing int) error {
-	g := taskgraph.New()
-	nt := (trailing + s.nb - 1) / s.nb // tile count of the trailing grid
-	tw := func(i int) int { return min(s.nb, trailing-i*s.nb) }
-	k := j / s.nb // block-column index, for trace labels
-	gpuVariant := s.cfg.Variant.UsesGPU()
+	st := s.newGraphStep(j, jb, trailing)
+	st.addPanelAndPreps()
+	if st.hybrid {
+		st.addBandUpdates()
+	} else {
+		st.addTileUpdates()
+	}
+	st.addLookahead()
 
-	piv := g.NewHandle("piv", 8*int64(jb))
-	ls := make([]*taskgraph.Handle, nt)
-	us := make([]*taskgraph.Handle, nt)
-	ts := make([][]*taskgraph.Handle, nt)
+	if st.g.Len() == 0 {
+		return nil
+	}
+	rep, err := s.gsched.Run(st.g, s.t)
+	if err != nil {
+		return fmt.Errorf("linpacksim: graph iteration %d: %w", st.k, err)
+	}
+	s.t = rep.End
+	if rep.Stalled {
+		return ErrStalled
+	}
+	s.noteABFT(rep.Tally)
+	return nil
+}
+
+// graphStep is one iteration's graph under construction: its geometry and
+// its handles, which are windows into the Sim's flat handle table.
+type graphStep struct {
+	s *Sim
+	g *taskgraph.Graph
+	// k is the block-column index (for trace labels), jb the panel width,
+	// trailing the order of the trailing matrix and nt its tile count.
+	k, jb, trailing, nt int
+	// hybrid selects column bands with the split CPU+GPU body over the
+	// nt×nt tile grid.
+	hybrid bool
+
+	piv    *taskgraph.Handle
+	ls, us []*taskgraph.Handle // L21 row blocks and U12 column blocks
+	ts     []*taskgraph.Handle // trailing tiles, row-major nt×nt
+}
+
+// tw is the width of tile row or column i of the trailing grid.
+func (st *graphStep) tw(i int) int { return min(st.s.nb, st.trailing-i*st.s.nb) }
+
+func (st *graphStep) tile(r, c int) *taskgraph.Handle { return st.ts[r*st.nt+c] }
+
+// newGraphStep empties the Sim's graph and registers the iteration's handles.
+func (s *Sim) newGraphStep(j, jb, trailing int) graphStep {
+	nt := (trailing + s.nb - 1) / s.nb
+	if n := 2*nt + nt*nt; cap(s.handles) < n {
+		s.handles = make([]*taskgraph.Handle, n)
+	}
+	g := s.graph
+	g.Reset()
+	st := graphStep{
+		s: s, g: g, k: j / s.nb, jb: jb, trailing: trailing, nt: nt,
+		hybrid: s.cfg.GraphHybrid && s.cfg.Variant.UsesGPU() && s.part != nil,
+		ls:     s.handles[:nt], us: s.handles[nt : 2*nt], ts: s.handles[2*nt : 2*nt+nt*nt],
+	}
+	st.piv = g.NewHandle("piv", 8*int64(jb))
 	for i := 0; i < nt; i++ {
-		ls[i] = g.NewHandle(indexed("l", i), 8*int64(tw(i))*int64(jb))
-		us[i] = g.NewHandle(indexed("u", i), 8*int64(jb)*int64(tw(i)))
-		ts[i] = make([]*taskgraph.Handle, nt)
+		st.ls[i] = g.NewHandle(taskgraph.Name("l(%d)", i), 8*int64(st.tw(i))*int64(jb))
+		st.us[i] = g.NewHandle(taskgraph.Name("u(%d)", i), 8*int64(jb)*int64(st.tw(i)))
 		for c := 0; c < nt; c++ {
-			ts[i][c] = g.NewHandle(indexed("t", i, c), 8*int64(tw(i))*int64(tw(c)))
+			st.ts[i*nt+c] = g.NewHandle(taskgraph.Name("t(%d,%d)", i, c), 8*int64(st.tw(i))*int64(st.tw(c)))
 		}
 	}
+	return st
+}
 
-	// addPanel books the recursive factorization of the height×width panel.
-	addPanel := func(name string, height, width int, accs []taskgraph.Access) {
-		flops := float64(width) * float64(width) * (float64(height) - float64(width)/3)
-		g.Add(&taskgraph.Task{
-			Name: name, Codelet: "lu.panel", Flops: flops, Priority: 3,
-			Costs:    taskgraph.Costs{CPUSeconds: func() float64 { return flops / (perfmodel.HostPanelGFLOPS * 1e9) }},
-			Accesses: accs,
-		})
-	}
+// addPanel books the recursive factorization of the height×width panel.
+func (st *graphStep) addPanel(k, height, width int, accs []taskgraph.Access) {
+	st.g.Add(taskgraph.Task{
+		Name: taskgraph.Name("panel(%d)", k), Codelet: "lu.panel", Priority: 3,
+		Flops: float64(width) * float64(width) * (float64(height) - float64(width)/3),
+		Costs: st.s.panelCosts,
+	}, accs...)
+}
 
+// addPrep books the U12 triangular solve of one cw-wide column block against
+// a jb-wide panel.
+func (st *graphStep) addPrep(k, c, jb, cw int, accs ...taskgraph.Access) {
+	st.g.Add(taskgraph.Task{
+		Name: taskgraph.Name("prep(%d,%d)", k, c), Codelet: "lu.trsm", Priority: 2,
+		Flops: float64(jb) * float64(jb) * float64(cw),
+		Costs: st.s.trsmCosts,
+	}, accs...)
+}
+
+// addPanelAndPreps books what the previous graph's look-ahead did not already
+// run: this iteration's panel, and the trsm prep of every column past the
+// ahead set.
+func (st *graphStep) addPanelAndPreps() {
+	s, nt := st.s, st.nt
 	if !s.panelAhead {
 		// This iteration's panel was not factored by the previous graph:
 		// book it first, feeding the pivots and the L21 row blocks.
-		accs := []taskgraph.Access{{H: piv, Mode: taskgraph.Write}}
+		accs := append(s.accs[:0], taskgraph.Access{H: st.piv, Mode: taskgraph.Write})
 		for r := 0; r < nt; r++ {
-			accs = append(accs, taskgraph.Access{H: ls[r], Mode: taskgraph.Write})
+			accs = append(accs, taskgraph.Access{H: st.ls[r], Mode: taskgraph.Write})
 		}
-		addPanel(indexed("panel", k), trailing+jb, jb, accs)
+		s.accs = accs
+		st.addPanel(st.k, st.trailing+st.jb, st.jb, accs)
 	}
 
 	// Columns whose trsm prep the previous graph already ran (look-ahead
@@ -557,164 +644,138 @@ func (s *Sim) stepGraph(j, jb, trailing int) error {
 		prepDone = max(0, min(nt, prepAheadCols, hybridLastBandStart(nt+1)-1))
 	}
 	for c := prepDone; c < nt; c++ {
-		cw := tw(c)
-		flops := float64(jb) * float64(jb) * float64(cw)
-		g.Add(&taskgraph.Task{
-			Name: indexed("prep", k, c), Codelet: "lu.trsm", Flops: flops, Priority: 2,
-			Costs: taskgraph.Costs{CPUSeconds: func() float64 { return flops / (perfmodel.HostTrsmGFLOPS * 1e9) }},
-			Accesses: []taskgraph.Access{
-				{H: piv, Mode: taskgraph.Read},
-				{H: us[c], Mode: taskgraph.Write},
-			},
-		})
+		st.addPrep(st.k, c, st.jb, st.tw(c),
+			taskgraph.Access{H: st.piv, Mode: taskgraph.Read},
+			taskgraph.Access{H: st.us[c], Mode: taskgraph.Write})
 	}
-	hybridMode := s.cfg.GraphHybrid && gpuVariant && s.part != nil
-	if !hybridMode {
-		for c := 0; c < nt; c++ {
-			cw := tw(c)
-			for r := 0; r < nt; r++ {
-				rh := tw(r)
-				costs := taskgraph.Costs{
-					CPUSeconds: func() float64 { return s.el.CPU.Core(0).Seconds(rh, cw, jb, true) },
-				}
-				if gpuVariant {
-					costs.GPUSeconds = func() float64 { return s.el.GPU.Model().KernelSeconds(rh, cw, jb) }
-				}
-				g.Add(&taskgraph.Task{
-					Name: indexed("upd", k, r, c), Codelet: "lu.gemm",
-					Flops: 2 * float64(rh) * float64(cw) * float64(jb),
-					Shape: [3]int{rh, cw, jb},
-					Costs: costs,
-					Accesses: []taskgraph.Access{
-						{H: ls[r], Mode: taskgraph.Read},
-						{H: us[c], Mode: taskgraph.Read},
-						{H: ts[r][c], Mode: taskgraph.ReadWrite},
-					},
-				})
-			}
-		}
-	} else {
-		// Hybrid shape: the trailing update as column bands instead of an
-		// nt x nt tile grid. Column block 0 rides alone (and first) so the
-		// look-ahead panel becomes ready as early as possible; the rest
-		// merge into wide bands whose kernels amortize the efficiency
-		// s-curve the way the monolithic pipeline's big tiles do — per-tile
-		// kernels cap the device ~15% below its wide-kernel rate, which is
-		// exactly the gap this variant closes. Each band splits its rows
-		// between the device and the host cores by the adaptive GSplit;
-		// the band's written tiles stream through the scheduler's bounded
-		// window, so device memory never bounds the band width.
-		for c0 := 0; c0 < nt; {
-			w := hybridBandWidth(nt, c0)
-			bandN := 0
-			for c := c0; c < c0+w; c++ {
-				bandN += tw(c)
-			}
-			accs := make([]taskgraph.Access, 0, nt+w+nt*w)
-			for r := 0; r < nt; r++ {
-				accs = append(accs, taskgraph.Access{H: ls[r], Mode: taskgraph.Read})
-			}
-			for c := c0; c < c0+w; c++ {
-				accs = append(accs, taskgraph.Access{H: us[c], Mode: taskgraph.Read})
-			}
-			for c := c0; c < c0+w; c++ {
-				for r := 0; r < nt; r++ {
-					accs = append(accs, taskgraph.Access{H: ts[r][c], Mode: taskgraph.ReadWrite})
-				}
-			}
-			part, rows, bn := s.part, trailing, bandN
-			flops := 2 * float64(rows) * float64(bn) * float64(jb)
-			pri := 0
-			if c0 == 0 {
-				pri = 1 // feeds the look-ahead panel
-			}
-			g.Add(&taskgraph.Task{
-				Name: fmt.Sprintf("upd(%d,%d:%d)", k, c0, c0+w), Codelet: "lu.gemm",
-				Flops: flops, Shape: [3]int{rows, bn, jb}, Priority: pri,
-				Costs: taskgraph.Costs{
-					CPUSeconds: func() float64 { return s.el.CPU.Core(0).Seconds(rows, bn, jb, true) },
-					GPUSeconds: func() float64 { return s.el.GPU.Model().KernelSeconds(rows, bn, jb) },
-				},
-				Accesses: accs,
-				Hybrid: &taskgraph.Hybrid{
-					Rows:       rows,
-					Split:      func() float64 { return part.GSplit(flops) },
-					GPUSeconds: func(r int) float64 { return s.el.GPU.Model().KernelSeconds(r, bn, jb) },
-					CPUSeconds: func(r int) float64 { return s.el.CPU.Core(0).Seconds(r, bn, jb, true) },
-					CSplits:    part.CSplits,
-					FillSkew:   true,
-					Observe: func(gsplit, tg, tc float64, coreWorks, coreTimes []float64) {
-						part.Observe(adaptive.Observation{Work: flops, GSplit: gsplit, TG: tg, TC: tc,
-							CoreWorks: coreWorks, CoreTimes: coreTimes})
-					},
-				},
-			})
-			c0 += w
-		}
-	}
+}
 
+// addTileUpdates books the trailing update as an nt×nt grid of lu.gemm tile
+// tasks, column by column.
+func (st *graphStep) addTileUpdates() {
+	for c := 0; c < st.nt; c++ {
+		cw := st.tw(c)
+		for r := 0; r < st.nt; r++ {
+			rh := st.tw(r)
+			st.g.Add(taskgraph.Task{
+				Name: taskgraph.Name("upd(%d,%d,%d)", st.k, r, c), Codelet: "lu.gemm",
+				Flops: 2 * float64(rh) * float64(cw) * float64(st.jb),
+				Shape: [3]int{rh, cw, st.jb},
+				Costs: st.s.gemmCosts,
+			},
+				taskgraph.Access{H: st.ls[r], Mode: taskgraph.Read},
+				taskgraph.Access{H: st.us[c], Mode: taskgraph.Read},
+				taskgraph.Access{H: st.tile(r, c), Mode: taskgraph.ReadWrite})
+		}
+	}
+}
+
+// addBandUpdates books the trailing update as column bands instead of an
+// nt×nt tile grid. Column block 0 rides alone (and first) so the look-ahead
+// panel becomes ready as early as possible; the rest merge into wide bands
+// whose kernels amortize the efficiency s-curve the way the monolithic
+// pipeline's big tiles do — per-tile kernels cap the device ~15% below its
+// wide-kernel rate, which is exactly the gap this variant closes. Each band
+// splits its rows between the device and the host cores by the adaptive
+// GSplit; the band's written tiles stream through the scheduler's bounded
+// window, so device memory never bounds the band width.
+func (st *graphStep) addBandUpdates() {
+	s, nt := st.s, st.nt
+	for c0 := 0; c0 < nt; {
+		w := hybridBandWidth(nt, c0)
+		bandN := 0
+		for c := c0; c < c0+w; c++ {
+			bandN += st.tw(c)
+		}
+		accs := s.accs[:0]
+		for r := 0; r < nt; r++ {
+			accs = append(accs, taskgraph.Access{H: st.ls[r], Mode: taskgraph.Read})
+		}
+		for c := c0; c < c0+w; c++ {
+			accs = append(accs, taskgraph.Access{H: st.us[c], Mode: taskgraph.Read})
+		}
+		for c := c0; c < c0+w; c++ {
+			for r := 0; r < nt; r++ {
+				accs = append(accs, taskgraph.Access{H: st.tile(r, c), Mode: taskgraph.ReadWrite})
+			}
+		}
+		s.accs = accs
+		part, rows, bn, jb := s.part, st.trailing, bandN, st.jb
+		flops := 2 * float64(rows) * float64(bn) * float64(jb)
+		pri := 0
+		if c0 == 0 {
+			pri = 1 // feeds the look-ahead panel
+		}
+		st.g.Add(taskgraph.Task{
+			Name: taskgraph.Name("upd(%d,%d:%d)", st.k, c0, c0+w), Codelet: "lu.gemm",
+			Flops: flops, Shape: [3]int{rows, bn, jb}, Priority: pri,
+			Costs: s.gemmCosts,
+			Hybrid: &taskgraph.Hybrid{
+				Rows:       rows,
+				Split:      func() float64 { return part.GSplit(flops) },
+				GPUSeconds: func(r int) float64 { return s.el.GPU.Model().KernelSeconds(r, bn, jb) },
+				CPUSeconds: func(r int) float64 { return s.el.CPU.Core(0).Seconds(r, bn, jb, true) },
+				CSplits:    part.CSplits,
+				FillSkew:   true,
+				Observe: func(gsplit, tg, tc float64, coreWorks, coreTimes []float64) {
+					part.Observe(adaptive.Observation{Work: flops, GSplit: gsplit, TG: tg, TC: tc,
+						CoreWorks: coreWorks, CoreTimes: coreTimes})
+				},
+			},
+		}, accs...)
+		c0 += w
+	}
+}
+
+// addLookahead books, at depth >= 1, the next iteration's panel — and in band
+// mode its leading trsm preps — inside this graph, and records on the Sim
+// what the next Step therefore must not rebook.
+func (st *graphStep) addLookahead() {
+	s, nt, trailing := st.s, st.nt, st.trailing
 	s.panelAhead = false
 	s.prepAhead = false
-	if s.cfg.Lookahead >= 1 && trailing > 0 {
-		// The next panel factors column block 0 of the updated trailing
-		// matrix: its ReadWrite accesses make it ready the moment upd(·,·,0)
-		// finishes, so it overlaps the remaining column blocks' updates.
-		accs := make([]taskgraph.Access, 0, nt+1)
-		for r := 0; r < nt; r++ {
-			accs = append(accs, taskgraph.Access{H: ts[r][0], Mode: taskgraph.ReadWrite})
-		}
-		jbNext := min(s.nb, trailing)
-		trailingNext := trailing - jbNext
-		// In band mode the next iteration's leading U-preps ride along too
-		// (the prepAheadCols columns its first bands consume at open): each
-		// becomes ready the moment the band holding its column lands, so the
-		// cores fill their post-slab idle windows with them and the device
-		// starts the next iteration's bands without the prep stall that
-		// otherwise serializes every iteration boundary.
-		prepNext := hybridMode && trailingNext > 0 && nt >= 2
-		var piv2 *taskgraph.Handle
-		if prepNext {
-			piv2 = g.NewHandle("piv'", 8*int64(jbNext))
-			accs = append(accs, taskgraph.Access{H: piv2, Mode: taskgraph.Write})
-		}
-		addPanel(indexed("panel", k+1), trailing, jbNext, accs)
-		s.panelAhead = true
-		if prepNext {
-			ntNext := (trailingNext + s.nb - 1) / s.nb
-			twNext := func(i int) int { return min(s.nb, trailingNext-i*s.nb) }
-			aheadN := max(0, min(ntNext, prepAheadCols, hybridLastBandStart(nt)-1))
-			for c := 0; c < aheadN; c++ {
-				cw := twNext(c)
-				flops := float64(jbNext) * float64(jbNext) * float64(cw)
-				g.Add(&taskgraph.Task{
-					Name: indexed("prep", k+1, c), Codelet: "lu.trsm", Flops: flops, Priority: 2,
-					Costs: taskgraph.Costs{CPUSeconds: func() float64 { return flops / (perfmodel.HostTrsmGFLOPS * 1e9) }},
-					Accesses: []taskgraph.Access{
-						{H: piv2, Mode: taskgraph.Read},
-						// The column's top tile after this iteration's
-						// update — the data the next trsm solves against.
-						{H: ts[1][c+1], Mode: taskgraph.Read},
-						{H: g.NewHandle(indexed("u'", c), 8*int64(jbNext)*int64(cw)), Mode: taskgraph.Write},
-					},
-				})
-			}
-			s.prepAhead = true
-		}
+	if s.cfg.Lookahead < 1 || trailing <= 0 {
+		return
 	}
-
-	if g.Len() == 0 {
-		return nil
+	// The next panel factors column block 0 of the updated trailing
+	// matrix: its ReadWrite accesses make it ready the moment upd(·,·,0)
+	// finishes, so it overlaps the remaining column blocks' updates.
+	accs := s.accs[:0]
+	for r := 0; r < nt; r++ {
+		accs = append(accs, taskgraph.Access{H: st.tile(r, 0), Mode: taskgraph.ReadWrite})
 	}
-	rep, err := s.gsched.Run(g, s.t)
-	if err != nil {
-		return fmt.Errorf("linpacksim: graph iteration %d: %w", k, err)
+	jbNext := min(s.nb, trailing)
+	trailingNext := trailing - jbNext
+	// In band mode the next iteration's leading U-preps ride along too
+	// (the prepAheadCols columns its first bands consume at open): each
+	// becomes ready the moment the band holding its column lands, so the
+	// cores fill their post-slab idle windows with them and the device
+	// starts the next iteration's bands without the prep stall that
+	// otherwise serializes every iteration boundary.
+	prepNext := st.hybrid && trailingNext > 0 && nt >= 2
+	var piv2 *taskgraph.Handle
+	if prepNext {
+		piv2 = st.g.NewHandle("piv'", 8*int64(jbNext))
+		accs = append(accs, taskgraph.Access{H: piv2, Mode: taskgraph.Write})
 	}
-	s.t = rep.End
-	if rep.Stalled {
-		return ErrStalled
+	s.accs = accs
+	st.addPanel(st.k+1, trailing, jbNext, accs)
+	s.panelAhead = true
+	if !prepNext {
+		return
 	}
-	s.noteABFT(rep.Tally)
-	return nil
+	ntNext := (trailingNext + s.nb - 1) / s.nb
+	aheadN := max(0, min(ntNext, prepAheadCols, hybridLastBandStart(nt)-1))
+	for c := 0; c < aheadN; c++ {
+		cw := min(s.nb, trailingNext-c*s.nb)
+		st.addPrep(st.k+1, c, jbNext, cw,
+			taskgraph.Access{H: piv2, Mode: taskgraph.Read},
+			// The column's top tile after this iteration's update — the
+			// data the next trsm solves against.
+			taskgraph.Access{H: st.tile(1, c+1), Mode: taskgraph.Read},
+			taskgraph.Access{H: st.g.NewHandle(taskgraph.Name("u'(%d)", c), 8*int64(jbNext)*int64(cw)), Mode: taskgraph.Write})
+	}
+	s.prepAhead = true
 }
 
 // Escalated reports whether the last Step hit uncorrectable corruption: its
@@ -858,21 +919,4 @@ func Run(cfg Config) Result {
 		}
 	}
 	return s.Result()
-}
-
-// indexed returns prefix(i) or prefix(i,j,...), byte for byte what fmt prints
-// for "prefix(%d,%d)", formatted into a stack buffer so that a name costs one
-// allocation, the string itself. The graph stepper names some
-// 1,500 tiles and as many tasks per iteration.
-func indexed(prefix string, idx ...int) string {
-	var buf [48]byte
-	b := append(buf[:0], prefix...)
-	b = append(b, '(')
-	for i, v := range idx {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return string(append(b, ')'))
 }

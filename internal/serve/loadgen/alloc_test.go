@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tianhe/internal/serve"
+	"tianhe/internal/sim/simtest"
 )
 
 // allocsPerJobCeiling guards the replay's allocation count per offered job
@@ -17,7 +18,7 @@ import (
 const allocsPerJobCeiling = 13.6
 
 func TestReplayAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if simtest.RaceEnabled {
 		t.Skip("the race detector changes what allocates")
 	}
 	trace := Generate(Config{Seed: 2009, Clients: 1200, Rate: 4000, Horizon: 2})

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -206,6 +208,73 @@ func TestTimelineReset(t *testing.T) {
 	tl.Reset()
 	if tl.Available() != 0 || len(tl.Spans()) != 0 {
 		t.Fatal("reset did not clear the timeline")
+	}
+}
+
+// refSpanLog is the span retention Timeline had before its spans were
+// chunked, kept verbatim (only the names changed): one slice grown by append,
+// copied out by Spans, dropped by Reset. TestTimelineSpansMatchPlainAppend
+// compares against it.
+type refSpanLog struct {
+	spans  []Span
+	record bool
+}
+
+func (l *refSpanLog) book(sp Span) {
+	if l.record {
+		l.spans = append(l.spans, sp)
+	}
+}
+
+func (l *refSpanLog) Spans() []Span {
+	out := make([]Span, len(l.spans))
+	copy(out, l.spans)
+	return out
+}
+
+func (l *refSpanLog) Reset() { l.spans = nil }
+
+// TestTimelineSpansMatchPlainAppend proves the chunked span store: over
+// random bookings — in bursts long enough to cross several chunk boundaries —
+// SetRecording toggles and Resets, Spans returns exactly what the plain
+// append version retained, as one fresh slice the caller may scribble on.
+// (Mutation-checked: a new chunk that replaces the chunk list instead of
+// joining it, or Spans gathering the chunks back to front, fails it.)
+func TestTimelineSpansMatchPlainAppend(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		rng := NewRNG(seed)
+		tl := NewTimeline("q")
+		ref := &refSpanLog{record: true}
+		check := func(when string) {
+			t.Helper()
+			got, want := tl.Spans(), ref.Spans()
+			if got == nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %s: %d spans recorded, plain append keeps %d", seed, when, len(got), len(want))
+			}
+			if len(got) > 0 {
+				got[0].Label = "scribbled" // a copy: the next check must not see it
+			}
+		}
+		for op := 0; op < 40; op++ {
+			switch rng.Intn(8) {
+			case 0:
+				on := rng.Intn(2) == 0
+				tl.SetRecording(on)
+				ref.record = on
+			case 1:
+				tl.Reset()
+				ref.Reset()
+			default:
+				burst := 1 + rng.Intn(3)
+				if rng.Intn(3) == 0 {
+					burst = rng.Intn(spanGrow + 2*spanChunk + 2)
+				}
+				for i := 0; i < burst; i++ {
+					ref.book(tl.Book(strconv.Itoa(i), rng.Float64(), rng.Float64()))
+				}
+			}
+			check("after op " + strconv.Itoa(op))
+		}
 	}
 }
 

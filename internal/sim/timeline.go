@@ -30,15 +30,28 @@ func (s Span) String() string {
 // dependencies have finished. Overlap between *different* timelines is what
 // produces pipelining in this simulator.
 type Timeline struct {
-	mu       sync.Mutex
-	name     string
-	avail    Time
-	busy     Time
-	spans    []Span
+	mu    sync.Mutex
+	name  string
+	avail Time
+	busy  Time
+	// spans holds the nSpans recorded spans in booking order, in chunks: the
+	// first grows like any slice up to spanGrow, so a timeline with a handful
+	// of bookings costs what it always did, and every later one is made
+	// spanChunk long — a long recording allocates what it retains instead of
+	// doubling and copying its whole history.
+	spans    [][]Span
+	nSpans   int
 	record   bool
 	observer func(Span)
 	stretch  func(label string, start, duration Time) Time
 }
+
+// spanGrow is where the first chunk of recorded spans stops growing (16 KB of
+// them) and spanChunk the length of every chunk after it (64 KB).
+const (
+	spanGrow  = 512
+	spanChunk = 2048
+)
 
 // NewTimeline returns an empty resource timeline available at time 0.
 func NewTimeline(name string) *Timeline {
@@ -113,7 +126,14 @@ func (t *Timeline) Book(label string, earliest Time, duration Time) Span {
 	t.avail = sp.End
 	t.busy += duration
 	if t.record {
-		t.spans = append(t.spans, sp)
+		last := len(t.spans) - 1
+		if last < 0 {
+			t.spans, last = append(t.spans, nil), 0
+		} else if c := t.spans[last]; len(c) == cap(c) && len(c) >= spanGrow {
+			t.spans, last = append(t.spans, make([]Span, 0, spanChunk)), last+1
+		}
+		t.spans[last] = append(t.spans[last], sp)
+		t.nSpans++
 	}
 	obs := t.observer
 	t.mu.Unlock()
@@ -148,8 +168,10 @@ func (t *Timeline) AdvanceTo(tm Time) {
 func (t *Timeline) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
+	out := make([]Span, 0, t.nSpans)
+	for _, chunk := range t.spans {
+		out = append(out, chunk...)
+	}
 	return out
 }
 
@@ -168,7 +190,7 @@ func (t *Timeline) Reset() {
 	defer t.mu.Unlock()
 	t.avail = 0
 	t.busy = 0
-	t.spans = nil
+	t.spans, t.nSpans = nil, 0
 }
 
 // Latest returns the maximum availability across the given timelines: the

@@ -147,19 +147,24 @@ func (s *Sweep) Graph() *taskgraph.Graph {
 	for p := 0; p < 2; p++ {
 		slabs[p] = make([]*taskgraph.Handle, nb)
 		for b := 0; b < nb; b++ {
-			slabs[p][b] = g.NewHandle(fmt.Sprintf("u%d(%d)", p, b),
+			slabs[p][b] = g.NewHandle(taskgraph.Name("u%d(%d)", p, b),
 				8*int64(cfg.NX)*int64(cfg.NY)*int64(depth(b)))
 		}
 	}
 
+	// One pair of cost functions for the codelet: a slab's cost is its work.
+	costs := taskgraph.Costs{
+		CPUSeconds: func(t *taskgraph.Task) float64 { return t.Flops / (CPUStencilGFLOPS * 1e9) },
+		GPUSeconds: func(t *taskgraph.Task) float64 { return t.Flops / (GPUStencilGFLOPS * 1e9) },
+	}
 	for t := 0; t < cfg.Steps; t++ {
 		p := t % 2
 		for b := 0; b < nb; b++ {
-			b := b
 			z0 := b * cfg.BlockZ
 			z1 := z0 + depth(b)
 			flops := flopsPerCell * float64(cfg.NX) * float64(cfg.NY) * float64(depth(b))
-			accs := []taskgraph.Access{{H: slabs[p][b], Mode: taskgraph.Read}}
+			var halo [4]taskgraph.Access
+			accs := append(halo[:0], taskgraph.Access{H: slabs[p][b], Mode: taskgraph.Read})
 			if b > 0 {
 				accs = append(accs, taskgraph.Access{H: slabs[p][b-1], Mode: taskgraph.Read})
 			}
@@ -167,15 +172,11 @@ func (s *Sweep) Graph() *taskgraph.Graph {
 				accs = append(accs, taskgraph.Access{H: slabs[p][b+1], Mode: taskgraph.Read})
 			}
 			accs = append(accs, taskgraph.Access{H: slabs[1-p][b], Mode: taskgraph.Write})
-			task := &taskgraph.Task{
-				Name:    fmt.Sprintf("jac(%d,%d)", t, b),
+			task := taskgraph.Task{
+				Name:    taskgraph.Name("jac(%d,%d)", t, b),
 				Codelet: "stencil.jacobi",
 				Flops:   flops,
-				Costs: taskgraph.Costs{
-					CPUSeconds: func() float64 { return flops / (CPUStencilGFLOPS * 1e9) },
-					GPUSeconds: func() float64 { return flops / (GPUStencilGFLOPS * 1e9) },
-				},
-				Accesses: accs,
+				Costs:   costs,
 			}
 			if s.part != nil {
 				// The splittable extent is the slab's XY-rows: the written
@@ -206,7 +207,7 @@ func (s *Sweep) Graph() *taskgraph.Graph {
 				in, out := s.buf[p], s.buf[1-p]
 				task.Run = func() { s.updateSlab(in, out, z0, z1) }
 			}
-			g.Add(task)
+			g.Add(task, accs...)
 		}
 	}
 	return g

@@ -42,7 +42,7 @@ func (r *run) bookCPU(t *Task, core int, readyAt sim.Time) booking {
 			start = max(start, r.res.writeBack(re).End)
 		}
 	}
-	sp := r.cores[core].Work(t.Name, t.Costs.CPUSeconds(), start)
+	sp := r.cores[core].Work(t.Name, t.Costs.CPUSeconds(t), start)
 	r.s.rates.ObserveClass(t.Codelet, ClassCPU, t.Flops, sp.Duration())
 	// A host write invalidates any device copy.
 	for _, a := range t.Accesses {
@@ -79,7 +79,7 @@ func (r *run) bookGPU(t *Task, p *devicePlan, readyAt sim.Time) booking {
 		}
 	}
 	r.bookHead(p, readyAt)
-	sp := r.dev.Kernel(t.Name, t.Costs.GPUSeconds(), r.deps...)
+	sp := r.dev.Kernel(t.Name, t.Costs.GPUSeconds(t), r.deps...)
 	// The stream window is free again before late residents claim room.
 	res.release()
 	end := r.bookStreams(p, sp)
@@ -325,7 +325,7 @@ func (r *run) verify(t *Task, b *booking) sim.Time {
 	if b.class == ClassHyb {
 		redoSec = t.Hybrid.GPUSeconds(rows)
 	} else {
-		redoSec = t.Costs.GPUSeconds()
+		redoSec = t.Costs.GPUSeconds(t)
 	}
 	redo := r.dev.Kernel(t.Name+"~redo", redoSec, sim.Span{Start: gEnd, End: gEnd})
 	rEnd := redo.End + verG

@@ -2,6 +2,7 @@ package taskgraph
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"tianhe/internal/element"
@@ -13,6 +14,13 @@ import (
 // declared once, as Validate requires. ran counts each body's executions;
 // explicit lists, per task, the After edges asked for, in call order.
 func decodeGraph(data []byte) (g *Graph, ran []int, explicit [][]int) {
+	g = New()
+	ran, explicit = decodeGraphInto(g, data)
+	return g, ran, explicit
+}
+
+// decodeGraphInto builds decodeGraph's graph on g, which must be empty.
+func decodeGraphInto(g *Graph, data []byte) (ran []int, explicit [][]int) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -23,7 +31,6 @@ func decodeGraph(data []byte) (g *Graph, ran []int, explicit [][]int) {
 	}
 	n := int(next())%24 + 1
 
-	g = New()
 	handles := make([]*Handle, 6)
 	for i := range handles {
 		handles[i] = g.NewHandle(fmt.Sprintf("h%d", i), int64(i+1)*4096)
@@ -37,12 +44,12 @@ func decodeGraph(data []byte) (g *Graph, ran []int, explicit [][]int) {
 		gpuSec := float64(next()%50+1) / 1000
 		switch sel % 3 {
 		case 0:
-			costs.CPUSeconds = func() float64 { return cpuSec }
+			costs.CPUSeconds = func(*Task) float64 { return cpuSec }
 		case 1:
-			costs.GPUSeconds = func() float64 { return gpuSec }
+			costs.GPUSeconds = func(*Task) float64 { return gpuSec }
 		default:
-			costs.CPUSeconds = func() float64 { return cpuSec }
-			costs.GPUSeconds = func() float64 { return gpuSec }
+			costs.CPUSeconds = func(*Task) float64 { return cpuSec }
+			costs.GPUSeconds = func(*Task) float64 { return gpuSec }
 		}
 		nAcc := int(next()) % 4
 		accs := make([]Access, 0, nAcc)
@@ -55,15 +62,14 @@ func decodeGraph(data []byte) (g *Graph, ran []int, explicit [][]int) {
 			}
 		}
 		i := i
-		task := g.Add(&Task{
+		task := g.Add(Task{
 			Name:     fmt.Sprintf("t%02d", i),
 			Codelet:  fmt.Sprintf("c%d", sel%4),
 			Flops:    float64(next()+1) * 1e6,
 			Priority: int(next() % 4),
 			Costs:    costs,
-			Accesses: accs,
 			Run:      func() { ran[i]++ },
-		})
+		}, accs...)
 		// Explicit extra edges to earlier tasks, beyond access inference.
 		for e := int(next()) % 3; e > 0 && i > 0; e-- {
 			d := int(next()) % i
@@ -71,14 +77,17 @@ func decodeGraph(data []byte) (g *Graph, ran []int, explicit [][]int) {
 			g.After(task, g.Tasks()[d])
 		}
 	}
-	return g, ran, explicit
+	return ran, explicit
 }
 
 // FuzzGraphSchedule decodes arbitrary bytes into a task/dependency set and
 // asserts the runtime's structural invariants: the scheduler never
 // deadlocks (Run returns), every task is scheduled and its body executes
 // exactly once, and no task starts before every dependency has finished —
-// under both serial and parallel body execution.
+// under both serial and parallel body execution. Each graph is built on a
+// Graph that was Reset after holding (and running, on the same Scheduler) a
+// different one decoded from the tail of the input, and must come out with
+// the dependency lists of a freshly made graph.
 func FuzzGraphSchedule(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})
@@ -86,18 +95,26 @@ func FuzzGraphSchedule(f *testing.F) {
 	f.Add([]byte{24, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 255, 254, 253})
 	f.Add([]byte{16, 0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 0x77, 0x66, 0x55, 0x44})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, ran, _ := decodeGraph(data)
-		n := len(ran)
-		if err := g.Validate(); err != nil {
-			t.Fatalf("builder produced an invalid graph: %v", err)
-		}
-
+		fresh, _, _ := decodeGraph(data)
 		for _, par := range []int{1, 4} {
-			for i := range ran {
-				ran[i] = 0
-			}
 			el := element.New(element.Config{Seed: 77, Virtual: true})
 			sch := NewScheduler(el, Options{Par: par})
+			g := New()
+			decodeGraphInto(g, data[len(data)/2:])
+			if _, err := sch.Run(g, 0); err != nil {
+				t.Fatalf("par %d: Run of the graph to forget: %v", par, err)
+			}
+			g.Reset()
+			ran, _ := decodeGraphInto(g, data)
+			n := len(ran)
+			if err := g.Validate(); err != nil {
+				t.Fatalf("builder produced an invalid graph: %v", err)
+			}
+			for i, task := range g.Tasks() {
+				if want := fresh.Tasks()[i].Deps(); !reflect.DeepEqual(task.Deps(), want) {
+					t.Fatalf("par %d: task %q deps = %v after a Reset, a fresh graph infers %v", par, task.Name, task.Deps(), want)
+				}
+			}
 			rep, err := sch.Run(g, 0)
 			if err != nil {
 				t.Fatalf("par %d: Run: %v", par, err)

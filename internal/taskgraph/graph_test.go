@@ -10,12 +10,12 @@ import (
 	"tianhe/internal/sim"
 )
 
-func cpuCost(s float64) Costs { return Costs{CPUSeconds: func() float64 { return s }} }
+func cpuCost(s float64) Costs { return Costs{CPUSeconds: func(*Task) float64 { return s }} }
 
 func bothCosts(c, g float64) Costs {
 	return Costs{
-		CPUSeconds: func() float64 { return c },
-		GPUSeconds: func() float64 { return g },
+		CPUSeconds: func(*Task) float64 { return c },
+		GPUSeconds: func(*Task) float64 { return g },
 	}
 }
 
@@ -24,11 +24,11 @@ func TestDependencyInference(t *testing.T) {
 	h := g.NewHandle("x", 100)
 	o := g.NewHandle("y", 100)
 
-	w0 := g.Add(&Task{Name: "w0", Costs: cpuCost(1), Accesses: []Access{{h, Write}}})
-	r1 := g.Add(&Task{Name: "r1", Costs: cpuCost(1), Accesses: []Access{{h, Read}, {o, Write}}})
-	r2 := g.Add(&Task{Name: "r2", Costs: cpuCost(1), Accesses: []Access{{h, Read}}})
-	w3 := g.Add(&Task{Name: "w3", Costs: cpuCost(1), Accesses: []Access{{h, ReadWrite}}})
-	r4 := g.Add(&Task{Name: "r4", Costs: cpuCost(1), Accesses: []Access{{h, Read}}})
+	w0 := g.Add(Task{Name: "w0", Costs: cpuCost(1)}, []Access{{h, Write}}...)
+	r1 := g.Add(Task{Name: "r1", Costs: cpuCost(1)}, []Access{{h, Read}, {o, Write}}...)
+	r2 := g.Add(Task{Name: "r2", Costs: cpuCost(1)}, []Access{{h, Read}}...)
+	w3 := g.Add(Task{Name: "w3", Costs: cpuCost(1)}, []Access{{h, ReadWrite}}...)
+	r4 := g.Add(Task{Name: "r4", Costs: cpuCost(1)}, []Access{{h, Read}}...)
 
 	// RAW: both readers depend on the writer.
 	if !reflect.DeepEqual(r1.Deps(), []int{w0.ID()}) {
@@ -53,8 +53,8 @@ func TestDependencyInference(t *testing.T) {
 
 func TestAfterAddsExplicitEdges(t *testing.T) {
 	g := New()
-	a := g.Add(&Task{Name: "a", Costs: cpuCost(1)})
-	b := g.Add(&Task{Name: "b", Costs: cpuCost(1)})
+	a := g.Add(Task{Name: "a", Costs: cpuCost(1)})
+	b := g.Add(Task{Name: "b", Costs: cpuCost(1)})
 	g.After(b, a, a) // duplicate collapses
 	if !reflect.DeepEqual(b.Deps(), []int{a.ID()}) {
 		t.Errorf("b deps = %v, want [a]", b.Deps())
@@ -66,8 +66,8 @@ func TestAfterAddsExplicitEdges(t *testing.T) {
 
 func TestValidateRejectsDuplicateNames(t *testing.T) {
 	g := New()
-	g.Add(&Task{Name: "dup", Costs: cpuCost(1)})
-	g.Add(&Task{Name: "dup", Costs: cpuCost(1)})
+	g.Add(Task{Name: "dup", Costs: cpuCost(1)})
+	g.Add(Task{Name: "dup", Costs: cpuCost(1)})
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate accepted duplicate task names")
 	}
@@ -79,7 +79,7 @@ func TestAddPanicsWithoutVariant(t *testing.T) {
 			t.Fatal("Add accepted a task with no device variant")
 		}
 	}()
-	New().Add(&Task{Name: "none"})
+	New().Add(Task{Name: "none"})
 }
 
 // mapInferredDeps is the dependency inference Graph.Add and Graph.After did
@@ -175,11 +175,11 @@ func TestAddMatchesMapInference(t *testing.T) {
 			hs = append(hs, g.NewHandle(fmt.Sprintf("h%d", i), 8))
 		}
 		for i, accs := range tasks {
-			task := &Task{Name: fmt.Sprintf("t%d", i), Costs: cpuCost(1)}
+			var declared []Access
 			for _, a := range accs {
-				task.Accesses = append(task.Accesses, Access{hs[a.h], a.mode})
+				declared = append(declared, Access{hs[a.h], a.mode})
 			}
-			g.Add(task)
+			g.Add(Task{Name: fmt.Sprintf("t%d", i), Costs: cpuCost(1)}, declared...)
 		}
 		check(name, g, nil)
 	}
@@ -206,8 +206,8 @@ func TestValidateRejectsBadAccesses(t *testing.T) {
 	} {
 		g := New()
 		a, b := g.NewHandle("a", 8), g.NewHandle("b", 8)
-		g.Add(&Task{Name: "ok", Costs: cpuCost(1), Accesses: []Access{{a, Write}, {b, Write}}})
-		g.Add(&Task{Name: "bad", Costs: bothCosts(1, 1), Accesses: tc.accs(a, b)})
+		g.Add(Task{Name: "ok", Costs: cpuCost(1)}, []Access{{a, Write}, {b, Write}}...)
+		g.Add(Task{Name: "bad", Costs: bothCosts(1, 1)}, tc.accs(a, b)...)
 		err := g.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.wants) || !strings.Contains(err.Error(), `task "bad"`) {
 			t.Errorf("%s: Validate = %v, want an error naming task \"bad\" that %s", tc.name, err, tc.wants)
@@ -220,8 +220,8 @@ func TestValidateRejectsBadAccesses(t *testing.T) {
 	// The same handle in two different tasks is the normal case.
 	g := New()
 	a := g.NewHandle("a", 8)
-	g.Add(&Task{Name: "t0", Costs: cpuCost(1), Accesses: []Access{{a, Write}}})
-	g.Add(&Task{Name: "t1", Costs: cpuCost(1), Accesses: []Access{{a, Read}}})
+	g.Add(Task{Name: "t0", Costs: cpuCost(1)}, []Access{{a, Write}}...)
+	g.Add(Task{Name: "t1", Costs: cpuCost(1)}, []Access{{a, Read}}...)
 	if err := g.Validate(); err != nil {
 		t.Errorf("Validate rejected one handle declared by two tasks: %v", err)
 	}

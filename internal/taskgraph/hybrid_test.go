@@ -15,8 +15,8 @@ import (
 // fraction. The whole-device bodies cost cpuSec/gpuSec; both halves scale
 // linearly with their row share (the CPU model is per-core, so an equal
 // three-core split finishes in a third of the slab time).
-func hybTask(name string, h *Handle, rows int, split, cpuSec, gpuSec float64) *Task {
-	return &Task{
+func hybTask(name string, rows int, split, cpuSec, gpuSec float64) Task {
+	return Task{
 		Name: name, Codelet: "hgemm", Flops: 1e9,
 		Costs: bothCosts(cpuSec, gpuSec),
 		Hybrid: &Hybrid{
@@ -25,7 +25,6 @@ func hybTask(name string, h *Handle, rows int, split, cpuSec, gpuSec float64) *T
 			GPUSeconds: func(r int) float64 { return gpuSec * float64(r) / float64(rows) },
 			CPUSeconds: func(r int) float64 { return cpuSec * float64(r) / float64(rows) },
 		},
-		Accesses: []Access{{h, ReadWrite}},
 	}
 }
 
@@ -41,11 +40,11 @@ func TestHybridVariantWinsAndSplits(t *testing.T) {
 		g := New()
 		h := g.NewHandle("t", 1<<20)
 		for i := 0; i < 6; i++ {
-			tk := hybTask(fmt.Sprintf("upd%d", i), h, 300, 0.5, 3.0, 1.0)
+			tk := hybTask(fmt.Sprintf("upd%d", i), 300, 0.5, 3.0, 1.0)
 			if !hybrid {
 				tk.Hybrid = nil
 			}
-			g.Add(tk)
+			g.Add(tk, Access{h, ReadWrite})
 		}
 		rep, err := sch.Run(g, 0)
 		if err != nil {
@@ -79,8 +78,8 @@ func TestHybridDegenerateSplitFallsBackToWholeDevice(t *testing.T) {
 	a := g.NewHandle("a", 1<<20)
 	b := g.NewHandle("b", 1<<20)
 	// Splits that round to 0 or all rows leave only the whole-device bodies.
-	g.Add(hybTask("allgpu", a, 300, 0.9999, 3.0, 1.0))
-	g.Add(hybTask("allcpu", b, 300, 0.0001, 1.0, 3.0))
+	g.Add(hybTask("allgpu", 300, 0.9999, 3.0, 1.0), Access{a, ReadWrite})
+	g.Add(hybTask("allcpu", 300, 0.0001, 1.0, 3.0), Access{b, ReadWrite})
 	rep, err := sch.Run(g, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -105,14 +104,14 @@ func TestHybridObserveFeedsSplitOracle(t *testing.T) {
 	h := g.NewHandle("h", 1<<20)
 	var gotSplit, gotTG, gotTC float64
 	calls := 0
-	tk := hybTask("upd", h, 200, 0.5, 3.0, 1.0)
+	tk := hybTask("upd", 200, 0.5, 3.0, 1.0)
 	var gotWorks, gotTimes []float64
 	tk.Hybrid.Observe = func(gsplit, tg, tc float64, coreWorks, coreTimes []float64) {
 		calls++
 		gotSplit, gotTG, gotTC = gsplit, tg, tc
 		gotWorks, gotTimes = coreWorks, coreTimes
 	}
-	g.Add(tk)
+	g.Add(tk, Access{h, ReadWrite})
 	if _, err := sch.Run(g, 0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -162,7 +161,7 @@ func TestHybridLostGPUDegradesToCPUAndRecovers(t *testing.T) {
 	g := New()
 	h := g.NewHandle("h", 1<<20)
 	for i := 0; i < 24; i++ {
-		g.Add(hybTask(fmt.Sprintf("t%02d", i), h, 300, 0.5, 3.0, 1.0))
+		g.Add(hybTask(fmt.Sprintf("t%02d", i), 300, 0.5, 3.0, 1.0), Access{h, ReadWrite})
 	}
 	rep, err := sch.Run(g, 0)
 	if err != nil {
@@ -199,9 +198,9 @@ func TestHybridVerifyCoversBothHalves(t *testing.T) {
 	sch := NewScheduler(el, Options{Verify: true})
 	g := New()
 	h := g.NewHandle("h", 1<<20)
-	tk := hybTask("upd", h, 512, 0.5, 3.0, 1.0)
+	tk := hybTask("upd", 512, 0.5, 3.0, 1.0)
 	tk.Shape = [3]int{512, 384, 256}
-	g.Add(tk)
+	g.Add(tk, Access{h, ReadWrite})
 	rep, err := sch.Run(g, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -229,9 +228,9 @@ func TestHybridSDCStrikesResolveDeterministically(t *testing.T) {
 		g := New()
 		h := g.NewHandle("h", 1<<20)
 		for i := 0; i < 40; i++ {
-			tk := hybTask(fmt.Sprintf("k%02d", i), h, 512, 0.5, 3.0, 1.0)
+			tk := hybTask(fmt.Sprintf("k%02d", i), 512, 0.5, 3.0, 1.0)
 			tk.Shape = [3]int{512, 512, 512}
-			g.Add(tk)
+			g.Add(tk, Access{h, ReadWrite})
 		}
 		rep, err := sch.Run(g, 0)
 		if err != nil {
@@ -270,17 +269,16 @@ func TestHybridResidencyAccounting(t *testing.T) {
 	h := g.NewHandle("tile", tile)
 	out := g.NewHandle("out", 64)
 	// 1: whole-GPU write leaves the tile device-dirty.
-	g.Add(&Task{Name: "init", Codelet: "init", Flops: 1e9,
-		Costs: Costs{GPUSeconds: func() float64 { return 0.1 }}, Accesses: []Access{{h, Write}}})
+	g.Add(Task{Name: "init", Codelet: "init", Flops: 1e9,
+		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{h, Write}}...)
 	// 2: hybrid update of the same tile: the host half needs the device's
 	// newer values (whole write-back), the device half reads its rows in
 	// place (no upload), and the join downloads exactly the device share.
-	g.Add(hybTask("upd", h, 256, 0.5, 3.0, 1.0))
+	g.Add(hybTask("upd", 256, 0.5, 3.0, 1.0), Access{h, ReadWrite})
 	// 3: a whole-GPU reader re-uploads the tile: the host became
 	// authoritative at the hybrid join, so the stale device copy must be gone.
-	g.Add(&Task{Name: "read", Codelet: "read", Flops: 1e9,
-		Costs:    Costs{GPUSeconds: func() float64 { return 0.1 }},
-		Accesses: []Access{{h, Read}, {out, Write}}})
+	g.Add(Task{Name: "read", Codelet: "read", Flops: 1e9,
+		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{h, Read}, {out, Write}}...)
 	rep, err := sch.Run(g, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -316,14 +314,13 @@ func TestHybridWorkingSetNoDoubleCountNoLeak(t *testing.T) {
 	h := g.NewHandle("tile", tile)
 	out := g.NewHandle("out", 64)
 	// Make the tile resident and clean via a whole-GPU read.
-	g.Add(&Task{Name: "warm", Codelet: "warm", Flops: 1e9,
-		Costs:    Costs{GPUSeconds: func() float64 { return 0.1 }},
-		Accesses: []Access{{h, Read}, {out, Write}}})
+	g.Add(Task{Name: "warm", Codelet: "warm", Flops: 1e9,
+		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{h, Read}, {out, Write}}...)
 	// Repeated hybrid updates: each holds the resident copy (once) during
 	// its booking and releases its transient share at the join. Leaked
 	// shares of tile/2 bytes would overflow after two tasks.
 	for i := 0; i < 8; i++ {
-		g.Add(hybTask(fmt.Sprintf("upd%d", i), h, 256, 0.5, 3.0, 1.0))
+		g.Add(hybTask(fmt.Sprintf("upd%d", i), 256, 0.5, 3.0, 1.0), Access{h, ReadWrite})
 	}
 	rep, err := sch.Run(g, 0)
 	if err != nil {
@@ -348,13 +345,11 @@ func TestHybridTransientEvictsColdResidents(t *testing.T) {
 	b := g.NewHandle("b", big)
 	o1 := g.NewHandle("o1", 64)
 	o2 := g.NewHandle("o2", 64)
-	g.Add(&Task{Name: "r1", Codelet: "r", Flops: 1e9,
-		Costs:    Costs{GPUSeconds: func() float64 { return 0.1 }},
-		Accesses: []Access{{a, Read}, {o1, Write}}})
-	g.Add(hybTask("upd", b, 256, 0.5, 3.0, 1.0))
-	g.Add(&Task{Name: "r2", Codelet: "r", Flops: 1e9,
-		Costs:    Costs{GPUSeconds: func() float64 { return 0.1 }},
-		Accesses: []Access{{a, Read}, {o2, Write}}})
+	g.Add(Task{Name: "r1", Codelet: "r", Flops: 1e9,
+		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{a, Read}, {o1, Write}}...)
+	g.Add(hybTask("upd", 256, 0.5, 3.0, 1.0), Access{b, ReadWrite})
+	g.Add(Task{Name: "r2", Codelet: "r", Flops: 1e9,
+		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{a, Read}, {o2, Write}}...)
 	rep, err := sch.Run(g, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -385,9 +380,8 @@ func TestOversizedWrittenSetsStream(t *testing.T) {
 	sch := NewScheduler(el, Options{})
 	g := New()
 	c := g.NewHandle("c", huge)
-	g.Add(&Task{Name: "upd", Codelet: "k", Flops: 1e9,
-		Costs:    Costs{GPUSeconds: func() float64 { return 0.001 }},
-		Accesses: []Access{{c, ReadWrite}}})
+	g.Add(Task{Name: "upd", Codelet: "k", Flops: 1e9,
+		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.001 }}}, []Access{{c, ReadWrite}}...)
 	rep, err := sch.Run(g, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -418,13 +412,11 @@ func TestOversizedWrittenSetsStream(t *testing.T) {
 	a := g2.NewHandle("a", mem/2)
 	o := g2.NewHandle("o", 64)
 	b := g2.NewHandle("b", huge)
-	g2.Add(&Task{Name: "r1", Codelet: "r", Flops: 1e9,
-		Costs:    Costs{GPUSeconds: func() float64 { return 0.1 }},
-		Accesses: []Access{{a, Read}, {o, Write}}})
-	g2.Add(hybTask("hupd", b, 256, 0.5, 3.0, 1.0))
-	g2.Add(&Task{Name: "r2", Codelet: "r", Flops: 1e9,
-		Costs:    Costs{GPUSeconds: func() float64 { return 0.1 }},
-		Accesses: []Access{{a, Read}, {o, Write}}})
+	g2.Add(Task{Name: "r1", Codelet: "r", Flops: 1e9,
+		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{a, Read}, {o, Write}}...)
+	g2.Add(hybTask("hupd", 256, 0.5, 3.0, 1.0), Access{b, ReadWrite})
+	g2.Add(Task{Name: "r2", Codelet: "r", Flops: 1e9,
+		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{a, Read}, {o, Write}}...)
 	rep2, err := sch2.Run(g2, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -455,11 +447,11 @@ func TestRateSeedsPreventColdMisplacements(t *testing.T) {
 		// One launch-bound runt (rate 1e8 flops/s), then five big tasks
 		// whose honest device rate is 1e10.
 		h := g.NewHandle("h", 1<<20)
-		g.Add(&Task{Name: "runt", Codelet: "k", Flops: 1e7,
-			Costs: bothCosts(0.11, 0.1), Accesses: []Access{{h, ReadWrite}}})
+		g.Add(Task{Name: "runt", Codelet: "k", Flops: 1e7,
+			Costs: bothCosts(0.11, 0.1)}, []Access{{h, ReadWrite}}...)
 		for i := 0; i < 5; i++ {
-			g.Add(&Task{Name: fmt.Sprintf("big%d", i), Codelet: "k", Flops: 1e9,
-				Costs: bothCosts(0.12, 0.1), Accesses: []Access{{h, ReadWrite}}})
+			g.Add(Task{Name: fmt.Sprintf("big%d", i), Codelet: "k", Flops: 1e9,
+				Costs: bothCosts(0.12, 0.1)}, []Access{{h, ReadWrite}}...)
 		}
 		return g
 	}
@@ -482,8 +474,8 @@ func TestRateSeedsPreventColdMisplacements(t *testing.T) {
 	warmup := New()
 	hw := warmup.NewHandle("hw", 1<<20)
 	for i := 0; i < 6; i++ {
-		warmup.Add(&Task{Name: fmt.Sprintf("w%d", i), Codelet: "k", Flops: 1e9,
-			Costs: bothCosts(0.12, 0.1), Accesses: []Access{{hw, ReadWrite}}})
+		warmup.Add(Task{Name: fmt.Sprintf("w%d", i), Codelet: "k", Flops: 1e9,
+			Costs: bothCosts(0.12, 0.1)}, []Access{{hw, ReadWrite}}...)
 	}
 	if _, err := schW.Run(warmup, 0); err != nil {
 		t.Fatal(err)

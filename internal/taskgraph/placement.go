@@ -44,12 +44,12 @@ func (r *run) estimate(t *Task, readyAt sim.Time, gpuOK bool) candidates {
 	rates := r.s.rates
 	if gpuOK {
 		c.gpuPlan = r.planDevice(t, 1, 1, false, readyAt)
-		model := c.gpuPlan.boundBy(t.Costs.GPUSeconds())
+		model := c.gpuPlan.boundBy(t.Costs.GPUSeconds(t))
 		c.gpu = c.gpuPlan.start + rates.EstimateClass(t.Codelet, ClassGPU, t.Flops, model)
 	}
 	cpuOK := t.Costs.CPUSeconds != nil
 	if cpuOK {
-		est := rates.EstimateClass(t.Codelet, ClassCPU, t.Flops, t.Costs.CPUSeconds())
+		est := rates.EstimateClass(t.Codelet, ClassCPU, t.Flops, t.Costs.CPUSeconds(t))
 		for ci := range r.cores {
 			if fin := r.coreFree(ci, readyAt) + est; fin < c.cpu {
 				c.cpu, c.core = fin, ci

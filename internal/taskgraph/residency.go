@@ -39,9 +39,10 @@ type residentEntry struct {
 // transient occupancy a booking holds (hybrid row shares, the stream window).
 // Admitting and touching only ever move a slot to the tail, so the first slot
 // from the head outside the keep-set is the least recently used victim
-// without a scan. It is fresh per Run so a graph's timing never depends on
-// what an earlier graph left in device memory (checkpoint restores replay
-// bit-identically). Every write-back it books lands in the run's report.
+// without a scan. It starts every Run empty so a graph's timing never depends
+// on what an earlier graph left in device memory (checkpoint restores replay
+// bit-identically); only the slot array's capacity is carried over. Every
+// write-back it books lands in the run's report.
 type residency struct {
 	dev        *gpu.Device
 	rep        *Report
@@ -55,10 +56,10 @@ type residency struct {
 	err   error // first working-set overflow; sticky
 }
 
-// newResidency returns the manager of a graph with the given handle count.
-func newResidency(dev *gpu.Device, rep *Report, handles int) residency {
+// begin empties the manager for a graph with the given handle count.
+func (m *residency) begin(rep *Report, handles int) {
 	// Slots start at pin 0: the first epoch is 1, so none starts pinned.
-	return residency{dev: dev, rep: rep, entries: make([]residentEntry, handles), epoch: 1}
+	*m = residency{dev: m.dev, rep: rep, entries: resized(m.entries, handles), epoch: 1}
 }
 
 // reset forgets every device copy: a lost or re-created context starts with

@@ -23,8 +23,9 @@ const (
 func newTestResidency() (*residency, *element.Element) {
 	el := element.New(element.Config{Seed: 1, Virtual: true, GPUMem: testMem})
 	el.GPU.DMA.SetRecording(true)
-	m := newResidency(el.GPU, &Report{}, testHandles)
-	return &m, el
+	m := &residency{dev: el.GPU}
+	m.begin(&Report{}, testHandles)
+	return m, el
 }
 
 // residents returns the device copies from least to most recently used.
@@ -314,8 +315,9 @@ func TestHybridBookingReleasesTransientAndStaleOccupancy(t *testing.T) {
 	r.res.lookup(tile).dirty = true
 	r.res.admit(cached, sim.Span{})
 
-	upd := hybTask("upd", tile, 256, 0.5, 3.0, 1.0)
-	upd.Accesses = append(upd.Accesses, Access{fresh, ReadWrite}, Access{cached, Read})
+	task := hybTask("upd", 256, 0.5, 3.0, 1.0)
+	task.Accesses = []Access{{tile, ReadWrite}, {fresh, ReadWrite}, {cached, Read}}
+	upd := &task
 	c := r.estimate(upd, 1, true)
 	if c.choose() != ClassHyb {
 		t.Fatalf("candidates %+v did not favour the hybrid body", c)

@@ -2,7 +2,6 @@ package taskgraph
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"tianhe/internal/abft"
@@ -159,7 +158,9 @@ func newSchedProbes(tel *telemetry.Telemetry) *schedProbes {
 // Scheduler places graphs on one compute element. It persists across graphs:
 // the affinity database, the SDC task counter, and the loss gate carry from
 // one Run to the next, which is what lets the per-iteration LU graphs behave
-// like one long adaptive run.
+// like one long adaptive run. The working memory of a Run lives here too, but
+// only as capacity: every Run starts it from empty, so nothing but the three
+// above ever flows from one graph into the next.
 type Scheduler struct {
 	el     *element.Element
 	opts   Options
@@ -168,6 +169,8 @@ type Scheduler struct {
 
 	gate    gpu.LossGate
 	taskSeq int
+
+	run run
 }
 
 // NewScheduler builds a scheduler over the element.
@@ -176,13 +179,34 @@ func NewScheduler(el *element.Element, opts Options) *Scheduler {
 	for _, sd := range opts.RateSeeds {
 		rates.Seed(sd.Codelet, sd.Class, sd.Rate)
 	}
-	return &Scheduler{
+	s := &Scheduler{
 		el:     el,
 		opts:   opts,
 		rates:  rates,
 		probes: newSchedProbes(opts.Telemetry),
 		gate:   gpu.NewLossGate(el.GPU),
 	}
+	s.run = s.emptyRun()
+	return s
+}
+
+// emptyRun is the working state before the first Run: what is fixed by the
+// element, and no scratch yet.
+func (s *Scheduler) emptyRun() run {
+	cores := s.el.CPU.Cores()
+	n := len(cores)
+	r := run{
+		s: s, dev: s.el.GPU, cores: cores,
+		coreNames: make([]string, n),
+		res:       residency{dev: s.el.GPU},
+		window:    s.el.GPU.MemBytes() / 4,
+		sizer: splitSizer{usable: make([]bool, n), fr: make([]float64, n),
+			caps: make([]int, n), w: make([]float64, n)},
+	}
+	for i := range r.coreNames {
+		r.coreNames[i] = fmt.Sprintf("cpu%d", i)
+	}
+	return r
 }
 
 // Rates returns the affinity database (for checkpointing and tests).
@@ -258,12 +282,14 @@ func (h *readyHeap) pop() readyItem {
 }
 
 // childIndex lists, for every task, the tasks that wait on it, in creation
-// order: one flat slice and the offset of each task's run in it.
-type childIndex struct{ start, list []int }
+// order: one flat slice and the offset of each task's run in it (fill is the
+// build's cursor per task).
+type childIndex struct{ start, list, fill []int }
 
-func newChildIndex(tasks []*Task) childIndex {
+// build indexes tasks, reusing the slices of the last build.
+func (c *childIndex) build(tasks []*Task) {
 	n := len(tasks)
-	start := make([]int, n+1)
+	start := resized(c.start, n+1)
 	for _, t := range tasks {
 		for _, d := range t.deps {
 			start[d+1]++
@@ -272,23 +298,24 @@ func newChildIndex(tasks []*Task) childIndex {
 	for i := 0; i < n; i++ {
 		start[i+1] += start[i]
 	}
-	list := make([]int, start[n])
-	fill := slices.Clone(start[:n])
+	list := resized(c.list, start[n])
+	fill := append(c.fill[:0], start[:n]...)
 	for _, t := range tasks {
 		for _, d := range t.deps {
 			list[fill[d]] = t.id
 			fill[d]++
 		}
 	}
-	return childIndex{start, list}
+	c.start, c.list, c.fill = start, list, fill
 }
 
 func (c childIndex) of(id int) []int { return c.list[c.start[id]:c.start[id+1]] }
 
 // run is the working state of one Scheduler.Run, shared by its parts: the
 // residency manager owns device memory, the device plan and the cost step
-// read it to predict, and the executor books through it. The scratch slices
-// are reused across tasks so placement does not allocate per task.
+// read it to predict, and the executor books through it. It lives in the
+// Scheduler so its slices grow to the largest graph seen and are emptied, not
+// re-made, per Run; nothing placement allocates is per task.
 type run struct {
 	s     *Scheduler
 	dev   *gpu.Device
@@ -297,6 +324,13 @@ type run struct {
 	coreNames []string
 	rep       Report
 	res       residency
+
+	// Dependency bookkeeping, by task id, and the graph's validation scratch.
+	val      validation
+	indeg    []int
+	finish   []sim.Time
+	children childIndex
+	ready    readyHeap
 	// window is the double-buffered staging budget for oversized working
 	// sets. A task whose written tiles cannot fit on the device streams them
 	// through this window instead of making them resident, exactly like the
@@ -312,21 +346,17 @@ type run struct {
 	stale  []*Handle  // resident copies its host half overwrites
 }
 
+// newRun empties the working state for a Run of g. The report's TaskSpans are
+// the one thing made fresh: the caller keeps them.
 func (s *Scheduler) newRun(g *Graph, earliest sim.Time) *run {
-	n := len(s.el.CPU.Cores())
-	r := &run{
-		s: s, dev: s.el.GPU, cores: s.el.CPU.Cores(),
-		coreNames: make([]string, n),
-		rep: Report{Start: earliest, End: earliest, Tasks: g.Len(),
-			TaskSpans: make([]TaskSpan, 0, g.Len())},
-		window: s.el.GPU.MemBytes() / 4,
-		sizer: splitSizer{usable: make([]bool, n), fr: make([]float64, n),
-			caps: make([]int, n), w: make([]float64, n)},
-	}
-	for i := range r.coreNames {
-		r.coreNames[i] = fmt.Sprintf("cpu%d", i)
-	}
-	r.res = newResidency(r.dev, &r.rep, len(g.handles))
+	r := &s.run
+	r.rep = Report{Start: earliest, End: earliest, Tasks: g.Len(),
+		TaskSpans: make([]TaskSpan, 0, g.Len())}
+	r.res.begin(&r.rep, g.nHandles)
+	r.indeg = resized(r.indeg, g.Len())
+	r.finish = resized(r.finish, g.Len())
+	r.children.build(g.tasks)
+	r.ready = r.ready[:0]
 	return r
 }
 
@@ -336,26 +366,20 @@ func (s *Scheduler) newRun(g *Graph, earliest sim.Time) *run {
 // consistent with the dependency DAG. A task whose own handles overflow device
 // memory aborts the run with ErrWorkingSet.
 func (s *Scheduler) Run(g *Graph, earliest sim.Time) (Report, error) {
-	if err := g.Validate(); err != nil {
+	if err := g.validate(&s.run.val); err != nil {
 		return Report{}, err
 	}
 	r := s.newRun(g, earliest)
 	tasks := g.Tasks()
-
-	// Dependency bookkeeping.
-	n := len(tasks)
-	indeg := make([]int, n)
-	children := newChildIndex(tasks)
-	var ready readyHeap
+	indeg, finish, children, ready := r.indeg, r.finish, r.children, &r.ready
 	for _, t := range tasks {
 		indeg[t.id] = len(t.deps)
 		if indeg[t.id] == 0 {
 			ready.push(readyItem{id: t.id, priority: t.Priority, readyAt: earliest})
 		}
 	}
-	finish := make([]sim.Time, n)
 
-	for len(ready) > 0 {
+	for len(*ready) > 0 {
 		it := ready.pop()
 		t := tasks[it.id]
 		r.rep.Flops += t.Flops

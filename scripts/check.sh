@@ -35,6 +35,10 @@ go run ./cmd/tianhelint -tests -par 8
 # verdict tables must match across parallelism.
 if [ "$(go env CGO_ENABLED)" = "1" ]; then
     go test -race ./...
+    # Every testing.AllocsPerRun budget skips itself under the detector (its
+    # shadow memory allocates), so the race run above gates none of them:
+    # run them plainly. A few seconds.
+    go test -run 'Alloc' ./internal/...
 else
     echo "check.sh: CGO_ENABLED=$(go env CGO_ENABLED) — race detector unavailable, running tests without -race" >&2
     go test ./...
