@@ -491,17 +491,11 @@ func (st *elasticRank) recoverFrom(failed []int, k int) {
 	st.recovery = append(st.recovery, agreed)
 }
 
-// runRebuildGraph executes this rank's share of the rebuild plan as a task
-// graph on its compute element: XOR folds for parity-recovered columns,
-// historical-panel unswapping, regeneration and per-iteration replay for
-// trailing columns. Placement and booking go through the same scheduler as
-// production work; bodies do the real arithmetic.
-func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, parityIn map[int][]float64) {
-	me := st.comm.Rank()
-	n, nb, k := st.cfg.N, st.cfg.NB, plan.Iter
-	var mine []rcv.Rebuild
-	var xors []rcv.Rebuild
-	needHist := false
+// rebuildShare sorts the plan's rebuilds into the columns this rank adopts,
+// the parity rebuilds every survivor folds, and whether any adopted column
+// replays (and so needs the historical panels).
+func (st *elasticRank) rebuildShare(plan rcv.Plan) (mine, xors []rcv.Rebuild, needHist bool) {
+	me, k := st.comm.Rank(), plan.Iter
 	for _, rb := range plan.Rebuilds {
 		if rb.Adopter == me {
 			mine = append(mine, rb)
@@ -526,6 +520,17 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 			panic(fmt.Sprintf("cluster: factored column %d lost beyond parity strength (simultaneous failures %v share a stripe)", rb.Col, plan.Failed))
 		}
 	}
+	return mine, xors, needHist
+}
+
+// runRebuildGraph executes this rank's share of the rebuild plan as a task
+// graph on its compute element: XOR folds for parity-recovered columns,
+// historical-panel unswapping, regeneration and per-iteration replay for
+// trailing columns. Placement and booking go through the same scheduler as
+// production work; bodies do the real arithmetic.
+func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, parityIn map[int][]float64) {
+	n, nb, k := st.cfg.N, st.cfg.NB, plan.Iter
+	mine, xors, needHist := st.rebuildShare(plan)
 	if len(xors) == 0 && len(mine) == 0 {
 		return
 	}

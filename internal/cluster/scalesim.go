@@ -135,18 +135,9 @@ type elementState struct {
 	noise    *sim.RNG
 }
 
-// SimulateScale runs the large-scale Linpack model and returns its timing.
-func SimulateScale(cfg ScaleConfig) ScaleResult {
-	g := grid.Squarish(cfg.Processes)
-	gpuModel := perfmodel.DefaultGPU()
-	if cfg.Downclock {
-		gpuModel = gpuModel.Downclocked()
-	}
-	transfer := perfmodel.DefaultTransfer()
-	net := perfmodel.DefaultNetwork()
-	crossCabinet := cfg.Processes > perfmodel.ElementsPerCabinet
-
-	// Per-element state.
+// newElementStates draws every element's manufacturing spread and seeds its
+// drift and noise streams; the split starts at the peak-rate ratio.
+func newElementStates(cfg ScaleConfig, gpuModel perfmodel.GPU) []elementState {
 	elems := make([]elementState, cfg.Processes)
 	manuf := sim.NewStream(cfg.Seed, "scale/manufacturing")
 	cleanCPU := 3 * perfmodel.CPUCoreGFLOPS * 0.97 // clean aggregate, no run load
@@ -162,6 +153,21 @@ func SimulateScale(cfg ScaleConfig) ScaleResult {
 		es.noise = sim.NewStream(cfg.Seed, "scale/noise/"+string(id))
 		es.split = gpuModel.PeakGFLOPS / (gpuModel.PeakGFLOPS + float64(perfmodel.ComputeCores)*perfmodel.CPUCoreGFLOPS)
 	}
+	return elems
+}
+
+// SimulateScale runs the large-scale Linpack model and returns its timing.
+func SimulateScale(cfg ScaleConfig) ScaleResult {
+	g := grid.Squarish(cfg.Processes)
+	gpuModel := perfmodel.DefaultGPU()
+	if cfg.Downclock {
+		gpuModel = gpuModel.Downclocked()
+	}
+	transfer := perfmodel.DefaultTransfer()
+	net := perfmodel.DefaultNetwork()
+	crossCabinet := cfg.Processes > perfmodel.ElementsPerCabinet
+
+	elems := newElementStates(cfg, gpuModel)
 
 	// Trained splits: measured per element with the DGEMM running alone
 	// (clean CPU rate, current GPU state) and then frozen.

@@ -1,36 +1,14 @@
 package linpacksim
 
 import (
-	"encoding/binary"
-	"hash"
-	"hash/fnv"
-	"math"
 	"testing"
 
 	"tianhe/internal/element"
 	"tianhe/internal/hpl"
+	"tianhe/internal/sim/simtest"
 	"tianhe/internal/taskgraph"
 	"tianhe/internal/telemetry"
 )
-
-// scheduleDigest is an FNV-1a hash over exact schedule content: strings by
-// their bytes, times by their float64 bits.
-type scheduleDigest struct{ h hash.Hash64 }
-
-func newScheduleDigest() scheduleDigest { return scheduleDigest{fnv.New64a()} }
-
-func (d scheduleDigest) str(s string) {
-	d.h.Write([]byte(s))
-	d.h.Write([]byte{0})
-}
-
-func (d scheduleDigest) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	d.h.Write(b[:])
-}
-
-func (d scheduleDigest) time(t float64) { d.u64(math.Float64bits(t)) }
 
 // stepperDigest runs the graph stepper at the paper's single-element size and
 // hashes everything it booked: every span of every resource timeline — a task
@@ -47,22 +25,16 @@ func stepperDigest(lookahead int) (uint64, int) {
 	for !s.Done() {
 		s.Step()
 	}
-	d := newScheduleDigest()
+	d := simtest.NewDigest()
 	spans := 0
 	for _, tl := range s.Element().Timelines() {
-		d.str(tl.Name())
-		for _, sp := range tl.Spans() {
-			d.str(sp.Label)
-			d.time(sp.Start)
-			d.time(sp.End)
-			spans++
-		}
+		spans += d.Timeline(tl)
 	}
 	for _, c := range []string{"taskgraph.bytes_in", "taskgraph.bytes_out", "taskgraph.bytes_skipped"} {
-		d.u64(uint64(tel.Counter(c).Value()))
+		d.U64(uint64(tel.Counter(c).Value()))
 	}
-	d.time(s.Result().Seconds)
-	return d.h.Sum64(), spans
+	d.Float(s.Result().Seconds)
+	return d.Sum64(), spans
 }
 
 // wholeGraphDigest schedules the 19,019-task whole-factorisation graph and
@@ -74,18 +46,18 @@ func wholeGraphDigest(t *testing.T) (uint64, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := newScheduleDigest()
+	d := simtest.NewDigest()
 	for _, ts := range rep.TaskSpans {
-		d.str(ts.Name)
-		d.str(ts.Device)
-		d.time(ts.Start)
-		d.time(ts.End)
+		d.Str(ts.Name)
+		d.Str(ts.Device)
+		d.Float(ts.Start)
+		d.Float(ts.End)
 	}
-	d.u64(uint64(rep.BytesIn))
-	d.u64(uint64(rep.BytesOut))
-	d.u64(uint64(rep.BytesSkipped))
-	d.time(rep.End)
-	return d.h.Sum64(), len(rep.TaskSpans)
+	d.U64(uint64(rep.BytesIn))
+	d.U64(uint64(rep.BytesOut))
+	d.U64(uint64(rep.BytesSkipped))
+	d.Float(rep.End)
+	return d.Sum64(), len(rep.TaskSpans)
 }
 
 // TestEvictingScheduleDigest pins, at exact equality, the three schedules in

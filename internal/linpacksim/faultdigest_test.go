@@ -9,20 +9,21 @@ import (
 	"tianhe/internal/gpu"
 	"tianhe/internal/pipeline"
 	"tianhe/internal/sim"
+	"tianhe/internal/sim/simtest"
 	"tianhe/internal/telemetry"
 )
 
 // traceInto folds every recorded trace event — resource spans, fault and ABFT
 // instants, counter samples — and the sorted metric dump into d.
-func traceInto(d scheduleDigest, tel *telemetry.Telemetry) (events int, instants map[string]int) {
+func traceInto(d simtest.Digest, tel *telemetry.Telemetry) (events int, instants map[string]int) {
 	instants = map[string]int{}
 	for _, e := range tel.Trace.Events() {
-		d.u64(uint64(e.Phase))
-		d.str(e.Track)
-		d.str(e.Name)
-		d.time(e.Start)
-		d.time(e.End)
-		d.time(e.Value)
+		d.U64(uint64(e.Phase))
+		d.Str(e.Track)
+		d.Str(e.Name)
+		d.Float(e.Start)
+		d.Float(e.End)
+		d.Float(e.Value)
 		if e.Phase == telemetry.PhaseInstant {
 			instants[e.Name]++
 		}
@@ -30,7 +31,7 @@ func traceInto(d scheduleDigest, tel *telemetry.Telemetry) (events int, instants
 	}
 	var dump bytes.Buffer
 	tel.Metrics.WriteText(&dump)
-	d.str(dump.String())
+	d.Str(dump.String())
 	return events, instants
 }
 
@@ -49,21 +50,21 @@ func faultArmDigest(t *testing.T, cfg Config) (uint64, int) {
 	cfg.Telemetry, cfg.Checkpoint, cfg.Verify, cfg.SDC = tel, true, true, in
 	res := Run(cfg)
 
-	d := newScheduleDigest()
+	d := simtest.NewDigest()
 	events, instants := traceInto(d, tel)
 	for _, v := range []int{res.SDCDetected, res.SDCCorrected, res.SDCEscalated, res.SDCRestores,
 		res.Failures, res.RedoneIterations, res.Iterations} {
-		d.u64(uint64(v))
+		d.U64(uint64(v))
 	}
-	d.time(res.VerifySeconds)
-	d.time(res.CheckpointSeconds)
-	d.time(res.Seconds)
+	d.Float(res.VerifySeconds)
+	d.Float(res.CheckpointSeconds)
+	d.Float(res.Seconds)
 	// The arm is only a pin of the fault path if the run went through it.
 	if instants["gpu.fallback"] == 0 || instants["gpu.reinit"] == 0 || res.SDCCorrected == 0 {
 		t.Errorf("%v graph=%v: fault arm missed the path: instants %v, tally %d/%d/%d",
 			cfg.Variant, cfg.Graph, instants, res.SDCDetected, res.SDCCorrected, res.SDCEscalated)
 	}
-	return d.h.Sum64(), events
+	return d.Sum64(), events
 }
 
 // pipelineSDCDigest runs the CT/NT executor under sdc-single with verification
@@ -91,31 +92,25 @@ func pipelineSDCDigest(t *testing.T) (uint64, int) {
 	tel := telemetry.New()
 	rep, dev := run(tel, in)
 
-	d := newScheduleDigest()
+	d := simtest.NewDigest()
 	spans := 0
 	for _, tl := range []*sim.Timeline{dev.Queue, dev.DMA} {
-		d.str(tl.Name())
-		for _, sp := range tl.Spans() {
-			d.str(sp.Label)
-			d.time(sp.Start)
-			d.time(sp.End)
-			spans++
-		}
+		spans += d.Timeline(tl)
 	}
 	events, _ := traceInto(d, tel)
 	for _, v := range []int{rep.Tasks, rep.SDCDetected, rep.SDCCorrected, rep.SDCEscalated, rep.RecomputedTasks} {
-		d.u64(uint64(v))
+		d.U64(uint64(v))
 	}
 	for _, v := range []int64{rep.BytesIn, rep.BytesOut, rep.BytesSkipped} {
-		d.u64(uint64(v))
+		d.U64(uint64(v))
 	}
-	d.time(rep.VerifySeconds)
-	d.time(rep.End)
+	d.Float(rep.VerifySeconds)
+	d.Float(rep.End)
 	if rep.SDCCorrected == 0 || rep.SDCDetected == rep.Tasks {
 		t.Errorf("pipeline arm: %d of %d tasks struck, %d corrected — not a strict-subset strike run",
 			rep.SDCDetected, rep.Tasks, rep.SDCCorrected)
 	}
-	return d.h.Sum64(), spans + events
+	return d.Sum64(), spans + events
 }
 
 // TestFaultArmDigest pins, at exact equality, the fault arms no other golden

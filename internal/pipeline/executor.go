@@ -35,19 +35,6 @@ type Options struct {
 	// transfers the CT/NT overlap buried under the previous kernel. Nil (the
 	// default) disables instrumentation at zero cost.
 	Telemetry *telemetry.Telemetry
-	// Verify enables ABFT checksum verification of every task at its EO
-	// drain: the host spends abft.VerifySeconds per task checking the
-	// streamed-out tile against its Huang-Abraham checksums. A task struck
-	// by the SDC injector is detected there; a localizable single-element
-	// corruption is recovered by re-enqueueing just that task behind the
-	// already-booked next-task kernels (the CT/NT overlap never stalls),
-	// while checksum-row hits and multi-element corruption are counted as
-	// escalations for the caller's checkpoint machinery.
-	Verify bool
-	// SDC is the injector consulted for corruption strikes at each task
-	// drain (nil: verification runs, nothing ever strikes). Strikes are
-	// drawn per task index, so runs replay bit-identically.
-	SDC *fault.Injector
 }
 
 // Pipelined returns the full Section V configuration.
@@ -76,7 +63,7 @@ type Report struct {
 	BytesIn, BytesOut, BytesSkipped int64
 	// Tasks is the number of tasks in the queue.
 	Tasks int
-	// Tally holds the ABFT outcomes (Options.Verify); the recompute bookings
+	// Tally holds the ABFT outcomes (EnableVerify); the recompute bookings
 	// and the verification time are included in End, so the overhead is
 	// visible in the makespan.
 	abft.Tally
@@ -98,7 +85,13 @@ func (r Report) GFLOPS() float64 {
 type Executor struct {
 	dev    *gpu.Device
 	opts   Options
-	probes *execProbes // nil when telemetry is disabled
+	probes *execProbes     // nil when telemetry is disabled
+	verify bool            // set, with sdc, by EnableVerify
+	sdc    *fault.Injector // nil: nothing ever strikes
+
+	// dr is the driver of the run in progress; it lives here so that handing
+	// it to the controller costs a run no allocation.
+	dr deviceRun
 
 	// taskSeq numbers every drained task across the executor's lifetime;
 	// it keys the SDC injector's per-task decision streams, so strikes
@@ -157,361 +150,311 @@ func NewExecutor(dev *gpu.Device, opts Options) *Executor {
 	return &Executor{dev: dev, opts: opts.withDefaults(dev), probes: newExecProbes(opts.Telemetry)}
 }
 
-// EnableVerify turns on ABFT verification on a built executor, optionally
-// with an SDC injector supplying corruption strikes — the hybrid runner's
-// fault-wiring path (see Options.Verify).
+// EnableVerify turns on ABFT checksum verification of every task at its EO
+// drain — the hybrid runner's fault-wiring path: the host spends
+// abft.VerifySeconds per task checking the streamed-out tile against its
+// Huang-Abraham checksums. sdc is the injector consulted for corruption
+// strikes at each drain (nil: verification runs, nothing ever strikes);
+// strikes are drawn per task index, so runs replay bit-identically. A
+// localizable single-element corruption is recovered by re-enqueueing just
+// that task behind the already-booked next-task kernels (the CT/NT overlap
+// never stalls), while checksum-row hits and multi-element corruption are
+// counted as escalations for the caller's checkpoint machinery.
 func (e *Executor) EnableVerify(sdc *fault.Injector) {
-	e.opts.Verify = true
-	e.opts.SDC = sdc
+	e.verify, e.sdc = true, sdc
 }
 
-// residentTile tracks one cached operand tile in device memory.
+// residentTile tracks one operand tile's place in device memory.
 type residentTile struct {
 	buf   *gpu.Buffer // nil in virtual mode
 	bytes int64
 	sp    sim.Span // the transfer that made it resident
-	lru   int
+	lru   int      // tick of its last use; zero while it is not resident
 }
 
-// outputJob defers a task's OUTPUT phase so that, in overlap mode, the next
-// task's N-INPUT transfers are booked on the DMA engine first — the CT/NT
-// program order of Table I.
-type outputJob struct {
-	task    *Task
-	kernel  sim.Span
-	eoStart sim.Time
-	cBuf    *gpu.Buffer
-	cBytes  int64
+// inFlight is one of the two tasks the CT/NT pair holds, from the start of
+// its input phase to the drain of its output.
+type inFlight struct {
+	task     *Task
+	earliest sim.Time    // when its transfers may begin
+	cBuf     *gpu.Buffer // nil in virtual mode
+	cBytes   int64
+	cIn      sim.Span // the C tile's upload (beta != 0)
+	kernel   sim.Span // the last accumulation kernel issued
+	eoStart  sim.Time
 }
 
-// run is the shared control loop; hostA/B/C are nil in virtual mode.
+// deviceRun is the controller's device driver for one plan: it books on the
+// DMA engine and the command queue what each phase says. hostA/B/C are nil in
+// virtual mode, which books the same spans from the shapes alone.
+type deviceRun struct {
+	e                   *Executor
+	p                   *Plan
+	alpha, beta         float64
+	hostA, hostB, hostC *matrix.Dense
+	rep                 Report
+
+	resident         []residentTile // indexed by Plan.operandIndex
+	lruTick          int
+	memInUse, budget int64
+
+	// tasks holds task i in slot i&1: the successor's input and kernels are
+	// booked while its predecessor's output is still to drain.
+	tasks [2]inFlight
+	// lastEnd is when the last retired task finished; without overlap the
+	// next task's input waits for it.
+	lastEnd sim.Time
+	// taskIn is the interval covered by the current task's fresh transfers,
+	// kept when telemetry is on so the CT/NT overlap efficiency (how much
+	// input hid under the previous kernel) can be measured per task.
+	taskIn    sim.Span
+	taskInSet bool
+}
+
+// run drives the controller over the plan on the device.
 func (e *Executor) run(p *Plan, alpha, beta float64, hostA, hostB, hostC *matrix.Dense, earliest sim.Time) Report {
-	rep := Report{Flops: p.TotalFlops(), Tasks: len(p.Tasks), Start: earliest}
-	virtual := hostC == nil
-
-	// Telemetry accumulators: taskIn tracks the interval covered by the
-	// current task's fresh transfers, so the CT/NT overlap efficiency (how
-	// much input hid under the previous kernel) can be measured per task.
-	pr := e.probes
-	var taskIn sim.Span
-	taskInSet := false
-	noteInput := func(sp sim.Span) {
-		if pr == nil {
-			return
-		}
-		if !taskInSet {
-			taskIn, taskInSet = sp, true
-			return
-		}
-		if sp.Start < taskIn.Start {
-			taskIn.Start = sp.Start
-		}
-		if sp.End > taskIn.End {
-			taskIn.End = sp.End
-		}
+	r := &e.dr
+	*r = deviceRun{e: e, p: p, alpha: alpha, beta: beta, hostA: hostA, hostB: hostB, hostC: hostC,
+		rep:      Report{Flops: p.TotalFlops(), Tasks: len(p.Tasks), Start: earliest},
+		resident: make([]residentTile, (p.RowTiles+p.ColTiles)*p.KTiles), budget: e.residencyBudget(p), lastEnd: earliest}
+	control(len(p.Tasks), e.opts.OverlapInput, r)
+	for i := range r.resident {
+		free(r.resident[i].buf)
 	}
-
-	resident := make(map[TileID]*residentTile)
-	lruTick := 0
-	var memInUse int64
-	// The residency budget leaves room for the EO double buffers and two
-	// full C tiles (the real-data path stages whole output tiles, and the
-	// CT/NT overlap keeps two tasks in flight). Sizes come from the plan's
-	// actual tiles, which may be far smaller than the configured maximum.
-	var maxCTile, maxN, maxM int64
-	for _, t := range p.Tasks {
-		if b := 8 * int64(t.M) * int64(t.N); b > maxCTile {
-			maxCTile = b
-		}
-		if int64(t.N) > maxN {
-			maxN = int64(t.N)
-		}
-		if int64(t.M) > maxM {
-			maxM = int64(t.M)
-		}
+	if pr := e.probes; pr != nil {
+		pr.tasks.Add(int64(r.rep.Tasks))
+		pr.bytesIn.Add(r.rep.BytesIn)
+		pr.bytesOut.Add(r.rep.BytesOut)
+		pr.bytesSkipped.Add(r.rep.BytesSkipped)
 	}
-	blockRows := int64(e.opts.BlockRows)
-	if blockRows > maxM {
-		blockRows = maxM
-	}
-	budget := e.dev.MemBytes() - 2*8*blockRows*maxN - 2*maxCTile
+	rep := r.rep
+	*r = deviceRun{} // let go of the caller's matrices
+	return rep
+}
 
-	evictFor := func(need int64) {
-		for memInUse+need > budget {
-			var victim TileID
-			best := int(^uint(0) >> 1)
-			for id, rt := range resident {
-				if rt.lru < best {
-					best, victim = rt.lru, id
-				}
+// residencyBudget is the device memory operand tiles may occupy: what is
+// left after the EO double buffers and two full C tiles (the real-data path
+// stages whole output tiles, and the CT/NT overlap keeps two tasks in
+// flight). Sizes come from the plan's actual tiles, which may be far smaller
+// than the configured maximum.
+func (e *Executor) residencyBudget(p *Plan) int64 {
+	maxM, maxN := int64(p.rows[0]), int64(p.cols[0]) // only a last tile is smaller
+	blockRows := min(int64(e.opts.BlockRows), maxM)
+	return e.dev.MemBytes() - 2*8*blockRows*maxN - 2*8*maxM*maxN
+}
+
+// free releases a device buffer; virtual mode has none.
+func free(b *gpu.Buffer) {
+	if b != nil {
+		b.Free()
+	}
+}
+
+// alloc reserves a device buffer; virtual mode keeps none.
+func (r *deviceRun) alloc(rows, cols int) *gpu.Buffer {
+	if r.hostC == nil {
+		return nil
+	}
+	buf, err := r.e.dev.Alloc(rows, cols)
+	if err != nil {
+		panic(fmt.Sprintf("pipeline: device alloc %dx%d: %v", rows, cols, err))
+	}
+	return buf
+}
+
+// stage uploads the rows x cols tile at (rowOff, colOff) of host into a fresh
+// device buffer no earlier than notBefore; virtual mode books the same
+// transfer from the shape alone.
+func (r *deviceRun) stage(host *matrix.Dense, rowOff, colOff, rows, cols int, notBefore sim.Time) (buf *gpu.Buffer, sp sim.Span) {
+	bytes := 8 * int64(rows) * int64(cols)
+	if buf = r.alloc(rows, cols); buf == nil {
+		sp = r.e.dev.UploadBytes(bytes, notBefore)
+	} else {
+		sp = r.e.dev.Upload(host.View(rowOff, colOff, rows, cols), buf, notBefore)
+	}
+	r.rep.BytesIn += bytes
+	if r.e.probes != nil {
+		if !r.taskInSet {
+			r.taskIn, r.taskInSet = sp, true
+		}
+		r.taskIn.Start = min(r.taskIn.Start, sp.Start)
+		r.taskIn.End = max(r.taskIn.End, sp.End)
+	}
+	return buf, sp
+}
+
+// drop releases a resident tile.
+func (r *deviceRun) drop(rt *residentTile) {
+	r.memInUse -= rt.bytes
+	free(rt.buf)
+	*rt = residentTile{}
+}
+
+// evictFor frees least-recently-used tiles until need more bytes fit.
+func (r *deviceRun) evictFor(need int64) {
+	for r.memInUse+need > r.budget {
+		var victim *residentTile
+		for i := range r.resident {
+			if rt := &r.resident[i]; rt.lru != 0 && (victim == nil || rt.lru < victim.lru) {
+				victim = rt
 			}
-			if best == int(^uint(0)>>1) {
-				panic(fmt.Sprintf("pipeline: tile of %d bytes cannot fit budget %d", need, budget))
-			}
-			rt := resident[victim]
-			memInUse -= rt.bytes
-			if !virtual {
-				rt.buf.Free()
-			}
-			delete(resident, victim)
 		}
+		if victim == nil {
+			panic(fmt.Sprintf("pipeline: tile of %d bytes cannot fit budget %d", need, r.budget))
+		}
+		r.drop(victim)
 	}
+}
 
-	// ensure transfers a tile (or finds it resident), returning its buffer
-	// handle and the span after which it is usable.
-	ensure := func(id TileID, host *matrix.Dense, notBefore sim.Time) (*gpu.Buffer, sim.Span) {
-		if rt, ok := resident[id]; ok && e.opts.Reuse {
-			lruTick++
-			rt.lru = lruTick
-			rep.BytesSkipped += p.TileBytes(id)
+// operand transfers an operand tile (or finds it resident), returning its
+// buffer handle and the span after which it is usable.
+func (r *deviceRun) operand(id TileID, host *matrix.Dense, notBefore sim.Time) (*gpu.Buffer, sim.Span) {
+	rt, bytes := &r.resident[r.p.operandIndex(id)], r.p.TileBytes(id)
+	r.lruTick++
+	if rt.lru != 0 {
+		if r.e.opts.Reuse {
+			rt.lru = r.lruTick
+			r.rep.BytesSkipped += bytes
 			return rt.buf, rt.sp
 		}
-		if rt, ok := resident[id]; ok {
-			// Reuse disabled: drop the stale entry and re-transfer.
-			memInUse -= rt.bytes
-			if !virtual {
-				rt.buf.Free()
-			}
-			delete(resident, id)
-		}
-		bytes := p.TileBytes(id)
-		evictFor(bytes)
-		var buf *gpu.Buffer
-		var sp sim.Span
-		if virtual {
-			sp = e.dev.UploadBytes(bytes, notBefore)
-		} else {
-			rows, cols := p.tileDims(id)
-			var err error
-			buf, err = e.dev.Alloc(rows, cols)
-			if err != nil {
-				panic(fmt.Sprintf("pipeline: device alloc %v: %v", id, err))
-			}
-			src := host.View(id.Row*p.Tile, id.Col*p.Tile, rows, cols)
-			sp = e.dev.Upload(src, buf, notBefore)
-		}
-		lruTick++
-		resident[id] = &residentTile{buf: buf, bytes: bytes, sp: sp, lru: lruTick}
-		memInUse += bytes
-		rep.BytesIn += bytes
-		noteInput(sp)
-		return buf, sp
+		r.drop(rt) // reuse disabled: re-transfer
 	}
+	r.evictFor(bytes)
+	rows, cols := r.p.tileDims(id)
+	buf, sp := r.stage(host, id.Row*r.p.Tile, id.Col*r.p.Tile, rows, cols, notBefore)
+	*rt = residentTile{buf: buf, bytes: bytes, sp: sp, lru: r.lruTick}
+	r.memInUse += bytes
+	return buf, sp
+}
 
-	flush := func(job *outputJob) sim.Time {
-		var lastOut sim.Span
-		if e.opts.BlockedEO {
-			blocks := (job.task.M + e.opts.BlockRows - 1) / e.opts.BlockRows
-			if blocks < 1 {
-				blocks = 1
-			}
-			blockBytes := job.cBytes / int64(blocks)
-			kDur := job.kernel.End - job.eoStart
-			for b := 0; b < blocks; b++ {
-				// Block b's rows exist once the kernel has passed them;
-				// approximate readiness with proportional kernel progress.
-				ready := job.eoStart + kDur*float64(b+1)/float64(blocks)
-				bb := blockBytes
-				if b == blocks-1 {
-					ready = job.kernel.End
-					bb = job.cBytes - int64(blocks-1)*blockBytes
-				}
-				lastOut = e.dev.DownloadBytes(bb, ready)
-				if pr != nil {
-					// Blocks alternate through the CB0/CB1 double buffers;
-					// their trace tracks show the streamed-output occupancy.
-					track := "pipeline.cb0"
-					if b%2 == 1 {
-						track = "pipeline.cb1"
-					}
-					pr.eoBlocks.Inc()
-					pr.tracer.Span(track, "eo-block", job.task.Name, lastOut.Start, lastOut.End)
-				}
-			}
+// adopt books nothing: IDLE takes the device no time, and a task's slot is
+// initialized where its input begins.
+func (r *deviceRun) adopt(ct, nt int) {}
+
+// input opens the task's INPUT phase at the EO start of the task CT holds
+// (N-INPUT) or, under CT itself, once the last retired task has finished. It
+// transfers the C tile when beta != 0 (it must be added to); launch stages
+// the operand tiles, each pair just ahead of the kernel that reads it.
+func (r *deviceRun) input(t int, underEO bool) {
+	task, f := r.p.Tasks[t], &r.tasks[t&1]
+	*f = inFlight{task: task, earliest: r.lastEnd, cBytes: r.p.TileBytes(task.CTile())}
+	if underEO {
+		f.earliest = r.tasks[(t-1)&1].eoStart
+	}
+	r.taskInSet = false
+	if r.beta != 0 {
+		f.cBuf, f.cIn = r.stage(r.hostC, task.RowOff, task.ColOff, task.M, task.N, f.earliest)
+	} else {
+		f.cBuf = r.alloc(task.M, task.N)
+	}
+}
+
+// launch issues the task's accumulation kernels. Step s launches as soon as
+// its own two operand tiles are staged, so a residency budget of two tiles —
+// the working set ChooseTile sizes for — never evicts a tile the task has
+// staged but not yet read.
+func (r *deviceRun) launch(t int) {
+	f, task := &r.tasks[t&1], r.p.Tasks[t]
+	for si, st := range task.Steps {
+		a, aSp := r.operand(task.ATile(st), r.hostA, f.earliest)
+		b, bSp := r.operand(task.BTile(st), r.hostB, f.earliest)
+		beta := r.beta
+		if si > 0 {
+			beta = 1 // later steps accumulate into the partial tile
+		}
+		// cIn with beta == 0 and kernel on the first step are zero spans: no
+		// dependency.
+		if r.hostC == nil {
+			f.kernel = r.e.dev.GemmVirtual(task.M, task.N, st.K, aSp, bSp, f.cIn, f.kernel)
 		} else {
-			lastOut = e.dev.DownloadBytes(job.cBytes, job.kernel.End)
+			f.kernel = r.e.dev.Gemm(r.alpha, a, b, beta, f.cBuf, aSp, bSp, f.cIn, f.kernel)
+		}
+		if si == 0 {
+			f.eoStart = f.kernel.Start
+		}
+	}
+	if r.e.probes != nil {
+		r.traceTask(t)
+	}
+}
+
+// traceTask emits the CT-object trace of a launched task: its fresh-input
+// interval and its EO stage, plus the fraction of the input the CT/NT overlap
+// hid under the previous task's EO stage (1.0 = fully hidden, the Section V
+// goal for steady-state tasks).
+func (r *deviceRun) traceTask(t int) {
+	f, pr := &r.tasks[t&1], r.e.probes
+	if r.taskInSet {
+		in := r.taskIn
+		pr.tracer.Span("pipeline.input", "input", f.task.Name, in.Start, in.End)
+		if dur := in.Duration(); t > 0 && dur > 0 {
+			prev := &r.tasks[(t-1)&1]
+			hidden := min(in.End, prev.kernel.End) - max(in.Start, prev.eoStart)
+			frac := max(0, min(1, hidden/dur))
+			pr.hiddenFrac.Observe(frac)
+			pr.hiddenGauge.Set(frac)
+		}
+	}
+	pr.tracer.Span("pipeline.eo", "eo", f.task.Name, f.eoStart, f.kernel.End)
+}
+
+// retire drains the task's output and, with verification on, runs its ABFT
+// check before the task is considered complete.
+func (r *deviceRun) retire(t int) {
+	f := &r.tasks[t&1]
+	r.lastEnd = r.flush(f)
+	if r.e.verify {
+		r.lastEnd = r.verifyTask(f, r.lastEnd)
+	}
+	r.rep.End = max(r.rep.End, r.lastEnd)
+}
+
+// flush books the task's OUTPUT phase — the C tile streamed back in H-row
+// blocks behind the kernel with BlockedEO, whole after it otherwise — and
+// returns when the task's EO stage is over.
+func (r *deviceRun) flush(f *inFlight) sim.Time {
+	dev, pr, name := r.e.dev, r.e.probes, f.task.Name
+	var lastOut sim.Span
+	if r.e.opts.BlockedEO {
+		blocks := max(1, (f.task.M+r.e.opts.BlockRows-1)/r.e.opts.BlockRows)
+		blockBytes := f.cBytes / int64(blocks)
+		kDur := f.kernel.End - f.eoStart
+		for b := 0; b < blocks; b++ {
+			// Block b's rows exist once the kernel has passed them;
+			// approximate readiness with proportional kernel progress.
+			ready := f.eoStart + kDur*float64(b+1)/float64(blocks)
+			bb := blockBytes
+			if b == blocks-1 {
+				ready = f.kernel.End
+				bb = f.cBytes - int64(blocks-1)*blockBytes
+			}
+			lastOut = dev.DownloadBytes(bb, ready)
 			if pr != nil {
+				// Blocks alternate through the CB0/CB1 double buffers;
+				// their trace tracks show the streamed-output occupancy.
+				track := "pipeline.cb0"
+				if b%2 == 1 {
+					track = "pipeline.cb1"
+				}
 				pr.eoBlocks.Inc()
-				pr.tracer.Span("pipeline.out", "output", job.task.Name, lastOut.Start, lastOut.End)
+				pr.tracer.Span(track, "eo-block", name, lastOut.Start, lastOut.End)
 			}
 		}
-		rep.BytesOut += job.cBytes
-		if !virtual {
-			// The data itself moves once; the bookings above carried the
-			// timing. Copy the computed tile back to the host.
-			dst := hostC.View(job.task.RowOff, job.task.ColOff, job.task.M, job.task.N)
-			dst.CopyFrom(job.cBuf.Data())
-			job.cBuf.Free()
-		}
-		end := lastOut.End
-		if job.kernel.End > end {
-			end = job.kernel.End
-		}
-		if end > rep.End {
-			rep.End = end
-		}
-		return end
-	}
-
-	// drain flushes a deferred output job and, with verification on, runs
-	// its ABFT check before the task is considered complete.
-	drain := func(job *outputJob) sim.Time {
-		end := flush(job)
-		if e.opts.Verify {
-			end = e.verifyTask(&rep, job, beta, end)
-		}
-		return end
-	}
-
-	// prevEOStart is when the previous task entered its EO stage: with
-	// OverlapInput the next task's transfers (the NT object's N-INPUT state)
-	// may begin then; without it they wait for the previous task to finish.
-	prevEOStart := earliest
-	prevTaskEnd := earliest
-	// pending is the one OUTPUT job not yet drained — the CT half of the
-	// CT/NT pair of Table I.
-	var pending *outputJob
-	var prevEO sim.Span // the previous task's full EO stage [eoStart, kernel.End]
-	prevEOSet := false
-
-	for _, task := range p.Tasks {
-		taskInSet = false
-		var inputEarliest sim.Time
-		if e.opts.OverlapInput {
-			inputEarliest = prevEOStart
-		} else {
-			// Strict input -> execute -> output: finish the previous task's
-			// output before touching this task's inputs.
-			if pending != nil {
-				prevTaskEnd = drain(pending)
-				pending = nil
-			}
-			inputEarliest = prevTaskEnd
-		}
-
-		// INPUT phase: C tile first when beta != 0 (it must be added to),
-		// then the operand tiles of every accumulation step.
-		var cBuf *gpu.Buffer
-		var cIn sim.Span
-		cID := task.CTile()
-		cBytes := p.TileBytes(cID)
-		if beta != 0 {
-			if virtual {
-				cIn = e.dev.UploadBytes(cBytes, inputEarliest)
-			} else {
-				rows, cols := task.M, task.N
-				var err error
-				cBuf, err = e.dev.Alloc(rows, cols)
-				if err != nil {
-					panic(fmt.Sprintf("pipeline: C tile alloc: %v", err))
-				}
-				src := hostC.View(task.RowOff, task.ColOff, rows, cols)
-				cIn = e.dev.Upload(src, cBuf, inputEarliest)
-			}
-			rep.BytesIn += cBytes
-			noteInput(cIn)
-		} else if !virtual {
-			var err error
-			cBuf, err = e.dev.Alloc(task.M, task.N)
-			if err != nil {
-				panic(fmt.Sprintf("pipeline: C tile alloc: %v", err))
-			}
-		}
-
-		type stepIn struct {
-			a, b     *gpu.Buffer
-			aSp, bSp sim.Span
-		}
-		ins := make([]stepIn, len(task.Steps))
-		for si, st := range task.Steps {
-			aBuf, aSp := ensure(task.ATile(st), hostA, inputEarliest)
-			bBuf, bSp := ensure(task.BTile(st), hostB, inputEarliest)
-			ins[si] = stepIn{a: aBuf, b: bBuf, aSp: aSp, bSp: bSp}
-		}
-
-		// EO stage: accumulation kernels, then the streamed output.
-		var kernel sim.Span
-		var eoStart sim.Time
-		for si, st := range task.Steps {
-			deps := []sim.Span{ins[si].aSp, ins[si].bSp}
-			if beta != 0 {
-				deps = append(deps, cIn)
-			}
-			if si > 0 {
-				deps = append(deps, kernel)
-			}
-			b := beta
-			if si > 0 {
-				b = 1 // later steps accumulate into the partial tile
-			}
-			if virtual {
-				kernel = e.dev.GemmVirtual(task.M, task.N, st.K, deps...)
-			} else {
-				kernel = e.dev.Gemm(alpha, ins[si].a, ins[si].b, b, cBuf, deps...)
-			}
-			if si == 0 {
-				eoStart = kernel.Start
-			}
-		}
-
+	} else {
+		lastOut = dev.DownloadBytes(f.cBytes, f.kernel.End)
 		if pr != nil {
-			// CT-object trace: the task's fresh-input interval and its EO
-			// stage, plus the fraction of the input the CT/NT overlap hid
-			// under the previous task's EO stage (1.0 = fully hidden, the
-			// Section V goal for steady-state tasks).
-			if taskInSet {
-				pr.tracer.Span("pipeline.input", "input", task.Name, taskIn.Start, taskIn.End)
-				if prevEOSet {
-					lo, hi := taskIn.Start, taskIn.End
-					if prevEO.Start > lo {
-						lo = prevEO.Start
-					}
-					if prevEO.End < hi {
-						hi = prevEO.End
-					}
-					if dur := taskIn.Duration(); dur > 0 {
-						frac := (hi - lo) / dur
-						if frac < 0 {
-							frac = 0
-						}
-						if frac > 1 {
-							frac = 1
-						}
-						pr.hiddenFrac.Observe(frac)
-						pr.hiddenGauge.Set(frac)
-					}
-				}
-			}
-			pr.tracer.Span("pipeline.eo", "eo", task.Name, eoStart, kernel.End)
-		}
-		prevEO, prevEOSet = sim.Span{Start: eoStart, End: kernel.End}, true
-
-		// OUTPUT: deferred so the next task's inputs can be booked first in
-		// overlap mode (the single transfer thread serves N-INPUT before the
-		// bulk of the EO downloads).
-		if pending != nil {
-			drain(pending)
-		}
-		pending = &outputJob{task: task, kernel: kernel, eoStart: eoStart, cBuf: cBuf, cBytes: cBytes}
-		prevEOStart = eoStart
-	}
-	if pending != nil {
-		drain(pending)
-	}
-
-	// Release any tiles still resident.
-	if !virtual {
-		for _, rt := range resident {
-			rt.buf.Free()
+			pr.eoBlocks.Inc()
+			pr.tracer.Span("pipeline.out", "output", name, lastOut.Start, lastOut.End)
 		}
 	}
-	if pr != nil {
-		pr.tasks.Add(int64(rep.Tasks))
-		pr.bytesIn.Add(rep.BytesIn)
-		pr.bytesOut.Add(rep.BytesOut)
-		pr.bytesSkipped.Add(rep.BytesSkipped)
+	r.rep.BytesOut += f.cBytes
+	if f.cBuf != nil {
+		// The data itself moves once; the bookings above carried the
+		// timing. Copy the computed tile back to the host.
+		r.hostC.View(f.task.RowOff, f.task.ColOff, f.task.M, f.task.N).CopyFrom(f.cBuf.Data())
+		f.cBuf.Free()
 	}
-	return rep
+	return max(lastOut.End, f.kernel.End)
 }
 
 // verifyTask runs the ABFT check of one drained task on the host: the
@@ -519,16 +462,16 @@ func (e *Executor) run(p *Plan, alpha, beta float64, hostA, hostB, hostC *matrix
 // block, and a strike delivered by the SDC injector is detected here. A
 // localizable single-element corruption re-enqueues just this task — its
 // recompute kernels book on the command queue BEHIND the next task's
-// already-booked kernels (in overlap mode this drain runs after the
-// successor's EO stage was issued), so the CT/NT overlap never stalls; the
+// already-booked kernels (with overlap the controller retires a task after
+// its successor's EO stage was issued), so the CT/NT overlap never stalls; the
 // accumulator tile is re-staged when beta != 0 and the repaired tile streams
 // back out and re-verifies. Checksum-row hits and multi-element corruption
 // cannot be localized: they count as escalations for the caller's
 // checkpoint-restore machinery. On the real-data path the same bookings model
 // the timing; the data is exact (strikes are a model, not actual memory
 // corruption).
-func (e *Executor) verifyTask(rep *Report, job *outputJob, beta float64, drained sim.Time) sim.Time {
-	task, pr := job.task, e.probes
+func (r *deviceRun) verifyTask(f *inFlight, drained sim.Time) sim.Time {
+	e, rep, task, pr := r.e, &r.rep, f.task, r.e.probes
 	kTot := 0
 	for _, st := range task.Steps {
 		kTot += st.K
@@ -544,7 +487,7 @@ func (e *Executor) verifyTask(rep *Report, job *outputJob, beta float64, drained
 		pr.abftVerified.Inc()
 		pr.tracer.Span("pipeline.abft", "abft", "verify "+task.Name, drained, end)
 	}
-	switch outcome, struck := rep.Strike(e.opts.SDC, seq, drained, task.M, task.N); {
+	switch outcome, struck := rep.Strike(e.sdc, seq, drained, task.M, task.N); {
 	case !struck:
 	case outcome == abft.Escalate:
 		if pr != nil {
@@ -553,16 +496,16 @@ func (e *Executor) verifyTask(rep *Report, job *outputJob, beta float64, drained
 		}
 	default:
 		dep := sim.Span{Start: end, End: end}
-		if beta != 0 {
-			dep = e.dev.UploadBytes(job.cBytes, end)
-			rep.BytesIn += job.cBytes
+		if r.beta != 0 {
+			dep = e.dev.UploadBytes(f.cBytes, end)
+			rep.BytesIn += f.cBytes
 		}
 		kern := dep
 		for _, st := range task.Steps {
 			kern = e.dev.GemmVirtual(task.M, task.N, st.K, kern)
 		}
-		out := e.dev.DownloadBytes(job.cBytes, kern.End)
-		rep.BytesOut += job.cBytes
+		out := e.dev.DownloadBytes(f.cBytes, kern.End)
+		rep.BytesOut += f.cBytes
 		end = out.End + ver // the repaired tile re-verifies
 		rep.VerifySeconds += ver
 		verBooked += ver
@@ -573,9 +516,6 @@ func (e *Executor) verifyTask(rep *Report, job *outputJob, beta float64, drained
 	}
 	if pr != nil {
 		pr.abftSeconds.Add(verBooked)
-	}
-	if end > rep.End {
-		rep.End = end
 	}
 	return end
 }

@@ -17,7 +17,11 @@ func smallDevice() *gpu.Device {
 
 func execCase(t *testing.T, opts Options, m, n, k int, alpha, beta float64) Report {
 	t.Helper()
-	dev := smallDevice()
+	return execCaseOn(t, smallDevice(), opts, m, n, k, alpha, beta)
+}
+
+func execCaseOn(t *testing.T, dev *gpu.Device, opts Options, m, n, k int, alpha, beta float64) Report {
+	t.Helper()
 	e := NewExecutor(dev, opts)
 	r := sim.NewRNG(uint64(m + n + k))
 	a := matrix.NewDense(m, k)
@@ -50,6 +54,13 @@ func TestExecuteCorrectAllModes(t *testing.T) {
 		execCase(t, o, 100, 100, 100, -0.5, 0.0)
 		_ = i
 	}
+	// K spans three tiles and the device holds exactly the working set
+	// ChooseTile sizes for, two operand tiles resident: staging a later
+	// step's tiles evicts an earlier step's, which must have been read by then.
+	tight := Pipelined()
+	tight.Tile, tight.BlockRows = 64, 32
+	dev := gpu.New(gpu.Config{MemBytes: 4*8*64*64 + 2*8*32*64, TextureLimit: 64})
+	execCaseOn(t, dev, tight, 128, 128, 192, 1.0, 1.0)
 }
 
 func TestExecuteSingleTile(t *testing.T) {

@@ -13,8 +13,8 @@ import (
 )
 
 // TileID names one operand tile: which matrix it belongs to and its tile
-// coordinates. It is the key of the residency cache that implements operand
-// reuse.
+// coordinates. The residency cache that implements operand reuse is indexed
+// by it (operandIndex).
 type TileID struct {
 	Matrix byte // 'A', 'B' or 'C'
 	Row    int  // tile row index
@@ -57,6 +57,8 @@ type Plan struct {
 	Tile                       int
 	RowTiles, ColTiles, KTiles int
 	Tasks                      []*Task
+	// rows, cols and ks are the tile extents along M, N and K.
+	rows, cols, ks []int
 }
 
 // ChooseTile picks the largest tile extent that both respects the 2D texture
@@ -110,6 +112,7 @@ func NewPlan(m, n, k, tile int, bounce bool) *Plan {
 	p := &Plan{
 		M: m, N: n, K: k, Tile: tile,
 		RowTiles: len(rows), ColTiles: len(cols), KTiles: len(ks),
+		rows: rows, cols: cols, ks: ks,
 	}
 	for i := 0; i < len(rows); i++ {
 		jLo, jHi, jStep := 0, len(cols), 1
@@ -118,7 +121,8 @@ func NewPlan(m, n, k, tile int, bounce bool) *Plan {
 		}
 		for j := jLo; j != jHi; j += jStep {
 			task := &Task{
-				I: i, J: j,
+				Name: fmt.Sprintf("T%d", taskPaperIndex(i, j, len(cols))),
+				I:    i, J: j,
 				M: rows[i], N: cols[j],
 				RowOff: i * tile, ColOff: j * tile,
 			}
@@ -135,18 +139,13 @@ func NewPlan(m, n, k, tile int, bounce bool) *Plan {
 			p.Tasks = append(p.Tasks, task)
 		}
 	}
-	for idx, t := range p.Tasks {
-		t.Name = fmt.Sprintf("T%d", taskPaperIndex(p, t, idx))
-	}
 	return p
 }
 
 // taskPaperIndex names tasks the way the paper does: by row-major position
 // in the C tiling (so the bounce order over a 2x2 split reads T0, T1, T3,
 // T2 exactly as in Fig. 5).
-func taskPaperIndex(p *Plan, t *Task, _ int) int {
-	return t.I*p.ColTiles + t.J
-}
+func taskPaperIndex(i, j, colTiles int) int { return i*colTiles + j }
 
 // TotalFlops returns the flops of the whole plan.
 func (p *Plan) TotalFlops() float64 {
@@ -159,18 +158,22 @@ func (p *Plan) TileBytes(id TileID) int64 {
 	return 8 * int64(rows) * int64(cols)
 }
 
-func (p *Plan) tileDims(id TileID) (rows, cols int) {
-	last := func(extent, idx int) int {
-		s := tileSizes(extent, p.Tile)
-		return s[idx]
+// operandIndex numbers the A tiles, then the B tiles, densely.
+func (p *Plan) operandIndex(id TileID) int {
+	if id.Matrix == 'A' {
+		return id.Row*p.KTiles + id.Col
 	}
+	return p.RowTiles*p.KTiles + id.Row*p.ColTiles + id.Col
+}
+
+func (p *Plan) tileDims(id TileID) (rows, cols int) {
 	switch id.Matrix {
 	case 'A':
-		return last(p.M, id.Row), last(p.K, id.Col)
+		return p.rows[id.Row], p.ks[id.Col]
 	case 'B':
-		return last(p.K, id.Row), last(p.N, id.Col)
+		return p.ks[id.Row], p.cols[id.Col]
 	case 'C':
-		return last(p.M, id.Row), last(p.N, id.Col)
+		return p.rows[id.Row], p.cols[id.Col]
 	}
 	panic("pipeline: unknown tile matrix " + string(id.Matrix))
 }

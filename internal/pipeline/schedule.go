@@ -59,47 +59,104 @@ type StepRow struct {
 	NTState NTState
 }
 
-// Schedule runs the CT/NT state machine over a queue of task names with unit
-// phase durations, reproducing Table I of the paper ("the pipeline shifted
-// in time"). The rules, straight from Section V.C:
+// phases is what a driver carries out for the CT/NT controller; task numbers
+// index the queue. Schedule's driver gives every phase one time step, the
+// executor's books each on the device.
+type phases interface {
+	// adopt puts task ct under CT in IDLE and task nt (-1: the queue is
+	// exhausted) under NT in N-IDLE.
+	adopt(ct, nt int)
+	// input transfers the task's matrices: under NT, hidden behind the EO
+	// stage CT is in (N-INPUT), or else under CT itself (INPUT).
+	input(task int, underEO bool)
+	// launch moves CT into EO with the task: its kernels issue, its output
+	// streams behind them.
+	launch(task int)
+	// retire ends the task's EO stage: its output is drained.
+	retire(task int)
+}
+
+// control is the CT/NT controller pair of Section V.C walking a queue of n
+// tasks — the one place that decides which phase happens in which order:
 //
-//   - CT always controls the first task in the queue, NT the second if any.
-//   - A newly adopted task sits one step in IDLE (N-IDLE).
-//   - The first task of the whole queue passes through INPUT (the pipeline
-//     prologue); every later task's input already happened under NT, so it
-//     enters EO directly after its IDLE step.
-//   - NT enters N-INPUT while CT is in EO, transferring the next task's
-//     matrices; when CT finishes, the queue pops and both objects adopt new
-//     tasks in their idle states.
+//   - CT always controls the first task in the queue, NT the second if any;
+//     a newly adopted task sits one step in IDLE (N-IDLE).
+//   - The first task passes through INPUT under CT (the pipeline prologue);
+//     every later task's input already happened under NT, while CT was in EO,
+//     so it enters EO directly after its IDLE step.
+//   - A task retires only after its successor's input and kernels are issued:
+//     the single transfer thread serves N-INPUT ahead of the bulk of the EO
+//     downloads, and whatever a retiring task still needs from the command
+//     queue (an ABFT recompute) queues behind its successor's kernels.
+//   - Without overlap NT never inputs: every task runs INPUT, EO and its
+//     drain under CT before the next is touched.
+func control(n int, overlap bool, d phases) {
+	for i := 0; i < n; i++ {
+		nt := i + 1
+		if nt == n {
+			nt = -1
+		}
+		d.adopt(i, nt)
+		if i == 0 || !overlap {
+			d.input(i, false)
+		}
+		d.launch(i)
+		if !overlap {
+			d.retire(i)
+			continue
+		}
+		if i > 0 {
+			d.retire(i - 1)
+		}
+		if nt >= 0 {
+			d.input(nt, true)
+		}
+	}
+	if overlap && n > 0 {
+		d.retire(n - 1)
+	}
+}
+
+// unitSteps is the controller's unit-duration driver: every phase takes one
+// time step and becomes one StepRow.
+type unitSteps struct {
+	tasks  []string
+	rows   []StepRow
+	ct, nt string // the tasks CT and NT hold
+}
+
+func (u *unitSteps) step(cs CTState) {
+	u.rows = append(u.rows, StepRow{Time: len(u.rows), CTTask: u.ct, CTState: cs, NTTask: u.nt})
+}
+
+func (u *unitSteps) adopt(ct, nt int) {
+	u.ct, u.nt = u.tasks[ct], ""
+	if nt >= 0 {
+		u.nt = u.tasks[nt]
+	}
+	u.step(CTIdle)
+}
+
+func (u *unitSteps) input(_ int, underEO bool) {
+	if underEO {
+		// N-INPUT shares CT's EO step rather than taking one of its own.
+		u.rows[len(u.rows)-1].NTState = NTInput
+		return
+	}
+	u.step(CTInput)
+}
+
+func (u *unitSteps) launch(int) { u.step(CTEO) }
+
+func (u *unitSteps) retire(int) {}
+
+// Schedule runs the CT/NT controller over a queue of task names with unit
+// phase durations, reproducing Table I of the paper ("the pipeline shifted
+// in time").
 func Schedule(tasks []string) []StepRow {
-	var rows []StepRow
-	t := 0
-	emit := func(ctTask string, cs CTState, ntTask string, ns NTState) {
-		rows = append(rows, StepRow{Time: t, CTTask: ctTask, CTState: cs, NTTask: ntTask, NTState: ns})
-		t++
-	}
-	for i := 0; i < len(tasks); i++ {
-		ct := tasks[i]
-		nt := ""
-		if i+1 < len(tasks) {
-			nt = tasks[i+1]
-		}
-		// Adoption step: CT idle with its new task, NT idle with the next.
-		emit(ct, CTIdle, nt, NTIdle)
-		if i == 0 {
-			// Prologue: only the very first task needs an explicit INPUT
-			// step under CT; NT keeps waiting.
-			emit(ct, CTInput, nt, NTIdle)
-		}
-		// EO step, overlapped with NT's input of the following task.
-		if nt != "" {
-			emit(ct, CTEO, nt, NTInput)
-		} else {
-			// Epilogue: the last task has nothing to prefetch.
-			emit(ct, CTEO, "", NTIdle)
-		}
-	}
-	return rows
+	u := unitSteps{tasks: tasks}
+	control(len(tasks), true, &u)
+	return u.rows
 }
 
 // FormatSchedule renders rows in the layout of Table I: one column per

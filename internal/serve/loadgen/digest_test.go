@@ -1,28 +1,21 @@
 package loadgen
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
 	"testing"
 
 	"tianhe/internal/serve"
 	"tianhe/internal/sim"
+	"tianhe/internal/sim/simtest"
 )
 
 // replayDigest is FNV-1a over every Result of a drained server in completion
 // order — every field, floats by their bits — followed by the run's Stats.
 func replayDigest(s *serve.Server) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	u := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	i := func(v int) { u(uint64(int64(v))) }
-	f := func(v float64) { u(math.Float64bits(v)) }
+	h := simtest.NewDigest()
+	u, i, f := h.U64, h.Int, h.Float
 	for _, r := range s.Results() {
 		u(r.ID)
+		// Length-prefixed, as recorded — not Digest.Str's NUL framing.
 		i(len(r.Tenant))
 		h.Write([]byte(r.Tenant))
 		i(int(r.Kind))
