@@ -40,13 +40,15 @@ func DgemmNaive(tA, tB Transpose, alpha float64, a, b *matrix.Dense, beta float6
 		}
 		return b.At(l, j)
 	}
+	// Every product is rounded (float64(...)) before its add, so no build
+	// fuses a multiply-add and the oracle gives the same bits everywhere.
 	for j := 0; j < n; j++ {
 		for i := 0; i < m; i++ {
 			var s float64
 			for l := 0; l < k; l++ {
-				s += at(i, l) * bt(l, j)
+				s += float64(at(i, l) * bt(l, j))
 			}
-			c.Set(i, j, alpha*s+beta*c.At(i, j))
+			c.Set(i, j, float64(alpha*s)+float64(beta*c.At(i, j)))
 		}
 	}
 }

@@ -115,6 +115,22 @@ func TestDgemmTransNoPerCallAllocation(t *testing.T) {
 	}
 }
 
+// TestDgemmFringeNoAlloc: a product with a row fringe and a 3-column group
+// runs its padded tiles out of stack scratch, allocating nothing.
+func TestDgemmFringeNoAlloc(t *testing.T) {
+	if simtest.RaceEnabled {
+		t.Skip("race-detector shadow memory skews allocation accounting")
+	}
+	r := sim.NewRNG(8)
+	a, b, c := randDense(r, 13, 9), randDense(r, 9, 7), randDense(r, 13, 7)
+	forEachKernel(t, func(t *testing.T) {
+		call := func() { Dgemm(NoTrans, NoTrans, -1, a, b, 1, c) }
+		if avg := testing.AllocsPerRun(20, call); avg != 0 {
+			t.Fatalf("a 13x7x9 Dgemm allocates %v objects per call", avg)
+		}
+	})
+}
+
 // BenchmarkDgemmParallelTrans reports allocs/op for the transposed parallel
 // path; the regression this guards showed up as two O(m·k) copies per call.
 func BenchmarkDgemmParallelTrans(b *testing.B) {

@@ -1,10 +1,12 @@
 package blas
 
 import (
+	"math"
 	"testing"
 
 	"tianhe/internal/matrix"
 	"tianhe/internal/sim"
+	"tianhe/internal/sim/simtest"
 )
 
 // triangular builds a well-conditioned triangular matrix for the given uplo
@@ -144,39 +146,112 @@ func TestDlaswpRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDtrsmBlockedMatchesDtrsv: the diagonal-block solve with kernel updates
-// equals one Dtrsv per column bit for bit, at every order around and beyond
-// the block and tile sizes, with zeros planted in B (Dtrsv skips a zero
-// x[l]; the kernel must skip the same steps).
+// TestDtrsmBlockedMatchesDtrsv: the left-looking solve on the kernels equals
+// one Dtrsv per column bit for bit, at every order around and beyond the
+// block and tile sizes and straddling the K block, with 1-3 columns of B
+// (padded column groups) as well as more. Zeros and -0 are planted in B,
+// and rows of L with an empty strict part carry them into X, so zero
+// multipliers occur mid-solve (Dtrsv skips a zero x[l]; the kernels must
+// skip the same steps); every third order also gets ±Inf or NaN in L's
+// strict lower triangle and in B.
 func TestDtrsmBlockedMatchesDtrsv(t *testing.T) {
-	for _, kern := range bothKernels {
-		t.Run(kern.name, func(t *testing.T) {
-			setKernel(t, kern.avx2)
-			r := sim.NewRNG(77)
-			for n := 1; n <= 130; n++ {
-				l := offsetView(r, n, n)
-				for j := 0; j < n; j++ {
-					Dscal(0.125, l.Col(j)) // keeps the solution in range at order 130
-					l.Set(j, j, 1+r.Float64())
-				}
-				cols := 1 + r.Intn(13)
-				b := offsetView(r, n, cols)
-				for z := 0; z < n*cols/8; z++ {
-					b.Set(r.Intn(n), r.Intn(cols), 0)
-				}
-				for _, diag := range []Diag{Unit, NonUnit} {
-					want, got := b.Clone(), b.Clone()
-					for j := 0; j < cols; j++ {
-						Dtrsv(Lower, NoTrans, diag, l, want.Col(j))
-					}
-					Dtrsm(Left, Lower, NoTrans, diag, 1, l, got)
-					if !sameBits(got.Data, want.Data) {
-						t.Fatalf("order %d, %d columns, diag %v: blocked Dtrsm differs from Dtrsv per column", n, cols, diag)
-					}
+	orders := []int{513}
+	for n := 1; n <= 130; n++ {
+		orders = append(orders, n)
+	}
+	for n := gemmKC - 6; n <= gemmKC+4; n++ {
+		orders = append(orders, n)
+	}
+	nonFinite := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	forEachKernel(t, func(t *testing.T) {
+		r := sim.NewRNG(77)
+		for trial, n := range orders {
+			l := offsetView(r, n, n)
+			for j := 0; j < n; j++ {
+				Dscal(min(0.125, 16/float64(n)), l.Col(j)) // keeps the solution in range
+				l.Set(j, j, 1+r.Float64())
+			}
+			for i := 1; i < n; i += 1 + r.Intn(8) {
+				for j := 0; j < i; j++ {
+					l.Set(i, j, 0)
 				}
 			}
-		})
+			cols := 1 + r.Intn(13)
+			if trial%2 == 0 {
+				cols = 1 + r.Intn(3)
+			}
+			b := offsetView(r, n, cols)
+			for z := 0; z < n*cols/8; z++ {
+				b.Set(r.Intn(n), r.Intn(cols), math.Copysign(0, float64(r.Intn(2))-0.5))
+			}
+			if trial%3 == 0 {
+				b.Set(r.Intn(n), r.Intn(cols), nonFinite[r.Intn(3)])
+				if n > 1 {
+					i := 1 + r.Intn(n-1)
+					l.Set(i, r.Intn(i), nonFinite[r.Intn(3)])
+				}
+			}
+			for _, diag := range []Diag{Unit, NonUnit} {
+				want, got := b.Clone(), b.Clone()
+				for j := 0; j < cols; j++ {
+					Dtrsv(Lower, NoTrans, diag, l, want.Col(j))
+				}
+				Dtrsm(Left, Lower, NoTrans, diag, 1, l, got)
+				if !sameBits(got.Data, want.Data) {
+					t.Fatalf("order %d, %d columns, diag %v: blocked Dtrsm differs from Dtrsv per column", n, cols, diag)
+				}
+			}
+		}
+	})
+}
+
+// TestDtrsmSkipsZeroPivots: with ±Inf everywhere in L's strict lower
+// triangle and B all ±0, every step of Dtrsv is a skipped zero multiplier
+// and X = B. A path that multiplies by a zero instead of skipping it turns
+// 0*Inf into NaN, so every pivot position of every block is checked.
+func TestDtrsmSkipsZeroPivots(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		r := sim.NewRNG(31)
+		for n := 1; n <= 40; n++ {
+			l := offsetView(r, n, n)
+			for j := 0; j < n; j++ {
+				for i := j + 1; i < n; i++ {
+					l.Set(i, j, math.Inf(2*r.Intn(2)-1))
+				}
+			}
+			b := offsetView(r, n, 1+r.Intn(6))
+			for j := 0; j < b.Cols; j++ {
+				for i := range b.Col(j) {
+					b.Set(i, j, math.Copysign(0, float64(r.Intn(2))-0.5))
+				}
+			}
+			for _, diag := range []Diag{Unit, NonUnit} {
+				want, got := b.Clone(), b.Clone()
+				for j := 0; j < b.Cols; j++ {
+					Dtrsv(Lower, NoTrans, diag, l, want.Col(j))
+				}
+				Dtrsm(Left, Lower, NoTrans, diag, 1, l, got)
+				if !sameBits(got.Data, want.Data) {
+					t.Fatalf("order %d, diag %v: a zero multiplier was not skipped", n, diag)
+				}
+			}
+		}
+	})
+}
+
+// TestDtrsmU12NoAlloc: LU's U12 solve at N=1024, NB=64 allocates nothing.
+func TestDtrsmU12NoAlloc(t *testing.T) {
+	if simtest.RaceEnabled {
+		t.Skip("race-detector shadow memory skews allocation accounting")
 	}
+	r := sim.NewRNG(5)
+	l, u12 := randDense(r, 64, 64), randDense(r, 64, 960)
+	forEachKernel(t, func(t *testing.T) {
+		solve := func() { Dtrsm(Left, Lower, NoTrans, Unit, 1, l, u12) }
+		if avg := testing.AllocsPerRun(5, solve); avg != 0 {
+			t.Fatalf("the U12 solve allocates %v objects per call", avg)
+		}
+	})
 }
 
 // TestDlaswpMatchesRowOuter: applying the whole pivot range inside one

@@ -7,26 +7,26 @@ package blas
 //go:noescape
 func gemmKernelAVX2(kc int, a *float64, lda int, mult *float64, c *float64, ldc int)
 
+// gemmKernelAVX512 is gemmKernelAVX2 for a 16x4 tile, on ZMM registers.
+//
+//go:noescape
+func gemmKernelAVX512(kc int, a *float64, lda int, mult *float64, c *float64, ldc int)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// hasAVX2 reports whether the CPU executes AVX2 and the OS saves the YMM
-// state across context switches.
-func hasAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
+// hostKernel reads the words cpuWords.kernel decides on. Leaf 7 is read
+// only where it exists, and XCR0 only under OSXSAVE (XGETBV faults without).
+func hostKernel() kernelLevel {
+	var w cpuWords
+	w.maxLeaf, _, _, _ = cpuid(0, 0)
+	_, _, w.ecx1, _ = cpuid(1, 0)
+	if w.maxLeaf >= 7 {
+		_, w.ebx7, _, _ = cpuid(7, 0)
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx1, _ := cpuid(1, 0); ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
+	if w.ecx1&cpuidOSXSAVE != 0 {
+		w.xcr0, _ = xgetbv()
 	}
-	const xmmYmmState = 0b110
-	if xcr0, _ := xgetbv(); xcr0&xmmYmmState != xmmYmmState {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&avx2 != 0
+	return w.kernel()
 }

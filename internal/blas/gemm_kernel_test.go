@@ -74,21 +74,63 @@ func sameBits(x, y []float64) bool {
 	return true
 }
 
-// setKernel selects the assembly or the portable kernel for one test.
-func setKernel(t *testing.T, avx2 bool) {
-	t.Helper()
-	if avx2 && !hasAVX2() {
-		t.Skip("no AVX2 on this CPU: the portable kernel is the only kernel here")
-	}
-	old := useAVX2
-	useAVX2 = avx2
-	t.Cleanup(func() { useAVX2 = old })
+// kernels lists every kernel, indexed by level. A host runs the prefix
+// kernels[:hostKernel()+1].
+var kernels = []struct {
+	name  string
+	level kernelLevel
+}{{"portable", kernelPortable}, {"avx2", kernelAVX2}, {"avx512", kernelAVX512}}
+
+// withKernel runs f with kernel k selected.
+func withKernel(k kernelLevel, f func()) {
+	old := useKernel
+	useKernel = k
+	defer func() { useKernel = old }()
+	f()
 }
 
-var bothKernels = []struct {
-	name string
-	avx2 bool
-}{{"portable", false}, {"avx2", true}}
+// forEachKernel runs f as one subtest per kernel, with that kernel selected;
+// a kernel the host lacks is skipped with a message.
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			if k.level > hostKernel() {
+				t.Skipf("this CPU lacks the %s kernel", k.name)
+			}
+			withKernel(k.level, func() { f(t) })
+		})
+	}
+}
+
+// TestKernelSelection: the choice follows the CPU feature bits and the
+// register state XCR0 says the OS saves; a feature the OS does not save
+// for is never used.
+func TestKernelSelection(t *testing.T) {
+	const (
+		osxsave, avx  = 1 << 27, 1 << 28
+		avx2, avx512f = 1 << 5, 1 << 16
+		ymm, zmm      = 0b110, 0b1110_0110
+	)
+	for _, tc := range []struct {
+		name string
+		w    cpuWords
+		want kernelLevel
+	}{
+		{"avx512", cpuWords{13, osxsave | avx, avx2 | avx512f, zmm}, kernelAVX512},
+		{"avx512 without opmask/ZMM state", cpuWords{13, osxsave | avx, avx2 | avx512f, ymm}, kernelAVX2},
+		{"avx512 with ZMM_Hi256 state only", cpuWords{13, osxsave | avx, avx2 | avx512f, ymm | 1<<6}, kernelAVX2},
+		{"avx2", cpuWords{13, osxsave | avx, avx2, zmm}, kernelAVX2},
+		{"avx2 without OSXSAVE", cpuWords{13, avx, avx2 | avx512f, 0}, kernelPortable},
+		{"avx2 without YMM state", cpuWords{13, osxsave | avx, avx2 | avx512f, 0b10}, kernelPortable},
+		{"avx512f without avx2", cpuWords{13, osxsave | avx, avx512f, zmm}, kernelPortable},
+		{"no AVX bit", cpuWords{13, osxsave, avx2 | avx512f, zmm}, kernelPortable},
+		{"no leaf 7", cpuWords{6, osxsave | avx, avx2 | avx512f, zmm}, kernelPortable},
+	} {
+		if got := tc.w.kernel(); got != tc.want {
+			t.Errorf("%s: kernel %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
 
 // plantSpecials overwrites about one element in sixteen of x with a value
 // the contract treats specially: the zeros it skips, and the non-finite
@@ -118,50 +160,47 @@ func offsetView(r *sim.RNG, rows, cols int) *matrix.Dense {
 	return backing.View(top, left, rows, cols)
 }
 
-// TestKernelOrderContract: the assembly kernel and the portable kernel each
-// reproduce the literal contract bit for bit — hence each other — on shapes
-// that are not multiples of the tile or the K block, on strided views at
-// non-zero offsets, and with zeros, -0, ±Inf and NaN in all three operands.
-// Memory around the C view must come out untouched.
+// TestKernelOrderContract: every kernel reproduces the literal contract bit
+// for bit — hence each other — on shapes that are not multiples of either
+// tile or the K block, so padded row and column fringes occur, on strided
+// views at non-zero offsets, and with zeros, -0, ±Inf and NaN in all three
+// operands. Memory around the C view must come out untouched.
 func TestKernelOrderContract(t *testing.T) {
-	for _, kern := range bothKernels {
-		t.Run(kern.name, func(t *testing.T) {
-			setKernel(t, kern.avx2)
-			r := sim.NewRNG(1509)
-			alphas, betas := []float64{-1, 1, 0.37}, []float64{0, 1, 0.5}
-			for trial := 0; trial < 400; trial++ {
-				m, n := 1+r.Intn(45), 1+r.Intn(14)
-				k := 1 + r.Intn(24)
-				if trial%8 == 0 {
-					k = gemmKC - 3 + r.Intn(40) // straddles the K block
-				}
-				tA, tB := Transpose(r.Intn(2)), Transpose(r.Intn(2))
-				alpha, beta := alphas[r.Intn(3)], betas[r.Intn(3)]
-				a, b := offsetView(r, m, k), offsetView(r, k, n)
-				if tA == Trans {
-					a = offsetView(r, k, m)
-				}
-				if tB == Trans {
-					b = offsetView(r, n, k)
-				}
-				cBacking, top, left := margins(r, m, n)
-				c := cBacking.View(top, left, m, n)
-				if trial%2 == 0 {
-					plantSpecials(r, a)
-					plantSpecials(r, b)
-					plantSpecials(r, c)
-				}
-				wantBacking := cBacking.Clone()
-				wantC := wantBacking.View(top, left, m, n)
-				contractGemm(tA, tB, alpha, a, b, beta, wantC)
-				Dgemm(tA, tB, alpha, a, b, beta, c)
-				if !sameBits(cBacking.Data, wantBacking.Data) {
-					t.Fatalf("trial %d: Dgemm(%v,%v) %dx%dx%d alpha=%v beta=%v departs from the contract",
-						trial, tA, tB, m, n, k, alpha, beta)
-				}
+	forEachKernel(t, func(t *testing.T) {
+		r := sim.NewRNG(1509)
+		alphas, betas := []float64{-1, 1, 0.37}, []float64{0, 1, 0.5}
+		for trial := 0; trial < 400; trial++ {
+			m, n := 1+r.Intn(45), 1+r.Intn(14)
+			k := 1 + r.Intn(24)
+			if trial%8 == 0 {
+				k = gemmKC - 3 + r.Intn(40) // straddles the K block
 			}
-		})
-	}
+			tA, tB := Transpose(r.Intn(2)), Transpose(r.Intn(2))
+			alpha, beta := alphas[r.Intn(3)], betas[r.Intn(3)]
+			a, b := offsetView(r, m, k), offsetView(r, k, n)
+			if tA == Trans {
+				a = offsetView(r, k, m)
+			}
+			if tB == Trans {
+				b = offsetView(r, n, k)
+			}
+			cBacking, top, left := margins(r, m, n)
+			c := cBacking.View(top, left, m, n)
+			if trial%2 == 0 {
+				plantSpecials(r, a)
+				plantSpecials(r, b)
+				plantSpecials(r, c)
+			}
+			wantBacking := cBacking.Clone()
+			wantC := wantBacking.View(top, left, m, n)
+			contractGemm(tA, tB, alpha, a, b, beta, wantC)
+			Dgemm(tA, tB, alpha, a, b, beta, c)
+			if !sameBits(cBacking.Data, wantBacking.Data) {
+				t.Fatalf("trial %d: Dgemm(%v,%v) %dx%dx%d alpha=%v beta=%v departs from the contract",
+					trial, tA, tB, m, n, k, alpha, beta)
+			}
+		}
+	})
 }
 
 // TestGemmSplitInvariance: one call equals the same product computed piece
@@ -169,45 +208,42 @@ func TestKernelOrderContract(t *testing.T) {
 // workers, bit for bit — the property Dgetrf ≡ GraphDgetrf and the
 // par-1-vs-8 goldens stand on.
 func TestGemmSplitInvariance(t *testing.T) {
-	for _, kern := range bothKernels {
-		t.Run(kern.name, func(t *testing.T) {
-			setKernel(t, kern.avx2)
-			r := sim.NewRNG(2718)
-			for trial := 0; trial < 24; trial++ {
-				m, n, k := 1+r.Intn(150), 1+r.Intn(300), 1+r.Intn(70)
-				tA, tB := Transpose(trial&1), Transpose(trial>>1&1)
-				a, b := randOp(r, tA, m, k), randOp(r, tB, k, n)
-				c0 := randDense(r, m, n)
-				want := c0.Clone()
-				Dgemm(tA, tB, -1, a, b, 1, want)
+	forEachKernel(t, func(t *testing.T) {
+		r := sim.NewRNG(2718)
+		for trial := 0; trial < 24; trial++ {
+			m, n, k := 1+r.Intn(150), 1+r.Intn(300), 1+r.Intn(70)
+			tA, tB := Transpose(trial&1), Transpose(trial>>1&1)
+			a, b := randOp(r, tA, m, k), randOp(r, tB, k, n)
+			c0 := randDense(r, m, n)
+			want := c0.Clone()
+			Dgemm(tA, tB, -1, a, b, 1, want)
 
-				for _, workers := range []int{1, 2, 3, 7} {
-					got := c0.Clone()
-					DgemmParallel(tA, tB, -1, a, b, 1, got, workers)
-					if !sameBits(got.Data, want.Data) {
-						t.Fatalf("trial %d: workers=%d differs from one serial call", trial, workers)
-					}
-				}
-
+			for _, workers := range []int{1, 2, 3, 7} {
 				got := c0.Clone()
-				rowCuts, colCuts := randomCuts(r, m), randomCuts(r, n)
-				for ri := 0; ri+1 < len(rowCuts); ri++ {
-					i0, rows := rowCuts[ri], rowCuts[ri+1]-rowCuts[ri]
-					for ci := 0; ci+1 < len(colCuts); ci++ {
-						j0, cols := colCuts[ci], colCuts[ci+1]-colCuts[ci]
-						Dgemm(tA, tB, -1,
-							opView(tA, a, i0, 0, rows, k),
-							opView(tB, b, 0, j0, k, cols),
-							1, got.View(i0, j0, rows, cols))
-					}
-				}
+				DgemmParallel(tA, tB, -1, a, b, 1, got, workers)
 				if !sameBits(got.Data, want.Data) {
-					t.Fatalf("trial %d: %dx%dx%d (%v,%v) split at rows %v cols %v differs from one call",
-						trial, m, n, k, tA, tB, rowCuts, colCuts)
+					t.Fatalf("trial %d: workers=%d differs from one serial call", trial, workers)
 				}
 			}
-		})
-	}
+
+			got := c0.Clone()
+			rowCuts, colCuts := randomCuts(r, m), randomCuts(r, n)
+			for ri := 0; ri+1 < len(rowCuts); ri++ {
+				i0, rows := rowCuts[ri], rowCuts[ri+1]-rowCuts[ri]
+				for ci := 0; ci+1 < len(colCuts); ci++ {
+					j0, cols := colCuts[ci], colCuts[ci+1]-colCuts[ci]
+					Dgemm(tA, tB, -1,
+						opView(tA, a, i0, 0, rows, k),
+						opView(tB, b, 0, j0, k, cols),
+						1, got.View(i0, j0, rows, cols))
+				}
+			}
+			if !sameBits(got.Data, want.Data) {
+				t.Fatalf("trial %d: %dx%dx%d (%v,%v) split at rows %v cols %v differs from one call",
+					trial, m, n, k, tA, tB, rowCuts, colCuts)
+			}
+		}
+	})
 }
 
 // randomCuts returns 0 = c[0] < c[1] < ... = n, up to four pieces.

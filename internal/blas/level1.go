@@ -1,8 +1,9 @@
 // Package blas implements the dense linear-algebra kernels the Linpack
 // reproduction needs: the Level 1/2/3 BLAS routines used by HPL (DGEMM,
-// DTRSM, DGER, DLASWP, ...) in Go, with one amd64 assembly micro-kernel
-// under every Level-3 call and a portable Go kernel with the same contract
-// (gemm_kernel.go) everywhere else — no cgo. All matrices are
+// DTRSM, DGER, DLASWP, ...) in Go, with amd64 assembly micro-kernels (AVX2
+// and AVX-512F, chosen from CPUID) under every Level-3 call and a portable
+// Go kernel with the same contract (gemm_kernel.go) everywhere else — no
+// cgo. All matrices are
 // column-major matrix.Dense views; vectors are contiguous []float64 slices
 // (the unit-stride case is the only one HPL exercises).
 package blas
@@ -40,14 +41,15 @@ func Dscal(alpha float64, x []float64) {
 	}
 }
 
-// Ddot returns the dot product of x and y.
+// Ddot returns the dot product of x and y, each product rounded before it
+// is added (as in Daxpy), wherever it is inlined.
 func Ddot(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic("blas: Ddot length mismatch")
 	}
 	var s float64
 	for i := range x {
-		s += x[i] * y[i]
+		s += float64(x[i] * y[i])
 	}
 	return s
 }

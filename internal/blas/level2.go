@@ -86,7 +86,7 @@ func Dgemv(tA Transpose, alpha float64, a *matrix.Dense, x []float64, beta float
 		}
 	} else {
 		for j := 0; j < a.Cols; j++ {
-			y[j] += alpha * Ddot(a.Col(j), x)
+			y[j] += float64(alpha * Ddot(a.Col(j), x))
 		}
 	}
 }

@@ -9,11 +9,22 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
-# internal/blas has one amd64 assembly kernel (vet's asmdecl checks its stub
+# internal/blas has amd64 assembly kernels (vet's asmdecl checks their stubs
 # above); everywhere else the portable kernel is the only path, so it must
 # build and vet clean where the .s file is excluded.
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/blas
+# The accumulation-order contract rounds every product before its add: no
+# fused multiply-add may appear in internal/blas on arm64, where the compiler
+# fuses a*b+c unless the product is rounded explicitly (the build cache
+# replays the -S listing, so this stays cheap)...
+fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/blas 2>&1 | grep -cE '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' || true)
+if [ "$fused" != 0 ]; then
+    echo "check.sh: $fused fused multiply-adds in the arm64 build of internal/blas" >&2
+    exit 1
+fi
+# ...and the bitwise tests must hold at the amd64 level that has FMA.
+GOAMD64=v3 go test ./internal/blas ./internal/hpl
 # gofmt -l names every file that differs from canonical formatting; any
 # name is a failure.
 unformatted=$(gofmt -l .)
