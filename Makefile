@@ -70,6 +70,7 @@ graphbench:
 # checked-in seed corpus. New crashers land in testdata/fuzz/ — commit them.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzDgemmContract$$' -fuzztime 10s ./internal/blas
+	go test -run '^$$' -fuzz '^FuzzVariateContract$$' -fuzztime 10s ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzScheduleInvariants$$' -fuzztime 10s ./internal/pipeline
 	go test -run '^$$' -fuzz '^FuzzChecksumCodec$$' -fuzztime 10s ./internal/abft
 	go test -run '^$$' -fuzz '^FuzzJobCodec$$' -fuzztime 10s ./internal/serve

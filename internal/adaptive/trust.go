@@ -1,6 +1,6 @@
 package adaptive
 
-import "math"
+import "tianhe/internal/sim"
 
 // RewarmHalfLife is the re-warm half-life, in accepted observations, every
 // runtime passes to Rewarm after a device recovery: the remaining distrust in
@@ -42,7 +42,8 @@ func (t *Trust) Rewarm(halfLife float64) {
 	*t = Trust{}
 	if halfLife > 0 {
 		t.warming = true
-		t.decay = math.Pow(0.5, 1/halfLife)
+		// 0.5^(1/halfLife) as math.Pow evaluates it for a half-life of 8.
+		t.decay = sim.Exp(1 / halfLife * sim.Log(0.5))
 	}
 }
 

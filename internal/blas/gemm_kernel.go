@@ -3,6 +3,7 @@ package blas
 import (
 	"sync"
 
+	"tianhe/internal/cpufeat"
 	"tianhe/internal/matrix"
 )
 
@@ -48,40 +49,19 @@ const (
 	kernelAVX512                      // 16-row strips on gemmKernelAVX512, 8-row ones on AVX2
 )
 
-// cpuidOSXSAVE is the CPUID leaf 1 ECX bit saying XGETBV may be executed.
-const cpuidOSXSAVE = 1 << 27
-
-// cpuWords are the CPUID and XCR0 words the kernel choice reads.
-type cpuWords struct {
-	maxLeaf uint32 // CPUID leaf 0 EAX: the highest basic leaf
-	ecx1    uint32 // CPUID leaf 1 ECX: OSXSAVE (bit 27), AVX (bit 28)
-	ebx7    uint32 // CPUID leaf 7 EBX: AVX2 (bit 5), AVX512F (bit 16)
-	xcr0    uint32 // XCR0, low word: the register state the OS saves
-}
-
-// kernel is the fastest kernel a CPU reporting w executes with its register
-// state saved across context switches: AVX2 needs XMM and YMM state (XCR0
-// bits 1-2), AVX-512F the opmask, ZMM_Hi256 and Hi16_ZMM state (bits 5-7)
-// as well.
-func (w cpuWords) kernel() kernelLevel {
-	const (
-		osxsaveAVX    = cpuidOSXSAVE | 1<<28
-		avx2, avx512f = 1 << 5, 1 << 16
-		ymmState      = 0b110
-		zmmState      = 0b1110_0000 | ymmState
-	)
-	if w.maxLeaf < 7 || w.ecx1&osxsaveAVX != osxsaveAVX ||
-		w.xcr0&ymmState != ymmState || w.ebx7&avx2 == 0 {
-		return kernelPortable
-	}
-	if w.ebx7&avx512f == 0 || w.xcr0&zmmState != zmmState {
+// hostKernel is the fastest kernel this host runs.
+func hostKernel() kernelLevel {
+	switch {
+	case cpufeat.Host.AVX512F:
+		return kernelAVX512
+	case cpufeat.Host.AVX2:
 		return kernelAVX2
 	}
-	return kernelAVX512
+	return kernelPortable
 }
 
-// useKernel is chosen once, from CPUID. Tests lower it to compare the
-// kernels; nothing else writes it.
+// useKernel is chosen once, from the host's features. Tests lower it to
+// compare the kernels; nothing else writes it.
 var useKernel = hostKernel()
 
 // transPool holds the A blocks into which a transposed A is

@@ -102,36 +102,6 @@ func forEachKernel(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// TestKernelSelection: the choice follows the CPU feature bits and the
-// register state XCR0 says the OS saves; a feature the OS does not save
-// for is never used.
-func TestKernelSelection(t *testing.T) {
-	const (
-		osxsave, avx  = 1 << 27, 1 << 28
-		avx2, avx512f = 1 << 5, 1 << 16
-		ymm, zmm      = 0b110, 0b1110_0110
-	)
-	for _, tc := range []struct {
-		name string
-		w    cpuWords
-		want kernelLevel
-	}{
-		{"avx512", cpuWords{13, osxsave | avx, avx2 | avx512f, zmm}, kernelAVX512},
-		{"avx512 without opmask/ZMM state", cpuWords{13, osxsave | avx, avx2 | avx512f, ymm}, kernelAVX2},
-		{"avx512 with ZMM_Hi256 state only", cpuWords{13, osxsave | avx, avx2 | avx512f, ymm | 1<<6}, kernelAVX2},
-		{"avx2", cpuWords{13, osxsave | avx, avx2, zmm}, kernelAVX2},
-		{"avx2 without OSXSAVE", cpuWords{13, avx, avx2 | avx512f, 0}, kernelPortable},
-		{"avx2 without YMM state", cpuWords{13, osxsave | avx, avx2 | avx512f, 0b10}, kernelPortable},
-		{"avx512f without avx2", cpuWords{13, osxsave | avx, avx512f, zmm}, kernelPortable},
-		{"no AVX bit", cpuWords{13, osxsave, avx2 | avx512f, zmm}, kernelPortable},
-		{"no leaf 7", cpuWords{6, osxsave | avx, avx2 | avx512f, zmm}, kernelPortable},
-	} {
-		if got := tc.w.kernel(); got != tc.want {
-			t.Errorf("%s: kernel %d, want %d", tc.name, got, tc.want)
-		}
-	}
-}
-
 // plantSpecials overwrites about one element in sixteen of x with a value
 // the contract treats specially: the zeros it skips, and the non-finite
 // values that must propagate the same way through either kernel.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"tianhe/internal/sim"
 	"tianhe/internal/sim/simtest"
 )
 
@@ -37,8 +38,15 @@ func cabinetN(cabinets int) int {
 // draws, before any production file was touched: the 1-, 8- and 80-cabinet
 // down-clocked runs of Fig. 12, Fig. 11's 64-process pair, and small runs at
 // process counts that leave ragged shards and draw groups, each at several
-// worker counts with the progress curve recorded.
+// worker counts with the progress curve recorded. They hold with the batch
+// draws on the AVX-512 kernel, where the host has it, and forced onto the
+// portable path.
 func TestScaleDigest(t *testing.T) {
+	t.Run("host", func(t *testing.T) { scaleDigests(t) })
+	t.Run("portable", func(t *testing.T) { sim.WithoutKernel(func() { scaleDigests(t) }) })
+}
+
+func scaleDigests(t *testing.T) {
 	const seed = 2009
 	check := func(name string, cfg ScaleConfig, want uint64) {
 		t.Helper()

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"strconv"
 
 	"tianhe/internal/grid"
@@ -99,7 +98,7 @@ func runLoadFraction(p int) float64 {
 	if p <= 1 {
 		return 0.04
 	}
-	f := 0.04 + 0.14*math.Log2(float64(p))/math.Log2(64)
+	f := 0.04 + 0.14*sim.Log2(float64(p))/sim.Log2(64)
 	if f > 0.22 {
 		f = 0.22
 	}
@@ -126,34 +125,90 @@ func pipelinedGPUSeconds(m, n, k int, g perfmodel.GPU, tr perfmodel.Transfer) fl
 	return kernelSec + prologue + epilogue
 }
 
-// elementState is the per-element simulation state.
-type elementState struct {
-	gpuScale float64 // thermal drift factor around 1
-	cpuRate  float64 // aggregate compute-core GFLOPS (biases applied)
-	split    float64 // current GSplit (adaptive state or frozen trained)
-	drift    *sim.RNG
-	noise    *sim.RNG
+// fleet is the elements' simulation state, one slice per quantity, and
+// what the current iteration's step reads.
+type fleet struct {
+	gpuScale []float64   // thermal drift factor around 1
+	cpuRate  []float64   // aggregate compute-core GFLOPS (biases applied)
+	split    []float64   // current GSplit (adaptive state or frozen trained)
+	drift    sim.Streams // thermal random walk, one stream per element
+	noise    sim.Streams // production-run CPU load, one stream per element
+
+	adaptive       bool
+	loadFrac       float64
+	w, rgNominal   float64   // this iteration's local update flops and nominal GPU GFLOPS
+	slowestByShard []float64 // each shard's slowest element time
 }
 
-// newElementStates draws every element's manufacturing spread and seeds its
-// drift and noise streams; the split starts at the peak-rate ratio.
-func newElementStates(cfg ScaleConfig, gpuModel perfmodel.GPU) []elementState {
-	elems := make([]elementState, cfg.Processes)
+// newFleet draws every element's manufacturing spread and seeds its drift
+// and noise streams; the split starts at the peak-rate ratio.
+func newFleet(cfg ScaleConfig, gpuModel perfmodel.GPU) *fleet {
+	n := cfg.Processes
+	f := &fleet{
+		gpuScale: make([]float64, n),
+		cpuRate:  make([]float64, n),
+		split:    make([]float64, n),
+		drift:    make(sim.Streams, n),
+		noise:    make(sim.Streams, n),
+	}
 	manuf := sim.NewStream(cfg.Seed, "scale/manufacturing")
 	cleanCPU := 3 * perfmodel.CPUCoreGFLOPS * 0.97 // clean aggregate, no run load
-	for e := range elems {
-		es := &elems[e]
-		es.gpuScale = 1 + manuf.Normal(0, 0.015)
-		es.cpuRate = cleanCPU * (1 + manuf.Normal(0, 0.02))
+	peakSplit := gpuModel.PeakGFLOPS / (gpuModel.PeakGFLOPS + float64(perfmodel.ComputeCores)*perfmodel.CPUCoreGFLOPS)
+	for e := 0; e < n; e++ {
+		f.gpuScale[e] = 1 + manuf.Normal(0, 0.015)
+		f.cpuRate[e] = cleanCPU * (1 + manuf.Normal(0, 0.02))
 		// AppendInt into a stack buffer, not Itoa: the stream names then
 		// never reach the heap, at two per element of a 5,120-element run.
 		var digits [20]byte
 		id := strconv.AppendInt(digits[:0], int64(e), 10)
-		es.drift = sim.NewStream(cfg.Seed, "scale/drift/"+string(id))
-		es.noise = sim.NewStream(cfg.Seed, "scale/noise/"+string(id))
-		es.split = gpuModel.PeakGFLOPS / (gpuModel.PeakGFLOPS + float64(perfmodel.ComputeCores)*perfmodel.CPUCoreGFLOPS)
+		f.drift[e] = *sim.NewStream(cfg.Seed, "scale/drift/"+string(id))
+		f.noise[e] = *sim.NewStream(cfg.Seed, "scale/noise/"+string(id))
+		f.split[e] = peakSplit
 	}
-	return elems
+	return f
+}
+
+// drawChunk is how many elements a step draws for at once, into stack
+// buffers.
+const drawChunk = 64
+
+// step advances elements [lo, hi) by one iteration and records the slowest
+// one's update time for the shard. Elements advance independently (own
+// streams, own state); the only cross-element interaction is the
+// slowest-element max, which is exact and order-independent — per-shard
+// maxima reduced afterwards give the serial result bit for bit.
+func (f *fleet) step(shard, lo, hi int) {
+	var sl float64
+	var drift, noise [drawChunk]float64
+	for c := lo; c < hi; c += drawChunk {
+		n := min(drawChunk, hi-c)
+		f.drift[c:c+n].Normal(0, driftSigma, drift[:n])
+		f.noise[c:c+n].LogNormalFactor(0.10, noise[:n])
+		for i := 0; i < n; i++ {
+			e := c + i
+			// Thermal random walk, clamped.
+			gs := min(max(f.gpuScale[e]+drift[i], 1-driftMax), 1+driftMax)
+			f.gpuScale[e] = gs
+
+			rg := f.rgNominal * gs
+			// Production-run CPU availability: communication progress,
+			// driver threads and look-ahead bookkeeping consume cores —
+			// load the offline training phase never observes.
+			load := min(f.loadFrac*noise[i], 0.6)
+			rc := f.cpuRate[e] * (1 - load)
+
+			split := f.split[e]
+			tg := split * f.w / (rg * 1e9)
+			tc := (1 - split) * f.w / (rc * 1e9)
+			sl = max(sl, tg, tc)
+			if f.adaptive {
+				// The Section IV update from this iteration's measured
+				// rates, used next iteration.
+				f.split[e] = rg / (rg + rc)
+			}
+		}
+	}
+	f.slowestByShard[shard] = sl
 }
 
 // SimulateScale runs the large-scale Linpack model and returns its timing.
@@ -167,7 +222,7 @@ func SimulateScale(cfg ScaleConfig) ScaleResult {
 	net := perfmodel.DefaultNetwork()
 	crossCabinet := cfg.Processes > perfmodel.ElementsPerCabinet
 
-	elems := newElementStates(cfg, gpuModel)
+	f := newFleet(cfg, gpuModel)
 
 	// Trained splits: measured per element with the DGEMM running alone
 	// (clean CPU rate, current GPU state) and then frozen.
@@ -177,21 +232,20 @@ func SimulateScale(cfg ScaleConfig) ScaleResult {
 		nloc := cfg.N / g.Q / 2
 		base := pipelinedGPUSeconds(mloc, nloc, cfg.NB, gpuModel, transfer)
 		flops := 2 * float64(mloc) * float64(nloc) * float64(cfg.NB)
-		for e := range elems {
-			rg := flops / base / 1e9 * elems[e].gpuScale
-			elems[e].split = rg / (rg + elems[e].cpuRate)
+		for e := range f.split {
+			rg := flops / base / 1e9 * f.gpuScale[e]
+			f.split[e] = rg / (rg + f.cpuRate[e])
 		}
 	}
 
-	loadFrac := runLoadFraction(cfg.Processes)
-	// Hoisted so the per-iteration closure below captures one bool, not a
-	// copy of cfg.
-	adaptive := cfg.Policy == PolicyAdaptive
+	f.loadFrac = runLoadFraction(cfg.Processes)
+	f.adaptive = cfg.Policy == PolicyAdaptive
 	var total, flopsDone float64
 	totalFlops := hpl.LinpackFlops(cfg.N)
 	res := ScaleResult{N: cfg.N, NB: cfg.NB, Processes: cfg.Processes, Grid: g}
 
-	slowestSh := make([]float64, sweep.Shards(cfg.Workers, len(elems)))
+	f.slowestByShard = make([]float64, sweep.Shards(cfg.Workers, cfg.Processes))
+	step := f.step // one method value for every iteration's sweep
 	nblocks := cfg.N / cfg.NB
 	for k := 0; k < nblocks; k++ {
 		trailing := cfg.N - (k+1)*cfg.NB
@@ -208,51 +262,14 @@ func SimulateScale(cfg ScaleConfig) ScaleResult {
 
 		var iterTime float64
 		if mloc > 0 && nloc > 0 {
-			w := 2 * float64(mloc) * float64(nloc) * float64(cfg.NB)
+			f.w = 2 * float64(mloc) * float64(nloc) * float64(cfg.NB)
 			// GPU rate for this iteration's shape at nominal drift; each
 			// element scales it by its thermal state.
 			gpuSecNominal := pipelinedGPUSeconds(mloc, nloc, cfg.NB, gpuModel, transfer)
-			rgNominal := w / gpuSecNominal / 1e9
-
-			// Elements advance independently (own RNG streams, own state);
-			// the only cross-element interaction is the slowest-element max,
-			// which is exact and order-independent — per-shard maxima reduced
-			// afterwards give the serial result bit for bit.
-			sweep.For(cfg.Workers, len(elems), func(shard, lo, hi int) {
-				var sl float64
-				for e := lo; e < hi; e++ {
-					es := &elems[e]
-					// Thermal random walk, clamped.
-					es.gpuScale += es.drift.Normal(0, driftSigma)
-					es.gpuScale = min(max(es.gpuScale, 1-driftMax), 1+driftMax)
-
-					rg := rgNominal * es.gpuScale
-					// Production-run CPU availability: communication progress,
-					// driver threads and look-ahead bookkeeping consume cores —
-					// load the offline training phase never observes.
-					load := loadFrac * es.noise.LogNormalFactor(0.10)
-					if load > 0.6 {
-						load = 0.6
-					}
-					rc := es.cpuRate * (1 - load)
-
-					split := es.split
-					tg := split * w / (rg * 1e9)
-					tc := (1 - split) * w / (rc * 1e9)
-					t := math.Max(tg, tc)
-					if t > sl {
-						sl = t
-					}
-					if adaptive {
-						// The Section IV update from this iteration's measured
-						// rates, used next iteration.
-						es.split = rg / (rg + rc)
-					}
-				}
-				slowestSh[shard] = sl
-			})
+			f.rgNominal = f.w / gpuSecNominal / 1e9
+			sweep.For(cfg.Workers, cfg.Processes, step)
 			var slowest float64
-			for _, sl := range slowestSh[:sweep.Shards(cfg.Workers, len(elems))] {
+			for _, sl := range f.slowestByShard {
 				if sl > slowest {
 					slowest = sl
 				}

@@ -375,7 +375,7 @@ func (in *Injector) CoreFactor(core int, t sim.Time) float64 {
 		case CPUJitterStorm:
 			if e.active(t) && e.Magnitude > 0 {
 				n := in.coreStream(core).Normal(0, e.Magnitude)
-				f *= math.Exp(-math.Abs(n))
+				f *= sim.Exp(-math.Abs(n))
 				if pr := in.probes; pr != nil {
 					pr.jitterHits.Inc()
 				}

@@ -18,7 +18,8 @@ import (
 // fails when a second copy appears in any non-test file of the module:
 //
 //   - only this package re-initializes a context or asks whether it is dead;
-//   - the decay 0.5^(1/halfLife) is computed in one place;
+//   - the decay 0.5^(1/halfLife), sim.Exp(1/halfLife*sim.Log(0.5)), is
+//     computed in one place;
 //   - abft.Classify has one caller;
 //   - no struct but abft.Tally declares the SDC counters.
 func TestOneDeviceFaultPath(t *testing.T) {
@@ -55,7 +56,7 @@ func TestOneDeviceFaultPath(t *testing.T) {
 				case !inGPU && (name == "Reinit" || name == "ContextDead"):
 					t.Errorf("%s: %s called outside internal/gpu — pass the device's LossGate (or read LossAt) instead",
 						fset.Position(n.Pos()), name)
-				case qual == "math" && name == "Pow" && isHalfLifeDecay(n):
+				case qual == "sim" && name == "Exp" && isHalfLifeDecay(n):
 					decays = append(decays, fset.Position(n.Pos()).String())
 				case name == "Classify" && (qual == "abft" || (qual == "" && file.Name.Name == "abft")):
 					classifies = append(classifies, fset.Position(n.Pos()).String())
@@ -83,7 +84,7 @@ func TestOneDeviceFaultPath(t *testing.T) {
 		what, home string
 		sites      []string
 	}{
-		{"the re-warm decay math.Pow(0.5, 1/halfLife)", "internal/adaptive/trust.go", decays},
+		{"the re-warm decay sim.Exp(1/halfLife*sim.Log(0.5))", "internal/adaptive/trust.go", decays},
 		{"a call of abft.Classify", "internal/abft/tally.go", classifies},
 		{"a struct declaring SDCDetected", "internal/abft/tally.go", tallies},
 	} {
@@ -108,19 +109,29 @@ func calleeName(call *ast.CallExpr) (name, qual string) {
 	return "", ""
 }
 
-// isHalfLifeDecay matches math.Pow(0.5, 1/x).
+// isHalfLifeDecay matches sim.Exp(1/x * sim.Log(0.5)).
 func isHalfLifeDecay(call *ast.CallExpr) bool {
-	if len(call.Args) != 2 {
+	if len(call.Args) != 1 {
 		return false
 	}
-	base, ok := call.Args[0].(*ast.BasicLit)
-	if !ok || base.Value != "0.5" {
+	prod, ok := call.Args[0].(*ast.BinaryExpr)
+	if !ok || prod.Op != token.MUL {
 		return false
 	}
-	exp, ok := call.Args[1].(*ast.BinaryExpr)
-	if !ok || exp.Op != token.QUO {
+	inv, ok := prod.X.(*ast.BinaryExpr)
+	if !ok || inv.Op != token.QUO {
 		return false
 	}
-	one, ok := exp.X.(*ast.BasicLit)
-	return ok && one.Value == "1"
+	if one, ok := inv.X.(*ast.BasicLit); !ok || one.Value != "1" {
+		return false
+	}
+	log, ok := prod.Y.(*ast.CallExpr)
+	if !ok || len(log.Args) != 1 {
+		return false
+	}
+	if name, qual := calleeName(log); name != "Log" || qual != "sim" {
+		return false
+	}
+	half, ok := log.Args[0].(*ast.BasicLit)
+	return ok && half.Value == "0.5"
 }

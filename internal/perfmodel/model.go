@@ -10,7 +10,11 @@
 // records paper-versus-measured values for each figure.
 package perfmodel
 
-import "math"
+import (
+	"math"
+
+	"tianhe/internal/sim"
+)
 
 // Hardware constants of one TianHe-1 compute element and its interconnect.
 const (
@@ -262,6 +266,6 @@ func (n Network) BcastSeconds(bytes int64, p int, crossCabinet bool) float64 {
 	if p <= 1 {
 		return 0
 	}
-	rounds := math.Ceil(math.Log2(float64(p)))
+	rounds := math.Ceil(sim.Log2(float64(p)))
 	return rounds * n.Seconds(bytes, crossCabinet)
 }

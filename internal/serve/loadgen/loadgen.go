@@ -10,7 +10,6 @@ package loadgen
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"tianhe/internal/serve"
@@ -88,7 +87,7 @@ func Generate(cfg Config) []Arrival {
 		for {
 			// Exponential interarrival at the client's share of the rate.
 			u := rng.Float64()
-			t += sim.Time(-math.Log(1-u) / perClient)
+			t += sim.Time(-sim.Log(1-u) / perClient)
 			if t >= cfg.Horizon {
 				break
 			}

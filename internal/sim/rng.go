@@ -4,6 +4,13 @@
 // engine. All performance measurements in this reproduction are taken in
 // virtual time so that every experiment regenerates bit-identically on any
 // machine, regardless of its real hardware.
+//
+// The random draws follow the variate contract (variate.go): Log, Log2, Exp
+// and the Box–Muller cosine are transcriptions of what the math package
+// computes on an FMA amd64 host, so a draw is the same float64 on every
+// architecture and CPU. Streams draws for many generators at once, on an
+// AVX-512 kernel where the host has one, lane for lane equal to the scalar
+// draws.
 package sim
 
 import "math"
@@ -56,15 +63,16 @@ func (r *RNG) Intn(n int) int {
 }
 
 // Normal returns a normally distributed value with the given mean and
-// standard deviation, using the Box-Muller transform.
+// standard deviation, using the Box-Muller transform on the variate
+// contract's Log and cos.
 func (r *RNG) Normal(mean, stddev float64) float64 {
 	u1 := r.Float64()
 	u2 := r.Float64()
 	if u1 < 1e-300 {
 		u1 = 1e-300
 	}
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
+	z := float64(math.Sqrt(float64(-2*Log(u1))) * cos(float64(2*math.Pi*u2)))
+	return mean + float64(stddev*z)
 }
 
 // LogNormalFactor returns a multiplicative jitter factor with median 1 whose
@@ -73,10 +81,10 @@ func (r *RNG) LogNormalFactor(sigma float64) float64 {
 	if sigma == 0 {
 		return 1
 	}
-	return math.Exp(r.Normal(0, sigma))
+	return Exp(r.Normal(0, sigma))
 }
 
 // Range returns a uniform value in [lo, hi).
 func (r *RNG) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }

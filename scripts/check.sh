@@ -9,22 +9,38 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
-# internal/blas has amd64 assembly kernels (vet's asmdecl checks their stubs
-# above); everywhere else the portable kernel is the only path, so it must
-# build and vet clean where the .s file is excluded.
+# internal/blas, internal/sim and internal/cpufeat have amd64 assembly (vet's
+# asmdecl checks their stubs above); everywhere else the portable path is the
+# only one, so it must build and vet clean where the .s files are excluded.
 GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/blas
+GOARCH=arm64 go vet ./internal/blas ./internal/sim ./internal/cpufeat
+# fusedcount PKG FUNC prints the fused multiply-adds in the arm64 -S listing
+# of PKG outside function FUNC, then those inside it (the build cache
+# replays the listing, so this stays cheap).
+fusedcount() {
+    GOARCH=arm64 go build -gcflags=-S "$1" 2>&1 | awk -v allow="$2" '
+        / STEXT / { fn = $1; next }
+        /[[:space:]](FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]/ { if (fn == allow) inside++; else outside++ }
+        END { print outside + 0, inside + 0 }'
+}
 # The accumulation-order contract rounds every product before its add: no
 # fused multiply-add may appear in internal/blas on arm64, where the compiler
-# fuses a*b+c unless the product is rounded explicitly (the build cache
-# replays the -S listing, so this stays cheap)...
-fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/blas 2>&1 | grep -cE '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' || true)
-if [ "$fused" != 0 ]; then
-    echo "check.sh: $fused fused multiply-adds in the arm64 build of internal/blas" >&2
+# fuses a*b+c unless the product is rounded explicitly...
+set -- $(fusedcount ./internal/blas "")
+if [ "$1" != 0 ]; then
+    echo "check.sh: $1 fused multiply-adds in the arm64 build of internal/blas" >&2
+    exit 1
+fi
+# ...the variate contract likewise, except for the exp transcription's
+# math.FMA calls, which fuse where exp_amd64.s does and nowhere else...
+set -- $(fusedcount ./internal/sim tianhe/internal/sim.Exp)
+fmas=$(grep -c 'math\.FMA(' internal/sim/variate.go)
+if [ "$1" != 0 ] || [ "$2" != "$fmas" ]; then
+    echo "check.sh: internal/sim on arm64 fuses $1 multiply-adds outside Exp and $2 inside it (want 0 and $fmas)" >&2
     exit 1
 fi
 # ...and the bitwise tests must hold at the amd64 level that has FMA.
-GOAMD64=v3 go test ./internal/blas ./internal/hpl
+GOAMD64=v3 go test ./internal/blas ./internal/hpl ./internal/sim ./internal/cluster
 # gofmt -l names every file that differs from canonical formatting; any
 # name is a failure.
 unformatted=$(gofmt -l .)
