@@ -30,6 +30,10 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the telemetry metric dump after the run")
 	par := flag.Int("par", 0, "worker count for the baseline/pipelined pair (<=0: GOMAXPROCS); output is identical for every value")
 	flag.Parse()
+	if err := checkShape(*m, *n, *k, *tile); err != nil {
+		fmt.Fprintf(os.Stderr, "pipetrace: %v\n", err)
+		os.Exit(1)
+	}
 
 	var tel *telemetry.Telemetry
 	if *tracePath != "" || *metrics {
@@ -74,6 +78,20 @@ func main() {
 		fmt.Println()
 		tel.Metrics.WriteText(os.Stdout)
 	}
+}
+
+// checkShape rejects the flag values the planner or the executor cannot
+// take: a degenerate DGEMM, or a tile wider than a device allocation may be.
+// A tile within the limit whose working set still overflows device memory is
+// the executor's to report.
+func checkShape(m, n, k, tile int) error {
+	if m <= 0 || n <= 0 || k <= 0 {
+		return fmt.Errorf("-m, -n and -k must be positive, got %dx%dx%d", m, n, k)
+	}
+	if tile > perfmodel.TextureLimit {
+		return fmt.Errorf("-tile %d exceeds the %d texture limit", tile, perfmodel.TextureLimit)
+	}
+	return nil
 }
 
 // runTraces executes the baseline and the full Section V pipeline on virtual

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tianhe/internal/telemetry"
@@ -74,5 +77,48 @@ func TestTraceExportRoundTrips(t *testing.T) {
 	}
 	if !sawResource {
 		t.Error("-trace output has no resource spans beyond the CT/NT schedule")
+	}
+}
+
+// TestBadShapeExitsOne: flag values the planner or the executor would panic
+// on are rejected up front with one line on stderr and exit status 1.
+func TestBadShapeExitsOne(t *testing.T) {
+	for _, c := range []struct {
+		m, n, k, tile int
+		bad           string // a word of the message; "" when accepted
+	}{
+		{16384, 16384, 8192, 0, ""},
+		{8192, 8192, 4096, 8192, ""},
+		{0, 16384, 8192, 0, "positive"},
+		{16384, -1, 8192, 0, "positive"},
+		{16384, 16384, 0, 4096, "positive"},
+		{16384, 16384, 8192, 12000, "texture limit"},
+		{16384, 16384, 8192, 8193, "texture limit"},
+	} {
+		err := checkShape(c.m, c.n, c.k, c.tile)
+		if (err != nil) != (c.bad != "") || (err != nil && !strings.Contains(err.Error(), c.bad)) {
+			t.Errorf("checkShape(%d, %d, %d, %d) = %v, want an error about %q", c.m, c.n, c.k, c.tile, err, c.bad)
+		}
+	}
+
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "pipetrace")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building pipetrace: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{{"-m", "0"}, {"-tile", "12000", "-gantt"}} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		var exit *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("pipetrace %v: %v, want exit status 1", args, err)
+		}
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "pipetrace: ") {
+			t.Errorf("pipetrace %v wrote %q to stderr, want one pipetrace: line", args, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("pipetrace %v printed %q before rejecting its flags", args, stdout.String())
+		}
 	}
 }

@@ -316,9 +316,13 @@ func (d *Device) Alloc(rows, cols int) (*Buffer, error) {
 	return b, nil
 }
 
-// Free releases the buffer's local memory. Freeing twice panics: it would
-// corrupt the accounting exactly like a real double-free.
+// Free releases the buffer's local memory; a nil buffer (a shape-only copy's)
+// has none. Freeing twice panics: it would corrupt the accounting exactly like
+// a real double-free.
 func (b *Buffer) Free() {
+	if b == nil {
+		return
+	}
 	if b.freed {
 		panic("gpu: double free of device buffer")
 	}

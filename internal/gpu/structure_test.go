@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -23,30 +24,9 @@ import (
 //   - abft.Classify has one caller;
 //   - no struct but abft.Tally declares the SDC counters.
 func TestOneDeviceFaultPath(t *testing.T) {
-	const root = "../.."
 	fset := token.NewFileSet()
 	var decays, classifies, tallies []string
-	files := 0
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name == "testdata" || (strings.HasPrefix(name, ".") && path != root) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		files++
-		rel, _ := filepath.Rel(root, path)
-		rel = filepath.ToSlash(rel)
+	eachModuleFile(t, fset, func(rel string, file *ast.File) {
 		inGPU := strings.HasPrefix(rel, "internal/gpu/")
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -72,14 +52,7 @@ func TestOneDeviceFaultPath(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files < 100 {
-		t.Fatalf("parsed %d files: the check is looking at the wrong directory", files)
-	}
 	for _, c := range []struct {
 		what, home string
 		sites      []string
@@ -91,6 +64,91 @@ func TestOneDeviceFaultPath(t *testing.T) {
 		if len(c.sites) != 1 || !strings.Contains(filepath.ToSlash(c.sites[0]), c.home) {
 			t.Errorf("%s must exist exactly once, in %s; found at %v", c.what, c.home, c.sites)
 		}
+	}
+}
+
+// eachModuleFile parses every non-test Go file of the module outside
+// testdata and hands it to fn with its slash-separated module-relative path.
+func eachModuleFile(t *testing.T, fset *token.FileSet, fn func(rel string, file *ast.File)) {
+	t.Helper()
+	const root = "../.."
+	files := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || (strings.HasPrefix(name, ".") && path != root) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files++
+		rel, _ := filepath.Rel(root, path)
+		fn(filepath.ToSlash(rel), file)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 100 {
+		t.Fatalf("parsed %d files: the check is looking at the wrong directory", files)
+	}
+}
+
+// TestOneResidencyManager keeps device memory under one manager. The
+// simulated card's memory was once managed twice: the task graph's LRU list
+// keyed by handle id, and the pipeline's tile cache, whose evictFor scanned a
+// slice of tick-stamped slots for the smallest tick. Both now stage through
+// this package's Residency, and this test fails when a second manager appears
+// in any non-test file of the module:
+//
+//   - outside internal/gpu, no function is named for evicting, victims or an
+//     LRU, and no struct holds an LRU field or prev/next links;
+//   - inside it, exactly one struct threads resident copies on such a list.
+func TestOneResidencyManager(t *testing.T) {
+	fset := token.NewFileSet()
+	victimFunc := regexp.MustCompile(`(?i)evict|victim|lru`)
+	var lists []string
+	eachModuleFile(t, fset, func(rel string, file *ast.File) {
+		inGPU := strings.HasPrefix(rel, "internal/gpu/")
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if !inGPU && victimFunc.MatchString(n.Name.Name) {
+					t.Errorf("%s: %s picks device-memory victims outside internal/gpu — stage through gpu.Residency",
+						fset.Position(n.Pos()), n.Name.Name)
+				}
+			case *ast.StructType:
+				links := 0
+				for _, f := range n.Fields.List {
+					for _, id := range f.Names {
+						_, ptr := f.Type.(*ast.StarExpr)
+						switch {
+						case !inGPU && strings.Contains(strings.ToLower(id.Name), "lru"):
+							t.Errorf("%s: field %s keeps an LRU clock outside internal/gpu — stage through gpu.Residency",
+								fset.Position(id.Pos()), id.Name)
+						case ptr && (id.Name == "prev" || id.Name == "next"):
+							links++
+						}
+					}
+				}
+				if links == 2 {
+					lists = append(lists, fset.Position(n.Pos()).String())
+				}
+			}
+			return true
+		})
+	})
+	if len(lists) != 1 || !strings.Contains(filepath.ToSlash(lists[0]), "internal/gpu/residency.go") {
+		t.Errorf("a struct with prev/next links must exist exactly once, in internal/gpu/residency.go; found at %v", lists)
 	}
 }
 

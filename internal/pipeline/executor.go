@@ -89,9 +89,11 @@ type Executor struct {
 	verify bool            // set, with sdc, by EnableVerify
 	sdc    *fault.Injector // nil: nothing ever strikes
 
-	// dr is the driver of the run in progress; it lives here so that handing
-	// it to the controller costs a run no allocation.
-	dr deviceRun
+	// dr drives the run in progress and res manages its operand tiles in
+	// device memory, one slot per Plan.operandIndex; both live here so that a
+	// run allocates neither.
+	dr  deviceRun
+	res gpu.Residency
 
 	// taskSeq numbers every drained task across the executor's lifetime;
 	// it keys the SDC injector's per-task decision streams, so strikes
@@ -164,14 +166,6 @@ func (e *Executor) EnableVerify(sdc *fault.Injector) {
 	e.verify, e.sdc = true, sdc
 }
 
-// residentTile tracks one operand tile's place in device memory.
-type residentTile struct {
-	buf   *gpu.Buffer // nil in virtual mode
-	bytes int64
-	sp    sim.Span // the transfer that made it resident
-	lru   int      // tick of its last use; zero while it is not resident
-}
-
 // inFlight is one of the two tasks the CT/NT pair holds, from the start of
 // its input phase to the drain of its output.
 type inFlight struct {
@@ -194,10 +188,6 @@ type deviceRun struct {
 	hostA, hostB, hostC *matrix.Dense
 	rep                 Report
 
-	resident         []residentTile // indexed by Plan.operandIndex
-	lruTick          int
-	memInUse, budget int64
-
 	// tasks holds task i in slot i&1: the successor's input and kernels are
 	// booked while its predecessor's output is still to drain.
 	tasks [2]inFlight
@@ -215,12 +205,11 @@ type deviceRun struct {
 func (e *Executor) run(p *Plan, alpha, beta float64, hostA, hostB, hostC *matrix.Dense, earliest sim.Time) Report {
 	r := &e.dr
 	*r = deviceRun{e: e, p: p, alpha: alpha, beta: beta, hostA: hostA, hostB: hostB, hostC: hostC,
-		rep:      Report{Flops: p.TotalFlops(), Tasks: len(p.Tasks), Start: earliest},
-		resident: make([]residentTile, (p.RowTiles+p.ColTiles)*p.KTiles), budget: e.residencyBudget(p), lastEnd: earliest}
+		rep: Report{Flops: p.TotalFlops(), Tasks: len(p.Tasks), Start: earliest}, lastEnd: earliest}
+	e.res.Begin(e.dev, (p.RowTiles+p.ColTiles)*p.KTiles)
+	e.res.Hold(e.outputBytes(p))
 	control(len(p.Tasks), e.opts.OverlapInput, r)
-	for i := range r.resident {
-		free(r.resident[i].buf)
-	}
+	e.res.Reset()
 	if pr := e.probes; pr != nil {
 		pr.tasks.Add(int64(r.rep.Tasks))
 		pr.bytesIn.Add(r.rep.BytesIn)
@@ -232,22 +221,14 @@ func (e *Executor) run(p *Plan, alpha, beta float64, hostA, hostB, hostC *matrix
 	return rep
 }
 
-// residencyBudget is the device memory operand tiles may occupy: what is
-// left after the EO double buffers and two full C tiles (the real-data path
-// stages whole output tiles, and the CT/NT overlap keeps two tasks in
-// flight). Sizes come from the plan's actual tiles, which may be far smaller
-// than the configured maximum.
-func (e *Executor) residencyBudget(p *Plan) int64 {
+// outputBytes is what the run holds in device memory besides operand tiles:
+// the EO double buffers and two full C tiles (the real-data path stages whole
+// output tiles, and the CT/NT overlap keeps two tasks in flight), sized from
+// the plan's actual tiles, which may be far smaller than the maximum.
+func (e *Executor) outputBytes(p *Plan) int64 {
 	maxM, maxN := int64(p.rows[0]), int64(p.cols[0]) // only a last tile is smaller
 	blockRows := min(int64(e.opts.BlockRows), maxM)
-	return e.dev.MemBytes() - 2*8*blockRows*maxN - 2*8*maxM*maxN
-}
-
-// free releases a device buffer; virtual mode has none.
-func free(b *gpu.Buffer) {
-	if b != nil {
-		b.Free()
-	}
+	return 2*8*blockRows*maxN + 2*8*maxM*maxN
 }
 
 // alloc reserves a device buffer; virtual mode keeps none.
@@ -283,47 +264,25 @@ func (r *deviceRun) stage(host *matrix.Dense, rowOff, colOff, rows, cols int, no
 	return buf, sp
 }
 
-// drop releases a resident tile.
-func (r *deviceRun) drop(rt *residentTile) {
-	r.memInUse -= rt.bytes
-	free(rt.buf)
-	*rt = residentTile{}
-}
-
-// evictFor frees least-recently-used tiles until need more bytes fit.
-func (r *deviceRun) evictFor(need int64) {
-	for r.memInUse+need > r.budget {
-		var victim *residentTile
-		for i := range r.resident {
-			if rt := &r.resident[i]; rt.lru != 0 && (victim == nil || rt.lru < victim.lru) {
-				victim = rt
-			}
-		}
-		if victim == nil {
-			panic(fmt.Sprintf("pipeline: tile of %d bytes cannot fit budget %d", need, r.budget))
-		}
-		r.drop(victim)
-	}
-}
-
 // operand transfers an operand tile (or finds it resident), returning its
-// buffer handle and the span after which it is usable.
+// buffer handle and the span after which it is usable. Room is made before
+// the tile is staged; a tile that cannot fit beside the output side's hold
+// panics with the manager's ErrWorkingSet.
 func (r *deviceRun) operand(id TileID, host *matrix.Dense, notBefore sim.Time) (*gpu.Buffer, sim.Span) {
-	rt, bytes := &r.resident[r.p.operandIndex(id)], r.p.TileBytes(id)
-	r.lruTick++
-	if rt.lru != 0 {
+	res, slot, bytes := &r.e.res, r.p.operandIndex(id), r.p.TileBytes(id)
+	if res.Resident(slot) {
 		if r.e.opts.Reuse {
-			rt.lru = r.lruTick
 			r.rep.BytesSkipped += bytes
-			return rt.buf, rt.sp
+			return res.Touch(slot)
 		}
-		r.drop(rt) // reuse disabled: re-transfer
+		res.Drop(slot) // reuse disabled: re-transfer
 	}
-	r.evictFor(bytes)
+	if res.Evict(bytes); res.Err() != nil {
+		panic(res.Err())
+	}
 	rows, cols := r.p.tileDims(id)
 	buf, sp := r.stage(host, id.Row*r.p.Tile, id.Col*r.p.Tile, rows, cols, notBefore)
-	*rt = residentTile{buf: buf, bytes: bytes, sp: sp, lru: r.lruTick}
-	r.memInUse += bytes
+	res.Admit(slot, bytes, sp, buf)
 	return buf, sp
 }
 

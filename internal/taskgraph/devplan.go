@@ -27,7 +27,7 @@ type devicePlan struct {
 func (r *run) planDevice(t *Task, m1, rows int, splitReads bool, readyAt sim.Time) devicePlan {
 	var p devicePlan
 	for _, a := range t.Accesses {
-		if r.res.resident(a.H) {
+		if r.res.Resident(a.H.id) {
 			continue
 		}
 		fb := rowShare(a.H.bytes, m1, rows)
@@ -119,7 +119,7 @@ func (r *run) bookHead(p *devicePlan, at sim.Time) {
 		r.deps = append(r.deps, r.dev.UploadBytes(head, at))
 	}
 	if p.wStream {
-		r.res.hold(r.window)
+		r.res.Hold(r.window)
 	}
 }
 
@@ -140,7 +140,7 @@ func (r *run) bookStreams(p *devicePlan, kernel sim.Span) sim.Time {
 		end = max(end, down.End)
 	}
 	for _, h := range r.lateUp {
-		r.res.admit(h, rest)
+		r.res.Admit(h.id, h.bytes, rest, nil)
 	}
 	return end
 }

@@ -36,9 +36,9 @@ func TestWholeGPUPlanIsHybridPlanAtAllRows(t *testing.T) {
 		// The run sizes its residency slots from the graph's handles.
 		r := NewScheduler(el, Options{}).newRun(g, 0)
 		for _, h := range cached {
-			r.res.admit(h, sim.Span{})
-			if r.res.err != nil {
-				t.Fatal(r.res.err)
+			r.res.Admit(h.id, h.bytes, sim.Span{}, nil)
+			if err := r.res.Err(); err != nil {
+				t.Fatal(err)
 			}
 		}
 		readyAt := sim.Time(rng.Float64())

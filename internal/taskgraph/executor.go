@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tianhe/internal/abft"
+	"tianhe/internal/gpu"
 	"tianhe/internal/sim"
 )
 
@@ -24,7 +25,7 @@ func (r *run) book(t *Task, cls Class, c *candidates, readyAt sim.Time) booking 
 	if cls == ClassCPU {
 		return r.bookCPU(t, c.core, readyAt)
 	}
-	r.res.pin(t)
+	pin(&r.res, t)
 	// Device bookings start after the task's dependencies.
 	r.deps = append(r.deps[:0], sim.Span{Start: readyAt, End: readyAt})
 	r.lateUp, r.stale = r.lateUp[:0], r.stale[:0]
@@ -34,12 +35,20 @@ func (r *run) book(t *Task, cls Class, c *candidates, readyAt sim.Time) booking 
 	return r.bookHybrid(t, c, readyAt)
 }
 
+// pin makes t's handles the keep-set of the evictions its booking triggers.
+func pin(res *gpu.Residency, t *Task) {
+	res.Unpin()
+	for _, a := range t.Accesses {
+		res.Pin(a.H.id)
+	}
+}
+
 func (r *run) bookCPU(t *Task, core int, readyAt sim.Time) booking {
 	// Host readers of device-dirty handles wait for the download.
 	start := readyAt
 	for _, a := range t.Accesses {
-		if re := r.res.lookup(a.H); re != nil && re.dirty && a.Mode != Write {
-			start = max(start, r.res.writeBack(re).End)
+		if a.Mode != Write && r.res.Dirty(a.H.id) {
+			start = max(start, r.res.WriteBack(a.H.id).End)
 		}
 	}
 	sp := r.cores[core].Work(t.Name, t.Costs.CPUSeconds(t), start)
@@ -47,7 +56,7 @@ func (r *run) bookCPU(t *Task, core int, readyAt sim.Time) booking {
 	// A host write invalidates any device copy.
 	for _, a := range t.Accesses {
 		if a.Mode != Read {
-			r.res.drop(a.H)
+			r.res.Drop(a.H.id)
 		}
 	}
 	r.rep.TasksCPU++
@@ -65,7 +74,7 @@ func (r *run) bookGPU(t *Task, p *devicePlan, readyAt sim.Time) booking {
 		if a.Mode == Write {
 			continue
 		}
-		if p.wStream && a.Mode == ReadWrite && !res.resident(a.H) {
+		if p.wStream && a.Mode == ReadWrite && !res.Resident(a.H.id) {
 			continue // streams through the window instead
 		}
 		r.stageRead(a.H, p, readyAt)
@@ -73,17 +82,17 @@ func (r *run) bookGPU(t *Task, p *devicePlan, readyAt sim.Time) booking {
 	if !p.wStream {
 		// Write-only outputs still occupy device memory.
 		for _, a := range t.Accesses {
-			if a.Mode == Write && !res.resident(a.H) {
-				res.admit(a.H, sim.Span{})
+			if a.Mode == Write && !res.Resident(a.H.id) {
+				res.Admit(a.H.id, a.H.bytes, sim.Span{}, nil)
 			}
 		}
 	}
 	r.bookHead(p, readyAt)
 	sp := r.dev.Kernel(t.Name, t.Costs.GPUSeconds(t), r.deps...)
 	// The stream window is free again before late residents claim room.
-	res.release()
+	res.Release()
 	end := r.bookStreams(p, sp)
-	if res.err != nil {
+	if res.Err() != nil {
 		return booking{} // an aborted placement teaches the rates nothing
 	}
 	r.s.rates.ObserveClass(t.Codelet, ClassGPU, t.Flops, p.boundBy(sp.Duration()))
@@ -91,10 +100,8 @@ func (r *run) bookGPU(t *Task, p *devicePlan, readyAt sim.Time) booking {
 	// streamed shares already drained, so the host copy stays authoritative
 	// for them.
 	for _, a := range t.Accesses {
-		if re := res.lookup(a.H); re != nil && a.Mode != Read {
-			res.touch(re)
-			re.sp = sp
-			re.dirty = true
+		if a.Mode != Read && res.Resident(a.H.id) {
+			res.MarkDirty(a.H.id, sp)
 		}
 	}
 	r.rep.TasksGPU++
@@ -117,7 +124,7 @@ func (r *run) bookHybrid(t *Task, c *candidates, readyAt sim.Time) booking {
 		if a.Mode == Read {
 			continue
 		}
-		if p.wStream && !r.res.resident(a.H) {
+		if p.wStream && !r.res.Resident(a.H.id) {
 			continue // already streamed back under the kernel
 		}
 		fb := rowShare(a.H.bytes, m1, h.Rows)
@@ -145,11 +152,11 @@ func (r *run) bookHybrid(t *Task, c *candidates, readyAt sim.Time) booking {
 
 	// Release the device occupancy the split held: transient row shares and
 	// copies the host half just made stale.
-	r.res.release()
+	r.res.Release()
 	for _, h := range r.stale {
-		r.res.drop(h)
+		r.res.Drop(h.id)
 	}
-	if r.res.err != nil {
+	if r.res.Err() != nil {
 		return booking{} // an aborted placement teaches the rates and the oracle nothing
 	}
 
@@ -209,11 +216,10 @@ func (r *run) stageHybrid(t *Task, m1 int, p *devicePlan, readyAt sim.Time) sim.
 		if a.Mode != Read {
 			continue
 		}
-		re := res.lookup(a.H)
 		switch {
-		case re != nil && re.dirty:
-			hostReady = max(hostReady, res.writeBack(re).End)
-		case re == nil && h.SplitReads:
+		case res.Dirty(a.H.id):
+			hostReady = max(hostReady, res.WriteBack(a.H.id).End)
+		case !res.Resident(a.H.id) && h.SplitReads:
 			// Fractional head share, booked individually; under rStream the
 			// bytes ride the in-stream instead (the head gate already counts
 			// the fractional readFresh).
@@ -235,17 +241,17 @@ func (r *run) stageHybrid(t *Task, m1 int, p *devicePlan, readyAt sim.Time) sim.
 			continue
 		}
 		fb := rowShare(a.H.bytes, m1, h.Rows)
-		if re := res.lookup(a.H); re != nil {
+		if res.Resident(a.H.id) {
 			if a.Mode == ReadWrite {
-				if re.dirty {
+				if res.Dirty(a.H.id) {
 					// The host half updates rows whose only current copy is
 					// on the device: write it back before starting.
-					hostReady = max(hostReady, res.writeBack(re).End)
+					hostReady = max(hostReady, res.WriteBack(a.H.id).End)
 				}
 				r.rep.BytesSkipped += fb
 			}
-			res.touch(re)
-			r.deps = append(r.deps, re.sp)
+			_, sp := res.Touch(a.H.id)
+			r.deps = append(r.deps, sp)
 			r.stale = append(r.stale, a.H)
 			continue
 		}
@@ -260,24 +266,28 @@ func (r *run) stageHybrid(t *Task, m1 int, p *devicePlan, readyAt sim.Time) sim.
 
 // stageRead makes a handle the kernel reads whole available on the device: a
 // resident copy is a skip, a fresh one uploads and becomes resident — under
-// the kernel, after the head gate, when the plan streams its reads.
+// the kernel, after the head gate, when the plan streams its reads. Room is
+// made before the upload: a dirty victim's write-back precedes it.
 func (r *run) stageRead(h *Handle, p *devicePlan, readyAt sim.Time) {
-	if re := r.res.lookup(h); re != nil {
-		r.res.touch(re)
-		r.rep.BytesSkipped += re.bytes
-		r.deps = append(r.deps, re.sp)
+	if r.res.Resident(h.id) {
+		r.rep.BytesSkipped += h.bytes
 	} else if p.rStream {
 		r.lateUp = append(r.lateUp, h)
+		return
 	} else {
-		r.deps = append(r.deps, r.res.upload(h, readyAt))
+		r.res.Evict(h.bytes)
+		r.rep.BytesIn += h.bytes
+		r.res.Admit(h.id, h.bytes, r.dev.UploadBytes(h.bytes, readyAt), nil)
 	}
+	_, sp := r.res.Touch(h.id) // a fresh upload is already the most recent
+	r.deps = append(r.deps, sp)
 }
 
 // stageShare holds a split task's row share of a handle in device memory for
 // the duration of the booking, uploading it no earlier than at unless the
 // bytes ride the streams instead.
 func (r *run) stageShare(bytes int64, upload bool, at sim.Time) {
-	r.res.hold(bytes)
+	r.res.Hold(bytes)
 	if upload {
 		r.deps = append(r.deps, r.dev.UploadBytes(bytes, at))
 		r.rep.BytesIn += bytes

@@ -64,7 +64,7 @@ func luIterationGraph(g *Graph, k, nt int) {
 // Scheduler that forgets its scratch between Runs: every Report (each
 // TaskSpan, the byte counts, the tally) and every task's dependency list,
 // order included. (Mutation-checked: NewHandle keeping the slot's old readers,
-// residency.begin keeping the old entries, and validate keeping the old
+// gpu.Residency.Begin keeping the old slots, and validate keeping the old
 // declared stamps each fail it — the last on the repeated shape, where a
 // tile's only declarer has the id it had the Run before. indeg and finish are
 // written before they are read, so nothing rides on their being cleared.)

@@ -198,7 +198,6 @@ func (s *Scheduler) emptyRun() run {
 	r := run{
 		s: s, dev: s.el.GPU, cores: cores,
 		coreNames: make([]string, n),
-		res:       residency{dev: s.el.GPU},
 		window:    s.el.GPU.MemBytes() / 4,
 		sizer: splitSizer{usable: make([]bool, n), fr: make([]float64, n),
 			caps: make([]int, n), w: make([]float64, n)},
@@ -323,7 +322,7 @@ type run struct {
 	// coreNames are the TaskSpan device labels of the cores.
 	coreNames []string
 	rep       Report
-	res       residency
+	res       gpu.Residency
 
 	// Dependency bookkeeping, by task id, and the graph's validation scratch.
 	val      validation
@@ -352,7 +351,7 @@ func (s *Scheduler) newRun(g *Graph, earliest sim.Time) *run {
 	r := &s.run
 	r.rep = Report{Start: earliest, End: earliest, Tasks: g.Len(),
 		TaskSpans: make([]TaskSpan, 0, g.Len())}
-	r.res.begin(&r.rep, g.nHandles)
+	r.res.Begin(r.dev, g.nHandles)
 	r.indeg = resized(r.indeg, g.Len())
 	r.finish = resized(r.finish, g.Len())
 	r.children.build(g.tasks)
@@ -364,7 +363,7 @@ func (s *Scheduler) newRun(g *Graph, earliest sim.Time) *run {
 // earliest. Placement is a serial deterministic list-scheduling loop; real
 // host bodies then execute (serially or on Options.Par workers) in an order
 // consistent with the dependency DAG. A task whose own handles overflow device
-// memory aborts the run with ErrWorkingSet.
+// memory aborts the run with gpu.ErrWorkingSet.
 func (s *Scheduler) Run(g *Graph, earliest sim.Time) (Report, error) {
 	if err := g.validate(&s.run.val); err != nil {
 		return Report{}, err
@@ -386,12 +385,12 @@ func (s *Scheduler) Run(g *Graph, earliest sim.Time) (Report, error) {
 
 		readyAt, gpuOK, stalled := r.admit(t, it.readyAt)
 		if stalled {
-			return r.rep, nil
+			return r.settle(), nil
 		}
 		c := r.estimate(t, readyAt, gpuOK)
 		b := r.book(t, c.choose(), &c, readyAt)
-		if r.res.err != nil {
-			return Report{}, r.res.err
+		if err := r.res.Err(); err != nil {
+			return Report{}, err
 		}
 		end := max(b.devEnd, b.hostEnd)
 		if b.class != ClassCPU && s.opts.Verify && (t.Shape[0] > 0 || t.Shape[1] > 0) {
@@ -415,10 +414,20 @@ func (s *Scheduler) Run(g *Graph, earliest sim.Time) (Report, error) {
 		}
 	}
 
-	r.res.drain()
+	r.res.Drain()
+	r.settle()
 	s.runBodies(tasks, children)
 	s.probes.flush(&r.rep, s.opts.Verify)
 	return r.rep, nil
+}
+
+// settle folds the manager's write-back traffic into the report; every
+// return with a report calls it once.
+func (r *run) settle() Report {
+	out, end := r.res.WrittenBack()
+	r.rep.BytesOut += out
+	r.rep.End = max(r.rep.End, end)
+	return r.rep
 }
 
 // admit passes t through the device's loss gate before its candidates are
@@ -444,13 +453,13 @@ func (r *run) admit(t *Task, readyAt sim.Time) (at sim.Time, gpuOK, stalled bool
 			s.probes.instant("gpu.stall", readyAt)
 			return readyAt, false, true
 		case gpu.Recovered:
-			r.res.reset()
+			r.res.Reset()
 			s.rates.Rewarm(adaptive.RewarmHalfLife)
 			s.probes.instant("gpu.reinit", reinit.End)
 		case gpu.FellBack:
 			gpuOK = false
 			s.rates.Quarantine()
-			r.res.reset()
+			r.res.Reset()
 			s.probes.instant("gpu.fallback", readyAt)
 		case gpu.StillDown:
 			gpuOK = false

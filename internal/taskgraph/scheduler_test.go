@@ -9,6 +9,7 @@ import (
 
 	"tianhe/internal/element"
 	"tianhe/internal/fault"
+	"tianhe/internal/gpu"
 	"tianhe/internal/sim"
 )
 
@@ -318,7 +319,7 @@ func TestSchedulerFinalDrainFlushesDirtyHandles(t *testing.T) {
 
 // TestWorkingSetOverflowIsATypedError drives the working-set guard: a task
 // whose own reads cannot fit on the device even with everything else evicted
-// makes Run return ErrWorkingSet — it used to panic — and an aborted
+// makes Run return gpu.ErrWorkingSet — it used to panic — and an aborted
 // placement teaches the rate database nothing.
 func TestWorkingSetOverflowIsATypedError(t *testing.T) {
 	const mem = int64(1 << 20)
@@ -332,10 +333,10 @@ func TestWorkingSetOverflowIsATypedError(t *testing.T) {
 	g.Add(Task{Name: "big", Codelet: "k", Flops: 1e9,
 		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{a, Read}, {b, Read}, {o, Write}}...)
 	_, err := sch.Run(g, 0)
-	if !errors.Is(err, ErrWorkingSet) {
+	if !errors.Is(err, gpu.ErrWorkingSet) {
 		t.Fatalf("Run error = %v, want ErrWorkingSet", err)
 	}
-	if want := fmt.Sprintf("taskgraph: working set of %d bytes exceeds device memory %d", b.Bytes(), mem); err.Error() != want {
+	if want := fmt.Sprintf("gpu: working set of %d bytes exceeds device memory %d", b.Bytes(), mem); err.Error() != want {
 		t.Errorf("message = %q, want %q", err, want)
 	}
 	if n := learnedCells(sch.Rates()); n != 0 {

@@ -73,13 +73,13 @@ func checkFuncLines(t *testing.T, dir string) int {
 // per-task path: residency once found every victim by scanning a
 // map[string]*residentEntry, hashing a name per entry, and that scan was the
 // largest single cost of scheduling a tile graph. Handles and tasks are
-// identified by their dense ids; the one map keyed by a string in these
-// files is the nameSet type, Validate's duplicate-task-name set, filled once
-// per Run. (The rate database in rates.go is keyed by codelet, a handful per
-// graph.)
+// identified by their dense ids, and the device-memory manager in package gpu
+// is keyed by them; the one map keyed by a string in these files is the
+// nameSet type, Validate's duplicate-task-name set, filled once per Run. (The
+// rate database in rates.go is keyed by codelet, a handful per graph.)
 func TestHotPathHasNoStringKeyedMaps(t *testing.T) {
 	fset := token.NewFileSet()
-	for _, name := range []string{"residency.go", "executor.go", "devplan.go", "placement.go", "graph.go", "slab.go", "scheduler.go"} {
+	for _, name := range []string{"../gpu/residency.go", "executor.go", "devplan.go", "placement.go", "graph.go", "slab.go", "scheduler.go"} {
 		file, err := parser.ParseFile(fset, name, nil, 0)
 		if err != nil {
 			t.Fatal(err)
