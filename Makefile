@@ -3,7 +3,7 @@
 # suite, and runs the full test suite (under the race detector where the
 # toolchain has cgo).
 
-.PHONY: check build test vet lint fuzz bench faultgolden recovergolden graphgolden graphbench parbench servebench
+.PHONY: check build test vet lint fuzz bench faultgolden recovergolden graphgolden graphbench paperbench parbench servebench
 
 check:
 	./scripts/check.sh
@@ -66,6 +66,16 @@ graphbench:
 	go run ./cmd/graphtrace -bench -par 8 -o /tmp/tianhe_graphbench.json -baseline BENCH_graphlu.json
 	cmp /tmp/tianhe_graphbench.json BENCH_graphlu.json
 
+# paperbench regenerates the paper-fidelity ledger (every number of Figs
+# 8-13, the power accounting, the ablations and the ABFT overhead table) into
+# a fresh file and diffs it against the committed BENCH_paper.json. The rows
+# are deterministic in the seed and identical for every -par, so any line
+# in the diff is a named row that moved. TestPaperLedger holds the banded
+# rows to the paper; regenerate deliberately with
+# `go run ./cmd/figures -par 8 -o BENCH_paper.json` and commit it.
+paperbench:
+	go run ./cmd/figures -par 8 -o /tmp/tianhe_paper.json && diff -u BENCH_paper.json /tmp/tianhe_paper.json
+
 # fuzz gives each native fuzz target a short fixed budget on top of its
 # checked-in seed corpus. New crashers land in testdata/fuzz/ — commit them.
 fuzz:
@@ -93,7 +103,7 @@ servebench:
 	go run ./cmd/tianhed -bench -par 8 -o /tmp/tianhe_servebench.json -baseline BENCH_serve.json
 	cmp /tmp/tianhe_servebench.json BENCH_serve.json
 
-# parbench measures the parallel sweep runner: faultbench and scalebench at
+# parbench measures the parallel sweep runner: faultbench and figures at
 # -par 1 vs -par 8 (override with PAR=n), asserting byte-identical output
 # and reporting wall-clock speedups together with the host's core count.
 parbench:

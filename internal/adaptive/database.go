@@ -199,7 +199,7 @@ const MaxBuckets = 1 << 16
 func isSplit(v float64) bool { return v >= 0 && v <= 1 }
 
 // UnmarshalJSON restores a serialized database. The blob comes from outside
-// the program (linpackbench -db <file>), so anything Lookup could not return
+// the program (figures -db <file>), so anything Lookup could not return
 // as a split is rejected: a bucket count outside [1, MaxBuckets], mismatched
 // lengths, a non-positive workload range, or a split or initial value outside
 // [0, 1].

@@ -8,7 +8,7 @@ import (
 
 // FuzzDatabaseGJSON feeds arbitrary bytes to the database_g decoder — the
 // one place the adaptive state takes input from outside the program
-// (linpackbench -db <file>). A blob is either rejected with an error or
+// (figures -db <file>). A blob is either rejected with an error or
 // yields a database that round-trips through its own encoding and whose
 // every Lookup, across the whole workload axis and through a quarantine /
 // re-warm cycle, is a split in [0, 1].

@@ -17,8 +17,8 @@ import (
 //  2. Packages whose contract adds NoGlobalWrites must not write
 //     package-level variables anywhere (state lives in receivers or on the
 //     stack so concurrent instances cannot interfere).
-//  3. Callbacks handed to the sweep executors (sweep.Map/MapTel/Series/
-//     For) must not write package-level variables — directly or through
+//  3. Callbacks handed to the sweep executors (sweep.Map/MapTel/For)
+//     must not write package-level variables — directly or through
 //     any function they call — because sweep points run concurrently and
 //     shared writes break the byte-identical serial/parallel contract.
 //
@@ -40,7 +40,6 @@ const sweepPkgPath = "tianhe/internal/sweep"
 var sweepExecutors = map[string]bool{
 	"Map":    true,
 	"MapTel": true,
-	"Series": true,
 	"For":    true,
 }
 

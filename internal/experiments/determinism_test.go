@@ -5,19 +5,26 @@ import (
 	"fmt"
 	"testing"
 
-	"tianhe/internal/bench"
 	"tianhe/internal/telemetry"
 )
 
 // The determinism goldens: every experiment sweep must produce byte-identical
-// tables, metric dumps, and trace JSON at -par 1 (the legacy serial loop) and
+// rows, metric dumps, and trace JSON at -par 1 (the legacy serial loop) and
 // -par 8 (the worker pool). These run under -race in scripts/check.sh, so
 // they double as the race gate for the sweep plumbing.
 
-// renderSeries renders series as the cmd binaries would print them.
-func renderSeries(xLabel, yUnit string, ss ...*bench.Series) []byte {
+// renderSeries encodes series as ledger rows, one per point.
+func renderSeries(ss ...*Series) []byte {
+	var rows []Row
+	for _, s := range ss {
+		for _, p := range s.Points {
+			rows = append(rows, Row{ID: fmt.Sprintf("%s.%g", s.Name, p.X), Measured: p.Y})
+		}
+	}
 	var buf bytes.Buffer
-	bench.Table(&buf, xLabel, yUnit, ss...)
+	if err := WriteLedger(&buf, DefaultSeed, 1, rows); err != nil {
+		panic(err)
+	}
 	return buf.Bytes()
 }
 
@@ -62,7 +69,7 @@ func TestParDeterminismFig8(t *testing.T) {
 	run := func(par int) ([]byte, []byte) {
 		tel := telemetry.New()
 		ss := Fig8Instrumented(DefaultSeed, sizes, tel, par)
-		return renderSeries("N", "GFLOPS", ss...), telBytes(t, tel)
+		return renderSeries(ss...), telBytes(t, tel)
 	}
 	tab1, tel1 := run(1)
 	tab8, tel8 := run(8)
@@ -75,7 +82,7 @@ func TestParDeterminismFig9(t *testing.T) {
 	run := func(par int) ([]byte, []byte) {
 		tel := telemetry.New()
 		ss := Fig9Instrumented(DefaultSeed, sizes, tel, par)
-		return renderSeries("N", "GFLOPS", ss...), telBytes(t, tel)
+		return renderSeries(ss...), telBytes(t, tel)
 	}
 	tab1, tel1 := run(1)
 	tab8, tel8 := run(8)
@@ -86,24 +93,21 @@ func TestParDeterminismFig9(t *testing.T) {
 func TestParDeterminismFig11(t *testing.T) {
 	run := func(par int) []byte {
 		ours, qilin := Fig11(DefaultSeed, quickFig11, par)
-		return renderSeries("processes", "GFLOPS/process", ours, qilin)
+		return renderSeries(ours, qilin)
 	}
 	diffBytes(t, "Fig11 table", run(1), run(8))
 }
 
 func TestParDeterminismFig12(t *testing.T) {
 	run := func(par int) []byte {
-		return renderSeries("cabinets", "TFLOPS", Fig12(DefaultSeed, []int{1, 4}, par))
+		return renderSeries(Fig12(DefaultSeed, []int{1, 4}, par))
 	}
 	diffBytes(t, "Fig12 table", run(1), run(8))
 }
 
 func TestParDeterminismAblations(t *testing.T) {
 	run := func(par int) []byte {
-		var buf bytes.Buffer
-		bench.Table(&buf, "buckets", "GFLOPS", AblationBuckets([]int{8, 26, 64}, DefaultSeed, par))
-		bench.Table(&buf, "setting", "GFLOPS", AblationStaging(DefaultSeed, par))
-		return buf.Bytes()
+		return renderSeries(AblationBuckets([]int{8, 26, 64}, DefaultSeed, par), AblationStaging(DefaultSeed, par))
 	}
 	diffBytes(t, "ablation tables", run(1), run(8))
 }

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (Section VI). Each Fig* function returns the data
-// series the corresponding figure plots; the cmd binaries print them and the
-// root bench suite runs them under testing.B. All runs are deterministic in
-// their seed.
+// series the corresponding figure plots; Ledger turns one run of all of
+// them into the paper-fidelity ledger cmd/figures writes, and the root bench
+// suite runs them under testing.B. All runs are deterministic in their seed.
 package experiments
 
 import (
@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"tianhe/internal/adaptive"
-	"tianhe/internal/bench"
 	"tianhe/internal/cluster"
 	"tianhe/internal/element"
 	"tianhe/internal/hybrid"
@@ -44,11 +43,11 @@ func variantPoints(sizes []int) []variantPoint {
 
 // variantSeries folds the flat per-point values back into one series per
 // variant, in the exact order the serial loops produced.
-func variantSeries(sizes []int, gs []float64) []*bench.Series {
-	var out []*bench.Series
+func variantSeries(sizes []int, gs []float64) []*Series {
+	var out []*Series
 	i := 0
 	for _, v := range element.Variants {
-		s := &bench.Series{Name: v.String()}
+		s := &Series{Name: v.String()}
 		for _, n := range sizes {
 			s.Add(float64(n), gs[i])
 			i++
@@ -65,7 +64,7 @@ func variantSeries(sizes []int, gs []float64) []*bench.Series {
 // resource traces with tracks prefixed "<variant>.N<size>/"; it does not
 // change the figures. The (variant, size) cells are independent simulated
 // runs and execute on par workers; output is byte-identical for every par.
-func Fig8Instrumented(seed uint64, sizes []int, tel *telemetry.Telemetry, par int) []*bench.Series {
+func Fig8Instrumented(seed uint64, sizes []int, tel *telemetry.Telemetry, par int) []*Series {
 	if sizes == nil {
 		sizes = Fig8Sizes
 	}
@@ -107,7 +106,7 @@ var Fig9Sizes = []int{4864, 9728, 14592, 19456, 24320, 29184, 34048, 38912, 4377
 // optimized variants stage through the pinned pool. Each (variant, size)
 // Linpack is an independent simulation; par workers run them concurrently
 // with byte-identical output.
-func Fig9Instrumented(seed uint64, sizes []int, tel *telemetry.Telemetry, par int) []*bench.Series {
+func Fig9Instrumented(seed uint64, sizes []int, tel *telemetry.Telemetry, par int) []*Series {
 	if sizes == nil {
 		sizes = Fig9Sizes
 	}
@@ -127,8 +126,8 @@ func Fig9Instrumented(seed uint64, sizes []int, tel *telemetry.Telemetry, par in
 // split per workload bucket (GSplit versus workload, Figure 10), along with
 // the initial peak-ratio value. With a bundle attached the run's per-update
 // GSplit/CSplit evolution lands in its tracer as the "adaptive.gsplit" /
-// "adaptive.work" / "adaptive.csplit.core<i>" counter series (linpackbench
-// -splits reads them from there).
+// "adaptive.work" / "adaptive.csplit.core<i>" counter series (Ledger reads
+// the GSplit evolution from there).
 func Fig10Instrumented(seed uint64, n int, tel *telemetry.Telemetry) (entries []adaptive.Entry, initial float64) {
 	if n <= 0 {
 		n = 46080
@@ -151,7 +150,7 @@ var Fig11Processes = []int{1, 2, 4, 8, 16, 32, 64}
 // with sqrt(P) to keep per-element memory constant. The process-count points
 // run on par workers; the two policies of one point stay serial (they share
 // nothing, but the point is already small).
-func Fig11(seed uint64, procs []int, par int) (ours, qilin *bench.Series) {
+func Fig11(seed uint64, procs []int, par int) (ours, qilin *Series) {
 	if procs == nil {
 		procs = Fig11Processes
 	}
@@ -171,8 +170,8 @@ func Fig11(seed uint64, procs []int, par int) (ours, qilin *bench.Series) {
 		}
 		return out
 	})
-	ours = &bench.Series{Name: "adaptive"}
-	qilin = &bench.Series{Name: "qilin-trained"}
+	ours = &Series{Name: "adaptive"}
+	qilin = &Series{Name: "qilin-trained"}
 	for i, p := range procs {
 		ours.Add(float64(p), pairs[i].adaptive)
 		qilin.Add(float64(p), pairs[i].trained)
@@ -189,16 +188,11 @@ var Fig12Cabinets = []int{1, 2, 5, 10, 20, 40, 80}
 // par workers AND each point shards its per-element inner loop — the
 // 80-cabinet point alone is most of the sweep's cost, so point-level
 // parallelism cannot carry it.
-func Fig12(seed uint64, cabinets []int, par int) *bench.Series {
+func Fig12(seed uint64, cabinets []int, par int) *Series {
 	if cabinets == nil {
 		cabinets = Fig12Cabinets
 	}
-	xs := make([]float64, len(cabinets))
-	for i, c := range cabinets {
-		xs[i] = float64(c)
-	}
-	return sweep.Series(context.Background(), par, "TFLOPS", xs, func(i int, _ float64) float64 {
-		c := cabinets[i]
+	return newSeries("TFLOPS", intXs(cabinets), sweep.Map(context.Background(), par, cabinets, func(_ int, c int) float64 {
 		n := scaledN(280000, c)
 		if c == 80 {
 			n = 2240000 - 2240000%1216
@@ -208,7 +202,7 @@ func Fig12(seed uint64, cabinets []int, par int) *bench.Series {
 			Policy: cluster.PolicyAdaptive, Downclock: true, Workers: par,
 		})
 		return r.TFLOPS
-	})
+	}))
 }
 
 // Fig13 runs the full-machine configuration and returns the cumulative

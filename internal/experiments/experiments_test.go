@@ -4,20 +4,19 @@ import (
 	"strings"
 	"testing"
 
-	"tianhe/internal/bench"
 	"tianhe/internal/element"
 	"tianhe/internal/pipeline"
 )
 
-// quick sweeps keep the test suite fast; the full sweeps run in the cmd
-// binaries and benchmarks.
+// quick sweeps keep the test suite fast; the full sweeps run once, in
+// TestPaperLedger.
 var (
 	quickFig8  = []int{2048, 6144, 10240, 14336}
 	quickFig9  = []int{9728, 24320, 46080}
 	quickFig11 = []int{1, 8, 64}
 )
 
-func seriesByName(t *testing.T, ss []*bench.Series, name string) *bench.Series {
+func seriesByName(t *testing.T, ss []*Series, name string) *Series {
 	t.Helper()
 	for _, s := range ss {
 		if s.Name == name {
@@ -26,6 +25,25 @@ func seriesByName(t *testing.T, ss []*bench.Series, name string) *bench.Series {
 	}
 	t.Fatalf("series %q missing", name)
 	return nil
+}
+
+// measured returns the measured value of ledger row id from the par-1
+// ledger that TestPaperLedger checks; the figure tests below pin the
+// paper's bands on those rows independently of paperRows.
+func measured[T float64 | int | bool](t *testing.T, id string) T {
+	t.Helper()
+	for _, r := range paperLedger() {
+		if r.ID == id {
+			v, ok := r.Measured.(T)
+			if !ok {
+				t.Fatalf("ledger row %s holds %T", id, r.Measured)
+			}
+			return v
+		}
+	}
+	t.Fatalf("ledger row %s missing", id)
+	var zero T
+	return zero
 }
 
 func TestFig8Ordering(t *testing.T) {
@@ -47,23 +65,13 @@ func TestFig8Ordering(t *testing.T) {
 }
 
 func TestFig8GainsNearPaper(t *testing.T) {
-	ss := Fig8Instrumented(DefaultSeed, nil, nil, 1)
-	acmlg := seriesByName(t, ss, "ACMLG")
-	adaptive := seriesByName(t, ss, "ACMLG+adaptive")
-	pipe := seriesByName(t, ss, "ACMLG+pipe")
-	both := seriesByName(t, ss, "ACMLG+both")
-
-	ga := adaptive.GainOver(acmlg, nil)
-	if ga < 0.10 || ga > 0.22 {
+	if ga := measured[float64](t, "fig8.gain.adaptive"); ga < 0.10 || ga > 0.22 {
 		t.Fatalf("adaptive gain %.1f%%, paper reports 14.64%%", ga*100)
 	}
-	big := func(x float64) bool { return x > 8192 }
-	gp := pipe.GainOver(acmlg, big)
-	if gp < 0.04 || gp > 0.15 {
+	if gp := measured[float64](t, "fig8.gain.pipe_above_8192"); gp < 0.04 || gp > 0.15 {
 		t.Fatalf("pipe gain %.1f%%, paper reports 7.61%%", gp*100)
 	}
-	gb := both.GainOver(acmlg, big)
-	if gb < 0.15 || gb > 0.32 {
+	if gb := measured[float64](t, "fig8.gain.both_above_8192"); gb < 0.15 || gb > 0.32 {
 		t.Fatalf("combined gain %.1f%%, paper reports 22.19%%", gb*100)
 	}
 }
@@ -71,38 +79,25 @@ func TestFig8GainsNearPaper(t *testing.T) {
 func TestFig8PipeUselessBelow8192(t *testing.T) {
 	// The paper: no pipeline benefit for N <= 8192 beyond the EO fusion;
 	// the gain must at least be clearly larger above 8192 than below.
-	ss := Fig8Instrumented(DefaultSeed, nil, nil, 1)
-	acmlg := seriesByName(t, ss, "ACMLG")
-	pipe := seriesByName(t, ss, "ACMLG+pipe")
-	small := pipe.GainOver(acmlg, func(x float64) bool { return x <= 8192 })
-	big := pipe.GainOver(acmlg, func(x float64) bool { return x > 8192 })
-	if big <= small {
+	small := measured[float64](t, "fig8.gain.pipe_to_8192")
+	big := measured[float64](t, "fig8.gain.pipe_above_8192")
+	if big <= small || !measured[bool](t, "fig8.pipe_gain_grows_above_8192") {
 		t.Fatalf("pipe gain above 8192 (%.1f%%) must exceed gain below (%.1f%%)", big*100, small*100)
 	}
 }
 
 func TestFig9HeadlineRatios(t *testing.T) {
-	ss := Fig9Instrumented(DefaultSeed, []int{46080}, nil, 1)
-	get := func(name string) float64 {
-		v, ok := seriesByName(t, ss, name).Y(46080)
-		if !ok {
-			t.Fatalf("missing point for %s", name)
-		}
-		return v
-	}
-	cpu, acmlg, both := get("CPU"), get("ACMLG"), get("ACMLG+both")
 	// Paper: 196.7 GFLOPS (70.1% of 280.5 peak), 3.3x ACMLG, 5.49x CPU.
-	if both < 180 || both > 215 {
+	if both := measured[float64](t, "fig9.both.n46080"); both < 180 || both > 215 {
 		t.Fatalf("optimized Linpack %v GFLOPS, paper reports 196.7", both)
 	}
-	if r := both / acmlg; r < 2.8 || r > 4.2 {
+	if r := measured[float64](t, "fig9.both.over_acmlg"); r < 2.8 || r > 4.2 {
 		t.Fatalf("speedup over vendor library %.2fx, paper reports 3.3x", r)
 	}
-	if r := both / cpu; r < 4.5 || r > 6.5 {
+	if r := measured[float64](t, "fig9.both.over_cpu"); r < 4.5 || r > 6.5 {
 		t.Fatalf("speedup over host-only %.2fx, paper reports 5.49x", r)
 	}
-	frac := both / 280.5
-	if frac < 0.62 || frac > 0.80 {
+	if frac := measured[float64](t, "fig9.both.peak_fraction"); frac < 0.62 || frac > 0.80 {
 		t.Fatalf("peak fraction %.1f%%, paper reports 70.1%%", frac*100)
 	}
 }
@@ -146,79 +141,44 @@ func TestFig10SplitsAdapt(t *testing.T) {
 }
 
 func TestFig10SmallWorkloadsLowerSplit(t *testing.T) {
-	entries, initial := Fig10Instrumented(DefaultSeed, 46080, nil)
 	// The paper: values differ significantly from the initial 0.889 for
 	// small workloads and settle with growing workload.
-	var firstTouched, lastTouched float64
-	for _, e := range entries {
-		if e.Touched {
-			firstTouched = e.Split
-			break
-		}
-	}
-	for i := len(entries) - 1; i >= 0; i-- {
-		if entries[i].Touched {
-			lastTouched = entries[i].Split
-			break
-		}
-	}
-	if firstTouched == 0 || lastTouched == 0 {
+	if measured[int](t, "fig10.touched_buckets") == 0 {
 		t.Fatal("no touched buckets found")
 	}
-	devSmall := abs(firstTouched - initial)
-	devBig := abs(lastTouched - initial)
-	if devSmall <= devBig {
-		t.Fatalf("small workloads must deviate more: %v vs %v", devSmall, devBig)
+	if !measured[bool](t, "fig10.small_deviates_more") {
+		t.Fatal("small workloads must deviate more from the initial split than large ones")
 	}
 }
 
 func TestFig11AdvantageAt64(t *testing.T) {
-	ours, qilin := Fig11(DefaultSeed, quickFig11, 1)
-	o, _ := ours.Y(64)
-	q, _ := qilin.Y(64)
-	adv := o/q - 1
+	adv := measured[float64](t, "fig11.advantage.p64")
 	if adv < 0.08 || adv > 0.25 {
 		t.Fatalf("advantage at 64 processes %.2f%%, paper reports 15.56%%", adv*100)
 	}
-	o1, _ := ours.Y(1)
-	q1, _ := qilin.Y(1)
-	if o1/q1-1 >= adv {
+	if measured[float64](t, "fig11.advantage.p1") >= adv || !measured[bool](t, "fig11.advantage_grows") {
 		t.Fatal("advantage must grow with process count")
 	}
 }
 
 func TestFig12ShapeAndMagnitude(t *testing.T) {
-	s := Fig12(DefaultSeed, []int{1, 10, 80}, 1)
-	one, _ := s.Y(1)
-	eighty, _ := s.Y(80)
-	if one < 7 || one > 9 {
+	if one := measured[float64](t, "fig12.tflops.c1"); one < 7 || one > 9 {
 		t.Fatalf("one cabinet %v TFLOPS, paper reports 8.02", one)
 	}
-	if eighty < 480 || eighty > 620 {
+	if eighty := measured[float64](t, "fig12.tflops.c80"); eighty < 480 || eighty > 620 {
 		t.Fatalf("80 cabinets %v TFLOPS, paper reports 563.1", eighty)
 	}
-	if eff := eighty / (80 * one); eff < 0.78 || eff > 0.95 {
+	if eff := measured[float64](t, "fig12.efficiency"); eff < 0.78 || eff > 0.95 {
 		t.Fatalf("scaling efficiency %.1f%%, paper reports 87.76%%", eff*100)
 	}
 }
 
 func TestFig13LateDrop(t *testing.T) {
-	pts := Fig13(DefaultSeed, 1)
-	if len(pts) == 0 {
-		t.Fatal("no progress points")
-	}
-	var at97, final float64
-	for _, p := range pts {
-		if at97 == 0 && p.Frac >= 0.9717 {
-			at97 = p.CumTFLOPS
-		}
-	}
-	final = pts[len(pts)-1].CumTFLOPS
-	if final >= at97 {
+	if !measured[bool](t, "fig13.final_below_p97_17") {
 		t.Fatal("cumulative performance must drop through the endgame")
 	}
-	if at97-final < 5 {
-		t.Fatalf("endgame drop %v TFLOPS too small, paper shows ~41.6", at97-final)
+	if drop := measured[float64](t, "fig13.endgame_drop"); drop < 5 {
+		t.Fatalf("endgame drop %v TFLOPS too small, paper shows ~41.6", drop)
 	}
 }
 
@@ -240,11 +200,4 @@ func TestVariantsCoverPaperSet(t *testing.T) {
 	if len(element.Variants) != 5 {
 		t.Fatal("the evaluation covers exactly five configurations")
 	}
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -172,7 +172,7 @@ type ABFTOverheadCell struct {
 
 // ABFTOverhead measures the pure cost of checksum verification on the
 // pipeline executor across square DGEMM sizes (no corruption injected):
-// dgemmbench -verify prints this table next to the throughput curves, the
+// Ledger records it as the abft.* rows next to the throughput curves, the
 // honest price tag of the protection. Points run on par workers.
 func ABFTOverhead(seed uint64, sizes []int, par int) []ABFTOverheadCell {
 	return sweep.Map(context.Background(), par, sizes, func(_ int, n int) ABFTOverheadCell {

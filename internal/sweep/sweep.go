@@ -11,9 +11,9 @@
 //     MapTel merges the children back into the parent in point-index order
 //     after every point has finished, so metric values, trace event order
 //     and track registration order all match the serial run.
-//   - Results come back as a slice indexed by point, and the Series
-//     collector reduces them in index order, so tables and logs are emitted
-//     in point order, never in finish order.
+//   - Results come back as a slice indexed by point, and callers reduce
+//     them in index order, so tables and logs are emitted in point order,
+//     never in finish order.
 //   - par <= 1 takes the exact legacy serial path: the loop body runs inline
 //     on the caller's goroutine, the parent bundle is passed straight
 //     through (no child bundles, no merge), and no goroutine is spawned.
@@ -31,7 +31,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tianhe/internal/bench"
 	"tianhe/internal/telemetry"
 )
 
@@ -150,18 +149,6 @@ func MapTel[P, R any](ctx context.Context, par int, tel *telemetry.Telemetry, pt
 		tel.Merge(child)
 	}
 	return out
-}
-
-// Series runs fn over the x values concurrently and collects the resulting
-// points into a named bench.Series in index order — the ordered reduction
-// for one table column.
-func Series(ctx context.Context, par int, name string, xs []float64, fn func(i int, x float64) float64) *bench.Series {
-	ys := Map(ctx, par, xs, fn)
-	s := &bench.Series{Name: name}
-	for i, x := range xs {
-		s.Add(x, ys[i])
-	}
-	return s
 }
 
 // For shards [0, n) into min(par, n) contiguous chunks and runs body

@@ -157,19 +157,6 @@ func TestMapCanceledContextSkipsPoints(t *testing.T) {
 	}
 }
 
-func TestSeriesOrdered(t *testing.T) {
-	xs := []float64{4, 1, 9, 2}
-	s := Series(context.Background(), 3, "sq", xs, func(i int, x float64) float64 { return x * x })
-	if s.Name != "sq" || len(s.Points) != len(xs) {
-		t.Fatalf("bad series %+v", s)
-	}
-	for i, x := range xs {
-		if s.Points[i].X != x || s.Points[i].Y != x*x {
-			t.Fatalf("point %d = %+v, want (%g, %g)", i, s.Points[i], x, x*x)
-		}
-	}
-}
-
 func TestForCoversRangeExactlyOnce(t *testing.T) {
 	for _, par := range []int{1, 2, 7, 16, 100} {
 		for _, n := range []int{0, 1, 5, 64, 101} {

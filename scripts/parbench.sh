@@ -1,6 +1,6 @@
 #!/bin/sh
 # parbench.sh — measure the parallel sweep runner: run faultbench and
-# scalebench at -par 1 (the legacy serial loop) and -par $PAR (default 8),
+# figures at -par 1 (the legacy serial loop) and -par $PAR (default 8),
 # verify the outputs are byte-identical, and report wall-clock speedups.
 #
 # The speedup numbers are honest wall-clock measurements on THIS host; the
@@ -18,7 +18,7 @@ bindir="$(mktemp -d)"
 outdir="$(mktemp -d)"
 trap 'rm -rf "$bindir" "$outdir"' EXIT INT TERM
 
-go build -o "$bindir" ./cmd/faultbench ./cmd/scalebench
+go build -o "$bindir" ./cmd/faultbench ./cmd/figures
 
 # now_s prints wall-clock seconds with nanosecond resolution.
 now_s() { date +%s.%N; }
@@ -35,9 +35,14 @@ run_tool() {
     t1="$(now_s)"
     "$bindir/$name" -par "$PAR" "$@" >"$outdir/$name.parN"
     t2="$(now_s)"
-    if ! cmp -s "$outdir/$name.par1" "$outdir/$name.parN"; then
+    # The figures ledger names its -par (and the command) in its header;
+    # every other line must match.
+    for f in "$outdir/$name.par1" "$outdir/$name.parN"; do
+        grep -v -e '^  "par": ' -e '^  "command": ' "$f" >"$f.cmp" || true
+    done
+    if ! cmp -s "$outdir/$name.par1.cmp" "$outdir/$name.parN.cmp"; then
         printf '%-12s output DIFFERS between -par 1 and -par %s\n' "$name" "$PAR"
-        diff "$outdir/$name.par1" "$outdir/$name.parN" | head -20 || true
+        diff "$outdir/$name.par1.cmp" "$outdir/$name.parN.cmp" | head -20 || true
         exit 1
     fi
     awk -v t0="$t0" -v t1="$t1" -v t2="$t2" -v name="$name" 'BEGIN {
@@ -48,7 +53,7 @@ run_tool() {
 }
 
 run_tool faultbench
-run_tool scalebench
+run_tool figures
 
 echo
 if [ "$CORES" != "unknown" ] && [ "$CORES" -lt "$PAR" ] 2>/dev/null; then
