@@ -3,7 +3,7 @@
 # suite, and runs the full test suite (under the race detector where the
 # toolchain has cgo).
 
-.PHONY: check build test vet lint fuzz bench faultgolden recovergolden graphgolden graphbench paperbench parbench servebench
+.PHONY: check build test vet lint fuzz bench faultgolden recovergolden graphgolden paperbench parbench
 
 check:
 	./scripts/check.sh
@@ -55,24 +55,16 @@ graphgolden:
 	go run ./cmd/graphtrace -workload stencil -golden | diff cmd/graphtrace/testdata/stencil.golden -
 	go run ./cmd/graphtrace -workload stencil -golden -hybrid | diff cmd/graphtrace/testdata/stencil-hybrid.golden -
 
-# graphbench regenerates the graph-LU benchmark (monolithic vs graph at each
-# look-ahead depth vs graph+hybrid, N=46080) into a fresh artifact and guards
-# it against the committed BENCH_graphlu.json baseline: every mode's GFLOPS
-# must stay within 10%, and then the whole artifact must equal the baseline
-# byte for byte. Virtual time makes the run bit-exact from the seed, so any
-# drift is a real code change — regenerate the baseline deliberately with
-# `go run ./cmd/graphtrace -bench -o BENCH_graphlu.json` and commit it.
-graphbench:
-	go run ./cmd/graphtrace -bench -par 8 -o /tmp/tianhe_graphbench.json -baseline BENCH_graphlu.json
-	cmp /tmp/tianhe_graphbench.json BENCH_graphlu.json
-
-# paperbench regenerates the paper-fidelity ledger (every number of Figs
-# 8-13, the power accounting, the ablations and the ABFT overhead table) into
-# a fresh file and diffs it against the committed BENCH_paper.json. The rows
-# are deterministic in the seed and identical for every -par, so any line
-# in the diff is a named row that moved. TestPaperLedger holds the banded
-# rows to the paper; regenerate deliberately with
-# `go run ./cmd/figures -par 8 -o BENCH_paper.json` and commit it.
+# paperbench regenerates the ledger of every virtual number the repository
+# commits (Figs 8-13, the power accounting, the ablations, the ABFT overhead
+# table, the graph-LU study's graphlu.* rows and the serving sweeps' serve.*
+# rows) into a fresh file and diffs it against the committed
+# BENCH_paper.json. The rows are deterministic in the seed and identical for
+# every -par, so any line in the diff is a named row that moved; a serving
+# sweep that breaks its contract (a lost job, no lost-gpu drain) fails the
+# run. TestPaperLedger holds the banded rows to the paper; regenerate
+# deliberately with `go run ./cmd/figures -par 8 -o BENCH_paper.json` and
+# commit it.
 paperbench:
 	go run ./cmd/figures -par 8 -o /tmp/tianhe_paper.json && diff -u BENCH_paper.json /tmp/tianhe_paper.json
 
@@ -91,17 +83,6 @@ fuzz:
 
 bench:
 	go test -run xxx -bench . -benchtime 10x .
-
-# servebench regenerates the serving benchmark (1200 open-loop clients,
-# healthy + lost-gpu sweeps) into a fresh artifact and guards it against
-# the committed BENCH_serve.json baseline: peak and per-rate healthy
-# throughput must stay within 10%, and then the whole artifact must equal the
-# baseline byte for byte. Virtual time makes the run bit-exact from the seed,
-# so any drift is a real code change — regenerate the baseline deliberately
-# with `go run ./cmd/tianhed -bench -o BENCH_serve.json` and commit it.
-servebench:
-	go run ./cmd/tianhed -bench -par 8 -o /tmp/tianhe_servebench.json -baseline BENCH_serve.json
-	cmp /tmp/tianhe_servebench.json BENCH_serve.json
 
 # parbench measures the parallel sweep runner: faultbench and figures at
 # -par 1 vs -par 8 (override with PAR=n), asserting byte-identical output

@@ -1,10 +1,14 @@
 // Command figures regenerates the paper's evaluation (Section VI) in one
-// run and writes the paper-fidelity ledger: every number of Figs 8–13, the
-// training-energy and Green500 accounting, the ablations and the ABFT
-// overhead table, one row each, with the paper's value, the deviation and
-// the accepted band where the paper gives one. The committed copy is
-// BENCH_paper.json; `make paperbench` diffs a fresh run against it. The
-// rows are deterministic in -seed and identical for every -par.
+// run and writes the ledger of every virtual number the repository commits:
+// every number of Figs 8–13, the training-energy and Green500 accounting,
+// the ablations and the ABFT overhead table, then the graph-LU study
+// (graphlu.* rows) and the 1200-client serving sweeps, healthy and under
+// lost-gpu (serve.* rows). Each number is one row, with the paper's value,
+// the deviation and the accepted band where the paper gives one. The
+// committed copy is BENCH_paper.json; `make paperbench` diffs a fresh run
+// against it. The rows are deterministic in -seed and identical for every
+// -par. A serving sweep that breaks its contract exits 1 with the reason
+// and writes no rows.
 //
 // -db runs the cross-run database_g workflow instead: load the file if it
 // exists, run ACMLG+both Linpack at N=46080, save the adapted state back.
@@ -79,6 +83,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// ledger computes the rows; tests swap it to drive the error exit.
+var ledger = experiments.Ledger
+
 // writeLedger computes the ledger and writes it to path, or to stdout when
 // path is empty. The file is created first, so a bad path fails before the
 // figures run.
@@ -93,7 +100,10 @@ func writeLedger(stdout io.Writer, path string, seed uint64, par int, tel *telem
 		defer f.Close()
 		w = f
 	}
-	rows := experiments.Ledger(seed, par, tel)
+	rows, err := ledger(seed, par, tel)
+	if err != nil {
+		return err
+	}
 	if err := experiments.WriteLedger(w, seed, par, rows); err != nil {
 		return fmt.Errorf("writing the ledger: %w", err)
 	}

@@ -6,13 +6,12 @@
 // up as a diff. Workloads: the graph-expressed LU factorization (-workload
 // lu, virtual topology at any size) and the 3-D Jacobi stencil sweep
 // (-workload stencil); -hybrid arms the split CPU+GPU codelet bodies on
-// either. -bench runs the monolithic-vs-graph comparison instead and writes
-// the BENCH_graphlu.json perf-trajectory artifact, guarding it against a
-// committed baseline with -baseline.
+// either. The monolithic-vs-graph comparison at N=46080 is the graphlu.*
+// rows of the ledger cmd/figures writes (BENCH_paper.json, checked by `make
+// paperbench`).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -21,7 +20,6 @@ import (
 	"strings"
 
 	"tianhe/internal/element"
-	"tianhe/internal/experiments"
 	"tianhe/internal/hpl"
 	"tianhe/internal/stencil"
 	"tianhe/internal/taskgraph"
@@ -44,15 +42,6 @@ func run(w io.Writer, args []string) error {
 	tracePath := fs.String("trace", "", "write the schedule as Chrome trace-event JSON to this file")
 	width := fs.Int("width", 96, "Gantt chart width in characters")
 
-	// Bench flags (-bench ignores the workload flags and runs the
-	// monolithic-vs-graph comparison at the Fig-6 size).
-	bench := fs.Bool("bench", false, "run the graph-LU benchmark and write the BENCH_graphlu.json artifact")
-	benchN := fs.Int("benchn", 0, "bench: matrix order (0 selects the Fig-6 size, 46080)")
-	out := fs.String("o", "", "bench: write the benchmark artifact JSON to this file")
-	baseline := fs.String("baseline", "", "bench: committed benchmark to guard against (errors on regression)")
-	tolerance := fs.Float64("tolerance", 10, "bench: allowed per-mode GFLOPS regression in percent")
-	par := fs.Int("par", 1, "bench: worker parallelism of the sweep (output is identical for every par)")
-
 	// LU flags.
 	n := fs.Int("n", 2048, "lu: matrix order")
 	nb := fs.Int("nb", 256, "lu: blocking factor")
@@ -67,9 +56,6 @@ func run(w io.Writer, args []string) error {
 
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *bench {
-		return runBench(w, *seed, *benchN, *par, *out, *baseline, *tolerance)
 	}
 
 	var tel *telemetry.Telemetry
@@ -143,46 +129,6 @@ func run(w io.Writer, args []string) error {
 		}
 		fmt.Fprintf(w, "\nwrote %d trace events to %s\n", tel.Trace.Len(), *tracePath)
 	}
-	return nil
-}
-
-// runBench runs the monolithic-vs-graph benchmark, writes the artifact, and
-// guards it against the committed baseline — the BENCH_graphlu.json
-// counterpart of tianhed's serving benchmark.
-func runBench(w io.Writer, seed uint64, n, par int, out, baseline string, tolerance float64) error {
-	res := experiments.GraphLUBench(seed, n, par)
-	for _, c := range res.Cells {
-		fmt.Fprintf(w, "%-14s lookahead=%-2d %9.3f s %8.2f GFLOPS %+6.1f%%\n",
-			c.Mode, c.Lookahead, c.Seconds, c.GFLOPS, c.GainPct)
-	}
-	if out != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", out)
-	}
-	if baseline == "" {
-		return nil
-	}
-	baseData, err := os.ReadFile(baseline)
-	if err != nil {
-		return fmt.Errorf("reading baseline: %w", err)
-	}
-	var base experiments.GraphLUBenchResult
-	if err := json.Unmarshal(baseData, &base); err != nil {
-		return fmt.Errorf("parsing baseline: %w", err)
-	}
-	if base.Schema != experiments.GraphLUBenchSchema {
-		return fmt.Errorf("baseline schema %q, want %q", base.Schema, experiments.GraphLUBenchSchema)
-	}
-	if err := experiments.GraphLURegression(res, base, tolerance); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "baseline %s: all modes within %.0f%%\n", baseline, tolerance)
 	return nil
 }
 

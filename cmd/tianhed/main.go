@@ -1,9 +1,7 @@
 // Command tianhed is the solver service daemon: a JSON-over-HTTP front end
 // for internal/serve that multiplexes concurrent solve/DGEMM jobs onto the
-// adaptive hybrid runtime. It runs in two modes.
-//
-// Daemon mode (default) listens on -addr until SIGINT or SIGTERM, then stops
-// accepting and lets the requests in flight finish. It serves:
+// adaptive hybrid runtime. It listens on -addr until SIGINT or SIGTERM, then
+// stops accepting and lets the requests in flight finish. It serves:
 //
 //	POST /v1/jobs  — submit one job ({"tenant","kind","m","n","k"});
 //	                 200 with the job's outcome, 429 with a Retry-After
@@ -19,13 +17,9 @@
 // detpure lint checks enforce the boundary over internal/; cmd/ is the
 // contract table's declared wall-clock edge).
 //
-// Bench mode (-bench) replays the seeded open-loop load sweep (healthy and
-// lost-gpu) entirely in virtual time and writes BENCH_serve.json, the
-// repository's perf-trajectory artifact. With -baseline it compares the
-// fresh run against the committed artifact and exits non-zero if sustained
-// throughput regressed by more than -tolerance percent; results are
-// bit-reproducible for a fixed -seed and any -par, so a regression is a
-// code change, never noise.
+// The seeded open-loop load sweeps (healthy and lost-gpu, replayed in
+// virtual time) are the serve.* rows of the ledger cmd/figures writes
+// (BENCH_paper.json, checked by `make paperbench`).
 package main
 
 import (
@@ -39,7 +33,6 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -47,7 +40,6 @@ import (
 	"tianhe/internal/experiments"
 	"tianhe/internal/serve"
 	"tianhe/internal/sim"
-	"tianhe/internal/sweep"
 	"tianhe/internal/telemetry"
 )
 
@@ -56,24 +48,7 @@ func main() {
 	seed := flag.Uint64("seed", experiments.DefaultSeed, "experiment seed")
 	workers := flag.Int("workers", serve.DefaultWorkers, "dispatcher pool size (compute elements)")
 	queueCap := flag.Int("queue", serve.DefaultQueueCap, "admission queue bound (jobs)")
-	benchMode := flag.Bool("bench", false, "run the serving benchmark and write -o instead of serving")
-	clients := flag.Int("clients", 1200, "simulated open-loop clients in -bench mode")
-	ratesFlag := flag.String("rates", "", "comma-separated arrival rates for -bench (default "+
-		fmt.Sprint(experiments.DefaultServeRates)+")")
-	out := flag.String("o", "BENCH_serve.json", "benchmark output path")
-	baseline := flag.String("baseline", "", "committed benchmark to guard against (errors on regression)")
-	tolerance := flag.Float64("tolerance", 10, "throughput regression tolerance in percent")
-	parFlag := flag.Int("par", 0, "worker count (<=0: GOMAXPROCS); bench output is identical for every value")
 	flag.Parse()
-	par := sweep.Workers(*parFlag)
-
-	if *benchMode {
-		if err := runBench(os.Stdout, *seed, *clients, *workers, *ratesFlag, *out, *baseline, *tolerance, par); err != nil {
-			fmt.Fprintf(os.Stderr, "tianhed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	tel := telemetry.New()
 	d, err := newDaemon(serve.Config{
@@ -121,71 +96,6 @@ func serveUntil(ctx context.Context, ln net.Listener, h http.Handler) error {
 	err := srv.Shutdown(drain)
 	<-served // Serve returns ErrServerClosed as soon as Shutdown begins
 	return err
-}
-
-// parseRates parses a comma-separated rate list; empty selects the default
-// sweep.
-func parseRates(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var rates []float64
-	for _, part := range strings.Split(s, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || r <= 0 {
-			return nil, fmt.Errorf("bad rate %q", part)
-		}
-		rates = append(rates, r)
-	}
-	return rates, nil
-}
-
-// runBench runs the benchmark trajectory, writes the artifact, and applies
-// the regression guard when a baseline is given.
-func runBench(w io.Writer, seed uint64, clients, workers int, ratesFlag, out, baseline string, tolerance float64, par int) error {
-	rates, err := parseRates(ratesFlag)
-	if err != nil {
-		return err
-	}
-	res, err := experiments.ServeBench(seed, clients, workers, rates, par)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "serve bench: seed %d, %d clients, %d workers\n", res.Seed, res.Clients, res.Workers)
-	experiments.WriteServeTable(w, "healthy", res.Healthy)
-	experiments.WriteServeTable(w, "lost-gpu", res.LostGPU)
-	fmt.Fprintf(w, "saturation at %g jobs/s offered, peak sustained %.1f jobs/s\n",
-		res.SaturationRate, res.PeakThroughput)
-	fmt.Fprintf(w, "wrote %s\n", out)
-
-	if baseline == "" {
-		return nil
-	}
-	baseData, err := os.ReadFile(baseline)
-	if err != nil {
-		return fmt.Errorf("reading baseline: %w", err)
-	}
-	var base experiments.ServeBenchResult
-	if err := json.Unmarshal(baseData, &base); err != nil {
-		return fmt.Errorf("parsing baseline: %w", err)
-	}
-	if base.Schema != experiments.ServeBenchSchema {
-		return fmt.Errorf("baseline schema %q, want %q", base.Schema, experiments.ServeBenchSchema)
-	}
-	if err := experiments.ServeRegression(res, base, tolerance); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "regression guard: peak %.1f jobs/s within %.0f%% of baseline %.1f — ok\n",
-		res.PeakThroughput, tolerance, base.PeakThroughput)
-	return nil
 }
 
 // daemon owns one serve.Server behind a mutex: the deterministic core is

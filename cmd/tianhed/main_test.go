@@ -1,19 +1,15 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"tianhe/internal/experiments"
 	"tianhe/internal/serve"
 	"tianhe/internal/telemetry"
 )
@@ -167,68 +163,5 @@ func TestShutdownAnswersInFlightRequest(t *testing.T) {
 	}
 	if err := <-stopped; err != nil {
 		t.Fatalf("shutdown: %v", err)
-	}
-}
-
-func TestParseRates(t *testing.T) {
-	rates, err := parseRates("500, 1000,2000")
-	if err != nil || len(rates) != 3 || rates[2] != 2000 {
-		t.Fatalf("rates %v err %v", rates, err)
-	}
-	if _, err := parseRates("12,zero"); err == nil {
-		t.Fatal("bad rate accepted")
-	}
-	if rates, err := parseRates(""); err != nil || rates != nil {
-		t.Fatalf("empty: %v %v", rates, err)
-	}
-}
-
-func TestRunBenchAndRegressionGuard(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "bench.json")
-	var buf bytes.Buffer
-	// A deliberately small trajectory to keep the test tier fast.
-	if err := runBench(&buf, 42, 128, 2, "1000,4000", out, "", 10, 2); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res experiments.ServeBenchResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Schema != experiments.ServeBenchSchema || res.PeakThroughput <= 0 {
-		t.Fatalf("artifact: %+v", res)
-	}
-	if len(res.Healthy) != 2 || len(res.LostGPU) != 2 {
-		t.Fatalf("points: %d healthy, %d lost-gpu", len(res.Healthy), len(res.LostGPU))
-	}
-	if !strings.Contains(buf.String(), "saturation") {
-		t.Fatalf("summary missing:\n%s", buf.String())
-	}
-
-	// Same seed against its own artifact: deterministic, passes the guard.
-	buf.Reset()
-	if err := runBench(&buf, 42, 128, 2, "1000,4000", out, out, 10, 2); err != nil {
-		t.Fatalf("self-baseline regression: %v", err)
-	}
-	if !strings.Contains(buf.String(), "regression guard") {
-		t.Fatalf("guard line missing:\n%s", buf.String())
-	}
-
-	// An inflated baseline must trip the guard.
-	res.PeakThroughput *= 2
-	for i := range res.Healthy {
-		res.Healthy[i].Throughput *= 2
-	}
-	inflated := filepath.Join(dir, "inflated.json")
-	data, _ = json.Marshal(res)
-	if err := os.WriteFile(inflated, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := runBench(&buf, 42, 128, 2, "1000,4000", out, inflated, 10, 2); err == nil {
-		t.Fatal("inflated baseline passed the regression guard")
 	}
 }

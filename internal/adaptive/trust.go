@@ -7,7 +7,7 @@ import "tianhe/internal/sim"
 // what was learned before the outage halves every 8 fresh measurements, so a
 // re-warm lasts 80 of them. A constant, not an option: no workload needs a
 // second value, and every committed baseline that crosses a recovery
-// (BENCH_serve.json's lost-gpu rung, the fault goldens) is recorded with 8.
+// (the serve.lost_gpu.* ledger rows, the fault goldens) is recorded with 8.
 const RewarmHalfLife = 8
 
 // trustRestored is the weight past which a re-warm is over and learned state

@@ -32,7 +32,7 @@ func seriesByName(t *testing.T, ss []*Series, name string) *Series {
 // paper's bands on those rows independently of paperRows.
 func measured[T float64 | int | bool](t *testing.T, id string) T {
 	t.Helper()
-	for _, r := range paperLedger() {
+	for _, r := range paperLedger(t) {
 		if r.ID == id {
 			v, ok := r.Measured.(T)
 			if !ok {

@@ -99,11 +99,12 @@ var variantSlug = []string{"cpu", "acmlg", "adaptive", "pipe", "both"}
 
 // Ledger runs every figure of Section VI once — Figs 8–13, the
 // training-energy and Green500 accounting, ablations 1–7 and the ABFT
-// overhead table — and returns one row per reported number, annotated from
-// paperRows. The rows are deterministic in seed and identical for every
-// par; tel (nil for none) records the Fig. 8, 9 and 10 runs and changes no
-// row.
-func Ledger(seed uint64, par int, tel *telemetry.Telemetry) []Row {
+// overhead table — then the graph-LU study and the serving sweeps, and
+// returns one row per reported number, annotated from paperRows. The rows
+// are deterministic in seed and identical for every par; tel (nil for none)
+// records the Fig. 8, 9 and 10 runs and changes no row. The error is a
+// serving sweep that failed to run or broke the ServeVerdict contract.
+func Ledger(seed uint64, par int, tel *telemetry.Telemetry) ([]Row, error) {
 	l := &ledger{}
 	l.fig8(Fig8Instrumented(seed, nil, tel, par))
 	l.fig9(Fig9Instrumented(seed, nil, tel, par))
@@ -118,6 +119,10 @@ func Ledger(seed uint64, par int, tel *telemetry.Telemetry) []Row {
 	l.fig12(Fig12(seed, nil, par))
 	l.fig13(Fig13(seed, par))
 	l.ablations(seed, par)
+	l.graphLU(GraphLU(seed, 46080, nil, telemetry.Disabled(), par))
+	if err := l.serve(seed, par); err != nil {
+		return nil, err
+	}
 
 	byID := make(map[string]int, len(l.rows))
 	for i, r := range l.rows {
@@ -135,7 +140,7 @@ func Ledger(seed uint64, par int, tel *telemetry.Telemetry) []Row {
 			r.DevPct = &dev
 		}
 	}
-	return l.rows
+	return l.rows, nil
 }
 
 // variantRows adds one row per (variant, N) point of a Fig. 8 or 9 sweep.
@@ -307,6 +312,79 @@ func (l *ledger) ablations(seed uint64, par int) {
 func (l *ledger) sweepRows(prefix, quantity string, s *Series) {
 	for _, p := range s.Points {
 		l.add(fmt.Sprintf("%s%.0f", prefix, p.X), fmt.Sprintf(quantity, p.X), "GFLOPS", p.Y)
+	}
+}
+
+// graphLU adds the graph-LU study: each scheduling mode's makespan, rate
+// and gain over the monolithic loop.
+func (l *ledger) graphLU(cells []GraphLUCell) {
+	l.figure = "graphlu"
+	slug := strings.NewReplacer("graph-", "", "+", "_")
+	for _, c := range cells {
+		id := "graphlu." + slug.Replace(c.Mode)
+		l.add(id+".seconds", "Linpack N=46080 makespan, "+c.Mode, "s", c.Seconds)
+		l.add(id+".gflops", "Linpack N=46080, "+c.Mode, "GFLOPS", c.GFLOPS)
+		l.add(id+".gain_pct", "Linpack N=46080 gain over monolithic, "+c.Mode, "%", c.GainPct)
+	}
+}
+
+// serve adds the serving sweeps: 1200 open-loop clients on
+// serve.DefaultWorkers elements at every DefaultServeRates point, healthy and
+// under lost-gpu, each held to ServeVerdict, then the healthy saturation.
+func (l *ledger) serve(seed uint64, par int) error {
+	l.figure = "serve"
+	var healthy []ServePoint
+	for _, scenario := range []string{"healthy", "lost-gpu"} {
+		cfg := ServeConfig{Seed: seed, Scenario: scenario, Clients: 1200}
+		points, err := ServeSweep(cfg, telemetry.Disabled(), par)
+		if err == nil {
+			err = ServeVerdict(points, scenario)
+		}
+		if err != nil {
+			return fmt.Errorf("%s serving sweep: %w", scenario, err)
+		}
+		l.servePoints(scenario, points)
+		if scenario == "healthy" {
+			healthy = points
+		}
+	}
+	rate, peak := Saturation(healthy)
+	l.add("serve.saturation_rate", "lowest offered rate that saturates the healthy service", "jobs/s", rate)
+	l.add("serve.peak_throughput", "highest sustained healthy throughput", "jobs/s", peak)
+	return nil
+}
+
+// servePoints adds one sweep's rows: each point's counts, rates and
+// latencies, then each tenant's.
+func (l *ledger) servePoints(scenario string, points []ServePoint) {
+	for _, p := range points {
+		id := fmt.Sprintf("serve.%s.r%.0f.", strings.ReplaceAll(scenario, "-", "_"), p.Rate)
+		at := fmt.Sprintf(", %s, %.0f jobs/s offered", scenario, p.Rate)
+		add := func(field, quantity, unit string, v any) { l.add(id+field, quantity+at, unit, v) }
+		add("arrivals", "jobs arrived", "count", p.Arrivals)
+		add("admitted", "jobs admitted", "count", p.Admitted)
+		add("rejected", "jobs rejected at admission", "count", p.Rejected)
+		add("completed", "jobs completed", "count", p.Completed)
+		add("failed", "admitted jobs never completed", "count", p.Failed)
+		add("batches", "batches dispatched", "count", p.Batches)
+		add("drains", "batches a device outage drained back into the queue", "count", p.Drains)
+		add("mean_batch_jobs", "mean jobs per batch", "jobs", p.MeanBatchJobs)
+		add("throughput", "sustained throughput", "jobs/s", p.Throughput)
+		add("p50_s", "median latency", "s", p.P50Seconds)
+		add("p99_s", "99th-percentile latency", "s", p.P99Seconds)
+		add("makespan_s", "makespan", "s", p.Makespan)
+		if scenario != "healthy" {
+			add("healthy_throughput", "throughput of the same trace on a healthy service", "jobs/s", p.HealthyThroughput)
+			add("degradation_pct", "throughput lost to the fault", "%", p.DegradationPct)
+		}
+		for _, ts := range p.Tenants {
+			id := id + ts.Tenant + "."
+			at := fmt.Sprintf(", tenant %s%s", ts.Tenant, at)
+			l.add(id+"completed", "jobs completed"+at, "count", ts.Completed)
+			l.add(id+"rejected", "jobs rejected at admission"+at, "count", ts.Rejected)
+			l.add(id+"p50_s", "median latency"+at, "s", ts.P50Seconds)
+			l.add(id+"p99_s", "99th-percentile latency"+at, "s", ts.P99Seconds)
+		}
 	}
 }
 

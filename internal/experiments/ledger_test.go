@@ -11,8 +11,18 @@ import (
 	"tianhe/internal/telemetry"
 )
 
-// paperLedger is the par-1 ledger, computed once for every test reading it.
-var paperLedger = sync.OnceValue(func() []Row { return Ledger(DefaultSeed, 1, nil) })
+var paperLedgerOnce = sync.OnceValues(func() ([]Row, error) { return Ledger(DefaultSeed, 1, nil) })
+
+// paperLedger returns the par-1 ledger, computed once for every test
+// reading it.
+func paperLedger(t *testing.T) []Row {
+	t.Helper()
+	rows, err := paperLedgerOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
 
 func ledgerBytes(t *testing.T, seed uint64, par int, rows []Row) []byte {
 	t.Helper()
@@ -27,7 +37,7 @@ func ledgerBytes(t *testing.T, seed uint64, par int, rows []Row) []byte {
 // row, banded or not, to the committed BENCH_paper.json byte for byte.
 func TestPaperLedger(t *testing.T) {
 	t.Parallel()
-	rows := paperLedger()
+	rows := paperLedger(t)
 	seen := make(map[string]bool, len(rows))
 	for _, r := range rows {
 		if seen[r.ID] {
@@ -103,8 +113,11 @@ func changedRows(a, b []byte) []string {
 func TestParDeterminismLedger(t *testing.T) {
 	t.Parallel()
 	tel := telemetry.New()
-	par8 := Ledger(DefaultSeed, 8, tel)
-	diffBytes(t, "ledger", ledgerBytes(t, DefaultSeed, 1, paperLedger()), ledgerBytes(t, DefaultSeed, 1, par8))
+	par8, err := Ledger(DefaultSeed, 8, tel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffBytes(t, "ledger", ledgerBytes(t, DefaultSeed, 1, paperLedger(t)), ledgerBytes(t, DefaultSeed, 1, par8))
 	if tel.Trace.Len() == 0 {
 		t.Fatal("the attached bundle recorded nothing")
 	}

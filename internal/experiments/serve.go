@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"tianhe/internal/fault"
 	"tianhe/internal/serve"
@@ -34,41 +33,41 @@ var DefaultServeRates = []float64{500, 1000, 2000, 4000, 8000, 16000}
 
 // ServeTenant is one tenant's outcome at one sweep point.
 type ServeTenant struct {
-	Tenant     string  `json:"tenant"`
-	Completed  int     `json:"completed"`
-	Rejected   int     `json:"rejected"`
-	P50Seconds float64 `json:"p50_latency_seconds"`
-	P99Seconds float64 `json:"p99_latency_seconds"`
+	Tenant     string
+	Completed  int
+	Rejected   int
+	P50Seconds float64
+	P99Seconds float64
 }
 
 // ServePoint is one arrival-rate measurement of ServeSweep. Latencies are
 // exact order statistics over completed jobs, in virtual seconds.
 type ServePoint struct {
-	Rate     float64 `json:"rate_jobs_per_s"`
-	Arrivals int     `json:"arrivals"`
+	Rate     float64
+	Arrivals int
 
-	Admitted  int `json:"admitted"`
-	Rejected  int `json:"rejected"`
-	Completed int `json:"completed"`
+	Admitted  int
+	Rejected  int
+	Completed int
 	// Failed is admitted-but-never-completed; the service contract keeps
 	// it zero, and the acceptance verdict fails the sweep otherwise.
-	Failed  int `json:"failed"`
-	Batches int `json:"batches"`
-	Drains  int `json:"drains"`
+	Failed  int
+	Batches int
+	Drains  int
 
-	MeanBatchJobs float64 `json:"mean_batch_jobs"`
-	Throughput    float64 `json:"throughput_jobs_per_s"`
-	P50Seconds    float64 `json:"p50_latency_seconds"`
-	P99Seconds    float64 `json:"p99_latency_seconds"`
-	Makespan      float64 `json:"makespan_seconds"`
+	MeanBatchJobs float64
+	Throughput    float64
+	P50Seconds    float64
+	P99Seconds    float64
+	Makespan      float64
 
 	// HealthyThroughput is the same trace on a fault-free service; set
 	// only when the sweep runs a fault scenario. DegradationPct is the
 	// throughput lost to the scenario, in percent.
-	HealthyThroughput float64 `json:"healthy_throughput_jobs_per_s,omitempty"`
-	DegradationPct    float64 `json:"degradation_pct,omitempty"`
+	HealthyThroughput float64
+	DegradationPct    float64
 
-	Tenants []ServeTenant `json:"tenants"`
+	Tenants []ServeTenant
 }
 
 // servePoint measures one rate, returning the faulted measurement when the
@@ -229,109 +228,4 @@ func ServeVerdict(points []ServePoint, scenario string) error {
 		return nil
 	}
 	return fmt.Errorf("serve acceptance failed: %v", fails)
-}
-
-// ServeBenchSchema versions the BENCH_serve.json artifact.
-const ServeBenchSchema = "tianhe/serve-bench/v1"
-
-// ServeBenchResult is the committed perf-trajectory artifact
-// (BENCH_serve.json): the serving sweep healthy and under lost-gpu, with
-// the saturation summary the CI regression guard checks against. Every
-// number is virtual-time and regenerates bit-identically from the seed, so
-// any drift between a fresh run and the committed baseline is a real code
-// change, not measurement noise.
-type ServeBenchResult struct {
-	Schema  string `json:"schema"`
-	Seed    uint64 `json:"seed"`
-	Clients int    `json:"clients"`
-	Workers int    `json:"workers"`
-
-	// SaturationRate is the lowest swept rate that saturated the service;
-	// PeakThroughput the highest sustained jobs/s measured (both over the
-	// healthy sweep).
-	SaturationRate float64 `json:"saturation_rate_jobs_per_s"`
-	PeakThroughput float64 `json:"peak_throughput_jobs_per_s"`
-
-	Healthy []ServePoint `json:"healthy"`
-	LostGPU []ServePoint `json:"lost_gpu"`
-}
-
-// ServeBench runs the full benchmark trajectory: the healthy rate sweep and
-// the lost-gpu sweep over the same traces, with the acceptance verdicts
-// applied.
-func ServeBench(seed uint64, clients, workers int, rates []float64, par int) (ServeBenchResult, error) {
-	cfg := ServeConfig{Seed: seed, Clients: clients, Workers: workers, Rates: rates}
-	healthy, err := ServeSweep(cfg, telemetry.Disabled(), par)
-	if err != nil {
-		return ServeBenchResult{}, err
-	}
-	if err := ServeVerdict(healthy, ""); err != nil {
-		return ServeBenchResult{}, err
-	}
-	cfg.Scenario = "lost-gpu"
-	lost, err := ServeSweep(cfg, telemetry.Disabled(), par)
-	if err != nil {
-		return ServeBenchResult{}, err
-	}
-	if err := ServeVerdict(lost, "lost-gpu"); err != nil {
-		return ServeBenchResult{}, err
-	}
-	res := ServeBenchResult{
-		Schema:  ServeBenchSchema,
-		Seed:    seed,
-		Clients: cfg.Clients,
-		Workers: cfg.Workers,
-		Healthy: healthy,
-		LostGPU: lost,
-	}
-	res.SaturationRate, res.PeakThroughput = Saturation(healthy)
-	return res, nil
-}
-
-// ServeRegression compares a fresh benchmark against the committed
-// baseline: peak throughput and every per-rate healthy throughput must stay
-// within tolPct percent of the baseline. Improvements always pass.
-func ServeRegression(current, baseline ServeBenchResult, tolPct float64) error {
-	var fails []string
-	floor := 1 - tolPct/100
-	if current.PeakThroughput < floor*baseline.PeakThroughput {
-		fails = append(fails, fmt.Sprintf("peak throughput %.1f jobs/s fell >%.0f%% below baseline %.1f",
-			current.PeakThroughput, tolPct, baseline.PeakThroughput))
-	}
-	base := make(map[float64]ServePoint, len(baseline.Healthy))
-	for _, p := range baseline.Healthy {
-		base[p.Rate] = p
-	}
-	for _, p := range current.Healthy {
-		b, ok := base[p.Rate]
-		if !ok {
-			continue
-		}
-		if p.Throughput < floor*b.Throughput {
-			fails = append(fails, fmt.Sprintf("rate %g: throughput %.1f jobs/s fell >%.0f%% below baseline %.1f",
-				p.Rate, p.Throughput, tolPct, b.Throughput))
-		}
-	}
-	if len(fails) == 0 {
-		return nil
-	}
-	return fmt.Errorf("serve bench regression: %v", fails)
-}
-
-// WriteServeTable renders a sweep as a fixed-format text table, one block
-// per point with its per-tenant rows — the diffable verdict table of the
-// serving goldens.
-func WriteServeTable(w io.Writer, title string, points []ServePoint) {
-	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%10s %8s %8s %8s %8s %7s %9s %12s %12s %12s\n",
-		"rate", "arrive", "admit", "reject", "done", "drains", "batchavg", "jobs/s", "p50ms", "p99ms")
-	for _, p := range points {
-		fmt.Fprintf(w, "%10g %8d %8d %8d %8d %7d %9.2f %12.2f %12.4f %12.4f\n",
-			p.Rate, p.Arrivals, p.Admitted, p.Rejected, p.Completed, p.Drains,
-			p.MeanBatchJobs, p.Throughput, 1e3*p.P50Seconds, 1e3*p.P99Seconds)
-		for _, ts := range p.Tenants {
-			fmt.Fprintf(w, "    tenant %-8s done=%-6d rej=%-6d p50ms=%-10.4f p99ms=%-10.4f\n",
-				ts.Tenant, ts.Completed, ts.Rejected, 1e3*ts.P50Seconds, 1e3*ts.P99Seconds)
-		}
-	}
 }

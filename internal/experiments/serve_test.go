@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"tianhe/internal/telemetry"
@@ -89,12 +88,12 @@ func TestParDeterminismServeSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ServeSweep: %v", err)
 		}
-		var buf bytes.Buffer
-		WriteServeTable(&buf, "serve lost-gpu", points)
-		return buf.Bytes(), telBytes(t, tel)
+		l := &ledger{}
+		l.servePoints(cfg.Scenario, points)
+		return ledgerBytes(t, DefaultSeed, 1, l.rows), telBytes(t, tel)
 	}
-	tab1, tel1 := run(1)
-	tab8, tel8 := run(8)
-	diffBytes(t, "ServeSweep verdict table", tab1, tab8)
+	rows1, tel1 := run(1)
+	rows8, tel8 := run(8)
+	diffBytes(t, "ServeSweep rows", rows1, rows8)
 	diffBytes(t, "ServeSweep telemetry", tel1, tel8)
 }

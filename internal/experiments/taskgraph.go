@@ -18,15 +18,15 @@ type GraphLUCell struct {
 	// Mode names the point: "monolithic" for the bulk-synchronous iteration
 	// loop, "graph-d<k>" for the dataflow runtime at look-ahead depth k,
 	// "graph-d<k>+hyb" with the hybrid codelet variant armed.
-	Mode string `json:"mode"`
+	Mode string
 	// Lookahead is the depth (-1 for the monolithic baseline).
-	Lookahead int `json:"lookahead"`
+	Lookahead int
 	// Hybrid marks that update codelets carried the split CPU+GPU body.
-	Hybrid  bool    `json:"hybrid"`
-	Seconds float64 `json:"seconds"`
-	GFLOPS  float64 `json:"gflops"`
+	Hybrid  bool
+	Seconds float64
+	GFLOPS  float64
 	// GainPct is the GFLOPS gain over the monolithic baseline.
-	GainPct float64 `json:"gain_pct"`
+	GainPct float64
 }
 
 // GraphLU compares the monolithic Linpack iteration against the same
@@ -77,58 +77,4 @@ func GraphLU(seed uint64, n int, depths []int, tel *telemetry.Telemetry, par int
 		cells[i].GainPct = 100 * (cells[i].GFLOPS - base) / base
 	}
 	return cells
-}
-
-// GraphLUBenchSchema versions the BENCH_graphlu.json artifact.
-const GraphLUBenchSchema = "tianhe/graphlu-bench/v1"
-
-// GraphLUBenchResult is the committed graph-LU perf-trajectory artifact
-// (BENCH_graphlu.json): the monolithic baseline against the dataflow runtime
-// at each look-ahead depth plus the hybrid-variant row, at the Fig-6 problem
-// size. Every number is virtual-time and regenerates bit-identically from
-// the seed, so any drift between a fresh run and the committed baseline is a
-// real code change, not measurement noise — the same perf-trajectory pattern
-// BENCH_serve.json establishes for the solver service.
-type GraphLUBenchResult struct {
-	Schema string        `json:"schema"`
-	Seed   uint64        `json:"seed"`
-	N      int           `json:"n"`
-	Cells  []GraphLUCell `json:"cells"`
-}
-
-// GraphLUBench runs the full monolithic-vs-graph comparison at order n
-// (<= 0 selects the Fig-6 size GraphLU defaults to).
-func GraphLUBench(seed uint64, n, par int) GraphLUBenchResult {
-	if n <= 0 {
-		n = 46080
-	}
-	cells := GraphLU(seed, n, nil, telemetry.Disabled(), par)
-	return GraphLUBenchResult{Schema: GraphLUBenchSchema, Seed: seed, N: n, Cells: cells}
-}
-
-// GraphLURegression compares a fresh benchmark against the committed
-// baseline: every mode's GFLOPS must stay within tolPct percent of the
-// baseline cell. Improvements always pass; modes added since the baseline
-// was committed are ignored until it is regenerated.
-func GraphLURegression(current, baseline GraphLUBenchResult, tolPct float64) error {
-	var fails []string
-	floor := 1 - tolPct/100
-	base := make(map[string]GraphLUCell, len(baseline.Cells))
-	for _, c := range baseline.Cells {
-		base[c.Mode] = c
-	}
-	for _, c := range current.Cells {
-		b, ok := base[c.Mode]
-		if !ok {
-			continue
-		}
-		if c.GFLOPS < floor*b.GFLOPS {
-			fails = append(fails, fmt.Sprintf("%s: %.2f GFLOPS fell >%.0f%% below baseline %.2f",
-				c.Mode, c.GFLOPS, tolPct, b.GFLOPS))
-		}
-	}
-	if len(fails) == 0 {
-		return nil
-	}
-	return fmt.Errorf("graph-LU bench regression: %v", fails)
 }

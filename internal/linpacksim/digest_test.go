@@ -64,8 +64,8 @@ func wholeGraphDigest(t *testing.T) (uint64, int) {
 // the repository that evict heavily: the tile-graph steppers at look-ahead 0
 // and 1 (1,444 tiles of 11.8 MB against 1 GiB of device memory) and the
 // whole-factorisation graph. The other schedule goldens fit in device memory
-// and graphbench tolerates 10 %, so nothing else would catch a residency
-// change that picks a different victim. The digests were recorded on the
+// and the graphlu.* ledger rows pin only makespans, so nothing else would
+// catch a residency change that picks a different victim. The digests were recorded on the
 // commit before residency became id-indexed; change them only together with a
 // deliberate schedule change.
 func TestEvictingScheduleDigest(t *testing.T) {

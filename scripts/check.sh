@@ -59,7 +59,7 @@ go run ./cmd/tianhelint -tests -par 8
 # TestParDeterminism goldens in internal/experiments compare -par 1
 # against -par 8 byte for byte under the detector — including the serving
 # sweep (TestParDeterminismServeSweep), whose per-tenant metric dumps and
-# verdict tables must match across parallelism.
+# ledger rows must match across parallelism.
 if [ "$(go env CGO_ENABLED)" = "1" ]; then
     go test -race ./...
     # Every testing.AllocsPerRun budget skips itself under the detector (its
