@@ -40,7 +40,8 @@ func cabinetN(cabinets int) int {
 // process counts that leave ragged shards and draw groups, each at several
 // worker counts with the progress curve recorded. They hold with the batch
 // draws on the AVX-512 kernel, where the host has it, and forced onto the
-// portable path.
+// portable path. The 130-element cases, trained splits among them, were
+// recorded on the parent commit of the element-major loop interchange.
 func TestScaleDigest(t *testing.T) {
 	t.Run("host", func(t *testing.T) { scaleDigests(t) })
 	t.Run("portable", func(t *testing.T) { sim.WithoutKernel(func() { scaleDigests(t) }) })
@@ -72,13 +73,20 @@ func scaleDigests(t *testing.T) {
 		}, c.want)
 	}
 	for _, c := range []struct {
-		procs int
-		want  uint64
-	}{{1, 0xb3ac981c85d2e25c}, {3, 0xd2c44809fd16d2e7}, {13, 0x122d9099ab84b90f}, {100, 0x9d1e8435d33393b1}} {
+		procs  int
+		policy Policy
+		want   uint64
+	}{
+		{1, PolicyAdaptive, 0xb3ac981c85d2e25c}, {3, PolicyAdaptive, 0xd2c44809fd16d2e7},
+		{13, PolicyAdaptive, 0x122d9099ab84b90f}, {100, PolicyAdaptive, 0x9d1e8435d33393b1},
+		// 130 elements split into shards of 65 at two workers: a full draw
+		// chunk and a one-element one in each shard.
+		{130, PolicyAdaptive, 0x37de86b24fd47769}, {130, PolicyTrained, 0xabf36be4ade478bf},
+	} {
 		for _, workers := range []int{1, 2, 3, 8} {
-			check(fmt.Sprintf("p%d/w%d", c.procs, workers), ScaleConfig{
+			check(fmt.Sprintf("p%d/%v/w%d", c.procs, c.policy, workers), ScaleConfig{
 				N: 121600, NB: 1216, Processes: c.procs, Seed: seed,
-				Policy: PolicyAdaptive, RecordProgress: true, Workers: workers,
+				Policy: c.policy, RecordProgress: true, Workers: workers,
 			}, c.want)
 		}
 	}
