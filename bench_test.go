@@ -110,7 +110,7 @@ func BenchmarkFig12CabinetScaling(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last float64
 			for i := 0; i < b.N; i++ {
-				s := experiments.Fig12(experiments.DefaultSeed, []int{cab}, 1)
+				s, _ := experiments.Fig12(experiments.DefaultSeed, []int{cab}, 1)
 				last, _ = s.Y(float64(cab))
 			}
 			b.ReportMetric(last, "vTFLOPS")
@@ -119,12 +119,12 @@ func BenchmarkFig12CabinetScaling(b *testing.B) {
 }
 
 // BenchmarkFig13FullMachineProgress regenerates Figure 13: the cumulative
-// performance curve of the full-machine run. The metric is the final
-// cumulative vTFLOPS (the paper's 563.1).
+// performance curve of the full-machine run, Fig. 12's 80-cabinet point. The
+// metric is the final cumulative vTFLOPS (the paper's 563.1).
 func BenchmarkFig13FullMachineProgress(b *testing.B) {
 	var last float64
 	for i := 0; i < b.N; i++ {
-		pts := experiments.Fig13(experiments.DefaultSeed, 1)
+		_, pts := experiments.Fig12(experiments.DefaultSeed, []int{80}, 1)
 		last = pts[len(pts)-1].CumTFLOPS
 	}
 	b.ReportMetric(last, "vTFLOPS")

@@ -148,14 +148,14 @@ func SimulateElastic(cfg ElasticSimConfig) ElasticSimResult {
 		adopters := q - 1
 
 		// Detect: bounded suspicion plus the verdict round.
-		rec := float64(mpi.SuspicionBound) + 2*net.BcastSeconds(64, adopters, crossCabinet)
+		rec := float64(mpi.SuspicionBound) + float64(2*net.BcastSeconds(64, adopters, crossCabinet))
 		// Parity rebuilds: each lost factored column re-materializes at its
 		// adopter from the stripe's surviving members plus the parity block —
 		// q-1 column transfers and folds, columns spread round-robin over the
 		// adopters so only the per-adopter share serializes.
 		perAdopterPar := (lostFactored + adopters - 1) / adopters
-		rec += float64(perAdopterPar) * float64(q-1) *
-			(linkSec(colBytes) + float64(colBytes)/(elasticMemGBps*1e9))
+		rec += float64(float64(perAdopterPar) * float64(q-1) *
+			(linkSec(colBytes) + float64(colBytes)/(elasticMemGBps*1e9)))
 		// Replays: each lost trailing column regenerates and re-applies the
 		// kf factored iterations on the adopter's GPU; the panel history
 		// ships once per adopter (the factored prefix, pipelined).
@@ -163,16 +163,16 @@ func SimulateElastic(cfg ElasticSimConfig) ElasticSimResult {
 		for i := 0; i < kf; i++ {
 			m := cfg.N - i*nb
 			if m > nb {
-				replayFlops += 2 * float64(m-nb) * float64(nb) * float64(nb)
+				replayFlops += float64(2 * float64(m-nb) * float64(nb) * float64(nb))
 			}
 		}
 		perAdopterRep := (lostTrailing + adopters - 1) / adopters
-		rec += float64(kf) * linkSec(colBytes)
+		rec += float64(float64(kf) * linkSec(colBytes))
 		rec += float64(perAdopterRep) * replayFlops / replayGPURate
 		// Re-encode: stripes that lost their holder plus the rebuilt columns'
 		// new stripes re-fold from live columns.
 		reencode := kf/adopters + lostFactored
-		rec += float64(reencode) * (linkSec(colBytes) + float64(colBytes)/(elasticMemGBps*1e9))
+		rec += float64(float64(reencode) * (linkSec(colBytes) + float64(colBytes)/(elasticMemGBps*1e9)))
 		res.RecoverySeconds = rec
 		res.Seconds += rec
 

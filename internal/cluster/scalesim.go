@@ -48,10 +48,11 @@ type ScaleConfig struct {
 	Downclock bool
 	// RecordProgress retains the cumulative-performance curve (Fig. 13).
 	RecordProgress bool
-	// Workers shards the per-iteration element loop across real cores.
-	// Elements carry independent RNG streams and per-element state, and the
-	// iteration reduction is a max, so the result is bit-identical for any
-	// worker count. Values <= 1 run the serial loop.
+	// Workers shards the elements across real cores, once per run: each
+	// shard walks its elements through every iteration. Elements carry
+	// independent RNG streams and per-element state, and each iteration's
+	// reduction is a max over shards, so the result is bit-identical for
+	// any worker count. Values <= 1 run the serial loop.
 	Workers int
 }
 
@@ -125,8 +126,39 @@ func pipelinedGPUSeconds(m, n, k int, g perfmodel.GPU, tr perfmodel.Transfer) fl
 	return kernelSec + prologue + epilogue
 }
 
-// fleet is the elements' simulation state, one slice per quantity, and
-// what the current iteration's step reads.
+// iteration is one HPL iteration's update inputs. They depend only on the
+// iteration, never on an element, so the whole table is built before any
+// element steps.
+type iteration struct {
+	active bool // the local update is non-empty
+	// w is the local update's flops and rgNominal the GPU rate for its
+	// shape at nominal drift, in GFLOPS; each element scales it by its
+	// thermal state.
+	w, rgNominal float64
+}
+
+// localUpdate returns iteration k's trailing order and its local update
+// extents on the 2D block-cyclic grid (balanced approximation; the exact
+// per-rank extents differ by at most NB).
+func localUpdate(cfg ScaleConfig, g grid.Grid, k int) (trailing, mloc, nloc int) {
+	trailing = cfg.N - (k+1)*cfg.NB
+	return trailing, trailing / g.P, trailing / g.Q
+}
+
+// iterations builds the per-iteration input table of a run.
+func iterations(cfg ScaleConfig, g grid.Grid, gpuModel perfmodel.GPU, transfer perfmodel.Transfer) []iteration {
+	its := make([]iteration, cfg.N/cfg.NB)
+	for k := range its {
+		_, mloc, nloc := localUpdate(cfg, g, k)
+		if mloc > 0 && nloc > 0 {
+			w := 2 * float64(mloc) * float64(nloc) * float64(cfg.NB)
+			its[k] = iteration{active: true, w: w, rgNominal: w / pipelinedGPUSeconds(mloc, nloc, cfg.NB, gpuModel, transfer) / 1e9}
+		}
+	}
+	return its
+}
+
+// fleet is the elements' simulation state, one slice per quantity.
 type fleet struct {
 	gpuScale []float64   // thermal drift factor around 1
 	cpuRate  []float64   // aggregate compute-core GFLOPS (biases applied)
@@ -134,10 +166,10 @@ type fleet struct {
 	drift    sim.Streams // thermal random walk, one stream per element
 	noise    sim.Streams // production-run CPU load, one stream per element
 
-	adaptive       bool
-	loadFrac       float64
-	w, rgNominal   float64   // this iteration's local update flops and nominal GPU GFLOPS
-	slowestByShard []float64 // each shard's slowest element time
+	adaptive bool
+	loadFrac float64
+	iters    []iteration
+	slowest  [][]float64 // [shard][k]: the shard's slowest update time in iteration k
 }
 
 // newFleet draws every element's manufacturing spread and seeds its drift
@@ -168,47 +200,55 @@ func newFleet(cfg ScaleConfig, gpuModel perfmodel.GPU) *fleet {
 	return f
 }
 
-// drawChunk is how many elements a step draws for at once, into stack
-// buffers.
+// drawChunk is how many elements a shard walks through the whole run at
+// once: their state, their draws and the shard's per-iteration maxima stay
+// in L1 across every iteration.
 const drawChunk = 64
 
-// step advances elements [lo, hi) by one iteration and records the slowest
-// one's update time for the shard. Elements advance independently (own
-// streams, own state); the only cross-element interaction is the
-// slowest-element max, which is exact and order-independent — per-shard
-// maxima reduced afterwards give the serial result bit for bit.
-func (f *fleet) step(shard, lo, hi int) {
-	var sl float64
+// run advances elements [lo, hi) through every iteration and records, per
+// iteration, the slowest one's update time for the shard. Elements advance
+// independently (own streams drawn in iteration order, own state); the only
+// cross-element interaction is the slowest-element max, which is exact and
+// order-independent — per-shard maxima reduced afterwards give the serial
+// result bit for bit.
+func (f *fleet) run(shard, lo, hi int) {
+	slowest := f.slowest[shard]
 	var drift, noise [drawChunk]float64
 	for c := lo; c < hi; c += drawChunk {
 		n := min(drawChunk, hi-c)
-		f.drift[c:c+n].Normal(0, driftSigma, drift[:n])
-		f.noise[c:c+n].LogNormalFactor(0.10, noise[:n])
-		for i := 0; i < n; i++ {
-			e := c + i
-			// Thermal random walk, clamped.
-			gs := min(max(f.gpuScale[e]+drift[i], 1-driftMax), 1+driftMax)
-			f.gpuScale[e] = gs
-
-			rg := f.rgNominal * gs
-			// Production-run CPU availability: communication progress,
-			// driver threads and look-ahead bookkeeping consume cores —
-			// load the offline training phase never observes.
-			load := min(f.loadFrac*noise[i], 0.6)
-			rc := f.cpuRate[e] * (1 - load)
-
-			split := f.split[e]
-			tg := split * f.w / (rg * 1e9)
-			tc := (1 - split) * f.w / (rc * 1e9)
-			sl = max(sl, tg, tc)
-			if f.adaptive {
-				// The Section IV update from this iteration's measured
-				// rates, used next iteration.
-				f.split[e] = rg / (rg + rc)
+		gpuScale, cpuRate, split := f.gpuScale[c:c+n], f.cpuRate[c:c+n], f.split[c:c+n]
+		driftS, noiseS := f.drift[c:c+n], f.noise[c:c+n]
+		for k, it := range f.iters {
+			if !it.active {
+				continue
 			}
+			driftS.Normal(0, driftSigma, drift[:n])
+			noiseS.LogNormalFactor(0.10, noise[:n])
+			sl := slowest[k]
+			for i := range n {
+				// Thermal random walk, clamped.
+				gs := min(max(gpuScale[i]+drift[i], 1-driftMax), 1+driftMax)
+				gpuScale[i] = gs
+
+				rg := float64(it.rgNominal * gs)
+				// Production-run CPU availability: communication progress,
+				// driver threads and look-ahead bookkeeping consume cores —
+				// load the offline training phase never observes.
+				load := min(f.loadFrac*noise[i], 0.6)
+				rc := float64(cpuRate[i] * (1 - load))
+
+				tg := split[i] * it.w / (rg * 1e9)
+				tc := (1 - split[i]) * it.w / (rc * 1e9)
+				sl = max(sl, tg, tc)
+				if f.adaptive {
+					// The Section IV update from this iteration's measured
+					// rates, used next iteration.
+					split[i] = rg / (rg + rc)
+				}
+			}
+			slowest[k] = sl
 		}
 	}
-	f.slowestByShard[shard] = sl
 }
 
 // SimulateScale runs the large-scale Linpack model and returns its timing.
@@ -233,48 +273,38 @@ func SimulateScale(cfg ScaleConfig) ScaleResult {
 		base := pipelinedGPUSeconds(mloc, nloc, cfg.NB, gpuModel, transfer)
 		flops := 2 * float64(mloc) * float64(nloc) * float64(cfg.NB)
 		for e := range f.split {
-			rg := flops / base / 1e9 * f.gpuScale[e]
+			rg := float64(flops / base / 1e9 * f.gpuScale[e])
 			f.split[e] = rg / (rg + f.cpuRate[e])
 		}
 	}
 
 	f.loadFrac = runLoadFraction(cfg.Processes)
 	f.adaptive = cfg.Policy == PolicyAdaptive
+	f.iters = iterations(cfg, g, gpuModel, transfer)
+	f.slowest = make([][]float64, sweep.Shards(cfg.Workers, cfg.Processes))
+	for s := range f.slowest {
+		f.slowest[s] = make([]float64, len(f.iters))
+	}
+	// One fork for the whole run: each shard walks its elements through
+	// every iteration.
+	sweep.For(cfg.Workers, cfg.Processes, f.run)
+
 	var total, flopsDone float64
 	totalFlops := hpl.LinpackFlops(cfg.N)
-	res := ScaleResult{N: cfg.N, NB: cfg.NB, Processes: cfg.Processes, Grid: g}
-
-	f.slowestByShard = make([]float64, sweep.Shards(cfg.Workers, cfg.Processes))
-	step := f.step // one method value for every iteration's sweep
-	nblocks := cfg.N / cfg.NB
-	for k := 0; k < nblocks; k++ {
-		trailing := cfg.N - (k+1)*cfg.NB
-		res.Iterations++
-		// Local update extents on the 2D block-cyclic grid (balanced
-		// approximation; the exact per-rank extents differ by at most NB).
-		mloc := trailing / g.P
-		nloc := trailing / g.Q
+	res := ScaleResult{N: cfg.N, NB: cfg.NB, Processes: cfg.Processes, Grid: g, Iterations: len(f.iters)}
+	for k, it := range f.iters {
+		trailing, mloc, nloc := localUpdate(cfg, g, k)
 		nb := float64(cfg.NB)
 		tr := float64(trailing)
 		// This iteration's credited work: trailing update plus the panel
 		// factorization and U12 solve flops.
-		iterFlops := 2*tr*tr*nb + nb*nb*(tr+nb/3) + nb*nb*tr
+		iterFlops := float64(2*tr*tr*nb) + float64(nb*nb*(tr+nb/3)) + float64(nb*nb*tr)
 
 		var iterTime float64
-		if mloc > 0 && nloc > 0 {
-			f.w = 2 * float64(mloc) * float64(nloc) * float64(cfg.NB)
-			// GPU rate for this iteration's shape at nominal drift; each
-			// element scales it by its thermal state.
-			gpuSecNominal := pipelinedGPUSeconds(mloc, nloc, cfg.NB, gpuModel, transfer)
-			f.rgNominal = f.w / gpuSecNominal / 1e9
-			sweep.For(cfg.Workers, cfg.Processes, step)
-			var slowest float64
-			for _, sl := range f.slowestByShard {
-				if sl > slowest {
-					slowest = sl
-				}
+		if it.active {
+			for _, sl := range f.slowest {
+				iterTime = max(iterTime, sl[k])
 			}
-			iterTime = slowest
 			// The panel-owning process column factors the next panel during
 			// the update (look-ahead); only its excess surfaces.
 			panelSec := float64(cfg.NB) * float64(cfg.NB) *

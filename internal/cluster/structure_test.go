@@ -16,7 +16,10 @@ import (
 // two, not another loop.
 const maxSolverLoops = 2
 
-func TestTwoSolverLoops(t *testing.T) {
+// packageFuncs parses the package's non-test files and returns every
+// function declaration with a body.
+func packageFuncs(t *testing.T) []*ast.FuncDecl {
+	t.Helper()
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -24,21 +27,27 @@ func TestTwoSolverLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var loops []string
-	worlds := 0
+	var fns []*ast.FuncDecl
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				made, ran := worldsMadeAndRun(fn.Body)
-				worlds += made
-				if ran {
-					loops = append(loops, fn.Name.Name)
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+					fns = append(fns, fn)
 				}
 			}
+		}
+	}
+	return fns
+}
+
+func TestTwoSolverLoops(t *testing.T) {
+	var loops []string
+	worlds := 0
+	for _, fn := range packageFuncs(t) {
+		made, ran := worldsMadeAndRun(fn.Body)
+		worlds += made
+		if ran {
+			loops = append(loops, fn.Name.Name)
 		}
 	}
 	// A world run outside the function that made it would slip past the
@@ -96,4 +105,55 @@ func worldsMadeAndRun(body *ast.BlockStmt) (made int, ran bool) {
 		return true
 	})
 	return made, ran
+}
+
+// TestOneScaleFork checks that the scale model is element-major: the
+// package forks sweep.For once, in SimulateScale and outside every loop, so
+// each shard walks its elements through every iteration. A fork per
+// iteration pays a fork and join per HPL step, 1,842 of them at 80 cabinets.
+func TestOneScaleFork(t *testing.T) {
+	var forks []string
+	for _, fn := range packageFuncs(t) {
+		for _, inLoop := range sweepForCalls(fn.Body) {
+			where := fn.Name.Name
+			if inLoop {
+				where += " (in a loop)"
+			}
+			forks = append(forks, where)
+		}
+	}
+	if len(forks) != 1 || forks[0] != "SimulateScale" {
+		t.Errorf("sweep.For calls: %v, want exactly one, in SimulateScale outside every loop", forks)
+	}
+}
+
+// sweepForCalls reports, for each sweep.For call in a function body,
+// whether a for or range statement encloses it.
+func sweepForCalls(body *ast.BlockStmt) []bool {
+	var loops []ast.Node
+	var calls []*ast.CallExpr
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt:
+			loops = append(loops, n)
+		case *ast.CallExpr:
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok {
+				break
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "sweep" && sel.Sel.Name == "For" {
+				calls = append(calls, n)
+			}
+		}
+		return true
+	})
+	inLoop := make([]bool, len(calls))
+	for i, c := range calls {
+		for _, l := range loops {
+			if l.Pos() <= c.Pos() && c.End() <= l.End() {
+				inLoop[i] = true
+			}
+		}
+	}
+	return inLoop
 }

@@ -185,7 +185,7 @@ func (e *Element) PeakGFLOPS() float64 {
 // P'_G / (P'_G + P'_C) = 240/270 = 0.889 at the standard clock.
 func (e *Element) InitialGSplit() float64 {
 	g := e.GPU.Model().PeakGFLOPS
-	c := float64(e.CPU.NumCores()) * e.cfg.Xeon.CoreGFLOPS()
+	c := float64(float64(e.CPU.NumCores()) * e.cfg.Xeon.CoreGFLOPS())
 	return g / (g + c)
 }
 

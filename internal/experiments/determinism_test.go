@@ -100,7 +100,8 @@ func TestParDeterminismFig11(t *testing.T) {
 
 func TestParDeterminismFig12(t *testing.T) {
 	run := func(par int) []byte {
-		return renderSeries(Fig12(DefaultSeed, []int{1, 4}, par))
+		tflops, _ := Fig12(DefaultSeed, []int{1, 4}, par)
+		return renderSeries(tflops)
 	}
 	diffBytes(t, "Fig12 table", run(1), run(8))
 }

@@ -184,37 +184,35 @@ var Fig12Cabinets = []int{1, 2, 5, 10, 20, 40, 80}
 
 // Fig12 measures Linpack TFLOPS by cabinet count on the down-clocked
 // configuration, problem size growing from 280,000 to the full-machine
-// 2,240,000. The sweep is doubly parallel: cabinet points fan out across
-// par workers AND each point shards its per-element inner loop — the
-// 80-cabinet point alone is most of the sweep's cost, so point-level
-// parallelism cannot carry it.
-func Fig12(seed uint64, cabinets []int, par int) *Series {
+// 2,240,000. The 80-cabinet point is Figure 13's full-machine run too: it
+// records the cumulative performance (TFLOPS) versus progress curve, which
+// comes back as progress (nil when cabinets leaves out 80). Cabinet points
+// fan out across par workers, and each scale simulation shards its elements
+// across par more — the 80-cabinet point alone is most of the sweep's cost,
+// so point-level parallelism cannot carry it.
+func Fig12(seed uint64, cabinets []int, par int) (tflops *Series, progress []cluster.ProgressPoint) {
 	if cabinets == nil {
 		cabinets = Fig12Cabinets
 	}
-	return newSeries("TFLOPS", intXs(cabinets), sweep.Map(context.Background(), par, cabinets, func(_ int, c int) float64 {
+	runs := sweep.Map(context.Background(), par, cabinets, func(_ int, c int) cluster.ScaleResult {
 		n := scaledN(280000, c)
 		if c == 80 {
 			n = 2240000 - 2240000%1216
 		}
-		r := cluster.SimulateScale(cluster.ScaleConfig{
+		return cluster.SimulateScale(cluster.ScaleConfig{
 			N: n, NB: 1216, Processes: 64 * c, Seed: seed,
-			Policy: cluster.PolicyAdaptive, Downclock: true, Workers: par,
+			Policy: cluster.PolicyAdaptive, Downclock: true, RecordProgress: c == 80,
+			Workers: par,
 		})
-		return r.TFLOPS
-	}))
-}
-
-// Fig13 runs the full-machine configuration and returns the cumulative
-// performance (TFLOPS) versus progress curve. A single run — par shards
-// the per-element loop inside the scale simulation.
-func Fig13(seed uint64, par int) []cluster.ProgressPoint {
-	r := cluster.SimulateScale(cluster.ScaleConfig{
-		N: 2240000 - 2240000%1216, NB: 1216, Processes: 5120, Seed: seed,
-		Policy: cluster.PolicyAdaptive, Downclock: true, RecordProgress: true,
-		Workers: par,
 	})
-	return r.Progress
+	tflops = &Series{Name: "TFLOPS"}
+	for i, c := range cabinets {
+		tflops.Add(float64(c), runs[i].TFLOPS)
+		if c == 80 {
+			progress = runs[i].Progress
+		}
+	}
+	return tflops, progress
 }
 
 // scaledN grows a base problem size with sqrt(units), rounded down to a

@@ -116,8 +116,9 @@ func Ledger(seed uint64, par int, tel *telemetry.Telemetry) ([]Row, error) {
 	l.fig10(entries, initial, own.Tracer().Series("adaptive.gsplit"))
 	tel.Merge(own)
 	l.fig11(Fig11(seed, nil, par))
-	l.fig12(Fig12(seed, nil, par))
-	l.fig13(Fig13(seed, par))
+	tflops, progress := Fig12(seed, nil, par)
+	l.fig12(tflops)
+	l.fig13(progress)
 	l.ablations(seed, par)
 	l.graphLU(GraphLU(seed, 46080, nil, telemetry.Disabled(), par))
 	if err := l.serve(seed, par); err != nil {

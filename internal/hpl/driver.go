@@ -28,7 +28,7 @@ const ResidualThreshold = 16.0
 // run of order n: (2/3)n^3 + (3/2)n^2.
 func LinpackFlops(n int) float64 {
 	fn := float64(n)
-	return (2.0/3.0)*fn*fn*fn + 1.5*fn*fn
+	return float64((2.0/3.0)*fn*fn*fn) + float64(1.5*fn*fn)
 }
 
 // Generate builds the benchmark input: an n×n matrix and right-hand side

@@ -39,6 +39,13 @@ if [ "$1" != 0 ] || [ "$2" != "$fmas" ]; then
     echo "check.sh: internal/sim on arm64 fuses $1 multiply-adds outside Exp and $2 inside it (want 0 and $fmas)" >&2
     exit 1
 fi
+# ...and the scale and elastic models, with every product they inline from
+# other packages, round theirs too: none may fuse...
+set -- $(fusedcount ./internal/cluster "")
+if [ "$1" != 0 ]; then
+    echo "check.sh: $1 fused multiply-adds in the arm64 build of internal/cluster" >&2
+    exit 1
+fi
 # ...and the bitwise tests must hold at the amd64 level that has FMA.
 GOAMD64=v3 go test ./internal/blas ./internal/hpl ./internal/sim ./internal/cluster
 # gofmt -l names every file that differs from canonical formatting; any
