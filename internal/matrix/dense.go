@@ -141,10 +141,7 @@ func (m *Dense) Identity() {
 // stream, matching the HPL test-matrix distribution.
 func (m *Dense) FillRandom(r *sim.RNG) {
 	for j := 0; j < m.Cols; j++ {
-		col := m.Col(j)
-		for i := range col {
-			col[i] = r.Float64() - 0.5
-		}
+		r.FillCentered(m.Col(j))
 	}
 }
 
@@ -244,7 +241,7 @@ func (m *Dense) NormFrob() float64 {
 	var s float64
 	for j := 0; j < m.Cols; j++ {
 		for _, v := range m.Col(j) {
-			s += v * v
+			s += float64(v * v)
 		}
 	}
 	return math.Sqrt(s)

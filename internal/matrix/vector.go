@@ -15,9 +15,7 @@ func NewVector(n int) []float64 { return make([]float64, n) }
 
 // FillRandomVector fills v with uniform values in [-0.5, 0.5).
 func FillRandomVector(v []float64, r *sim.RNG) {
-	for i := range v {
-		v[i] = r.Float64() - 0.5
-	}
+	r.FillCentered(v)
 }
 
 // VecNormInf returns the infinity norm of v.
@@ -59,7 +57,7 @@ func MulVec(a *Dense, x []float64) []float64 {
 			continue
 		}
 		for i, v := range col {
-			y[i] += v * xj
+			y[i] += float64(v * xj)
 		}
 	}
 	return y

@@ -40,18 +40,24 @@ func NewStream(seed uint64, name string) *RNG {
 	return NewRNG(h)
 }
 
+// golden is SplitMix64's increment: draw i of a stream mixes
+// state + (i+1)*golden, so any draw can be computed without the ones before.
+const golden = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += golden
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
-// Float64 returns a uniform value in [0, 1).
+// Float64 returns a uniform value in [0, 1). The quotient is rounded
+// explicitly, so a caller's Float64() - 0.5 never fuses into one
+// multiply-subtract on hosts that have one.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.

@@ -243,8 +243,25 @@ func (s Streams) kernel(mean, sd float64, exp bool, out []float64) int {
 	return n
 }
 
-// WithoutKernel runs f with every batch draw on the portable path, the
-// reference the kernel is checked against. No other goroutine may draw
+// FillCentered sets out[i] = r.Float64() - 0.5 for every i in order and
+// leaves r where that loop would. SplitMix64 is counter-based, so on a host
+// with AVX-512F and DQ whose OS saves the ZMM state the whole groups of
+// eight fill on an 8-lane kernel, each lane mixing its own state + k*golden;
+// the tail takes the scalar loop.
+func (r *RNG) FillCentered(out []float64) {
+	n := 0
+	if useKernel && len(out) >= 8 {
+		n = len(out) &^ 7
+		centered8(r.state, n, &out[0])
+		r.state += uint64(n) * golden
+	}
+	for i := n; i < len(out); i++ {
+		out[i] = r.Float64() - 0.5
+	}
+}
+
+// WithoutKernel runs f with every batch draw and fill on the portable path,
+// the reference the kernels are checked against. No other goroutine may draw
 // meanwhile.
 func WithoutKernel(f func()) {
 	old := useKernel

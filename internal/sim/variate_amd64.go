@@ -8,3 +8,10 @@ package sim
 //
 //go:noescape
 func variates8(state *uint64, n int, mean, sd float64, exp bool, out *float64) (oob uint64)
+
+// centered8 writes draws 1..n of the SplitMix64 stream at state, n a
+// positive multiple of 8, to out as Float64() - 0.5, eight at a time on
+// AVX-512F+DQ. It does not advance the state; the caller does.
+//
+//go:noescape
+func centered8(state uint64, n int, out *float64)

@@ -68,7 +68,16 @@ DATA variatek<>+408(SB)/8, $0x3f2a01a01a01a01a  // C7
 DATA variatek<>+416(SB)/8, $0x3efa01a01a01a01a  // C8
 // exponent bias
 DATA variatek<>+424(SB)/8, $0x00000000000003ff  // I1023
-GLOBL variatek<>(SB), RODATA, $432
+// k*GOLDEN for lanes k = 1..8, and the last, a group's step
+DATA variatek<>+432(SB)/8, $0x9e3779b97f4a7c15
+DATA variatek<>+440(SB)/8, $0x3c6ef372fe94f82a
+DATA variatek<>+448(SB)/8, $0xdaa66d2c7ddf743f
+DATA variatek<>+456(SB)/8, $0x78dde6e5fd29f054
+DATA variatek<>+464(SB)/8, $0x1715609f7c746c69
+DATA variatek<>+472(SB)/8, $0xb54cda58fbbee87e
+DATA variatek<>+480(SB)/8, $0x538454127b096493
+DATA variatek<>+488(SB)/8, $0xf1bbcdcbfa53e0a8  // GOLDEN8
+GLOBL variatek<>(SB), RODATA, $496
 
 #define GOLDEN variatek<>+0(SB)
 #define MIX1 variatek<>+8(SB)
@@ -124,6 +133,8 @@ GLOBL variatek<>(SB), RODATA, $432
 #define C7 variatek<>+408(SB)
 #define C8 variatek<>+416(SB)
 #define I1023 variatek<>+424(SB)
+#define LANES variatek<>+432(SB)
+#define GOLDEN8 variatek<>+488(SB)
 
 // func variates8(state *uint64, n int, mean, sd float64, exp bool, out *float64) (oob uint64)
 //
@@ -327,5 +338,43 @@ store:
 
 done:
 	MOVQ           R9, oob+48(FP)
+	VZEROUPPER
+	RET
+
+// func centered8(state uint64, n int, out *float64)
+//
+// Draws 1..n, n a positive multiple of 8, of the SplitMix64 stream at state,
+// eight per pass, into out as float64(bits>>11) * 2^-53 - 0.5: lane k mixes
+// state + k*GOLDEN, then every lane steps by 8*GOLDEN. The product by a power
+// of two is exact, as rng.go's quotient is, and the subtract rounds once.
+// Registers: Z0 the lanes' states, Z1 the step, Z2 2^-53, Z3 0.5.
+TEXT ·centered8(SB), NOSPLIT, $0-24
+	VPBROADCASTQ   state+0(FP), Z0
+	VPADDQ         LANES, Z0, Z0
+	VPBROADCASTQ   GOLDEN8, Z1
+	VBROADCASTSD   TWOM53, Z2
+	VBROADCASTSD   HALF, Z3
+	MOVQ           n+8(FP), CX
+	MOVQ           out+16(FP), DI
+
+fill:
+	VPSRLQ         $30, Z0, Z4
+	VPXORQ         Z0, Z4, Z4
+	VPMULLQ.BCST   MIX1, Z4, Z4
+	VPSRLQ         $27, Z4, Z5
+	VPXORQ         Z4, Z5, Z4
+	VPMULLQ.BCST   MIX2, Z4, Z4
+	VPSRLQ         $31, Z4, Z5
+	VPXORQ         Z4, Z5, Z4
+	VPSRLQ         $11, Z4, Z4
+	VCVTQQ2PD      Z4, Z4
+	VMULPD         Z2, Z4, Z4
+	VSUBPD         Z3, Z4, Z4
+	VMOVUPD        Z4, (DI)
+	VPADDQ         Z1, Z0, Z0
+	ADDQ           $64, DI
+	SUBQ           $8, CX
+	JNZ            fill
+
 	VZEROUPPER
 	RET

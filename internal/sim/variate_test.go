@@ -350,3 +350,38 @@ func FuzzVariateContract(f *testing.F) {
 		}
 	})
 }
+
+// TestFillCentered: a fill equals the scalar loop it replaces — values and
+// the stream's next draw — under every kernel this host has, at lengths
+// with no whole group, ragged tails and a long run, and from a state whose
+// draws wrap the counter past 2^64.
+func TestFillCentered(t *testing.T) {
+	lengths := make([]int, 0, 139)
+	for n := 0; n <= 137; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 1<<16)
+	for _, k := range variateKernels() {
+		k.run(func() {
+			for _, n := range lengths {
+				for _, state := range []uint64{uint64(n) * 0xd1342543de82ef95, zeroDrawState - 3} {
+					got, want := make([]float64, n), make([]float64, n)
+					fill, scalar := RNG{state}, RNG{state}
+					fill.FillCentered(got)
+					for i := range want {
+						// rng.go's Float64 and the subtract, spelled out.
+						want[i] = float64(scalar.Uint64()>>11)/(1<<53) - 0.5
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s: state %#x, n %d: out[%d] = %v, scalar %v", k.name, state, n, i, got[i], want[i])
+						}
+					}
+					if a, b := fill.Uint64(), scalar.Uint64(); a != b {
+						t.Fatalf("%s: state %#x, n %d: next draw %#x, scalar %#x", k.name, state, n, a, b)
+					}
+				}
+			}
+		})
+	}
+}

@@ -86,10 +86,7 @@ func New(cfg Config) *Sweep {
 	s := &Sweep{cfg: cfg}
 	s.buf[0] = make([]float64, cfg.points())
 	s.buf[1] = make([]float64, cfg.points())
-	rng := sim.NewStream(cfg.Seed, "stencil/init")
-	for i := range s.buf[0] {
-		s.buf[0][i] = rng.Float64() - 0.5
-	}
+	sim.NewStream(cfg.Seed, "stencil/init").FillCentered(s.buf[0])
 	return s
 }
 
@@ -112,24 +109,27 @@ func (s *Sweep) Result() []float64 {
 }
 
 // updateSlab advances cells with z in [z0, z1) by one Jacobi step: interior
-// cells get u + alpha*(sum of the 6 neighbours - 6u), boundary cells carry
-// their value over (Dirichlet).
+// cells get u + alpha*(sum of the 6 neighbours - 6u) from updateRow, boundary
+// cells carry their value over (Dirichlet). The boundary is copied outside
+// the cell loop: the first and last planes, and every plane too thin to have
+// an interior, whole; each other plane's first and last rows, and each
+// interior row's first and last cells.
 func (s *Sweep) updateSlab(in, out []float64, z0, z1 int) {
 	nx, ny, nz := s.cfg.NX, s.cfg.NY, s.cfg.NZ
+	plane := nx * ny
 	for k := z0; k < z1; k++ {
-		for j := 0; j < ny; j++ {
-			base := nx * (j + ny*k)
-			for i := 0; i < nx; i++ {
-				c := in[base+i]
-				if i == 0 || i == nx-1 || j == 0 || j == ny-1 || k == 0 || k == nz-1 {
-					out[base+i] = c
-					continue
-				}
-				sum := in[base+i-1] + in[base+i+1] +
-					in[base+i-nx] + in[base+i+nx] +
-					in[base+i-nx*ny] + in[base+i+nx*ny]
-				out[base+i] = c + alpha*(sum-6*c)
-			}
+		p0 := k * plane
+		src, dst := in[p0:p0+plane], out[p0:p0+plane]
+		if k == 0 || k == nz-1 || nx < 3 || ny < 3 {
+			copy(dst, src)
+			continue
+		}
+		copy(dst[:nx], src[:nx])
+		copy(dst[plane-nx:], src[plane-nx:])
+		for r := p0 + nx; r < p0+plane-nx; r += nx {
+			out[r], out[r+nx-1] = in[r], in[r+nx-1]
+			updateRow(out[r:r+nx], in[r:r+nx], in[r-nx:r], in[r+nx:r+2*nx],
+				in[r-plane:r-plane+nx], in[r+plane:r+plane+nx])
 		}
 	}
 }
@@ -234,12 +234,31 @@ func (s *Sweep) Run(el *element.Element, opts taskgraph.Options) (taskgraph.Repo
 	return rep, nil
 }
 
-// Reference advances the same initial condition with a plain serial loop, the
-// independent implementation the graph execution is verified against.
+// Reference advances the same initial condition with a plain serial loop
+// over every cell, the independent implementation the graph execution and
+// the row kernels are verified against. It spells out the row-kernel
+// contract (row.go) per cell, each product rounded explicitly.
 func Reference(cfg Config) []float64 {
 	s := New(cfg)
+	nx, ny, nz := s.cfg.NX, s.cfg.NY, s.cfg.NZ
 	for t := 0; t < s.cfg.Steps; t++ {
-		s.updateSlab(s.buf[t%2], s.buf[1-t%2], 0, s.cfg.NZ)
+		in, out := s.buf[t%2], s.buf[1-t%2]
+		for k := 0; k < nz; k++ {
+			for j := 0; j < ny; j++ {
+				base := nx * (j + ny*k)
+				for i := 0; i < nx; i++ {
+					c := in[base+i]
+					if i == 0 || i == nx-1 || j == 0 || j == ny-1 || k == 0 || k == nz-1 {
+						out[base+i] = c
+						continue
+					}
+					sum := in[base+i-1] + in[base+i+1] +
+						in[base+i-nx] + in[base+i+nx] +
+						in[base+i-nx*ny] + in[base+i+nx*ny]
+					out[base+i] = c + float64(alpha*(sum-float64(6*c)))
+				}
+			}
+		}
 	}
 	return s.Result()
 }

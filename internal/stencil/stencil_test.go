@@ -192,3 +192,88 @@ func TestSweepRecoversFromGPULoss(t *testing.T) {
 		}
 	}
 }
+
+// rowKernel is a row path: run calls f with it selected.
+type rowKernel struct {
+	name string
+	run  func(f func())
+}
+
+// rowKernels are the row paths this host can run.
+func rowKernels() []rowKernel {
+	ks := []rowKernel{{"go", func(f func()) {
+		old := useKernel
+		useKernel = false
+		defer func() { useKernel = old }()
+		f()
+	}}}
+	if useKernel {
+		ks = append(ks, rowKernel{"avx2", func(f func()) { f() }})
+	}
+	return ks
+}
+
+// sameGrid fails the test at the first cell whose bits differ.
+func sameGrid(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: cell %d = %v, Reference %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSlabKernelShapes: the graph sweep equals Reference bit for bit on
+// every row path, at serial and parallel body execution, for rows too short
+// to have an interior, rows that leave the kernel no whole group of four or
+// a ragged tail, planes without interior rows, and slab depths that do not
+// divide the grid.
+func TestSlabKernelShapes(t *testing.T) {
+	for _, nx := range []int{1, 2, 3, 4, 5, 6, 7, 13, 128} {
+		for _, ny := range []int{1, 2, 3, 18} {
+			for _, nz := range []int{1, 6, 11} {
+				cfg := Config{NX: nx, NY: ny, NZ: nz, Steps: 3, BlockZ: 4, Seed: uint64(nx*ny + nz)}
+				want := Reference(cfg)
+				for _, k := range rowKernels() {
+					k.run(func() {
+						for _, par := range []int{1, 8} {
+							s := New(cfg)
+							if _, err := s.Run(testElement(42), taskgraph.Options{Par: par}); err != nil {
+								t.Fatalf("%dx%dx%d %s par %d: %v", nx, ny, nz, k.name, par, err)
+							}
+							sameGrid(t, fmt.Sprintf("%dx%dx%d %s par %d", nx, ny, nz, k.name, par), s.Result(), want)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// FuzzSlabKernel sweeps fuzzed grids slab by slab on every row path and
+// requires Reference's grid bit for bit.
+func FuzzSlabKernel(f *testing.F) {
+	for _, nx := range []int{1, 2, 3, 4, 5, 6, 7, 13, 128} {
+		for _, ny := range []int{1, 2, 3, 18} {
+			f.Add(nx, ny, 11, 4, uint64(nx*ny))
+		}
+	}
+	f.Fuzz(func(t *testing.T, nx, ny, nz, blockZ int, seed uint64) {
+		// In range, every argument maps to itself.
+		cfg := Config{NX: 1 + int(uint(nx-1)%140), NY: 1 + int(uint(ny-1)%24), NZ: 1 + int(uint(nz-1)%16), Steps: 2, Seed: seed}
+		cfg.BlockZ = 1 + int(uint(blockZ-1)%uint(cfg.NZ+1))
+		want := Reference(cfg)
+		for _, k := range rowKernels() {
+			k.run(func() {
+				s := New(cfg)
+				for step := 0; step < cfg.Steps; step++ {
+					in, out := s.buf[step%2], s.buf[1-step%2]
+					for z0 := 0; z0 < cfg.NZ; z0 += cfg.BlockZ {
+						s.updateSlab(in, out, z0, min(z0+cfg.BlockZ, cfg.NZ))
+					}
+				}
+				sameGrid(t, fmt.Sprintf("%+v %s", cfg, k.name), s.Result(), want)
+			})
+		}
+	})
+}

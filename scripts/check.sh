@@ -9,11 +9,12 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
-# internal/blas, internal/sim and internal/cpufeat have amd64 assembly (vet's
-# asmdecl checks their stubs above); everywhere else the portable path is the
-# only one, so it must build and vet clean where the .s files are excluded.
+# internal/blas, internal/sim, internal/stencil and internal/cpufeat have
+# amd64 assembly (vet's asmdecl checks their stubs above); everywhere else the
+# portable path is the only one, so it must build and vet clean where the .s
+# files are excluded.
 GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/blas ./internal/sim ./internal/cpufeat
+GOARCH=arm64 go vet ./internal/blas ./internal/sim ./internal/stencil ./internal/cpufeat
 # fusedcount PKG FUNC prints the fused multiply-adds in the arm64 -S listing
 # of PKG outside function FUNC, then those inside it (the build cache
 # replays the listing, so this stays cheap).
@@ -39,15 +40,18 @@ if [ "$1" != 0 ] || [ "$2" != "$fmas" ]; then
     echo "check.sh: internal/sim on arm64 fuses $1 multiply-adds outside Exp and $2 inside it (want 0 and $fmas)" >&2
     exit 1
 fi
-# ...and the scale and elastic models, with every product they inline from
-# other packages, round theirs too: none may fuse...
-set -- $(fusedcount ./internal/cluster "")
-if [ "$1" != 0 ]; then
-    echo "check.sh: $1 fused multiply-adds in the arm64 build of internal/cluster" >&2
-    exit 1
-fi
+# ...the scale and elastic models, with every product they inline from
+# other packages, round theirs too: none may fuse; nor may the stencil row
+# contract's products, nor the uniform fills and norms of internal/matrix...
+for pkg in cluster stencil matrix; do
+    set -- $(fusedcount ./internal/$pkg "")
+    if [ "$1" != 0 ]; then
+        echo "check.sh: $1 fused multiply-adds in the arm64 build of internal/$pkg" >&2
+        exit 1
+    fi
+done
 # ...and the bitwise tests must hold at the amd64 level that has FMA.
-GOAMD64=v3 go test ./internal/blas ./internal/hpl ./internal/sim ./internal/cluster
+GOAMD64=v3 go test ./internal/blas ./internal/hpl ./internal/sim ./internal/cluster ./internal/stencil
 # gofmt -l names every file that differs from canonical formatting; any
 # name is a failure.
 unformatted=$(gofmt -l .)
