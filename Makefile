@@ -3,7 +3,7 @@
 # suite, and runs the full test suite (under the race detector where the
 # toolchain has cgo).
 
-.PHONY: check build test vet lint fuzz bench faultgolden recovergolden graphgolden paperbench parbench
+.PHONY: check build test vet lint fuzz bench graphgolden paperbench parbench
 
 check:
 	./scripts/check.sh
@@ -24,26 +24,6 @@ lint:
 test:
 	go test ./...
 
-# faultgolden runs the short fault-injection golden runs on their own:
-# the healthy scenario (hook overhead must be exactly zero) and the
-# lost-gpu scenario (adaptive recovers to >=90% of healthy steady state,
-# static/trained stall), then the fault-arm digests: Linpack under
-# lost-gpu+sdc-single on the graph, graph+hybrid and monolithic steppers and
-# the pipeline's verify/recompute drain, pinned at exact equality, plus the
-# stall outcome of the variants with no fallback. They also run as part of
-# `make test`/`make check`; this target surfaces their verdicts verbosely.
-faultgolden:
-	go test -run 'TestHealthyScenarioHasZeroHookOverhead|TestLostGPUAcceptance' -v ./cmd/faultbench
-	go test -run 'TestFaultArmDigest|TestStalledRunNeverBeatsHealthyTwin' -v ./internal/linpacksim
-
-# recovergolden surfaces the elastic-recovery goldens verbosely: the shrink
-# mapping of the survivor protocol (internal/recover) and the full rendered
-# recovery-vs-restart comparison including the bit-identity acceptance
-# (internal/experiments). Regenerate deliberately with -update.
-recovergolden:
-	go test -run 'TestShrinkMappingGolden' -v ./internal/recover
-	go test -run 'TestElasticRecoveryGolden|TestElasticRecoveryAcceptance' -v ./internal/experiments
-
 # graphgolden regenerates the canonical dataflow schedules (graph-LU with
 # look-ahead 1 and the 3-D stencil sweep) and diffs them against the
 # committed goldens in cmd/graphtrace/testdata — any placement, ordering,
@@ -57,12 +37,15 @@ graphgolden:
 
 # paperbench regenerates the ledger of every virtual number the repository
 # commits (Figs 8-13, the power accounting, the ablations, the ABFT overhead
-# table, the graph-LU study's graphlu.* rows and the serving sweeps' serve.*
-# rows) into a fresh file and diffs it against the committed
-# BENCH_paper.json. The rows are deterministic in the seed and identical for
-# every -par, so any line in the diff is a named row that moved; a serving
-# sweep that breaks its contract (a lost job, no lost-gpu drain) fails the
-# run. TestPaperLedger holds the banded rows to the paper; regenerate
+# table, the graph-LU study's graphlu.* rows, the serving sweeps' serve.*
+# rows, the fault scenarios' fault.* rows, the silent-data-corruption
+# sweeps' sdc.* rows and the elastic-recovery comparison's elastic.* rows)
+# into a fresh file and diffs it against the committed BENCH_paper.json. The
+# rows are deterministic in the seed and identical for every -par, so any
+# line in the diff is a named row that moved; a run that breaks its contract
+# (a lost serving job, no lost-gpu drain, a frozen policy surviving the lost
+# GPU, an undetected corruption, a non-bit-identical elastic recovery) fails
+# the run. TestPaperLedger holds the banded rows to the paper; regenerate
 # deliberately with `go run ./cmd/figures -par 8 -o BENCH_paper.json` and
 # commit it.
 paperbench:
@@ -85,8 +68,8 @@ fuzz:
 bench:
 	go test -run xxx -bench . -benchtime 10x .
 
-# parbench measures the parallel sweep runner: faultbench and figures at
-# -par 1 vs -par 8 (override with PAR=n), asserting byte-identical output
-# and reporting wall-clock speedups together with the host's core count.
+# parbench measures the parallel sweep runner: figures at -par 1 vs -par 8
+# (override with PAR=n), asserting byte-identical rows and reporting the
+# wall-clock speedup together with the host's core count.
 parbench:
 	./scripts/parbench.sh

@@ -2,18 +2,26 @@
 // run and writes the ledger of every virtual number the repository commits:
 // every number of Figs 8–13, the training-energy and Green500 accounting,
 // the ablations and the ABFT overhead table, then the graph-LU study
-// (graphlu.* rows) and the 1200-client serving sweeps, healthy and under
-// lost-gpu (serve.* rows). Each number is one row, with the paper's value,
-// the deviation and the accepted band where the paper gives one. The
-// committed copy is BENCH_paper.json; `make paperbench` diffs a fresh run
-// against it. The rows are deterministic in -seed and identical for every
-// -par. A serving sweep that breaks its contract exits 1 with the reason
-// and writes no rows.
+// (graphlu.* rows), the 1200-client serving sweeps, healthy and under
+// lost-gpu (serve.* rows), the fault scenarios across the partitioning
+// policies, the flaky-net storm and the element-fail restarts (fault.*
+// rows), the silent-data-corruption sweeps (sdc.* rows) and the elastic
+// recovery against checkpoint/restart (elastic.* rows). Each number is one
+// row, with the paper's value, the deviation and the accepted band where
+// the paper gives one. The committed copy is BENCH_paper.json; `make
+// paperbench` diffs a fresh run against it. The rows are deterministic in
+// -seed and identical for every -par. A run that breaks its contract — a
+// serving sweep failing ServeVerdict, the lost-gpu sweep failing
+// LostGPUVerdict, sdc-single or sdc-dma failing SDCVerdict, the elastic
+// comparison failing ElasticVerdict — exits 1 with the reason and writes no
+// rows.
 //
 // -db runs the cross-run database_g workflow instead: load the file if it
 // exists, run ACMLG+both Linpack at N=46080, save the adapted state back.
-// -trace writes the Fig. 8, 9 and 10 runs (or the -db run) as Chrome
-// trace-event JSON; -metrics prints the telemetry registry after them.
+// -trace writes the Fig. 8, 9 and 10 runs and the fault, sdc and elastic
+// runs (or the -db run) as Chrome trace-event JSON, the fault windows as
+// spans on the "fault" track; -metrics prints the telemetry registry after
+// them.
 package main
 
 import (
@@ -43,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", experiments.DefaultSeed, "experiment seed")
 	par := fs.Int("par", 0, "worker count for the sweeps (<=0: GOMAXPROCS); the rows are identical for every value")
 	out := fs.String("o", "", "write the ledger to this file (default: standard output)")
-	tracePath := fs.String("trace", "", "write Chrome trace-event JSON of the Fig. 8, 9 and 10 runs to this file")
+	tracePath := fs.String("trace", "", "write Chrome trace-event JSON of the Fig. 8, 9 and 10 runs and the fault, sdc and elastic runs to this file")
 	metrics := fs.Bool("metrics", false, "print the telemetry metric dump after the runs")
 	dbFile := fs.String("db", "", "persist database_g across runs: load it before an ACMLG+both Linpack at N=46080 and save the adapted state back, instead of the ledger")
 	if err := fs.Parse(args); err != nil {

@@ -210,6 +210,45 @@ func FaultSweep(scenario string, seed uint64, n, ops int, tel *telemetry.Telemet
 	return cells, nil
 }
 
+// LostGPUVerdict enforces the lost-gpu acceptance on a FaultSweep: the
+// fault-aware adaptive runtime completes every operation and regains
+// RecoveryThreshold of its healthy steady state after the device returns,
+// while the static and offline-trained policies stall on the dead context.
+// The returned error lists every violated criterion (nil = pass).
+func LostGPUVerdict(cells []FaultCell) error {
+	var fails []string
+	seen := map[string]bool{}
+	for _, c := range cells {
+		seen[c.Policy] = true
+		switch c.Policy {
+		case "adaptive":
+			if c.Stalled || c.OpsDone != c.OpsTotal {
+				fails = append(fails, fmt.Sprintf("adaptive stalled=%v after %d/%d ops — fallback did not engage", c.Stalled, c.OpsDone, c.OpsTotal))
+			}
+			if c.SteadySS < RecoveryThreshold*c.HealthySS {
+				fails = append(fails, fmt.Sprintf("adaptive steady state %.1f GFLOPS below %.0f%% of healthy %.1f",
+					c.SteadySS, 100*RecoveryThreshold, c.HealthySS))
+			}
+			if c.RecoverySec < 0 {
+				fails = append(fails, "adaptive never regained the recovery threshold after restore")
+			}
+		case "static", "qilin-trained":
+			if !c.Stalled || c.OpsDone >= c.OpsTotal {
+				fails = append(fails, fmt.Sprintf("%s survived the outage (%d/%d ops) — context-loss semantics broken", c.Policy, c.OpsDone, c.OpsTotal))
+			}
+		}
+	}
+	for _, p := range []string{"adaptive", "static", "qilin-trained"} {
+		if !seen[p] {
+			fails = append(fails, "no "+p+" cell")
+		}
+	}
+	if len(fails) == 0 {
+		return nil
+	}
+	return fmt.Errorf("lost-gpu acceptance failed: %v", fails)
+}
+
 // NetStormResult compares an MPI workload on a healthy fabric against the
 // flaky-net scenario (transient drops plus a cross-cabinet bandwidth
 // collapse).

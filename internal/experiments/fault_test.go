@@ -1,25 +1,25 @@
-package main
+package experiments
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
-	"tianhe/internal/experiments"
 	"tianhe/internal/telemetry"
 )
 
-// Short parameters for the CI golden run: healthy vs lost-gpu.
+// Short parameters for the policy sweeps below; the fault.* ledger rows
+// pin the full-size runs.
 const (
-	goldenSeed = uint64(experiments.DefaultSeed)
-	goldenN    = 4096
-	goldenOps  = 28
+	shortN   = 4096
+	shortOps = 28
 )
 
-// TestHealthyScenarioHasZeroHookOverhead is the golden healthy run: with an
+// TestHealthyScenarioHasZeroHookOverhead is the short healthy run: with an
 // empty injector attached to every hook, virtual time must not move at all
 // relative to the hookless reference.
 func TestHealthyScenarioHasZeroHookOverhead(t *testing.T) {
-	cells, err := experiments.FaultSweep("healthy", goldenSeed, goldenN, goldenOps, nil, 1)
+	cells, err := FaultSweep("healthy", DefaultSeed, shortN, shortOps, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +30,8 @@ func TestHealthyScenarioHasZeroHookOverhead(t *testing.T) {
 		if c.OverheadPct != 0 {
 			t.Errorf("%s: empty-injector overhead %+.6f%%, want exactly 0", c.Policy, c.OverheadPct)
 		}
-		if c.Stalled || c.OpsDone != goldenOps {
-			t.Errorf("%s: healthy run stalled=%v ops=%d/%d", c.Policy, c.Stalled, c.OpsDone, goldenOps)
+		if c.Stalled || c.OpsDone != shortOps {
+			t.Errorf("%s: healthy run stalled=%v ops=%d/%d", c.Policy, c.Stalled, c.OpsDone, shortOps)
 		}
 		if c.FaultSeconds != c.HealthySeconds {
 			t.Errorf("%s: attached run %v s vs reference %v s — hooks moved virtual time", c.Policy, c.FaultSeconds, c.HealthySeconds)
@@ -39,44 +39,28 @@ func TestHealthyScenarioHasZeroHookOverhead(t *testing.T) {
 	}
 }
 
-// TestLostGPUAcceptance is the golden lost-gpu run, asserting the headline
+// TestLostGPUAcceptance is the short lost-gpu run, asserting the headline
 // claim: the adaptive runtime recovers to >= 90% of its healthy steady
 // state after device restore, while static and offline-trained stall on
 // the dead context.
 func TestLostGPUAcceptance(t *testing.T) {
 	tel := telemetry.New()
-	cells, err := experiments.FaultSweep("lost-gpu", goldenSeed, goldenN, goldenOps, tel, 1)
+	cells, err := FaultSweep("lost-gpu", DefaultSeed, shortN, shortOps, tel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byPolicy := map[string]experiments.FaultCell{}
-	for _, c := range cells {
-		byPolicy[c.Policy] = c
+	if err := LostGPUVerdict(cells); err != nil {
+		t.Fatal(err)
 	}
-
-	ad := byPolicy["adaptive"]
-	if ad.Stalled {
-		t.Fatal("adaptive runtime stalled — fallback did not engage")
-	}
-	if ad.OpsDone != goldenOps {
-		t.Fatalf("adaptive completed %d/%d ops", ad.OpsDone, goldenOps)
-	}
-	if ad.SteadySS < experiments.RecoveryThreshold*ad.HealthySS {
-		t.Fatalf("adaptive steady state %v below %v%% of healthy %v",
-			ad.SteadySS, 100*experiments.RecoveryThreshold, ad.HealthySS)
-	}
-	if ad.RecoverySec < 0 {
-		t.Fatal("adaptive never regained the recovery threshold after restore")
-	}
-
-	for _, policy := range []string{"static", "qilin-trained"} {
-		c := byPolicy[policy]
-		if !c.Stalled {
-			t.Errorf("%s survived the outage — context-loss semantics broken", policy)
+	// The verdict must reject a frozen policy that survives the outage.
+	survived := slices.Clone(cells)
+	for i := range survived {
+		if survived[i].Policy == "static" {
+			survived[i].Stalled, survived[i].OpsDone = false, shortOps
 		}
-		if c.OpsDone >= goldenOps {
-			t.Errorf("%s completed all ops despite stalling", policy)
-		}
+	}
+	if LostGPUVerdict(survived) == nil {
+		t.Error("LostGPUVerdict passed a static policy that survived the outage")
 	}
 
 	// Fault activations and recoveries must be visible as trace events.
@@ -99,11 +83,11 @@ func TestLostGPUAcceptance(t *testing.T) {
 // TestSweepIsDeterministic: identical seeds must reproduce every metric
 // bit for bit, fault schedule and all.
 func TestSweepIsDeterministic(t *testing.T) {
-	a, err := experiments.FaultSweep("lost-gpu", goldenSeed, goldenN, goldenOps, nil, 1)
+	a, err := FaultSweep("lost-gpu", DefaultSeed, shortN, shortOps, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := experiments.FaultSweep("lost-gpu", goldenSeed, goldenN, goldenOps, nil, 1)
+	b, err := FaultSweep("lost-gpu", DefaultSeed, shortN, shortOps, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +97,11 @@ func TestSweepIsDeterministic(t *testing.T) {
 }
 
 func TestNetStormDeterministicAndRecovered(t *testing.T) {
-	a, err := experiments.NetStorm(goldenSeed, 8, 6, nil)
+	a, err := NetStorm(DefaultSeed, 8, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := experiments.NetStorm(goldenSeed, 8, 6, nil)
+	b, err := NetStorm(DefaultSeed, 8, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +117,7 @@ func TestNetStormDeterministicAndRecovered(t *testing.T) {
 }
 
 func TestFailoverCheckpointWins(t *testing.T) {
-	res := experiments.Failover(goldenSeed, 9728, nil, 1)
+	res := Failover(DefaultSeed, 9728, nil, 1)
 	if res.Scratch.Failures != 1 || res.Checkpointed.Failures != 1 {
 		t.Fatalf("failures: scratch %d ckpt %d", res.Scratch.Failures, res.Checkpointed.Failures)
 	}
@@ -146,7 +130,7 @@ func TestFailoverCheckpointWins(t *testing.T) {
 	}
 }
 
-// TestSDCAcceptance is the golden silent-data-corruption run, asserting the
+// TestSDCAcceptance is the silent-data-corruption run, asserting the
 // scenario's headline claim at N=9728: every injected strike is detected
 // and localized, at least 90% are repaired by recomputing just the struck
 // task (sdc-single and sdc-dma correct 100% without touching a checkpoint),
@@ -155,30 +139,30 @@ func TestFailoverCheckpointWins(t *testing.T) {
 // for any worker count.
 func TestSDCAcceptance(t *testing.T) {
 	for _, sc := range []string{"sdc-single", "sdc-dma"} {
-		res, err := experiments.SDCSweep(sc, goldenSeed, 9728, nil, 1)
+		res, err := SDCSweep(sc, DefaultSeed, 9728, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Injected == 0 {
 			t.Fatalf("%s: no strikes delivered — the scenario tested nothing", sc)
 		}
-		if err := experiments.SDCVerdict(res); err != nil {
+		if err := SDCVerdict(res); err != nil {
 			t.Fatalf("%s: %v", sc, err)
 		}
 		if int64(res.Faulted.SDCDetected) != res.Injected {
 			t.Fatalf("%s: %d delivered, %d detected", sc, res.Injected, res.Faulted.SDCDetected)
 		}
-		if f := res.CorrectedFrac(); f < experiments.SDCCorrectionTarget {
+		if f := res.CorrectedFrac(); f < SDCCorrectionTarget {
 			t.Fatalf("%s: corrected %.1f%% of detections", sc, 100*f)
 		}
 		if !res.ResidualPassed {
 			t.Fatalf("%s: real LU residual %g failed", sc, res.Residual)
 		}
-		if res.OverheadPct >= experiments.SDCVerifyBudgetPct {
+		if res.OverheadPct >= SDCVerifyBudgetPct {
 			t.Fatalf("%s: verification overhead %.2f%%", sc, res.OverheadPct)
 		}
 
-		par, err := experiments.SDCSweep(sc, goldenSeed, 9728, nil, 8)
+		par, err := SDCSweep(sc, DefaultSeed, 9728, nil, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

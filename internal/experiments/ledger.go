@@ -11,14 +11,17 @@ import (
 	"tianhe/internal/adaptive"
 	"tianhe/internal/cluster"
 	"tianhe/internal/element"
+	"tianhe/internal/hpl"
+	"tianhe/internal/linpacksim"
 	"tianhe/internal/perfmodel"
 	"tianhe/internal/telemetry"
 )
 
 // Row is one line of the paper-fidelity ledger (BENCH_paper.json): a
 // quantity the evaluation reports, the paper's value where the paper gives
-// one, and what this reproduction measures. Paper and Measured hold a
-// float64 or a bool; DevPct is set only when both are numbers.
+// one, and what this reproduction measures. Paper holds a float64 or a
+// bool; Measured a number, a bool or, for a set of ranks, a list of them.
+// DevPct is set only when both are numbers.
 type Row struct {
 	ID       string   `json:"id"`
 	Figure   string   `json:"figure"`
@@ -99,11 +102,15 @@ var variantSlug = []string{"cpu", "acmlg", "adaptive", "pipe", "both"}
 
 // Ledger runs every figure of Section VI once — Figs 8–13, the
 // training-energy and Green500 accounting, ablations 1–7 and the ABFT
-// overhead table — then the graph-LU study and the serving sweeps, and
-// returns one row per reported number, annotated from paperRows. The rows
-// are deterministic in seed and identical for every par; tel (nil for none)
-// records the Fig. 8, 9 and 10 runs and changes no row. The error is a
-// serving sweep that failed to run or broke the ServeVerdict contract.
+// overhead table — then the graph-LU study, the serving sweeps, the fault
+// scenarios (fault.* rows), the silent-data-corruption sweeps (sdc.*) and
+// the elastic-recovery comparison (elastic.*), and returns one row per
+// reported number, annotated from paperRows. The rows are deterministic in
+// seed and identical for every par; tel (nil for none) records the Fig. 8,
+// 9 and 10 runs and the fault, sdc and elastic runs, and changes no row.
+// The error is a run that failed, or one that broke its contract:
+// ServeVerdict, LostGPUVerdict, SDCVerdict (sdc-single, sdc-dma) or
+// ElasticVerdict.
 func Ledger(seed uint64, par int, tel *telemetry.Telemetry) ([]Row, error) {
 	l := &ledger{}
 	l.fig8(Fig8Instrumented(seed, nil, tel, par))
@@ -122,6 +129,15 @@ func Ledger(seed uint64, par int, tel *telemetry.Telemetry) ([]Row, error) {
 	l.ablations(seed, par)
 	l.graphLU(GraphLU(seed, 46080, nil, telemetry.Disabled(), par))
 	if err := l.serve(seed, par); err != nil {
+		return nil, err
+	}
+	if err := l.faults(seed, tel, par); err != nil {
+		return nil, err
+	}
+	if err := l.sdc(seed, tel, par); err != nil {
+		return nil, err
+	}
+	if err := l.elastic(seed, tel, par); err != nil {
 		return nil, err
 	}
 
@@ -387,6 +403,177 @@ func (l *ledger) servePoints(scenario string, points []ServePoint) {
 			l.add(id+"p99_s", "99th-percentile latency"+at, "s", ts.P99Seconds)
 		}
 	}
+}
+
+// The sizes of the fault rows: each policy sweep runs faultOps GEMMs of
+// order faultN, and the element-fail and sdc-* scenarios a Linpack of order
+// faultLinpackN.
+const faultN, faultOps, faultLinpackN = 8192, 48, 19456
+
+// faults adds the timing-fault scenarios: every policy of each FaultSweep
+// (the lost-gpu one held to LostGPUVerdict), the healthy sweep's hook
+// overhead, the flaky-net MPI storm and the element-fail restarts.
+func (l *ledger) faults(seed uint64, tel *telemetry.Telemetry, par int) error {
+	l.figure = "fault"
+	for _, scenario := range []string{"healthy", "degraded-gpu", "lost-gpu", "jitter-storm"} {
+		cells, err := FaultSweep(scenario, seed, faultN, faultOps, tel, par)
+		if err == nil && scenario == "lost-gpu" {
+			err = LostGPUVerdict(cells)
+		}
+		if err != nil {
+			return fmt.Errorf("%s fault sweep: %w", scenario, err)
+		}
+		l.faultCells(scenario, cells)
+	}
+
+	net, err := NetStorm(seed, 16, 12, tel)
+	if err != nil {
+		return fmt.Errorf("flaky-net storm: %w", err)
+	}
+	at := fmt.Sprintf(", %d ranks, %d collective rounds", net.Ranks, net.Rounds)
+	l.add("fault.flaky_net.healthy_s", "makespan on a healthy fabric"+at, "s", net.HealthySeconds)
+	l.add("fault.flaky_net.fault_s", "makespan on the flaky fabric"+at, "s", net.FaultSeconds)
+	l.add("fault.flaky_net.slowdown_pct", "flaky-fabric makespan over healthy"+at, "%", net.SlowdownPct)
+	l.add("fault.flaky_net.drops", "messages dropped"+at, "count", net.Drops)
+	l.add("fault.flaky_net.retries", "messages retried"+at, "count", net.Retries)
+
+	f := Failover(seed, faultLinpackN, tel, par)
+	at = fmt.Sprintf(", Linpack N=%d, element failure at half the healthy makespan", f.N)
+	l.linpackArm("fault.element_fail.healthy.", "healthy run"+at, f.Healthy)
+	for _, arm := range []struct {
+		id, what string
+		res      linpacksim.Result
+		pct      float64
+	}{
+		{"fault.element_fail.scratch.", "restart from iteration zero" + at, f.Scratch, f.ScratchPct},
+		{"fault.element_fail.checkpointed.", "restart from per-iteration checkpoints" + at, f.Checkpointed, f.CheckpointPct},
+	} {
+		l.linpackArm(arm.id, arm.what, arm.res)
+		l.add(arm.id+"slowdown_pct", "makespan over healthy, "+arm.what, "%", arm.pct)
+		l.add(arm.id+"redone", "iterations redone, "+arm.what, "count", arm.res.RedoneIterations)
+	}
+	l.add("fault.element_fail.checkpointed.checkpoint_s", "time spent writing checkpoints"+at, "s", f.Checkpointed.CheckpointSeconds)
+	return nil
+}
+
+// faultCells adds one FaultSweep's rows: per policy, the reference and
+// faulted steady states, the trough, the recovery or the stall, and the
+// operations done.
+func (l *ledger) faultCells(scenario string, cells []FaultCell) {
+	slug := strings.NewReplacer("-", "_")
+	for _, c := range cells {
+		id := "fault." + slug.Replace(scenario) + "." + slug.Replace(c.Policy) + "."
+		at := fmt.Sprintf(", %s, %s, %d GEMMs of order %d", c.Policy, scenario, c.OpsTotal, faultN)
+		l.add(id+"healthy_gflops", "steady state of the fault-free reference"+at, "GFLOPS", c.HealthySS)
+		l.add(id+"steady_gflops", "steady state under the fault"+at, "GFLOPS", c.SteadySS)
+		l.add(id+"delta_pct", "steady state under the fault over the reference's"+at, "%", 100*(c.SteadySS-c.HealthySS)/c.HealthySS)
+		l.add(id+"trough_gflops", "slowest operation under the fault"+at, "GFLOPS", c.TroughOp)
+		if c.RecoverySec != 0 && !c.Stalled {
+			l.add(id+"recovery_s", fmt.Sprintf("time from GPU restore to regaining %.0f%% of the reference steady state, -1 if never", 100*RecoveryThreshold)+at, "s", c.RecoverySec)
+		}
+		l.add(id+"stalled", "run died on the lost GPU context"+at, "bool", c.Stalled)
+		if c.Stalled {
+			l.add(id+"stall_s", "virtual time of the fatal submission"+at, "s", c.StallAtSec)
+		}
+		l.add(id+"ops_done", "operations completed"+at, "count", c.OpsDone)
+	}
+	if scenario == "healthy" {
+		for _, c := range cells {
+			if c.Policy == "adaptive" {
+				l.add("fault.healthy.hook_overhead_pct", "virtual-time overhead of an empty injector on every hook, adaptive", "%", c.OverheadPct)
+			}
+		}
+	}
+}
+
+// sdc adds the silent-data-corruption sweeps at Linpack N=faultLinpackN:
+// each arm's makespan and rate, the strike accounting and the real-LU
+// evidence. sdc-single and sdc-dma are held to SDCVerdict; sdc-burst is the
+// escalation drill, and its claim is a row: every strike escalated to a
+// checkpoint restore and the run still finished.
+func (l *ledger) sdc(seed uint64, tel *telemetry.Telemetry, par int) error {
+	l.figure = "sdc"
+	for _, scenario := range []string{"sdc-single", "sdc-dma", "sdc-burst"} {
+		r, err := SDCSweep(scenario, seed, faultLinpackN, tel, par)
+		if err == nil && scenario != "sdc-burst" {
+			err = SDCVerdict(r)
+		}
+		if err != nil {
+			return fmt.Errorf("%s sweep: %w", scenario, err)
+		}
+		id := "sdc." + strings.TrimPrefix(scenario, "sdc-") + "."
+		at := fmt.Sprintf(", %s, Linpack N=%d", scenario, r.N)
+		l.linpackArm(id+"unprotected.", "unprotected"+at, r.Healthy)
+		l.linpackArm(id+"verified.", "verified, no corruption"+at, r.VerifyClean)
+		l.add(id+"verified.overhead_pct", "verified makespan over unprotected, no corruption"+at, "%", r.OverheadPct)
+		l.add(id+"verified.checks_s", "checksum time booked, no corruption"+at, "s", r.VerifyClean.VerifySeconds)
+		l.linpackArm(id+"faulted.", "verified, under corruption"+at, r.Faulted)
+		l.add(id+"faulted.slowdown_pct", "verified makespan under corruption over unprotected"+at, "%", r.FaultedPct)
+		f := r.Faulted
+		l.add(id+"injected", "strikes injected"+at, "count", r.Injected)
+		l.add(id+"detected", "strikes detected"+at, "count", f.SDCDetected)
+		l.add(id+"recomputed", "strikes repaired by recomputing the struck task"+at, "count", f.SDCCorrected)
+		l.add(id+"escalated", "strikes escalated to a checkpoint restore"+at, "count", f.SDCEscalated)
+		l.add(id+"restores", "checkpoint restores"+at, "count", f.SDCRestores)
+		l.add(id+"redone", "iterations redone"+at, "count", f.RedoneIterations)
+		l.add(id+"corrected_frac", "detected strikes repaired without a restore"+at, "ratio", r.CorrectedFrac())
+		if scenario == "sdc-burst" {
+			l.add(id+"escalation_drill", "every strike detected and escalated to a checkpoint restore, and the run finished"+at, "bool",
+				r.Injected > 0 && int64(f.SDCDetected) == r.Injected && f.SDCEscalated == f.SDCDetected && f.Err == nil)
+		}
+		at = fmt.Sprintf(", real LU N=%d with bit flips, %s", r.RealN, scenario)
+		l.add(id+"real.updates", "trailing updates"+at, "count", r.RealUpdates)
+		l.add(id+"real.injected", "updates corrupted"+at, "count", r.RealInjected)
+		l.add(id+"real.detected", "corruptions detected"+at, "count", r.RealDetected)
+		l.add(id+"real.corrected", "corruptions corrected in place"+at, "count", r.RealCorrected)
+		l.add(id+"real.recomputed", "corruptions repaired by recomputation"+at, "count", r.RealRecomputed)
+		l.add(id+"real.residual", fmt.Sprintf("scaled residual (HPL bound %g)", hpl.ResidualThreshold)+at, "ratio", r.Residual)
+	}
+	return nil
+}
+
+// linpackArm adds the makespan and rate of one simulated Linpack run.
+func (l *ledger) linpackArm(id, what string, res linpacksim.Result) {
+	l.add(id+"seconds", "makespan, "+what, "s", res.Seconds)
+	l.add(id+"gflops", "Linpack, "+what, "GFLOPS", res.GFLOPS)
+}
+
+// elastic adds the elastic-recovery comparison, held to ElasticVerdict: the
+// real small-N solver's healthy, failed and shrunk-from-start runs, then
+// the paper-scale model's recovery cost against the checkpoint redo.
+func (l *ledger) elastic(seed uint64, tel *telemetry.Telemetry, par int) error {
+	l.figure = "elastic"
+	r, err := ElasticRecovery(seed, 0, tel, par)
+	if err == nil {
+		err = ElasticVerdict(r)
+	}
+	if err != nil {
+		return fmt.Errorf("elastic recovery: %w", err)
+	}
+	at := fmt.Sprintf(", real N=%d NB=%d on %d elements", r.N, r.NB, r.Ranks)
+	for _, arm := range []struct {
+		name, what string
+		res        cluster.ElasticResult
+	}{{"healthy", "healthy", r.Healthy}, {"failed", "element death at half makespan", r.Failed}, {"shrunk", "survivors from the start", r.Shrunk}} {
+		l.add("elastic.real."+arm.name+".seconds", "makespan, "+arm.what+at, "s", arm.res.Seconds)
+		l.add("elastic.real."+arm.name+".residual", "scaled residual, "+arm.what+at, "ratio", arm.res.Residual)
+	}
+	l.add("elastic.real.failed.ranks", "ranks lost"+at, "ranks", r.Failed.Failed)
+	l.add("elastic.real.failed.epochs", "shrinks completed"+at, "count", r.Failed.Epochs)
+	l.add("elastic.real.shrunk.live", "surviving ranks"+at, "ranks", r.Shrunk.FinalLive)
+	l.add("elastic.real.bit_identical", "failed run's factors, pivots and solution equal the shrunk-from-start run's"+at, "bool", r.BitIdentical)
+	l.add("elastic.real.recovery_s", "recovery stall of the first shrink"+at, "s", r.RecoverySeconds)
+	l.add("elastic.real.parity_bytes", "checksum traffic of the failed run"+at, "bytes", r.Failed.ParityBytes)
+	l.add("elastic.real.encode_overhead_pct", "healthy makespan with parity over without"+at, "%", r.RealOverheadPct)
+	m := r.ModelFailed
+	at = fmt.Sprintf(", model N=%d NB=%d on %d elements", m.N, m.NB, m.Elements)
+	l.add("elastic.model.iterations", "iterations"+at, "count", m.Iterations)
+	l.add("elastic.model.fail_iter", "iteration the element dies at"+at, "count", m.FailIter)
+	l.add("elastic.model.encode_overhead_pct", "steady-state parity encoding over the clean makespan"+at, "%", r.ModelOverheadPct)
+	l.add("elastic.model.recovery_s", "elastic recovery stall"+at, "s", m.RecoverySeconds)
+	l.add("elastic.model.checkpoint_redo_s", "checkpoint/restart cost of the same failure"+at, "s", m.CheckpointRedoSeconds)
+	l.add("elastic.model.checkpoint_steady_s", "per-iteration checkpoint writes over the run"+at, "s", m.CheckpointSteadySeconds)
+	return nil
 }
 
 // WriteLedger writes rows in the BENCH_paper.json layout: the seed, par and

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"tianhe/internal/cluster"
 	"tianhe/internal/matrix"
@@ -142,25 +141,6 @@ func bitIdentical(a, b cluster.ElasticResult) bool {
 		}
 	}
 	return matrix.VecMaxDiff(a.X, b.X) == 0
-}
-
-// WriteElastic renders the recovery-vs-restart comparison, both arms — the
-// form faultbench -elastic prints and the experiment golden pins.
-func WriteElastic(w io.Writer, r ElasticRecoveryResult) {
-	fmt.Fprintf(w, "elastic recovery: real arm N=%d NB=%d Q=%d\n", r.N, r.NB, r.Ranks)
-	fmt.Fprintf(w, "  healthy      %12.6f s  residual %.6g\n", float64(r.Healthy.Seconds), r.Healthy.Residual)
-	fmt.Fprintf(w, "  elastic-fail %12.6f s  residual %.6g  failed %v  epochs %d\n",
-		float64(r.Failed.Seconds), r.Failed.Residual, r.Failed.Failed, r.Failed.Epochs)
-	fmt.Fprintf(w, "  shrunk-ref   %12.6f s  residual %.6g  live %v\n",
-		float64(r.Shrunk.Seconds), r.Shrunk.Residual, r.Shrunk.FinalLive)
-	fmt.Fprintf(w, "  bit-identical %v  recovery %.6f s  parity bytes %d  encode overhead %.2f%%\n",
-		r.BitIdentical, r.RecoverySeconds, r.Failed.ParityBytes, r.RealOverheadPct)
-	m := r.ModelFailed
-	fmt.Fprintf(w, "model arm N=%d NB=%d Q=%d (fail at iter %d of %d)\n", m.N, m.NB, m.Elements, m.FailIter, m.Iterations)
-	fmt.Fprintf(w, "  encode overhead     %8.2f %%\n", r.ModelOverheadPct)
-	fmt.Fprintf(w, "  elastic recovery    %8.3f s\n", m.RecoverySeconds)
-	fmt.Fprintf(w, "  checkpoint redo     %8.3f s\n", m.CheckpointRedoSeconds)
-	fmt.Fprintf(w, "  checkpoint steady   %8.3f s\n", m.CheckpointSteadySeconds)
 }
 
 // ElasticVerdict enforces ISSUE 10's acceptance on an ElasticRecovery result.

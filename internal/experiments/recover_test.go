@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"bytes"
-	"flag"
-	"os"
+	"reflect"
 	"testing"
 
 	"tianhe/internal/telemetry"
 )
-
-var updateElastic = flag.Bool("update", false, "rewrite the elastic-recovery golden")
 
 // The ISSUE 10 acceptance: a mid-run element death completes with a passing
 // residual and factors bit-identical to the shrunk-from-start run, the
@@ -31,48 +27,19 @@ func TestElasticRecoveryAcceptance(t *testing.T) {
 	}
 }
 
-// The golden pins the full rendered comparison — virtual times, residuals,
-// recovery and redo costs — so any drift in the solver, the protocol, or the
-// model shows up as a diff. Regenerate deliberately with -update.
-func TestElasticRecoveryGolden(t *testing.T) {
-	r, err := ElasticRecovery(DefaultSeed, 0, telemetry.Disabled(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	WriteElastic(&buf, r)
-	got := buf.Bytes()
-	const path = "testdata/elastic.golden"
-	if *updateElastic {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("golden missing (run with -update): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("elastic recovery drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
 func TestParDeterminismElasticRecovery(t *testing.T) {
-	run := func(par int) ([]byte, []byte) {
+	run := func(par int) (ElasticRecoveryResult, []byte) {
 		tel := telemetry.New()
 		r, err := ElasticRecovery(DefaultSeed, 0, tel, par)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		WriteElastic(&buf, r)
-		return buf.Bytes(), telBytes(t, tel)
+		return r, telBytes(t, tel)
 	}
-	tab1, tel1 := run(1)
-	tab8, tel8 := run(8)
-	diffBytes(t, "ElasticRecovery table", tab1, tab8)
+	res1, tel1 := run(1)
+	res8, tel8 := run(8)
+	if !reflect.DeepEqual(res1, res8) {
+		t.Errorf("ElasticRecovery diverged between par 1 and par 8 (model arms %+v vs %+v)", res1.ModelFailed, res8.ModelFailed)
+	}
 	diffBytes(t, "ElasticRecovery telemetry", tel1, tel8)
 }

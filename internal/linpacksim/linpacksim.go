@@ -278,7 +278,8 @@ const CheckpointBandwidth = 2e9
 // Sim is one Linpack run as a resumable stepper: Step executes one
 // iteration (panel + trailing update), and Checkpoint/Restore capture and
 // reinstall the solver's restartable state between iterations. Run drives
-// it start-to-finish; faultbench drives it with failures injected.
+// it start-to-finish; the ledger's fault and sdc rows (experiments.Failover,
+// experiments.SDCSweep) drive it with failures injected.
 type Sim struct {
 	cfg    Config
 	nb     int

@@ -30,7 +30,7 @@ type Config struct {
 	Limits Limits
 	// Scenario optionally names a fault scenario (see fault.Scenarios)
 	// injected into the pool; ScenarioHorizon scales its windows, the way
-	// faultbench scales them to a run's healthy makespan. StruckWorkers is
+	// experiments.FaultSweep scales them to a run's healthy makespan. StruckWorkers is
 	// how many of the pool's elements the scenario hits (0 selects 1;
 	// negative strikes every element).
 	Scenario        string

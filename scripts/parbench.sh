@@ -1,7 +1,8 @@
 #!/bin/sh
-# parbench.sh — measure the parallel sweep runner: run faultbench and
-# figures at -par 1 (the legacy serial loop) and -par $PAR (default 8),
-# verify the outputs are byte-identical, and report wall-clock speedups.
+# parbench.sh — measure the parallel sweep runner: run figures (the ledger
+# of every committed virtual number) at -par 1 (the serial loop) and
+# -par $PAR (default 8), verify the rows are byte-identical, and report the
+# wall-clock speedup.
 #
 # The speedup numbers are honest wall-clock measurements on THIS host; the
 # determinism check is meaningful on any machine, but a speedup near PAR
@@ -18,7 +19,7 @@ bindir="$(mktemp -d)"
 outdir="$(mktemp -d)"
 trap 'rm -rf "$bindir" "$outdir"' EXIT INT TERM
 
-go build -o "$bindir" ./cmd/faultbench ./cmd/figures
+go build -o "$bindir" ./cmd/figures
 
 # now_s prints wall-clock seconds with nanosecond resolution.
 now_s() { date +%s.%N; }
@@ -52,7 +53,6 @@ run_tool() {
     }'
 }
 
-run_tool faultbench
 run_tool figures
 
 echo
