@@ -3,6 +3,7 @@ package adaptive
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -174,6 +175,23 @@ func TestDatabaseCAllUnmeasuredNoChange(t *testing.T) {
 	after := d.Splits()
 	if before[0] != after[0] || before[1] != after[1] {
 		t.Fatal("an empty observation must not change the database")
+	}
+}
+
+// TestDatabaseCUpdateKeepsNoHistory: Update reuses its rate scratch, yet its
+// result depends only on the current splits and its arguments — a database
+// with a history of updates and a fresh one restored to the same splits
+// agree bit for bit on the next update, here one where a core goes idle.
+func TestDatabaseCUpdateKeepsNoHistory(t *testing.T) {
+	d := NewDatabaseC(3)
+	d.Update([]float64{100, 100, 100}, []float64{1, 0.25, 2})
+	fresh := NewDatabaseC(3)
+	fresh.Restore(d.Splits())
+	works, times := []float64{200, 0, 50}, []float64{1, 0, 1}
+	d.Update(works, times)
+	fresh.Update(works, times)
+	if got, want := d.Splits(), fresh.Splits(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("splits after update %v, want %v", got, want)
 	}
 }
 

@@ -241,6 +241,7 @@ func (d *DatabaseG) UnmarshalJSON(b []byte) error {
 type DatabaseC struct {
 	mu     sync.Mutex
 	splits []float64
+	rates  []float64 // Update's per-core scratch, guarded by mu like splits
 }
 
 // NewDatabaseC builds the per-core database for n cores.
@@ -248,7 +249,7 @@ func NewDatabaseC(n int) *DatabaseC {
 	if n <= 0 {
 		panic("adaptive: database_c needs at least one core")
 	}
-	d := &DatabaseC{splits: make([]float64, n)}
+	d := &DatabaseC{splits: make([]float64, n), rates: make([]float64, n)}
 	for i := range d.splits {
 		d.splits[i] = 1 / float64(n)
 	}
@@ -286,9 +287,10 @@ func (d *DatabaseC) Update(works, times []float64) {
 	if len(works) != n || len(times) != n {
 		panic("adaptive: database_c update arity mismatch")
 	}
-	rates := make([]float64, n)
+	rates := d.rates
 	var total float64
 	for i := range rates {
+		rates[i] = 0
 		if works[i] > 0 && times[i] > 0 && !math.IsNaN(works[i]) &&
 			!math.IsInf(works[i], 1) && !math.IsInf(times[i], 1) {
 			rates[i] = works[i] / times[i]

@@ -89,11 +89,14 @@ type Executor struct {
 	verify bool            // set, with sdc, by EnableVerify
 	sdc    *fault.Injector // nil: nothing ever strikes
 
-	// dr drives the run in progress and res manages its operand tiles in
-	// device memory, one slot per Plan.operandIndex; both live here so that a
-	// run allocates neither.
-	dr  deviceRun
-	res gpu.Residency
+	// plan is the task queue of the run in progress, re-planned in place by
+	// every Execute and ExecuteVirtual; dr drives the run and res manages its
+	// operand tiles in device memory, one slot per Plan.operandIndex. All
+	// three live here so that a run of an already-seen size allocates none
+	// of them.
+	plan Plan
+	dr   deviceRun
+	res  gpu.Residency
 
 	// taskSeq numbers every drained task across the executor's lifetime;
 	// it keys the SDC injector's per-task decision streams, so strikes
@@ -490,14 +493,14 @@ func (e *Executor) Execute(alpha float64, a, b *matrix.Dense, beta float64, c *m
 	if e.dev.Virtual() {
 		panic("pipeline: Execute needs a non-virtual device; use ExecuteVirtual")
 	}
-	p := NewPlan(c.Rows, c.Cols, a.Cols, e.opts.Tile, e.opts.Reuse)
-	return e.run(p, alpha, beta, a, b, c, earliest)
+	e.plan.reset(c.Rows, c.Cols, a.Cols, e.opts.Tile, e.opts.Reuse)
+	return e.run(&e.plan, alpha, beta, a, b, c, earliest)
 }
 
 // ExecuteVirtual books the timing of an m x n x k DGEMM (beta specifying
 // whether C must be transferred in) without real data, for the large-scale
 // simulations.
 func (e *Executor) ExecuteVirtual(m, n, k int, beta float64, earliest sim.Time) Report {
-	p := NewPlan(m, n, k, e.opts.Tile, e.opts.Reuse)
-	return e.run(p, 1, beta, nil, nil, nil, earliest)
+	e.plan.reset(m, n, k, e.opts.Tile, e.opts.Reuse)
+	return e.run(&e.plan, 1, beta, nil, nil, nil, earliest)
 }

@@ -8,6 +8,7 @@ package pipeline
 
 import (
 	"fmt"
+	"strconv"
 
 	"tianhe/internal/perfmodel"
 )
@@ -59,6 +60,12 @@ type Plan struct {
 	Tasks                      []*Task
 	// rows, cols and ks are the tile extents along M, N and K.
 	rows, cols, ks []int
+	// tasks and steps back Tasks and every task's Steps, and names holds
+	// "T<i>" by paper index; reset reuses all three, so an executor that
+	// re-plans into one Plan allocates only when a shape outgrows them.
+	tasks []Task
+	steps []Step
+	names []string
 }
 
 // ChooseTile picks the largest tile extent that both respects the 2D texture
@@ -79,20 +86,17 @@ func ChooseTile(textureLimit int, memBytes int64, blockRows int) int {
 }
 
 // tileSizes splits extent into ceil(extent/tile) pieces, all of size tile
-// except a possibly smaller last piece.
-func tileSizes(extent, tile int) []int {
-	if extent <= 0 {
-		return nil
-	}
+// except a possibly smaller last piece, reusing dst's storage.
+func tileSizes(dst []int, extent, tile int) []int {
 	n := (extent + tile - 1) / tile
-	out := make([]int, n)
-	for i := range out {
-		out[i] = tile
+	dst = append(dst[:0], make([]int, n)...)
+	for i := range dst {
+		dst[i] = tile
 	}
 	if r := extent % tile; r != 0 {
-		out[n-1] = r
+		dst[n-1] = r
 	}
-	return out
+	return dst
 }
 
 // NewPlan tiles an M x N x K DGEMM with the given tile extent and orders the
@@ -100,46 +104,68 @@ func tileSizes(extent, tile int) []int {
 // T0, T1, T3, T2); without it tasks run in row-major order, which re-loads
 // the B column band at every row transition.
 func NewPlan(m, n, k, tile int, bounce bool) *Plan {
+	p := new(Plan)
+	p.reset(m, n, k, tile, bounce)
+	return p
+}
+
+// reset re-plans p in place as NewPlan(m, n, k, tile, bounce) would build it.
+func (p *Plan) reset(m, n, k, tile int, bounce bool) {
 	if m <= 0 || n <= 0 || k <= 0 {
 		panic(fmt.Sprintf("pipeline: degenerate DGEMM %dx%dx%d", m, n, k))
 	}
 	if tile <= 0 {
 		tile = perfmodel.TextureLimit
 	}
-	rows := tileSizes(m, tile)
-	cols := tileSizes(n, tile)
-	ks := tileSizes(k, tile)
-	p := &Plan{
+	rows := tileSizes(p.rows, m, tile)
+	cols := tileSizes(p.cols, n, tile)
+	ks := tileSizes(p.ks, k, tile)
+	nTasks := len(rows) * len(cols)
+	for i := len(p.names); i < nTasks; i++ {
+		p.names = append(p.names, "T"+strconv.Itoa(i))
+	}
+	*p = Plan{
 		M: m, N: n, K: k, Tile: tile,
 		RowTiles: len(rows), ColTiles: len(cols), KTiles: len(ks),
-		rows: rows, cols: cols, ks: ks,
+		Tasks: p.Tasks[:0],
+		rows:  rows, cols: cols, ks: ks,
+		tasks: append(p.tasks[:0], make([]Task, nTasks)...),
+		steps: append(p.steps[:0], make([]Step, nTasks*len(ks))...),
+		names: p.names,
 	}
+	t := 0
 	for i := 0; i < len(rows); i++ {
 		jLo, jHi, jStep := 0, len(cols), 1
 		if bounce && i%2 == 1 {
 			jLo, jHi, jStep = len(cols)-1, -1, -1
 		}
 		for j := jLo; j != jHi; j += jStep {
-			task := &Task{
-				Name: fmt.Sprintf("T%d", taskPaperIndex(i, j, len(cols))),
+			// Each task's steps are its own window of the shared store,
+			// capped so an append to one cannot run into the next.
+			steps := p.steps[t*len(ks) : (t+1)*len(ks) : (t+1)*len(ks)]
+			task := &p.tasks[t]
+			*task = Task{
+				Name: p.names[taskPaperIndex(i, j, len(cols))],
 				I:    i, J: j,
 				M: rows[i], N: cols[j],
 				RowOff: i * tile, ColOff: j * tile,
+				Steps: steps,
 			}
 			// Serpentine over k as well: consecutive bounce-ordered tasks
 			// alternate i+j parity, so alternating the k direction makes the
 			// last tile one task touches the first tile the next one needs.
-			kLo, kHi, kStep := 0, len(ks), 1
+			kLo, kStep := 0, 1
 			if bounce && (i+j)%2 == 1 {
-				kLo, kHi, kStep = len(ks)-1, -1, -1
+				kLo, kStep = len(ks)-1, -1
 			}
-			for kk := kLo; kk != kHi; kk += kStep {
-				task.Steps = append(task.Steps, Step{KIdx: kk, K: ks[kk]})
+			for s := range steps {
+				kk := kLo + s*kStep
+				steps[s] = Step{KIdx: kk, K: ks[kk]}
 			}
 			p.Tasks = append(p.Tasks, task)
+			t++
 		}
 	}
-	return p
 }
 
 // taskPaperIndex names tasks the way the paper does: by row-major position

@@ -1,9 +1,12 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 
+	"tianhe/internal/matrix"
 	"tianhe/internal/perfmodel"
+	"tianhe/internal/sim"
 )
 
 func TestChooseTileFitsMemory(t *testing.T) {
@@ -31,14 +34,15 @@ func TestChooseTileSmallDevice(t *testing.T) {
 }
 
 func TestTileSizes(t *testing.T) {
-	s := tileSizes(10000, 4096)
+	s := tileSizes(nil, 10000, 4096)
 	if len(s) != 3 || s[0] != 4096 || s[1] != 4096 || s[2] != 1808 {
 		t.Fatalf("tileSizes = %v", s)
 	}
-	if got := tileSizes(4096, 4096); len(got) != 1 || got[0] != 4096 {
+	// Reusing the storage leaves no stale tail.
+	if got := tileSizes(s, 4096, 4096); len(got) != 1 || got[0] != 4096 || &got[0] != &s[0] {
 		t.Fatalf("exact division: %v", got)
 	}
-	if tileSizes(0, 4) != nil {
+	if tileSizes(nil, 0, 4) != nil {
 		t.Fatal("zero extent must produce no tiles")
 	}
 }
@@ -184,5 +188,63 @@ func TestPlanDegeneratePanics(t *testing.T) {
 func TestTileIDString(t *testing.T) {
 	if got := (TileID{Matrix: 'A', Row: 1, Col: 2}).String(); got != "A[1,2]" {
 		t.Fatalf("TileID string %q", got)
+	}
+}
+
+// samePlan fails unless got equals want field for field: the dimensions, the
+// tile extents, and every task with its name and steps.
+func samePlan(t *testing.T, got, want *Plan) {
+	t.Helper()
+	if got.M != want.M || got.N != want.N || got.K != want.K || got.Tile != want.Tile ||
+		got.RowTiles != want.RowTiles || got.ColTiles != want.ColTiles || got.KTiles != want.KTiles {
+		t.Fatalf("plan header %dx%dx%d tile %d (%dx%dx%d tiles), want %dx%dx%d tile %d (%dx%dx%d tiles)",
+			got.M, got.N, got.K, got.Tile, got.RowTiles, got.ColTiles, got.KTiles,
+			want.M, want.N, want.K, want.Tile, want.RowTiles, want.ColTiles, want.KTiles)
+	}
+	if !reflect.DeepEqual(got.rows, want.rows) || !reflect.DeepEqual(got.cols, want.cols) || !reflect.DeepEqual(got.ks, want.ks) {
+		t.Fatalf("tile extents %v %v %v, want %v %v %v", got.rows, got.cols, got.ks, want.rows, want.cols, want.ks)
+	}
+	if len(got.Tasks) != len(want.Tasks) {
+		t.Fatalf("%d tasks, want %d", len(got.Tasks), len(want.Tasks))
+	}
+	for i := range want.Tasks {
+		if !reflect.DeepEqual(*got.Tasks[i], *want.Tasks[i]) {
+			t.Fatalf("task %d = %+v, want %+v", i, *got.Tasks[i], *want.Tasks[i])
+		}
+	}
+}
+
+// TestExecutorReplansInPlace drives one executor per ordering through shapes
+// that grow and shrink (so a stale tail of the reused plan would show),
+// single- and multi-tile, with ragged last tiles, through both entry points;
+// after each run its plan must equal a fresh NewPlan of the same shape.
+func TestExecutorReplansInPlace(t *testing.T) {
+	shapes := []struct {
+		m, n, k int
+		real    bool
+	}{
+		{300, 500, 260, false}, // 3x4 tasks, ragged in every dimension
+		{640, 768, 512, false}, // grow: 5x6 tasks of whole tiles
+		{100, 100, 100, true},  // shrink to a single ragged tile
+		{129, 257, 385, false}, // last tiles one element wide
+		{1000, 260, 130, true}, // grow along M, shrink along N
+		{128, 128, 128, false}, // a single whole tile
+		{300, 500, 260, false}, // back to the first shape
+	}
+	for _, bounce := range []bool{true, false} {
+		dev := smallDevice()
+		e := NewExecutor(dev, Options{Reuse: bounce, OverlapInput: true, BlockedEO: true})
+		r := sim.NewRNG(5)
+		for _, s := range shapes {
+			if s.real {
+				a, b, c := matrix.NewDense(s.m, s.k), matrix.NewDense(s.k, s.n), matrix.NewDense(s.m, s.n)
+				a.FillRandom(r)
+				b.FillRandom(r)
+				e.Execute(1, a, b, 0, c, 0)
+			} else {
+				e.ExecuteVirtual(s.m, s.n, s.k, 1, 0)
+			}
+			samePlan(t, &e.plan, NewPlan(s.m, s.n, s.k, e.opts.Tile, bounce))
+		}
 	}
 }

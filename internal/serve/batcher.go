@@ -117,6 +117,9 @@ type Batcher struct {
 	policies map[batchKey]*policy
 	nextID   uint64
 	nextSeq  uint64
+	// free holds retired batches for reuse, their jobs slices emptied but
+	// keeping their capacity.
+	free []*batch
 }
 
 // newBatcher builds a batcher with the given occupancy/row caps and window
@@ -149,7 +152,7 @@ func (ba *Batcher) observeArrival(p *policy, t sim.Time) {
 		if p.ewmaArrive == 0 {
 			p.ewmaArrive = inst
 		} else {
-			p.ewmaArrive += batcherAlpha * (inst - p.ewmaArrive)
+			p.ewmaArrive += float64(batcherAlpha * (inst - p.ewmaArrive))
 		}
 	}
 	p.lastArrive = t
@@ -169,7 +172,7 @@ func (ba *Batcher) observeService(key batchKey, service sim.Time) {
 		p.ewmaService = service
 		p.served = true
 	} else {
-		p.ewmaService += batcherAlpha * (service - p.ewmaService)
+		p.ewmaService += float64(batcherAlpha * (service - p.ewmaService))
 	}
 	ba.retune(p)
 }
@@ -180,7 +183,7 @@ func (ba *Batcher) retune(p *policy) {
 	if p.ewmaArrive <= 0 || p.ewmaService <= 0 {
 		return
 	}
-	target := int(p.ewmaArrive*p.ewmaService + 0.999)
+	target := int(float64(p.ewmaArrive*p.ewmaService) + 0.999)
 	if target < 1 {
 		target = 1
 	}
@@ -227,7 +230,14 @@ func (ba *Batcher) add(job Job, now sim.Time) (sealed [2]*batch, timer sealTimer
 	if b == nil {
 		ba.nextID++
 		ba.nextSeq++
-		b = &batch{id: ba.nextID, key: key, opened: now, seq: ba.nextSeq}
+		if n := len(ba.free); n > 0 {
+			b, ba.free = ba.free[n-1], ba.free[:n-1]
+		} else {
+			b = new(batch)
+		}
+		// A fresh seq per use: a seal timer armed for the batch's previous
+		// life still misses.
+		*b = batch{id: ba.nextID, key: key, jobs: b.jobs, opened: now, seq: ba.nextSeq}
 		ba.open[key] = b
 		timer, armed = sealTimer{key: key, seq: b.seq, at: now + pol.window}, true
 	}
@@ -239,6 +249,14 @@ func (ba *Batcher) add(job Job, now sim.Time) (sealed [2]*batch, timer sealTimer
 		armed = false
 	}
 	return sealed, timer, armed
+}
+
+// recycle takes back a retired batch, which nothing references any more,
+// for a later add to reuse.
+func (ba *Batcher) recycle(b *batch) {
+	clear(b.jobs)
+	b.jobs = b.jobs[:0]
+	ba.free = append(ba.free, b)
 }
 
 // sealIf closes the open batch identified by (key, seq) if it is still

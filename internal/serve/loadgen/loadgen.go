@@ -197,34 +197,66 @@ func Summarize(s *serve.Server, arrivals int) Report {
 		latencies = append(latencies, r.Latency())
 		ta.lat = append(ta.lat, r.Latency())
 	}
-	// Each slice is the summary's own, so it is sorted in place, once, and
-	// both quantiles read from it.
-	sort.Float64s(latencies)
-	rep.P50 = sortedQuantile(latencies, 0.50)
-	rep.P99 = sortedQuantile(latencies, 0.99)
+	// Each slice is the summary's own, so the quantiles are selected in
+	// place; selecting reorders a slice but keeps its multiset.
+	rep.P50 = selectQuantile(latencies, 0.50)
+	rep.P99 = selectQuantile(latencies, 0.99)
 	sort.Strings(order)
 	for _, name := range order {
 		ta := perTenant[name]
-		sort.Float64s(ta.lat)
-		ta.P50Latency = sortedQuantile(ta.lat, 0.50)
-		ta.P99Latency = sortedQuantile(ta.lat, 0.99)
+		ta.P50Latency = selectQuantile(ta.lat, 0.50)
+		ta.P99Latency = selectQuantile(ta.lat, 0.99)
 		rep.Tenants = append(rep.Tenants, ta.TenantStats)
 	}
 	return rep
 }
 
-// sortedQuantile returns the q order statistic (nearest rank) of an
-// ascending slice; 0 when empty.
-func sortedQuantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
+// selectQuantile returns the q order statistic (nearest rank: the element a
+// sort would put at index int(q*(len-1))) of xs; 0 when empty. It reorders
+// xs in place: a quickselect partitions around median-of-three pivots until
+// the rank's slot holds that element, in expected linear time.
+func selectQuantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
 		return 0
 	}
-	idx := int(q * float64(len(sorted)-1))
-	if idx < 0 {
-		idx = 0
+	k := min(max(int(q*float64(len(xs)-1)), 0), len(xs)-1)
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		// Hoare partition: afterwards xs[lo:j+1] <= pivot, xs[i:hi+1] >=
+		// pivot, and everything strictly between j and i equals it.
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return xs[k]
 }

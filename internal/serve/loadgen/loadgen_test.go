@@ -1,11 +1,13 @@
 package loadgen
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
 
 	"tianhe/internal/serve"
+	"tianhe/internal/sim"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -93,14 +95,46 @@ func TestReplayThousandClients(t *testing.T) {
 }
 
 func TestExactQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if q := sortedQuantile(xs, 0.5); q != 3 {
+	xs := []float64{5, 1, 4, 2, 3}
+	if q := selectQuantile(xs, 0.5); q != 3 {
 		t.Fatalf("p50 = %g", q)
 	}
-	if q := sortedQuantile(xs, 1); q != 5 {
+	if q := selectQuantile(xs, 1); q != 5 {
 		t.Fatalf("p100 = %g", q)
 	}
-	if q := sortedQuantile(nil, 0.5); q != 0 {
+	if q := selectQuantile(nil, 0.5); q != 0 {
 		t.Fatalf("empty quantile = %g", q)
+	}
+	// Selection must return exactly the element a sort puts at the rank, on
+	// inputs with heavy ties (batch mates share a completion time), sorted,
+	// reversed and constant runs, and keep the multiset.
+	rng := sim.NewRNG(11)
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(300)
+		xs := make([]float64, n)
+		for i := range xs {
+			switch trial % 4 {
+			case 0:
+				xs[i] = float64(rng.Intn(8)) * 1e-3
+			case 1:
+				xs[i] = float64(i)
+			case 2:
+				xs[i] = float64(n - i)
+			default:
+				xs[i] = rng.Float64()
+			}
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		for _, q := range []float64{0, 0.5, 0.99, 1} {
+			got := selectQuantile(xs, q)
+			if want := sorted[int(q*float64(n-1))]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d n=%d q=%g: got %g, want %g", trial, n, q, got, want)
+			}
+		}
+		sort.Float64s(xs)
+		if !reflect.DeepEqual(xs, sorted) {
+			t.Fatalf("trial %d: selection changed the multiset", trial)
+		}
 	}
 }

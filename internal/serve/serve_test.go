@@ -213,11 +213,29 @@ func TestBatcherSealTimer(t *testing.T) {
 	if sealed[0] != nil || !armed {
 		t.Fatalf("first add: sealed=%v armed=%v", sealed, armed)
 	}
-	if b := ba.sealIf(timer.key, timer.seq); b == nil || len(b.jobs) != 1 {
+	b := ba.sealIf(timer.key, timer.seq)
+	if b == nil || len(b.jobs) != 1 {
 		t.Fatalf("sealIf missed the open batch")
 	}
 	if b := ba.sealIf(timer.key, timer.seq); b != nil {
 		t.Fatalf("stale sealIf re-sealed")
+	}
+	// A retired batch is reused for the next one under a fresh id and seq,
+	// holding only its new job: the old batch's timer still misses.
+	oldID := b.id
+	ba.recycle(b)
+	succ := job
+	succ.M = 11
+	_, next, armed := ba.add(succ, 2e-4)
+	if !armed || ba.open[next.key] != b || b.id == oldID || len(b.jobs) != 1 || b.jobs[0].M != 11 || b.rows != 11 {
+		t.Fatalf("recycled batch: reused=%v armed=%v id %d (was %d) jobs=%v rows=%d",
+			ba.open[next.key] == b, armed, b.id, oldID, b.jobs, b.rows)
+	}
+	if got := ba.sealIf(timer.key, timer.seq); got != nil {
+		t.Fatalf("the retired batch's timer sealed its successor")
+	}
+	if got := ba.sealIf(next.key, next.seq); got != b {
+		t.Fatalf("the successor's own timer missed it")
 	}
 }
 

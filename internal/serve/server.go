@@ -513,7 +513,7 @@ func (s *Server) execute(b *batch, w *worker) {
 }
 
 // complete retires a batch: service-rate feedback to the batcher, results
-// out, worker back into the pool.
+// out, the batch back to the batcher for reuse, worker back into the pool.
 func (s *Server) complete(b *batch, w *worker) {
 	now := s.eng.Now()
 	s.ba.observeService(b.key, now-b.start)
@@ -546,6 +546,7 @@ func (s *Server) complete(b *batch, w *worker) {
 	}
 	w.busy = false
 	w.inflight = nil
+	s.ba.recycle(b)
 	s.pump()
 }
 
