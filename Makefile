@@ -3,7 +3,7 @@
 # suite, and runs the full test suite (under the race detector where the
 # toolchain has cgo).
 
-.PHONY: check build test vet lint fuzz bench graphgolden paperbench parbench
+.PHONY: check build test vet lint fuzz bench paperbench parbench
 
 check:
 	./scripts/check.sh
@@ -23,17 +23,6 @@ lint:
 
 test:
 	go test ./...
-
-# graphgolden regenerates the canonical dataflow schedules (graph-LU with
-# look-ahead 1 and the 3-D stencil sweep) and diffs them against the
-# committed goldens in cmd/graphtrace/testdata — any placement, ordering,
-# or booked-time drift in the taskgraph scheduler fails the diff. Regenerate
-# deliberately with `go test ./cmd/graphtrace -update`.
-graphgolden:
-	go run ./cmd/graphtrace -workload lu -golden | diff cmd/graphtrace/testdata/lu.golden -
-	go run ./cmd/graphtrace -workload lu -golden -hybrid | diff cmd/graphtrace/testdata/lu-hybrid.golden -
-	go run ./cmd/graphtrace -workload stencil -golden | diff cmd/graphtrace/testdata/stencil.golden -
-	go run ./cmd/graphtrace -workload stencil -golden -hybrid | diff cmd/graphtrace/testdata/stencil-hybrid.golden -
 
 # paperbench regenerates the ledger of every virtual number the repository
 # commits (Figs 8-13, the power accounting, the ablations, the ABFT overhead

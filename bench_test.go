@@ -1,10 +1,9 @@
 package tianhe_test
 
-// The benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, plus micro-benchmarks of the real compute kernels.
-// The figure benchmarks report the simulation's virtual performance numbers
-// as custom metrics (vGFLOPS / vTFLOPS) alongside the usual wall-clock cost
-// of regenerating them.
+// Micro-benchmarks of the real compute kernels and the bookkeeping under the
+// paper's figures: wall-clock cost only. The figures' virtual numbers are
+// rows of BENCH_paper.json, written by cmd/figures and pinned by
+// TestPaperLedger; Table I is pinned by pipeline.TestTableISchedule.
 
 import (
 	"testing"
@@ -20,130 +19,6 @@ import (
 	"tianhe/internal/sim"
 	"tianhe/internal/taskgraph"
 )
-
-// BenchmarkFig8DGEMM regenerates Figure 8: hybrid DGEMM performance by
-// matrix size for the five configurations. The reported vGFLOPS metric is
-// the virtual rate at N = 12288.
-func BenchmarkFig8DGEMM(b *testing.B) {
-	for _, v := range tianhe.Variants {
-		b.Run(v.String(), func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				cfg := tianhe.ElementConfig{Seed: experiments.DefaultSeed, Virtual: true}
-				if v == tianhe.CPUOnly {
-					cfg.CPUCores = 4
-				}
-				el := tianhe.NewElement(cfg)
-				run := tianhe.NewRunnerWithCapacity(el, v, 2.0*12288*12288*12288)
-				for j := 0; j < 3; j++ {
-					last = run.GemmVirtual(12288, 12288, 12288, 1, el.Now()).GFLOPS()
-				}
-			}
-			b.ReportMetric(last, "vGFLOPS")
-		})
-	}
-}
-
-// BenchmarkFig9Linpack regenerates Figure 9: single-element Linpack at the
-// paper's headline size N = 46080 for each configuration.
-func BenchmarkFig9Linpack(b *testing.B) {
-	for _, v := range tianhe.Variants {
-		b.Run(v.String(), func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				res := tianhe.SimulateLinpack(tianhe.SimulateConfig{
-					N: 46080, Variant: v, Seed: experiments.DefaultSeed,
-					PageableLibrary: v == tianhe.ACMLG,
-				})
-				last = res.GFLOPS
-			}
-			b.ReportMetric(last, "vGFLOPS")
-		})
-	}
-}
-
-// BenchmarkFig10SplitAdaptation regenerates Figure 10: the database_g
-// snapshot after an adaptive Linpack run. The metric is the number of
-// workload buckets the run adapted.
-func BenchmarkFig10SplitAdaptation(b *testing.B) {
-	var touched int
-	for i := 0; i < b.N; i++ {
-		entries, _ := experiments.Fig10Instrumented(experiments.DefaultSeed, 46080, nil)
-		touched = 0
-		for _, e := range entries {
-			if e.Touched {
-				touched++
-			}
-		}
-	}
-	b.ReportMetric(float64(touched), "buckets")
-}
-
-// BenchmarkFig11CabinetPolicies regenerates Figure 11: adaptive versus
-// Qilin-trained mapping at 64 processes in one cabinet. The metric is each
-// policy's virtual GFLOPS.
-func BenchmarkFig11CabinetPolicies(b *testing.B) {
-	for _, pol := range []string{"adaptive", "qilin-trained"} {
-		b.Run(pol, func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				ours, qilin := experiments.Fig11(experiments.DefaultSeed, []int{64}, 1)
-				if pol == "adaptive" {
-					last, _ = ours.Y(64)
-				} else {
-					last, _ = qilin.Y(64)
-				}
-			}
-			b.ReportMetric(last, "vGFLOPS")
-		})
-	}
-}
-
-// BenchmarkFig12CabinetScaling regenerates Figure 12's endpoints: one
-// cabinet and the full 80-cabinet machine, reporting virtual TFLOPS.
-func BenchmarkFig12CabinetScaling(b *testing.B) {
-	for _, cab := range []int{1, 80} {
-		name := "1-cabinet"
-		if cab == 80 {
-			name = "80-cabinets"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				s, _ := experiments.Fig12(experiments.DefaultSeed, []int{cab}, 1)
-				last, _ = s.Y(float64(cab))
-			}
-			b.ReportMetric(last, "vTFLOPS")
-		})
-	}
-}
-
-// BenchmarkFig13FullMachineProgress regenerates Figure 13: the cumulative
-// performance curve of the full-machine run, Fig. 12's 80-cabinet point. The
-// metric is the final cumulative vTFLOPS (the paper's 563.1).
-func BenchmarkFig13FullMachineProgress(b *testing.B) {
-	var last float64
-	for i := 0; i < b.N; i++ {
-		_, pts := experiments.Fig12(experiments.DefaultSeed, []int{80}, 1)
-		last = pts[len(pts)-1].CumTFLOPS
-	}
-	b.ReportMetric(last, "vTFLOPS")
-}
-
-// BenchmarkTableISchedule regenerates Table I: the CT/NT pipeline schedule
-// for the four bounce-ordered tasks.
-func BenchmarkTableISchedule(b *testing.B) {
-	var out string
-	for i := 0; i < b.N; i++ {
-		p := pipeline.NewPlan(2*4096, 2*4096, 4096, 4096, true)
-		out = pipeline.FormatSchedule(pipeline.Schedule(pipeline.BounceOrderNames(p)))
-	}
-	if len(out) == 0 {
-		b.Fatal("empty schedule")
-	}
-}
-
-// --- Micro-benchmarks of the real kernels underneath the figures ---
 
 func benchmarkDgemm(b *testing.B, m, n, k int, alpha, beta float64, workers int) {
 	r := sim.NewRNG(1)

@@ -15,7 +15,7 @@ var update = flag.Bool("update", false, "rewrite the testdata goldens from the c
 
 // The -golden task tables are the CI contract for the dataflow scheduler:
 // any drift in placement, ordering, or booked times against the committed
-// schedules is a diff, caught here and by `make graphgolden`.
+// schedules is a diff, caught here under `make check`.
 func TestGoldenSchedules(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

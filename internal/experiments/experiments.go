@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (Section VI). Each Fig* function returns the data
 // series the corresponding figure plots; Ledger turns one run of all of
-// them into the paper-fidelity ledger cmd/figures writes, and the root bench
-// suite runs them under testing.B. All runs are deterministic in their seed.
+// them into the paper-fidelity ledger cmd/figures writes. All runs are
+// deterministic in their seed.
 package experiments
 
 import (

@@ -52,31 +52,36 @@ const (
 	deviation3 = "known deviation 3: conservative communication/overhead calibration at scale"
 )
 
+// perfmodelInput is the reason of a row that restates a perfmodel constant
+// set to the paper's value: it cannot deviate, so it carries no band.
+const perfmodelInput = "perfmodel input: the constant is set to the paper's value"
+
 // paperRows is the paper's side of the ledger, and the one place a band is
 // declared: the paper's value, the accepted band, and why a known deviation
-// misses. A bool row with Paper true is a claim that must hold. Every ID
-// names a row Ledger measures.
+// misses. A bool row with Paper true is a claim that must hold; a numeric
+// Paper carries a Band, a Reason, or both. Every ID names a row Ledger
+// measures.
 var paperRows = []Row{
 	{ID: "fig8.gain.adaptive", Paper: 0.1464, Band: band(0.10, 0.22), Reason: deviation1},
 	{ID: "fig8.gain.pipe_above_8192", Paper: 0.0761, Band: band(0.04, 0.15)},
 	{ID: "fig8.gain.both_above_8192", Paper: 0.2219, Band: band(0.15, 0.32)},
 	{ID: "fig8.pipe_gain_grows_above_8192", Paper: true},
 	{ID: "fig8.ordered_every_n", Paper: true},
-	{ID: "fig9.cpu.n46080", Paper: 35.8},
-	{ID: "fig9.acmlg.n46080", Paper: 59.2},
-	{ID: "fig9.acmlg.peak_fraction", Paper: 0.211},
+	{ID: "fig9.cpu.n46080", Paper: 35.8, Band: band(32, 40)},
+	{ID: "fig9.acmlg.n46080", Paper: 59.2, Band: band(53, 65)},
+	{ID: "fig9.acmlg.peak_fraction", Paper: 0.211, Band: band(0.19, 0.23)},
 	{ID: "fig9.both.n46080", Paper: 196.7, Band: band(180, 215)},
 	{ID: "fig9.both.over_acmlg", Paper: 3.3, Band: band(2.8, 4.2)},
 	{ID: "fig9.both.over_cpu", Paper: 5.49, Band: band(4.5, 6.5)},
 	{ID: "fig9.both.peak_fraction", Paper: 0.701, Band: band(0.62, 0.80)},
-	{ID: "fig10.initial", Paper: 0.889},
+	{ID: "fig10.initial", Paper: 0.889, Band: band(0.80, 0.98)},
 	{ID: "fig10.small_deviates_more", Paper: true},
 	{ID: "fig11.advantage.p64", Paper: 0.1556, Band: band(0.08, 0.25)},
 	{ID: "fig11.advantage_grows", Paper: true},
-	{ID: "fig11.training_hours", Paper: 2.0},
-	{ID: "fig11.cabinet_kw", Paper: 18.5},
-	{ID: "fig11.training_kwh.c1", Paper: 37.0},
-	{ID: "fig11.training_kwh.c80", Paper: 2960.0},
+	{ID: "fig11.training_hours", Paper: 2.0, Reason: perfmodelInput},
+	{ID: "fig11.cabinet_kw", Paper: 18.5, Reason: perfmodelInput},
+	{ID: "fig11.training_kwh.c1", Paper: 37.0, Reason: perfmodelInput},
+	{ID: "fig11.training_kwh.c80", Paper: 2960.0, Reason: perfmodelInput},
 	{ID: "fig12.tflops.c1", Paper: 8.02, Band: band(7, 9)},
 	{ID: "fig12.tflops.c80", Paper: 563.1, Band: band(480, 620), Reason: deviation3},
 	{ID: "fig12.efficiency", Paper: 0.8776, Band: band(0.78, 0.95), Reason: deviation3},

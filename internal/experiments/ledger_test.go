@@ -33,8 +33,9 @@ func ledgerBytes(t *testing.T, seed uint64, par int, rows []Row) []byte {
 	return buf.Bytes()
 }
 
-// TestPaperLedger holds every paper claim to its band or bool, and every
-// row, banded or not, to the committed BENCH_paper.json byte for byte.
+// TestPaperLedger holds every paper claim to its bool, every banded row to
+// its band, every numeric paper value to a band or a reason, and every row
+// to the committed BENCH_paper.json byte for byte.
 func TestPaperLedger(t *testing.T) {
 	t.Parallel()
 	rows := paperLedger(t)
@@ -46,6 +47,9 @@ func TestPaperLedger(t *testing.T) {
 		seen[r.ID] = true
 		if claim, ok := r.Paper.(bool); ok && r.Measured != claim {
 			t.Errorf("%s: %q is %v, the paper says %v", r.ID, r.Quantity, r.Measured, claim)
+		}
+		if rowKind(r) == "paper" && r.Band == nil && r.Reason == "" {
+			t.Errorf("%s: the paper's %v has neither a band nor a reason", r.ID, r.Paper)
 		}
 		if b := r.Band; b != nil {
 			m := r.Measured.(float64)
