@@ -12,17 +12,45 @@ import (
 	"tianhe/internal/telemetry"
 )
 
+// buildPipetrace builds the command into a test temporary directory and
+// returns the binary's path.
+func buildPipetrace(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "pipetrace")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building pipetrace: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestGanttGolden holds the -gantt stdout for the Table I shape byte for
+// byte: the task queue, Table I, both resource charts with their
+// utilisation lines and the end-to-end summary. The golden was recorded
+// before the charts were read from the tracer instead of from spans the
+// timelines kept; regenerate it only with a deliberate schedule or renderer
+// change, by redirecting the command's stdout into the file.
+func TestGanttGolden(t *testing.T) {
+	out, err := exec.Command(buildPipetrace(t),
+		"-m", "8192", "-n", "8192", "-k", "4096", "-tile", "4096", "-gantt").Output()
+	if err != nil {
+		t.Fatalf("running pipetrace: %v", err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "tablei_gantt.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, want) {
+		t.Errorf("-gantt output drifted from testdata/tablei_gantt.golden:\n%s", out)
+	}
+}
+
 // TestTraceExportRoundTrips builds the command, runs it with -trace on the
 // 2x2 task split of Fig. 5, and decodes the JSON back: the file must parse as
 // a Chrome trace-event export and contain the CT/NT state spans of Table I
 // for the bounce-ordered tasks T0, T1, T3, T2.
 func TestTraceExportRoundTrips(t *testing.T) {
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "pipetrace")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building pipetrace: %v\n%s", err, out)
-	}
-	tracePath := filepath.Join(dir, "tablei.json")
+	bin := buildPipetrace(t)
+	tracePath := filepath.Join(t.TempDir(), "tablei.json")
 	cmd := exec.Command(bin,
 		"-m", "8192", "-n", "8192", "-k", "4096", "-tile", "4096",
 		"-trace", tracePath)
@@ -101,11 +129,7 @@ func TestBadShapeExitsOne(t *testing.T) {
 		}
 	}
 
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "pipetrace")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building pipetrace: %v\n%s", err, out)
-	}
+	bin := buildPipetrace(t)
 	for _, args := range [][]string{{"-m", "0"}, {"-tile", "12000", "-gantt"}} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, args...)
