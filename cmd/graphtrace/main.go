@@ -1,7 +1,8 @@
 // Command graphtrace schedules a workload's task graph on a virtual element
-// and prints the resulting schedule: a per-device ASCII Gantt chart, an
-// optional Chrome trace-event JSON export (-trace out.json, loadable in
-// Perfetto), and a canonical task table (-golden) whose byte form is the CI
+// and prints the resulting schedule: a per-resource ASCII Gantt chart drawn
+// from the telemetry tracer, with each resource's busy share; an optional
+// Chrome trace-event JSON export (-trace out.json, loadable in Perfetto);
+// and a canonical task table (-golden) whose byte form is the CI
 // golden for the dataflow scheduler — any placement or ordering drift shows
 // up as a diff. Workloads: the graph-expressed LU factorization (-workload
 // lu, virtual topology at any size) and the 3-D Jacobi stencil sweep
@@ -16,14 +17,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strings"
 
 	"tianhe/internal/element"
 	"tianhe/internal/hpl"
 	"tianhe/internal/stencil"
 	"tianhe/internal/taskgraph"
 	"tianhe/internal/telemetry"
+	"tianhe/internal/trace"
 )
 
 func main() {
@@ -58,14 +58,13 @@ func run(w io.Writer, args []string) error {
 		return err
 	}
 
+	// The chart is drawn from the tracer, so chart mode always records one.
 	var tel *telemetry.Telemetry
-	if *tracePath != "" {
+	if *tracePath != "" || !*golden {
 		tel = telemetry.New()
 	}
 	el := element.New(element.Config{Seed: *seed, Virtual: true})
-	if tel.Enabled() {
-		el.Instrument(tel, *workload)
-	}
+	el.Instrument(tel, *workload)
 	opts := taskgraph.Options{Telemetry: tel}
 
 	var rep taskgraph.Report
@@ -112,7 +111,12 @@ func run(w io.Writer, args []string) error {
 	} else {
 		writeSummary(w, title, rep)
 		fmt.Fprintln(w)
-		writeGantt(w, rep, *width)
+		var tracks []string
+		for _, tl := range el.Timelines() {
+			tracks = append(tracks, *workload+"/"+tl.Name())
+		}
+		fmt.Fprint(w, trace.Gantt{Width: *width}.RenderEvents(tracks, tel.Trace.Events()))
+		fmt.Fprint(w, trace.Utilization(el.Timelines()...))
 	}
 
 	if *tracePath != "" {
@@ -151,48 +155,4 @@ func writeSummary(w io.Writer, title string, rep taskgraph.Report) {
 	fmt.Fprintf(w, "  rate     %.1f GFLOPS\n", rep.GFLOPS())
 	fmt.Fprintf(w, "  traffic  %d B in, %d B out, %d B served from residency\n",
 		rep.BytesIn, rep.BytesOut, rep.BytesSkipped)
-}
-
-// writeGantt renders one lane per device, tasks as bars over scaled virtual
-// time. Overlapping bars on one lane merge; the lane's busy fraction follows.
-func writeGantt(w io.Writer, rep taskgraph.Report, width int) {
-	if len(rep.TaskSpans) == 0 || rep.Seconds() <= 0 {
-		fmt.Fprintln(w, "(empty schedule)")
-		return
-	}
-	if width < 20 {
-		width = 20
-	}
-	lanes := map[string][]taskgraph.TaskSpan{}
-	for _, ts := range rep.TaskSpans {
-		lanes[ts.Device] = append(lanes[ts.Device], ts)
-	}
-	names := make([]string, 0, len(lanes))
-	for d := range lanes {
-		names = append(names, d)
-	}
-	sort.Strings(names)
-	t0, t1 := float64(rep.Start), float64(rep.End)
-	scale := float64(width) / (t1 - t0)
-	fmt.Fprintf(w, "%-6s |%s| busy\n", "device", strings.Repeat("-", width))
-	for _, d := range names {
-		row := make([]byte, width)
-		for i := range row {
-			row[i] = ' '
-		}
-		busy := 0.0
-		for _, ts := range lanes[d] {
-			busy += float64(ts.End - ts.Start)
-			lo := int((float64(ts.Start) - t0) * scale)
-			hi := int((float64(ts.End) - t0) * scale)
-			if hi >= width {
-				hi = width - 1
-			}
-			for i := lo; i <= hi; i++ {
-				row[i] = '#'
-			}
-		}
-		fmt.Fprintf(w, "%-6s |%s| %4.0f%%\n", d, row, 100*busy/(t1-t0))
-	}
-	fmt.Fprintf(w, "%-6s 0%ss=%.4f\n", "", strings.Repeat(" ", width-len(fmt.Sprintf("s=%.4f", t1-t0))), t1-t0)
 }

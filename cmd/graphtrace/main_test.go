@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,18 +60,40 @@ func clip(s string) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestGanttRenders checks the human-facing mode: one lane per device, busy
-// percentages, and a makespan footer.
+// TestGanttRenders checks the human-facing mode: one chart lane per element
+// resource, each resource's busy share, and the makespan those shares are
+// taken over, equal to the summary's.
 func TestGanttRenders(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, []string{"-workload", "lu", "-n", "1024", "-nb", "256"}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"graphtrace lu n=1024", "device", "gpu", "cpu0", "busy"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Gantt output missing %q:\n%s", want, out)
+	if !strings.Contains(out, "graphtrace lu n=1024") {
+		t.Errorf("summary title missing:\n%s", out)
+	}
+	var makespan float64
+	var lanes []string
+	for _, line := range strings.Split(out, "\n") {
+		fmt.Sscanf(line, "  makespan %f s virtual", &makespan)
+		if name, bar, ok := strings.Cut(strings.TrimSpace(line), " |"); ok && name != "time" && strings.TrimSpace(bar) != "|" {
+			lanes = append(lanes, name)
 		}
+	}
+	resources := []string{"gpu.queue", "gpu.dma", "cpu.core0", "cpu.core1", "cpu.core2"}
+	if want := []string{"lu/gpu.queue", "lu/gpu.dma", "lu/cpu.core0", "lu/cpu.core1", "lu/cpu.core2"}; !slices.Equal(lanes, want) {
+		t.Errorf("chart lanes with bookings %v, want %v:\n%s", lanes, want, out)
+	}
+	if makespan <= 0 {
+		t.Fatalf("no makespan in the summary:\n%s", out)
+	}
+	for _, r := range resources {
+		if want := fmt.Sprintf("%-12s busy ", r); !strings.Contains(out, want) {
+			t.Errorf("busy share of %s missing:\n%s", r, out)
+		}
+	}
+	if want := fmt.Sprintf(" s of %8.4f s  (", makespan); strings.Count(out, want) != len(resources) {
+		t.Errorf("busy shares not all taken over the %.6f s makespan:\n%s", makespan, out)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"tianhe/internal/gpu"
 	"tianhe/internal/perfmodel"
@@ -36,7 +37,7 @@ func main() {
 	}
 
 	var tel *telemetry.Telemetry
-	if *tracePath != "" || *metrics {
+	if *tracePath != "" || *metrics || *gantt {
 		tel = telemetry.New()
 	}
 
@@ -53,7 +54,7 @@ func main() {
 	fmt.Print(pipeline.FormatSchedule(rows))
 	pipeline.TraceSchedule(tel.Tracer(), rows)
 
-	if *gantt || tel.Enabled() {
+	if tel.Enabled() {
 		runTraces(*m, *n, *k, *tile, *gantt, tel, sweep.Workers(*par))
 	}
 
@@ -96,24 +97,24 @@ func checkShape(m, n, k, tile int) error {
 
 // runTraces executes the baseline and the full Section V pipeline on virtual
 // devices, streaming bookings into the telemetry tracer and printing the
-// ASCII charts when asked. The two executions are independent simulated
-// devices; they run on par workers, and the charts print afterwards in the
-// baseline-then-pipelined order of the serial tool.
+// ASCII charts, drawn from that tracer, when asked. The two executions are
+// independent simulated devices; they run on par workers, and the charts
+// print afterwards in the baseline-then-pipelined order of the serial tool.
 func runTraces(m, n, k, tile int, gantt bool, tel *telemetry.Telemetry, par int) {
 	type side struct {
 		dev *gpu.Device
 		rep pipeline.Report
 	}
+	prefixes := []string{"baseline/", "pipelined/"}
 	sides := sweep.MapTel(context.Background(), par, tel, []bool{false, true},
-		func(_ int, pipelined bool, tel *telemetry.Telemetry) side {
+		func(i int, pipelined bool, tel *telemetry.Telemetry) side {
 			dev := gpu.New(gpu.Config{Virtual: true})
+			telemetry.AttachTimelines(tel, "resource", prefixes[i], dev.DMA, dev.Queue)
 			if !pipelined {
-				telemetry.AttachTimelines(tel, "resource", "baseline/", dev.DMA, dev.Queue)
 				rep := pipeline.NewExecutor(dev, pipeline.Options{Tile: tile, BlockRows: 2048}).
 					ExecuteVirtual(m, n, k, 1, 0)
 				return side{dev: dev, rep: rep}
 			}
-			telemetry.AttachTimelines(tel, "resource", "pipelined/", dev.DMA, dev.Queue)
 			exec := pipeline.NewExecutor(dev, pipeline.Options{
 				Reuse: true, OverlapInput: true, BlockedEO: true, Tile: tile, BlockRows: 2048,
 				Telemetry: tel,
@@ -123,18 +124,30 @@ func runTraces(m, n, k, tile int, gantt bool, tel *telemetry.Telemetry, par int)
 	if !gantt {
 		return
 	}
-	base, piped := sides[0], sides[1]
-	fmt.Println()
-	fmt.Println("Virtual-time resource schedule, baseline (no pipelining):")
-	fmt.Print(trace.Gantt{Width: 88}.Render(base.dev.DMA, base.dev.Queue))
-	fmt.Print(trace.Utilization(base.dev.DMA, base.dev.Queue))
-
-	fmt.Println()
-	fmt.Println("Virtual-time resource schedule, full Section V pipeline:")
-	fmt.Print(trace.Gantt{Width: 88}.Render(piped.dev.DMA, piped.dev.Queue))
-	fmt.Print(trace.Utilization(piped.dev.DMA, piped.dev.Queue))
-	rep := piped.rep
+	events := tel.Tracer().Events()
+	for i, title := range []string{"baseline (no pipelining)", "full Section V pipeline"} {
+		dev := sides[i].dev
+		fmt.Println()
+		fmt.Printf("Virtual-time resource schedule, %s:\n", title)
+		fmt.Print(trace.Gantt{Width: 88}.RenderEvents([]string{dev.DMA.Name(), dev.Queue.Name()},
+			bareTracks(events, prefixes[i])))
+		fmt.Print(trace.Utilization(dev.DMA, dev.Queue))
+	}
+	rep := sides[1].rep
 	fmt.Printf("\nend-to-end: %.3f s, %.1f GFLOPS (virtual), %.2f GB in, %.2f GB out, %.2f GB reused\n",
 		rep.Seconds(), rep.GFLOPS(),
 		float64(rep.BytesIn)/1e9, float64(rep.BytesOut)/1e9, float64(rep.BytesSkipped)/1e9)
+}
+
+// bareTracks returns the events recorded under prefix, renamed to the bare
+// timeline names the charts label their lanes with.
+func bareTracks(events []telemetry.Event, prefix string) []telemetry.Event {
+	var out []telemetry.Event
+	for _, e := range events {
+		if name, ok := strings.CutPrefix(e.Track, prefix); ok {
+			e.Track = name
+			out = append(out, e)
+		}
+	}
+	return out
 }

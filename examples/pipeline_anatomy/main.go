@@ -11,6 +11,7 @@ import (
 
 	"tianhe/internal/gpu"
 	"tianhe/internal/pipeline"
+	"tianhe/internal/telemetry"
 	"tianhe/internal/trace"
 )
 
@@ -28,13 +29,15 @@ func main() {
 	var baseline float64
 	for i, cfg := range configs {
 		dev := gpu.New(gpu.Config{Virtual: true})
+		tel := telemetry.New()
+		telemetry.AttachTimelines(tel, "resource", "", dev.DMA, dev.Queue)
 		exec := pipeline.NewExecutor(dev, cfg.opts)
 		rep := exec.ExecuteVirtual(m, n, k, 1, 0)
 		if i == 0 {
 			baseline = rep.Seconds()
 		}
 		fmt.Printf("%s\n", cfg.name)
-		fmt.Print(trace.Gantt{Width: 84}.Render(dev.DMA, dev.Queue))
+		fmt.Print(trace.Gantt{Width: 84}.RenderEvents([]string{dev.DMA.Name(), dev.Queue.Name()}, tel.Trace.Events()))
 		fmt.Print(trace.Utilization(dev.DMA, dev.Queue))
 		fmt.Printf("  %.3f s, %.1f GFLOPS (%.1f%% of baseline time), %.2f GB transferred in, %.2f GB reused\n\n",
 			rep.Seconds(), rep.GFLOPS(), rep.Seconds()/baseline*100,

@@ -137,20 +137,11 @@ func (e *Element) Timelines() []*sim.Timeline {
 	return tls
 }
 
-// SetRecording controls span retention on every resource timeline of the
-// element. Long-lived and large-scale runs turn it off to bound memory;
-// busy accounting and Instrument's observer path do not depend on it.
-func (e *Element) SetRecording(on bool) {
-	for _, tl := range e.Timelines() {
-		tl.SetRecording(on)
-	}
-}
-
 // Instrument streams every booking on the element's resources into the
-// bundle's tracer (independent of span retention, so large-scale runs that
-// disable recording still trace). label prefixes the track names so several
-// elements sharing one tracer stay distinguishable (empty keeps the bare
-// resource names). A nil bundle is a no-op.
+// bundle's tracer, the only record of them the element leaves. label
+// prefixes the track names so several elements sharing one tracer stay
+// distinguishable (empty keeps the bare resource names). A nil bundle is a
+// no-op.
 func (e *Element) Instrument(tel *telemetry.Telemetry, label string) {
 	if label != "" {
 		label += "/"

@@ -4,14 +4,15 @@ import (
 	"testing"
 
 	"tianhe/internal/sim"
+	"tianhe/internal/telemetry"
 )
 
-// countReinits returns how many context re-initializations the device's
-// command queue holds.
-func countReinits(d *Device) int {
+// countReinits returns how many context re-initializations the tracer
+// captured.
+func countReinits(tr *telemetry.Tracer) int {
 	n := 0
-	for _, sp := range d.Queue.Spans() {
-		if sp.Label == "reinit" {
+	for _, e := range tr.Events() {
+		if e.Name == "reinit" {
 			n++
 		}
 	}
@@ -43,6 +44,8 @@ func TestLossGateTransitions(t *testing.T) {
 	} {
 		d := New(Config{Virtual: true})
 		d.SetHealth(stubHealth{kern: 1, xfer: 1, lossFrom: 10, lossTo: 20})
+		tel := telemetry.New()
+		telemetry.AttachTimelines(tel, "resource", "", d.Queue)
 		g := NewLossGate(d)
 		for i, st := range tc.steps {
 			got, sp := g.Admit(st.at, tc.armed)
@@ -60,7 +63,7 @@ func TestLossGateTransitions(t *testing.T) {
 				t.Errorf("%s step %d: outcome %d carries a span %+v", tc.name, i, got, sp)
 			}
 		}
-		if got := countReinits(d); got != tc.reinits {
+		if got := countReinits(tel.Trace); got != tc.reinits {
 			t.Errorf("%s: %d re-initializations booked, want %d", tc.name, got, tc.reinits)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tianhe/internal/sim"
+	"tianhe/internal/telemetry"
 )
 
 const (
@@ -16,14 +17,21 @@ const (
 	testSlots = 24
 )
 
-// newTestResidency returns a manager over a 1 MiB device whose DMA engine
-// records its bookings; virtual selects a shape-only device.
+// newTestResidency returns a manager over a 1 MiB device; virtual selects a
+// shape-only device.
 func newTestResidency(virtual bool) (*Residency, *Device) {
 	dev := New(Config{MemBytes: testMem, Virtual: virtual})
-	dev.DMA.SetRecording(true)
 	m := &Residency{}
 	m.Begin(dev, testSlots)
 	return m, dev
+}
+
+// traceDMA attaches a fresh tracer to the device's DMA engine and returns
+// it: the record of every transfer booked from then on.
+func traceDMA(dev *Device) *telemetry.Tracer {
+	tel := telemetry.New()
+	telemetry.AttachTimelines(tel, "resource", "", dev.DMA)
+	return tel.Trace
 }
 
 // residents returns the device copies from least to most recently used.
@@ -251,13 +259,13 @@ func (m *scanResidency) residentsByLRU() []copyState {
 // once.
 func TestResidencyMatchesMapScanLRU(t *testing.T) {
 	const sequences = 2000
-	overflowed, buffered := 0, 0
+	overflowed, buffered, transfers := 0, 0, 0
 	for seed := uint64(1); seed <= sequences; seed++ {
 		rng := sim.NewRNG(seed)
 		backed := seed%16 == 0
 		m, dev := newTestResidency(!backed)
 		odev := New(Config{MemBytes: testMem, Virtual: true})
-		odev.DMA.SetRecording(true)
+		dma, odma := traceDMA(dev), traceDMA(odev)
 		o := newScanResidency(odev, &scanLedger{})
 		var bytesIn int64 // the manager's caller counts its uploads
 
@@ -423,9 +431,11 @@ func TestResidencyMatchesMapScanLRU(t *testing.T) {
 		m.Drain()
 		o.drain()
 		sameReport(func() string { return fmt.Sprintf("seed %d after the drain", seed) })
-		if a, b := dev.DMA.Spans(), odev.DMA.Spans(); !reflect.DeepEqual(a, b) {
+		a, b := dma.Events(), odma.Events()
+		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: DMA bookings differ:\n got %v\nwant %v", seed, a, b)
 		}
+		transfers += len(a)
 		m.Reset()
 		if used := dev.MemUsed(); used != 0 {
 			t.Fatalf("seed %d: %d bytes still allocated after the reset", seed, used)
@@ -436,5 +446,8 @@ func TestResidencyMatchesMapScanLRU(t *testing.T) {
 	}
 	if buffered < sequences/16 {
 		t.Errorf("the real-data sequences backed only %d copies with buffers", buffered)
+	}
+	if transfers == 0 {
+		t.Error("no sequence booked a DMA transfer: the span comparison proves nothing")
 	}
 }

@@ -1,6 +1,7 @@
 package linpacksim
 
 import (
+	"fmt"
 	"testing"
 
 	"tianhe/internal/element"
@@ -17,18 +18,17 @@ import (
 // volumes the scheduler reported.
 func stepperDigest(lookahead int) (uint64, int) {
 	tel := telemetry.New()
-	s := NewSim(Config{N: 46080, NB: 1216, Variant: element.ACMLGBoth, Seed: 2009,
-		Graph: true, Lookahead: lookahead, Telemetry: tel})
-	for _, tl := range s.Element().Timelines() {
-		tl.SetRecording(true)
-	}
+	cfg := Config{N: 46080, NB: 1216, Variant: element.ACMLGBoth, Seed: 2009,
+		Graph: true, Lookahead: lookahead, Telemetry: tel}
+	s := NewSim(cfg)
 	for !s.Done() {
 		s.Step()
 	}
 	d := simtest.NewDigest()
 	spans := 0
+	prefix := fmt.Sprintf("%s.N%d/", cfg.Variant, cfg.N) // NewSim's Instrument label
 	for _, tl := range s.Element().Timelines() {
-		spans += d.Timeline(tl)
+		spans += d.Timeline(tel.Trace, prefix, tl)
 	}
 	for _, c := range []string{"taskgraph.bytes_in", "taskgraph.bytes_out", "taskgraph.bytes_skipped"} {
 		d.U64(uint64(tel.Counter(c).Value()))

@@ -74,28 +74,32 @@ func pipelineSDCDigest(t *testing.T) (uint64, int) {
 	t.Helper()
 	opts := pipeline.Pipelined()
 	opts.Tile = 1024
-	run := func(tel *telemetry.Telemetry, sdc *fault.Injector) (pipeline.Report, *gpu.Device) {
+	// The device timelines stream into a tracer of their own: tel, hashed
+	// whole below, holds only the executor's probes.
+	run := func(tel *telemetry.Telemetry, sdc *fault.Injector) (pipeline.Report, *gpu.Device, *telemetry.Tracer) {
 		dev := gpu.New(gpu.Config{Virtual: true})
+		booked := telemetry.New()
+		telemetry.AttachTimelines(booked, "resource", "", dev.Queue, dev.DMA)
 		o := opts
 		o.Telemetry = tel
 		ex := pipeline.NewExecutor(dev, o)
 		if sdc != nil {
 			ex.EnableVerify(sdc)
 		}
-		return ex.ExecuteVirtual(8192, 4096, 2048, 1, 0), dev
+		return ex.ExecuteVirtual(8192, 4096, 2048, 1, 0), dev, booked.Trace
 	}
-	clean, _ := run(nil, nil)
+	clean, _, _ := run(nil, nil)
 	in, err := fault.NewScenario("sdc-single", clean.End, 2009)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tel := telemetry.New()
-	rep, dev := run(tel, in)
+	rep, dev, booked := run(tel, in)
 
 	d := simtest.NewDigest()
 	spans := 0
 	for _, tl := range []*sim.Timeline{dev.Queue, dev.DMA} {
-		spans += d.Timeline(tl)
+		spans += d.Timeline(booked, "", tl)
 	}
 	events, _ := traceInto(d, tel)
 	for _, v := range []int{rep.Tasks, rep.SDCDetected, rep.SDCCorrected, rep.SDCEscalated, rep.RecomputedTasks} {

@@ -343,7 +343,6 @@ func NewSim(cfg Config) *Sim {
 		elCfg.Transfer = perfmodel.PageableTransfer()
 	}
 	el := element.New(elCfg)
-	el.SetRecording(false)
 
 	part := cfg.Part
 	if cfg.Variant.Adaptive() && part == nil {

@@ -9,6 +9,7 @@ import (
 	"tianhe/internal/matrix"
 	"tianhe/internal/sim"
 	"tianhe/internal/sim/simtest"
+	"tianhe/internal/telemetry"
 )
 
 // digestTile and digestBlockRows scale the digest matrix down to 64-wide
@@ -32,30 +33,32 @@ type digestCase struct {
 }
 
 // runDigestCase executes one cell on a fresh device — with real data when
-// real is set — and returns the report and the device whose two timelines
-// hold everything the run booked.
-func runDigestCase(t *testing.T, c digestCase, mem int64, real bool) (Report, *gpu.Device) {
+// real is set — and returns the report, the device, and the tracer its two
+// timelines were attached to, which holds everything the run booked.
+func runDigestCase(t *testing.T, c digestCase, mem int64, real bool) (Report, *gpu.Device, *telemetry.Tracer) {
 	t.Helper()
-	run := func(sdc *fault.Injector) (Report, *gpu.Device) {
+	run := func(sdc *fault.Injector) (Report, *gpu.Device, *telemetry.Tracer) {
 		dev := gpu.New(gpu.Config{Virtual: !real, MemBytes: mem, TextureLimit: digestTile})
+		tel := telemetry.New()
+		telemetry.AttachTimelines(tel, "resource", "", dev.Queue, dev.DMA)
 		ex := NewExecutor(dev, c.opts)
 		if c.verify {
 			ex.EnableVerify(sdc)
 		}
 		if !real {
-			return ex.ExecuteVirtual(c.m, c.n, c.k, c.beta, 0), dev
+			return ex.ExecuteVirtual(c.m, c.n, c.k, c.beta, 0), dev, tel.Trace
 		}
 		r := sim.NewRNG(c.seed)
 		a, b, cm := matrix.NewDense(c.m, c.k), matrix.NewDense(c.k, c.n), matrix.NewDense(c.m, c.n)
 		a.FillRandom(r)
 		b.FillRandom(r)
 		cm.FillRandom(r)
-		return ex.Execute(1, a, b, c.beta, cm, 0), dev
+		return ex.Execute(1, a, b, c.beta, cm, 0), dev, tel.Trace
 	}
 	if !c.verify {
 		return run(nil)
 	}
-	clean, _ := run(nil)
+	clean, _, _ := run(nil)
 	in, err := fault.NewScenario("sdc-single", clean.End, c.seed)
 	if err != nil {
 		t.Fatal(err)
@@ -114,21 +117,19 @@ func TestExecutorScheduleDigest(t *testing.T) {
 						c := digestCase{opts: tc.opts, m: tiles*digestTile - 8, n: tiles*digestTile - 24,
 							k: kTiles*digestTile - 16, beta: beta, verify: verify, seed: seed}
 						for _, mem := range []int64{roomyMem, tightMem} {
-							rep, dev := runDigestCase(t, c, mem, false)
-							spans += d.Timeline(dev.Queue) + d.Timeline(dev.DMA)
+							rep, dev, tr := runDigestCase(t, c, mem, false)
+							spans += d.Timeline(tr, "", dev.Queue) + d.Timeline(tr, "", dev.DMA)
 							reportInto(d, rep)
 							corrected += rep.SDCCorrected
 							if mem != roomyMem {
 								continue
 							}
-							repR, devR := runDigestCase(t, c, mem, true)
+							repR, devR, trR := runDigestCase(t, c, mem, true)
 							if repR != rep {
 								t.Errorf("%s %+v: real report %+v, virtual %+v", tc.name, c, repR, rep)
 							}
-							for _, tl := range [][2]*sim.Timeline{{devR.Queue, dev.Queue}, {devR.DMA, dev.DMA}} {
-								if real, virt := tl[0].Spans(), tl[1].Spans(); !slices.Equal(real, virt) {
-									t.Errorf("%s %+v: real %s spans differ from virtual:\n%v\n%v", tc.name, c, tl[0].Name(), real, virt)
-								}
+							if real, virt := trR.Events(), tr.Events(); !slices.Equal(real, virt) {
+								t.Errorf("%s %+v: real bookings differ from virtual:\n%v\n%v", tc.name, c, real, virt)
 							}
 							if devR.MemUsed() != 0 {
 								t.Errorf("%s %+v: %d device bytes still allocated at return", tc.name, c, devR.MemUsed())

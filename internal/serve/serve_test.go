@@ -522,68 +522,6 @@ func TestResultLookup(t *testing.T) {
 	}
 }
 
-// TestPoolRetainsNoSpans: the service's elements live as long as the daemon
-// and nothing reads their retained spans, so serve.New turns retention off.
-// A 4000 jobs/s replay leaves every pool timeline empty, while everything
-// that is read — busy time, the utilisation gauges, the metric dump and the
-// Chrome trace streamed through the observer path — matches a pool with
-// retention switched back on.
-func TestPoolRetainsNoSpans(t *testing.T) {
-	replay := func(record bool) (*Server, string, string) {
-		tel := telemetry.New()
-		s, err := New(Config{Seed: 17, Telemetry: tel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range s.workers {
-			if record {
-				w.el.SetRecording(true)
-			}
-			w.el.Instrument(tel, fmt.Sprintf("w%d", w.idx))
-		}
-		stream(t, s, 2000, 64, 1.0/4000)
-		s.Run()
-		var metrics, trace strings.Builder
-		tel.Metrics.WriteText(&metrics)
-		if err := tel.Trace.WriteJSON(&trace); err != nil {
-			t.Fatal(err)
-		}
-		return s, metrics.String(), trace.String()
-	}
-	lean, leanMetrics, leanTrace := replay(false)
-	full, fullMetrics, fullTrace := replay(true)
-
-	retained := 0
-	for i, w := range lean.workers {
-		for j, tl := range w.el.Timelines() {
-			if n := len(tl.Spans()); n != 0 {
-				t.Errorf("worker %d %s retains %d spans", i, tl.Name(), n)
-			}
-			ref := full.workers[i].el.Timelines()[j]
-			retained += len(ref.Spans())
-			if tl.Busy() != ref.Busy() || tl.Available() != ref.Available() {
-				t.Errorf("worker %d %s: busy %g until %g, with retention %g until %g",
-					i, tl.Name(), tl.Busy(), tl.Available(), ref.Busy(), ref.Available())
-			}
-		}
-	}
-	if retained == 0 {
-		t.Fatalf("the retaining pool recorded no spans: the comparison proves nothing")
-	}
-	if !strings.Contains(leanMetrics, "element.util.gpu_queue") || !strings.Contains(leanTrace, "w0/gpu.queue") {
-		t.Fatalf("utilisation gauge or resource track missing from the telemetry under comparison")
-	}
-	if leanMetrics != fullMetrics {
-		t.Errorf("metric dump depends on span retention")
-	}
-	if leanTrace != fullTrace {
-		t.Errorf("Chrome trace depends on span retention")
-	}
-	if !reflect.DeepEqual(lean.Results(), full.Results()) {
-		t.Errorf("results depend on span retention")
-	}
-}
-
 // TestBatchQueueOrder: FIFO, with a front requeue landing ahead of everything
 // queued both when a popped slot is free before the head and when the queue
 // ran empty in between.

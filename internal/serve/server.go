@@ -221,10 +221,6 @@ func New(cfg Config) (*Server, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		elSeed := sim.NewStream(cfg.Seed, fmt.Sprintf("serve/worker%d", i)).Uint64()
 		el := element.New(element.Config{Seed: elSeed, Virtual: true})
-		// Nothing in the service reads retained spans (telemetry streams
-		// bookings through the observer path), and a daemon's pool lives as
-		// long as the process: retention would grow with every batch.
-		el.SetRecording(false)
 		part := adaptive.NewAdaptive(64, maxWork, el.InitialGSplit(), el.CPU.NumCores())
 		run := hybrid.New(el, element.ACMLGBoth, part)
 		// The pool is always fault-aware: a lost device falls back to the

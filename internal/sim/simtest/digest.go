@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"tianhe/internal/sim"
+	"tianhe/internal/telemetry"
 )
 
 // Digest is an FNV-1a hash over exact schedule content — strings by their
@@ -38,15 +39,21 @@ func (d Digest) Int(v int) { d.U64(uint64(int64(v))) }
 // Float folds in the bits of f, so -0, NaN payloads and the last ulp count.
 func (d Digest) Float(f float64) { d.U64(math.Float64bits(f)) }
 
-// Timeline folds in a timeline's name and every span it recorded — label,
-// start, end — in booking order, and returns how many spans that was.
-func (d Digest) Timeline(tl *sim.Timeline) int {
+// Timeline folds in a timeline's name and every span the tracer captured
+// from it — label, start, end — in booking order, and returns how many spans
+// that was. prefix is the one the timeline was attached under
+// (telemetry.AttachTimelines). Record order is booking order only for a
+// timeline that one goroutine books, as every digested one is.
+func (d Digest) Timeline(tr *telemetry.Tracer, prefix string, tl *sim.Timeline) int {
 	d.Str(tl.Name())
-	spans := tl.Spans()
-	for _, sp := range spans {
-		d.Str(sp.Label)
-		d.Float(sp.Start)
-		d.Float(sp.End)
+	n := 0
+	for _, e := range tr.Events() {
+		if e.Phase == telemetry.PhaseSpan && e.Track == prefix+tl.Name() {
+			d.Str(e.Name)
+			d.Float(e.Start)
+			d.Float(e.End)
+			n++
+		}
 	}
-	return len(spans)
+	return n
 }

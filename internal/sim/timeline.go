@@ -30,49 +30,27 @@ func (s Span) String() string {
 // dependencies have finished. Overlap between *different* timelines is what
 // produces pipelining in this simulator.
 type Timeline struct {
-	mu    sync.Mutex
-	name  string
-	avail Time
-	busy  Time
-	// spans holds the nSpans recorded spans in booking order, in chunks: the
-	// first grows like any slice up to spanGrow, so a timeline with a handful
-	// of bookings costs what it always did, and every later one is made
-	// spanChunk long — a long recording allocates what it retains instead of
-	// doubling and copying its whole history.
-	spans    [][]Span
-	nSpans   int
-	record   bool
+	mu       sync.Mutex
+	name     string
+	avail    Time
+	busy     Time
 	observer func(Span)
 	stretch  func(label string, start, duration Time) Time
 }
 
-// spanGrow is where the first chunk of recorded spans stops growing (16 KB of
-// them) and spanChunk the length of every chunk after it (64 KB).
-const (
-	spanGrow  = 512
-	spanChunk = 2048
-)
-
 // NewTimeline returns an empty resource timeline available at time 0.
 func NewTimeline(name string) *Timeline {
-	return &Timeline{name: name, record: true}
+	return &Timeline{name: name}
 }
 
 // Name returns the resource name the timeline was created with.
 func (t *Timeline) Name() string { return t.name }
 
-// SetRecording controls whether spans are retained. Large-scale simulations
-// disable recording to bound memory.
-func (t *Timeline) SetRecording(on bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.record = on
-}
-
 // SetObserver installs a callback invoked after every booking with the span
-// it occupied, independent of span retention — the telemetry tracer hooks
-// timelines this way so even retention-free large-scale runs stream their
-// schedule. A nil observer detaches. The callback runs outside the
+// it occupied. The timeline keeps no spans of its own: an observer — in
+// practice the telemetry tracer, hooked in by telemetry.AttachTimelines — is
+// the only record of what was booked, and it sees only bookings made after
+// it is installed. A nil observer detaches. The callback runs outside the
 // timeline's lock and must not book on the same timeline.
 func (t *Timeline) SetObserver(obs func(Span)) {
 	t.mu.Lock()
@@ -125,16 +103,6 @@ func (t *Timeline) Book(label string, earliest Time, duration Time) Span {
 	sp := Span{Label: label, Start: start, End: start + duration}
 	t.avail = sp.End
 	t.busy += duration
-	if t.record {
-		last := len(t.spans) - 1
-		if last < 0 {
-			t.spans, last = append(t.spans, nil), 0
-		} else if c := t.spans[last]; len(c) == cap(c) && len(c) >= spanGrow {
-			t.spans, last = append(t.spans, make([]Span, 0, spanChunk)), last+1
-		}
-		t.spans[last] = append(t.spans[last], sp)
-		t.nSpans++
-	}
 	obs := t.observer
 	t.mu.Unlock()
 	if obs != nil {
@@ -164,33 +132,19 @@ func (t *Timeline) AdvanceTo(tm Time) {
 	}
 }
 
-// Spans returns a copy of the recorded spans in booking order.
-func (t *Timeline) Spans() []Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Span, 0, t.nSpans)
-	for _, chunk := range t.spans {
-		out = append(out, chunk...)
-	}
-	return out
-}
-
-// Busy returns the total booked time (sum of span durations). The
-// accumulator is maintained on every booking, so it stays correct when span
-// retention is off.
+// Busy returns the total booked time (sum of span durations).
 func (t *Timeline) Busy() Time {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.busy
 }
 
-// Reset clears the timeline back to time zero, dropping recorded spans.
+// Reset clears the timeline back to time zero.
 func (t *Timeline) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.avail = 0
 	t.busy = 0
-	t.spans, t.nSpans = nil, 0
 }
 
 // Latest returns the maximum availability across the given timelines: the

@@ -8,6 +8,7 @@ import (
 	"tianhe/internal/element"
 	"tianhe/internal/gpu"
 	"tianhe/internal/sim"
+	"tianhe/internal/telemetry"
 )
 
 // The tests in this file drive the device-memory manager the way the
@@ -21,14 +22,20 @@ const (
 	testHandles = 24
 )
 
-// newTestResidency returns a manager over a 1 MiB device whose DMA engine
-// records its bookings.
+// newTestResidency returns a manager over a 1 MiB device.
 func newTestResidency() (*gpu.Residency, *element.Element) {
 	el := element.New(element.Config{Seed: 1, Virtual: true, GPUMem: testMem})
-	el.GPU.DMA.SetRecording(true)
 	m := &gpu.Residency{}
 	m.Begin(el.GPU, testHandles)
 	return m, el
+}
+
+// traceDMA attaches a fresh tracer to the element's DMA engine and returns
+// it: the record of every transfer booked from then on.
+func traceDMA(el *element.Element) *telemetry.Tracer {
+	tel := telemetry.New()
+	telemetry.AttachTimelines(tel, "resource", "", el.GPU.DMA)
+	return tel.Trace
 }
 
 // admit registers h's device copy, produced by sp.
@@ -140,6 +147,7 @@ func TestResidencyPinLastsUntilTheNextPin(t *testing.T) {
 
 func TestResidencyDirtyVictimIsWrittenBackOnce(t *testing.T) {
 	m, el := newTestResidency()
+	dma := traceDMA(el)
 	g := New()
 	a := g.NewHandle("a", 600<<10)
 	b := g.NewHandle("b", 600<<10)
@@ -151,8 +159,8 @@ func TestResidencyDirtyVictimIsWrittenBackOnce(t *testing.T) {
 	if m.Resident(a.id) {
 		t.Fatal("a still resident beside b on a device that holds only one")
 	}
-	spans := el.GPU.DMA.Spans()
-	if len(spans) != 1 || spans[0].Label != "down" {
+	spans := dma.Events()
+	if len(spans) != 1 || spans[0].Name != "down" {
 		t.Fatalf("DMA bookings = %v, want exactly one download", spans)
 	}
 	if spans[0].Start < kernel.End {
@@ -170,7 +178,7 @@ func TestResidencyDirtyVictimIsWrittenBackOnce(t *testing.T) {
 	}
 	// A clean victim costs no transfer.
 	admit(m, a, sim.Span{})
-	if n := len(el.GPU.DMA.Spans()); n != 1 {
+	if n := dma.Len(); n != 1 {
 		t.Errorf("evicting a clean copy booked %d extra transfers", n-1)
 	}
 }
@@ -180,6 +188,7 @@ func TestResidencyDirtyVictimIsWrittenBackOnce(t *testing.T) {
 // place. The budget used to be charged a second time and leaked until reset.
 func TestResidencyReadmitDoesNotDoubleCount(t *testing.T) {
 	m, el := newTestResidency()
+	dma := traceDMA(el)
 	g := New()
 	a := g.NewHandle("a", 300<<10)
 	b := g.NewHandle("b", 300<<10)
@@ -200,7 +209,7 @@ func TestResidencyReadmitDoesNotDoubleCount(t *testing.T) {
 	if m.Resident(b.id) || !m.Resident(a.id) {
 		t.Error("re-admitting did not make the handle the most recently used")
 	}
-	if n := len(el.GPU.DMA.Spans()); n != 0 {
+	if n := dma.Len(); n != 0 {
 		t.Errorf("re-admitting booked %d transfers, want none", n)
 	}
 	m.Release()

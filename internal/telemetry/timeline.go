@@ -3,10 +3,10 @@ package telemetry
 import "tianhe/internal/sim"
 
 // AttachTimelines hooks the tracer into the timelines' booking path: every
-// span booked from now on is recorded live as a trace event under the
-// timeline's name, whether or not the timeline itself retains spans (the
-// large-scale simulations disable retention to bound memory). prefix
-// disambiguates tracks when several resource sets share one tracer (e.g.
+// span booked from now on is recorded as a trace event under the timeline's
+// name. Timelines keep no spans themselves, so the tracer is the record that
+// charts, digests and trace exports read. prefix disambiguates tracks when
+// several resource sets share one tracer (e.g.
 // "ACMLG+both.N46080/gpu.queue"); empty keeps the bare timeline names. A
 // nil bundle or tracer attaches nothing.
 func AttachTimelines(tel *Telemetry, cat, prefix string, tls ...*sim.Timeline) {
@@ -20,22 +20,4 @@ func AttachTimelines(tel *Telemetry, cat, prefix string, tls ...*sim.Timeline) {
 			tr.Span(track, cat, s.Label, s.Start, s.End)
 		})
 	}
-}
-
-// TimelineEvents converts the timelines' recorded spans into trace events,
-// one track per timeline in argument order (empty timelines still
-// contribute a track, so renderers keep their lanes). This is the
-// after-the-fact counterpart of AttachTimelines, used by the ASCII Gantt
-// renderer: one schedule representation, two renderers.
-func TimelineEvents(tls ...*sim.Timeline) (tracks []string, events []Event) {
-	for _, tl := range tls {
-		tracks = append(tracks, tl.Name())
-		for _, s := range tl.Spans() {
-			events = append(events, Event{
-				Phase: PhaseSpan, Track: tl.Name(), Cat: "resource",
-				Name: s.Label, Start: s.Start, End: s.End,
-			})
-		}
-	}
-	return tracks, events
 }

@@ -5,9 +5,9 @@
 // how the CT/NT machinery hides transfers behind kernel execution.
 //
 // The renderer consumes telemetry events — the same stream the Chrome
-// trace-event JSON export is built from — so there is a single schedule
-// representation with two renderers (ASCII here, JSON in telemetry).
-// Render remains as a convenience wrapper over recorded timelines.
+// trace-event JSON export is built from, captured by attaching the
+// timelines to a tracer — so there is a single schedule record with two
+// renderers (ASCII here, JSON in telemetry).
 package trace
 
 import (
@@ -28,34 +28,23 @@ type Gantt struct {
 	MinDuration float64
 }
 
-// Render draws the chart for the given timelines' recorded spans.
-func (g Gantt) Render(timelines ...*sim.Timeline) string {
-	tracks, events := telemetry.TimelineEvents(timelines...)
-	return g.RenderEvents(tracks, events)
-}
-
-// RenderEvents draws the chart for a telemetry event stream. tracks fixes
-// the lane order (and keeps lanes for tracks without events); span events on
-// tracks not listed get lanes appended in first-appearance order. Non-span
-// events are ignored.
+// RenderEvents draws the chart for a telemetry event stream: one lane per
+// track in the given order (a track without events keeps an empty lane).
+// Events on other tracks and non-span events are ignored.
 func (g Gantt) RenderEvents(tracks []string, events []telemetry.Event) string {
 	width := g.Width
 	if width <= 0 {
 		width = 96
 	}
 	lanes := make(map[string][]telemetry.Event, len(tracks))
-	order := append([]string(nil), tracks...)
 	for _, tr := range tracks {
 		lanes[tr] = nil
 	}
 	var tMin, tMax float64
 	first := true
 	for _, e := range events {
-		if e.Phase != telemetry.PhaseSpan {
+		if _, ok := lanes[e.Track]; !ok || e.Phase != telemetry.PhaseSpan {
 			continue
-		}
-		if _, ok := lanes[e.Track]; !ok {
-			order = append(order, e.Track)
 		}
 		lanes[e.Track] = append(lanes[e.Track], e)
 		if first || e.Start < tMin {
@@ -83,7 +72,7 @@ func (g Gantt) RenderEvents(tracks []string, events []telemetry.Event) string {
 	}
 
 	nameW := 4
-	for _, name := range order {
+	for _, name := range tracks {
 		if len(name) > nameW {
 			nameW = len(name)
 		}
@@ -91,7 +80,7 @@ func (g Gantt) RenderEvents(tracks []string, events []telemetry.Event) string {
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%*s |%s|\n", nameW, "time", axis(width, tMin, tMax))
-	for _, name := range order {
+	for _, name := range tracks {
 		lane := make([]byte, width)
 		for i := range lane {
 			lane[i] = ' '
@@ -120,12 +109,14 @@ func (g Gantt) RenderEvents(tracks []string, events []telemetry.Event) string {
 	return b.String()
 }
 
-// glyphFor picks the fill character of a span from its name.
+// glyphFor picks the fill character of a span from its name: the DMA
+// engine books transfers as exactly "up" and "down" (a task graph's
+// "upd(...)" updates are not uploads).
 func glyphFor(label string) byte {
 	switch {
-	case strings.HasPrefix(label, "up"):
+	case label == "up":
 		return 'u'
-	case strings.HasPrefix(label, "down"):
+	case label == "down":
 		return 'd'
 	case strings.HasPrefix(label, "gemm"):
 		return 'g'

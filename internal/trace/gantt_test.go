@@ -7,14 +7,28 @@ import (
 	"tianhe/internal/gpu"
 	"tianhe/internal/pipeline"
 	"tianhe/internal/sim"
+	"tianhe/internal/telemetry"
 )
+
+// attach hooks a fresh tracer to the timelines and returns it with their
+// track names in order: the lanes a chart of them draws.
+func attach(tls ...*sim.Timeline) (*telemetry.Tracer, []string) {
+	tel := telemetry.New()
+	telemetry.AttachTimelines(tel, "resource", "", tls...)
+	var tracks []string
+	for _, tl := range tls {
+		tracks = append(tracks, tl.Name())
+	}
+	return tel.Trace, tracks
+}
 
 func TestRenderBasic(t *testing.T) {
 	a := sim.NewTimeline("dma")
 	b := sim.NewTimeline("queue")
+	tr, tracks := attach(a, b)
 	a.Book("up", 0, 1)
 	b.Book("gemm", 1, 2)
-	out := Gantt{Width: 40}.Render(a, b)
+	out := Gantt{Width: 40}.RenderEvents(tracks, tr.Events())
 	if !strings.Contains(out, "dma") || !strings.Contains(out, "queue") {
 		t.Fatalf("lanes missing:\n%s", out)
 	}
@@ -31,7 +45,7 @@ func TestRenderBasic(t *testing.T) {
 }
 
 func TestRenderEmpty(t *testing.T) {
-	out := Gantt{}.Render(sim.NewTimeline("x"))
+	out := Gantt{}.RenderEvents([]string{"x"}, nil)
 	if out != "(no spans)\n" {
 		t.Fatalf("empty render: %q", out)
 	}
@@ -42,9 +56,10 @@ func TestRenderOverlapVisible(t *testing.T) {
 	// different lanes.
 	dma := sim.NewTimeline("gpu.dma")
 	q := sim.NewTimeline("gpu.queue")
+	tr, tracks := attach(dma, q)
 	dma.Book("up", 0, 10)
 	q.Book("gemm", 0, 10)
-	out := Gantt{Width: 20}.Render(dma, q)
+	out := Gantt{Width: 20}.RenderEvents(tracks, tr.Events())
 	lines := strings.Split(out, "\n")
 	bar1 := lines[1][strings.Index(lines[1], "|")+1:]
 	bar2 := lines[2][strings.Index(lines[2], "|")+1:]
@@ -57,9 +72,10 @@ func TestRenderPipelineExecution(t *testing.T) {
 	// End to end: a pipelined virtual DGEMM must show DMA activity during
 	// kernel execution (the whole point of Section V).
 	dev := gpu.New(gpu.Config{Virtual: true})
+	tr, tracks := attach(dev.DMA, dev.Queue)
 	e := pipeline.NewExecutor(dev, pipeline.Pipelined())
 	e.ExecuteVirtual(16384, 16384, 4096, 1, 0)
-	out := Gantt{Width: 80}.Render(dev.DMA, dev.Queue)
+	out := Gantt{Width: 80}.RenderEvents(tracks, tr.Events())
 	if !strings.Contains(out, "gpu.dma") || !strings.Contains(out, "gpu.queue") {
 		t.Fatalf("device lanes missing:\n%s", out)
 	}
@@ -83,7 +99,8 @@ func TestUtilizationIdle(t *testing.T) {
 }
 
 func TestGlyphs(t *testing.T) {
-	if glyphFor("up") != 'u' || glyphFor("down") != 'd' || glyphFor("gemm") != 'g' || glyphFor("misc") != '#' {
+	if glyphFor("up") != 'u' || glyphFor("down") != 'd' || glyphFor("gemm") != 'g' || glyphFor("misc") != '#' ||
+		glyphFor("upd(0,1,1)") != '#' {
 		t.Fatal("glyph mapping changed")
 	}
 }

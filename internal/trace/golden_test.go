@@ -15,11 +15,12 @@ import (
 // (captured from the seed into testdata/pipeline_gantt.golden).
 func TestGanttGoldenAfterTelemetryRebase(t *testing.T) {
 	dev := gpu.New(gpu.Config{Virtual: true})
+	tr, tracks := attach(dev.DMA, dev.Queue)
 	exec := pipeline.NewExecutor(dev, pipeline.Options{
 		Reuse: true, OverlapInput: true, BlockedEO: true, BlockRows: 2048,
 	})
 	exec.ExecuteVirtual(16384, 16384, 8192, 1, 0)
-	got := Gantt{Width: 88}.Render(dev.DMA, dev.Queue)
+	got := Gantt{Width: 88}.RenderEvents(tracks, tr.Events())
 	got += Utilization(dev.DMA, dev.Queue)
 
 	want, err := os.ReadFile(filepath.Join("testdata", "pipeline_gantt.golden"))
