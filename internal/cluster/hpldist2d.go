@@ -35,10 +35,6 @@ type Dist2DConfig struct {
 	// everyone else runs the bulk of the current trailing update, hiding the
 	// panel factorization and its broadcast off the critical path.
 	Lookahead bool
-	// PanelBcast selects the panel broadcast algorithm along process rows
-	// (HPL offers the same choice); the default binomial tree minimizes the
-	// critical path, the rings minimize root load for overlapped broadcasts.
-	PanelBcast mpi.BcastAlg
 }
 
 // Message tags of the 2D solver's phases. Messages are FIFO per
@@ -342,7 +338,7 @@ func (st *state2d) panelBcast(k, pcol int, ipiv []int) (*matrix.Dense, []int) {
 	if st.q == pcol {
 		payload = packPanel(ipiv, st.local.View(start, st.localColOfBlock(k), pieceRows, nb))
 	}
-	payload = st.comm.BcastWith(st.cfg.PanelBcast, group, pcol, tag2dPanelBcast, payload)
+	payload = st.comm.GroupBcast(group, pcol, tag2dPanelBcast, payload)
 	return unpackPanel(payload, pieceRows, nb)
 }
 

@@ -6,7 +6,6 @@ import (
 	"tianhe/internal/element"
 	"tianhe/internal/hpl"
 	"tianhe/internal/matrix"
-	"tianhe/internal/mpi"
 )
 
 func TestLookaheadCorrectAcrossGrids(t *testing.T) {
@@ -76,20 +75,5 @@ func TestLookaheadMatchesSerialSolver(t *testing.T) {
 	}
 	if d := matrix.VecMaxDiff(res.X, want); d > 1e-8 {
 		t.Fatalf("lookahead vs serial differ by %v", d)
-	}
-}
-
-func TestPanelBcastAlgorithmsAllCorrect(t *testing.T) {
-	for _, alg := range []mpi.BcastAlg{mpi.BcastBinomial, mpi.BcastRing, mpi.BcastRing2} {
-		res, err := SolveDistributed2D(Dist2DConfig{
-			N: 192, NB: 32, P: 2, Q: 4, Seed: 41,
-			Variant: element.ACMLGBoth, Lookahead: true, PanelBcast: alg,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		if !res.Passed {
-			t.Fatalf("%v residual %v", alg, res.Residual)
-		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // The determinism goldens: every experiment sweep must produce byte-identical
-// rows, metric dumps, and trace JSON at -par 1 (the legacy serial loop) and
+// rows, metric dumps, and trace JSON at -par 1 (points run inline) and
 // -par 8 (the worker pool). These run under -race in scripts/check.sh, so
 // they double as the race gate for the sweep plumbing.
 

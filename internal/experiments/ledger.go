@@ -123,7 +123,7 @@ func Ledger(seed uint64, par int, tel *telemetry.Telemetry) ([]Row, error) {
 	// Fig. 10 records into a bundle of its own so that its GSplit series
 	// holds this run's updates alone, not those of the adaptive Fig. 8/9
 	// runs sharing tel.
-	own := telemetry.NewChild()
+	own := telemetry.New()
 	entries, initial := Fig10Instrumented(seed, 46080, own)
 	l.fig10(entries, initial, own.Tracer().Series("adaptive.gsplit"))
 	tel.Merge(own)

@@ -11,10 +11,15 @@ import (
 	"tianhe/internal/telemetry"
 )
 
-var paperLedgerOnce = sync.OnceValues(func() ([]Row, error) { return Ledger(DefaultSeed, 1, nil) })
+// paperTel is the bundle the par-1 ledger records into; read it only after
+// paperLedger returned.
+var paperTel = telemetry.New()
 
-// paperLedger returns the par-1 ledger, computed once for every test
-// reading it.
+var paperLedgerOnce = sync.OnceValues(func() ([]Row, error) { return Ledger(DefaultSeed, 1, paperTel) })
+
+// paperLedger returns the traced par-1 ledger, computed once for every test
+// reading it. TestPaperLedger holds its rows to the committed, untraced
+// file, so it also shows that tracing moves no row.
 func paperLedger(t *testing.T) []Row {
 	t.Helper()
 	rows, err := paperLedgerOnce()
@@ -111,9 +116,9 @@ func changedRows(a, b []byte) []string {
 	return out
 }
 
-// TestParDeterminismLedger compares the par-1 ledger, uninstrumented,
-// with the par-8 ledger under a telemetry bundle: equal bytes mean
-// neither the worker count nor the instrumentation moves a row.
+// TestParDeterminismLedger compares the traced par-1 ledger with the traced
+// par-8 ledger: equal rows mean the worker count moves no row, and equal
+// metric dumps and trace JSON mean it moves no recorded number or event.
 func TestParDeterminismLedger(t *testing.T) {
 	t.Parallel()
 	tel := telemetry.New()
@@ -122,6 +127,7 @@ func TestParDeterminismLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffBytes(t, "ledger", ledgerBytes(t, DefaultSeed, 1, paperLedger(t)), ledgerBytes(t, DefaultSeed, 1, par8))
+	diffBytes(t, "ledger telemetry", telBytes(t, paperTel), telBytes(t, tel))
 	// The fault rows' runs record into tel too: the lost-gpu outage as a
 	// span on the fault track, and the adaptive runtime's recovery.
 	var lossSpan, fallback, reinit bool

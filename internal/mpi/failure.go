@@ -89,7 +89,7 @@ func (c *Comm) RecvFromOrFail(src, tag int) ([]float64, error) {
 				if pr := c.world.probes; pr != nil {
 					pr.recvs.Inc()
 					if wait := m.arrival - c.clock.Now(); wait > 0 {
-						pr.waitSec.Add(wait)
+						c.waitSec += wait
 					}
 				}
 				c.clock.Sync(m.arrival)

@@ -66,8 +66,9 @@ type World struct {
 
 // worldProbes holds the communicator-wide metric handles: message counts,
 // byte volumes, receive-side wait time, and the payload-size distribution.
-// All ranks share them (atomics), so the per-message cost is a few atomic
-// adds.
+// The ranks share the counters and the size histogram (atomics over whole
+// numbers, which add exactly in any order); the float wait sum is
+// accumulated per rank and folded into waitSec by World.Run.
 type worldProbes struct {
 	msgs, recvs    *telemetry.Counter
 	bytes          *telemetry.Counter
@@ -196,6 +197,11 @@ type Comm struct {
 	// the per-rank traces into the shared tracer in rank order, which makes
 	// the exported trace bytes deterministic.
 	trace *telemetry.Tracer
+	// waitSec is this rank's receive wait, virtual seconds. Float addition
+	// does not associate, so adding into the shared gauge from every rank
+	// goroutine would round in scheduler order; World.Run folds the per-rank
+	// sums in rank order instead.
+	waitSec sim.Time
 }
 
 // Rank returns this endpoint's rank.
@@ -295,7 +301,7 @@ func (c *Comm) RecvFrom(src, tag int) ([]float64, int) {
 					// Receive-side wait: how long this rank's virtual clock
 					// had to jump forward to meet the message.
 					if wait := m.arrival - c.clock.Now(); wait > 0 {
-						pr.waitSec.Add(wait)
+						c.waitSec += wait
 					}
 				}
 				c.clock.Sync(m.arrival)
@@ -379,9 +385,10 @@ func (c *Comm) AllreduceMax(tag int, x float64) float64 {
 
 // Run launches fn on every rank in its own goroutine and waits for all of
 // them, returning the largest final virtual clock (the parallel makespan).
-// When the world is instrumented, the per-rank trace events are merged into
-// the shared tracer in rank order after the ranks joined, so the exported
-// trace is deterministic no matter how the goroutines were scheduled.
+// When the world is instrumented, the per-rank trace events and receive-wait
+// sums are folded into the shared tracer and gauge in rank order after the
+// ranks joined, so the exported trace and metrics are deterministic no
+// matter how the goroutines were scheduled.
 func (w *World) Run(fn func(c *Comm)) sim.Time {
 	var wg sync.WaitGroup
 	for r := 0; r < w.size; r++ {
@@ -396,6 +403,10 @@ func (w *World) Run(fn func(c *Comm)) sim.Time {
 		for _, c := range w.comms {
 			w.probes.tracer.Merge(c.trace)
 			c.trace = telemetry.NewTracer() // a second Run must not re-merge
+			if c.waitSec > 0 {
+				w.probes.waitSec.Add(c.waitSec)
+				c.waitSec = 0
+			}
 		}
 	}
 	var end sim.Time

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"tianhe/internal/telemetry"
@@ -83,6 +84,38 @@ func TestInstrumentedWorldTraceDeterministic(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		if got := run(); !bytes.Equal(got, want) {
 			t.Fatalf("run %d: instrumented world trace differs between identical runs", i)
+		}
+	}
+}
+
+// TestRecvWaitSumDeterministic guards the per-rank wait fold: every rank
+// goroutine waits on receives, and float addition does not associate, so a
+// wait sum shared by the ranks would round in scheduler order. Each rank
+// keeps its own sum and Run folds them in rank order, so the gauge repeats
+// to the bit.
+func TestRecvWaitSumDeterministic(t *testing.T) {
+	const ranks, rounds = 16, 12
+	run := func() uint64 {
+		tel := telemetry.New()
+		w := NewWorld(Config{Size: ranks, RanksPerCabinet: ranks / 2, LinkFault: &dropFirstK{k: 2}, Telemetry: tel})
+		w.Run(func(c *Comm) {
+			payload := make([]float64, 4096)
+			for r := 0; r < rounds; r++ {
+				c.Advance(50e-6 * float64(1+(c.Rank()+r)%3)) // uneven compute between collectives
+				c.Bcast(0, 100+r, payload)
+				c.AllreduceMax(200+r, float64(c.Rank()))
+				c.Barrier(300 + r)
+			}
+		})
+		return math.Float64bits(tel.Gauge("mpi.recv_wait_seconds").Value())
+	}
+	want := run()
+	if want == 0 {
+		t.Fatal("no receive wait recorded")
+	}
+	for i := 1; i < 20; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d: recv_wait_seconds bits %x, first run %x", i, got, want)
 		}
 	}
 }

@@ -7,16 +7,17 @@
 //
 //   - Per-point seeds are a pure function of the point index (Seed), never
 //     of scheduling or completion order.
-//   - Each point records into an isolated *telemetry.Telemetry bundle;
-//     MapTel merges the children back into the parent in point-index order
-//     after every point has finished, so metric values, trace event order
-//     and track registration order all match the serial run.
+//   - Each point records into its own *telemetry.Telemetry bundle at every
+//     par; MapTel merges the children into the parent in point-index order
+//     after every point has finished, so metric values (float sums
+//     included), trace event order and track registration order are the
+//     same bytes for every par.
 //   - Results come back as a slice indexed by point, and callers reduce
 //     them in index order, so tables and logs are emitted in point order,
 //     never in finish order.
-//   - par <= 1 takes the exact legacy serial path: the loop body runs inline
-//     on the caller's goroutine, the parent bundle is passed straight
-//     through (no child bundles, no merge), and no goroutine is spawned.
+//   - par <= 1 runs the loop body inline on the caller's goroutine and
+//     spawns no goroutine; the points still record into their own bundles
+//     and are merged exactly as at any other par.
 //
 // Callbacks must not write package-level mutable state — every run of a
 // sweep may interleave with every other. The detpure analyzer in
@@ -127,21 +128,14 @@ func runPoint[P, R any](i int, p P, fn func(i int, p P) R, out []R) (pp *pointPa
 	return nil
 }
 
-// MapTel is Map for instrumented sweeps: with par <= 1 every point receives
-// the parent bundle directly (the legacy serial path, bit for bit); with
-// par > 1 every point gets an isolated child bundle — enabled exactly when
-// the parent is — and the children are merged into the parent in point-index
-// order after all points completed.
+// MapTel is Map for instrumented sweeps: at every par each point gets its
+// own bundle — enabled exactly when the parent is — and the children are
+// merged into the parent in point-index order after all points completed.
 func MapTel[P, R any](ctx context.Context, par int, tel *telemetry.Telemetry, pts []P, fn func(i int, p P, tel *telemetry.Telemetry) R) []R {
-	if par <= 1 || len(pts) <= 1 {
-		return Map(ctx, 1, pts, func(i int, p P) R { return fn(i, p, tel) })
-	}
 	children := make([]*telemetry.Telemetry, len(pts))
 	if tel.Enabled() {
 		for i := range children {
-			// NewChild journals float adds so the merge can replay them in
-			// serial order — see telemetry.NewChild.
-			children[i] = telemetry.NewChild()
+			children[i] = telemetry.New()
 		}
 	}
 	out := Map(ctx, par, pts, func(i int, p P) R { return fn(i, p, children[i]) })

@@ -104,29 +104,32 @@ func TestMapTelByteIdenticalToSerial(t *testing.T) {
 	}
 }
 
-func TestMapTelSerialUsesParentBundleDirectly(t *testing.T) {
-	tel := telemetry.New()
-	MapTel(context.Background(), 1, tel, []int{0, 1}, func(i, p int, child *telemetry.Telemetry) int {
-		if child != tel {
-			t.Fatalf("point %d: serial path must pass the parent bundle through", i)
+func TestMapTelGivesEveryPointItsOwnBundle(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		tel := telemetry.New()
+		seen := make([]*telemetry.Telemetry, 2)
+		MapTel(context.Background(), par, tel, []int{0, 1}, func(i, p int, child *telemetry.Telemetry) int {
+			if child == tel {
+				t.Errorf("par=%d point %d: got the parent bundle, want its own", par, i)
+			}
+			if !child.Enabled() {
+				t.Errorf("par=%d point %d: bundle must be enabled when the parent is", par, i)
+			}
+			seen[i] = child
+			return 0
+		})
+		if seen[0] == seen[1] {
+			t.Errorf("par=%d: both points got the same bundle", par)
 		}
-		return 0
-	})
-	MapTel(context.Background(), 4, tel, []int{0, 1}, func(i, p int, child *telemetry.Telemetry) int {
-		if child == tel {
-			t.Fatalf("point %d: parallel path must isolate the bundle", i)
-		}
-		if !child.Enabled() {
-			t.Fatalf("point %d: child must be enabled when the parent is", i)
-		}
-		return 0
-	})
-	MapTel(context.Background(), 4, telemetry.Disabled(), []int{0, 1}, func(i, p int, child *telemetry.Telemetry) int {
-		if child.Enabled() {
-			t.Fatalf("point %d: child must stay disabled when the parent is", i)
-		}
-		return 0
-	})
+	}
+	for _, par := range []int{1, 4} {
+		MapTel(context.Background(), par, telemetry.Disabled(), []int{0, 1}, func(i, p int, child *telemetry.Telemetry) int {
+			if child.Enabled() {
+				t.Errorf("par=%d point %d: bundle must stay disabled when the parent is", par, i)
+			}
+			return 0
+		})
+	}
 }
 
 func TestMapPanicReportsLowestIndex(t *testing.T) {

