@@ -38,14 +38,31 @@ func cabinetN(cabinets int) int {
 // draws, before any production file was touched: the 1-, 8- and 80-cabinet
 // down-clocked runs of Fig. 12, Fig. 11's 64-process pair, and small runs at
 // process counts that leave ragged shards and draw groups, each at several
-// worker counts with the progress curve recorded. They hold with the batch
-// draws on the AVX-512 kernel, where the host has it, and forced onto the
-// portable path. The 130-element cases, trained splits among them, were
-// recorded on the parent commit of the element-major loop interchange.
+// worker counts with the progress curve recorded. The 130-element cases,
+// trained splits among them, were recorded on the parent commit of the
+// element-major loop interchange. They hold under all four combinations of
+// the batch-draw variate kernel and the fleet-update kernel, each on where
+// the host has it or forced onto the portable path: "host" runs both
+// kernels, "portable" neither, and the other two arms name the one kernel
+// they switch off.
 func TestScaleDigest(t *testing.T) {
-	t.Run("host", func(t *testing.T) { scaleDigests(t) })
-	t.Run("portable", func(t *testing.T) { sim.WithoutKernel(func() { scaleDigests(t) }) })
+	for _, arm := range []struct {
+		name            string
+		variates, fleet func(func())
+	}{
+		{"host", asHost, asHost},
+		{"portable", sim.WithoutKernel, withoutFleetKernel},
+		{"portable-variates", sim.WithoutKernel, asHost},
+		{"portable-fleet", asHost, withoutFleetKernel},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			arm.variates(func() { arm.fleet(func() { scaleDigests(t) }) })
+		})
+	}
 }
+
+// asHost calls f under the host's own kernel choice.
+func asHost(f func()) { f() }
 
 func scaleDigests(t *testing.T) {
 	const seed = 2009

@@ -224,29 +224,7 @@ func (f *fleet) run(shard, lo, hi int) {
 			}
 			driftS.Normal(0, driftSigma, drift[:n])
 			noiseS.LogNormalFactor(0.10, noise[:n])
-			sl := slowest[k]
-			for i := range n {
-				// Thermal random walk, clamped.
-				gs := min(max(gpuScale[i]+drift[i], 1-driftMax), 1+driftMax)
-				gpuScale[i] = gs
-
-				rg := float64(it.rgNominal * gs)
-				// Production-run CPU availability: communication progress,
-				// driver threads and look-ahead bookkeeping consume cores —
-				// load the offline training phase never observes.
-				load := min(f.loadFrac*noise[i], 0.6)
-				rc := float64(cpuRate[i] * (1 - load))
-
-				tg := split[i] * it.w / (rg * 1e9)
-				tc := (1 - split[i]) * it.w / (rc * 1e9)
-				sl = max(sl, tg, tc)
-				if f.adaptive {
-					// The Section IV update from this iteration's measured
-					// rates, used next iteration.
-					split[i] = rg / (rg + rc)
-				}
-			}
-			slowest[k] = sl
+			slowest[k] = f.update(it, slowest[k], gpuScale, cpuRate, split, drift[:n], noise[:n])
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package cpufeat makes the one decision every SIMD kernel in the module
 // depends on: which x86 vector extensions this host has and its operating
 // system saves across context switches. It reads CPUID and XCR0 once, at
-// start-up; on other architectures every feature is off.
+// start-up; on other architectures, and under the purego build tag, every
+// feature is off.
 package cpufeat
 
 // cpuidOSXSAVE is the CPUID leaf 1 ECX bit saying XGETBV may be executed.

@@ -1,3 +1,5 @@
+//go:build !purego
+
 package cpufeat
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

@@ -9,12 +9,26 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
-# internal/blas, internal/sim, internal/stencil and internal/cpufeat have
-# amd64 assembly (vet's asmdecl checks their stubs above); everywhere else the
-# portable path is the only one, so it must build and vet clean where the .s
-# files are excluded.
+# internal/blas, internal/sim, internal/stencil, internal/cluster and
+# internal/cpufeat have amd64 assembly (vet's asmdecl checks their stubs
+# above); everywhere else the portable path is the only one, so it must build
+# and vet clean where the .s files are excluded.
 GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/blas ./internal/sim ./internal/stencil ./internal/cpufeat
+GOARCH=arm64 go vet ./internal/blas ./internal/sim ./internal/stencil ./internal/cluster ./internal/cpufeat
+# The purego build reports no CPU feature, so every SIMD kernel is off: the
+# kernels' packages must pass on their portable paths alone, and the ledger
+# of committed virtual numbers must come out byte for byte the same — no
+# committed number may depend on which kernel ran.
+go test -tags purego ./internal/blas ./internal/sim ./internal/stencil ./internal/cluster
+ledger=$(mktemp)
+go run -tags purego ./cmd/figures -par 8 -o "$ledger"
+if ! cmp -s BENCH_paper.json "$ledger"; then
+    diff -u BENCH_paper.json "$ledger" >&2 || true
+    rm -f "$ledger"
+    echo "check.sh: the purego ledger differs from BENCH_paper.json" >&2
+    exit 1
+fi
+rm -f "$ledger"
 # fusedcount PKG FUNC prints the fused multiply-adds in the arm64 -S listing
 # of PKG outside function FUNC, then those inside it (the build cache
 # replays the listing, so this stays cheap).
