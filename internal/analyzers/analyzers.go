@@ -17,11 +17,12 @@
 // byte-identical findings, and every interprocedural finding carries the
 // call path that justifies it (-why).
 //
-// The suite is stdlib-only (go/ast, go/parser, go/types, go/importer): the
-// module has zero dependencies and the lint layer must not be the thing
-// that changes that. The Analyzer/Pass shapes mirror
-// golang.org/x/tools/go/analysis closely enough that a check could be
-// ported to the real driver verbatim.
+// The suite is stdlib-only (go/ast, go/build, go/parser, go/types,
+// go/importer): the module has zero dependencies and the lint layer must
+// not be the thing that changes that. It does need the go command, which
+// supplies the standard library's export data (load.go). The Analyzer/Pass
+// shapes mirror golang.org/x/tools/go/analysis closely enough that a check
+// could be ported to the real driver verbatim.
 //
 // Findings can be suppressed per site with a directive comment
 //

@@ -1,7 +1,6 @@
 package analyzers
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -38,6 +37,13 @@ func TestLockOrder(t *testing.T) {
 
 func TestDeadCode(t *testing.T) {
 	RunModuleFixture(t, []*Analyzer{DeadCode}, "deadcode", &ModuleOptions{IncludeTests: true})
+}
+
+// TestBuildFiles pins the loader's file selection: the buildfiles fixture
+// loads as one package on every GOARCH, with the in-package test and
+// neither the other platforms' files nor the external test package.
+func TestBuildFiles(t *testing.T) {
+	RunModuleFixture(t, []*Analyzer{NoWallTime}, "buildfiles", &ModuleOptions{IncludeTests: true})
 }
 
 // TestTransitiveLeakOldSuiteMissed pins the acceptance case for retiring
@@ -107,20 +113,8 @@ func TestSuiteIsComplete(t *testing.T) {
 // reason or check name are reported and suppress nothing: the fixture's
 // time.Now calls must still be flagged.
 func TestMalformedDirectives(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(root, "internal", "analyzers", "testdata", "src", "lintdirective")
-	pkg, err := l.LoadDir(dir, "tianhelint.test/lintdirective")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := RunModule(BuildModule(l.Fset(), []*Package{pkg}, nil), []*Analyzer{NoWallTime})
+	l, pkgs := loadFixtureTree(t, "lintdirective", false)
+	findings := RunModule(BuildModule(l.Fset(), pkgs, nil), []*Analyzer{NoWallTime})
 	var directives, wallTime int
 	for _, f := range findings {
 		switch f.Check {

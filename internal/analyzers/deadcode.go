@@ -165,7 +165,7 @@ func (s *surface) viaInterface(fn *types.Func) bool {
 	}
 	ptr := types.NewPointer(recv)
 	// errors.Is/As/Unwrap find these through unnamed interfaces inside
-	// function bodies, which the source importer does not type-check.
+	// function bodies, which standard-library export data does not carry.
 	switch fn.Name() {
 	case "Unwrap", "Is", "As":
 		if types.Implements(recv, s.ifaces[0]) || types.Implements(ptr, s.ifaces[0]) {

@@ -3,41 +3,23 @@ package analyzers
 import (
 	"fmt"
 	"go/token"
-	"os"
 	"path/filepath"
 	"regexp"
-	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// RunFixture loads testdata/src/<fixture> as one package, runs the
-// analyzer over it (including lint:ignore suppression, so fixtures can
-// exercise directives), and diffs the findings against `// want "regexp"`
-// expectation comments — the x/tools analysistest contract, minus the
-// dependency. A want comment expects one finding on its own line per
-// quoted regexp; findings with no matching want, and wants with no
-// matching finding, fail the test.
+// RunFixture loads testdata/src/<fixture> (one package, for most
+// fixtures), runs the analyzer over it (including lint:ignore suppression,
+// so fixtures can exercise directives), and diffs the findings against
+// `// want "regexp"` expectation comments — the x/tools analysistest
+// contract, minus the dependency. A want comment expects one finding on its
+// own line per quoted regexp; findings with no matching want, and wants
+// with no matching finding, fail the test.
 func RunFixture(t *testing.T, a *Analyzer, fixture string) {
 	t.Helper()
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("module root: %v", err)
-	}
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	dir := filepath.Join(root, "internal", "analyzers", "testdata", "src", fixture)
-	pkg, err := l.LoadDir(dir, "tianhelint.test/"+fixture)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", fixture, err)
-	}
-
-	findings := RunModule(BuildModule(l.Fset(), []*Package{pkg}, nil), []*Analyzer{a})
-	diffWants(t, l.Fset(), []*Package{pkg}, findings)
+	RunModuleFixture(t, []*Analyzer{a}, fixture, nil)
 }
 
 // RunModuleFixture loads every package under testdata/src/<fixture> —
@@ -58,52 +40,24 @@ func RunModuleFixture(t *testing.T, checks []*Analyzer, fixture string, opt *Mod
 // FixtureModule is the import-path prefix fixture packages load under.
 const FixtureModule = "tianhelint.test"
 
-// loadFixtureTree loads testdata/src/<fixture> and every package directory
-// below it, in sorted order.
+// loadFixtureTree registers testdata/src/<fixture> as a root under
+// FixtureModule and loads every package in it, sorted by path.
 func loadFixtureTree(t *testing.T, fixture string, tests bool) (*Loader, []*Package) {
 	t.Helper()
-	root, err := FindModuleRoot(".")
+	dir, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatalf("module root: %v", err)
 	}
-	l, err := NewLoader(root)
+	l, err := NewLoader(dir)
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
 	l.IncludeTests = tests
-	dir := filepath.Join(root, "internal", "analyzers", "testdata", "src", fixture)
-	l.aux = append(l.aux, auxModule{FixtureModule + "/" + fixture, dir})
-
-	var dirs []string
-	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && strings.HasSuffix(d.Name(), ".go") && !strings.HasSuffix(d.Name(), "_test.go") {
-			dirs = append(dirs, filepath.Dir(path))
-		}
-		return nil
-	})
+	r := root{FixtureModule + "/" + fixture, filepath.Join(dir, "internal", "analyzers", "testdata", "src", fixture)}
+	l.roots = append(l.roots, r)
+	pkgs, err := l.loadTree(r)
 	if err != nil {
-		t.Fatalf("walking fixture %s: %v", fixture, err)
-	}
-	sort.Strings(dirs)
-	dirs = slices.Compact(dirs) // one entry per file so far
-	var pkgs []*Package
-	for _, pd := range dirs {
-		rel, err := filepath.Rel(dir, pd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := FixtureModule + "/" + fixture
-		if rel != "." {
-			path += "/" + filepath.ToSlash(rel)
-		}
-		pkg, err := l.LoadDir(pd, path)
-		if err != nil {
-			t.Fatalf("loading fixture package %s: %v", path, err)
-		}
-		pkgs = append(pkgs, pkg)
+		t.Fatalf("loading fixture %s: %v", fixture, err)
 	}
 	return l, pkgs
 }

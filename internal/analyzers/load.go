@@ -3,35 +3,42 @@ package analyzers
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// Package is one parsed and type-checked (non-test) package.
+// Package is one parsed and type-checked package.
 type Package struct {
 	// Path is the import path ("tianhe/internal/sim").
 	Path string
 	// Dir is the absolute directory holding the sources.
 	Dir string
-	// Files are the parsed non-test sources, sorted by file name.
+	// Files are the parsed sources go/build selects for the current
+	// platform (plus the in-package tests under IncludeTests), sorted by
+	// file name.
 	Files []*ast.File
 	// Types and Info are the go/types results.
 	Types *types.Package
 	Info  *types.Info
 }
 
-// Loader parses and type-checks the module's packages with no external
-// dependencies: imports inside the module resolve by directory layout,
-// standard-library imports go through the stdlib source importer.
+// Loader parses and type-checks the module's packages from source, so the
+// analyzers see their syntax. It leaves both build decisions to the Go
+// toolchain: go/build picks each directory's files for the current
+// GOOS/GOARCH (build constraints and _GOOS/_GOARCH file-name suffixes
+// alike), and standard-library imports are typed from the export data the
+// go command keeps in its build cache. Loading therefore needs the go
+// command on PATH.
 type Loader struct {
 	// Root is the absolute module root (the directory holding go.mod).
 	Root string
@@ -44,25 +51,26 @@ type Loader struct {
 	// and never leak into the shipped build. Set before the first load.
 	IncludeTests bool
 
-	fset *token.FileSet
-	std  *sharedImporter
-	pkgs map[string]*Package // by import path; nil marks in-progress
-	aux  []auxModule         // extra import-path prefixes (fixture modules)
+	fset    *token.FileSet
+	std     types.ImporterFrom
+	exports map[string]string   // standard-library import path -> export data file
+	pkgs    map[string]*Package // by import path; nil marks in-progress
+	roots   []root              // roots[0] is the module
 }
 
-// auxModule maps an import-path prefix outside the main module onto a
-// directory tree: imports of prefix or prefix/<rel> resolve to dir/<rel>.
-// It is how the fixture harness gives the multi-package fixtures under
-// testdata/src stable import paths without a second go.mod.
-type auxModule struct {
+// root maps an import-path prefix onto a directory tree: imports of prefix
+// or prefix/<rel> resolve to dir/<rel>. The module is the first root; the
+// fixture harness adds one per fixture tree under testdata/src, which gives
+// multi-package fixtures stable import paths without a second go.mod.
+type root struct {
 	prefix string
 	dir    string
 }
 
-// NewLoader builds a loader for the module rooted at root, reading the
-// module path from root/go.mod.
-func NewLoader(root string) (*Loader, error) {
-	abs, err := filepath.Abs(root)
+// NewLoader builds a loader for the module rooted at dir, reading the
+// module path from dir/go.mod.
+func NewLoader(dir string) (*Loader, error) {
+	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -70,38 +78,60 @@ func NewLoader(root string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	stdlib.once.Do(func() {
-		stdlib.fset = token.NewFileSet()
-		stdlib.imp = importer.ForCompiler(stdlib.fset, "source", nil).(types.ImporterFrom)
-	})
-	return &Loader{
+	l := &Loader{
 		Root:   abs,
 		Module: mod,
-		fset:   stdlib.fset,
-		std:    &stdlib,
+		fset:   token.NewFileSet(),
 		pkgs:   make(map[string]*Package),
-	}, nil
+		roots:  []root{{mod, abs}},
+	}
+	l.std = importer.ForCompiler(l.fset, "gc", l.exportData).(types.ImporterFrom)
+	return l, nil
 }
 
-// stdlib is the process-wide standard-library importer. Type-checking the
-// standard library from source is most of a load and does not depend on
-// the module being loaded, so every Loader shares one importer — and with
-// it one FileSet, which positions must resolve against.
-var stdlib sharedImporter
-
-// sharedImporter serializes the source importer, whose package cache is
-// not safe for concurrent loaders.
-type sharedImporter struct {
-	once sync.Once
-	mu   sync.Mutex
-	fset *token.FileSet
-	imp  types.ImporterFrom
+// exportData opens the build-cache export data of a standard-library
+// package. The first call lists the export files of every standard package
+// the module depends on with one go command; a package outside that set
+// (one only tests or fixtures import) is listed on its own.
+func (l *Loader) exportData(path string) (io.ReadCloser, error) {
+	if l.exports == nil {
+		l.exports = make(map[string]string)
+		if err := l.listExports("./..."); err != nil {
+			return nil, err
+		}
+	}
+	if _, ok := l.exports[path]; !ok {
+		if err := l.listExports(path); err != nil {
+			return nil, err
+		}
+	}
+	file := l.exports[path]
+	if file == "" {
+		return nil, fmt.Errorf("analyzers: no export data for %q", path)
+	}
+	return os.Open(file)
 }
 
-func (s *sharedImporter) importFrom(path, dir string) (*types.Package, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.imp.ImportFrom(path, dir, 0)
+// listExports records the export data files of the standard packages among
+// pattern and its dependencies. -e keeps a package of the module that does
+// not compile from hiding the standard library: its error surfaces when the
+// loader type-checks it.
+func (l *Loader) listExports(pattern string) error {
+	cmd := exec.Command("go", "list", "-e", "-export", "-deps",
+		"-f", "{{if .Standard}}{{.ImportPath}} {{.Export}}{{end}}", pattern)
+	cmd.Dir = l.Root
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("analyzers: go list %s: %v: %s", pattern, err, stderr.String())
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, " "); ok {
+			l.exports[path] = file
+		}
+	}
+	return nil
 }
 
 // FindModuleRoot walks up from dir to the nearest directory holding go.mod.
@@ -136,7 +166,8 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("analyzers: no module directive in %s", gomod)
 }
 
-// Fset returns the shared file set all loaded packages use.
+// Fset returns the file set all loaded packages and imported
+// standard-library objects share.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Import implements types.Importer.
@@ -144,35 +175,21 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.ImportFrom(path, l.Root, 0)
 }
 
-// ImportFrom implements types.ImporterFrom: module-internal paths load from
-// the module tree, auxiliary-module paths from their registered roots,
-// everything else from the standard library.
+// ImportFrom implements types.ImporterFrom: paths under a root load from
+// its directory tree, everything else from the standard library.
 func (l *Loader) ImportFrom(path, dir string, _ types.ImportMode) (*types.Package, error) {
-	if rel, ok := l.moduleRel(path); ok {
-		pkg, err := l.LoadDir(filepath.Join(l.Root, filepath.FromSlash(rel)), path)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	for _, m := range l.aux {
-		rel, ok := pathRel(m.prefix, path)
+	for _, r := range l.roots {
+		rel, ok := pathRel(r.prefix, path)
 		if !ok {
 			continue
 		}
-		pkg, err := l.LoadDir(filepath.Join(m.dir, filepath.FromSlash(rel)), path)
+		pkg, err := l.LoadDir(filepath.Join(r.dir, filepath.FromSlash(rel)), path)
 		if err != nil {
 			return nil, err
 		}
 		return pkg.Types, nil
 	}
-	return l.std.importFrom(path, dir)
-}
-
-// moduleRel returns the module-root-relative slash path of an import path
-// inside the module ("" for the root package itself).
-func (l *Loader) moduleRel(path string) (string, bool) {
-	return pathRel(l.Module, path)
+	return l.std.ImportFrom(path, dir, 0)
 }
 
 // pathRel returns path relative to the import-path prefix, when under it.
@@ -186,8 +203,9 @@ func pathRel(prefix, path string) (string, bool) {
 	return "", false
 }
 
-// LoadDir parses and type-checks the non-test sources of dir as importPath.
-// Results are cached per import path.
+// LoadDir parses and type-checks the sources of dir as importPath.
+// Results are cached per import path. A directory with no non-test source
+// for the current platform yields a *build.NoGoError.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	if pkg, ok := l.pkgs[importPath]; ok {
 		if pkg == nil {
@@ -201,10 +219,6 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	if err != nil {
 		delete(l.pkgs, importPath)
 		return nil, err
-	}
-	if len(files) == 0 {
-		delete(l.pkgs, importPath)
-		return nil, fmt.Errorf("analyzers: no buildable Go sources in %s", dir)
 	}
 
 	info := &types.Info{
@@ -229,113 +243,70 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	return pkg, nil
 }
 
-// parseDir parses every buildable .go file in dir: the non-test sources
-// always, plus — when IncludeTests is set — the in-package _test.go files.
-// External test packages (package name ending in _test) are dropped after
-// parsing: they form a second package in the directory and stay outside
-// the lint surface.
+// parseDir parses the files go/build selects in dir: the package's
+// sources, plus its in-package _test.go files when IncludeTests is set.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
+	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			(!l.IncludeTests && strings.HasSuffix(name, "_test.go")) ||
-			strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		names = append(names, name)
+	if len(bp.GoFiles) == 0 {
+		return nil, &build.NoGoError{Dir: dir}
 	}
-	sort.Strings(names)
+	names := bp.GoFiles
+	if l.IncludeTests {
+		names = append(names, bp.TestGoFiles...)
+	}
+	slices.Sort(names)
 	var files []*ast.File
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		if strings.HasSuffix(name, "_test.go") && strings.HasSuffix(f.Name.Name, "_test") {
-			continue
-		}
-		if !buildableFile(f) {
-			continue
-		}
 		files = append(files, f)
 	}
 	return files, nil
 }
 
-// buildableFile evaluates a file's //go:build constraint (if any) against
-// the default build the lint analyzes: current GOOS/GOARCH, no extra tags.
-// Without this, tag-disjoint pairs like race_on_test.go/race_off_test.go
-// would collide when -tests loads a directory.
-func buildableFile(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.Pos() >= f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				continue
-			}
-			return expr.Eval(func(tag string) bool {
-				return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc"
-			})
-		}
-	}
-	return true
+// LoadAll loads every package of the module. Packages come back sorted by
+// path.
+func (l *Loader) LoadAll() ([]*Package, error) {
+	return l.loadTree(l.roots[0])
 }
 
-// LoadAll loads every package in the module tree, skipping testdata
-// fixtures and hidden directories. Packages come back sorted by path.
-func (l *Loader) LoadAll() ([]*Package, error) {
-	var dirs []string
-	seen := make(map[string]bool)
-	err := filepath.WalkDir(l.Root, func(path string, d os.DirEntry, err error) error {
+// loadTree loads every package in r's directory tree, skipping testdata,
+// hidden and _-prefixed directories below its top and directories with no
+// package for the current platform. Packages come back sorted by path.
+func (l *Loader) loadTree(r root) ([]*Package, error) {
+	var pkgs []*Package
+	err := filepath.WalkDir(r.dir, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != r.dir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(r.dir, dir)
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != l.Root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
+		path := r.prefix
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		pkg, err := l.LoadDir(dir, path)
+		if _, ok := err.(*build.NoGoError); ok {
 			return nil
 		}
-		if strings.HasSuffix(d.Name(), ".go") && !strings.HasSuffix(d.Name(), "_test.go") {
-			// A directory's files straddle its subdirectories in walk
-			// order (serve/job.go, serve/loadgen/, serve/server.go).
-			if dir := filepath.Dir(path); !seen[dir] {
-				seen[dir] = true
-				dirs = append(dirs, dir)
-			}
+		if err != nil {
+			return err
 		}
+		pkgs = append(pkgs, pkg)
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		rel, err := filepath.Rel(l.Root, dir)
-		if err != nil {
-			return nil, err
-		}
-		path := l.Module
-		if rel != "." {
-			path = l.Module + "/" + filepath.ToSlash(rel)
-		}
-		pkg, err := l.LoadDir(dir, path)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil

@@ -1,0 +1,7 @@
+package buildfiles
+
+import "time"
+
+func impl() int64 {
+	return time.Now().UnixNano() // want "time.Now reads the wall clock"
+}

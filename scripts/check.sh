@@ -15,20 +15,35 @@ go vet ./...
 # and vet clean where the .s files are excluded.
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/blas ./internal/sim ./internal/stencil ./internal/cluster ./internal/cpufeat
+# ledgermatches NAME CMD... writes the ledger of committed virtual numbers
+# with `CMD -par 8 -o FILE` and requires it to equal BENCH_paper.json byte
+# for byte.
+ledgermatches() {
+    name=$1
+    shift
+    ledger=$(mktemp)
+    "$@" -par 8 -o "$ledger"
+    if ! cmp -s BENCH_paper.json "$ledger"; then
+        diff -u BENCH_paper.json "$ledger" >&2 || true
+        rm -f "$ledger"
+        echo "check.sh: the $name ledger differs from BENCH_paper.json" >&2
+        exit 1
+    fi
+    rm -f "$ledger"
+}
 # The purego build reports no CPU feature, so every SIMD kernel is off: the
 # kernels' packages must pass on their portable paths alone, and the ledger
-# of committed virtual numbers must come out byte for byte the same — no
-# committed number may depend on which kernel ran.
+# must come out byte for byte the same — no committed number may depend on
+# which kernel ran.
 go test -tags purego ./internal/blas ./internal/sim ./internal/stencil ./internal/cluster
-ledger=$(mktemp)
-go run -tags purego ./cmd/figures -par 8 -o "$ledger"
-if ! cmp -s BENCH_paper.json "$ledger"; then
-    diff -u BENCH_paper.json "$ledger" >&2 || true
-    rm -f "$ledger"
-    echo "check.sh: the purego ledger differs from BENCH_paper.json" >&2
-    exit 1
-fi
-rm -f "$ledger"
+ledgermatches purego go run -tags purego ./cmd/figures
+# The 386 build is the second instruction set: no assembly, 32-bit int and
+# pointers. It must build, and its ledger must match too — no committed
+# number may depend on the ISA or the word size. Building first also warms
+# the 386 export data that tianhelint's loader types the standard library
+# from when the tests run under GOARCH=386 (CI does).
+GOARCH=386 go build ./...
+ledgermatches 386 env GOARCH=386 go run ./cmd/figures
 # fusedcount PKG FUNC prints the fused multiply-adds in the arm64 -S listing
 # of PKG outside function FUNC, then those inside it (the build cache
 # replays the listing, so this stays cheap).
