@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -40,21 +41,32 @@ func RunModuleFixture(t *testing.T, checks []*Analyzer, fixture string, opt *Mod
 // FixtureModule is the import-path prefix fixture packages load under.
 const FixtureModule = "tianhelint.test"
 
+// fixtureLoaders holds one loader per IncludeTests setting. Fixture trees
+// are roots with distinct import-path prefixes and load read-only, so the
+// fixtures share a loader, and with it its go list of the standard
+// library's export data.
+var fixtureLoaders = map[bool]*Loader{}
+
 // loadFixtureTree registers testdata/src/<fixture> as a root under
 // FixtureModule and loads every package in it, sorted by path.
 func loadFixtureTree(t *testing.T, fixture string, tests bool) (*Loader, []*Package) {
 	t.Helper()
-	dir, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatalf("module root: %v", err)
+	l := fixtureLoaders[tests]
+	if l == nil {
+		dir, err := FindModuleRoot(".")
+		if err != nil {
+			t.Fatalf("module root: %v", err)
+		}
+		if l, err = NewLoader(dir); err != nil {
+			t.Fatalf("loader: %v", err)
+		}
+		l.IncludeTests = tests
+		fixtureLoaders[tests] = l
 	}
-	l, err := NewLoader(dir)
-	if err != nil {
-		t.Fatalf("loader: %v", err)
+	r := root{FixtureModule + "/" + fixture, filepath.Join(l.Root, "internal", "analyzers", "testdata", "src", fixture)}
+	if !slices.Contains(l.roots, r) {
+		l.roots = append(l.roots, r)
 	}
-	l.IncludeTests = tests
-	r := root{FixtureModule + "/" + fixture, filepath.Join(dir, "internal", "analyzers", "testdata", "src", fixture)}
-	l.roots = append(l.roots, r)
 	pkgs, err := l.loadTree(r)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", fixture, err)
