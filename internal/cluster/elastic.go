@@ -142,6 +142,8 @@ type elasticRank struct {
 	stripes []rcv.Stripe
 	parity  map[int][]float64 // stripe index -> N*NB parity block (col-major)
 
+	pack []float64 // the panel owner's pack buffer, refilled every iteration
+
 	parityBytes int64
 	recovery    []float64
 	failed      []int
@@ -299,7 +301,8 @@ func (st *elasticRank) factorLoop() (died bool) {
 				panic(fmt.Sprintf("cluster: singular panel at block %d: %v", k, err))
 			}
 			advance(st.comm, float64(nb)*float64(nb)*(float64(m)+float64(nb)/3), perfmodel.HostPanelGFLOPS)
-			buf = packPanel(ipiv, pv)
+			st.pack = packPanel(st.pack, ipiv, pv)
+			buf = st.pack
 		}
 		buf = st.comm.GroupBcast(st.live, indexOfRank(st.live, owner), tagEPanel+k%8, buf)
 		panel, ipiv := unpackPanel(buf, m, nb)
@@ -310,21 +313,14 @@ func (st *elasticRank) factorLoop() (died bool) {
 		// block this rank holds (a swap hits all of a stripe's members
 		// identically, and XOR commutes with a permutation applied to every
 		// operand).
-		for i := 0; i < nb; i++ {
-			gi, gp := row0+i, row0+ipiv[i]
-			if gi == gp {
-				continue
+		for b, col := range st.cols {
+			if b != k || owner != me {
+				swapPivotRows(col, row0, ipiv, false)
 			}
-			for b, col := range st.cols {
-				if b == k && owner == me {
-					continue
-				}
-				rcv.SwapRows(col.Data, n, gi, gp)
-			}
-			st.bTilde[gi], st.bTilde[gp] = st.bTilde[gp], st.bTilde[gi]
-			for _, p := range st.parity {
-				rcv.SwapRows(p, n, gi, gp)
-			}
+		}
+		swapPivotRows(matrix.FromColMajor(n, 1, n, st.bTilde), row0, ipiv, false)
+		for _, p := range st.parity {
+			swapPivotRows(matrix.FromColMajor(n, nb, n, p), row0, ipiv, false)
 		}
 
 		l11 := panel.View(0, 0, nb, nb)
@@ -354,8 +350,25 @@ func (st *elasticRank) factorLoop() (died bool) {
 		if !st.cfg.DisableParity {
 			st.encodeParity(k, owner)
 		}
+		if owner != me {
+			st.comm.Release(buf) // the owner keeps its pack buffer
+		}
 	}
 	return false
+}
+
+// swapPivotRows applies one iteration's row interchanges — ipiv relative to
+// row0, the panel's first row — to every column of block, one pass per column
+// with the interchanges in order (blas.Dlaswp's loop order); undo applies
+// them in reverse, undoing an earlier call. A pure permutation, so no bit of
+// any value changes.
+func swapPivotRows(block *matrix.Dense, row0 int, ipiv []int, undo bool) {
+	v := block.View(row0, 0, block.Rows-row0, block.Cols)
+	if undo {
+		blas.DlaswpInverse(v, ipiv, 0, len(ipiv))
+		return
+	}
+	blas.Dlaswp(v, ipiv, 0, len(ipiv))
 }
 
 // ownedAfter lists this rank's columns strictly right of block k, ascending
@@ -396,7 +409,9 @@ func (st *elasticRank) encodeParity(k, owner int) {
 		st.comm.Send(s.Holder, tagEParity+k%8, st.cols[k].Data)
 		st.parityBytes += int64(8 * n * nb)
 	case s.Holder == me && owner != me:
-		rcv.XORInto(st.parityBlock(s.Index), st.comm.Recv(owner, tagEParity+k%8))
+		col := st.comm.Recv(owner, tagEParity+k%8)
+		rcv.XORInto(st.parityBlock(s.Index), col)
+		st.comm.Release(col)
 		advance(st.comm, float64(8*n*nb), elasticMemGBps) // XOR fold at memory rate
 	}
 }
@@ -457,10 +472,16 @@ func (st *elasticRank) recoverFrom(failed []int, k int) {
 	// Phase 3: local reconstruction through the rebuild codelet graph —
 	// scheduled on this element like any other work.
 	st.runRebuildGraph(plan, factored, parityIn)
+	for stripe, p := range parityIn {
+		if st.stripes[stripe].Holder != me {
+			st.comm.Release(p) // a holder's own block is released below
+		}
+	}
 
 	// Adopt the shrunk state and re-encode parity for the new striping.
 	// Every survivor holds the full factored prefix right now, so holders
 	// re-fold locally; steady-state encoding resumes incrementally.
+	prevOwners, prevParity := st.owners, st.parity
 	st.live = newLive
 	st.owners = plan.Owners.Owners
 	st.epoch = plan.Members.Epoch
@@ -482,6 +503,17 @@ func (st *elasticRank) recoverFrom(failed []int, k int) {
 			}
 		}
 		advance(st.comm, float64(folded)*float64(8*n*nb), elasticMemGBps)
+	}
+	// The received prefix, the XOR-rebuilt columns (copied into st.cols
+	// when adopted) and the old striping's parity blocks are spent; this
+	// rank's own columns stay.
+	for i, col := range factored {
+		if col != nil && prevOwners[i] != me {
+			st.comm.Release(col)
+		}
+	}
+	for _, p := range prevParity {
+		st.comm.Release(p)
 	}
 
 	// Agree on the epoch's recovery stall (group max), so every survivor
@@ -645,6 +677,11 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 		panic(fmt.Sprintf("cluster: rebuild graph: %v", err))
 	}
 	st.comm.Sync(rep.End)
+	for _, p := range hist {
+		if p != nil {
+			st.comm.Release(p.Data)
+		}
+	}
 	// Materialize parity-rebuilt columns this rank adopted.
 	for _, rb := range mine {
 		if rb.Source == rcv.FromParity {
@@ -660,12 +697,7 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 // identical per-column call shapes updateColumn uses — which is why the
 // replayed bits match what the dead element would have computed.
 func (st *elasticRank) replayIteration(col *matrix.Dense, panel *matrix.Dense, i int) {
-	n, nb := st.cfg.N, st.cfg.NB
-	row0 := i * nb
-	ipiv := st.pivots[i]
-	for t := 0; t < nb; t++ {
-		rcv.SwapRows(col.Data, n, row0+t, row0+ipiv[t])
-	}
+	swapPivotRows(col, i*st.cfg.NB, st.pivots[i], false)
 	st.updateColumnAt(col, panel, i)
 }
 
@@ -687,20 +719,19 @@ func (st *elasticRank) updateColumnAt(col *matrix.Dense, panel *matrix.Dense, k 
 	}
 }
 
-// unswapPanel reconstructs the panel iteration i broadcast: final column i
-// with the row swaps of iterations i+1..k-1 undone, in reverse order.
+// unswapPanel reconstructs the panel iteration i broadcast: rows i*NB and
+// down of final column i with the row swaps of iterations i+1..k-1 undone,
+// in reverse order. Those swaps never reach above row (i+1)*NB, so the rows
+// above the panel need no copy.
 func (st *elasticRank) unswapPanel(data []float64, i, k int) *matrix.Dense {
 	n, nb := st.cfg.N, st.cfg.NB
-	col := matrix.NewDense(n, nb)
-	copy(col.Data, data)
-	for j := k - 1; j > i; j-- {
-		ipiv := st.pivots[j]
-		for t := nb - 1; t >= 0; t-- {
-			rcv.SwapRows(col.Data, n, j*nb+t, j*nb+ipiv[t])
-		}
-	}
 	row0 := i * nb
-	return col.View(row0, 0, n-row0, nb).Clone()
+	panel := matrix.NewDense(n-row0, nb)
+	panel.CopyFrom(matrix.FromColMajor(n-row0, nb, n, data[row0:]))
+	for j := k - 1; j > i; j-- {
+		swapPivotRows(panel, j*nb-row0, st.pivots[j], true)
+	}
+	return panel
 }
 
 // gatherFactors ships every rank's columns to the lowest survivor, which
@@ -719,6 +750,7 @@ func (st *elasticRank) gatherFactors(out []*matrix.Dense) {
 			}
 			buf := st.comm.Recv(st.owners[b], tagEGather+b%8)
 			dst.CopyFrom(matrix.FromColMajor(n, nb, n, buf))
+			st.comm.Release(buf)
 		}
 		out[me] = f
 		return
@@ -758,6 +790,7 @@ func (st *elasticRank) backSolve() []float64 {
 		for i, d := range payload[nb:] {
 			st.bTilde[i] -= d
 		}
+		st.comm.Release(payload) // the owner's was fresh: it is spent too
 	}
 	return x
 }

@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"tianhe/internal/element"
 	"tianhe/internal/hpl"
@@ -66,21 +67,29 @@ func advance(c *mpi.Comm, flops, gflops float64) {
 }
 
 // packPanel encodes a factored panel piece and its pivots for broadcast as
-// [ipiv | piece], the piece column-major with a tight leading dimension.
-func packPanel(ipiv []int, piece *matrix.Dense) []float64 {
-	buf := make([]float64, len(ipiv), len(ipiv)+piece.Rows*piece.Cols)
+// [ipiv | piece], the piece column-major with a tight leading dimension. The
+// encoding reuses dst's storage, grown when it is too short.
+func packPanel(dst []float64, ipiv []int, piece *matrix.Dense) []float64 {
+	buf := reuse(dst, len(ipiv)+piece.Rows*piece.Cols)
 	for i, v := range ipiv {
 		buf[i] = float64(v)
 	}
 	for j := 0; j < piece.Cols; j++ {
-		buf = append(buf, piece.Col(j)...)
+		copy(buf[len(ipiv)+j*piece.Rows:], piece.Col(j))
 	}
 	return buf
 }
 
+// reuse returns buf resized to n values, allocating only when it is too
+// short; the values are whatever buf held.
+func reuse(buf []float64, n int) []float64 {
+	return slices.Grow(buf[:0], n)[:n]
+}
+
 // unpackPanel is the inverse of packPanel. The piece views buf instead of
-// copying it: the root packed buf itself and mpi.Send hands every receiver a
-// private payload, so nobody else holds the storage.
+// copying it: the root packed buf into its own scratch and every receiver
+// owns the payload mpi.Send copied for it, so nobody else writes the storage
+// while the piece is in use.
 func unpackPanel(buf []float64, rows, nb int) (*matrix.Dense, []int) {
 	ipiv := make([]int, nb)
 	for i := range ipiv {

@@ -61,6 +61,14 @@ type state2d struct {
 	local  *matrix.Dense // localRows x localCols, augmented layout
 	runner *hybrid.Runner
 
+	// Send-side scratch, refilled at every step: mpi.Send copies, so what a
+	// rank sends from its own storage needs no fresh buffer. A root keeps
+	// viewing its packed panel and U12 through the updates, and under
+	// look-ahead panel k+1 is packed while panel k is still in use, so the
+	// pack buffers alternate by parity of k.
+	pack            [2][]float64
+	u12, pivot, seg []float64
+
 	nRowBlocks int // N/NB
 	nColBlocks int // N/NB + 1 (augmented)
 }
@@ -182,58 +190,72 @@ func (st *state2d) rowGroup(prow int) []int {
 	return out
 }
 
+// panel2d is one rank's copy of a broadcast panel: the pivots and the
+// piece, which views buf, the payload it arrived in (a root's own pack
+// buffer).
+type panel2d struct {
+	buf   []float64
+	piece *matrix.Dense
+	ipiv  []int
+}
+
 // factor runs the 2D right-looking panel loop, optionally with depth-1
 // look-ahead.
 func (st *state2d) factor() {
 	nb := st.cfg.NB
-	// With look-ahead, panel k's piece and pivots were produced during
-	// iteration k-1 and carried here.
-	var piece *matrix.Dense
-	var ipiv []int
+	// With look-ahead, panel k was factored and broadcast during iteration
+	// k-1 and is carried here.
+	var cur panel2d
 	for k := 0; k < st.nRowBlocks; k++ {
 		pcol := grid.CyclicOwner(k, st.cfg.Q)
 		prow := grid.CyclicOwner(k, st.cfg.P)
 		row0 := k * nb
 
-		if piece == nil {
+		if cur.piece == nil {
+			var ipiv []int
 			if st.q == pcol {
 				ipiv = st.panelFactor(k)
 			}
 			// Broadcast pivots plus the panel piece along each process row:
 			// the receiving ranks need the L rows matching their local rows.
-			piece, ipiv = st.panelBcast(k, pcol, ipiv)
+			cur = st.panelBcast(k, pcol, ipiv)
 		}
 
 		// Apply the row interchanges to the trailing columns (the augmented
 		// rhs column included).
-		st.applyTrailingSwaps(k, row0, ipiv)
+		st.applyTrailingSwaps(k, row0, cur.ipiv)
 
 		// U12 on the diagonal process row, then broadcast it down columns.
-		u12 := st.computeAndBcastU12(k, prow, piece)
+		u12 := st.computeAndBcastU12(k, prow, cur.piece)
 
+		var next panel2d
 		if st.cfg.Lookahead && k+1 < st.nRowBlocks {
 			// Look-ahead: the next panel's owner column updates just that
 			// block column, factors panel k+1 and launches its broadcast —
 			// all while the other ranks chew on the bulk update.
 			nextCol := grid.CyclicOwner(k+1, st.cfg.Q)
-			var nextIpiv []int
 			if st.q == nextCol {
-				st.updateRange(k, prow, piece, u12, 0, nb)
-				nextIpiv = st.panelFactor(k + 1)
-				nextPiece, np := st.panelBcast(k+1, nextCol, nextIpiv)
-				st.updateRange(k, prow, piece, u12, nb, -1)
-				piece, ipiv = nextPiece, np
+				st.updateRange(k, prow, cur.piece, u12, 0, nb)
+				next = st.panelBcast(k+1, nextCol, st.panelFactor(k+1))
+				st.updateRange(k, prow, cur.piece, u12, nb, -1)
 			} else {
-				st.updateRange(k, prow, piece, u12, 0, -1)
-				nextPiece, np := st.panelBcast(k+1, nextCol, nil)
-				piece, ipiv = nextPiece, np
+				st.updateRange(k, prow, cur.piece, u12, 0, -1)
+				next = st.panelBcast(k+1, nextCol, nil)
 			}
-			continue
+		} else {
+			// Trailing update through the hybrid element.
+			st.updateRange(k, prow, cur.piece, u12, 0, -1)
 		}
 
-		// Trailing update through the hybrid element.
-		st.updateRange(k, prow, piece, u12, 0, -1)
-		piece, ipiv = nil, nil
+		// Panel k and U12 are spent: receivers hand their payloads back,
+		// roots keep their scratch.
+		if st.q != pcol {
+			st.comm.Release(cur.buf)
+		}
+		if u12 != nil && st.p != prow {
+			st.comm.Release(u12.Data)
+		}
+		cur = next
 	}
 }
 
@@ -263,7 +285,8 @@ func (st *state2d) panelFactor(k int) []int {
 		// The winner publishes the pivot's global row and its panel row.
 		var payload []float64
 		if myIdx == widx {
-			payload = make([]float64, 1+nb)
+			st.pivot = reuse(st.pivot, 1+nb)
+			payload = st.pivot
 			payload[0] = float64(bestGR)
 			lr := st.localRow(bestGR)
 			for jj := 0; jj < nb; jj++ {
@@ -286,7 +309,8 @@ func (st *state2d) panelFactor(k int) []int {
 				// Ship my r1 row to gp's owner; overwrite r1 with the pivot
 				// row (already in hand from the broadcast).
 				lr := st.localRow(gr0)
-				seg := make([]float64, nb)
+				st.seg = reuse(st.seg, nb)
+				seg := st.seg
 				for jj := 0; jj < nb; jj++ {
 					seg[jj] = st.local.At(lr, lc+jj)
 				}
@@ -300,6 +324,7 @@ func (st *state2d) panelFactor(k int) []int {
 				for jj := 0; jj < nb; jj++ {
 					st.local.Set(lr, lc+jj, seg[jj])
 				}
+				st.comm.Release(seg)
 			}
 		}
 
@@ -316,6 +341,9 @@ func (st *state2d) panelFactor(k int) []int {
 			}
 			advance(st.comm, 2*float64(rows)*float64(nb-j), 10)
 		}
+		if myIdx != widx {
+			st.comm.Release(payload)
+		}
 	}
 	return ipiv
 }
@@ -326,8 +354,9 @@ func (st *state2d) globalRowOfLocal(lr int) int {
 }
 
 // panelBcast distributes the pivots and each process row's panel piece along
-// the process rows; every rank returns its piece and the pivot list.
-func (st *state2d) panelBcast(k, pcol int, ipiv []int) (*matrix.Dense, []int) {
+// the process rows; every rank returns its copy of the panel. The root packs
+// into its pack buffer of k's parity.
+func (st *state2d) panelBcast(k, pcol int, ipiv []int) panel2d {
 	nb := st.cfg.NB
 	row0 := k * nb
 	start := st.firstLocalRowAtOrAbove(row0)
@@ -336,10 +365,12 @@ func (st *state2d) panelBcast(k, pcol int, ipiv []int) (*matrix.Dense, []int) {
 
 	var payload []float64
 	if st.q == pcol {
-		payload = packPanel(ipiv, st.local.View(start, st.localColOfBlock(k), pieceRows, nb))
+		st.pack[k&1] = packPanel(st.pack[k&1], ipiv, st.local.View(start, st.localColOfBlock(k), pieceRows, nb))
+		payload = st.pack[k&1]
 	}
 	payload = st.comm.GroupBcast(group, pcol, tag2dPanelBcast, payload)
-	return unpackPanel(payload, pieceRows, nb)
+	piece, ipiv := unpackPanel(payload, pieceRows, nb)
+	return panel2d{buf: payload, piece: piece, ipiv: ipiv}
 }
 
 // applyTrailingSwaps mirrors the panel's row interchanges on the columns
@@ -377,7 +408,8 @@ func (st *state2d) applyTrailingSwaps(k, row0 int, ipiv []int) {
 // held by the peer process row, across my trailing columns.
 func (st *state2d) exchangeRow(myRow, peerP, c0, cols int) {
 	lr := st.localRow(myRow)
-	seg := make([]float64, cols)
+	st.seg = reuse(st.seg, cols)
+	seg := st.seg
 	for j := 0; j < cols; j++ {
 		seg[j] = st.local.At(lr, c0+j)
 	}
@@ -386,6 +418,7 @@ func (st *state2d) exchangeRow(myRow, peerP, c0, cols int) {
 	for j := 0; j < cols; j++ {
 		st.local.Set(lr, c0+j, got[j])
 	}
+	st.comm.Release(got)
 }
 
 // computeAndBcastU12 solves L11 * U12 = A12 on the diagonal process row and
@@ -404,7 +437,8 @@ func (st *state2d) computeAndBcastU12(k, prow int, piece *matrix.Dense) *matrix.
 		u12 := st.local.View(st.localRow(row0), c0, nb, cols)
 		blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, l11, u12)
 		advance(st.comm, float64(nb)*float64(nb)*float64(cols), perfmodel.HostTrsmGFLOPS)
-		payload = make([]float64, nb*cols)
+		st.u12 = reuse(st.u12, nb*cols)
+		payload = st.u12
 		for j := 0; j < cols; j++ {
 			copy(payload[j*nb:], u12.Col(j))
 		}
@@ -412,8 +446,8 @@ func (st *state2d) computeAndBcastU12(k, prow int, piece *matrix.Dense) *matrix.
 	if cols == 0 {
 		return nil
 	}
-	// The payload is this rank's own (packed above or a private copy from
-	// mpi.Send), so U12 views it.
+	// The payload is this rank's own (its scratch, or a received copy it
+	// releases once the updates are done), so U12 views it.
 	return matrix.FromColMajor(nb, cols, nb, st.comm.GroupBcast(group, prow, tag2dU12, payload))
 }
 

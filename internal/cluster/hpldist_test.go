@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"tianhe/internal/element"
@@ -152,7 +153,9 @@ func TestSolveDistributedIs1xQGrid(t *testing.T) {
 
 // checkPanelRoundTrip packs an m x nb window of a matrix with leading
 // dimension m+extra and checks unpackPanel returns the same pivots and
-// elements as a tight view of the packed buffer.
+// elements as a tight view of the packed buffer. It packs twice: into no
+// storage, and into a longer buffer full of NaN, which the encoding must
+// reuse without a stale value showing.
 func checkPanelRoundTrip(t *testing.T, m, nb, extra int, seed uint64) {
 	t.Helper()
 	backing := matrix.NewDense(m+extra, nb)
@@ -163,9 +166,22 @@ func checkPanelRoundTrip(t *testing.T, m, nb, extra int, seed uint64) {
 		ipiv[i] = (i*7 + int(seed%13)) % (m + 1)
 	}
 
-	buf := packPanel(ipiv, src)
-	if len(buf) != nb+m*nb {
-		t.Fatalf("packed %dx%d panel is %d values, want %d", m, nb, len(buf), nb+m*nb)
+	fresh := packPanel(nil, ipiv, src)
+	stale := make([]float64, nb+m*nb+extra+1)
+	for i := range stale {
+		stale[i] = math.NaN()
+	}
+	buf := packPanel(stale, ipiv, src)
+	if len(buf) != nb+m*nb || len(fresh) != len(buf) {
+		t.Fatalf("packed %dx%d panel is %d values (%d into no storage), want %d", m, nb, len(buf), len(fresh), nb+m*nb)
+	}
+	if &buf[0] != &stale[0] {
+		t.Fatal("packPanel allocated although its destination had room")
+	}
+	for i := range buf {
+		if math.Float64bits(buf[i]) != math.Float64bits(fresh[i]) {
+			t.Fatalf("value %d packed into reused storage is %v, into fresh storage %v", i, buf[i], fresh[i])
+		}
 	}
 	piece, got := unpackPanel(buf, m, nb)
 	for i := range ipiv {

@@ -83,6 +83,11 @@ type Device struct {
 	Queue    *sim.Timeline // kernel execution engine
 	DMA      *sim.Timeline // transfer engine (one per device: a single
 	// dedicated host thread drives it, as in the paper)
+
+	// free recycles the host storage behind freed buffers: the executor
+	// stages tiles of a few shapes over and over, so after the first run of
+	// a shape Alloc finds storage here instead of allocating.
+	free matrix.FreeList
 }
 
 // New returns a device with the given configuration.
@@ -294,10 +299,13 @@ type Buffer struct {
 // Bytes returns the allocation size in bytes (8 bytes per element).
 func (b *Buffer) Bytes() int64 { return 8 * int64(b.Rows) * int64(b.Cols) }
 
-// Data exposes the backing matrix for verification; nil in virtual mode.
+// Data exposes the backing matrix for verification; nil in virtual mode and
+// once the buffer is freed.
 func (b *Buffer) Data() *matrix.Dense { return b.data }
 
-// Alloc reserves a rows x cols buffer in local memory.
+// Alloc reserves a rows x cols buffer in local memory. Its storage may be a
+// freed buffer's, stale values included: every path writes a buffer before
+// reading it (Upload copies into it, and a beta == 0 kernel overwrites C).
 func (d *Device) Alloc(rows, cols int) (*Buffer, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("gpu: invalid allocation %dx%d", rows, cols)
@@ -311,14 +319,15 @@ func (d *Device) Alloc(rows, cols int) (*Buffer, error) {
 	}
 	d.used += b.Bytes()
 	if !d.cfg.Virtual {
-		b.data = matrix.NewDense(rows, cols)
+		b.data = matrix.FromColMajor(rows, cols, rows, d.free.Get(rows*cols))
 	}
 	return b, nil
 }
 
-// Free releases the buffer's local memory; a nil buffer (a shape-only copy's)
-// has none. Freeing twice panics: it would corrupt the accounting exactly like
-// a real double-free.
+// Free releases the buffer's local memory and hands its storage to the
+// device for a later Alloc; a nil buffer (a shape-only copy's) has none.
+// Freeing twice panics: it would corrupt the accounting exactly like a real
+// double-free.
 func (b *Buffer) Free() {
 	if b == nil {
 		return
@@ -328,6 +337,10 @@ func (b *Buffer) Free() {
 	}
 	b.freed = true
 	b.dev.used -= b.Bytes()
+	if b.data != nil {
+		b.dev.free.Put(b.data.Data)
+		b.data = nil
+	}
 }
 
 // Upload copies src into dst, booking the transfer on the DMA engine no

@@ -224,3 +224,32 @@ func TestDownclockedDeviceSlower(t *testing.T) {
 		t.Fatal("downclocked device must be slower")
 	}
 }
+
+func TestFreedStorageRecycled(t *testing.T) {
+	d := New(Config{})
+	big, _ := d.Alloc(8, 8)
+	small, _ := d.Alloc(2, 3)
+	bigData, smallData := &big.Data().Data[0], &small.Data().Data[0]
+	big.Free()
+	small.Free()
+	if big.Data() != nil || small.Data() != nil {
+		t.Fatal("a freed buffer must not expose its storage")
+	}
+	// Best fit by capacity: a 2x2 takes the 2x3's storage, a 4x4 the 8x8's,
+	// and a third buffer finds nothing left and allocates.
+	b1, _ := d.Alloc(2, 2)
+	b2, _ := d.Alloc(4, 4)
+	b3, _ := d.Alloc(1, 1)
+	if &b1.Data().Data[0] != smallData || &b2.Data().Data[0] != bigData {
+		t.Fatal("Alloc did not take the best-fitting freed storage")
+	}
+	if p := &b3.Data().Data[0]; p == smallData || p == bigData {
+		t.Fatal("Alloc handed out storage already in use")
+	}
+	if b2.Data().Rows != 4 || b2.Data().Cols != 4 || b2.Data().Stride != 4 || len(b2.Data().Data) != 16 {
+		t.Fatalf("recycled 4x4 buffer is %dx%d, stride %d, %d values", b2.Data().Rows, b2.Data().Cols, b2.Data().Stride, len(b2.Data().Data))
+	}
+	if d.MemUsed() != 8*(4+16+1) {
+		t.Fatalf("used = %d, want the live buffers' bytes only", d.MemUsed())
+	}
+}

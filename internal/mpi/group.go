@@ -17,7 +17,9 @@ func (c *Comm) groupIndex(members []int) int {
 }
 
 // GroupBcast distributes data from members[rootIdx] over a binomial tree
-// within the group. Non-roots pass nil and receive the payload.
+// within the group. Non-roots pass nil and receive the payload, which they
+// own as Recv's and may Release when finished; the root gets its own data
+// back and keeps it.
 func (c *Comm) GroupBcast(members []int, rootIdx, tag int, data []float64) []float64 {
 	n := len(members)
 	if n <= 1 {
@@ -60,6 +62,7 @@ func (c *Comm) GroupMaxLoc(members []int, tag int, val float64) (best float64, w
 			if data[0] > best || (data[0] == best && idx < winnerIdx) {
 				best, winnerIdx = data[0], idx
 			}
+			c.Release(data)
 			seen++
 		}
 		c.GroupBcast(members, 0, tag+1, []float64{best, float64(winnerIdx)})
@@ -67,7 +70,9 @@ func (c *Comm) GroupMaxLoc(members []int, tag int, val float64) (best float64, w
 	}
 	c.Send(members[0], tag, []float64{val})
 	out := c.GroupBcast(members, 0, tag+1, nil)
-	return out[0], int(out[1])
+	best, winnerIdx = out[0], int(out[1])
+	c.Release(out)
+	return best, winnerIdx
 }
 
 func (c *Comm) indexOf(members []int, rank int) int {

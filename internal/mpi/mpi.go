@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sync"
 
+	"tianhe/internal/matrix"
 	"tianhe/internal/perfmodel"
 	"tianhe/internal/sim"
 	"tianhe/internal/telemetry"
@@ -54,9 +55,14 @@ type World struct {
 	maxAttempts     int
 	probes          *worldProbes // nil when telemetry is disabled
 
-	mu     sync.Mutex
 	queues map[int]*rankQueue // keyed by destination rank
 	comms  []*Comm
+
+	// payloads recycles message storage: Send copies into a slice taken
+	// from it, and a rank hands a received payload back with Release. mu
+	// guards it.
+	mu       sync.Mutex
+	payloads matrix.FreeList
 
 	// Failure registry (see failure.go): ranks that called Die, keyed to
 	// the virtual instant their clock stopped. Nil until the first death.
@@ -216,14 +222,16 @@ func (c *Comm) Advance(d sim.Time) { c.clock.Advance(d) }
 // Sync moves the rank's clock to at least t.
 func (c *Comm) Sync(t sim.Time) { c.clock.Sync(t) }
 
-// Send transfers data to dst with the given tag. The payload is copied, so
-// the caller may reuse its buffer. Virtual cost: the sender pays the
-// injection time; the message arrives at send time plus the network model's
-// latency and serialization time. Under an injected LinkFault a dropped
-// transmission costs the sender the wire time plus a retransmission timeout
-// that doubles per attempt (bounded exponential backoff, all in virtual
-// time); after MaxSendAttempts transmissions the message is delivered
-// regardless — link-level delivery is eventual, only late.
+// Send transfers data to dst with the given tag. It copies data into
+// storage taken from the world's recycled payloads, so the caller keeps data
+// and may reuse it at once; the copy belongs to the receiver. Virtual cost:
+// the sender pays the injection time; the message arrives at send time plus
+// the network model's latency and serialization time. Under an injected
+// LinkFault a dropped transmission costs the sender the wire time plus a
+// retransmission timeout that doubles per attempt (bounded exponential
+// backoff, all in virtual time); after MaxSendAttempts transmissions the
+// message is delivered regardless — link-level delivery is eventual, only
+// late.
 func (c *Comm) Send(dst, tag int, data []float64) {
 	if dst == c.rank {
 		panic("mpi: send to self")
@@ -257,7 +265,7 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	msg := message{
 		src:     c.rank,
 		tag:     tag,
-		data:    append([]float64(nil), data...),
+		data:    c.world.payload(data),
 		arrival: launchAt + dur,
 	}
 	q := c.world.queues[dst]
@@ -276,9 +284,30 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	}
 }
 
+// payload copies data into recycled storage.
+func (w *World) payload(data []float64) []float64 {
+	w.mu.Lock()
+	buf := w.payloads.Get(len(data))
+	w.mu.Unlock()
+	copy(buf, data)
+	return buf
+}
+
+// Release hands a payload back to the world, which recycles its storage for
+// later sends. Call it from the rank that owns the payload — one it received,
+// or storage of its own — once that rank is finished with it: afterwards the
+// rank must not touch it, and nobody else may still read it. A payload never
+// released is simply left to the garbage collector.
+func (c *Comm) Release(buf []float64) {
+	c.world.mu.Lock()
+	c.world.payloads.Put(buf)
+	c.world.mu.Unlock()
+}
+
 // Recv blocks until a message from src with the given tag arrives, returning
 // its payload and synchronizing this rank's clock with the arrival time.
-// src == Any matches any source.
+// src == Any matches any source. The payload belongs to the receiving rank
+// alone: it may keep it, write it, or Release it when finished.
 func (c *Comm) Recv(src, tag int) []float64 {
 	data, _ := c.RecvFrom(src, tag)
 	return data
@@ -313,7 +342,8 @@ func (c *Comm) RecvFrom(src, tag int) ([]float64, int) {
 }
 
 // Bcast distributes data from root over a binomial tree; every rank must
-// call it with the same tag. Non-roots pass nil and receive the payload.
+// call it with the same tag. Non-roots pass nil and receive the payload,
+// which they own as Recv's; the root gets its own data back.
 func (c *Comm) Bcast(root, tag int, data []float64) []float64 {
 	size := c.world.size
 	if size == 1 {
@@ -374,6 +404,7 @@ func (c *Comm) AllreduceMax(tag int, x float64) float64 {
 			if v[0] > m {
 				m = v[0]
 			}
+			c.Release(v)
 		}
 		out := c.Bcast(0, tag+1, []float64{m})
 		return out[0]

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"math"
 	"testing"
 
 	"tianhe/internal/perfmodel"
@@ -235,6 +236,49 @@ func TestPayloadIsolation(t *testing.T) {
 			if got := c.Recv(0, 1); got[0] != 1 {
 				t.Errorf("payload aliased sender buffer: %v", got)
 			}
+		}
+	})
+}
+
+// TestReleasedPayloadRecycled hands a payload from rank to rank: rank 1
+// releases what rank 0 sent it, and rank 2's later, shorter send must travel
+// in that same storage and arrive with exactly its own bytes. Under -race the
+// test checks the hand-off of the storage between the three goroutines.
+func TestReleasedPayloadRecycled(t *testing.T) {
+	w := NewWorld(Config{Size: 3})
+	first := []float64{1, 2, 3, 4, 5}
+	second := []float64{math.Inf(-1), -0.0, math.Float64frombits(0x7ff8000000000abc)}
+	var released *float64 // written by rank 1 before it signals rank 2
+	w.Run(func(c *Comm) {
+		switch c.Rank() {
+		case 0:
+			c.Send(1, 1, first)
+			got := c.Recv(2, 3)
+			if &got[0] != released {
+				t.Error("the released payload's storage was not reused by the next send")
+			}
+			if len(got) != len(second) {
+				t.Errorf("received %d values, sent %d", len(got), len(second))
+				return
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(second[i]) {
+					t.Errorf("value %d arrived as %x, sent %x", i, math.Float64bits(got[i]), math.Float64bits(second[i]))
+				}
+			}
+		case 1:
+			got := c.Recv(0, 1)
+			for i := range got {
+				if got[i] != first[i] {
+					t.Errorf("value %d arrived as %v, sent %v", i, got[i], first[i])
+				}
+			}
+			released = &got[0]
+			c.Release(got)
+			c.Send(2, 2, nil)
+		case 2:
+			c.Recv(1, 2)
+			c.Send(0, 3, second)
 		}
 	})
 }

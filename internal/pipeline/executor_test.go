@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"testing"
 
 	"tianhe/internal/blas"
@@ -61,6 +62,44 @@ func TestExecuteCorrectAllModes(t *testing.T) {
 	tight.Tile, tight.BlockRows = 64, 32
 	dev := gpu.New(gpu.Config{MemBytes: 4*8*64*64 + 2*8*32*64, TextureLimit: 64})
 	execCaseOn(t, dev, tight, 128, 128, 192, 1.0, 1.0)
+}
+
+// TestStaleDeviceStorage runs a DGEMM whose operands and accumulator hold
+// NaN and ±Inf, then a beta == 0 DGEMM on the same device, whose buffers now
+// recycle that poisoned storage. The second result must equal, bit for bit,
+// the same call on a fresh device: every staged tile is written before it is
+// read, and a beta == 0 tile never reads its stale contents.
+func TestStaleDeviceStorage(t *testing.T) {
+	const m, n, k = 200, 150, 130 // ragged last tiles at Tile 64
+	for _, o := range []Options{{}, Pipelined()} {
+		o.Tile, o.BlockRows = 64, 32
+		dev := smallDevice()
+		e := NewExecutor(dev, o)
+		poison := func(d *matrix.Dense) {
+			for i := range d.Data {
+				d.Data[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i%3]
+			}
+		}
+		pa, pb, pc := matrix.NewDense(m, k), matrix.NewDense(k, n), matrix.NewDense(m, n)
+		poison(pa)
+		poison(pb)
+		poison(pc)
+		e.Execute(1, pa, pb, 1, pc, 0)
+
+		r := sim.NewRNG(5)
+		a, b := matrix.NewDense(m, k), matrix.NewDense(k, n)
+		a.FillRandom(r)
+		b.FillRandom(r)
+		got, want := matrix.NewDense(m, n), matrix.NewDense(m, n)
+		poison(got) // beta == 0: C's values are never read
+		e.Execute(-0.5, a, b, 0, got, 0)
+		NewExecutor(smallDevice(), o).Execute(-0.5, a, b, 0, want, 0)
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("opts %+v: value %d is %v on a recycling device, %v on a fresh one", o, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
 }
 
 func TestExecuteSingleTile(t *testing.T) {

@@ -86,17 +86,3 @@ func XORInto(dst, src []float64) {
 		dst[i] = math.Float64frombits(math.Float64bits(dst[i]) ^ math.Float64bits(v))
 	}
 }
-
-// SwapRows exchanges rows r1 and r2 of a column-major rows×cols block.
-// Parity holders apply the factorization's pivot swaps directly to their
-// parity blocks: a row swap hits every member column identically, and XOR
-// commutes with any permutation applied to all operands.
-func SwapRows(block []float64, rows, r1, r2 int) {
-	if r1 == r2 {
-		return
-	}
-	for j := 0; j*rows < len(block); j++ {
-		base := j * rows
-		block[base+r1], block[base+r2] = block[base+r2], block[base+r1]
-	}
-}

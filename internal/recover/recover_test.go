@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"tianhe/internal/blas"
+	"tianhe/internal/matrix"
 	"tianhe/internal/mpi"
 	"tianhe/internal/sim"
 )
@@ -93,13 +95,17 @@ func TestSwapRowsCommutesWithXOR(t *testing.T) {
 	for i := range a {
 		a[i], b[i] = r.Float64(), r.Float64()
 	}
-	// parity of swapped == swap of parity
+	// Parity of the swapped members == the swapped parity, for a whole
+	// panel's interchanges applied the way the elastic solver applies them
+	// to members and parity blocks alike.
+	ipiv := []int{6, 1, 7, 5}
+	swap := func(block []float64) { blas.Dlaswp(matrix.FromColMajor(rows, nb, rows, block), ipiv, 0, len(ipiv)) }
 	p := make([]float64, rows*nb)
 	XORInto(p, a)
 	XORInto(p, b)
-	SwapRows(p, rows, 1, 6)
-	SwapRows(a, rows, 1, 6)
-	SwapRows(b, rows, 1, 6)
+	swap(p)
+	swap(a)
+	swap(b)
 	q := make([]float64, rows*nb)
 	XORInto(q, a)
 	XORInto(q, b)
