@@ -52,6 +52,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzGraphSchedule$$' -fuzztime 10s ./internal/taskgraph
 	go test -run '^$$' -fuzz '^FuzzComposedScenarios$$' -fuzztime 10s ./internal/linpacksim
 	go test -run '^$$' -fuzz '^FuzzPanelCodec$$' -fuzztime 10s ./internal/cluster
+	go test -run '^$$' -fuzz '^FuzzFillMatrix$$' -fuzztime 10s ./internal/hpl
 	go test -run '^$$' -fuzz '^FuzzFleetKernel$$' -fuzztime 10s ./internal/cluster
 	go test -run '^$$' -fuzz '^FuzzDatabaseGJSON$$' -fuzztime 10s ./internal/adaptive
 

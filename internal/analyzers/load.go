@@ -90,18 +90,26 @@ func NewLoader(dir string) (*Loader, error) {
 }
 
 // exportData opens the build-cache export data of a standard-library
-// package. The first call lists the export files of every standard package
-// the module depends on with one go command; a package outside that set
-// (one only tests or fixtures import) is listed on its own.
+// package. The first call lists the standard packages the module depends on,
+// then the export files of exactly those, so the module's own packages are
+// never compiled only for export data the loader throws away; a package
+// outside that set (one only tests or fixtures import) is listed on its own,
+// with its dependencies.
 func (l *Loader) exportData(path string) (io.ReadCloser, error) {
 	if l.exports == nil {
 		l.exports = make(map[string]string)
-		if err := l.listExports("./..."); err != nil {
+		std, err := l.goList("-deps", "-f", "{{if .Standard}}{{.ImportPath}}{{end}}", "./...")
+		if err != nil {
 			return nil, err
+		}
+		if paths := strings.Fields(std); len(paths) > 0 {
+			if err := l.listExports(paths...); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if _, ok := l.exports[path]; !ok {
-		if err := l.listExports(path); err != nil {
+		if err := l.listExports("-deps", path); err != nil {
 			return nil, err
 		}
 	}
@@ -112,26 +120,34 @@ func (l *Loader) exportData(path string) (io.ReadCloser, error) {
 	return os.Open(file)
 }
 
-// listExports records the export data files of the standard packages among
-// pattern and its dependencies. -e keeps a package of the module that does
-// not compile from hiding the standard library: its error surfaces when the
-// loader type-checks it.
-func (l *Loader) listExports(pattern string) error {
-	cmd := exec.Command("go", "list", "-e", "-export", "-deps",
-		"-f", "{{if .Standard}}{{.ImportPath}} {{.Export}}{{end}}", pattern)
-	cmd.Dir = l.Root
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+// listExports records the export data files of the standard packages that
+// go list selects with args.
+func (l *Loader) listExports(args ...string) error {
+	out, err := l.goList(append([]string{"-export", "-f", "{{if .Standard}}{{.ImportPath}} {{.Export}}{{end}}"}, args...)...)
 	if err != nil {
-		return fmt.Errorf("analyzers: go list %s: %v: %s", pattern, err, stderr.String())
+		return err
 	}
-	for _, line := range strings.Split(string(out), "\n") {
+	for _, line := range strings.Split(out, "\n") {
 		if path, file, ok := strings.Cut(line, " "); ok {
 			l.exports[path] = file
 		}
 	}
 	return nil
+}
+
+// goList runs go list -e with args in the module root. -e keeps a package of
+// the module that does not compile from hiding the standard library: its
+// error surfaces when the loader type-checks it.
+func (l *Loader) goList(args ...string) (string, error) {
+	cmd := exec.Command("go", append([]string{"list", "-e"}, args...)...)
+	cmd.Dir = l.Root
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("analyzers: go list %s: %v: %s", strings.Join(args, " "), err, stderr.String())
+	}
+	return string(out), nil
 }
 
 // FindModuleRoot walks up from dir to the nearest directory holding go.mod.

@@ -10,14 +10,16 @@ import (
 
 // solveAllocCeilingMB guards the bytes the real distributed solves allocate:
 // one 2x2 look-ahead SolveDistributed2D and one four-rank SolveElastic that
-// loses rank 1 halfway, at N=768, NB=64. Measured 46.2 MB once devices
-// recycled freed buffers and the solvers handed spent message payloads back
-// to their world (85.6 MB before); the ceiling sits about 20 % above, so
-// a fresh allocation per step cannot creep back unnoticed. What remains is
-// structural — the generated system, each rank's local blocks and parity,
-// the gathered factors — plus each device's and each world's first use of
-// a buffer shape.
-const solveAllocCeilingMB = 55.0
+// loses rank 1 halfway, at N=768, NB=64. Measured 35.6 MB once each rank
+// generated only the blocks it owns, the residual check regenerated A and
+// the XOR rebuild folded into the received parity (46.2 MB with the whole
+// system generated up front, 85.6 MB before devices recycled freed buffers
+// and the solvers handed spent message payloads back to their world); the
+// ceiling sits about 20 % above, so a fresh allocation per step cannot creep
+// back unnoticed. What remains is structural — each rank's local blocks and
+// parity, the gathered factors — plus each device's and each world's first
+// use of a buffer shape.
+const solveAllocCeilingMB = 43.0
 
 func TestSolveAllocBudget(t *testing.T) {
 	if simtest.RaceEnabled {

@@ -131,7 +131,6 @@ type elasticRank struct {
 	el      *element.Element
 	cfg     ElasticConfig
 	nblocks int
-	fullA   *matrix.Dense // shared, read-only
 
 	cols    map[int]*matrix.Dense // owned global block-columns, N x NB
 	bTilde  []float64
@@ -175,7 +174,7 @@ func SolveElastic(cfg ElasticConfig) (ElasticResult, error) {
 			return ElasticResult{}, fmt.Errorf("cluster: %d failures would leave fewer than 2 of %d elements (parity quorum floor)", len(cfg.Failures), len(cfg.StartLive))
 		}
 	}
-	fullA, fullB := hpl.Generate(cfg.N, cfg.Seed)
+	b := hpl.RHS(cfg.N, cfg.Seed)
 	world := mpi.NewWorld(mpi.Config{Size: cfg.Ranks})
 	ranks := make([]*elasticRank, cfg.Ranks)
 	xs := make([][]float64, cfg.Ranks)
@@ -185,7 +184,7 @@ func SolveElastic(cfg ElasticConfig) (ElasticResult, error) {
 		if idx := indexOfRank(cfg.StartLive, c.Rank()); idx < 0 {
 			return // not part of this (pre-shrunk) run
 		}
-		st := newElasticRank(c, cfg, nblocks, fullA, fullB)
+		st := newElasticRank(c, cfg, nblocks, b)
 		ranks[c.Rank()] = st
 		if died := st.factorLoop(); died {
 			return
@@ -221,7 +220,7 @@ func SolveElastic(cfg ElasticConfig) (ElasticResult, error) {
 		}
 	}
 	// Only survivors reach the backsolve, so only they have an entry in xs.
-	d, err := finishSolve(fullA, fullB, xs, end)
+	d, err := finishSolve(cfg.N, cfg.Seed, b, xs, end)
 	res.X, res.Residual, res.Passed, res.GFLOPS = d.X, d.Residual, d.Passed, d.GFLOPS
 	return res, err
 }
@@ -235,24 +234,25 @@ func indexOfRank(live []int, r int) int {
 	return -1
 }
 
-func newElasticRank(c *mpi.Comm, cfg ElasticConfig, nblocks int, fullA *matrix.Dense, fullB []float64) *elasticRank {
+// newElasticRank sets up one rank: it generates the block-columns it owns
+// and keeps its own copy of b, which it eliminates in step with everyone's.
+func newElasticRank(c *mpi.Comm, cfg ElasticConfig, nblocks int, b []float64) *elasticRank {
 	st := &elasticRank{
 		comm:    c,
 		el:      element.New(element.Config{Seed: cfg.Seed + uint64(c.Rank())*1000, JitterSigma: -1}),
 		cfg:     cfg,
 		nblocks: nblocks,
-		fullA:   fullA,
 		cols:    make(map[int]*matrix.Dense),
-		bTilde:  append([]float64(nil), fullB...),
+		bTilde:  append([]float64(nil), b...),
 		live:    append([]int(nil), cfg.StartLive...),
 		owners:  append([]int(nil), cfg.StartOwners...),
 		parity:  make(map[int][]float64),
 	}
-	for b, o := range st.owners {
+	for bj, o := range st.owners {
 		if o == c.Rank() {
 			col := matrix.NewDense(cfg.N, cfg.NB)
-			col.CopyFrom(fullA.View(0, b*cfg.NB, cfg.N, cfg.NB))
-			st.cols[b] = col
+			hpl.FillMatrix(col, cfg.N, cfg.Seed, 0, bj*cfg.NB)
+			st.cols[bj] = col
 		}
 	}
 	st.refreshStripes()
@@ -472,16 +472,20 @@ func (st *elasticRank) recoverFrom(failed []int, k int) {
 	// Phase 3: local reconstruction through the rebuild codelet graph —
 	// scheduled on this element like any other work.
 	st.runRebuildGraph(plan, factored, parityIn)
-	for stripe, p := range parityIn {
-		if st.stripes[stripe].Holder != me {
-			st.comm.Release(p) // a holder's own block is released below
+	// Each parity payload is now its stripe's rebuilt column, kept or
+	// released with the rest of the prefix below. A holder's payload is its
+	// own parity block, so that block leaves the parity map before the old
+	// blocks are released.
+	for stripe := range parityIn {
+		if s := st.stripes[stripe]; s.Holder == me {
+			delete(st.parity, s.Index)
 		}
 	}
 
 	// Adopt the shrunk state and re-encode parity for the new striping.
 	// Every survivor holds the full factored prefix right now, so holders
 	// re-fold locally; steady-state encoding resumes incrementally.
-	prevOwners, prevParity := st.owners, st.parity
+	prevParity := st.parity
 	st.live = newLive
 	st.owners = plan.Owners.Owners
 	st.epoch = plan.Members.Epoch
@@ -504,11 +508,11 @@ func (st *elasticRank) recoverFrom(failed []int, k int) {
 		}
 		advance(st.comm, float64(folded)*float64(8*n*nb), elasticMemGBps)
 	}
-	// The received prefix, the XOR-rebuilt columns (copied into st.cols
-	// when adopted) and the old striping's parity blocks are spent; this
-	// rank's own columns stay.
+	// The received prefix, the XOR-rebuilt columns this rank did not adopt
+	// and the old striping's parity blocks are spent; this rank's own
+	// columns, adopted ones included, stay.
 	for i, col := range factored {
-		if col != nil && prevOwners[i] != me {
+		if col != nil && st.owners[i] != me {
 			st.comm.Release(col)
 		}
 	}
@@ -576,7 +580,11 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 		}
 		return colH[b]
 	}
-	// XOR folds: parity block + surviving members -> the lost column.
+	// XOR folds: parity block + surviving members -> the lost column, folded
+	// into the parity payload itself. A stripe's members have distinct
+	// owners and a rebuild from parity needs every other factored member
+	// alive (recover.MakePlan), so each stripe loses one column at most and
+	// its payload has exactly one reader: this task.
 	for _, rb := range xors {
 		rb := rb
 		s := st.stripes[rb.Stripe]
@@ -595,7 +603,7 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 				return float64(members+1) * float64(8*n*nb) / elasticMemBps
 			}},
 			Run: func() {
-				acc := append([]float64(nil), parityIn[rb.Stripe]...)
+				acc := parityIn[rb.Stripe]
 				for _, c := range s.Cols {
 					if c != rb.Col && c < k {
 						rcv.XORInto(acc, factored[c])
@@ -649,7 +657,7 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 					return float64(8*n*nb) / elasticMemBps
 				}},
 				Run: func() {
-					col.CopyFrom(st.fullA.View(0, rb.Col*nb, n, nb))
+					hpl.FillMatrix(col, n, st.cfg.Seed, 0, rb.Col*nb)
 				},
 			}, taskgraph.Access{H: handle(rb.Col), Mode: taskgraph.Write})
 			for i := 0; i < k; i++ {
@@ -682,12 +690,10 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 			st.comm.Release(p.Data)
 		}
 	}
-	// Materialize parity-rebuilt columns this rank adopted.
+	// Parity-rebuilt columns this rank adopted keep their payload's storage.
 	for _, rb := range mine {
 		if rb.Source == rcv.FromParity {
-			col := matrix.NewDense(n, nb)
-			copy(col.Data, factored[rb.Col])
-			st.cols[rb.Col] = col
+			st.cols[rb.Col] = matrix.FromColMajor(n, nb, n, factored[rb.Col])
 		}
 	}
 }

@@ -101,8 +101,8 @@ func unpackPanel(buf []float64, rows, nb int) (*matrix.Dense, []int) {
 // finishSolve is the tail every real solve shares: the ranks that returned a
 // solution (xs[r] is nil for the dead and the never-started) must agree bit
 // for bit, and that solution must pass the HPL residual check against the
-// original system.
-func finishSolve(a *matrix.Dense, b []float64, xs [][]float64, end sim.Time) (DistResult, error) {
+// original system: b and the order-n test matrix of seed, regenerated.
+func finishSolve(n int, seed uint64, b []float64, xs [][]float64, end sim.Time) (DistResult, error) {
 	var x []float64
 	for _, other := range xs {
 		switch {
@@ -114,9 +114,9 @@ func finishSolve(a *matrix.Dense, b []float64, xs [][]float64, end sim.Time) (Di
 		}
 	}
 	res := DistResult{X: x, Seconds: end}
-	res.Residual = hpl.ScaledResidual(a, x, b)
+	res.Residual = hpl.GeneratedResidual(n, seed, x, b)
 	res.Passed = res.Residual < hpl.ResidualThreshold
-	res.GFLOPS = hpl.LinpackFlops(len(b)) / float64(end) / 1e9
+	res.GFLOPS = hpl.LinpackFlops(n) / float64(end) / 1e9
 	if !res.Passed {
 		return res, fmt.Errorf("cluster: residual %g exceeds threshold", res.Residual)
 	}

@@ -68,6 +68,7 @@ type state2d struct {
 	// pack buffers alternate by parity of k.
 	pack            [2][]float64
 	u12, pivot, seg []float64
+	lpiv            []int // one panel's pivots as local rows, for applyTrailingSwaps
 
 	nRowBlocks int // N/NB
 	nColBlocks int // N/NB + 1 (augmented)
@@ -82,25 +83,28 @@ func SolveDistributed2D(cfg Dist2DConfig) (DistResult, error) {
 	if cfg.P <= 0 || cfg.Q <= 0 {
 		return DistResult{}, fmt.Errorf("cluster: invalid %dx%d grid", cfg.P, cfg.Q)
 	}
-	fullA, fullB := hpl.Generate(cfg.N, cfg.Seed)
+	b := hpl.RHS(cfg.N, cfg.Seed)
 
 	world := mpi.NewWorld(mpi.Config{Size: cfg.P * cfg.Q})
 	results := make([][]float64, world.Size())
 	end := world.Run(func(c *mpi.Comm) {
-		st := newState2d(c, cfg, fullA, fullB)
+		st := newState2d(c, cfg, b)
 		st.factor()
 		results[c.Rank()] = st.backSolve()
 	})
-	return finishSolve(fullA, fullB, results, end)
+	return finishSolve(cfg.N, cfg.Seed, b, results, end)
 }
 
-func newState2d(c *mpi.Comm, cfg Dist2DConfig, fullA *matrix.Dense, fullB []float64) *state2d {
+// newState2d sets up one rank: it generates the blocks of A it owns and
+// takes its rows of b into the augmented column.
+func newState2d(c *mpi.Comm, cfg Dist2DConfig, b []float64) *state2d {
 	g := grid.New(cfg.P, cfg.Q)
 	p, q := g.Coords(c.Rank())
 	st := &state2d{
 		comm: c, cfg: cfg, g: g, p: p, q: q,
 		nRowBlocks: cfg.N / cfg.NB,
 		nColBlocks: cfg.N/cfg.NB + 1,
+		lpiv:       make([]int, cfg.NB),
 	}
 	el := element.New(element.Config{
 		Seed:        cfg.Seed + uint64(c.Rank())*977,
@@ -114,20 +118,18 @@ func newState2d(c *mpi.Comm, cfg Dist2DConfig, fullA *matrix.Dense, fullB []floa
 	}
 	st.runner = hybrid.New(el, cfg.Variant, part)
 
-	// Extract owned blocks of the augmented matrix [A | b 0...].
+	// Fill the owned blocks of the augmented matrix [A | b 0...].
 	st.local = matrix.NewDense(st.localRows(), st.localCols())
 	nb := cfg.NB
 	for bi := p; bi < st.nRowBlocks; bi += cfg.P {
 		for bj := q; bj < st.nColBlocks; bj += cfg.Q {
 			dst := st.local.View(st.localRow(bi*nb), st.localColOfBlock(bj), nb, nb)
 			if bj < st.nRowBlocks { // regular block of A
-				dst.CopyFrom(fullA.View(bi*nb, bj*nb, nb, nb))
+				hpl.FillMatrix(dst, cfg.N, cfg.Seed, bi*nb, bj*nb)
 				continue
 			}
 			// Augmented block: first column carries b, the rest stay zero.
-			for i := 0; i < nb; i++ {
-				dst.Set(i, 0, fullB[bi*nb+i])
-			}
+			copy(dst.Col(0), b[bi*nb:])
 		}
 	}
 	return st
@@ -374,34 +376,45 @@ func (st *state2d) panelBcast(k, pcol int, ipiv []int) panel2d {
 }
 
 // applyTrailingSwaps mirrors the panel's row interchanges on the columns
-// right of the panel (the augmented rhs included).
+// right of the panel (the augmented rhs included), in pivot order. Only the
+// diagonal process row holds the panel's rows, so only it swaps rows within
+// its own storage: each maximal run of pivots whose target row it holds too
+// takes one pass per column (blas.Dlaswp's loop order), and a pivot whose
+// target lives in another process row is a row exchange with that row,
+// between the runs. Every other process row only answers the exchanges that
+// reach its rows.
 func (st *state2d) applyTrailingSwaps(k, row0 int, ipiv []int) {
-	nb := st.cfg.NB
 	c0 := st.firstLocalColOfTrailing(k)
 	cols := st.local.Cols - c0
 	if cols <= 0 {
-		// Still participate in exchanges? No: peers with zero columns are
-		// skipped symmetrically because both sides compute each other's
-		// column count. Nothing to do.
+		// Peers with zero columns are skipped symmetrically: both sides
+		// compute each other's column count.
 		return
 	}
-	for j := 0; j < nb; j++ {
-		r1 := row0 + j
-		gp := ipiv[j]
-		if r1 == gp {
+	prow := st.rowOwner(row0)
+	if st.p != prow {
+		for _, gp := range ipiv {
+			if st.ownsRow(gp) {
+				st.exchangeRow(gp, prow, c0, cols)
+			}
+		}
+		return
+	}
+	// The view starts at the panel's first row, so pivot j swaps its row j
+	// with the local row of ipiv[j], counted from there.
+	lr0 := st.localRow(row0)
+	trail := st.local.View(lr0, c0, st.local.Rows-lr0, cols)
+	run := 0
+	for j, gp := range ipiv {
+		if st.ownsRow(gp) {
+			st.lpiv[j] = st.localRow(gp) - lr0
 			continue
 		}
-		p1, p2 := st.rowOwner(r1), st.rowOwner(gp)
-		switch {
-		case st.p == p1 && st.p == p2:
-			blas.SwapRows(st.local.View(0, c0, st.local.Rows, cols),
-				st.localRow(r1), st.localRow(gp))
-		case st.p == p1:
-			st.exchangeRow(r1, p2, c0, cols)
-		case st.p == p2:
-			st.exchangeRow(gp, p1, c0, cols)
-		}
+		blas.Dlaswp(trail, st.lpiv, run, j)
+		st.exchangeRow(row0+j, st.rowOwner(gp), c0, cols)
+		run = j + 1
 	}
+	blas.Dlaswp(trail, st.lpiv, run, len(ipiv))
 }
 
 // exchangeRow swaps my local row (global myRow) with the corresponding row

@@ -157,3 +157,20 @@ func sweepForCalls(body *ast.BlockStmt) []bool {
 	}
 	return inLoop
 }
+
+// TestSolversGenerateWhatTheyOwn: no solver generates the whole system. Each
+// rank fills its own blocks with hpl.FillMatrix and the residual check
+// regenerates A (hpl.GeneratedResidual), so a call to hpl.Generate outside
+// the tests means a full copy of A is back.
+func TestSolversGenerateWhatTheyOwn(t *testing.T) {
+	for _, fn := range packageFuncs(t) {
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Generate" {
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == "hpl" {
+					t.Errorf("%s calls hpl.Generate", fn.Name.Name)
+				}
+			}
+			return true
+		})
+	}
+}

@@ -1,0 +1,61 @@
+package hpl
+
+import (
+	"runtime"
+	"testing"
+
+	"tianhe/internal/element"
+	"tianhe/internal/sim/simtest"
+)
+
+// Allocation ceilings of one Run and one GraphRun at N=512, NB=64, where
+// the matrix alone is 2 MB. Both factor the generated matrix in place and
+// verify against the regenerated one (GeneratedResidual), so neither holds a
+// second copy of A. Measured 2.07 MB (Run) and 2.33 MB (GraphRun, its
+// element built beforehand); with a clone of A kept for the check they were
+// 4.07 and 4.33 MB. The ceilings sit about 20 % above the measurements, and
+// Run's is 1.25 matrices: a copy of A cannot come back unnoticed.
+const (
+	runAllocCeilingMB      = 2.5
+	graphRunAllocCeilingMB = 2.8
+)
+
+// allocMB returns the megabytes f allocates.
+func allocMB(f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+}
+
+func TestRunAllocBudget(t *testing.T) {
+	if simtest.RaceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	var err error
+	mb := allocMB(func() { _, err = Run(512, 2009, Options{NB: 64}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.2f MB allocated", mb)
+	if mb > runAllocCeilingMB {
+		t.Fatalf("%.2f MB allocated, ceiling %.2f", mb, runAllocCeilingMB)
+	}
+}
+
+func TestGraphRunAllocBudget(t *testing.T) {
+	if simtest.RaceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	el := element.New(element.Config{Seed: 2009, GPUMem: 64 << 20, GPUTexture: 512, JitterSigma: -1, BiasSpread: 0.002})
+	var err error
+	mb := allocMB(func() { _, _, err = GraphRun(512, 2009, el, GraphOptions{NB: 64, Lookahead: 1, Hybrid: true}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.2f MB allocated", mb)
+	if mb > graphRunAllocCeilingMB {
+		t.Fatalf("%.2f MB allocated, ceiling %.2f", mb, graphRunAllocCeilingMB)
+	}
+}

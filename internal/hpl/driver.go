@@ -31,33 +31,115 @@ func LinpackFlops(n int) float64 {
 	return float64((2.0/3.0)*fn*fn*fn) + float64(1.5*fn*fn)
 }
 
+// The test matrix is a function of the seed, not a buffer: element (i, j) of
+// the order-n matrix is draw j·n+i of the seed's "hpl/matrix" stream,
+// centered on zero — column-major order, so one long fill of the stream
+// lays out the whole matrix. SplitMix64 computes any draw without the ones
+// before it, so a solver fills exactly the blocks it owns and the residual
+// check regenerates A a column at a time, as HPL_pdmatgen and HPL_pdtest do;
+// nothing keeps a copy of A for the check.
+
 // Generate builds the benchmark input: an n×n matrix and right-hand side
 // with uniform entries in [-0.5, 0.5), the HPL test-matrix distribution,
 // from a deterministic seed.
 func Generate(n int, seed uint64) (*matrix.Dense, []float64) {
 	a := matrix.NewDense(n, n)
-	a.FillRandom(sim.NewStream(seed, "hpl/matrix"))
+	FillMatrix(a, n, seed, 0, 0)
+	return a, RHS(n, seed)
+}
+
+// FillMatrix fills dst with the block of the order-n test matrix whose
+// top-left element is (i0, j0).
+func FillMatrix(dst *matrix.Dense, n int, seed uint64, i0, j0 int) {
+	if i0 < 0 || j0 < 0 || i0+dst.Rows > n || j0+dst.Cols > n {
+		panic(fmt.Sprintf("hpl: block (%d,%d) %dx%d outside the order-%d matrix", i0, j0, dst.Rows, dst.Cols, n))
+	}
+	r := sim.NewStream(seed, "hpl/matrix")
+	r.Skip(uint64(j0)*uint64(n) + uint64(i0))
+	for j := 0; j < dst.Cols; j++ {
+		r.FillCentered(dst.Col(j))
+		r.Skip(uint64(n - dst.Rows))
+	}
+}
+
+// RHS returns the right-hand side of the order-n test problem.
+func RHS(n int, seed uint64) []float64 {
 	b := matrix.NewVector(n)
 	matrix.FillRandomVector(b, sim.NewStream(seed, "hpl/rhs"))
-	return a, b
+	return b
 }
 
 // ScaledResidual computes the HPL correctness metric for a claimed solution
 // x of A*x = b, using the original (unfactored) matrix.
 func ScaledResidual(a *matrix.Dense, x, b []float64) float64 {
-	n := a.Rows
+	if a.Rows == 0 {
+		return 0
+	}
+	if len(x) != a.Cols {
+		panic("hpl: ScaledResidual dimension mismatch")
+	}
+	r := newResidual(a.Rows, x)
+	for j := 0; j < a.Cols; j++ {
+		r.add(j, a.Col(j))
+	}
+	return r.scaled(b)
+}
+
+// GeneratedResidual is ScaledResidual against the order-n test matrix of
+// seed, regenerated one column at a time through one n-length scratch
+// instead of read from a copy; it returns the same bits.
+func GeneratedResidual(n int, seed uint64, x, b []float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	ax := matrix.MulVec(a, x)
-	var rinf float64
-	for i := range ax {
-		if d := math.Abs(ax[i] - b[i]); d > rinf {
+	if len(x) != n {
+		panic("hpl: GeneratedResidual dimension mismatch")
+	}
+	r := newResidual(n, x)
+	col := matrix.NewDense(n, 1)
+	for j := 0; j < n; j++ {
+		FillMatrix(col, n, seed, 0, j)
+		r.add(j, col.Data)
+	}
+	return r.scaled(b)
+}
+
+// residual accumulates what the scaled residual needs from A, one column at
+// a time in column order: A·x, where a column whose x_j is zero adds nothing
+// (matrix.MulVec's rule), and the row sums of |A| (matrix.Dense.NormInf's).
+// Each sum runs in the order those two do, so the result is their bits.
+type residual struct {
+	x, ax, rowAbs []float64
+}
+
+func newResidual(rows int, x []float64) residual {
+	return residual{x: x, ax: make([]float64, rows), rowAbs: make([]float64, rows)}
+}
+
+func (r residual) add(j int, col []float64) {
+	ax, rowAbs := r.ax[:len(col)], r.rowAbs[:len(col)]
+	xj := r.x[j]
+	for i, v := range col {
+		if xj != 0 {
+			ax[i] += float64(v * xj)
+		}
+		rowAbs[i] += math.Abs(v)
+	}
+}
+
+// scaled returns ||Ax-b||_inf / (eps * (||A||_inf ||x||_inf + ||b||_inf) * n).
+func (r residual) scaled(b []float64) float64 {
+	var rinf, anorm float64
+	for i, v := range r.ax {
+		if d := math.Abs(v - b[i]); d > rinf {
 			rinf = d
+		}
+		if s := r.rowAbs[i]; s > anorm {
+			anorm = s
 		}
 	}
 	eps := math.Nextafter(1, 2) - 1
-	den := eps * (a.NormInf()*matrix.VecNormInf(x) + matrix.VecNormInf(b)) * float64(n)
+	den := eps * (anorm*matrix.VecNormInf(r.x) + matrix.VecNormInf(b)) * float64(len(r.ax))
 	if den == 0 {
 		if rinf == 0 {
 			return 0
@@ -72,15 +154,14 @@ func ScaledResidual(a *matrix.Dense, x, b []float64) float64 {
 // DGEMM path — plugging a broken hybrid executor into opts.Gemm fails the
 // residual check here.
 func Run(n int, seed uint64, opts Options) (Result, error) {
-	a, b := Generate(n, seed)
-	lu := a.Clone()
+	lu, b := Generate(n, seed)
 	ipiv := make([]int, n)
 	if err := Dgetrf(lu, ipiv, opts); err != nil {
 		return Result{}, err
 	}
 	x := append([]float64(nil), b...)
 	SolveFactored(lu, ipiv, x)
-	res := ScaledResidual(a, x, b)
+	res := GeneratedResidual(n, seed, x, b)
 	nb := opts.NB
 	if nb <= 0 {
 		nb = 64

@@ -365,8 +365,7 @@ func GraphDgetrf(a *matrix.Dense, ipiv []int, el *element.Element, opts GraphOpt
 // simulated makespan).
 func GraphRun(n int, seed uint64, el *element.Element, opts GraphOptions) (Result, taskgraph.Report, error) {
 	opts = opts.withDefaults()
-	a, b := Generate(n, seed)
-	lu := a.Clone()
+	lu, b := Generate(n, seed)
 	ipiv := make([]int, n)
 	rep, err := GraphDgetrf(lu, ipiv, el, opts)
 	if err != nil {
@@ -374,7 +373,7 @@ func GraphRun(n int, seed uint64, el *element.Element, opts GraphOptions) (Resul
 	}
 	x := append([]float64(nil), b...)
 	SolveFactored(lu, ipiv, x)
-	res := ScaledResidual(a, x, b)
+	res := GeneratedResidual(n, seed, x, b)
 	r := Result{
 		N:        n,
 		NB:       opts.NB,

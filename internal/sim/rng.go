@@ -53,6 +53,12 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
+// Skip moves r past k draws without computing them: draw i mixes
+// state + (i+1)*golden, so skipping is one multiply-add (mod 2^64).
+func (r *RNG) Skip(k uint64) {
+	r.state += k * golden
+}
+
 // Float64 returns a uniform value in [0, 1). The quotient is rounded
 // explicitly, so a caller's Float64() - 0.5 never fuses into one
 // multiply-subtract on hosts that have one.

@@ -385,3 +385,50 @@ func TestFillCentered(t *testing.T) {
 		})
 	}
 }
+
+// TestSkip: skipping k draws lands where k draws would, under every kernel
+// this host has. Skip(k) then one draw equals draw k+1 of an unskipped copy,
+// from a state the draws carry past 2^64; a skip of 2^64-2 after two draws
+// wraps the whole period back to the first draw; and a fill after Skip(off)
+// equals the matching slice of one long fill.
+func TestSkip(t *testing.T) {
+	const start, long = zeroDrawState - 3, 1<<10 + 37
+	for _, k := range variateKernels() {
+		k.run(func() {
+			for _, skip := range []uint64{0, 1, 7, 8, 1 << 20} {
+				r, walk := RNG{start}, RNG{start}
+				r.Skip(skip)
+				for i := uint64(0); i < skip; i++ {
+					walk.Uint64()
+				}
+				if a, b := r.Uint64(), walk.Uint64(); a != b {
+					t.Fatalf("%s: skip %d: next draw %#x, walked %#x", k.name, skip, a, b)
+				}
+			}
+			walk := RNG{start}
+			first := walk.Uint64()
+			walk.Uint64()
+			walk.Skip(1<<64 - 2)
+			if got := walk.Uint64(); got != first {
+				t.Fatalf("%s: a full-period skip draws %#x, the first draw was %#x", k.name, got, first)
+			}
+
+			full := make([]float64, long)
+			base := RNG{start}
+			base.FillCentered(full)
+			for _, off := range []int{0, 1, 7, 8, 9, 500} {
+				for _, n := range []int{0, 1, 7, 8, 13, 64, long - 500} {
+					got := make([]float64, n)
+					r := RNG{start}
+					r.Skip(uint64(off))
+					r.FillCentered(got)
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(full[off+i]) {
+							t.Fatalf("%s: off %d n %d: out[%d] = %v, long fill %v", k.name, off, n, i, got[i], full[off+i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
