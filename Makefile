@@ -45,6 +45,7 @@ paperbench:
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzDgemmContract$$' -fuzztime 10s ./internal/blas
 	go test -run '^$$' -fuzz '^FuzzVariateContract$$' -fuzztime 10s ./internal/sim
+	go test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzSlabKernel$$' -fuzztime 10s ./internal/stencil
 	go test -run '^$$' -fuzz '^FuzzScheduleInvariants$$' -fuzztime 10s ./internal/pipeline
 	go test -run '^$$' -fuzz '^FuzzChecksumCodec$$' -fuzztime 10s ./internal/abft

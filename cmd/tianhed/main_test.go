@@ -55,17 +55,72 @@ func TestDaemonJobLifecycle(t *testing.T) {
 	}
 }
 
+// health reads the daemon's /healthz stats.
+func health(t *testing.T, d *daemon) serve.Stats {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	d.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var h struct {
+		Status string
+		Stats  serve.Stats
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil || h.Status != "ok" {
+		t.Fatalf("healthz: %v: %s", err, rec.Body.String())
+	}
+	return h.Stats
+}
+
+// TestDaemonRejectsMalformed: every malformed request is refused with its
+// status code and a JSON error body, and leaves the service untouched — no
+// offered job in /healthz, no job id consumed, so the first valid job after
+// all of them is still job 1.
 func TestDaemonRejectsMalformed(t *testing.T) {
 	d := testDaemon(t)
-	for _, body := range []string{
-		`not json`,
-		`{"tenant":"a","kind":"lu","n":64}`,
-		`{"kind":"solve","n":64}`,
-		`{"tenant":"a","kind":"solve","n":-1}`,
+	bad := http.StatusBadRequest
+	for _, c := range []struct {
+		name, method, body string
+		status             int
+		reason             string // what the error names
+	}{
+		{"GET", http.MethodGet, "", http.StatusMethodNotAllowed, "POST only"},
+		{"empty body", http.MethodPost, "", bad, "bad request JSON"},
+		{"not JSON", http.MethodPost, `not json`, bad, "bad request JSON"},
+		{"body over the 64 KiB cap", http.MethodPost,
+			`{"tenant":"` + strings.Repeat("a", 1<<16) + `","kind":"solve","n":64}`, bad, "too large"},
+		{"unknown kind", http.MethodPost, `{"tenant":"a","kind":"lu","n":64}`, bad, "unknown job kind"},
+		{"missing tenant", http.MethodPost, `{"kind":"solve","n":64}`, bad, "missing tenant"},
+		{"dgemm rows over MaxRows", http.MethodPost, `{"tenant":"a","kind":"dgemm","m":8193,"n":256,"k":256}`, bad, "8192-row job limit"},
+		{"dgemm n over MaxDim", http.MethodPost, `{"tenant":"a","kind":"dgemm","m":64,"n":8193,"k":256}`, bad, "exceed the 8192 limit"},
+		{"dgemm k over MaxDim", http.MethodPost, `{"tenant":"a","kind":"dgemm","m":64,"n":256,"k":8193}`, bad, "exceed the 8192 limit"},
+		{"solve order over the limits", http.MethodPost, `{"tenant":"a","kind":"solve","n":8193}`, bad, "exceeds the 8192 limit"},
+		{"dgemm zero rows", http.MethodPost, `{"tenant":"a","kind":"dgemm","m":0,"n":256,"k":256}`, bad, "not positive"},
+		{"dgemm negative k", http.MethodPost, `{"tenant":"a","kind":"dgemm","m":64,"n":256,"k":-1}`, bad, "not positive"},
+		{"solve zero order", http.MethodPost, `{"tenant":"a","kind":"solve","n":0}`, bad, "not positive"},
+		{"solve negative order", http.MethodPost, `{"tenant":"a","kind":"solve","n":-1}`, bad, "not positive"},
+		{"solve carrying m", http.MethodPost, `{"tenant":"a","kind":"solve","m":64,"n":64}`, bad, "carry only the order"},
+		{"solve carrying k", http.MethodPost, `{"tenant":"a","kind":"solve","n":64,"k":64}`, bad, "carry only the order"},
 	} {
-		if rec := post(t, d, body); rec.Code != http.StatusBadRequest {
-			t.Errorf("body %q: status %d, want 400", body, rec.Code)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			before := health(t, d)
+			rec := httptest.NewRecorder()
+			d.mux().ServeHTTP(rec, httptest.NewRequest(c.method, "/v1/jobs", strings.NewReader(c.body)))
+			if rec.Code != c.status {
+				t.Errorf("status %d, want %d: %s", rec.Code, c.status, rec.Body.String())
+			}
+			var body struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body.Error, c.reason) {
+				t.Errorf("want a JSON error field naming %q, got %q (%v)", c.reason, rec.Body.String(), err)
+			}
+			if after := health(t, d); after != before {
+				t.Errorf("a refused request moved the stats: %+v -> %+v", before, after)
+			}
+		})
+	}
+	resp, err := serve.ParseResponse(post(t, d, `{"tenant":"a","kind":"solve","n":64}`).Body.Bytes())
+	if err != nil || resp.ID != 1 || resp.Status != "ok" {
+		t.Fatalf("first valid job after the refusals: %+v, %v; want job 1", resp, err)
 	}
 }
 

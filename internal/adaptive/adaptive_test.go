@@ -121,7 +121,7 @@ func TestDatabaseGValidation(t *testing.T) {
 
 func TestDatabaseCInitialEqual(t *testing.T) {
 	d := NewDatabaseC(3)
-	for _, s := range d.Splits() {
+	for _, s := range d.Splits(nil) {
 		if math.Abs(s-1.0/3.0) > 1e-15 {
 			t.Fatalf("initial split %v", s)
 		}
@@ -132,7 +132,7 @@ func TestDatabaseCUpdateFollowsRates(t *testing.T) {
 	d := NewDatabaseC(3)
 	// Equal work, but core 0 took twice as long: its rate is half.
 	d.Update([]float64{100, 100, 100}, []float64{2, 1, 1})
-	s := d.Splits()
+	s := d.Splits(nil)
 	if math.Abs(s[0]-0.2) > 1e-12 || math.Abs(s[1]-0.4) > 1e-12 || math.Abs(s[2]-0.4) > 1e-12 {
 		t.Fatalf("splits after update: %v", s)
 	}
@@ -145,7 +145,7 @@ func TestDatabaseCSplitsSumToOne(t *testing.T) {
 		times := []float64{float64(t0) + 1, float64(t1) + 1, float64(t2) + 1, float64(t3) + 1}
 		d.Update(works, times)
 		var sum float64
-		for _, s := range d.Splits() {
+		for _, s := range d.Splits(nil) {
 			sum += s
 		}
 		return math.Abs(sum-1) < 1e-9
@@ -158,10 +158,10 @@ func TestDatabaseCSplitsSumToOne(t *testing.T) {
 func TestDatabaseCUnmeasuredCoreKeepsShare(t *testing.T) {
 	d := NewDatabaseC(2)
 	d.Update([]float64{100, 100}, []float64{1, 2}) // splits -> 2/3, 1/3
-	before := d.Splits()
+	before := d.Splits(nil)
 	// Next execution core 1 got no work: its implied rate must be carried.
 	d.Update([]float64{100, 0}, []float64{1, 0})
-	after := d.Splits()
+	after := d.Splits(nil)
 	if math.Abs(after[1]-before[1]) > 1e-9 {
 		t.Fatalf("unmeasured core share drifted: %v -> %v", before, after)
 	}
@@ -170,9 +170,9 @@ func TestDatabaseCUnmeasuredCoreKeepsShare(t *testing.T) {
 func TestDatabaseCAllUnmeasuredNoChange(t *testing.T) {
 	d := NewDatabaseC(2)
 	d.Update([]float64{10, 10}, []float64{1, 3})
-	before := d.Splits()
+	before := d.Splits(nil)
 	d.Update([]float64{0, 0}, []float64{0, 0})
-	after := d.Splits()
+	after := d.Splits(nil)
 	if before[0] != after[0] || before[1] != after[1] {
 		t.Fatal("an empty observation must not change the database")
 	}
@@ -186,11 +186,11 @@ func TestDatabaseCUpdateKeepsNoHistory(t *testing.T) {
 	d := NewDatabaseC(3)
 	d.Update([]float64{100, 100, 100}, []float64{1, 0.25, 2})
 	fresh := NewDatabaseC(3)
-	fresh.Restore(d.Splits())
+	fresh.Restore(d.Splits(nil))
 	works, times := []float64{200, 0, 50}, []float64{1, 0, 1}
 	d.Update(works, times)
 	fresh.Update(works, times)
-	if got, want := d.Splits(), fresh.Splits(); !reflect.DeepEqual(got, want) {
+	if got, want := d.Splits(nil), fresh.Splits(nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("splits after update %v, want %v", got, want)
 	}
 }
@@ -270,7 +270,7 @@ func TestAdaptiveLevel2Update(t *testing.T) {
 		CoreWorks: []float64{10, 10, 10},
 		CoreTimes: []float64{2, 1, 1},
 	})
-	s := a.CSplits()
+	s := a.CSplits(nil)
 	if !(s[0] < s[1] && math.Abs(s[1]-s[2]) < 1e-12) {
 		t.Fatalf("level-2 splits %v", s)
 	}
@@ -283,7 +283,7 @@ func TestStaticNeverChanges(t *testing.T) {
 	if s.GSplit(100) != 0.889 {
 		t.Fatal("static split must not move")
 	}
-	cs := s.CSplits()
+	cs := s.CSplits(nil)
 	if cs[0] != cs[1] || cs[1] != cs[2] {
 		t.Fatal("static core splits must stay equal")
 	}
@@ -363,13 +363,13 @@ func TestAdaptiveSurvivesAdversarialObservations(t *testing.T) {
 		}
 	}
 	var sum float64
-	for _, s := range a.CSplits() {
+	for _, s := range a.CSplits(nil) {
 		if math.IsNaN(s) || s < 0 {
-			t.Fatalf("core split corrupted: %v", a.CSplits())
+			t.Fatalf("core split corrupted: %v", a.CSplits(nil))
 		}
 		sum += s
 	}
 	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("core splits no longer sum to 1: %v", a.CSplits())
+		t.Fatalf("core splits no longer sum to 1: %v", a.CSplits(nil))
 	}
 }

@@ -256,11 +256,13 @@ func NewDatabaseC(n int) *DatabaseC {
 	return d
 }
 
-// Splits returns a copy of the current per-core fractions (they sum to 1).
-func (d *DatabaseC) Splits() []float64 {
+// Splits copies the current per-core fractions (they sum to 1) into dst's
+// storage, growing it only when it is too short, and returns the filled
+// slice; Splits(nil) returns a fresh copy.
+func (d *DatabaseC) Splits(dst []float64) []float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]float64(nil), d.splits...)
+	return append(dst[:0], d.splits...)
 }
 
 // Restore overwrites the per-core fractions with a snapshot previously taken

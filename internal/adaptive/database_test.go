@@ -192,7 +192,7 @@ func TestDatabaseCConcurrentStress(t *testing.T) {
 					d.Update(works, times)
 					continue
 				}
-				splits := d.Splits()
+				splits := d.Splits(nil)
 				var sum float64
 				for _, s := range splits {
 					if s < 0 {

@@ -32,7 +32,7 @@ func Instrument(p Partitioner, tel *telemetry.Telemetry) Partitioner {
 	if p == nil || !tel.Enabled() {
 		return p
 	}
-	names := make([]string, len(p.CSplits()))
+	names := make([]string, len(p.CSplits(nil)))
 	for i := range names {
 		names[i] = fmt.Sprintf("adaptive.csplit.core%d", i)
 	}
@@ -65,7 +65,7 @@ func (ip *Instrumented) Observe(obs Observation) {
 	ip.delta.Observe(d)
 	ip.trace.Sample("adaptive.gsplit", obs.End, newSplit)
 	ip.trace.Sample("adaptive.work", obs.End, obs.Work)
-	for i, s := range ip.Partitioner.CSplits() {
+	for i, s := range ip.Partitioner.CSplits(nil) {
 		if i < len(ip.coreNames) {
 			ip.trace.Sample(ip.coreNames[i], obs.End, s)
 		}

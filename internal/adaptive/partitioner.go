@@ -31,8 +31,10 @@ type Partitioner interface {
 	Name() string
 	// GSplit returns the GPU fraction for a workload of the given flops.
 	GSplit(work float64) float64
-	// CSplits returns the per-core fractions of the CPU share (sum to 1).
-	CSplits() []float64
+	// CSplits writes the per-core fractions of the CPU share (they sum to
+	// 1) into dst's storage, growing it only when it is too short, and
+	// returns the filled slice; CSplits(nil) returns a fresh one.
+	CSplits(dst []float64) []float64
 	// Observe feeds one execution's measurements back into the policy.
 	Observe(obs Observation)
 }
@@ -86,7 +88,7 @@ func (a *Adaptive) Name() string { return "adaptive" }
 func (a *Adaptive) GSplit(work float64) float64 { return a.G.Lookup(work) }
 
 // CSplits implements Partitioner: step one of level 2.
-func (a *Adaptive) CSplits() []float64 { return a.C.Splits() }
+func (a *Adaptive) CSplits(dst []float64) []float64 { return a.C.Splits(dst) }
 
 // Observe implements Partitioner: step two of both levels. The measured
 // rates P_G = W_G/T_G and P_C = W_C/T_C produce the next split
@@ -132,12 +134,12 @@ func (s *Static) Name() string { return "static" }
 func (s *Static) GSplit(float64) float64 { return s.split }
 
 // CSplits implements Partitioner.
-func (s *Static) CSplits() []float64 {
-	out := make([]float64, s.nCores)
-	for i := range out {
-		out[i] = 1 / float64(s.nCores)
+func (s *Static) CSplits(dst []float64) []float64 {
+	dst = dst[:0]
+	for range s.nCores {
+		dst = append(dst, 1/float64(s.nCores))
 	}
-	return out
+	return dst
 }
 
 // Observe implements Partitioner: static policies ignore feedback.
@@ -172,7 +174,7 @@ func (t *Trained) Freeze() { t.training = false }
 func (t *Trained) GSplit(work float64) float64 { return t.inner.GSplit(work) }
 
 // CSplits implements Partitioner.
-func (t *Trained) CSplits() []float64 { return t.inner.CSplits() }
+func (t *Trained) CSplits(dst []float64) []float64 { return t.inner.CSplits(dst) }
 
 // Observe implements Partitioner.
 func (t *Trained) Observe(obs Observation) {

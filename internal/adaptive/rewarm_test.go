@@ -110,10 +110,10 @@ func TestSerializationResetsResilienceState(t *testing.T) {
 func TestDatabaseCRestore(t *testing.T) {
 	c := NewDatabaseC(3)
 	c.Update([]float64{1, 2, 3}, []float64{1, 1, 1})
-	saved := c.Splits()
+	saved := c.Splits(nil)
 	c.Update([]float64{9, 1, 1}, []float64{1, 1, 1})
 	c.Restore(saved)
-	got := c.Splits()
+	got := c.Splits(nil)
 	for i := range saved {
 		if got[i] != saved[i] {
 			t.Fatalf("split %d: %v, want %v", i, got[i], saved[i])

@@ -6,6 +6,8 @@
 package element
 
 import (
+	"slices"
+
 	"tianhe/internal/cpu"
 	"tianhe/internal/gpu"
 	"tianhe/internal/perfmodel"
@@ -114,11 +116,13 @@ func New(cfg Config) *Element {
 // Now returns the element-wide virtual time: the latest point any of its
 // resources is booked to.
 func (e *Element) Now() sim.Time {
-	tls := []*sim.Timeline{e.GPU.Queue, e.GPU.DMA}
+	m := sim.Latest(e.GPU.Queue, e.GPU.DMA)
 	for _, c := range e.CPU.Cores() {
-		tls = append(tls, c.TL)
+		if a := c.TL.Available(); a > m {
+			m = a
+		}
 	}
-	return sim.Latest(tls...)
+	return m
 }
 
 // Reset returns every resource to virtual time zero.
@@ -183,10 +187,13 @@ func (e *Element) InitialGSplit() float64 {
 // AllocRows distributes total rows across len(weights) resources — the cores
 // of a level-2 host split, the slabs of a hybrid join — in proportion to
 // weights by the largest-remainder method, so the counts sum exactly to
-// total. All-zero weights give everything to the first resource.
-func AllocRows(total int, weights []float64) []int {
+// total. All-zero weights give everything to the first resource. The counts
+// are written into dst's storage, grown only when it is too short, and the
+// filled slice is returned; AllocRows(nil, ...) returns a fresh one.
+func AllocRows(dst []int, total int, weights []float64) []int {
 	n := len(weights)
-	out := make([]int, n)
+	out := slices.Grow(dst[:0], n)[:n]
+	clear(out)
 	if total == 0 || n == 0 {
 		return out
 	}
@@ -198,24 +205,27 @@ func AllocRows(total int, weights []float64) []int {
 		out[0] = total
 		return out
 	}
-	rems := make([]float64, n)
 	assigned := 0
 	for i, w := range weights {
-		exact := float64(total) * w / sum
-		out[i] = int(exact)
+		out[i] = int(float64(total) * w / sum)
 		assigned += out[i]
-		rems[i] = exact - float64(out[i])
 	}
-	// Hand the leftover rows (fewer than n) to the largest remainders.
+	// Hand the leftover rows (fewer than n, so no resource gets two) to the
+	// largest remainders, the first of equal ones winning. A resource that
+	// already got its row is the one whose count passed its exact share's
+	// floor; the remainders are recomputed, bit for bit, rather than stored.
 	for ; assigned < total; assigned++ {
-		best := 0
-		for i := 1; i < n; i++ {
-			if rems[i] > rems[best] {
-				best = i
+		best, bestRem := -1, 0.0
+		for i, w := range weights {
+			exact := float64(total) * w / sum
+			if out[i] > int(exact) {
+				continue
+			}
+			if rem := exact - float64(out[i]); best < 0 || rem > bestRem {
+				best, bestRem = i, rem
 			}
 		}
 		out[best]++
-		rems[best]--
 	}
 	return out
 }

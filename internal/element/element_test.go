@@ -80,29 +80,29 @@ func TestCustomCoreCount(t *testing.T) {
 }
 
 func TestAllocRows(t *testing.T) {
-	rows := AllocRows(10, []float64{0.5, 0.25, 0.25})
+	rows := AllocRows(nil, 10, []float64{0.5, 0.25, 0.25})
 	if rows[0] != 5 || rows[1]+rows[2] != 5 {
 		t.Fatalf("AllocRows = %v", rows)
 	}
 	total := 0
-	for _, r := range AllocRows(7, []float64{0.33, 0.33, 0.34}) {
+	for _, r := range AllocRows(nil, 7, []float64{0.33, 0.33, 0.34}) {
 		total += r
 	}
 	if total != 7 {
 		t.Fatalf("allocation must sum exactly: %d", total)
 	}
-	if got := AllocRows(0, []float64{1, 1}); got[0] != 0 || got[1] != 0 {
+	if got := AllocRows(nil, 0, []float64{1, 1}); got[0] != 0 || got[1] != 0 {
 		t.Fatal("zero rows must allocate nothing")
 	}
 	// All-zero weights used to divide by zero in the hybrid runner's copy
 	// (int(NaN) shares); the guard hands everything to the first resource.
-	if got := AllocRows(9, []float64{0, 0, 0}); got[0] != 9 || got[1] != 0 || got[2] != 0 {
+	if got := AllocRows(nil, 9, []float64{0, 0, 0}); got[0] != 9 || got[1] != 0 || got[2] != 0 {
 		t.Fatalf("zero-sum weights = %v, want [9 0 0]", got)
 	}
 }
 
 func TestAllocRowsSkewed(t *testing.T) {
-	rows := AllocRows(100, []float64{0.9, 0.05, 0.05})
+	rows := AllocRows(nil, 100, []float64{0.9, 0.05, 0.05})
 	if rows[0] != 90 || rows[1] != 5 || rows[2] != 5 {
 		t.Fatalf("skewed allocation = %v", rows)
 	}
@@ -164,7 +164,7 @@ func TestAllocRowsTieRulesAgree(t *testing.T) {
 	for _, c := range cases {
 		a, leftover := ref(c.total, c.weights, mark)
 		b, _ := ref(c.total, c.weights, decrement)
-		got := AllocRows(c.total, c.weights)
+		got := AllocRows(nil, c.total, c.weights)
 		if leftover >= len(c.weights) {
 			t.Errorf("total %d weights %v: leftover %d not below %d resources", c.total, c.weights, leftover, len(c.weights))
 		}

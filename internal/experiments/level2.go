@@ -72,7 +72,7 @@ func Level2Study(xeon perfmodel.Xeon, seed uint64) Level2Result {
 	var adSec float64
 	for iter := 0; iter < 6; iter++ {
 		var works, times []float64
-		adSec, works, times = makespan(el, db.Splits())
+		adSec, works, times = makespan(el, db.Splits(nil))
 		db.Update(works, times)
 	}
 
@@ -81,6 +81,6 @@ func Level2Study(xeon perfmodel.Xeon, seed uint64) Level2Result {
 		EqualSeconds:    eqSec,
 		AdaptiveSeconds: adSec,
 		Gain:            eqSec/adSec - 1,
-		Splits:          db.Splits(),
+		Splits:          db.Splits(nil),
 	}
 }

@@ -8,6 +8,7 @@ package hybrid
 
 import (
 	"fmt"
+	"slices"
 
 	"tianhe/internal/abft"
 	"tianhe/internal/adaptive"
@@ -38,7 +39,10 @@ type Report struct {
 	// context error and the host program aborts. Fault-aware runners (see
 	// EnableGPUFaultFallback) never stall; they fall back to the CPU.
 	Stalled bool
-	// CoreWorks and CoreTimes hold the level-2 measurements.
+	// CoreWorks and CoreTimes hold the level-2 measurements (nil when no
+	// row ran on the cores). They are the runner's scratch: valid until its
+	// next call, and the partitioner's Observe, their one reader, keeps
+	// nothing of them.
 	CoreWorks, CoreTimes []float64
 	// BytesIn/BytesOut/BytesSkipped mirror the pipeline report.
 	BytesIn, BytesOut, BytesSkipped int64
@@ -78,6 +82,13 @@ type Runner struct {
 	// abft enables checksum verification of every GPU task at its EO drain
 	// and every CPU slab at its join (EnableABFT).
 	abft bool
+
+	// Scratch of the CPU side, reused by every call: the core splits, the
+	// row shares, and the level-2 measurements a Report's CoreWorks and
+	// CoreTimes alias.
+	csplits              []float64
+	rows                 []int
+	coreWorks, coreTimes []float64
 }
 
 // runnerProbes holds the runner's metric handles, fetched once so the
@@ -267,19 +278,20 @@ func (r *Runner) gemm(alpha float64, a, b *matrix.Dense, beta float64, c *matrix
 
 	// CPU side: rows [m1, m) sliced across the cores by CSplit.
 	if m2 > 0 {
-		var csplits []float64
 		if r.part != nil {
-			csplits = r.part.CSplits()
+			r.csplits = r.part.CSplits(r.csplits)
 		} else {
 			nc := r.el.CPU.NumCores()
-			csplits = make([]float64, nc)
-			for i := range csplits {
-				csplits[i] = 1 / float64(nc)
+			r.csplits = r.csplits[:0]
+			for range nc {
+				r.csplits = append(r.csplits, 1/float64(nc))
 			}
 		}
-		rows := element.AllocRows(m2, csplits)
-		rep.CoreWorks = make([]float64, len(rows))
-		rep.CoreTimes = make([]float64, len(rows))
+		rows := element.AllocRows(r.rows, m2, r.csplits)
+		r.rows = rows
+		r.coreWorks = zeroed(r.coreWorks, len(rows))
+		r.coreTimes = zeroed(r.coreTimes, len(rows))
+		rep.CoreWorks, rep.CoreTimes = r.coreWorks, r.coreTimes
 		commActive := m1 > 0
 		off := m1
 		for i, mi := range rows {
@@ -346,4 +358,12 @@ func (r *Runner) gemm(alpha float64, a, b *matrix.Dense, beta float64, c *matrix
 		}
 	}
 	return rep
+}
+
+// zeroed returns s resized to n zeros, reusing its storage when it is long
+// enough.
+func zeroed(s []float64, n int) []float64 {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }

@@ -9,6 +9,7 @@ import (
 	"tianhe/internal/element"
 	"tianhe/internal/matrix"
 	"tianhe/internal/sim"
+	"tianhe/internal/sim/simtest"
 )
 
 func newPart(el *element.Element) *adaptive.Adaptive {
@@ -192,5 +193,31 @@ func TestReportGFLOPSSane(t *testing.T) {
 	// ceiling (~37) and below the 280.5 element peak.
 	if g < 120 || g > 280 {
 		t.Fatalf("hybrid DGEMM rate %v GFLOPS implausible", g)
+	}
+}
+
+// TestGemmVirtualAllocatesNothing: once the runner's scratch has grown, a
+// virtual hybrid call — both sides, the CPU side sliced across the cores —
+// allocates nothing, and the report's level-2 measurements are the runner's
+// scratch, overwritten by the next call.
+func TestGemmVirtualAllocatesNothing(t *testing.T) {
+	if simtest.RaceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	for _, v := range []element.Variant{element.CPUOnly, element.ACMLGBoth} {
+		el := element.New(element.Config{Seed: 13, Virtual: true})
+		run := runnerFor(v, el)
+		first := run.GemmVirtual(2048, 256, 256, 1, 0)
+		if len(first.CoreWorks) != el.CPU.NumCores() || first.TC <= 0 {
+			t.Fatalf("%v: the CPU side did not run: %+v", v, first)
+		}
+		at := first.End
+		if allocs := testing.AllocsPerRun(20, func() { at = run.GemmVirtual(2048, 256, 256, 1, at).End }); allocs != 0 {
+			t.Errorf("%v: %v allocations per virtual call, want 0", v, allocs)
+		}
+		next := run.GemmVirtual(1024, 256, 256, 1, at)
+		if &first.CoreWorks[0] != &next.CoreWorks[0] || &first.CoreTimes[0] != &next.CoreTimes[0] {
+			t.Errorf("%v: the report's level-2 slices are not the runner's scratch", v)
+		}
 	}
 }

@@ -67,7 +67,7 @@ func (s *Sim) Checkpoint() *Checkpoint {
 			panic(fmt.Sprintf("linpacksim: serializing database_g: %v", err))
 		}
 		cp.DatabaseG = blob
-		cp.CSplits = ad.C.Splits()
+		cp.CSplits = ad.C.Splits(nil)
 	}
 	if s.gsched != nil {
 		blob, err := json.Marshal(s.gsched.Rates())

@@ -25,9 +25,13 @@ type batch struct {
 	rows int
 	// opened is the virtual time the first job entered; seq tags the
 	// seal-window event so a stale timer cannot seal a successor batch
-	// that reuses the key.
+	// that reuses the key, or this batch in a later life.
 	opened sim.Time
-	seq    uint64
+	seq    int
+	// timer is the batch's seal-window handler, bound once when the
+	// batcher allocates the batch and scheduled with the seq of the life
+	// that armed it.
+	timer func(seq int)
 	// drained counts device-outage drains of this sealed batch.
 	drained int
 	// start, end and gsplit are the facts of the batch's latest dispatch:
@@ -116,15 +120,18 @@ type Batcher struct {
 	open     map[batchKey]*batch
 	policies map[batchKey]*policy
 	nextID   uint64
-	nextSeq  uint64
+	nextSeq  int
 	// free holds retired batches for reuse, their jobs slices emptied but
 	// keeping their capacity.
 	free []*batch
+	// sealed receives each batch a seal-window timer closes.
+	sealed func(*batch)
 }
 
 // newBatcher builds a batcher with the given occupancy/row caps and window
-// bounds (already defaulted by the server config).
-func newBatcher(maxBatch, maxRows int, minWin, maxWin sim.Time) *Batcher {
+// bounds (already defaulted by the server config). sealed receives each
+// batch whose seal-window timer fires while it is still open.
+func newBatcher(maxBatch, maxRows int, minWin, maxWin sim.Time, sealed func(*batch)) *Batcher {
 	return &Batcher{
 		maxBatch: maxBatch,
 		maxRows:  maxRows,
@@ -132,6 +139,7 @@ func newBatcher(maxBatch, maxRows int, minWin, maxWin sim.Time) *Batcher {
 		maxWin:   maxWin,
 		open:     make(map[batchKey]*batch),
 		policies: make(map[batchKey]*policy),
+		sealed:   sealed,
 	}
 }
 
@@ -201,11 +209,11 @@ func (ba *Batcher) retune(p *policy) {
 	p.window = window
 }
 
-// sealTimer asks the server to schedule a seal-window event: if the batch
-// identified by (key, seq) is still open at `at`, it seals then.
+// sealTimer asks the server to schedule a seal-window event: b.timer(seq)
+// at `at`, which seals b then if the life seq names is still open.
 type sealTimer struct {
-	key batchKey
-	seq uint64
+	b   *batch
+	seq int
 	at  sim.Time
 }
 
@@ -233,13 +241,13 @@ func (ba *Batcher) add(job Job, now sim.Time) (sealed [2]*batch, timer sealTimer
 		if n := len(ba.free); n > 0 {
 			b, ba.free = ba.free[n-1], ba.free[:n-1]
 		} else {
-			b = new(batch)
+			b = ba.newBatch()
 		}
 		// A fresh seq per use: a seal timer armed for the batch's previous
 		// life still misses.
-		*b = batch{id: ba.nextID, key: key, jobs: b.jobs, opened: now, seq: ba.nextSeq}
+		*b = batch{id: ba.nextID, key: key, jobs: b.jobs, opened: now, seq: ba.nextSeq, timer: b.timer}
 		ba.open[key] = b
-		timer, armed = sealTimer{key: key, seq: b.seq, at: now + pol.window}, true
+		timer, armed = sealTimer{b: b, seq: b.seq, at: now + pol.window}, true
 	}
 	b.jobs = append(b.jobs, job)
 	b.rows += job.M
@@ -251,6 +259,17 @@ func (ba *Batcher) add(job Job, now sim.Time) (sealed [2]*batch, timer sealTimer
 	return sealed, timer, armed
 }
 
+// newBatch allocates a batch and binds its seal-window handler.
+func (ba *Batcher) newBatch() *batch {
+	b := new(batch)
+	b.timer = func(seq int) {
+		if ba.sealIf(b, seq) != nil {
+			ba.sealed(b)
+		}
+	}
+	return b
+}
+
 // recycle takes back a retired batch, which nothing references any more,
 // for a later add to reuse.
 func (ba *Batcher) recycle(b *batch) {
@@ -259,15 +278,15 @@ func (ba *Batcher) recycle(b *batch) {
 	ba.free = append(ba.free, b)
 }
 
-// sealIf closes the open batch identified by (key, seq) if it is still
-// open — the seal-window timer path. A stale seq (the batch sealed full,
-// or a successor reuses the key) seals nothing.
-func (ba *Batcher) sealIf(key batchKey, seq uint64) *batch {
-	b, ok := ba.open[key]
-	if !ok || b.seq != seq {
+// sealIf closes b, returning it, if the life seq names is still open — the
+// seal-window timer path. seq is unique to one life of one batch, so a stale
+// seq (the batch sealed full, or was recycled into a later life) seals
+// nothing.
+func (ba *Batcher) sealIf(b *batch, seq int) *batch {
+	if b.seq != seq || ba.open[b.key] != b {
 		return nil
 	}
-	delete(ba.open, key)
+	delete(ba.open, b.key)
 	return b
 }
 

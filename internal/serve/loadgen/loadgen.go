@@ -145,13 +145,14 @@ type Report struct {
 	Tenants []TenantStats
 }
 
-// Replay submits a generated trace to a server, drains its event loop, and
-// summarizes the outcome.
+// Replay submits a generated trace to a server as one run, drains its event
+// loop, and summarizes the outcome. The server reads the trace in place
+// while it runs; the trace is not modified.
 func Replay(s *serve.Server, trace []Arrival) (Report, error) {
-	for i, a := range trace {
-		if _, err := s.SubmitAt(a.Req, a.At); err != nil {
-			return Report{}, fmt.Errorf("loadgen: arrival %d: %w", i, err)
-		}
+	if _, err := s.SubmitRun(len(trace), func(i int) (serve.Request, sim.Time) {
+		return trace[i].Req, trace[i].At
+	}); err != nil {
+		return Report{}, fmt.Errorf("loadgen: %w", err)
 	}
 	s.Run()
 	return Summarize(s, len(trace)), nil
@@ -173,15 +174,17 @@ func Summarize(s *serve.Server, arrivals int) Report {
 		rep.MeanBatchJobs = float64(st.Completed) / float64(st.Batches)
 	}
 
-	// One accumulator per tenant: its outcome and its latencies, found with
-	// one lookup per result.
+	// One accumulator per tenant: its outcome, then its latencies. A first
+	// pass counts each tenant's completions; each tenant then fills its own
+	// sub-slice of one array, so the tenants' slices together hold every
+	// latency exactly once.
 	type tenantAcc struct {
 		TenantStats
 		lat []float64
 	}
-	latencies := make([]float64, 0, st.Completed)
 	perTenant := make(map[string]*tenantAcc)
 	var order []string
+	completed := 0
 	for _, r := range s.Results() {
 		ta, ok := perTenant[r.Tenant]
 		if !ok {
@@ -191,23 +194,37 @@ func Summarize(s *serve.Server, arrivals int) Report {
 		}
 		if r.Rejected {
 			ta.Rejected++
-			continue
+		} else {
+			ta.Completed++
+			completed++
 		}
-		ta.Completed++
-		latencies = append(latencies, r.Latency())
-		ta.lat = append(ta.lat, r.Latency())
 	}
-	// Each slice is the summary's own, so the quantiles are selected in
-	// place; selecting reorders a slice but keeps its multiset.
-	rep.P50 = selectQuantile(latencies, 0.50)
-	rep.P99 = selectQuantile(latencies, 0.99)
 	sort.Strings(order)
+	rep.Tenants = make([]TenantStats, 0, len(order))
+	latencies := make([]float64, completed)
+	off := 0
+	for _, name := range order {
+		ta := perTenant[name]
+		ta.lat = latencies[off : off : off+ta.Completed]
+		off += ta.Completed
+	}
+	for _, r := range s.Results() {
+		if !r.Rejected {
+			ta := perTenant[r.Tenant]
+			ta.lat = append(ta.lat, r.Latency())
+		}
+	}
+	// The quantiles are order statistics, selected in place: selecting
+	// reorders a slice but keeps its multiset, so each tenant's selection
+	// leaves the whole array the same multiset for the overall one.
 	for _, name := range order {
 		ta := perTenant[name]
 		ta.P50Latency = selectQuantile(ta.lat, 0.50)
 		ta.P99Latency = selectQuantile(ta.lat, 0.99)
 		rep.Tenants = append(rep.Tenants, ta.TenantStats)
 	}
+	rep.P50 = selectQuantile(latencies, 0.50)
+	rep.P99 = selectQuantile(latencies, 0.99)
 	return rep
 }
 

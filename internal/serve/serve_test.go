@@ -138,7 +138,7 @@ func TestCodecInvariants(t *testing.T) {
 }
 
 func TestBatcherAdapts(t *testing.T) {
-	ba := newBatcher(64, 8192, 200e-6, 20e-3)
+	ba := newBatcher(64, 8192, 200e-6, 20e-3, nil)
 	key := batchKey{kind: DGEMM, n: 256, k: 256}
 	// 1000 jobs/s arrivals against a 16 ms batch service time: the target
 	// should converge near λ·s = 16 and the window near target/λ/2 = 8 ms.
@@ -158,7 +158,7 @@ func TestBatcherAdapts(t *testing.T) {
 }
 
 func TestBatcherSealsOnCaps(t *testing.T) {
-	ba := newBatcher(4, 1000, 1e-3, 1e-2)
+	ba := newBatcher(4, 1000, 1e-3, 1e-2, nil)
 	mk := func(m int) Job {
 		return Job{Kind: DGEMM, M: m, N: 64, K: 64}
 	}
@@ -200,7 +200,8 @@ func TestBatcherSealsOnCaps(t *testing.T) {
 }
 
 func TestBatcherSealTimer(t *testing.T) {
-	ba := newBatcher(64, 8192, 1e-3, 1e-2)
+	var byTimer []*batch
+	ba := newBatcher(64, 8192, 1e-3, 1e-2, func(b *batch) { byTimer = append(byTimer, b) })
 	// Cold start seals at occupancy 1 (target starts at 1, so unlearned
 	// traffic pays no batching delay); the window timer only appears once
 	// the target has adapted above 1.
@@ -213,11 +214,11 @@ func TestBatcherSealTimer(t *testing.T) {
 	if sealed[0] != nil || !armed {
 		t.Fatalf("first add: sealed=%v armed=%v", sealed, armed)
 	}
-	b := ba.sealIf(timer.key, timer.seq)
+	b := ba.sealIf(timer.b, timer.seq)
 	if b == nil || len(b.jobs) != 1 {
 		t.Fatalf("sealIf missed the open batch")
 	}
-	if b := ba.sealIf(timer.key, timer.seq); b != nil {
+	if b := ba.sealIf(timer.b, timer.seq); b != nil {
 		t.Fatalf("stale sealIf re-sealed")
 	}
 	// A retired batch is reused for the next one under a fresh id and seq,
@@ -227,15 +228,26 @@ func TestBatcherSealTimer(t *testing.T) {
 	succ := job
 	succ.M = 11
 	_, next, armed := ba.add(succ, 2e-4)
-	if !armed || ba.open[next.key] != b || b.id == oldID || len(b.jobs) != 1 || b.jobs[0].M != 11 || b.rows != 11 {
+	if !armed || ba.open[next.b.key] != b || b.id == oldID || len(b.jobs) != 1 || b.jobs[0].M != 11 || b.rows != 11 {
 		t.Fatalf("recycled batch: reused=%v armed=%v id %d (was %d) jobs=%v rows=%d",
-			ba.open[next.key] == b, armed, b.id, oldID, b.jobs, b.rows)
+			ba.open[next.b.key] == b, armed, b.id, oldID, b.jobs, b.rows)
 	}
-	if got := ba.sealIf(timer.key, timer.seq); got != nil {
+	if got := ba.sealIf(timer.b, timer.seq); got != nil {
 		t.Fatalf("the retired batch's timer sealed its successor")
 	}
-	if got := ba.sealIf(next.key, next.seq); got != b {
-		t.Fatalf("the successor's own timer missed it")
+	// The bound handler the server schedules: the retired life's timer
+	// fires into the successor and seals nothing; the successor's own
+	// hands it to the batcher's hook.
+	b.timer(timer.seq)
+	if len(byTimer) != 0 || ba.open[next.b.key] != b {
+		t.Fatalf("the retired batch's timer handler sealed its successor")
+	}
+	next.b.timer(next.seq)
+	if len(byTimer) != 1 || byTimer[0] != b || ba.open[next.b.key] != nil {
+		t.Fatalf("the successor's own timer handler missed it: %v", byTimer)
+	}
+	if got := ba.sealIf(next.b, next.seq); got != nil {
+		t.Fatalf("a fired timer sealed twice")
 	}
 }
 
@@ -555,4 +567,82 @@ func TestBatchQueueOrder(t *testing.T) {
 	q.pushBack(bs[4])
 	q.pushFront(bs[5]) // head is 0: the queue shifts
 	drain(5, 4)
+}
+
+// TestSubmitRunMatchesSubmitAt: a run registers exactly the arrivals n
+// SubmitAt calls would — the same ids and, after the drain, the same results
+// and stats, admission rejections included — and refuses a bad batch whole,
+// with SubmitAt's error prefixed by the offending arrival's index, leaving
+// nothing scheduled and no id consumed.
+func TestSubmitRunMatchesSubmitAt(t *testing.T) {
+	tenants := []string{"alpha", "beta", "gamma"}
+	rng := sim.NewRNG(5)
+	reqs := make([]Request, 600)
+	ats := make([]sim.Time, len(reqs))
+	var at sim.Time
+	for i := range reqs {
+		if rng.Intn(4) == 0 {
+			reqs[i] = Request{Tenant: tenants[i%3], Kind: "solve", N: 256 << rng.Intn(2)}
+		} else {
+			reqs[i] = Request{Tenant: tenants[i%3], Kind: "dgemm", M: 32 << rng.Intn(3), N: 256, K: 256}
+		}
+		at += sim.Time(rng.Intn(3)) * 1e-4 // a zero step ties two arrivals
+		ats[i] = at
+	}
+	cfg := Config{Seed: 3, Workers: 2, QueueCap: 48} // a short queue, so some arrivals are refused
+	newServer := func() *Server {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	submitRun := func(s *Server, reqs []Request, ats []sim.Time) (uint64, error) {
+		return s.SubmitRun(len(reqs), func(i int) (Request, sim.Time) { return reqs[i], ats[i] })
+	}
+
+	single := newServer()
+	for i := range reqs {
+		if id, err := single.SubmitAt(reqs[i], ats[i]); err != nil || id != uint64(i+1) {
+			t.Fatalf("SubmitAt %d: id %d, %v", i, id, err)
+		}
+	}
+	single.Run()
+	run := newServer()
+	if first, err := submitRun(run, reqs, ats); err != nil || first != 1 {
+		t.Fatalf("SubmitRun: first id %d, %v", first, err)
+	}
+	run.Run()
+	if st := run.Stats(); st != single.Stats() || st.Rejected == 0 {
+		t.Fatalf("stats: run %+v, SubmitAt %+v (want equal, with rejections)", st, single.Stats())
+	}
+	if !reflect.DeepEqual(run.Results(), single.Results()) {
+		t.Fatal("a run's results differ from n SubmitAt calls'")
+	}
+
+	badReq := append([]Request(nil), reqs...)
+	badReq[7].Kind = "lu"
+	_, atErr := newServer().SubmitAt(badReq[7], ats[7])
+	badTime := append([]sim.Time(nil), ats...)
+	badTime[9] = badTime[8] - 1e-3
+	for _, c := range []struct {
+		name string
+		reqs []Request
+		ats  []sim.Time
+		want string
+	}{
+		{"bad request", badReq, ats, "arrival 7: " + atErr.Error()},
+		{"out of order", reqs, badTime, "arrival 9: "},
+	} {
+		s := newServer()
+		if _, err := submitRun(s, c.reqs, c.ats); err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one starting %q", c.name, err, c.want)
+		}
+		if s.eng.Pending() != 0 {
+			t.Errorf("%s: a refused run left %d events scheduled", c.name, s.eng.Pending())
+		}
+		if first, err := submitRun(s, reqs, ats); err != nil || first != 1 {
+			t.Errorf("%s: the next run got first id %d (%v), want 1", c.name, first, err)
+		}
+	}
 }

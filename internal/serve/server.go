@@ -87,6 +87,10 @@ type worker struct {
 	// completion event for a dead dispatch must retire nothing.
 	inflight *batch
 	epoch    int
+	// The worker's event handlers, bound once in New so that scheduling a
+	// completion (argument: the dispatch's epoch), a restore or a death
+	// allocates nothing.
+	done, restore, die func(int)
 }
 
 // Stats aggregates one service run.
@@ -188,8 +192,11 @@ func New(cfg Config) (*Server, error) {
 		cfg: cfg,
 		lim: lim,
 		eng: sim.NewEngine(),
-		ba:  newBatcher(maxBatchJobs, DefaultMaxRows, minBatchWindow, maxBatchWindow),
 	}
+	s.ba = newBatcher(maxBatchJobs, DefaultMaxRows, minBatchWindow, maxBatchWindow, func(b *batch) {
+		s.ready.pushBack(b)
+		s.pump()
+	})
 	if tel := cfg.Telemetry; tel.Enabled() {
 		s.probes = &serverProbes{
 			tel:       tel,
@@ -227,7 +234,7 @@ func New(cfg Config) (*Server, error) {
 		// cores (with database_g quarantine and post-restore re-warm)
 		// rather than poisoning the service.
 		run.EnableGPUFaultFallback()
-		w := &worker{idx: i, el: el, run: run}
+		w := s.newWorker(i, el, run)
 		if scenario && i < struck {
 			inSeed := sim.NewStream(cfg.Seed, fmt.Sprintf("serve/fault%d", i)).Uint64()
 			in, err := fault.NewScenario(cfg.Scenario, cfg.ScenarioHorizon, inSeed)
@@ -242,8 +249,7 @@ func New(cfg Config) (*Server, error) {
 			// permanent worker removals.
 			for _, ev := range in.ElementFailures() {
 				deaths++
-				at := ev.Start
-				s.eng.At(at, func() { s.failWorker(w) })
+				s.eng.AtArg(ev.Start, w.die, 0)
 			}
 		}
 		if cfg.Telemetry.Enabled() {
@@ -255,6 +261,26 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: scenario %q kills all %d workers — an element-fail scenario must leave a survivor to drain the queue", cfg.Scenario, cfg.Workers)
 	}
 	return s, nil
+}
+
+// newWorker builds worker i around its element and runner and binds its
+// event handlers.
+func (s *Server) newWorker(i int, el *element.Element, run *hybrid.Runner) *worker {
+	w := &worker{idx: i, el: el, run: run}
+	w.done = func(epoch int) {
+		// An element death aborts the dispatch and bumps the epoch; the
+		// stale completion then retires nothing — the batch already
+		// requeued.
+		if w.epoch == epoch {
+			s.complete(w.inflight, w)
+		}
+	}
+	w.restore = func(int) {
+		w.parked = false
+		s.pump()
+	}
+	w.die = func(int) { s.failWorker(w) }
+	return w
 }
 
 // Now returns the current virtual time.
@@ -289,6 +315,41 @@ func (s *Server) SubmitAt(req Request, at sim.Time) (uint64, error) {
 	job.Submit = at
 	s.eng.At(at, func() { s.arrive(job) })
 	return job.ID, nil
+}
+
+// SubmitRun validates n requests and schedules their arrivals as one engine
+// run: arrival(i) returns request i and its virtual arrival time. The ids
+// are the ones n SubmitAt calls would return, first through first+n-1, and
+// a request SubmitAt would refuse fails the whole batch with SubmitAt's
+// error, prefixed with the arrival's index; so does a time that precedes
+// the previous arrival's or, for the first, the event loop's current time.
+// On an error nothing is scheduled and no id is used. Nothing is copied
+// either: arrival is called again as each arrival fires, so what it reads
+// must stay unchanged until Run has drained the run.
+func (s *Server) SubmitRun(n int, arrival func(i int) (Request, sim.Time)) (first uint64, err error) {
+	prev := s.eng.Now()
+	for i := 0; i < n; i++ {
+		req, at := arrival(i)
+		if _, err := jobFromRequest(req, s.lim); err != nil {
+			return 0, fmt.Errorf("arrival %d: %w", i, err)
+		}
+		if at < prev {
+			return 0, fmt.Errorf("arrival %d: time %v precedes %v", i, at, prev)
+		}
+		prev = at
+	}
+	first = s.nextJobID + 1
+	s.nextJobID += uint64(n)
+	s.eng.AtRun(n, func(i int) sim.Time {
+		_, at := arrival(i)
+		return at
+	}, func(i int) {
+		req, at := arrival(i)
+		job, _ := jobFromRequest(req, s.lim) // validated above
+		job.ID, job.Submit = first+uint64(i), at
+		s.arrive(job)
+	})
+	return first, nil
 }
 
 // Run drains the event loop: every scheduled arrival is admitted or
@@ -330,12 +391,7 @@ func (s *Server) arrive(job Job) {
 	}
 	sealed, t, armed := s.ba.add(job, s.eng.Now())
 	if armed {
-		s.eng.At(t.at, func() {
-			if b := s.ba.sealIf(t.key, t.seq); b != nil {
-				s.ready.pushBack(b)
-				s.pump()
-			}
-		})
+		s.eng.AtArg(t.at, t.b.timer, t.seq)
 	}
 	for _, b := range sealed {
 		if b != nil {
@@ -460,10 +516,7 @@ func (s *Server) drainPark(b *batch, w *worker, now sim.Time) {
 		// health source cannot schedule into the past.
 		restore = now
 	}
-	s.eng.At(restore, func() {
-		w.parked = false
-		s.pump()
-	})
+	s.eng.AtArg(restore, w.restore, 0)
 }
 
 // execute books one sealed batch on a worker as a single hybrid call and
@@ -497,15 +550,7 @@ func (s *Server) execute(b *batch, w *worker) {
 		pr.window.Set(float64(s.ba.window(b.key)))
 	}
 	b.start, b.end, b.gsplit = now, rep.End, rep.GSplit
-	// An element death aborts the dispatch and bumps the epoch; the stale
-	// completion event then retires nothing — the batch already requeued.
-	epoch := w.epoch
-	s.eng.At(rep.End, func() {
-		if w.epoch != epoch {
-			return
-		}
-		s.complete(b, w)
-	})
+	s.eng.AtArg(rep.End, w.done, w.epoch)
 }
 
 // complete retires a batch: service-rate feedback to the batcher, results

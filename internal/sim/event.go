@@ -1,29 +1,33 @@
 package sim
 
-// Event is a callback scheduled at a virtual time in an Engine.
-type Event struct {
-	At Time
-	Fn func()
-
+// event is one pending callback of an Engine: fn for an At event, or a
+// handler bound once plus its argument for an AtArg event.
+type event struct {
+	at  Time
 	seq int // tie-breaker: FIFO among equal timestamps
+	fn  func()
+	h   func(int)
+	arg int
 }
 
-// less is the engine's one event order, (At, seq): time first, then
+// earlier is the engine's one event order, (at, seq): time first, then
 // scheduling order. seq is unique, so the order is total; the heap and the
-// lane-versus-heap pick in Step both compare through it.
-func less(a, b *Event) bool {
+// run-versus-heap pick in Step both compare through it.
+func earlier(at Time, seq int, bAt Time, bSeq int) bool {
 	//lint:ignore floateq exact-timestamp ties must fall through to the deterministic seq tie-breaker
-	if a.At != b.At {
-		return a.At < b.At
+	if at != bAt {
+		return at < bAt
 	}
-	return a.seq < b.seq
+	return seq < bSeq
 }
+
+func less(a, b *event) bool { return earlier(a.at, a.seq, b.at, b.seq) }
 
 // eventHeap is a binary min-heap of event values ordered by less, so the pop
 // sequence does not depend on the heap's internal layout.
-type eventHeap []Event
+type eventHeap []event
 
-func (h *eventHeap) push(ev Event) {
+func (h *eventHeap) push(ev event) {
 	*h = append(*h, ev)
 	s := *h
 	for j := len(s) - 1; j > 0; {
@@ -36,14 +40,14 @@ func (h *eventHeap) push(ev Event) {
 	}
 }
 
-func (h *eventHeap) pop() Event {
+func (h *eventHeap) pop() event {
 	n := len(*h) - 1
 	s := (*h)[:n]
 	top := (*h)[0]
 	if n > 0 {
 		s[0] = (*h)[n]
 	}
-	(*h)[n] = Event{} // drop the vacated slot's closure
+	(*h)[n] = event{} // drop the vacated slot's callback
 	*h = s
 	for i := 0; ; {
 		j := 2*i + 1 // left child
@@ -62,24 +66,34 @@ func (h *eventHeap) pop() Event {
 	return top
 }
 
+// eventRun is a run registered with AtRun. Its pending events are indices
+// [next, n): event i is due at at(i), carries seq seq0+i and fires as fire(i);
+// head caches at(next).
+type eventRun struct {
+	at      func(i int) Time
+	fire    func(i int)
+	next, n int
+	seq0    int
+	head    Time
+}
+
 // Engine is a minimal discrete-event simulation loop: events fire in
 // timestamp order, and events with equal timestamps fire in the order they
 // were scheduled. The serving layer runs its admission, batching and
 // dispatch on it.
 //
-// Pending events sit in one of two queues, each kept in (At, seq) order. The
-// lane is a FIFO: an event no earlier than the lane's last one is appended
-// there, and since seq only grows the lane stays sorted. Any other event goes
-// on the heap. Step fires the lesser of the two heads, so the firing order is
-// the one total order a single heap would give, while a pre-submitted sorted
-// run (a replayed arrival trace) costs an append and a sequential read per
-// event instead of a heap sift.
+// Single events (At, AtArg) sit on a binary heap. A pre-sorted run (AtRun, a
+// replayed arrival trace) is not copied anywhere: the engine keeps the
+// caller's two functions and a cursor, having reserved the run's seq numbers
+// at registration. Step fires the least of the heap's head and every run's
+// head, so the firing order is the one total (At, seq) order a single heap
+// holding every event would give.
 type Engine struct {
 	now     Time
 	events  eventHeap
-	lane    []Event // the lane's pending events are lane[head:]
-	head    int
+	runs    []eventRun
 	nextSeq int
+	pending int
 }
 
 // NewEngine returns an engine at time zero with no pending events.
@@ -89,48 +103,98 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // At schedules fn to run at absolute time at. Scheduling in the past panics.
-func (e *Engine) At(at Time, fn func()) {
-	if at < e.now {
+func (e *Engine) At(at Time, fn func()) { e.push(event{at: at, fn: fn}) }
+
+// AtArg schedules h(arg) at absolute time at. h is meant to be bound once
+// and reused — a worker's completion handler, a batch's seal timer — so
+// that, unlike a fresh closure passed to At, scheduling allocates nothing.
+// Scheduling in the past panics.
+func (e *Engine) AtArg(at Time, h func(int), arg int) { e.push(event{at: at, h: h, arg: arg}) }
+
+func (e *Engine) push(ev event) {
+	if ev.at < e.now {
 		panic("sim: scheduling event in the past")
 	}
-	ev := Event{At: at, Fn: fn, seq: e.nextSeq}
+	ev.seq = e.nextSeq
 	e.nextSeq++
-	n := len(e.lane)
-	if n > e.head && at < e.lane[n-1].At {
-		e.events.push(ev)
+	e.pending++
+	e.events.push(ev)
+}
+
+// AtRun registers a run of n events: event i is due at at(i) and fires as
+// fire(i). The times must not decrease with i, and the first must not
+// precede Now; either mistake panics. The run takes the next n seq numbers,
+// in index order, when it is registered, so its events fire exactly as n At
+// calls made now would, interleaved with every other event by (At, seq).
+// The engine stores nothing per event, only the two functions and a cursor:
+// whatever they read must stay unchanged until the run has fired. An empty
+// run registers nothing.
+func (e *Engine) AtRun(n int, at func(i int) Time, fire func(i int)) {
+	if n <= 0 {
 		return
 	}
-	if n == cap(e.lane) && e.head > n/2 {
-		// Slide the live run down rather than grow past a mostly popped
-		// prefix: each slide moves at most as many events as were popped.
-		n = copy(e.lane, e.lane[e.head:])
-		clear(e.lane[n:])
-		e.lane, e.head = e.lane[:n], 0
+	head := at(0)
+	if head < e.now {
+		panic("sim: scheduling event in the past")
 	}
-	e.lane = append(e.lane, ev)
+	for i, prev := 1, head; i < n; i++ {
+		t := at(i)
+		if t < prev {
+			panic("sim: run not in time order")
+		}
+		prev = t
+	}
+	e.runs = append(e.runs, eventRun{at: at, fire: fire, n: n, seq0: e.nextSeq, head: head})
+	e.nextSeq += n
+	e.pending += n
 }
 
 // Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.events) + len(e.lane) - e.head }
+func (e *Engine) Pending() int { return e.pending }
 
 // Step runs the earliest pending event, advancing time to it. It reports
 // whether an event was run.
 func (e *Engine) Step() bool {
-	var ev Event
-	switch {
-	case e.head < len(e.lane) && (len(e.events) == 0 || less(&e.lane[e.head], &e.events[0])):
-		ev = e.lane[e.head]
-		e.lane[e.head] = Event{} // drop the fired closure
-		if e.head++; e.head == len(e.lane) {
-			e.lane, e.head = e.lane[:0], 0
+	pick := -1 // the run whose head fires; -1 is the heap's head
+	var at Time
+	var seq int
+	found := len(e.events) > 0
+	if found {
+		at, seq = e.events[0].at, e.events[0].seq
+	}
+	for i := range e.runs {
+		r := &e.runs[i]
+		if s := r.seq0 + r.next; !found || earlier(r.head, s, at, seq) {
+			pick, at, seq, found = i, r.head, s, true
 		}
-	case len(e.events) > 0:
-		ev = e.events.pop()
-	default:
+	}
+	if !found {
 		return false
 	}
-	e.now = ev.At
-	ev.Fn()
+	e.now = at
+	e.pending--
+	if pick < 0 {
+		ev := e.events.pop()
+		if ev.h != nil {
+			ev.h(ev.arg)
+		} else {
+			ev.fn()
+		}
+		return true
+	}
+	r := &e.runs[pick]
+	i, fire := r.next, r.fire
+	if r.next++; r.next < r.n {
+		r.head = r.at(r.next)
+	} else {
+		// Spent: the last run takes its slot. The runs' order in the slice
+		// never matters, since every head is compared.
+		last := len(e.runs) - 1
+		e.runs[pick] = e.runs[last]
+		e.runs[last] = eventRun{}
+		e.runs = e.runs[:last]
+	}
+	fire(i)
 	return true
 }
 

@@ -107,9 +107,10 @@ type Hybrid struct {
 	GPUSeconds func(rows int) float64
 	// CPUSeconds models the duration of a rows-high slab on one host core.
 	CPUSeconds func(rows int) float64
-	// CSplits returns the per-core share vector for the host half (adaptive
-	// database_c); nil means equal shares across the element's cores.
-	CSplits func() []float64
+	// CSplits writes the per-core share vector for the host half (adaptive
+	// database_c) into dst's storage and returns it; nil means equal shares
+	// across the element's cores.
+	CSplits func(dst []float64) []float64
 	// SplitReads declares the task's read handles row-local: the device half
 	// needs only its row share of each read, not the whole handle. GEMM-class
 	// codelets leave it false (the k-panels are needed whole on both sides);

@@ -81,6 +81,7 @@ type splitSizer struct {
 	wsum    float64   // their sum
 	caps    []int     // scratch: capacity probes of the bisection
 	w       []float64 // scratch: capacities as share weights
+	cs      []float64 // scratch: the oracle's per-core shares
 }
 
 // estimateHybrid sizes the split — device rows by the oracle, host rows
@@ -124,7 +125,8 @@ func (r *run) estimateHybrid(t *Task, readyAt sim.Time, c *candidates) {
 	}
 	var cs []float64
 	if h.CSplits != nil {
-		if cs = h.CSplits(); len(cs) != len(r.cores) {
+		z.cs = h.CSplits(z.cs)
+		if cs = z.cs; len(cs) != len(r.cores) {
 			cs = nil
 		}
 	}
@@ -140,7 +142,7 @@ func (r *run) estimateHybrid(t *Task, readyAt sim.Time, c *candidates) {
 		}
 		z.wsum += z.fr[i]
 	}
-	shares := element.AllocRows(m2, z.fr)
+	shares := element.AllocRows(nil, m2, z.fr)
 	if h.FillSkew {
 		m1, shares = r.fillSkew(m1, shares)
 	}
@@ -233,7 +235,7 @@ func (r *run) fillSkew(m1 int, shares []int) (int, []int) {
 				}
 				weights = z.w
 			}
-			shares = element.AllocRows(m2, weights)
+			shares = element.AllocRows(shares, m2, weights)
 			m2 = 0
 			for _, rc := range shares {
 				m2 += rc
@@ -243,7 +245,7 @@ func (r *run) fillSkew(m1 int, shares []int) (int, []int) {
 	}
 	if m2 == 0 {
 		// Nothing to top up — degenerate back to the oracle's allocation.
-		shares = element.AllocRows(h.Rows-m1, z.fr)
+		shares = element.AllocRows(shares, h.Rows-m1, z.fr)
 	}
 	return m1, shares
 }
