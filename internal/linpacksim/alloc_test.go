@@ -1,20 +1,27 @@
 package linpacksim
 
 import (
+	"runtime"
 	"testing"
 
 	"tianhe/internal/element"
 	"tianhe/internal/sim/simtest"
 )
 
-// allocsPerTaskCeiling bounds what one graph-stepper run at the paper's size
-// allocates per task it schedules, everything included: the Sim, its element,
-// the graph, the scheduler's scratch and reports. Measured 2.30 — a task's
-// name, a tile handle's name, and the odd per-Run object — against 8.68 when
-// every iteration made a new graph of heap tasks with two cost closures each.
-// The ceiling sits under both regressions it is there to catch: per-task cost
-// closures (4.3) and a taskgraph.New per iteration instead of Reset (2.61).
-const allocsPerTaskCeiling = 2.5
+// allocsPerTaskCeiling and bytesPerTaskCeiling bound what one graph-stepper
+// run at the paper's size allocates per task it schedules, everything
+// included: the Sim, its element, the graph, the scheduler's scratch and the
+// first iteration's handle names. Measured 1.09 allocations and 86 bytes: what
+// remains is one name per task (the stepper's handles, span lists, reader
+// links and dependency marks are all recycled from iteration to iteration).
+// The ceilings sit about 15 % above, under the regressions they are there to
+// catch: handle names formatted per iteration (2.05 allocations, 110 bytes),
+// per-handle reader slices (1.34, 113) and a fresh span list per Run (149
+// bytes — one allocation per Run, which only the byte count sees).
+const (
+	allocsPerTaskCeiling = 1.25
+	bytesPerTaskCeiling  = 99
+)
 
 func TestGraphStepAllocBudget(t *testing.T) {
 	if simtest.RaceEnabled {
@@ -22,20 +29,28 @@ func TestGraphStepAllocBudget(t *testing.T) {
 	}
 	cfg := Config{N: 46080, NB: 1216, Variant: element.ACMLGBoth, Seed: 2009, Graph: true, Lookahead: 1}
 	tasks := 0
-	allocs := testing.AllocsPerRun(2, func() {
+	run := func() {
 		tasks = 0
 		s := NewSim(cfg)
 		for !s.Done() {
 			s.Step()
 			tasks += s.graph.Len()
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(2, run)
 	if tasks < 18000 {
 		t.Fatalf("the run scheduled %d tasks, want the 38 tile-graph iterations (over 18,000)", tasks)
 	}
-	if per := allocs / float64(tasks); per > allocsPerTaskCeiling {
-		t.Errorf("%.0f allocations over %d tasks = %.2f per task, ceiling %.1f", allocs, tasks, per, allocsPerTaskCeiling)
-	} else {
-		t.Logf("%.0f allocations over %d tasks = %.2f per task", allocs, tasks, per)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	per, bytes := allocs/float64(tasks), float64(after.TotalAlloc-before.TotalAlloc)/float64(tasks)
+	t.Logf("%.0f allocations and %.0f bytes over %d tasks = %.2f and %.1f per task", allocs, bytes*float64(tasks), tasks, per, bytes)
+	if per > allocsPerTaskCeiling {
+		t.Errorf("%.2f allocations per task, ceiling %.2f", per, allocsPerTaskCeiling)
+	}
+	if bytes > bytesPerTaskCeiling {
+		t.Errorf("%.1f bytes allocated per task, ceiling %d", bytes, bytesPerTaskCeiling)
 	}
 }

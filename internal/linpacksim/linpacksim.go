@@ -315,13 +315,51 @@ type Sim struct {
 	// so the next Step must not rebook them.
 	prepAhead bool
 	// graph is rebuilt in place by every Step; handles is the flat table its
-	// l/u/tile handles are kept in and accs the scratch that long access lists
-	// (panels, bands) are assembled in before Add copies them. The codelets'
-	// cost functions are made once: they read the task they are handed.
+	// l/u/tile handles are kept in, names their names, and accs the scratch
+	// that long access lists (panels, bands) are assembled in before Add
+	// copies them. The codelets' cost functions are made once: they read the
+	// task they are handed.
 	graph                            *taskgraph.Graph
 	handles                          []*taskgraph.Handle
+	names                            handleNames
 	accs                             []taskgraph.Access
 	panelCosts, trsmCosts, gemmCosts taskgraph.Costs
+}
+
+// handleNames are the graph stepper's handle names, formatted once for the
+// largest tile grid a Sim has stepped — its first — and shared by every
+// smaller grid after it: tile (i, c) of any grid is named t(i,c).
+type handleNames struct {
+	nt      int
+	l, u, t []string // t is nt×nt, row-major
+	uAhead  []string // the look-ahead preps' u'(c), c < prepAheadCols
+}
+
+// fit makes the names cover an nt×nt grid.
+func (n *handleNames) fit(nt int) {
+	if nt <= n.nt {
+		return
+	}
+	n.nt = nt
+	n.l, n.u, n.t = make([]string, nt), make([]string, nt), make([]string, nt*nt)
+	for i := 0; i < nt; i++ {
+		n.l[i] = taskgraph.Name("l(%d)", i)
+		n.u[i] = taskgraph.Name("u(%d)", i)
+		for c := 0; c < nt; c++ {
+			n.t[i*nt+c] = taskgraph.Name("t(%d,%d)", i, c)
+		}
+	}
+}
+
+// ahead returns the name of look-ahead prep c's U block, u'(c).
+func (n *handleNames) ahead(c int) string {
+	if n.uAhead == nil {
+		n.uAhead = make([]string, prepAheadCols)
+		for i := range n.uAhead {
+			n.uAhead[i] = taskgraph.Name("u'(%d)", i)
+		}
+	}
+	return n.uAhead[c]
 }
 
 // NewSim builds the element, partitioner and runner for one run, positioned
@@ -522,9 +560,10 @@ func (s *Sim) noteABFT(t abft.Tally) {
 // on the device predicted to finish it first, blending the static models
 // with the rates measured over previous iterations. A graph the scheduler
 // rejects, or one that stalls on a dead GPU context, is the returned error.
-// Every iteration rebuilds the Sim's one graph in place: each is the last one
-// minus a tile row and column, so after the first nothing new is allocated
-// but the names.
+// Every iteration rebuilds the Sim's one graph in place and runs it on the
+// Sim's one Scheduler: each graph is the last one minus a tile row and
+// column, and the handle names are the first iteration's, so after the first
+// an iteration allocates only its task names.
 func (s *Sim) stepGraph(j, jb, trailing int) error {
 	st := s.newGraphStep(j, jb, trailing)
 	st.addPanelAndPreps()
@@ -551,7 +590,8 @@ func (s *Sim) stepGraph(j, jb, trailing int) error {
 }
 
 // graphStep is one iteration's graph under construction: its geometry and
-// its handles, which are windows into the Sim's flat handle table.
+// its handles, which are windows into the Sim's flat handle table, named from
+// the Sim's name table.
 type graphStep struct {
 	s *Sim
 	g *taskgraph.Graph
@@ -585,12 +625,14 @@ func (s *Sim) newGraphStep(j, jb, trailing int) graphStep {
 		hybrid: s.cfg.GraphHybrid && s.cfg.Variant.UsesGPU() && s.part != nil,
 		ls:     s.handles[:nt], us: s.handles[nt : 2*nt], ts: s.handles[2*nt : 2*nt+nt*nt],
 	}
+	s.names.fit(nt)
+	names := &s.names
 	st.piv = g.NewHandle("piv", 8*int64(jb))
 	for i := 0; i < nt; i++ {
-		st.ls[i] = g.NewHandle(taskgraph.Name("l(%d)", i), 8*int64(st.tw(i))*int64(jb))
-		st.us[i] = g.NewHandle(taskgraph.Name("u(%d)", i), 8*int64(jb)*int64(st.tw(i)))
+		st.ls[i] = g.NewHandle(names.l[i], 8*int64(st.tw(i))*int64(jb))
+		st.us[i] = g.NewHandle(names.u[i], 8*int64(jb)*int64(st.tw(i)))
 		for c := 0; c < nt; c++ {
-			st.ts[i*nt+c] = g.NewHandle(taskgraph.Name("t(%d,%d)", i, c), 8*int64(st.tw(i))*int64(st.tw(c)))
+			st.ts[i*nt+c] = g.NewHandle(names.t[i*names.nt+c], 8*int64(st.tw(i))*int64(st.tw(c)))
 		}
 	}
 	return st
@@ -773,7 +815,7 @@ func (st *graphStep) addLookahead() {
 			// The column's top tile after this iteration's update — the
 			// data the next trsm solves against.
 			taskgraph.Access{H: st.tile(1, c+1), Mode: taskgraph.Read},
-			taskgraph.Access{H: st.g.NewHandle(taskgraph.Name("u'(%d)", c), 8*int64(jbNext)*int64(cw)), Mode: taskgraph.Write})
+			taskgraph.Access{H: st.g.NewHandle(s.names.ahead(c), 8*int64(jbNext)*int64(cw)), Mode: taskgraph.Write})
 	}
 	s.prepAhead = true
 }

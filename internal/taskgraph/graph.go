@@ -13,6 +13,7 @@ package taskgraph
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -55,9 +56,10 @@ type Handle struct {
 	g   *Graph
 	gen uint32
 
-	// Inference state: the last writer (-1 for none) and the readers since.
-	lastWriter int
-	readers    []int
+	// Inference state: the last writer (-1 for none) and the readers since,
+	// a chain in the graph's reader links from first to last (-1 for none).
+	lastWriter              int
+	firstReader, lastReader int32
 }
 
 // Bytes returns the handle's footprint.
@@ -176,6 +178,9 @@ type Task struct {
 	id   int
 	gen  uint32
 	deps []int
+	// mark is the epoch of the Add or After call that last saw the task as
+	// a dependency: it keeps deps duplicate-free without a set per call.
+	mark int
 }
 
 // ID returns the task's creation index within its graph.
@@ -187,8 +192,9 @@ func (t *Task) Deps() []int { return t.deps }
 // Graph is a DAG of tasks over handles, built append-only: dependency
 // inference and explicit After edges only ever point at already-added tasks,
 // so a graph is acyclic by construction. The graph owns its memory — tasks,
-// handles, access lists and dependency lists live in slabs — and Reset
-// empties it for the next build without giving any of it back.
+// handles, access lists and dependency lists live in slabs, reader chains in
+// one link table — and Reset empties it for the next build without giving
+// any of it back.
 type Graph struct {
 	tasks    []*Task // by task id, into taskSlab
 	nHandles int
@@ -198,24 +204,32 @@ type Graph struct {
 	accSlab    slab[Access]
 	depSlab    slab[int]
 
+	// links holds every handle's reader chain; freeLink heads the chain of
+	// links a write released (-1 for none), which the next reads reuse, so
+	// the table holds at most the readers live at one time.
+	links    []readerLink
+	freeLink int32
+
 	// gen stamps every handle and task created since the last Reset; it
 	// starts at 1 so a zero Task or Handle belongs to no graph.
 	gen uint32
-	// depMark, indexed by task id, holds the epoch of the Add or After call
-	// that last saw the task as a dependency: it keeps t.deps duplicate-free
-	// without a set per call.
-	depMark []int
-	epoch   int
+	// epoch numbers the Add and After calls since the last Reset, for the
+	// tasks' dependency marks.
+	epoch int
 }
 
+// readerLink is one reader of a handle: the task id and the next link of
+// the chain (-1 at its end).
+type readerLink struct{ task, next int32 }
+
 // New returns an empty graph.
-func New() *Graph { return &Graph{gen: 1} }
+func New() *Graph { return &Graph{gen: 1, freeLink: -1} }
 
 // Reset empties the graph for another build, keeping every slab, index and
-// per-handle reader list as capacity. Every *Task and *Handle obtained before
+// the reader link table as capacity. Every *Task and *Handle obtained before
 // is invalid from here on: Add, After and Validate reject them by name.
 func (g *Graph) Reset() {
-	g.tasks, g.depMark = g.tasks[:0], g.depMark[:0]
+	g.tasks, g.links, g.freeLink = g.tasks[:0], g.links[:0], -1
 	g.nHandles, g.epoch = 0, 0
 	g.taskSlab.reset()
 	g.handleSlab.reset()
@@ -231,7 +245,7 @@ func (g *Graph) NewHandle(name string, bytes int64) *Handle {
 	}
 	h := g.handleSlab.alloc()
 	*h = Handle{id: g.nHandles, name: name, bytes: bytes, g: g, gen: g.gen,
-		lastWriter: -1, readers: h.readers[:0]}
+		lastWriter: -1, firstReader: -1, lastReader: -1}
 	g.nHandles++
 	return h
 }
@@ -263,9 +277,12 @@ func (g *Graph) Add(task Task, accs ...Access) *Task {
 	if task.Accesses != nil {
 		panic(fmt.Sprintf("taskgraph: task %q sets Accesses itself — pass them to Add", task.Name))
 	}
+	if len(g.tasks) == math.MaxInt32 {
+		panic(fmt.Sprintf("taskgraph: task %q exceeds the %d tasks a graph can hold", task.Name, math.MaxInt32))
+	}
 	t := g.taskSlab.alloc()
 	*t = task
-	t.id, t.gen, t.deps = len(g.tasks), g.gen, nil
+	t.id, t.gen, t.deps, t.mark = len(g.tasks), g.gen, nil, 0
 	t.Accesses = g.accSlab.push(nil, accs...)
 	g.epoch++
 	for _, a := range t.Accesses {
@@ -279,21 +296,50 @@ func (g *Graph) Add(task Task, accs ...Access) *Task {
 		switch a.Mode {
 		case Read:
 			g.dep(t, h.lastWriter)
-			h.readers = append(h.readers, t.id)
+			g.addReader(h, t.id)
 		case Write, ReadWrite:
 			g.dep(t, h.lastWriter)
-			for _, r := range h.readers {
-				g.dep(t, r)
+			for l := h.firstReader; l >= 0; l = g.links[l].next {
+				g.dep(t, int(g.links[l].task))
 			}
 			h.lastWriter = t.id
-			h.readers = h.readers[:0]
+			g.releaseReaders(h)
 		default:
 			panic(fmt.Sprintf("taskgraph: task %q declares unknown access mode %d", t.Name, a.Mode))
 		}
 	}
 	g.tasks = append(g.tasks, t)
-	g.depMark = append(g.depMark, 0)
 	return t
+}
+
+// addReader appends task id to h's reader chain, on a released link when
+// there is one.
+func (g *Graph) addReader(h *Handle, id int) {
+	l := g.freeLink
+	if l >= 0 {
+		g.freeLink = g.links[l].next
+		g.links[l] = readerLink{task: int32(id), next: -1}
+	} else {
+		l = int32(len(g.links))
+		g.links = append(g.links, readerLink{task: int32(id), next: -1})
+	}
+	if h.lastReader >= 0 {
+		g.links[h.lastReader].next = l
+	} else {
+		h.firstReader = l
+	}
+	h.lastReader = l
+}
+
+// releaseReaders empties h's reader chain, handing its links to the free
+// chain whole.
+func (g *Graph) releaseReaders(h *Handle) {
+	if h.firstReader < 0 {
+		return
+	}
+	g.links[h.lastReader].next = g.freeLink
+	g.freeLink = h.firstReader
+	h.firstReader, h.lastReader = -1, -1
 }
 
 // owns reports whether h was registered by this graph's NewHandle since its
@@ -310,8 +356,11 @@ func (g *Graph) has(t *Task) bool {
 // dep records that t waits on the earlier task id, once per Add or After
 // call's epoch; -1 (no writer yet) and t itself are not dependencies.
 func (g *Graph) dep(t *Task, id int) {
-	if id >= 0 && id != t.id && g.depMark[id] != g.epoch {
-		g.depMark[id] = g.epoch
+	if id < 0 || id == t.id {
+		return
+	}
+	if d := g.tasks[id]; d.mark != g.epoch {
+		d.mark = g.epoch
 		t.deps = g.depSlab.push(t.deps, id)
 	}
 }
@@ -327,7 +376,7 @@ func (g *Graph) After(t *Task, deps ...*Task) {
 	}
 	g.epoch++
 	for _, d := range t.deps {
-		g.depMark[d] = g.epoch
+		g.tasks[d].mark = g.epoch
 	}
 	for _, d := range deps {
 		if !g.has(d) {

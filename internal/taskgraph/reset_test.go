@@ -3,10 +3,12 @@ package taskgraph
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"tianhe/internal/element"
+	"tianhe/internal/sim/simtest"
 )
 
 // dropScratch is the test-only hook that forgets the working memory a
@@ -14,16 +16,31 @@ import (
 // every Run did before the scratch moved into the Scheduler.
 func (s *Scheduler) dropScratch() { s.run = s.emptyRun() }
 
+// luScratch is what luIterationGraph fills besides the graph: its handle
+// tables and access list, kept by a caller that rebuilds so that a rebuild
+// allocates only the names.
+type luScratch struct {
+	handles []*Handle
+	accs    []Access
+}
+
+// luNames is the number of names luIterationGraph formats for an nt×nt grid:
+// 2nt+nt² handles (piv is a constant) and 2+nt+nt² tasks.
+func luNames(nt int) int { return 2*nt + nt*nt + 2 + nt + nt*nt }
+
 // luIterationGraph builds, on g, one LU iteration over an nt×nt trailing tile
 // grid the way the graph stepper does: panel, a trsm prep per column, the
 // tile updates column by column, and the look-ahead panel on column 0. Tiles
 // are 256 KiB, so on the 8 MiB device of the test the larger grids evict.
-func luIterationGraph(g *Graph, k, nt int) {
+func luIterationGraph(g *Graph, sc *luScratch, k, nt int) {
 	const tile = 256 << 10
 	cpu := func(t *Task) float64 { return t.Flops / 4e9 }
 	gpu := func(t *Task) float64 { return t.Flops / 80e9 }
 	piv := g.NewHandle("piv", 1024)
-	ls, us, ts := make([]*Handle, nt), make([]*Handle, nt), make([]*Handle, nt*nt)
+	if cap(sc.handles) < 2*nt+nt*nt {
+		sc.handles = make([]*Handle, 2*nt+nt*nt)
+	}
+	ls, us, ts := sc.handles[:nt], sc.handles[nt:2*nt], sc.handles[2*nt:2*nt+nt*nt]
 	for i := 0; i < nt; i++ {
 		ls[i] = g.NewHandle(Name("l(%d)", i), tile)
 		us[i] = g.NewHandle(Name("u(%d)", i), tile)
@@ -31,7 +48,7 @@ func luIterationGraph(g *Graph, k, nt int) {
 			ts[i*nt+c] = g.NewHandle(Name("t(%d,%d)", i, c), tile)
 		}
 	}
-	accs := []Access{{piv, Write}}
+	accs := append(sc.accs[:0], Access{piv, Write})
 	for _, l := range ls {
 		accs = append(accs, Access{l, Write})
 	}
@@ -55,6 +72,7 @@ func luIterationGraph(g *Graph, k, nt int) {
 	next := g.Add(Task{Name: Name("panel(%d)", k+1), Codelet: "lu.panel", Flops: 1e8, Priority: 3,
 		Costs: Costs{CPUSeconds: cpu}}, accs...)
 	g.After(next, g.Tasks()[0]) // an explicit edge, grown in place at the slab's tail
+	sc.accs = accs
 }
 
 // TestResetGraphMatchesFresh: a sequence of LU-iteration graphs that grows
@@ -63,11 +81,13 @@ func luIterationGraph(g *Graph, k, nt int) {
 // reusing its scratch, exactly what it gives built with New each time on a
 // Scheduler that forgets its scratch between Runs: every Report (each
 // TaskSpan, the byte counts, the tally) and every task's dependency list,
-// order included. (Mutation-checked: NewHandle keeping the slot's old readers,
-// gpu.Residency.Begin keeping the old slots, and validate keeping the old
-// declared stamps each fail it — the last on the repeated shape, where a
-// tile's only declarer has the id it had the Run before. indeg and finish are
-// written before they are read, so nothing rides on their being cleared.)
+// order included. A report's spans are the Scheduler's scratch, so each is
+// copied before the next Run. (Mutation-checked: NewHandle keeping the slot's
+// old reader chain, gpu.Residency.Begin keeping the old slots, and validate
+// keeping the old declared stamps each fail it — the last on the repeated
+// shape, where a tile's only declarer has the id it had the Run before. indeg
+// and finish are written before they are read, so nothing rides on their
+// being cleared.)
 func TestResetGraphMatchesFresh(t *testing.T) {
 	sizes := []int{4, 9, 3, 3}
 	type outcome struct {
@@ -78,6 +98,7 @@ func TestResetGraphMatchesFresh(t *testing.T) {
 		el := element.New(element.Config{Seed: 31, Virtual: true, GPUMem: 8 << 20})
 		sch := NewScheduler(el, Options{Verify: true})
 		g := New()
+		var sc luScratch
 		var out []outcome
 		at := 0.0
 		for k, nt := range sizes {
@@ -87,11 +108,12 @@ func TestResetGraphMatchesFresh(t *testing.T) {
 				g = New()
 				sch.dropScratch()
 			}
-			luIterationGraph(g, k, nt)
+			luIterationGraph(g, &sc, k, nt)
 			rep, err := sch.Run(g, at)
 			if err != nil {
 				t.Fatalf("reuse %v, iteration %d: %v", reuse, k, err)
 			}
+			rep.TaskSpans = slices.Clone(rep.TaskSpans)
 			o := outcome{rep: rep}
 			for _, task := range g.Tasks() {
 				o.deps = append(o.deps, append([]int(nil), task.Deps()...))
@@ -112,6 +134,125 @@ func TestResetGraphMatchesFresh(t *testing.T) {
 		}
 		if got[k].rep.BytesOut == 0 && sizes[k] == 9 {
 			t.Errorf("iteration %d wrote nothing back: the 9×9 grid no longer evicts, so the residency slots go untested", k)
+		}
+	}
+}
+
+// TestSchedulerRerunAllocs: once one Scheduler and one Graph have run an
+// LU-iteration shape, rebuilding that shape after a Reset and running it again
+// allocates exactly the names the builder formats — nothing in Add, the
+// reader chains, validation, placement, residency, verification or the
+// report's span list. (Mutation-checked: a fresh TaskSpans per Run fails it.)
+func TestSchedulerRerunAllocs(t *testing.T) {
+	if simtest.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const nt = 9 // evicts on the 8 MiB device, so write-backs are booked too
+	el := element.New(element.Config{Seed: 31, Virtual: true, GPUMem: 8 << 20})
+	sch := NewScheduler(el, Options{Verify: true})
+	g := New()
+	var sc luScratch
+	var rep Report
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		g.Reset()
+		luIterationGraph(g, &sc, 0, nt)
+		rep, err = sch.Run(g, rep.End)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BytesOut == 0 || len(rep.TaskSpans) != g.Len() {
+		t.Fatalf("the re-run wrote back %d bytes and placed %d of %d tasks: not the evicting shape", rep.BytesOut, len(rep.TaskSpans), g.Len())
+	}
+	if want := float64(luNames(nt)); allocs != want {
+		t.Errorf("a warm re-run allocates %.0f times, want %.0f: one per name the builder formats", allocs, want)
+	}
+}
+
+// TestReaderChainsAcrossReset: the reader links a write releases are reused
+// within a build and stay behind at a Reset. A graph built after one whose
+// writes left released links infers exactly the dependency lists a fresh
+// graph does, order included. (Mutation-checked: Reset keeping the free link
+// chain fails it.)
+func TestReaderChainsAcrossReset(t *testing.T) {
+	// build declares, over two handles, rounds of reads each closed by a
+	// write, so every round releases its chain and the next reuses it.
+	build := func(g *Graph, rounds, readers int) {
+		hs := []*Handle{g.NewHandle("a", 8), g.NewHandle("b", 8)}
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < readers; i++ {
+				g.Add(Task{Name: Name("r(%d,%d)", r, i), Costs: cpuCost(1)},
+					Access{hs[i%2], Read}, Access{hs[(i+r)%2], Read})
+			}
+			g.Add(Task{Name: Name("w(%d)", r), Costs: cpuCost(1)}, Access{hs[r%2], ReadWrite})
+		}
+	}
+	deps := func(g *Graph) [][]int {
+		var out [][]int
+		for _, task := range g.Tasks() {
+			out = append(out, slices.Clone(task.Deps()))
+		}
+		return out
+	}
+	fresh := New()
+	build(fresh, 4, 3)
+	g := New()
+	build(g, 3, 5) // ends with the last round's chain released, the other live
+	g.Reset()
+	build(g, 4, 3)
+	if got, want := deps(g), deps(fresh); !reflect.DeepEqual(got, want) {
+		t.Errorf("dependency lists after a Reset\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestAddZeroesCopiedMark: a task value carried over from another graph, or
+// from before a Reset, keeps the dependency mark it had there; Add must clear
+// it, or the Add whose epoch equals that stale mark skips the task as a
+// dependency. Each case builds writer, reader, reader, writer over one handle
+// with the carried-over task as the first writer — so the first reader is the
+// Add with the stale mark's epoch — and checks every inferred dependency.
+// (Mutation-checked: dropping Add's zeroing of the mark fails both cases.)
+func TestAddZeroesCopiedMark(t *testing.T) {
+	// marked returns a copy of the first task of a writer-reader pair, so
+	// that its mark is 2 (the reader's Add), with its accesses cleared for
+	// Add.
+	marked := func(g *Graph) Task {
+		h := g.NewHandle("h", 8)
+		w := g.Add(Task{Name: "w", Costs: cpuCost(1)}, Access{h, Write})
+		g.Add(Task{Name: "r", Costs: cpuCost(1)}, Access{h, Read})
+		if w.mark != 2 {
+			t.Fatalf("setup: the writer's mark is %d, want 2", w.mark)
+		}
+		cp := *w
+		cp.Accesses = nil
+		return cp
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func() (*Graph, Task)
+	}{
+		{"from another graph", func() (*Graph, Task) { return New(), marked(New()) }},
+		{"from before a Reset", func() (*Graph, Task) {
+			g := New()
+			cp := marked(g)
+			g.Reset()
+			return g, cp
+		}},
+	} {
+		g, carried := tc.setup()
+		h := g.NewHandle("x", 8)
+		g.Add(carried, Access{h, Write})
+		r1 := g.Add(Task{Name: "x1", Costs: cpuCost(1)}, Access{h, Read})
+		r2 := g.Add(Task{Name: "x2", Costs: cpuCost(1)}, Access{h, Read})
+		w := g.Add(Task{Name: "x3", Costs: cpuCost(1)}, Access{h, ReadWrite})
+		for _, c := range []struct {
+			task *Task
+			want []int
+		}{{r1, []int{0}}, {r2, []int{0}}, {w, []int{0, 1, 2}}} {
+			if !reflect.DeepEqual(c.task.Deps(), c.want) {
+				t.Errorf("%s: %s deps = %v, want %v", tc.name, c.task.Name, c.task.Deps(), c.want)
+			}
 		}
 	}
 }

@@ -80,7 +80,9 @@ type Report struct {
 	// Stalled reports a fault-unaware scheduler hitting a dead GPU context:
 	// nothing past that submission executed.
 	Stalled bool
-	// TaskSpans lists every task in schedule order.
+	// TaskSpans lists every task in schedule order. It is the Scheduler's
+	// scratch, valid until that Scheduler's next Run: a caller that keeps
+	// the spans of several Runs copies them.
 	TaskSpans []TaskSpan
 }
 
@@ -314,7 +316,9 @@ func (c childIndex) of(id int) []int { return c.list[c.start[id]:c.start[id+1]] 
 // residency manager owns device memory, the device plan and the cost step
 // read it to predict, and the executor books through it. It lives in the
 // Scheduler so its slices grow to the largest graph seen and are emptied, not
-// re-made, per Run; nothing placement allocates is per task.
+// re-made, per Run; nothing placement allocates is per task. The report's
+// span list is kept here too, which is why Report.TaskSpans lives only until
+// the next Run.
 type run struct {
 	s     *Scheduler
 	dev   *gpu.Device
@@ -345,12 +349,16 @@ type run struct {
 	stale  []*Handle  // resident copies its host half overwrites
 }
 
-// newRun empties the working state for a Run of g. The report's TaskSpans are
-// the one thing made fresh: the caller keeps them.
+// newRun empties the working state for a Run of g, the report's span list
+// included: it reuses the last Run's storage, so the spans a caller kept from
+// that Run are overwritten.
 func (s *Scheduler) newRun(g *Graph, earliest sim.Time) *run {
 	r := &s.run
-	r.rep = Report{Start: earliest, End: earliest, Tasks: g.Len(),
-		TaskSpans: make([]TaskSpan, 0, g.Len())}
+	spans := r.rep.TaskSpans[:0]
+	if cap(spans) < g.Len() {
+		spans = make([]TaskSpan, 0, g.Len())
+	}
+	r.rep = Report{Start: earliest, End: earliest, Tasks: g.Len(), TaskSpans: spans}
 	r.res.Begin(r.dev, g.nHandles)
 	r.indeg = resized(r.indeg, g.Len())
 	r.finish = resized(r.finish, g.Len())
