@@ -12,6 +12,7 @@ package stencil
 
 import (
 	"fmt"
+	"sync"
 
 	"tianhe/internal/adaptive"
 	"tianhe/internal/element"
@@ -69,23 +70,70 @@ func (c Config) Blocks() int { return (c.NZ + c.BlockZ - 1) / c.BlockZ }
 func (c Config) points() int { return c.NX * c.NY * c.NZ }
 
 // Sweep is one sweep instance: the configuration plus, for real runs, the
-// two parity buffers the tasks ping-pong between.
+// two parity grids the tasks ping-pong between.
+//
+// A real Sweep owns one grid, buf[0]: the initial condition after New, the
+// grid after the last executed step once a Run has returned. Run borrows the
+// second grid, buf[1], from the package's spare for as long as it executes
+// and hands it back on every path, errors and stalls included; after an odd
+// step count it first swaps the two, so buf[0] always holds the result and a
+// second Run continues from it. The borrowed grid holds stale values, which
+// no result can read: every step writes every cell of its output (boundary
+// copies plus interior rows), and the bitwise check against Reference holds
+// that.
+//
+// Result is valid until the Sweep's next Run. The real slab bodies of
+// Graph look the grids up when they execute, not when the graph is built, so
+// a graph built outside Run captures no grid; its bodies touch the borrowed
+// grid only while Run executes them.
 type Sweep struct {
 	cfg Config
-	buf [2][]float64 // nil in virtual mode
+	buf [2][]float64 // nil in virtual mode; buf[1] nil outside Run
 	// part is the hybrid split oracle, built on first Run (it needs the
 	// element's core count); nil leaves slab tasks whole-device.
 	part adaptive.Partitioner
 }
 
-// New builds a real sweep: buffers allocated and filled with the
+// spare is the package's one scratch grid, the largest second grid a real
+// Run has handed back: a sweep borrows it for the length of its Run, so a
+// sweep owns one grid and back-to-back sweeps share the other.
+var spare struct {
+	mu   sync.Mutex
+	grid []float64
+}
+
+// borrowGrid takes the spare if it holds n cells and allocates otherwise.
+// The grid it returns holds stale values.
+func borrowGrid(n int) []float64 {
+	spare.mu.Lock()
+	g := spare.grid
+	if cap(g) >= n {
+		spare.grid = nil
+	}
+	spare.mu.Unlock()
+	if cap(g) >= n {
+		return g[:n]
+	}
+	return make([]float64, n)
+}
+
+// returnGrid hands a borrowed grid back: the spare keeps the larger of it
+// and the one it already holds.
+func returnGrid(g []float64) {
+	spare.mu.Lock()
+	if cap(g) > cap(spare.grid) {
+		spare.grid = g[:cap(g)]
+	}
+	spare.mu.Unlock()
+}
+
+// New builds a real sweep: its grid allocated and filled with the
 // deterministic initial condition (uniform values in [-0.5, 0.5) from the
 // seed, the same generator idiom the HPL driver uses).
 func New(cfg Config) *Sweep {
 	cfg = cfg.withDefaults()
 	s := &Sweep{cfg: cfg}
 	s.buf[0] = make([]float64, cfg.points())
-	s.buf[1] = make([]float64, cfg.points())
 	sim.NewStream(cfg.Seed, "stencil/init").FillCentered(s.buf[0])
 	return s
 }
@@ -99,14 +147,10 @@ func NewVirtual(cfg Config) *Sweep {
 // Config returns the (defaulted) configuration.
 func (s *Sweep) Config() Config { return s.cfg }
 
-// Result returns the grid after the last executed step. Virtual sweeps
-// return nil.
-func (s *Sweep) Result() []float64 {
-	if s.buf[0] == nil {
-		return nil
-	}
-	return s.buf[s.cfg.Steps%2]
-}
+// Result returns the grid after the last executed step: the initial
+// condition before any Run. It is valid until the Sweep's next Run. Virtual
+// sweeps return nil.
+func (s *Sweep) Result() []float64 { return s.buf[0] }
 
 // updateSlab advances cells with z in [z0, z1) by one Jacobi step: interior
 // cells get u + alpha*(sum of the 6 neighbours - 6u) from updateRow, boundary
@@ -204,8 +248,7 @@ func (s *Sweep) Graph() *taskgraph.Graph {
 				}
 			}
 			if s.buf[0] != nil {
-				in, out := s.buf[p], s.buf[1-p]
-				task.Run = func() { s.updateSlab(in, out, z0, z1) }
+				task.Run = func() { s.updateSlab(s.buf[p], s.buf[1-p], z0, z1) }
 			}
 			g.Add(task, accs...)
 		}
@@ -214,7 +257,9 @@ func (s *Sweep) Graph() *taskgraph.Graph {
 }
 
 // Run schedules the sweep on the element and, for real sweeps, executes the
-// slab bodies.
+// slab bodies over the Sweep's grid and a borrowed second grid. The runtime
+// executes bodies only once placement completes, so a Run that fails (a
+// scheduling error or a stall) leaves Result as it was.
 func (s *Sweep) Run(el *element.Element, opts taskgraph.Options) (taskgraph.Report, error) {
 	if s.cfg.Hybrid && s.part == nil {
 		// Bucket splits by slab work; the GEMM-derived initial ratio is only
@@ -222,6 +267,18 @@ func (s *Sweep) Run(el *element.Element, opts taskgraph.Options) (taskgraph.Repo
 		// memory-bound kernel actually exhibits.
 		maxWork := flopsPerCell * float64(s.cfg.NX) * float64(s.cfg.NY) * float64(s.cfg.BlockZ)
 		s.part = adaptive.NewAdaptive(64, maxWork, el.InitialGSplit(), el.CPU.NumCores())
+	}
+	done := false
+	if s.buf[0] != nil {
+		s.buf[1] = borrowGrid(len(s.buf[0]))
+		defer func() {
+			if done && s.cfg.Steps%2 == 1 {
+				// The last step wrote the borrowed grid: keep it.
+				s.buf[0], s.buf[1] = s.buf[1], s.buf[0]
+			}
+			returnGrid(s.buf[1])
+			s.buf[1] = nil
+		}()
 	}
 	sch := taskgraph.NewScheduler(el, opts)
 	rep, err := sch.Run(s.Graph(), 0)
@@ -231,6 +288,7 @@ func (s *Sweep) Run(el *element.Element, opts taskgraph.Options) (taskgraph.Repo
 	if rep.Stalled {
 		return rep, fmt.Errorf("stencil: sweep stalled waiting for the GPU (no CPU fallback)")
 	}
+	done = true
 	return rep, nil
 }
 
@@ -240,6 +298,7 @@ func (s *Sweep) Run(el *element.Element, opts taskgraph.Options) (taskgraph.Repo
 // contract (row.go) per cell, each product rounded explicitly.
 func Reference(cfg Config) []float64 {
 	s := New(cfg)
+	s.buf[1] = make([]float64, len(s.buf[0]))
 	nx, ny, nz := s.cfg.NX, s.cfg.NY, s.cfg.NZ
 	for t := 0; t < s.cfg.Steps; t++ {
 		in, out := s.buf[t%2], s.buf[1-t%2]
@@ -260,5 +319,5 @@ func Reference(cfg Config) []float64 {
 			}
 		}
 	}
-	return s.Result()
+	return s.buf[s.cfg.Steps%2]
 }

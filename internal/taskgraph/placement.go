@@ -75,14 +75,19 @@ func (r *run) coreFree(ci int, readyAt sim.Time) sim.Time {
 type splitSizer struct {
 	t       *Task
 	readyAt sim.Time
-	usable  []bool    // cores that can join by the kernel's start
-	nUsable int       // how many
-	fr      []float64 // per-core share weights; zero for cores sitting out
-	wsum    float64   // their sum
-	caps    []int     // scratch: capacity probes of the bisection
-	w       []float64 // scratch: capacities as share weights
-	cs      []float64 // scratch: the oracle's per-core shares
+	avail   []sim.Time // each core's Available, read once per sizing: nothing books a core meanwhile
+	usable  []bool     // cores that can join by the kernel's start
+	nUsable int        // how many
+	fr      []float64  // per-core share weights; zero for cores sitting out
+	wsum    float64    // their sum
+	caps    []int      // scratch: capacity probes of the bisection
+	w       []float64  // scratch: capacities as share weights
+	cs      []float64  // scratch: the oracle's per-core shares
 }
+
+// coreFree is when core ci could start work ready at the sizing's readyAt,
+// from the free times read when the sizing began.
+func (z *splitSizer) coreFree(ci int) sim.Time { return max(z.readyAt, z.avail[ci]) }
 
 // estimateHybrid sizes the split — device rows by the oracle, host rows
 // across the cores that can join — and ranks it like the single-device
@@ -104,7 +109,8 @@ func (r *run) estimateHybrid(t *Task, readyAt sim.Time, c *candidates) {
 	planned := m1
 	z.nUsable = 0
 	for ci, core := range r.cores {
-		z.usable[ci] = core.TL.Available() <= p.start
+		z.avail[ci] = core.TL.Available()
+		z.usable[ci] = z.avail[ci] <= p.start
 		if z.usable[ci] {
 			z.nUsable++
 		}
@@ -166,9 +172,9 @@ func (r *run) estimateHybrid(t *Task, readyAt sim.Time, c *candidates) {
 			// by construction: measure them in the kernel-start frame, like
 			// the observation, so the rank is the projected join and the head
 			// start that overlaps earlier work is not double-charged.
-			d += float64(r.coreFree(ci, readyAt) - p.start)
+			d += float64(z.coreFree(ci) - p.start)
 		} else {
-			start = max(start, r.cores[ci].TL.Available())
+			start = max(start, z.avail[ci])
 		}
 		intrinsic = max(intrinsic, d)
 	}
@@ -269,7 +275,7 @@ func (r *run) capacity(m1 int, out []int) (total int, ok bool) {
 		if z.fr[ci] <= 0 {
 			continue // sitting out
 		}
-		budget := float64(join - r.coreFree(ci, z.readyAt))
+		budget := float64(join - z.coreFree(ci))
 		if budget <= 0 {
 			continue
 		}

@@ -201,8 +201,8 @@ func (s *Scheduler) emptyRun() run {
 		s: s, dev: s.el.GPU, cores: cores,
 		coreNames: make([]string, n),
 		window:    s.el.GPU.MemBytes() / 4,
-		sizer: splitSizer{usable: make([]bool, n), fr: make([]float64, n),
-			caps: make([]int, n), w: make([]float64, n)},
+		sizer: splitSizer{avail: make([]sim.Time, n), usable: make([]bool, n),
+			fr: make([]float64, n), caps: make([]int, n), w: make([]float64, n)},
 	}
 	for i := range r.coreNames {
 		r.coreNames[i] = fmt.Sprintf("cpu%d", i)
