@@ -13,14 +13,18 @@ import (
 // second check the result must agree with the reference triple loop to
 // rounding: entries live in [-0.5, 0.5), so with k inner products the
 // elementwise error budget scales with |alpha|*k plus the |beta|-scaled
-// input.
+// input. Bit j of zeroCols zeroes column j of op(B), so four set bits from
+// a multiple of four make a group of all-zero multipliers, and then every
+// third row of op(A) carries a NaN: a path that multiplies by a zero instead
+// of skipping it spreads the NaN into those columns of C.
 func FuzzDgemmContract(f *testing.F) {
-	f.Add(1, 1, 1, 1.0, 0.0, uint64(1))
-	f.Add(4, 4, 4, 1.0, 1.0, uint64(2))
-	f.Add(37, 29, 41, 2.0, -0.5, uint64(3))
-	f.Add(130, 3, 258, 1.5, 0.5, uint64(4)) // straddles MC/KC/NR fringes
-	f.Add(6, 513, 2, -1.0, 0.0, uint64(5))
-	f.Fuzz(func(t *testing.T, m, n, k int, alpha, beta float64, seed uint64) {
+	f.Add(1, 1, 1, 1.0, 0.0, uint64(1), uint64(0))
+	f.Add(4, 4, 4, 1.0, 1.0, uint64(2), uint64(0))
+	f.Add(37, 29, 41, 2.0, -0.5, uint64(3), uint64(0))
+	f.Add(130, 3, 258, 1.5, 0.5, uint64(4), uint64(0)) // straddles MC/KC/NR fringes
+	f.Add(6, 513, 2, -1.0, 0.0, uint64(5), uint64(0))
+	f.Add(70, 63, 64, -1.0, 1.0, uint64(6), ^uint64(1)) // LU's [b | 0 … 0] block column
+	f.Fuzz(func(t *testing.T, m, n, k int, alpha, beta float64, seed, zeroCols uint64) {
 		// Bound shapes so a fuzz iteration stays fast; fringe coverage
 		// only needs dimensions around the kernel tiles, the 128-column
 		// slab and the 256-deep K block.
@@ -43,6 +47,16 @@ func FuzzDgemmContract(f *testing.F) {
 			r := sim.NewRNG(seed)
 			a, b := randOp(r, tA, m, k), randOp(r, tB, k, n)
 			c0 := randDense(r, m, n)
+			if zeroCols != 0 {
+				for j := 0; j < min(n, 64); j++ {
+					for l := 0; l < k && zeroCols>>j&1 != 0; l++ {
+						opView(tB, b, l, j, 1, 1).Set(0, 0, 0)
+					}
+				}
+				for i := 0; i < m; i += 3 {
+					opView(tA, a, i, i%k, 1, 1).Set(0, 0, math.NaN())
+				}
+			}
 
 			want := c0.Clone()
 			contractGemm(tA, tB, alpha, a, b, beta, want)
@@ -54,7 +68,7 @@ func FuzzDgemmContract(f *testing.F) {
 						kern.name, tA, tB, m, n, k, alpha, beta, seed)
 				}
 			}
-			if !finite {
+			if !finite || zeroCols != 0 {
 				continue
 			}
 			naive := c0.Clone()

@@ -48,7 +48,8 @@ func Dtrsm(side Side, uplo Uplo, tA Transpose, diag Diag, alpha float64, a, b *m
 // multipliers -X[l,j] the GEMM driver would form for alpha = -1, then
 // trsmDiag solves it against its diagonal block of L. Solved rows are
 // consumed in K blocks of gemmKC: once a K block is solved, it is applied to
-// every row below it in one call. Element X[i,j] thus receives
+// every row below it in one call, unless its multipliers are all zero (a
+// group of columns of B that are zero so far). Element X[i,j] thus receives
 // (-X[l,j])*L[i,l] rounded, for l = 0..i-1 in ascending order with zero
 // multipliers skipped, and any NonUnit divide last — exactly what Dtrsv does
 // to that column, so the two agree bit for bit.
@@ -60,10 +61,11 @@ func dtrsmLeftLower(diag Diag, a, b *matrix.Dense) {
 		x := b.Data[j*ldb:]
 		for k0 := 0; k0 < n; k0 += gemmKC {
 			k1 := min(k0+gemmKC, n)
-			clean := 0 // steps [k0, k0+clean) hold no zero multiplier
+			clean := 0    // steps [k0, k0+clean) hold no zero multiplier
+			live := false // some step solved so far holds a non-zero one
 			for i0 := k0; i0 < k1; i0 += gemmMR {
 				rows := min(gemmMR, k1-i0)
-				if i0 > k0 {
+				if live {
 					gemmTile(i0-k0, clean, rows, nr, a.Data[k0*lda+i0:], lda, &mult, x[i0:], ldb)
 				}
 				trsmDiag(diag, rows, nr, a.Data[i0*lda+i0:], lda, x[i0:], ldb)
@@ -74,6 +76,8 @@ func dtrsmLeftLower(diag Diag, a, b *matrix.Dense) {
 						mult[(i0-k0+l)*gemmNR+jj] = -v
 						if v == 0 {
 							zero = min(zero, l)
+						} else {
+							live = true
 						}
 					}
 				}
@@ -81,7 +85,7 @@ func dtrsmLeftLower(diag Diag, a, b *matrix.Dense) {
 					clean += zero
 				}
 			}
-			if k1 < n {
+			if k1 < n && live {
 				gemmTile(k1-k0, clean, n-k1, nr, a.Data[k0*lda+k1:], lda, &mult, x[k1:], ldb)
 			}
 		}

@@ -184,6 +184,13 @@ func TestDtrsmBlockedMatchesDtrsv(t *testing.T) {
 			for z := 0; z < n*cols/8; z++ {
 				b.Set(r.Intn(n), r.Intn(cols), math.Copysign(0, float64(r.Intn(2))-0.5))
 			}
+			if trial%4 == 1 {
+				// A group of four columns zero throughout, like LU's
+				// augmented [b | 0 … 0]: every K run it takes is all zero.
+				for j := 4; j < min(8, cols); j++ {
+					clear(b.Col(j))
+				}
+			}
 			if trial%3 == 0 {
 				b.Set(r.Intn(n), r.Intn(cols), nonFinite[r.Intn(3)])
 				if n > 1 {

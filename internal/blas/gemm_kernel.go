@@ -27,7 +27,8 @@ import (
 // on amd64 a 16x4 AVX-512F and an 8x4 AVX2 assembly kernel for every run of
 // K steps without a zero multiplier — a tile with fewer than 8 rows or 4
 // columns goes through a padded scratch tile — and gemmPortable for the K
-// steps with a zero multiplier and for every tile on other hosts.
+// steps with a zero multiplier and for every tile on other hosts. A group
+// whose multipliers are all zero never reaches gemmTile.
 const (
 	gemmMR = 8   // AVX2 kernel tile rows; the AVX-512 kernel takes 2*gemmMR
 	gemmNR = 4   // kernel tile columns
@@ -118,7 +119,8 @@ func gemmCols(tA, tB Transpose, alpha float64, a, b *matrix.Dense, beta float64,
 				// one, as gemmTile asks.
 				col := func(jj int) []float64 { return b.Data[(j+min(jj, nr-1))*bj+l0*bl:] }
 				b0, b1, b2, b3 := col(0), col(1), col(2), col(3)
-				clean := kc // the first step with a zero multiplier
+				clean := kc   // the first step with a zero multiplier
+				live := false // whether any multiplier is non-zero
 				for l := 0; l < kc; l++ {
 					p := l * bl
 					m0, m1, m2, m3 := alpha*b0[p], alpha*b1[p], alpha*b2[p], alpha*b3[p]
@@ -126,8 +128,13 @@ func gemmCols(tA, tB Transpose, alpha float64, a, b *matrix.Dense, beta float64,
 					if m0 == 0 || m1 == 0 || m2 == 0 || m3 == 0 {
 						clean = min(clean, l)
 					}
+					live = live || m0 != 0 || m1 != 0 || m2 != 0 || m3 != 0
 				}
-				gemmTile(kc, clean, mc, nr, ablk, lda, &mult, c.Data[j*c.Stride+i0:], c.Stride)
+				// Every step of an all-zero group is skipped: the block of C
+				// keeps its values, NaN in A or not.
+				if live {
+					gemmTile(kc, clean, mc, nr, ablk, lda, &mult, c.Data[j*c.Stride+i0:], c.Stride)
+				}
 			}
 		}
 	}

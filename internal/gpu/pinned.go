@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"sync"
 
 	"tianhe/internal/perfmodel"
 )
@@ -12,9 +11,9 @@ import (
 // whole host, so the runtime keeps a small fixed pool of chunks and streams
 // transfers through them ping-pong style. A transfer that cannot get two
 // chunks (one per direction of the two-hop path) falls back to the pageable
-// copy rate.
+// copy rate. A PinnedPool is not safe for concurrent use: it is owned by one
+// element's Device and acquired and released from that element's goroutine.
 type PinnedPool struct {
-	mu         sync.Mutex
 	chunkBytes int64
 	total      int
 	inUse      int
@@ -42,11 +41,7 @@ func (p *PinnedPool) ChunkBytes() int64 { return p.chunkBytes }
 func (p *PinnedPool) Total() int { return p.total }
 
 // InUse returns the number of chunks currently acquired.
-func (p *PinnedPool) InUse() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.inUse
-}
+func (p *PinnedPool) InUse() int { return p.inUse }
 
 // ErrPinnedExhausted reports an Acquire on an empty pool.
 type ErrPinnedExhausted struct{ Total int }
@@ -57,8 +52,6 @@ func (e ErrPinnedExhausted) Error() string {
 
 // Acquire takes n chunks from the pool.
 func (p *PinnedPool) Acquire(n int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.inUse+n > p.total {
 		return ErrPinnedExhausted{Total: p.total}
 	}
@@ -69,8 +62,6 @@ func (p *PinnedPool) Acquire(n int) error {
 // Release returns n chunks to the pool. Releasing more than acquired
 // panics: it means the accounting is corrupt.
 func (p *PinnedPool) Release(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if n > p.inUse {
 		panic("gpu: pinned pool release underflow")
 	}

@@ -21,14 +21,21 @@ const (
 	graphRunAllocCeilingMB = 2.8
 )
 
-// wholeGraphAllocsPerTaskCeiling bounds what building the whole-factorization
-// graph at the paper's size (N=46080, NB=1216, look-ahead 1: 19,019 tasks)
-// and running it once on a fresh Scheduler allocates per task. Measured 1.17:
-// each task's name, each handle's name, slab chunks and the Run's scratch
-// sized to the graph. It was 1.63 while every handle kept its own reader
-// slice and the dependency marks grew as a slice beside the tasks; the
-// ceiling sits about 15 % above the measurement, under that.
-const wholeGraphAllocsPerTaskCeiling = 1.35
+// wholeGraphAllocsPerTaskCeiling and wholeGraphBytesPerTaskCeiling bound
+// what building the whole-factorization graph at the paper's size (N=46080,
+// NB=1216, look-ahead 1: 19,019 tasks) and running it once on a fresh
+// Scheduler allocates per task. Measured 1.16 allocations and 548.7 bytes on
+// amd64: each task's name, each handle's name, slab chunks, the task index
+// and reader link table sized once by Graph.Grow, and the Run's scratch
+// sized to the graph. It was 1.63 allocations while every handle kept its
+// own reader slice and the dependency marks grew as a slice beside the
+// tasks, and 1.17 allocations and 599.3 bytes while the task index and the
+// link table grew by append. The allocation ceiling sits about 15 % above
+// its measurement, the byte ceiling 2 %: regrowing either table costs more.
+const (
+	wholeGraphAllocsPerTaskCeiling = 1.34
+	wholeGraphBytesPerTaskCeiling  = 560
+)
 
 // allocMB returns the megabytes f allocates.
 func allocMB(f func()) float64 {
@@ -91,5 +98,32 @@ func TestWholeGraphAllocBudget(t *testing.T) {
 	t.Logf("%d allocations over %d tasks = %.2f per task", allocs, g.Len(), per)
 	if per > wholeGraphAllocsPerTaskCeiling {
 		t.Errorf("%.2f allocations per task, ceiling %.2f", per, wholeGraphAllocsPerTaskCeiling)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	perB := float64(bytes) / float64(g.Len())
+	t.Logf("%d bytes over %d tasks = %.1f per task", bytes, g.Len(), perB)
+	if perB > wholeGraphBytesPerTaskCeiling {
+		t.Errorf("%.1f bytes per task, ceiling %d", perB, wholeGraphBytesPerTaskCeiling)
+	}
+}
+
+// TestLUCountsMatchGraph holds luCounts, which sizes the whole-factorization
+// graph up front, to the graph the builder actually makes.
+func TestLUCountsMatchGraph(t *testing.T) {
+	el := element.New(element.Config{Seed: 2009, Virtual: true})
+	for _, c := range []struct{ n, nb int }{{64, 64}, {500, 64}, {512, 64}, {46080, 1216}} {
+		g := BuildLUGraph(c.n, nil, nil, el, nil, GraphOptions{NB: c.nb, Lookahead: 1})
+		reads := 0
+		for _, task := range g.Tasks() {
+			for _, a := range task.Accesses {
+				if a.Mode == taskgraph.Read {
+					reads++
+				}
+			}
+		}
+		wantTasks, wantReads := luCounts((c.n + c.nb - 1) / c.nb)
+		if g.Len() != wantTasks || reads != wantReads {
+			t.Errorf("N=%d NB=%d: %d tasks and %d reads, luCounts says %d and %d", c.n, c.nb, g.Len(), reads, wantTasks, wantReads)
+		}
 	}
 }

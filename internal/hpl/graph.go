@@ -86,6 +86,7 @@ func BuildLUGraph(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs 
 		}
 	}
 	b := newLUBuilder(n, a, ipiv, el, errs, opts)
+	b.g.Grow(luCounts(b.geo.t))
 	for k := 0; k < b.geo.t; k++ {
 		b.iterStart = append(b.iterStart, b.g.Len())
 		b.addPanel(k)
@@ -93,6 +94,19 @@ func BuildLUGraph(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs 
 		b.addUpdates(k)
 	}
 	return b.g
+}
+
+// luCounts returns how many tasks the graph over t×t tiles holds and how
+// many Read accesses they declare. Iteration k adds one panel, t−1 swaps and
+// preps and (t−k−1)² updates; a swap reads the pivots, a prep the pivots and
+// the diagonal tile, an update two tiles.
+func luCounts(t int) (tasks, reads int) {
+	for k := 0; k < t; k++ {
+		u := (t - k - 1) * (t - k - 1)
+		tasks += t + u
+		reads += k + 2*(t-k-1) + 2*u
+	}
+	return tasks, reads
 }
 
 // luBuilder is a whole-factorization graph under construction.

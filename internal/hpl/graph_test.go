@@ -3,6 +3,8 @@ package hpl
 import (
 	"errors"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"tianhe/internal/element"
@@ -176,6 +178,55 @@ func TestGraphDgetrfRecoversUnderFaults(t *testing.T) {
 		if scen == "sdc-single" && frep.SDCDetected != frep.SDCCorrected+frep.SDCEscalated {
 			t.Errorf("sdc-single: detected %d != corrected %d + escalated %d",
 				frep.SDCDetected, frep.SDCCorrected, frep.SDCEscalated)
+		}
+	}
+}
+
+// TestConcurrentElementsShareNothing: an element, its Scheduler and its graph
+// are owned by one goroutine and keep no lock, so two of them placing on two
+// goroutines at once must share no mutable state. Each concurrent run's
+// report, task spans included, equals the same run made alone; under the
+// race detector the pair also shows that neither touches the other's state.
+func TestConcurrentElementsShareNothing(t *testing.T) {
+	cases := []struct {
+		seed   uint64
+		hybrid bool
+	}{{2009, true}, {4242, false}}
+	run := func(seed uint64, hybrid bool) (taskgraph.Report, error) {
+		el := element.New(element.Config{Seed: seed, Virtual: true})
+		opts := GraphOptions{NB: 64, Lookahead: 1, Hybrid: hybrid,
+			Sched: taskgraph.Options{Verify: true, RateSeeds: GraphRateSeeds(el, 64)}}
+		g := BuildLUGraph(1024, nil, nil, el, nil, opts)
+		return taskgraph.NewScheduler(el, opts.Sched).Run(g, 0)
+	}
+	alone := make([]taskgraph.Report, len(cases))
+	for i, c := range cases {
+		rep, err := run(c.seed, c.hybrid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[i] = rep
+	}
+	together := make([]taskgraph.Report, len(cases))
+	errs := make([]error, len(cases))
+	var wg sync.WaitGroup
+	wg.Add(len(cases))
+	for i, c := range cases {
+		go func() {
+			defer wg.Done()
+			together[i], errs[i] = run(c.seed, c.hybrid)
+		}()
+	}
+	wg.Wait()
+	for i, c := range cases {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if len(alone[i].TaskSpans) != 1496 || alone[i].TasksGPU == 0 {
+			t.Fatalf("seed %d: %d spans, %d on the GPU: not the placed N=1024 graph", c.seed, len(alone[i].TaskSpans), alone[i].TasksGPU)
+		}
+		if !reflect.DeepEqual(together[i], alone[i]) {
+			t.Errorf("seed %d hybrid %v: the concurrent run's report differs from the run made alone", c.seed, c.hybrid)
 		}
 	}
 }

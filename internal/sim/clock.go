@@ -1,13 +1,12 @@
 package sim
 
-import "sync"
-
-// Clock is a shared virtual clock. Components that execute strictly in
+// Clock is an element's virtual clock. Components that execute strictly in
 // sequence (the single-threaded control loop of a compute element) advance it
 // directly; concurrent resources use Timelines and fold their completion
-// times back into the clock with Sync.
+// times back into the clock with Sync. A Clock is not safe for concurrent
+// use: it is owned by one element and read and advanced from that element's
+// goroutine only.
 type Clock struct {
-	mu  sync.Mutex
 	now Time
 }
 
@@ -15,11 +14,7 @@ type Clock struct {
 func NewClock() *Clock { return &Clock{} }
 
 // Now returns the current virtual time.
-func (c *Clock) Now() Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() Time { return c.now }
 
 // Advance moves the clock forward by d and returns the new time. Negative
 // advances panic: virtual time never flows backwards.
@@ -27,16 +22,12 @@ func (c *Clock) Advance(d Time) Time {
 	if d < 0 {
 		panic("sim: negative clock advance")
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.now += d
 	return c.now
 }
 
 // Sync moves the clock forward to tm if tm is later, returning the new time.
 func (c *Clock) Sync(tm Time) Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if tm > c.now {
 		c.now = tm
 	}

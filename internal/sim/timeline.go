@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Time is a virtual timestamp or duration in seconds. Using float64 seconds
 // keeps rate arithmetic (bytes/bandwidth, flops/rate) exact enough for the
@@ -29,8 +26,10 @@ func (s Span) String() string {
 // operation cannot start before the resource is free nor before its
 // dependencies have finished. Overlap between *different* timelines is what
 // produces pipelining in this simulator.
+//
+// A Timeline is not safe for concurrent use: it is owned by one element (or
+// one pipeline, one rank) and booked from that owner's goroutine only.
 type Timeline struct {
-	mu       sync.Mutex
 	name     string
 	avail    Time
 	busy     Time
@@ -50,11 +49,9 @@ func (t *Timeline) Name() string { return t.name }
 // it occupied. The timeline keeps no spans of its own: an observer — in
 // practice the telemetry tracer, hooked in by telemetry.AttachTimelines — is
 // the only record of what was booked, and it sees only bookings made after
-// it is installed. A nil observer detaches. The callback runs outside the
-// timeline's lock and must not book on the same timeline.
+// it is installed. A nil observer detaches. The callback runs once the
+// booking is complete and must not book on the same timeline.
 func (t *Timeline) SetObserver(obs func(Span)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.observer = obs
 }
 
@@ -65,20 +62,14 @@ func (t *Timeline) SetObserver(obs func(Span)) {
 // may only lengthen an operation — returning less than the model duration
 // panics, because a "fault" that speeds hardware up is always a bug in the
 // scenario. A nil hook (the default) books model durations unchanged and
-// costs one nil check. The hook runs under the timeline's lock and must not
+// costs one nil check. The hook runs in the middle of a booking and must not
 // book on any timeline.
 func (t *Timeline) SetStretch(hook func(label string, start, duration Time) Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.stretch = hook
 }
 
 // Available returns the earliest time a new operation could start.
-func (t *Timeline) Available() Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.avail
-}
+func (t *Timeline) Available() Time { return t.avail }
 
 // Book schedules an operation of the given duration that may not start
 // before earliest, returning the span it occupies. A negative duration
@@ -87,7 +78,6 @@ func (t *Timeline) Book(label string, earliest Time, duration Time) Span {
 	if duration < 0 {
 		panic(fmt.Sprintf("sim: negative duration %v for %q", duration, label))
 	}
-	t.mu.Lock()
 	start := t.avail
 	if earliest > start {
 		start = earliest
@@ -95,7 +85,6 @@ func (t *Timeline) Book(label string, earliest Time, duration Time) Span {
 	if t.stretch != nil {
 		stretched := t.stretch(label, start, duration)
 		if stretched < duration {
-			t.mu.Unlock()
 			panic(fmt.Sprintf("sim: stretch hook shortened %q from %v to %v", label, duration, stretched))
 		}
 		duration = stretched
@@ -103,10 +92,8 @@ func (t *Timeline) Book(label string, earliest Time, duration Time) Span {
 	sp := Span{Label: label, Start: start, End: start + duration}
 	t.avail = sp.End
 	t.busy += duration
-	obs := t.observer
-	t.mu.Unlock()
-	if obs != nil {
-		obs(sp)
+	if t.observer != nil {
+		t.observer(sp)
 	}
 	return sp
 }
@@ -125,24 +112,16 @@ func (t *Timeline) BookAfter(label string, duration Time, deps ...Span) Span {
 
 // AdvanceTo moves the availability forward to at least tm (idle time).
 func (t *Timeline) AdvanceTo(tm Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if tm > t.avail {
 		t.avail = tm
 	}
 }
 
 // Busy returns the total booked time (sum of span durations).
-func (t *Timeline) Busy() Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.busy
-}
+func (t *Timeline) Busy() Time { return t.busy }
 
 // Reset clears the timeline back to time zero.
 func (t *Timeline) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.avail = 0
 	t.busy = 0
 }

@@ -14,6 +14,7 @@ package taskgraph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 )
 
@@ -236,6 +237,15 @@ func (g *Graph) Reset() {
 	g.accSlab.reset()
 	g.depSlab.reset()
 	g.gen++
+}
+
+// Grow makes room for tasks more tasks declaring reads more Read accesses in
+// all, so a builder that knows its counts up front adds them without
+// regrowing the task index or the reader link table. Like slices.Grow it
+// changes capacity only.
+func (g *Graph) Grow(tasks, reads int) {
+	g.tasks = slices.Grow(g.tasks, tasks)
+	g.links = slices.Grow(g.links, reads)
 }
 
 // NewHandle registers a data handle of the given footprint.

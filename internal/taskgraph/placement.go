@@ -13,13 +13,14 @@ const never = 1e30
 // candidates is the cost step's answer for one ready task: the predicted
 // finish of each implementation variant (static model blended with the
 // measured rate), and what the executor needs to book whichever is chosen.
+// The run owns one, which every estimate refills.
 type candidates struct {
 	gpu, cpu, hyb sim.Time
 	core          int        // the core the CPU body would finish first on
 	gpuPlan       devicePlan // whole-task device plan
 	hybPlan       devicePlan // device plan at hybRows
 	hybRows       int        // device rows of the split; 0 when there is no hybrid candidate
-	shares        []int      // host rows per core
+	shares        []int      // host rows per core; the sizer's storage
 }
 
 // choose is the placement policy: earliest predicted finish, the hybrid body
@@ -36,11 +37,11 @@ func (c *candidates) choose() Class {
 	return ClassCPU
 }
 
-// estimate predicts every placement candidate of t. Waiting time — queue,
+// estimate fills c with every placement candidate of t. Waiting time — queue,
 // upload gate, busy cores — stays outside the learned rate: each estimate is
 // an earliest start plus the blended duration.
-func (r *run) estimate(t *Task, readyAt sim.Time, gpuOK bool) candidates {
-	c := candidates{gpu: never, cpu: never, hyb: never, core: -1}
+func (r *run) estimate(c *candidates, t *Task, readyAt sim.Time, gpuOK bool) {
+	*c = candidates{gpu: never, cpu: never, hyb: never, core: -1}
 	rates := r.s.rates
 	if gpuOK {
 		c.gpuPlan = r.planDevice(t, 1, 1, false, readyAt)
@@ -60,9 +61,8 @@ func (r *run) estimate(t *Task, readyAt sim.Time, gpuOK bool) candidates {
 	// It is ineligible while the device is down (the CPU body is the
 	// degradation path) and when the split rounds to a whole-device placement.
 	if t.Hybrid != nil && gpuOK && cpuOK {
-		r.estimateHybrid(t, readyAt, &c)
+		r.estimateHybrid(t, readyAt, c)
 	}
-	return c
 }
 
 // coreFree is when core ci could start work that is ready at readyAt.
@@ -71,7 +71,7 @@ func (r *run) coreFree(ci int, readyAt sim.Time) sim.Time {
 }
 
 // splitSizer is the scratch state of sizing one hybrid candidate; it lives
-// in the run so sizing allocates nothing but the share vector it returns.
+// in the run so sizing allocates nothing.
 type splitSizer struct {
 	t       *Task
 	readyAt sim.Time
@@ -83,6 +83,7 @@ type splitSizer struct {
 	caps    []int      // scratch: capacity probes of the bisection
 	w       []float64  // scratch: capacities as share weights
 	cs      []float64  // scratch: the oracle's per-core shares
+	shares  []int      // the candidate's host rows per core
 }
 
 // coreFree is when core ci could start work ready at the sizing's readyAt,
@@ -148,7 +149,7 @@ func (r *run) estimateHybrid(t *Task, readyAt sim.Time, c *candidates) {
 		}
 		z.wsum += z.fr[i]
 	}
-	shares := element.AllocRows(nil, m2, z.fr)
+	shares := element.AllocRows(z.shares, m2, z.fr)
 	if h.FillSkew {
 		m1, shares = r.fillSkew(m1, shares)
 	}
@@ -180,6 +181,7 @@ func (r *run) estimateHybrid(t *Task, readyAt sim.Time, c *candidates) {
 	}
 	c.hyb = start + r.s.rates.EstimateClass(t.Codelet, ClassHyb, t.Flops, intrinsic)
 	c.hybPlan, c.hybRows, c.shares = p, m1, shares
+	z.shares = shares
 }
 
 // fillSkew refines the split toward a synchronized join: each core's slab

@@ -3,7 +3,6 @@ package taskgraph
 import (
 	"encoding/json"
 	"math"
-	"sync"
 
 	"tianhe/internal/adaptive"
 )
@@ -59,16 +58,26 @@ type deviceRate struct {
 // the CPU, GPU, and hybrid variants, learned the same way database_g learns
 // splits — EWMA refresh after every execution, trust-blended against the
 // static model while warming, quarantined during a device outage and
-// re-warmed after recovery.
+// re-warmed after recovery. A RateDB is not safe for concurrent use: it is
+// owned by one Scheduler, whose placement and booking are serial.
 type RateDB struct {
-	mu    sync.Mutex
 	cells [numClasses]map[string]*deviceRate
+	// last is each class's most recently resolved cell. One task's estimates
+	// and its observation, and a run of tasks of one codelet, name the same
+	// cell, so most lookups compare a string instead of hashing it.
+	last [numClasses]resolvedCell
 
 	// GPU fault-resilience state: while quarantined, device-class
 	// observations (GPU and hybrid — both describe lost hardware) are
 	// discarded; after Rewarm, device estimates blend back from the model
 	// toward the learned rate as trust recovers.
 	trust adaptive.Trust
+}
+
+// resolvedCell remembers one codelet's cell of a class; r is nil for none.
+type resolvedCell struct {
+	codelet string
+	r       *deviceRate
 }
 
 // NewRateDB returns an empty affinity database.
@@ -80,12 +89,25 @@ func NewRateDB() *RateDB {
 	return db
 }
 
+// lookup returns the (codelet, class) cell, nil when there is none.
+func (db *RateDB) lookup(cls Class, codelet string) *deviceRate {
+	l := &db.last[cls]
+	if l.r != nil && l.codelet == codelet {
+		return l.r
+	}
+	r := db.cells[cls][codelet]
+	if r != nil {
+		*l = resolvedCell{codelet, r}
+	}
+	return r
+}
+
+// cell returns the (codelet, class) cell, adding an empty one if need be.
 func (db *RateDB) cell(cls Class, codelet string) *deviceRate {
-	m := db.cells[cls]
-	r, ok := m[codelet]
-	if !ok {
+	r := db.lookup(cls, codelet)
+	if r == nil {
 		r = &deviceRate{}
-		m[codelet] = r
+		db.cells[cls][codelet] = r
 	}
 	return r
 }
@@ -98,8 +120,6 @@ func (db *RateDB) ObserveClass(codelet string, cls Class, flops, seconds float64
 		math.IsNaN(flops) || math.IsNaN(seconds) {
 		return
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	if cls.device() && db.trust.Quarantined() {
 		return
 	}
@@ -125,8 +145,6 @@ func (db *RateDB) Seed(codelet string, cls Class, rate float64) {
 	if rate <= 0 || math.IsInf(rate, 1) || math.IsNaN(rate) {
 		return
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	r := db.cell(cls, codelet)
 	if r.Count > 0 {
 		return
@@ -141,10 +159,8 @@ func (db *RateDB) Seed(codelet string, cls Class, rate float64) {
 // warm one the measurement. During a device re-warm the measured contribution
 // of the GPU and hybrid classes is further scaled by the recovering trust.
 func (db *RateDB) EstimateClass(codelet string, cls Class, flops, modelSeconds float64) float64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	r, ok := db.cells[cls][codelet]
-	if !ok || r.Count == 0 || r.Rate <= 0 || flops <= 0 {
+	r := db.lookup(cls, codelet)
+	if r == nil || r.Count == 0 || r.Rate <= 0 || flops <= 0 {
 		return modelSeconds
 	}
 	w := r.Count / (r.Count + rateWarm)
@@ -158,16 +174,12 @@ func (db *RateDB) EstimateClass(codelet string, cls Class, flops, modelSeconds f
 // answering (the scheduler still ranks the CPU fallback against the model),
 // but GPU and hybrid observations are discarded until Rewarm.
 func (db *RateDB) Quarantine() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.trust.Quarantine()
 }
 
 // Quarantined reports whether device-class observations are currently
 // discarded.
 func (db *RateDB) Quarantined() bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	return db.trust.Quarantined()
 }
 
@@ -177,8 +189,6 @@ func (db *RateDB) Quarantined() bool {
 // passes adaptive.RewarmHalfLife; halfLife <= 0 restores full trust
 // immediately.
 func (db *RateDB) Rewarm(halfLife float64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.trust.Rewarm(halfLife)
 }
 
@@ -192,8 +202,6 @@ type rateDBJSON struct {
 // persisted — a saved database is always the healthy view). Keys marshal in
 // sorted order via encoding/json, so equal databases serialize identically.
 func (db *RateDB) MarshalJSON() ([]byte, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	j := rateDBJSON{
 		CPU: map[string]deviceRate{},
 		GPU: map[string]deviceRate{},
@@ -210,16 +218,14 @@ func (db *RateDB) MarshalJSON() ([]byte, error) {
 	return json.Marshal(j)
 }
 
-// UnmarshalJSON restores a serialized database as a fresh healthy state.
-// Databases saved before the hybrid class simply restore with no hybrid
-// rates.
+// UnmarshalJSON restores a serialized database as a fresh healthy state,
+// forgetting every cell resolved before. Databases saved before the hybrid
+// class simply restore with no hybrid rates.
 func (db *RateDB) UnmarshalJSON(b []byte) error {
 	var j rateDBJSON
 	if err := json.Unmarshal(b, &j); err != nil {
 		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	for _, p := range []struct {
 		cls Class
 		src map[string]deviceRate
@@ -230,6 +236,7 @@ func (db *RateDB) UnmarshalJSON(b []byte) error {
 			db.cells[p.cls][k] = &c
 		}
 	}
+	db.last = [numClasses]resolvedCell{}
 	db.trust = adaptive.Trust{}
 	return nil
 }

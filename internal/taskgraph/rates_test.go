@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"tianhe/internal/sim/simtest"
 )
 
 func TestRateDBColdAnswersModel(t *testing.T) {
@@ -122,5 +124,72 @@ func TestRateDBDiscardsBadMeasurements(t *testing.T) {
 	db.ObserveClass("gemm", ClassCPU, 1e9, math.Inf(1))
 	if got := db.EstimateClass("gemm", ClassCPU, 1e9, 0.25); got != 0.25 {
 		t.Errorf("estimate after garbage observations = %v, want the model 0.25", got)
+	}
+}
+
+// TestRateDBCellsAfterRestore: a cell the database resolved before a restore
+// or a seed never answers after it. Restoring into a warmed database (as
+// linpacksim does into its live Scheduler) answers the next estimate from
+// the restored cells, a codelet the restore lacks from the model, and a seed
+// into an empty cell from the seed.
+func TestRateDBCellsAfterRestore(t *testing.T) {
+	saved := NewRateDB()
+	saved.ObserveClass("gemm", ClassGPU, 1e9, 0.25) // 4 GFLOP/s
+	blob, err := json.Marshal(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := saved.EstimateClass("gemm", ClassGPU, 1e9, 0.1)
+
+	db := NewRateDB()
+	for i := 0; i < 5; i++ {
+		db.ObserveClass("gemm", ClassGPU, 1e9, 2) // 0.5 GFLOP/s
+		db.ObserveClass("panel", ClassCPU, 1e8, 1)
+	}
+	if db.EstimateClass("gemm", ClassGPU, 1e9, 0.1) == want {
+		t.Fatal("the warmed database already answers like the saved one")
+	}
+	db.EstimateClass("panel", ClassCPU, 1e8, 0.5) // resolve each class's cell last
+	db.EstimateClass("gemm", ClassGPU, 1e9, 0.1)
+	if err := json.Unmarshal(blob, db); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.EstimateClass("gemm", ClassGPU, 1e9, 0.1); got != want {
+		t.Errorf("restored gemm estimate = %v, want the saved database's %v", got, want)
+	}
+	if got := db.EstimateClass("panel", ClassCPU, 1e8, 0.5); got != 0.5 {
+		t.Errorf("panel estimate after a restore without it = %v, want the model 0.5", got)
+	}
+
+	// The panel lookup above found no cell; a seed now fills one, and the
+	// next estimate blends it at the weight of one observation.
+	db.Seed("panel", ClassCPU, 1e9)
+	if got, want := db.EstimateClass("panel", ClassCPU, 1e8, 0.5), 0.75*0.5+0.25*0.1; got != want {
+		t.Errorf("panel estimate after its seed = %v, want %v", got, want)
+	}
+}
+
+// TestRateDBWarmAllocs: once its cells exist, estimating and observing
+// allocate nothing, whichever codelet was resolved before.
+func TestRateDBWarmAllocs(t *testing.T) {
+	if simtest.RaceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	db := NewRateDB()
+	for _, c := range []string{"gemm", "panel"} {
+		for cls := ClassCPU; cls < numClasses; cls++ {
+			db.ObserveClass(c, cls, 1e9, 1)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, c := range []string{"gemm", "panel"} {
+			for cls := ClassCPU; cls < numClasses; cls++ {
+				db.EstimateClass(c, cls, 1e9, 0.5)
+				db.ObserveClass(c, cls, 1e9, 1)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm estimates and observations allocate %.0f times, want 0", allocs)
 	}
 }

@@ -324,11 +324,12 @@ func TestHybridBookingReleasesTransientAndStaleOccupancy(t *testing.T) {
 	task := hybTask("upd", 256, 0.5, 3.0, 1.0)
 	task.Accesses = []Access{{tile, ReadWrite}, {fresh, ReadWrite}, {cached, Read}}
 	upd := &task
-	c := r.estimate(upd, 1, true)
+	c := &r.cand
+	r.estimate(c, upd, 1, true)
 	if c.choose() != ClassHyb {
-		t.Fatalf("candidates %+v did not favour the hybrid body", c)
+		t.Fatalf("candidates %+v did not favour the hybrid body", *c)
 	}
-	b := r.book(upd, ClassHyb, &c, 1)
+	b := r.book(upd, ClassHyb, c, 1)
 	if err := r.res.Err(); err != nil {
 		t.Fatal(err)
 	}

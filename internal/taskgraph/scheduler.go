@@ -342,6 +342,7 @@ type run struct {
 	// kernel, and the kernel runs bandwidth-bound when the stream cannot keep
 	// up.
 	window int64
+	cand   candidates // the cost step's answer for the task being placed
 	sizer  splitSizer
 
 	deps   []sim.Span // kernel dependencies of the booking in flight
@@ -395,8 +396,9 @@ func (s *Scheduler) Run(g *Graph, earliest sim.Time) (Report, error) {
 		if stalled {
 			return r.settle(), nil
 		}
-		c := r.estimate(t, readyAt, gpuOK)
-		b := r.book(t, c.choose(), &c, readyAt)
+		c := &r.cand
+		r.estimate(c, t, readyAt, gpuOK)
+		b := r.book(t, c.choose(), c, readyAt)
 		if err := r.res.Err(); err != nil {
 			return Report{}, err
 		}
