@@ -45,20 +45,30 @@ func BenchmarkDgemmUpdate960x64(b *testing.B) { benchmarkDgemm(b, 960, 960, 64, 
 // BenchmarkDgemm512Parallel measures the parallel DGEMM path.
 func BenchmarkDgemm512Parallel(b *testing.B) { benchmarkDgemm(b, 512, 512, 512, 1, 0, 4) }
 
-// BenchmarkDgetrf measures the real blocked LU factorization.
+// BenchmarkDgetrf measures the real blocked LU factorization at lu-real's
+// order, N=1024 with NB=64, on one worker and on the default worker count
+// (GOMAXPROCS).
 func BenchmarkDgetrf(b *testing.B) {
-	const n = 384
+	const n = 1024
 	src := matrix.NewDense(n, n)
 	src.FillRandom(sim.NewRNG(2))
-	ipiv := make([]int, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		a := src.Clone()
-		b.StartTimer()
-		if err := hpl.Dgetrf(a, ipiv, hpl.Options{NB: 64}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=default", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			a, ipiv := matrix.NewDense(n, n), make([]int, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				a.CopyFrom(src)
+				b.StartTimer()
+				if err := hpl.Dgetrf(a, ipiv, hpl.Options{NB: 64, Workers: c.workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(hpl.LinpackFlops(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+		})
 	}
 }
 

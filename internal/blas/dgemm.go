@@ -2,8 +2,6 @@ package blas
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"tianhe/internal/matrix"
 )
@@ -62,33 +60,19 @@ func Dgemm(tA, tB Transpose, alpha float64, a, b *matrix.Dense, beta float64, c 
 }
 
 // DgemmParallel is Dgemm with gemmNC-wide slabs of C columns handed out to
-// workers goroutines. Workers own disjoint columns of C, and an element's
-// accumulation order does not depend on the slab it falls in, so the result
-// is bit-identical to Dgemm for every workers value.
+// workers goroutines through ForSlabs. Workers own disjoint columns of C, and
+// an element's accumulation order does not depend on the slab it falls in, so
+// the result is bit-identical to Dgemm for every workers value. One worker,
+// or one slab, is Dgemm's single pass over C.
 func DgemmParallel(tA, tB Transpose, alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense, workers int) {
 	gemmDims(tA, tB, a, b, c)
-	slabs := (c.Cols + gemmNC - 1) / gemmNC
-	workers = min(workers, slabs)
-	if workers <= 1 {
+	if workers <= 1 || c.Cols <= gemmNC {
 		gemmCols(tA, tB, alpha, a, b, beta, c, 0, c.Cols)
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := (int(next.Add(1)) - 1) * gemmNC
-				if j >= c.Cols {
-					return
-				}
-				gemmCols(tA, tB, alpha, a, b, beta, c, j, min(j+gemmNC, c.Cols))
-			}
-		}()
-	}
-	wg.Wait()
+	ForSlabs(c.Cols, gemmNC, workers, func(j0, j1 int) {
+		gemmCols(tA, tB, alpha, a, b, beta, c, j0, j1)
+	})
 }
 
 // GemmFlops returns the floating-point operation count of an m×n×k DGEMM,

@@ -270,16 +270,19 @@ func (st *state2d) panelFactor(k int) []int {
 	group := st.colGroup(st.q)
 	myIdx := st.p
 	ipiv := make([]int, nb)
+	// Local row lr of the panel is panelRow(lr), its column jj at jj*ld.
+	ld := st.local.Stride
+	panelRow := func(lr int) []float64 { return st.local.Data[lc*ld+lr:] }
 
 	for j := 0; j < nb; j++ {
 		gr0 := row0 + j
 		// Local pivot candidate among my rows at or below gr0.
 		bestVal, bestGR := -1.0, -1
 		start := st.firstLocalRowAtOrAbove(gr0)
-		for lr := start; lr < st.local.Rows; lr++ {
-			if v := math.Abs(st.local.At(lr, lc+j)); v > bestVal {
+		for i, v := range st.local.Col(lc + j)[start:] {
+			if v = math.Abs(v); v > bestVal {
 				bestVal = v
-				bestGR = st.globalRowOfLocal(lr)
+				bestGR = st.globalRowOfLocal(start + i)
 			}
 		}
 		_, widx := st.comm.GroupMaxLoc(group, tag2dMaxLoc, bestVal)
@@ -290,9 +293,9 @@ func (st *state2d) panelFactor(k int) []int {
 			st.pivot = reuse(st.pivot, 1+nb)
 			payload = st.pivot
 			payload[0] = float64(bestGR)
-			lr := st.localRow(bestGR)
-			for jj := 0; jj < nb; jj++ {
-				payload[1+jj] = st.local.At(lr, lc+jj)
+			row := panelRow(st.localRow(bestGR))
+			for jj := range nb {
+				payload[1+jj] = row[jj*ld]
 			}
 		}
 		payload = st.comm.GroupBcast(group, widx, tag2dPivotRow, payload)
@@ -305,26 +308,28 @@ func (st *state2d) panelFactor(k int) []int {
 			ownR1, ownGP := st.ownsRow(gr0), st.ownsRow(gp)
 			switch {
 			case ownR1 && ownGP:
-				blas.SwapRows(st.local.View(0, lc, st.local.Rows, nb),
-					st.localRow(gr0), st.localRow(gp))
+				r1, rp := panelRow(st.localRow(gr0)), panelRow(st.localRow(gp))
+				for jj := range nb {
+					r1[jj*ld], rp[jj*ld] = rp[jj*ld], r1[jj*ld]
+				}
 			case ownR1:
 				// Ship my r1 row to gp's owner; overwrite r1 with the pivot
 				// row (already in hand from the broadcast).
-				lr := st.localRow(gr0)
+				r1 := panelRow(st.localRow(gr0))
 				st.seg = reuse(st.seg, nb)
 				seg := st.seg
-				for jj := 0; jj < nb; jj++ {
-					seg[jj] = st.local.At(lr, lc+jj)
+				for jj := range seg {
+					seg[jj] = r1[jj*ld]
 				}
 				st.comm.Send(group[st.rowOwner(gp)], tag2dSwapPanel, seg)
-				for jj := 0; jj < nb; jj++ {
-					st.local.Set(lr, lc+jj, pivRow[jj])
+				for jj, v := range pivRow[:nb] {
+					r1[jj*ld] = v
 				}
 			case ownGP:
 				seg := st.comm.Recv(group[st.rowOwner(gr0)], tag2dSwapPanel)
-				lr := st.localRow(gp)
-				for jj := 0; jj < nb; jj++ {
-					st.local.Set(lr, lc+jj, seg[jj])
+				rp := panelRow(st.localRow(gp))
+				for jj, v := range seg[:nb] {
+					rp[jj*ld] = v
 				}
 				st.comm.Release(seg)
 			}
@@ -420,16 +425,17 @@ func (st *state2d) applyTrailingSwaps(k, row0 int, ipiv []int) {
 // exchangeRow swaps my local row (global myRow) with the corresponding row
 // held by the peer process row, across my trailing columns.
 func (st *state2d) exchangeRow(myRow, peerP, c0, cols int) {
-	lr := st.localRow(myRow)
+	ld := st.local.Stride
+	row := st.local.Data[c0*ld+st.localRow(myRow):] // element j is row[j*ld]
 	st.seg = reuse(st.seg, cols)
 	seg := st.seg
-	for j := 0; j < cols; j++ {
-		seg[j] = st.local.At(lr, c0+j)
+	for j := range seg {
+		seg[j] = row[j*ld]
 	}
 	peer := st.g.Rank(peerP, st.q)
 	got := st.comm.SendRecv(peer, tag2dSwapTrail, tag2dSwapTrail, seg)
-	for j := 0; j < cols; j++ {
-		st.local.Set(lr, c0+j, got[j])
+	for j, v := range got[:cols] {
+		row[j*ld] = v
 	}
 	st.comm.Release(got)
 }

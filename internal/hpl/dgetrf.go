@@ -11,6 +11,7 @@ import (
 
 	"tianhe/internal/blas"
 	"tianhe/internal/matrix"
+	"tianhe/internal/sweep"
 )
 
 // GemmFunc computes C = alpha*A*B + beta*C (NoTrans/NoTrans). The hybrid
@@ -23,7 +24,12 @@ type Options struct {
 	NB int
 	// Gemm performs the trailing update; nil selects the built-in BLAS.
 	Gemm GemmFunc
-	// Workers bounds the parallelism of the built-in BLAS path.
+	// Workers is how many goroutines Dgetrf's column-slab phases run on (the
+	// trailing swaps and U12 solve, the deferred left swaps), and the
+	// built-in Gemm's too; Run also fills and verifies the test matrix on
+	// them. Values <= 0 select runtime.GOMAXPROCS(0). Every count gives the
+	// same bits: workers own disjoint columns (or, in the residual, rows),
+	// and no element's arithmetic depends on where a slab boundary falls.
 	Workers int
 }
 
@@ -31,9 +37,7 @@ func (o Options) withDefaults() Options {
 	if o.NB <= 0 {
 		o.NB = 64
 	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
+	o.Workers = sweep.Workers(o.Workers)
 	if o.Gemm == nil {
 		w := o.Workers
 		o.Gemm = func(alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense) {
@@ -101,8 +105,7 @@ func PanelFactor(a *matrix.Dense, ipiv []int) error {
 	err := PanelFactor(left, ipiv[:nl])
 	// Apply the left block's pivots to the right block, solve for U12 and
 	// update A22 before factoring the right half.
-	right := a.View(0, 0, m, n)
-	blas.Dlaswp(right.View(0, nl, m, n-nl), ipiv[:nl], 0, nl)
+	blas.Dlaswp(a.View(0, nl, m, n-nl), ipiv[:nl], 0, nl)
 	l11 := a.View(0, 0, nl, nl)
 	u12 := a.View(0, nl, nl, n-nl)
 	blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, l11, u12)
@@ -124,11 +127,27 @@ func PanelFactor(a *matrix.Dense, ipiv []int) error {
 
 // Dgetrf computes the blocked right-looking LU factorization with partial
 // pivoting of the square (or tall) matrix a, storing L (unit lower) and U in
-// place and the pivot sequence in ipiv. opts.Gemm performs every trailing
-// update, which is where >90% of the flops go at HPL block sizes.
+// place and the pivot sequence in ipiv. Each NB-wide panel runs three phases:
+//
+//   - PanelFactor factors the panel on the caller's goroutine;
+//   - the columns right of it take the panel's row swaps and then the U12
+//     solve against L11, one NB-multiple column slab at a time on
+//     opts.Workers goroutines, so a slab is solved while its swapped rows
+//     are still in cache;
+//   - opts.Gemm performs the trailing update A22 -= L21·U12, where >90% of
+//     the flops go at HPL block sizes, called once per panel from the
+//     caller's goroutine, so a hybrid Gemm sees the whole update.
+//
+// The swaps a panel's pivots owe the finished L columns left of it are
+// deferred: nothing reads a finished L block before the end, so after the
+// last panel each block column takes every later panel's pivots in one
+// pass, in panel order, slab-parallel, and stays in cache for all of them.
+// Every split gives the same bits: a row swap and the U12 solve act on each
+// column alone, and Gemm obeys the accumulation-order contract, so the
+// factors, pivots and any ErrSingular step do not depend on opts.Workers.
 func Dgetrf(a *matrix.Dense, ipiv []int, opts Options) error {
 	opts = opts.withDefaults()
-	m, n := a.Rows, a.Cols
+	m, n, nb, w := a.Rows, a.Cols, opts.NB, opts.Workers
 	if m < n {
 		panic("hpl: Dgetrf requires m >= n")
 	}
@@ -136,33 +155,36 @@ func Dgetrf(a *matrix.Dense, ipiv []int, opts Options) error {
 		panic("hpl: ipiv too short")
 	}
 	var firstErr error
-	for j := 0; j < n; j += opts.NB {
-		jb := min(opts.NB, n-j)
-		panel := a.View(j, j, m-j, jb)
-		if err := PanelFactor(panel, ipiv[j:j+jb]); err != nil && firstErr == nil {
+	for j := 0; j < n; j += nb {
+		jb := min(nb, n-j)
+		if err := PanelFactor(a.View(j, j, m-j, jb), ipiv[j:j+jb]); err != nil && firstErr == nil {
 			firstErr = ErrSingular{Step: j + err.(ErrSingular).Step}
 		}
 		// Rebase panel-relative pivots to absolute row indices.
 		for k := j; k < j+jb; k++ {
 			ipiv[k] += j
 		}
-		// Apply the pivots to the columns left and right of the panel.
-		if j > 0 {
-			blas.Dlaswp(a.View(0, 0, m, j), ipiv, j, j+jb)
+		right := j + jb
+		if right == n {
+			break
 		}
-		if j+jb < n {
-			blas.Dlaswp(a.View(0, j+jb, m, n-j-jb), ipiv, j, j+jb)
+		l11 := a.View(j, j, jb, jb)
+		blas.ForSlabs(n-right, nb, w, func(c0, c1 int) {
+			c0, cw := right+c0, c1-c0
+			blas.Dlaswp(a.View(0, c0, m, cw), ipiv, j, j+jb)
 			// U12 = L11^{-1} * A12
-			l11 := a.View(j, j, jb, jb)
-			u12 := a.View(j, j+jb, jb, n-j-jb)
-			blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, l11, u12)
-			// A22 -= L21 * U12: the hot DGEMM.
-			if j+jb < m {
-				l21 := a.View(j+jb, j, m-j-jb, jb)
-				a22 := a.View(j+jb, j+jb, m-j-jb, n-j-jb)
-				opts.Gemm(-1, l21, u12, 1, a22)
-			}
+			blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, l11, a.View(j, c0, jb, cw))
+		})
+		// A22 -= L21 * U12: the hot DGEMM.
+		if right < m {
+			opts.Gemm(-1, a.View(right, j, m-right, jb), a.View(j, right, jb, n-right), 1, a.View(right, right, m-right, n-right))
 		}
 	}
+	// The deferred left swaps: block column [c0, c0+nb) takes the pivots of
+	// every panel after its own, ipiv[c0+nb:n]. The last block column has
+	// none.
+	blas.ForSlabs(max(n-1, 0)/nb*nb, nb, w, func(c0, c1 int) {
+		blas.Dlaswp(a.View(0, c0, m, c1-c0), ipiv, c1, n)
+	})
 	return firstErr
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"tianhe/internal/blas"
 	"tianhe/internal/matrix"
 	"tianhe/internal/sim"
 )
@@ -39,12 +40,25 @@ func LinpackFlops(n int) float64 {
 // check regenerates A a column at a time, as HPL_pdmatgen and HPL_pdtest do;
 // nothing keeps a copy of A for the check.
 
+// genSlab is the width of the column slabs the drivers fill A over and of
+// the row slabs they verify it over: a multiple of the 8-lane uniform fill.
+const genSlab = 128
+
 // Generate builds the benchmark input: an n×n matrix and right-hand side
 // with uniform entries in [-0.5, 0.5), the HPL test-matrix distribution,
 // from a deterministic seed.
 func Generate(n int, seed uint64) (*matrix.Dense, []float64) {
+	return generate(n, seed, 1)
+}
+
+// generate is Generate with A filled over column slabs on workers
+// goroutines; FillMatrix is defined per block, so any split gives the same
+// bits.
+func generate(n int, seed uint64, workers int) (*matrix.Dense, []float64) {
 	a := matrix.NewDense(n, n)
-	FillMatrix(a, n, seed, 0, 0)
+	blas.ForSlabs(n, genSlab, workers, func(j0, j1 int) {
+		FillMatrix(a.View(0, j0, n, j1-j0), n, seed, 0, j0)
+	})
 	return a, RHS(n, seed)
 }
 
@@ -86,9 +100,17 @@ func ScaledResidual(a *matrix.Dense, x, b []float64) float64 {
 }
 
 // GeneratedResidual is ScaledResidual against the order-n test matrix of
-// seed, regenerated one column at a time through one n-length scratch
-// instead of read from a copy; it returns the same bits.
+// seed, regenerated a column at a time instead of read from a copy; it
+// returns the same bits.
 func GeneratedResidual(n int, seed uint64, x, b []float64) float64 {
+	return generatedResidual(n, seed, x, b, 1)
+}
+
+// generatedResidual is GeneratedResidual over row slabs on workers
+// goroutines. Each slab regenerates its rows of A one column at a time
+// through a scratch of its own height, and each row still takes its columns
+// in order, so any split gives the same bits.
+func generatedResidual(n int, seed uint64, x, b []float64, workers int) float64 {
 	if n == 0 {
 		return 0
 	}
@@ -96,11 +118,14 @@ func GeneratedResidual(n int, seed uint64, x, b []float64) float64 {
 		panic("hpl: GeneratedResidual dimension mismatch")
 	}
 	r := newResidual(n, x)
-	col := matrix.NewDense(n, 1)
-	for j := 0; j < n; j++ {
-		FillMatrix(col, n, seed, 0, j)
-		r.add(j, col.Data)
-	}
+	blas.ForSlabs(n, genSlab, workers, func(i0, i1 int) {
+		rows := residual{x: x, ax: r.ax[i0:i1], rowAbs: r.rowAbs[i0:i1]}
+		col := matrix.NewDense(i1-i0, 1)
+		for j := 0; j < n; j++ {
+			FillMatrix(col, n, seed, i0, j)
+			rows.add(j, col.Data)
+		}
+	})
 	return r.scaled(b)
 }
 
@@ -150,25 +175,23 @@ func (r residual) scaled(b []float64) float64 {
 }
 
 // Run executes the full Linpack benchmark workflow at order n: generate,
-// factor, solve, verify. It is the correctness backbone for every optimized
-// DGEMM path — plugging a broken hybrid executor into opts.Gemm fails the
-// residual check here.
+// factor, solve, verify, with the generation and the verification on
+// opts.Workers goroutines too. It is the correctness backbone for every
+// optimized DGEMM path — plugging a broken hybrid executor into opts.Gemm
+// fails the residual check here.
 func Run(n int, seed uint64, opts Options) (Result, error) {
-	lu, b := Generate(n, seed)
+	opts = opts.withDefaults()
+	lu, b := generate(n, seed, opts.Workers)
 	ipiv := make([]int, n)
 	if err := Dgetrf(lu, ipiv, opts); err != nil {
 		return Result{}, err
 	}
 	x := append([]float64(nil), b...)
 	SolveFactored(lu, ipiv, x)
-	res := GeneratedResidual(n, seed, x, b)
-	nb := opts.NB
-	if nb <= 0 {
-		nb = 64
-	}
+	res := generatedResidual(n, seed, x, b, opts.Workers)
 	r := Result{
 		N:        n,
-		NB:       nb,
+		NB:       opts.NB,
 		Flops:    LinpackFlops(n),
 		Residual: res,
 		Passed:   res < ResidualThreshold,

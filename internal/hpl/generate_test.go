@@ -130,12 +130,18 @@ func referenceResidual(a *matrix.Dense, x, b []float64) float64 {
 	return rinf / den
 }
 
+// parityWorkers are the worker counts the drivers' slab-parallel fill and
+// residual are held to the serial ones at: one slab per worker and fewer
+// slabs than workers included.
+var parityWorkers = []int{2, 3, 8}
+
 // TestGeneratedResidualMatchesScaled: the residual against the regenerated
 // matrix equals ScaledResidual against Generate's copy, and both equal the
 // MulVec + NormInf reference, bit for bit — for the computed solution, a
-// perturbed one, one with zero entries (the columns A·x skips) and n = 0.
+// perturbed one, one with zero entries (the columns A·x skips) and n = 0,
+// serially and over row slabs on several workers.
 func TestGeneratedResidualMatchesScaled(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, 257} {
+	for _, n := range []int{0, 1, 7, 100, 257, 600} {
 		const seed = 4242
 		a, b := Generate(n, seed)
 		x, err := Solve(a, b, Options{NB: 32})
@@ -159,6 +165,11 @@ func TestGeneratedResidualMatchesScaled(t *testing.T) {
 			generated := GeneratedResidual(n, seed, c.x, b)
 			if math.Float64bits(scaled) != math.Float64bits(want) || math.Float64bits(generated) != math.Float64bits(want) {
 				t.Errorf("n %d, %s: ScaledResidual %v, GeneratedResidual %v, MulVec+NormInf %v", n, c.name, scaled, generated, want)
+			}
+			for _, workers := range parityWorkers {
+				if got := generatedResidual(n, seed, c.x, b, workers); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("n %d, %s, %d workers: generatedResidual %v, MulVec+NormInf %v", n, c.name, workers, got, want)
+				}
 			}
 		}
 	}

@@ -373,13 +373,14 @@ func GraphDgetrf(a *matrix.Dense, ipiv []int, el *element.Element, opts GraphOpt
 }
 
 // GraphRun executes the full Linpack workflow — generate, factor, solve,
-// verify — with the factorization running through the task graph runtime.
+// verify — with the factorization running through the task graph runtime,
+// and the generation and the verification on opts.Sched.Par goroutines.
 // The Result matches Run(n, seed, Options{NB: opts.NB}) bit for bit; the
 // Report adds the scheduling view (placement counts, transfer bytes,
 // simulated makespan).
 func GraphRun(n int, seed uint64, el *element.Element, opts GraphOptions) (Result, taskgraph.Report, error) {
 	opts = opts.withDefaults()
-	lu, b := Generate(n, seed)
+	lu, b := generate(n, seed, opts.Sched.Par)
 	ipiv := make([]int, n)
 	rep, err := GraphDgetrf(lu, ipiv, el, opts)
 	if err != nil {
@@ -387,7 +388,7 @@ func GraphRun(n int, seed uint64, el *element.Element, opts GraphOptions) (Resul
 	}
 	x := append([]float64(nil), b...)
 	SolveFactored(lu, ipiv, x)
-	res := GeneratedResidual(n, seed, x, b)
+	res := generatedResidual(n, seed, x, b, opts.Sched.Par)
 	r := Result{
 		N:        n,
 		NB:       opts.NB,

@@ -3,6 +3,7 @@ package hpl
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -168,6 +169,100 @@ func TestDgetrfSingularLaterStep(t *testing.T) {
 	}
 	if sing.Step != 2 {
 		t.Fatalf("singular at step %d, want 2", sing.Step)
+	}
+}
+
+// dgetrfEager is the blocked loop with each panel's pivots applied at once
+// to every finished column left of it, the order Dgetrf defers: the
+// reference the deferred pass is held to.
+func dgetrfEager(a *matrix.Dense, ipiv []int, nb int) error {
+	m, n := a.Rows, a.Cols
+	var firstErr error
+	for j := 0; j < n; j += nb {
+		jb := min(nb, n-j)
+		if err := PanelFactor(a.View(j, j, m-j, jb), ipiv[j:j+jb]); err != nil && firstErr == nil {
+			firstErr = ErrSingular{Step: j + err.(ErrSingular).Step}
+		}
+		for k := j; k < j+jb; k++ {
+			ipiv[k] += j
+		}
+		blas.Dlaswp(a.View(0, 0, m, j), ipiv, j, j+jb)
+		if j+jb == n {
+			break
+		}
+		blas.Dlaswp(a.View(0, j+jb, m, n-j-jb), ipiv, j, j+jb)
+		u12 := a.View(j, j+jb, jb, n-j-jb)
+		blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, a.View(j, j, jb, jb), u12)
+		if j+jb < m {
+			blas.Dgemm(blas.NoTrans, blas.NoTrans, -1, a.View(j+jb, j, m-j-jb, jb), u12, 1, a.View(j+jb, j+jb, m-j-jb, n-j-jb))
+		}
+	}
+	return firstErr
+}
+
+// sameBits reports whether a and b hold the same bits in every element.
+func sameBits(a, b *matrix.Dense) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for j := 0; j < a.Cols; j++ {
+		bj := b.Col(j)
+		for i, v := range a.Col(j) {
+			if math.Float64bits(v) != math.Float64bits(bj[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestDgetrfWorkersIdentical: Dgetrf gives the same factors, pivots and
+// ErrSingular step at every worker count, and Workers 1 gives those of the
+// loop that swaps finished columns eagerly. The cases cover an uneven last
+// tile, a tall matrix, and zero pivots at step 0 and at a later step (a
+// zero column stays exactly zero under every update).
+func TestDgetrfWorkersIdentical(t *testing.T) {
+	const nb = 48
+	square, _ := Generate(160, 7) // last tile 16 wide
+	tall := matrix.NewDense(200, 160)
+	tall.FillRandom(sim.NewRNG(11))
+	singular := func(col int) *matrix.Dense {
+		a, _ := Generate(160, 9)
+		clear(a.Col(col))
+		return a
+	}
+	for _, c := range []struct {
+		name     string
+		a        *matrix.Dense
+		wantStep int // -1: not singular
+	}{
+		{"square", square, -1},
+		{"tall", tall, -1},
+		{"singular-0", singular(0), 0},
+		{"singular-100", singular(100), 100},
+	} {
+		want, wantPiv := c.a.Clone(), make([]int, c.a.Cols)
+		wantErr := dgetrfEager(want, wantPiv, nb)
+		for _, workers := range []int{1, 2, 3, 8} {
+			got, gotPiv := c.a.Clone(), make([]int, c.a.Cols)
+			err := Dgetrf(got, gotPiv, Options{NB: nb, Workers: workers})
+			step := -1
+			var sing ErrSingular
+			if errors.As(err, &sing) {
+				step = sing.Step
+			} else if err != nil {
+				t.Fatalf("%s, workers %d: %v", c.name, workers, err)
+			}
+			if step != c.wantStep || err != wantErr {
+				t.Errorf("%s, workers %d: error %v (step %d), want step %d and the eager loop's %v", c.name, workers, err, step, c.wantStep, wantErr)
+			}
+			if !slices.Equal(gotPiv, wantPiv) {
+				t.Errorf("%s, workers %d: pivots %v, want %v", c.name, workers, gotPiv, wantPiv)
+			}
+			if !sameBits(got, want) {
+				t.Errorf("%s, workers %d: factors differ from the eager loop's (max diff %g)", c.name, workers, got.MaxDiff(want))
+			}
+		}
 	}
 }
 
