@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"tianhe/internal/blas"
 	"tianhe/internal/element"
@@ -132,14 +131,14 @@ type elasticRank struct {
 	cfg     ElasticConfig
 	nblocks int
 
-	cols    map[int]*matrix.Dense // owned global block-columns, N x NB
+	cols    []*matrix.Dense // by global block-column, N x NB; nil where not owned
 	bTilde  []float64
 	pivots  [][]int
 	live    []int
 	owners  []int
 	epoch   int
 	stripes []rcv.Stripe
-	parity  map[int][]float64 // stripe index -> N*NB parity block (col-major)
+	parity  [][]float64 // by stripe index: N*NB parity block (col-major), nil where not held
 
 	pack []float64 // the panel owner's pack buffer, refilled every iteration
 
@@ -242,11 +241,10 @@ func newElasticRank(c *mpi.Comm, cfg ElasticConfig, nblocks int, b []float64) *e
 		el:      element.New(element.Config{Seed: cfg.Seed + uint64(c.Rank())*1000, JitterSigma: -1}),
 		cfg:     cfg,
 		nblocks: nblocks,
-		cols:    make(map[int]*matrix.Dense),
+		cols:    make([]*matrix.Dense, nblocks),
 		bTilde:  append([]float64(nil), b...),
 		live:    append([]int(nil), cfg.StartLive...),
 		owners:  append([]int(nil), cfg.StartOwners...),
-		parity:  make(map[int][]float64),
 	}
 	for bj, o := range st.owners {
 		if o == c.Rank() {
@@ -260,13 +258,15 @@ func newElasticRank(c *mpi.Comm, cfg ElasticConfig, nblocks int, b []float64) *e
 }
 
 // refreshStripes recomputes the parity striping for the current (owners,
-// live) mapping. Existing parity content is the caller's business — on
-// membership change the re-encode rebuilds it from the factored prefix.
+// live) mapping and starts an empty parity set for it. Existing parity
+// content is the caller's business — on membership change the re-encode
+// rebuilds it from the factored prefix.
 func (st *elasticRank) refreshStripes() {
-	if st.cfg.DisableParity {
-		return
+	st.stripes = nil
+	if !st.cfg.DisableParity {
+		st.stripes = rcv.Stripes(st.owners, st.live)
 	}
-	st.stripes = rcv.Stripes(st.owners, st.live)
+	st.parity = make([][]float64, len(st.stripes))
 }
 
 // factorLoop is the elastic right-looking panel loop. Returns true if this
@@ -314,13 +314,15 @@ func (st *elasticRank) factorLoop() (died bool) {
 		// identically, and XOR commutes with a permutation applied to every
 		// operand).
 		for b, col := range st.cols {
-			if b != k || owner != me {
+			if col != nil && (b != k || owner != me) {
 				swapPivotRows(col, row0, ipiv, false)
 			}
 		}
 		swapPivotRows(matrix.FromColMajor(n, 1, n, st.bTilde), row0, ipiv, false)
 		for _, p := range st.parity {
-			swapPivotRows(matrix.FromColMajor(n, nb, n, p), row0, ipiv, false)
+			if p != nil {
+				swapPivotRows(matrix.FromColMajor(n, nb, n, p), row0, ipiv, false)
+			}
 		}
 
 		l11 := panel.View(0, 0, nb, nb)
@@ -341,8 +343,10 @@ func (st *elasticRank) factorLoop() (died bool) {
 		// panel gets its own triangular solve and GEMM, so a column's bits
 		// never depend on which element computes it or what else that
 		// element owns.
-		for _, b := range st.ownedAfter(k) {
-			st.updateColumn(st.cols[b], panel, k)
+		for _, col := range st.cols[k+1:] {
+			if col != nil {
+				st.updateColumn(col, panel, k)
+			}
 		}
 
 		// Column k is now final (modulo future row swaps, which the parity
@@ -369,19 +373,6 @@ func swapPivotRows(block *matrix.Dense, row0 int, ipiv []int, undo bool) {
 		return
 	}
 	blas.Dlaswp(v, ipiv, 0, len(ipiv))
-}
-
-// ownedAfter lists this rank's columns strictly right of block k, ascending
-// (map iteration order must never leak into execution order).
-func (st *elasticRank) ownedAfter(k int) []int {
-	var out []int
-	for b := range st.cols {
-		if b > k {
-			out = append(out, b)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // updateColumn applies iteration k's triangular solve and trailing GEMM to
@@ -419,8 +410,8 @@ func (st *elasticRank) encodeParity(k, owner int) {
 // parityBlock returns this rank's parity block of a stripe, zeroed on first
 // use.
 func (st *elasticRank) parityBlock(stripe int) []float64 {
-	p, ok := st.parity[stripe]
-	if !ok {
+	p := st.parity[stripe]
+	if p == nil {
 		p = make([]float64, st.cfg.N*st.cfg.NB)
 		st.parity[stripe] = p
 	}
@@ -478,7 +469,7 @@ func (st *elasticRank) recoverFrom(failed []int, k int) {
 	// blocks are released.
 	for stripe := range parityIn {
 		if s := st.stripes[stripe]; s.Holder == me {
-			delete(st.parity, s.Index)
+			st.parity[s.Index] = nil
 		}
 	}
 
@@ -491,7 +482,6 @@ func (st *elasticRank) recoverFrom(failed []int, k int) {
 	st.epoch = plan.Members.Epoch
 	st.failed = append(st.failed, plan.Failed...)
 	st.refreshStripes()
-	st.parity = make(map[int][]float64)
 	if !st.cfg.DisableParity {
 		var folded int
 		for _, s := range st.stripes {
@@ -517,7 +507,9 @@ func (st *elasticRank) recoverFrom(failed []int, k int) {
 		}
 	}
 	for _, p := range prevParity {
-		st.comm.Release(p)
+		if p != nil {
+			st.comm.Release(p)
+		}
 	}
 
 	// Agree on the epoch's recovery stall (group max), so every survivor

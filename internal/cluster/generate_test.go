@@ -64,12 +64,12 @@ func TestRanksGenerateOwnedBlocks(t *testing.T) {
 	mpi.NewWorld(mpi.Config{Size: cfg.Ranks}).Run(func(c *mpi.Comm) {
 		st := newElasticRank(c, cfg, n/nb, hpl.RHS(n, seed))
 		for bj, o := range cfg.StartOwners {
-			col, ok := st.cols[bj]
-			if ok != (o == c.Rank()) {
-				fail(fmt.Errorf("elastic rank %d: holds column %d = %v, owner %d", c.Rank(), bj, ok, o))
+			col := st.cols[bj]
+			if held := col != nil; held != (o == c.Rank()) {
+				fail(fmt.Errorf("elastic rank %d: holds column %d = %v, owner %d", c.Rank(), bj, held, o))
 				continue
 			}
-			if ok {
+			if col != nil {
 				if err := sameBlock(col, a.View(0, bj*nb, n, nb)); err != nil {
 					fail(fmt.Errorf("elastic rank %d column %d: %v", c.Rank(), bj, err))
 				}

@@ -337,7 +337,7 @@ func Failover(seed uint64, n int, tel *telemetry.Telemetry, par int) FailoverRes
 	recovered := sweep.MapTel(context.Background(), par, tel, []bool{false, true},
 		func(_ int, checkpoint bool, tel *telemetry.Telemetry) linpacksim.Result {
 			cfg := base
-			cfg.FailAt = sim.Time(healthy.Seconds * 0.5)
+			cfg.FailAts = []sim.Time{sim.Time(healthy.Seconds * 0.5)}
 			cfg.Checkpoint = checkpoint
 			cfg.Telemetry = tel
 			return linpacksim.Run(cfg)

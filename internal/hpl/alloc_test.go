@@ -37,6 +37,14 @@ const (
 	wholeGraphBytesPerTaskCeiling  = 560
 )
 
+// wholeGraphHybridAllocsPerTaskCeiling bounds the allocations per task of
+// building the hybrid whole-factorization graph at the same size and running
+// it once with the LU rate seeds. Measured 9.55 on amd64; it was 13.8 while
+// every trailing update carried three adapter closures around the split
+// oracle and each hybrid booking made its two level-2 feedback slices. The
+// ceiling sits about 15 % above the measurement.
+const wholeGraphHybridAllocsPerTaskCeiling = 11.0
+
 // allocMB returns the megabytes f allocates.
 func allocMB(f func()) float64 {
 	var before, after runtime.MemStats
@@ -104,6 +112,33 @@ func TestWholeGraphAllocBudget(t *testing.T) {
 	t.Logf("%d bytes over %d tasks = %.1f per task", bytes, g.Len(), perB)
 	if perB > wholeGraphBytesPerTaskCeiling {
 		t.Errorf("%.1f bytes per task, ceiling %d", perB, wholeGraphBytesPerTaskCeiling)
+	}
+}
+
+func TestWholeGraphHybridAllocBudget(t *testing.T) {
+	if simtest.RaceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	el := element.New(element.Config{Seed: 2009, Virtual: true})
+	opts := GraphOptions{NB: 1216, Lookahead: 1, Hybrid: true}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := BuildLUGraph(46080, nil, nil, el, nil, opts)
+	sch := taskgraph.NewScheduler(el, taskgraph.Options{RateSeeds: GraphRateSeeds(el, opts.NB)})
+	rep, err := sch.Run(g, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stalled || rep.Tasks != g.Len() || rep.TasksHyb == 0 {
+		t.Fatalf("placed %d of %d tasks, %d hybrid (stalled %v), want the whole factorization with hybrid updates",
+			rep.Tasks, g.Len(), rep.TasksHyb, rep.Stalled)
+	}
+	allocs := after.Mallocs - before.Mallocs
+	per := float64(allocs) / float64(g.Len())
+	t.Logf("%d allocations over %d tasks (%d hybrid) = %.2f per task", allocs, g.Len(), rep.TasksHyb, per)
+	if per > wholeGraphHybridAllocsPerTaskCeiling {
+		t.Errorf("%.2f allocations per task, ceiling %.2f", per, wholeGraphHybridAllocsPerTaskCeiling)
 	}
 }
 

@@ -186,12 +186,20 @@ func Run(n int, seed uint64, opts Options) (Result, error) {
 	if err := Dgetrf(lu, ipiv, opts); err != nil {
 		return Result{}, err
 	}
+	return solveAndVerify(lu, ipiv, b, seed, opts.NB, opts.Workers)
+}
+
+// solveAndVerify is the tail both drivers share: solve with the factored lu
+// and ipiv, check the solution against the regenerated order-n matrix of seed
+// on workers goroutines, and report it.
+func solveAndVerify(lu *matrix.Dense, ipiv []int, b []float64, seed uint64, nb, workers int) (Result, error) {
+	n := lu.Rows
 	x := append([]float64(nil), b...)
 	SolveFactored(lu, ipiv, x)
-	res := generatedResidual(n, seed, x, b, opts.Workers)
+	res := generatedResidual(n, seed, x, b, workers)
 	r := Result{
 		N:        n,
-		NB:       opts.NB,
+		NB:       nb,
 		Flops:    LinpackFlops(n),
 		Residual: res,
 		Passed:   res < ResidualThreshold,

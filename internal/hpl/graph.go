@@ -282,17 +282,11 @@ func (b *luBuilder) addUpdates(k int) {
 				Costs:   b.gemmCosts,
 			}
 			if part != nil {
-				flops := t.Flops
 				t.Hybrid = &taskgraph.Hybrid{
 					Rows:       rh,
-					Split:      func() float64 { return part.GSplit(flops) },
+					Part:       part,
 					GPUSeconds: func(rows int) float64 { return gpu.Model().KernelSeconds(rows, cw, jb) },
 					CPUSeconds: func(rows int) float64 { return core.Seconds(rows, cw, jb, false) },
-					CSplits:    part.CSplits,
-					Observe: func(gsplit, tg, tc float64, coreWorks, coreTimes []float64) {
-						part.Observe(adaptive.Observation{Work: flops, GSplit: gsplit, TG: tg, TC: tc,
-							CoreWorks: coreWorks, CoreTimes: coreTimes})
-					},
 				}
 			}
 			if a != nil {
@@ -386,19 +380,6 @@ func GraphRun(n int, seed uint64, el *element.Element, opts GraphOptions) (Resul
 	if err != nil {
 		return Result{}, rep, err
 	}
-	x := append([]float64(nil), b...)
-	SolveFactored(lu, ipiv, x)
-	res := generatedResidual(n, seed, x, b, opts.Sched.Par)
-	r := Result{
-		N:        n,
-		NB:       opts.NB,
-		Flops:    LinpackFlops(n),
-		Residual: res,
-		Passed:   res < ResidualThreshold,
-		X:        x,
-	}
-	if !r.Passed {
-		return r, rep, fmt.Errorf("hpl: residual %g exceeds threshold %g", res, ResidualThreshold)
-	}
-	return r, rep, nil
+	r, err := solveAndVerify(lu, ipiv, b, seed, opts.NB, opts.Sched.Par)
+	return r, rep, err
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tianhe/internal/element"
+	"tianhe/internal/sim"
 )
 
 func ckptConfig(variant element.Variant) Config {
@@ -74,7 +75,7 @@ func TestFailoverCheckpointBeatsScratchRestart(t *testing.T) {
 
 	failAt := healthy.Seconds * 0.5
 	scratch := base
-	scratch.FailAt = failAt
+	scratch.FailAts = []sim.Time{failAt}
 	scratchRes := Run(scratch)
 
 	ckpt := scratch
@@ -104,7 +105,7 @@ func TestFailoverCheckpointBeatsScratchRestart(t *testing.T) {
 
 func TestFailoverRunsAreDeterministic(t *testing.T) {
 	cfg := ckptConfig(element.ACMLGBoth)
-	cfg.FailAt = 20
+	cfg.FailAts = []sim.Time{20}
 	cfg.Checkpoint = true
 	a := Run(cfg)
 	b := Run(cfg)

@@ -73,23 +73,17 @@ func hybridBandWidth(nt, c0 int) int {
 }
 
 // hybridLastBandStart returns the starting column of the final band in the
-// hybrid layout over nt tile columns. Look-ahead preps reading a tile this
-// band writes would only become ready at the very end of the graph and
-// serialize the iteration boundary, so the ahead set stops short of it on
-// both sides of the handoff.
+// hybrid layout over nt tile columns, walking the bands hybridBandWidth lays
+// out. Look-ahead preps reading a tile this band writes would only become
+// ready at the very end of the graph and serialize the iteration boundary,
+// so the ahead set stops short of it on both sides of the handoff.
 func hybridLastBandStart(nt int) int {
 	if nt <= 1 {
 		return 0
 	}
-	if m := nt - 1; m < bandTiles+bandTiles/2 {
-		if m < bandTiles/2 {
-			return 1
-		}
-		return 1 + (m+1)/2
-	}
 	c0 := 1
-	for nt-c0 >= bandTiles+bandTiles/2 {
-		c0 += bandTiles
+	for w := hybridBandWidth(nt, c0); c0+w < nt; w = hybridBandWidth(nt, c0) {
+		c0 += w
 	}
 	return c0
 }
@@ -120,16 +114,14 @@ type Config struct {
 	// of every element resource. Nil disables instrumentation.
 	Telemetry *telemetry.Telemetry
 
-	// FailAt injects an element failure at the given virtual time: the run
-	// loses all volatile state when its clock first passes FailAt and
-	// resumes DefaultRestartSec later — from the last per-iteration checkpoint
-	// when Checkpoint is set, from iteration zero otherwise. Zero disables
-	// failure injection.
-	FailAt sim.Time
-	// FailAts schedules additional element failures beyond FailAt — K
-	// sequential deaths in one run, each recovered independently. ElementFail
-	// events carried by the SDC injector (composed scenarios like
-	// "element-fail+sdc-single") join the schedule too; see failureSchedule.
+	// FailAts injects element failures at the given virtual times — K
+	// sequential deaths in one run, each recovered independently: the run
+	// loses all volatile state when its clock first passes each instant and
+	// resumes DefaultRestartSec later — from the last per-iteration
+	// checkpoint when Checkpoint is set, from iteration zero otherwise.
+	// Instants <= 0 are ignored. ElementFail events carried by the SDC
+	// injector (composed scenarios like "element-fail+sdc-single") join the
+	// schedule too; see failureSchedule.
 	FailAts []sim.Time
 	// Checkpoint enables per-iteration checkpointing: after every iteration
 	// the factored panel is written out (costing the panel's bytes at
@@ -247,15 +239,12 @@ func DefaultNB(v element.Variant) int {
 // reload before the solver resumes.
 const DefaultRestartSec sim.Time = 30.0
 
-// failureSchedule merges every configured element-death instant — FailAt,
-// FailAts, and the ElementFail events of the attached injector (composed
+// failureSchedule merges every configured element-death instant — FailAts
+// and the ElementFail events of the attached injector (composed
 // scenarios layer element death onto sdc-* and lost-gpu) — into one
 // ascending schedule. Nil when the run is failure-free.
 func (cfg Config) failureSchedule() []sim.Time {
 	var out []sim.Time
-	if cfg.FailAt > 0 {
-		out = append(out, cfg.FailAt)
-	}
 	for _, at := range cfg.FailAts {
 		if at > 0 {
 			out = append(out, at)
@@ -742,7 +731,7 @@ func (st *graphStep) addBandUpdates() {
 			}
 		}
 		s.accs = accs
-		part, rows, bn, jb := s.part, st.trailing, bandN, st.jb
+		rows, bn, jb := st.trailing, bandN, st.jb
 		flops := 2 * float64(rows) * float64(bn) * float64(jb)
 		pri := 0
 		if c0 == 0 {
@@ -754,15 +743,10 @@ func (st *graphStep) addBandUpdates() {
 			Costs: s.gemmCosts,
 			Hybrid: &taskgraph.Hybrid{
 				Rows:       rows,
-				Split:      func() float64 { return part.GSplit(flops) },
+				Part:       s.part,
 				GPUSeconds: func(r int) float64 { return s.el.GPU.Model().KernelSeconds(r, bn, jb) },
 				CPUSeconds: func(r int) float64 { return s.el.CPU.Core(0).Seconds(r, bn, jb, true) },
-				CSplits:    part.CSplits,
 				FillSkew:   true,
-				Observe: func(gsplit, tg, tc float64, coreWorks, coreTimes []float64) {
-					part.Observe(adaptive.Observation{Work: flops, GSplit: gsplit, TG: tg, TC: tc,
-						CoreWorks: coreWorks, CoreTimes: coreTimes})
-				},
 			},
 		}, accs...)
 		c0 += w
@@ -850,7 +834,7 @@ func (s *Sim) Result() Result {
 }
 
 // Run simulates one Linpack execution and returns its timing. Element
-// failures (FailAt, FailAts, or ElementFail events on the SDC injector)
+// failures (FailAts, or ElementFail events on the SDC injector)
 // strike when the clock first passes each scheduled instant: the run
 // restores from the last checkpoint (Checkpoint true) or restarts from
 // iteration zero, resumes DefaultRestartSec after the failure, and the lost

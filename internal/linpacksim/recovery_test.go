@@ -40,7 +40,7 @@ func TestRestoreNewestAllGenerationsCorrupted(t *testing.T) {
 func TestCorruptedStoreFallsBackToCleanRestart(t *testing.T) {
 	cfg := Config{N: 9728, Variant: element.ACMLGBoth, Seed: 11, Checkpoint: true}
 	healthy := healthyHorizon(cfg)
-	cfg.FailAt = sim.Time(0.6 * healthy)
+	cfg.FailAts = []sim.Time{sim.Time(0.6 * healthy)}
 
 	// Baseline: the store is intact, so failover restores the last
 	// checkpoint and redoes at most the iteration in flight.

@@ -18,14 +18,14 @@ func redoGolden(t *testing.T, fail bool, checkpoint bool) (*telemetry.Telemetry,
 		// Half the healthy makespan; the healthy makespan is deterministic,
 		// so measure it once uninstrumented.
 		healthy := Run(Config{N: cfg.N, Variant: cfg.Variant, Seed: cfg.Seed})
-		cfg.FailAt = sim.Time(healthy.Seconds * 0.5)
+		cfg.FailAts = []sim.Time{sim.Time(healthy.Seconds * 0.5)}
 		cfg.Checkpoint = checkpoint
 	}
 	return tel, Run(cfg)
 }
 
 // TestRestoredRunDoesNotDoubleCountTelemetry is the checkpoint/restore
-// telemetry golden: spans and counters booked by iterations that a FailAt
+// telemetry golden: spans and counters booked by iterations that a failure
 // restore throws away must not count against the run's totals, so a failed-
 // and-restored run reports exactly the per-iteration event counts of an
 // uninterrupted run — the redone work replaces the lost work, it does not

@@ -6,16 +6,6 @@ import "fmt"
 // process-column communicators of a 2D grid. Every member must call the
 // collective with the identical member list (order included) and tag.
 
-// groupIndex returns the caller's position in members.
-func (c *Comm) groupIndex(members []int) int {
-	for i, r := range members {
-		if r == c.rank {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("mpi: rank %d not in group %v", c.rank, members))
-}
-
 // GroupBcast distributes data from members[rootIdx] over a binomial tree
 // within the group. Non-roots pass nil and receive the payload, which they
 // own as Recv's and may Release when finished; the root gets its own data
@@ -25,13 +15,17 @@ func (c *Comm) GroupBcast(members []int, rootIdx, tag int, data []float64) []flo
 	if n <= 1 {
 		return data
 	}
-	me := c.groupIndex(members)
+	// Rotate the group so the root is virtual rank 0, then run the standard
+	// binomial tree on virtual ranks.
+	me := c.indexOf(members, c.rank)
 	vrank := (me - rootIdx + n) % n
 	toReal := func(v int) int { return members[(v+rootIdx)%n] }
 	if vrank != 0 {
 		parent := vrank &^ lowestBit(vrank)
 		data = c.Recv(toReal(parent), tag)
 	}
+	// Forward to children: vrank + 2^k for 2^k > lowestBit(vrank) while in
+	// range. Root (vrank 0) sends to 1, 2, 4, ...
 	limit := lowestBit(vrank)
 	if vrank == 0 {
 		limit = n
@@ -51,7 +45,7 @@ func (c *Comm) GroupMaxLoc(members []int, tag int, val float64) (best float64, w
 	if n == 1 {
 		return val, 0
 	}
-	me := c.groupIndex(members)
+	me := c.indexOf(members, c.rank)
 	if me == 0 {
 		best, winnerIdx = val, 0
 		seen := 1
@@ -75,6 +69,7 @@ func (c *Comm) GroupMaxLoc(members []int, tag int, val float64) (best float64, w
 	return best, winnerIdx
 }
 
+// indexOf returns rank's position in members.
 func (c *Comm) indexOf(members []int, rank int) int {
 	for i, r := range members {
 		if r == rank {

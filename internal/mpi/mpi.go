@@ -55,7 +55,8 @@ type World struct {
 	maxAttempts     int
 	probes          *worldProbes // nil when telemetry is disabled
 
-	queues map[int]*rankQueue // keyed by destination rank
+	queues []*rankQueue // by destination rank
+	ranks  []int        // 0..size-1: the whole world as a group
 	comms  []*Comm
 
 	// payloads recycles message storage: Send copies into a slice taken
@@ -158,7 +159,8 @@ func NewWorld(cfg Config) *World {
 		retryTimeout:    cfg.RetryTimeout,
 		maxAttempts:     cfg.MaxSendAttempts,
 		probes:          newWorldProbes(cfg.Telemetry, cfg.Label),
-		queues:          make(map[int]*rankQueue, cfg.Size),
+		queues:          make([]*rankQueue, cfg.Size),
+		ranks:           make([]int, cfg.Size),
 	}
 	label := cfg.Label
 	if label == "" {
@@ -167,7 +169,7 @@ func NewWorld(cfg Config) *World {
 	for r := 0; r < cfg.Size; r++ {
 		q := &rankQueue{}
 		q.cond = sync.NewCond(&q.mu)
-		w.queues[r] = q
+		w.queues[r], w.ranks[r] = q, r
 		c := &Comm{world: w, rank: r, clock: sim.NewClock()}
 		if w.probes != nil {
 			c.track = fmt.Sprintf("%s.rank%03d", label, r)
@@ -343,31 +345,10 @@ func (c *Comm) RecvFrom(src, tag int) ([]float64, int) {
 
 // Bcast distributes data from root over a binomial tree; every rank must
 // call it with the same tag. Non-roots pass nil and receive the payload,
-// which they own as Recv's; the root gets its own data back.
+// which they own as Recv's; the root gets its own data back. It is
+// GroupBcast over the whole world.
 func (c *Comm) Bcast(root, tag int, data []float64) []float64 {
-	size := c.world.size
-	if size == 1 {
-		return data
-	}
-	// Rotate ranks so the root is virtual rank 0, then run the standard
-	// binomial tree on virtual ranks.
-	vrank := (c.rank - root + size) % size
-	toReal := func(v int) int { return (v + root) % size }
-	if vrank != 0 {
-		// Receive from the parent first.
-		parent := vrank &^ lowestBit(vrank)
-		data = c.Recv(toReal(parent), tag)
-	}
-	// Forward to children: vrank + 2^k for 2^k > lowestBit(vrank) while in
-	// range. Root (vrank 0) sends to 1, 2, 4, ...
-	limit := lowestBit(vrank)
-	if vrank == 0 {
-		limit = size
-	}
-	for bit := 1; bit < limit && vrank+bit < size; bit <<= 1 {
-		c.Send(toReal(vrank+bit), tag, data)
-	}
-	return data
+	return c.GroupBcast(c.world.ranks, root, tag, data)
 }
 
 func lowestBit(v int) int {

@@ -225,26 +225,22 @@ func (s *Sweep) Graph() *taskgraph.Graph {
 			if s.part != nil {
 				// The splittable extent is the slab's XY-rows: the written
 				// slab divides cleanly along Y×Z, each row carrying NX cells.
-				// CSplits stays nil — the memory-bound kernel runs at the
-				// same streaming rate on every core, so equal shares are
-				// already balanced.
+				// The memory-bound kernel runs at the same streaming rate
+				// on every core, so equal host shares are already balanced.
 				rows := cfg.NY * depth(b)
 				rowFlops := flopsPerCell * float64(cfg.NX)
 				task.Hybrid = &taskgraph.Hybrid{
-					Rows:       rows,
-					Split:      func() float64 { return s.part.GSplit(flops) },
-					GPUSeconds: func(r int) float64 { return rowFlops * float64(r) / (GPUStencilGFLOPS * 1e9) },
-					CPUSeconds: func(r int) float64 { return rowFlops * float64(r) / (CPUStencilGFLOPS * 1e9) },
+					Rows:        rows,
+					Part:        s.part,
+					GPUSeconds:  func(r int) float64 { return rowFlops * float64(r) / (GPUStencilGFLOPS * 1e9) },
+					CPUSeconds:  func(r int) float64 { return rowFlops * float64(r) / (CPUStencilGFLOPS * 1e9) },
+					EqualShares: true,
 					// The halo reads divide with the written rows — the device
 					// half needs its row share plus a halo sliver, which the
 					// row fraction already bounds — so the upload scales with
 					// the split instead of shipping three whole slabs.
 					SplitReads: true,
 					FillSkew:   true,
-					Observe: func(gsplit, tg, tc float64, coreWorks, coreTimes []float64) {
-						s.part.Observe(adaptive.Observation{Work: flops, GSplit: gsplit, TG: tg, TC: tc,
-							CoreWorks: coreWorks, CoreTimes: coreTimes})
-					},
 				}
 			}
 			if s.buf[0] != nil {

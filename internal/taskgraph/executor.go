@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tianhe/internal/abft"
+	"tianhe/internal/adaptive"
 	"tianhe/internal/gpu"
 	"tianhe/internal/sim"
 )
@@ -136,8 +137,9 @@ func (r *run) bookHybrid(t *Task, c *candidates, readyAt sim.Time) booking {
 	cpuEnd := hostReady
 	maxSlice := sim.Time(0)
 	nUsed := 0
-	coreWorks := make([]float64, len(r.cores))
-	coreTimes := make([]float64, len(r.cores))
+	coreWorks, coreTimes := r.coreWorks, r.coreTimes
+	clear(coreWorks)
+	clear(coreTimes)
 	for ci, rc := range c.shares {
 		if rc == 0 {
 			continue
@@ -173,29 +175,28 @@ func (r *run) bookHybrid(t *Task, c *candidates, readyAt sim.Time) booking {
 		measured = max(measured, maxSlice)
 	}
 	r.s.rates.ObserveClass(t.Codelet, ClassHyb, t.Flops, measured)
-	if h.Observe != nil {
-		tc := maxSlice
-		if h.FillSkew && cpuEnd > hostReady {
-			// Skew-filled slabs start before the kernel; measure them in the
-			// kernel-start frame so a synchronized join reads as tc == tg and
-			// the oracle keeps the capacity balance instead of re-learning
-			// the skew the scheduler already fills.
-			if tc = cpuEnd - sp.Start; tc <= 0 {
-				tc = maxSlice
-			}
+	tc := maxSlice
+	if h.FillSkew && cpuEnd > hostReady {
+		// Skew-filled slabs start before the kernel; measure them in the
+		// kernel-start frame so a synchronized join reads as tc == tg and
+		// the oracle keeps the capacity balance instead of re-learning
+		// the skew the scheduler already fills.
+		if tc = cpuEnd - sp.Start; tc <= 0 {
+			tc = maxSlice
 		}
-		// The oracle's tc is normalized by the participating-core fraction:
-		// a split that dropped busy cores measured only part of the
-		// element's CPU capacity, and feeding the raw slab time would teach
-		// database_g a ratio that ping-pongs between the full-core and
-		// reduced-core regimes instead of the machine's actual GPU:CPU
-		// capacity (the dropping mechanism already rescales the row shares
-		// deterministically at the next placement).
-		if nUsed > 0 && nUsed < len(r.cores) {
-			tc = tc * sim.Time(nUsed) / sim.Time(len(r.cores))
-		}
-		h.Observe(float64(m1)/float64(h.Rows), float64(tg), float64(tc), coreWorks, coreTimes)
 	}
+	// The oracle's tc is normalized by the participating-core fraction:
+	// a split that dropped busy cores measured only part of the
+	// element's CPU capacity, and feeding the raw slab time would teach
+	// database_g a ratio that ping-pongs between the full-core and
+	// reduced-core regimes instead of the machine's actual GPU:CPU
+	// capacity (the dropping mechanism already rescales the row shares
+	// deterministically at the next placement).
+	if nUsed > 0 && nUsed < len(r.cores) {
+		tc = tc * sim.Time(nUsed) / sim.Time(len(r.cores))
+	}
+	h.Part.Observe(adaptive.Observation{Work: t.Flops, GSplit: float64(m1) / float64(h.Rows),
+		TG: float64(tg), TC: float64(tc), CoreWorks: coreWorks, CoreTimes: coreTimes})
 	r.rep.TasksHyb++
 	return booking{class: ClassHyb, device: fmt.Sprintf("hyb(g%d)", m1), sp: sp,
 		devEnd: gpuEnd, hostEnd: cpuEnd, devRows: m1}

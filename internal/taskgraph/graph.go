@@ -16,6 +16,8 @@ import (
 	"math"
 	"slices"
 	"strconv"
+
+	"tianhe/internal/adaptive"
 )
 
 // AccessMode declares how a task touches a handle.
@@ -90,30 +92,39 @@ type Costs struct {
 // adaptive GSplit, exactly the way the monolithic hybrid runner slab-splits a
 // trailing update (level 1 GPU/CPU split, level 2 per-core split). The
 // scheduler treats it as a placement candidate alongside the whole-CPU and
-// whole-GPU bodies and books both halves: the device gets round(Rows*Split())
-// rows, the host cores share the rest. Data semantics follow the row split —
-// read handles are needed whole on both sides, written handles are split, the
-// device's rows streaming back at the join so the host copy stays
-// authoritative. The real host body (Task.Run) is unchanged: like every
-// placement, a hybrid booking is a timing decision, so factors stay
-// bit-identical whichever variant wins.
+// whole-GPU bodies and books both halves: the device gets
+// round(Rows*Part.GSplit(Flops)) rows, the host cores share the rest. Data
+// semantics follow the row split — read handles are needed whole on both
+// sides, written handles are split, the device's rows streaming back at the
+// join so the host copy stays authoritative. The real host body (Task.Run) is
+// unchanged: like every placement, a hybrid booking is a timing decision, so
+// factors stay bit-identical whichever variant wins.
 type Hybrid struct {
 	// Rows is the splittable extent — the written tile's row count. Must be
 	// positive.
 	Rows int
-	// Split returns the current GPU fraction from the split oracle
-	// (adaptive database_g, keyed by this task's work bucket). Fractions
-	// that round to 0 or Rows rows degrade the candidate to the pure CPU or
-	// GPU body.
-	Split func() float64
+	// Part is the split oracle, shared by every hybrid task of a graph:
+	// GSplit(Flops) gives the device fraction (adaptive database_g, keyed by
+	// the task's work bucket) — fractions that round to 0 or Rows rows
+	// degrade the candidate to the pure CPU or GPU body — CSplits the
+	// per-core shares of the host half (database_c), and after the join
+	// Observe receives the measured halves: GSplit the row fraction actually
+	// placed on the device, TG and TC the per-side intrinsic durations
+	// (device half compute- or stream-bound, TC the slowest core slab scaled
+	// by the fraction of cores that participated, so the oracle's P_C always
+	// describes the whole element's CPU capacity), and CoreWorks and
+	// CoreTimes the level-2 feedback — the flops assigned to and time taken
+	// by each host core, zero for cores that sat the split out. The two
+	// slices are the run's scratch, valid only during the call.
+	Part adaptive.Partitioner
 	// GPUSeconds models the kernel duration of a rows-high device half.
 	GPUSeconds func(rows int) float64
 	// CPUSeconds models the duration of a rows-high slab on one host core.
 	CPUSeconds func(rows int) float64
-	// CSplits writes the per-core share vector for the host half (adaptive
-	// database_c) into dst's storage and returns it; nil means equal shares
-	// across the element's cores.
-	CSplits func(dst []float64) []float64
+	// EqualShares gives every usable core the same weight in the host half
+	// instead of Part's per-core shares: right for codelets that run at the
+	// same rate on every core, where the learned shares only add noise.
+	EqualShares bool
 	// SplitReads declares the task's read handles row-local: the device half
 	// needs only its row share of each read, not the whole handle. GEMM-class
 	// codelets leave it false (the k-panels are needed whole on both sides);
@@ -129,17 +140,6 @@ type Hybrid struct {
 	// the same skew; graph tasks opt in because the refinement moves rows
 	// away from the oracle's split.
 	FillSkew bool
-	// Observe feeds the measured halves back to the split oracle after the
-	// join: gsplit is the row fraction actually placed on the device, tg
-	// and tc the per-side intrinsic durations (device half compute- or
-	// stream-bound, tc the slowest core slab scaled by the fraction of
-	// cores that participated, so the oracle's P_C always describes the
-	// whole element's CPU capacity). coreWorks and coreTimes
-	// carry the level-2 feedback — the flops assigned to and time taken by
-	// each host core, zero for cores that sat the split out — so the
-	// adaptive database_c can rebalance the host shares. nil disables
-	// feedback.
-	Observe func(gsplit, tg, tc float64, coreWorks, coreTimes []float64)
 }
 
 // Task is one node of the graph. Builders fill the exported fields of a Task
@@ -280,7 +280,7 @@ func (g *Graph) Add(task Task, accs ...Access) *Task {
 		if task.Costs.CPUSeconds == nil || task.Costs.GPUSeconds == nil {
 			panic(fmt.Sprintf("taskgraph: hybrid task %q must declare both single-device bodies", task.Name))
 		}
-		if h.Rows <= 0 || h.Split == nil || h.GPUSeconds == nil || h.CPUSeconds == nil {
+		if h.Rows <= 0 || h.Part == nil || h.GPUSeconds == nil || h.CPUSeconds == nil {
 			panic(fmt.Sprintf("taskgraph: hybrid task %q has an incomplete hybrid descriptor", task.Name))
 		}
 	}

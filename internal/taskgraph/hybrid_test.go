@@ -3,27 +3,49 @@ package taskgraph
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"tianhe/internal/abft"
+	"tianhe/internal/adaptive"
 	"tianhe/internal/element"
 	"tianhe/internal/fault"
 )
 
+// fixedSplit is a split oracle that always answers split, unclamped —
+// adaptive.NewStatic clamps to [0.02, 0.995], and the degenerate-split test
+// needs fractions outside that — and records every observation it is fed.
+type fixedSplit struct {
+	split float64
+	obs   []adaptive.Observation
+}
+
+func (f *fixedSplit) Name() string                    { return "fixed" }
+func (f *fixedSplit) GSplit(float64) float64          { return f.split }
+func (f *fixedSplit) CSplits(dst []float64) []float64 { return dst[:0] }
+
+// Observe keeps a copy of the level-2 slices: the scheduler lends its own.
+func (f *fixedSplit) Observe(o adaptive.Observation) {
+	o.CoreWorks, o.CoreTimes = slices.Clone(o.CoreWorks), slices.Clone(o.CoreTimes)
+	f.obs = append(f.obs, o)
+}
+
 // hybTask builds a GEMM-like task whose hybrid body splits rows at the given
-// fraction. The whole-device bodies cost cpuSec/gpuSec; both halves scale
-// linearly with their row share (the CPU model is per-core, so an equal
-// three-core split finishes in a third of the slab time).
+// fraction, equally across the usable cores. The whole-device bodies cost
+// cpuSec/gpuSec; both halves scale linearly with their row share (the CPU
+// model is per-core, so an equal three-core split finishes in a third of the
+// slab time).
 func hybTask(name string, rows int, split, cpuSec, gpuSec float64) Task {
 	return Task{
 		Name: name, Codelet: "hgemm", Flops: 1e9,
 		Costs: bothCosts(cpuSec, gpuSec),
 		Hybrid: &Hybrid{
-			Rows:       rows,
-			Split:      func() float64 { return split },
-			GPUSeconds: func(r int) float64 { return gpuSec * float64(r) / float64(rows) },
-			CPUSeconds: func(r int) float64 { return cpuSec * float64(r) / float64(rows) },
+			Rows:        rows,
+			Part:        &fixedSplit{split: split},
+			GPUSeconds:  func(r int) float64 { return gpuSec * float64(r) / float64(rows) },
+			CPUSeconds:  func(r int) float64 { return cpuSec * float64(r) / float64(rows) },
+			EqualShares: true,
 		},
 	}
 }
@@ -102,22 +124,20 @@ func TestHybridObserveFeedsSplitOracle(t *testing.T) {
 	sch := NewScheduler(el, Options{})
 	g := New()
 	h := g.NewHandle("h", 1<<20)
-	var gotSplit, gotTG, gotTC float64
-	calls := 0
 	tk := hybTask("upd", 200, 0.5, 3.0, 1.0)
-	var gotWorks, gotTimes []float64
-	tk.Hybrid.Observe = func(gsplit, tg, tc float64, coreWorks, coreTimes []float64) {
-		calls++
-		gotSplit, gotTG, gotTC = gsplit, tg, tc
-		gotWorks, gotTimes = coreWorks, coreTimes
-	}
+	oracle := tk.Hybrid.Part.(*fixedSplit)
 	g.Add(tk, Access{h, ReadWrite})
 	if _, err := sch.Run(g, 0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if calls != 1 {
-		t.Fatalf("Observe called %d times, want 1", calls)
+	if len(oracle.obs) != 1 {
+		t.Fatalf("Observe called %d times, want 1", len(oracle.obs))
 	}
+	o := oracle.obs[0]
+	if o.Work != tk.Flops {
+		t.Errorf("observed work = %v, want the task's %v flops", o.Work, tk.Flops)
+	}
+	gotSplit, gotTG, gotTC, gotWorks, gotTimes := o.GSplit, o.TG, o.TC, o.CoreWorks, o.CoreTimes
 	if gotSplit != 0.5 {
 		t.Errorf("observed gsplit = %v, want 0.5", gotSplit)
 	}

@@ -95,7 +95,7 @@ func (z *splitSizer) coreFree(ci int) sim.Time { return max(z.readyAt, z.avail[c
 // candidates.
 func (r *run) estimateHybrid(t *Task, readyAt sim.Time, c *candidates) {
 	h := t.Hybrid
-	m1 := int(math.Round(float64(h.Rows) * h.Split()))
+	m1 := int(math.Round(float64(h.Rows) * h.Part.GSplit(t.Flops)))
 	if m1 <= 0 || m1 >= h.Rows {
 		return
 	}
@@ -131,8 +131,8 @@ func (r *run) estimateHybrid(t *Task, readyAt sim.Time, c *candidates) {
 		return
 	}
 	var cs []float64
-	if h.CSplits != nil {
-		z.cs = h.CSplits(z.cs)
+	if !h.EqualShares {
+		z.cs = h.Part.CSplits(z.cs)
 		if cs = z.cs; len(cs) != len(r.cores) {
 			cs = nil
 		}

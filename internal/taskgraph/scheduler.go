@@ -201,6 +201,7 @@ func (s *Scheduler) emptyRun() run {
 		s: s, dev: s.el.GPU, cores: cores,
 		coreNames: make([]string, n),
 		window:    s.el.GPU.MemBytes() / 4,
+		coreWorks: make([]float64, n), coreTimes: make([]float64, n),
 		sizer: splitSizer{avail: make([]sim.Time, n), usable: make([]bool, n),
 			fr: make([]float64, n), caps: make([]int, n), w: make([]float64, n)},
 	}
@@ -344,6 +345,10 @@ type run struct {
 	window int64
 	cand   candidates // the cost step's answer for the task being placed
 	sizer  splitSizer
+
+	// coreWorks and coreTimes are a hybrid booking's level-2 feedback, by
+	// core, lent to the oracle's Observe.
+	coreWorks, coreTimes []float64
 
 	deps   []sim.Span // kernel dependencies of the booking in flight
 	lateUp []*Handle  // its fresh reads riding the in-stream under the kernel
