@@ -58,6 +58,21 @@ const (
 	replayGPURate   = 80e9 // flops/s for the rebuild codelet's GPU variant
 )
 
+// The rebuild graph's codelets. XOR folds, historical-panel unswapping and
+// regeneration each stream 8 bytes per flop of work at memory rate; the
+// replay codelet's cost is its work, whichever column and iteration.
+var (
+	rebuildXOR    = &taskgraph.Codelet{Name: "rebuild.xor", CPUSeconds: rebuildMemSeconds}
+	rebuildHist   = &taskgraph.Codelet{Name: "rebuild.hist", CPUSeconds: rebuildMemSeconds}
+	rebuildGen    = &taskgraph.Codelet{Name: "rebuild.gen", CPUSeconds: rebuildMemSeconds}
+	rebuildReplay = &taskgraph.Codelet{Name: "rebuild.replay",
+		CPUSeconds: func(t *taskgraph.Task, _ int) float64 { return t.Flops / replayCPURate },
+		GPUSeconds: func(t *taskgraph.Task, _ int) float64 { return t.Flops / replayGPURate },
+	}
+)
+
+func rebuildMemSeconds(t *taskgraph.Task, _ int) float64 { return 8 * t.Flops / elasticMemBps }
+
 // Tags for the elastic solver's communication phases (fresh world, so the
 // space is private; +k%8 rotation within each 16-wide band).
 const (
@@ -589,11 +604,8 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 		}
 		g.Add(taskgraph.Task{
 			Name:    fmt.Sprintf("xor%03d", rb.Col),
-			Codelet: "rebuild.xor",
+			Codelet: rebuildXOR,
 			Flops:   float64(members+1) * float64(n*nb),
-			Costs: taskgraph.Costs{CPUSeconds: func(*taskgraph.Task) float64 {
-				return float64(members+1) * float64(8*n*nb) / elasticMemBps
-			}},
 			Run: func() {
 				acc := parityIn[rb.Stripe]
 				for _, c := range s.Cols {
@@ -616,11 +628,8 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 		}
 		g.Add(taskgraph.Task{
 			Name:    "hist",
-			Codelet: "rebuild.hist",
+			Codelet: rebuildHist,
 			Flops:   float64(k) * float64(n*nb),
-			Costs: taskgraph.Costs{CPUSeconds: func(*taskgraph.Task) float64 {
-				return float64(k) * float64(8*n*nb) / elasticMemBps
-			}},
 			Run: func() {
 				for i := 0; i < k; i++ {
 					hist[i] = st.unswapPanel(factored[i], i, k)
@@ -628,12 +637,7 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 			},
 		}, append(reads, taskgraph.Access{H: histH, Mode: taskgraph.Write})...)
 		// Replay chains: regenerate, then apply iterations 0..k-1 with the
-		// exact per-column call shapes of the live loop. The replay codelet's
-		// cost is its work, whichever column and iteration.
-		replayCosts := taskgraph.Costs{
-			CPUSeconds: func(t *taskgraph.Task) float64 { return t.Flops / replayCPURate },
-			GPUSeconds: func(t *taskgraph.Task) float64 { return t.Flops / replayGPURate },
-		}
+		// exact per-column call shapes of the live loop.
 		for _, rb := range mine {
 			if rb.Source != rcv.FromReplay {
 				continue
@@ -643,11 +647,8 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 			st.cols[rb.Col] = col
 			g.Add(taskgraph.Task{
 				Name:    fmt.Sprintf("gen%03d", rb.Col),
-				Codelet: "rebuild.gen",
+				Codelet: rebuildGen,
 				Flops:   float64(n * nb),
-				Costs: taskgraph.Costs{CPUSeconds: func(*taskgraph.Task) float64 {
-					return float64(8*n*nb) / elasticMemBps
-				}},
 				Run: func() {
 					hpl.FillMatrix(col, n, st.cfg.Seed, 0, rb.Col*nb)
 				},
@@ -657,11 +658,10 @@ func (st *elasticRank) runRebuildGraph(plan rcv.Plan, factored [][]float64, pari
 				m := n - i*nb
 				g.Add(taskgraph.Task{
 					Name:     fmt.Sprintf("rep%03d.%03d", rb.Col, i),
-					Codelet:  "rebuild.replay",
+					Codelet:  rebuildReplay,
 					Flops:    2 * float64(m-nb) * float64(nb) * float64(nb),
 					Shape:    [3]int{m - nb, nb, nb},
 					Priority: 1,
-					Costs:    replayCosts,
 					Run: func() {
 						st.replayIteration(col, hist[i], i)
 					},

@@ -24,26 +24,32 @@ const (
 // wholeGraphAllocsPerTaskCeiling and wholeGraphBytesPerTaskCeiling bound
 // what building the whole-factorization graph at the paper's size (N=46080,
 // NB=1216, look-ahead 1: 19,019 tasks) and running it once on a fresh
-// Scheduler allocates per task. Measured 1.16 allocations and 548.7 bytes on
+// Scheduler allocates per task. Measured 1.09 allocations and 521.8 bytes on
 // amd64: each task's name, each handle's name, slab chunks, the task index
 // and reader link table sized once by Graph.Grow, and the Run's scratch
-// sized to the graph. It was 1.63 allocations while every handle kept its
-// own reader slice and the dependency marks grew as a slice beside the
-// tasks, and 1.17 allocations and 599.3 bytes while the task index and the
-// link table grew by append. The allocation ceiling sits about 15 % above
-// its measurement, the byte ceiling 2 %: regrowing either table costs more.
+// sized to the graph. It was 1.16 allocations and 548.7 bytes while every
+// swap and prep carried a cost closure of its own and a Task held its cost
+// functions and hybrid descriptor (176 bytes, now 152), 1.63 allocations
+// while every handle kept its own reader slice and the dependency marks grew
+// as a slice beside the tasks, and 1.17 allocations and 599.3 bytes while
+// the task index and the link table grew by append. The allocation ceiling
+// sits about 15 % above its measurement, the byte ceiling 2 %: regrowing
+// either table costs more.
 const (
-	wholeGraphAllocsPerTaskCeiling = 1.34
-	wholeGraphBytesPerTaskCeiling  = 560
+	wholeGraphAllocsPerTaskCeiling = 1.25
+	wholeGraphBytesPerTaskCeiling  = 532
 )
 
 // wholeGraphHybridAllocsPerTaskCeiling bounds the allocations per task of
 // building the hybrid whole-factorization graph at the same size and running
-// it once with the LU rate seeds. Measured 9.55 on amd64; it was 13.8 while
-// every trailing update carried three adapter closures around the split
-// oracle and each hybrid booking made its two level-2 feedback slices. The
-// ceiling sits about 15 % above the measurement.
-const wholeGraphHybridAllocsPerTaskCeiling = 11.0
+// it once with the LU rate seeds. Measured 2.55 on amd64; it was 9.55 while
+// every trailing update carried its own hybrid descriptor and two row-cost
+// closures and every core slab of a hybrid booking formatted its label
+// whether or not anything read it, and 13.8 while every trailing update
+// carried three adapter closures around the split oracle and each hybrid
+// booking made its two level-2 feedback slices. The ceiling sits about 15 %
+// above the measurement.
+const wholeGraphHybridAllocsPerTaskCeiling = 2.95
 
 // allocMB returns the megabytes f allocates.
 func allocMB(f func()) float64 {

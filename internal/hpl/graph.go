@@ -125,18 +125,13 @@ type luBuilder struct {
 	iterStart []int
 	accs      []taskgraph.Access // scratch for column-long access lists
 
-	// The codelets' cost functions, shared by all their tasks.
-	panelCosts, gemmCosts taskgraph.Costs
-	// part is the split oracle hybrid bodies consult: database_g keyed by
-	// tile work decides the GPU row fraction, database_c the per-core shares
-	// of the host half, starting from the element's peak ratio.
-	part adaptive.Partitioner
-	el   *element.Element
+	// The codelets, each shared by all its tasks.
+	panel, swap, trsm, gemm *taskgraph.Codelet
 }
 
 func (b *luBuilder) tile(r, c int) *taskgraph.Handle { return b.tiles[r*b.geo.t+c] }
 
-// newLUBuilder registers the handles and makes the per-codelet cost functions.
+// newLUBuilder registers the handles and makes the codelets.
 func newLUBuilder(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs []error, opts GraphOptions) *luBuilder {
 	geo := luTiles{n: n, nb: opts.NB, t: (n + opts.NB - 1) / opts.NB}
 	core, gpu := el.CPU.Core(0), el.GPU
@@ -144,7 +139,6 @@ func newLUBuilder(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs 
 		g: taskgraph.New(), geo: geo, a: a, ipiv: ipiv, errs: errs, opts: opts,
 		tiles: make([]*taskgraph.Handle, geo.t*geo.t),
 		pivs:  make([]*taskgraph.Handle, geo.t),
-		el:    el,
 	}
 	for r := 0; r < geo.t; r++ {
 		for c := 0; c < geo.t; c++ {
@@ -155,19 +149,32 @@ func newLUBuilder(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs 
 	for k := 0; k < geo.t; k++ {
 		b.pivs[k] = b.g.NewHandle(taskgraph.Name("piv(%d)", k), 8*int64(geo.width(k)))
 	}
-	b.panelCosts.CPUSeconds = func(t *taskgraph.Task) float64 { return t.Flops / (perfmodel.HostPanelGFLOPS * 1e9) }
-	b.gemmCosts = taskgraph.Costs{
-		CPUSeconds: func(t *taskgraph.Task) float64 { return core.Seconds(t.Shape[0], t.Shape[1], t.Shape[2], false) },
-		GPUSeconds: func(t *taskgraph.Task) float64 {
-			return gpu.Model().KernelSeconds(t.Shape[0], t.Shape[1], t.Shape[2])
+	b.panel = &taskgraph.Codelet{Name: "lu.panel",
+		CPUSeconds: func(t *taskgraph.Task, _ int) float64 { return t.Flops / (perfmodel.HostPanelGFLOPS * 1e9) }}
+	// A swap moves the pivot rows of its jb×cw Shape; a prep swaps, then
+	// solves.
+	swapSeconds := func(t *taskgraph.Task, _ int) float64 {
+		return 16 * float64(t.Shape[0]) * float64(t.Shape[1]) / (graphSwapGBps * 1e9)
+	}
+	b.swap = &taskgraph.Codelet{Name: "lu.swap", CPUSeconds: swapSeconds}
+	b.trsm = &taskgraph.Codelet{Name: "lu.trsm", CPUSeconds: func(t *taskgraph.Task, _ int) float64 {
+		return swapSeconds(t, 0) + t.Flops/(perfmodel.HostTrsmGFLOPS*1e9)
+	}}
+	// An update's rows are its tile's rows; a rows-high slab of it has the
+	// shape (rows, Shape[1], Shape[2]).
+	b.gemm = &taskgraph.Codelet{Name: "lu.gemm",
+		CPUSeconds: func(t *taskgraph.Task, rows int) float64 { return core.Seconds(rows, t.Shape[1], t.Shape[2], false) },
+		GPUSeconds: func(t *taskgraph.Task, rows int) float64 {
+			return gpu.Model().KernelSeconds(rows, t.Shape[1], t.Shape[2])
 		},
 	}
 	if opts.Hybrid {
-		// Bucket splits by tile work: full NB³ update tiles land in the top
-		// bucket, the narrower edge tiles in lower ones — the same shape
-		// keying the monolithic loop's database_g uses for trailing updates.
+		// The split oracle starts from the element's peak ratio and buckets
+		// by tile work: full NB³ update tiles land in the top bucket, the
+		// narrower edge tiles in lower ones — the same shape keying the
+		// monolithic loop's database_g uses for trailing updates.
 		maxWork := 2 * float64(opts.NB) * float64(opts.NB) * float64(opts.NB)
-		b.part = adaptive.NewAdaptive(64, maxWork, el.InitialGSplit(), el.CPU.NumCores())
+		b.gemm.Hybrid = &taskgraph.Hybrid{Part: adaptive.NewAdaptive(64, maxWork, el.InitialGSplit(), el.CPU.NumCores())}
 	}
 	return b
 }
@@ -191,10 +198,9 @@ func (b *luBuilder) addPanel(k int) {
 	mp := b.geo.n - j // panel height
 	panel := taskgraph.Task{
 		Name:     taskgraph.Name("panel(%d)", k),
-		Codelet:  "lu.panel",
+		Codelet:  b.panel,
 		Flops:    float64(jb) * float64(jb) * (float64(mp) - float64(jb)/3),
 		Priority: 3,
-		Costs:    b.panelCosts,
 	}
 	if a != nil {
 		panel.Run = func() {
@@ -218,9 +224,10 @@ func (b *luBuilder) addPanel(k int) {
 
 // addSwapsAndPreps books panel k's pivots onto every other column block:
 // swap(k,c) on the already-factored columns to the left, prep(k,c) — pivots
-// plus the U12 triangular solve — on the right. Their costs need the panel
-// and column widths, which a task does not carry, so each keeps a cost
-// function of its own; there are O(t²) of them against O(t³) updates.
+// plus the U12 triangular solve — on the right. Both carry the panel and
+// column widths as their Shape (jb, cw, jb), which their codelets read: no
+// task keeps a cost function of its own, and being host-only they are never
+// verified.
 func (b *luBuilder) addSwapsAndPreps(k int) {
 	a, ipiv, n := b.a, b.ipiv, b.geo.n
 	j, jb := b.geo.off(k), b.geo.width(k)
@@ -229,14 +236,13 @@ func (b *luBuilder) addSwapsAndPreps(k int) {
 			continue
 		}
 		c0, cw := b.geo.off(c), b.geo.width(c)
-		swapSec := 16 * float64(jb) * float64(cw) / (graphSwapGBps * 1e9)
 		pivots := taskgraph.Access{H: b.pivs[k], Mode: taskgraph.Read}
 		if c < k {
 			t := taskgraph.Task{
 				Name:     taskgraph.Name("swap(%d,%d)", k, c),
-				Codelet:  "lu.swap",
+				Codelet:  b.swap,
+				Shape:    [3]int{jb, cw, jb},
 				Priority: 1,
-				Costs:    taskgraph.Costs{CPUSeconds: func(*taskgraph.Task) float64 { return swapSec }},
 			}
 			if a != nil {
 				t.Run = func() { blas.Dlaswp(a.View(0, c0, n, cw), ipiv, j, j+jb) }
@@ -246,12 +252,10 @@ func (b *luBuilder) addSwapsAndPreps(k int) {
 		}
 		t := taskgraph.Task{
 			Name:     taskgraph.Name("prep(%d,%d)", k, c),
-			Codelet:  "lu.trsm",
+			Codelet:  b.trsm,
 			Flops:    float64(jb) * float64(jb) * float64(cw),
+			Shape:    [3]int{jb, cw, jb},
 			Priority: 2,
-			Costs: taskgraph.Costs{CPUSeconds: func(t *taskgraph.Task) float64 {
-				return swapSec + t.Flops/(perfmodel.HostTrsmGFLOPS*1e9)
-			}},
 		}
 		if a != nil {
 			t.Run = func() {
@@ -268,7 +272,7 @@ func (b *luBuilder) addSwapsAndPreps(k int) {
 // addUpdates books iteration k's trailing update, upd(k,r,c) for every tile
 // below and right of the diagonal block, column by column.
 func (b *luBuilder) addUpdates(k int) {
-	a, part, core, gpu := b.a, b.part, b.el.CPU.Core(0), b.el.GPU
+	a := b.a
 	j, jb := b.geo.off(k), b.geo.width(k)
 	for c := k + 1; c < b.geo.t; c++ {
 		c0, cw := b.geo.off(c), b.geo.width(c)
@@ -276,18 +280,10 @@ func (b *luBuilder) addUpdates(k int) {
 			r0, rh := b.geo.off(r), b.geo.width(r)
 			t := taskgraph.Task{
 				Name:    taskgraph.Name("upd(%d,%d,%d)", k, r, c),
-				Codelet: "lu.gemm",
+				Codelet: b.gemm,
 				Flops:   2 * float64(rh) * float64(cw) * float64(jb),
 				Shape:   [3]int{rh, cw, jb},
-				Costs:   b.gemmCosts,
-			}
-			if part != nil {
-				t.Hybrid = &taskgraph.Hybrid{
-					Rows:       rh,
-					Part:       part,
-					GPUSeconds: func(rows int) float64 { return gpu.Model().KernelSeconds(rows, cw, jb) },
-					CPUSeconds: func(rows int) float64 { return core.Seconds(rows, cw, jb, false) },
-				}
+				Rows:    rh,
 			}
 			if a != nil {
 				t.Run = func() {

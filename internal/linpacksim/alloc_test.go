@@ -11,7 +11,8 @@ import (
 // allocsPerTaskCeiling and bytesPerTaskCeiling bound what one graph-stepper
 // run at the paper's size allocates per task it schedules, everything
 // included: the Sim, its element, the graph, the scheduler's scratch and the
-// first iteration's handle names. Measured 1.09 allocations and 86 bytes: what
+// first iteration's handle names. Measured 1.09 allocations and 83.5 bytes
+// (86 while a Task held its cost functions and hybrid descriptor): what
 // remains is one name per task (the stepper's handles, span lists, reader
 // links and dependency marks are all recycled from iteration to iteration).
 // The ceilings sit about 15 % above, under the regressions they are there to
@@ -20,7 +21,7 @@ import (
 // bytes — one allocation per Run, which only the byte count sees).
 const (
 	allocsPerTaskCeiling = 1.25
-	bytesPerTaskCeiling  = 99
+	bytesPerTaskCeiling  = 96
 )
 
 func TestGraphStepAllocBudget(t *testing.T) {

@@ -306,13 +306,13 @@ type Sim struct {
 	// graph is rebuilt in place by every Step; handles is the flat table its
 	// l/u/tile handles are kept in, names their names, and accs the scratch
 	// that long access lists (panels, bands) are assembled in before Add
-	// copies them. The codelets' cost functions are made once: they read the
-	// task they are handed.
-	graph                            *taskgraph.Graph
-	handles                          []*taskgraph.Handle
-	names                            handleNames
-	accs                             []taskgraph.Access
-	panelCosts, trsmCosts, gemmCosts taskgraph.Costs
+	// copies them. The codelets are made once: their models read the task
+	// they are handed.
+	graph             *taskgraph.Graph
+	handles           []*taskgraph.Handle
+	names             handleNames
+	accs              []taskgraph.Access
+	panel, trsm, gemm *taskgraph.Codelet
 }
 
 // handleNames are the graph stepper's handle names, formatted once for the
@@ -408,15 +408,23 @@ func NewSim(cfg Config) *Sim {
 			RateSeeds:   s.graphRateSeeds(nb),
 		})
 		s.graph = taskgraph.New()
-		s.panelCosts.CPUSeconds = func(t *taskgraph.Task) float64 { return t.Flops / (perfmodel.HostPanelGFLOPS * 1e9) }
-		s.trsmCosts.CPUSeconds = func(t *taskgraph.Task) float64 { return t.Flops / (perfmodel.HostTrsmGFLOPS * 1e9) }
-		s.gemmCosts.CPUSeconds = func(t *taskgraph.Task) float64 {
-			return el.CPU.Core(0).Seconds(t.Shape[0], t.Shape[1], t.Shape[2], true)
-		}
+		// An update's rows are its tile's or band's rows: a rows-high slab
+		// of it has the shape (rows, Shape[1], Shape[2]).
+		s.panel = &taskgraph.Codelet{Name: "lu.panel",
+			CPUSeconds: func(t *taskgraph.Task, _ int) float64 { return t.Flops / (perfmodel.HostPanelGFLOPS * 1e9) }}
+		s.trsm = &taskgraph.Codelet{Name: "lu.trsm",
+			CPUSeconds: func(t *taskgraph.Task, _ int) float64 { return t.Flops / (perfmodel.HostTrsmGFLOPS * 1e9) }}
+		s.gemm = &taskgraph.Codelet{Name: "lu.gemm",
+			CPUSeconds: func(t *taskgraph.Task, rows int) float64 {
+				return el.CPU.Core(0).Seconds(rows, t.Shape[1], t.Shape[2], true)
+			}}
 		if cfg.Variant.UsesGPU() {
-			s.gemmCosts.GPUSeconds = func(t *taskgraph.Task) float64 {
-				return el.GPU.Model().KernelSeconds(t.Shape[0], t.Shape[1], t.Shape[2])
+			s.gemm.GPUSeconds = func(t *taskgraph.Task, rows int) float64 {
+				return el.GPU.Model().KernelSeconds(rows, t.Shape[1], t.Shape[2])
 			}
+		}
+		if s.bandMode() {
+			s.gemm.Hybrid = &taskgraph.Hybrid{Part: part, FillSkew: true}
 		}
 		// The monolithic pipeline's convention is that each iteration's
 		// host-side factor+prep overlaps the update it feeds — including
@@ -429,10 +437,16 @@ func NewSim(cfg Config) *Sim {
 		// synchronous behavior depth 0 exists to show.
 		if cfg.Lookahead >= 1 {
 			s.panelAhead = true
-			s.prepAhead = cfg.GraphHybrid && cfg.Variant.UsesGPU() && part != nil
+			s.prepAhead = s.bandMode()
 		}
 	}
 	return s
+}
+
+// bandMode reports whether graph steps book the trailing update as column
+// bands with the split CPU+GPU body.
+func (s *Sim) bandMode() bool {
+	return s.cfg.GraphHybrid && s.cfg.Variant.UsesGPU() && s.part != nil
 }
 
 // graphRateSeeds returns the perfmodel-derived cold-start priors for the
@@ -611,7 +625,7 @@ func (s *Sim) newGraphStep(j, jb, trailing int) graphStep {
 	g.Reset()
 	st := graphStep{
 		s: s, g: g, k: j / s.nb, jb: jb, trailing: trailing, nt: nt,
-		hybrid: s.cfg.GraphHybrid && s.cfg.Variant.UsesGPU() && s.part != nil,
+		hybrid: s.bandMode(),
 		ls:     s.handles[:nt], us: s.handles[nt : 2*nt], ts: s.handles[2*nt : 2*nt+nt*nt],
 	}
 	s.names.fit(nt)
@@ -630,9 +644,8 @@ func (s *Sim) newGraphStep(j, jb, trailing int) graphStep {
 // addPanel books the recursive factorization of the height×width panel.
 func (st *graphStep) addPanel(k, height, width int, accs []taskgraph.Access) {
 	st.g.Add(taskgraph.Task{
-		Name: taskgraph.Name("panel(%d)", k), Codelet: "lu.panel", Priority: 3,
+		Name: taskgraph.Name("panel(%d)", k), Codelet: st.s.panel, Priority: 3,
 		Flops: float64(width) * float64(width) * (float64(height) - float64(width)/3),
-		Costs: st.s.panelCosts,
 	}, accs...)
 }
 
@@ -640,9 +653,8 @@ func (st *graphStep) addPanel(k, height, width int, accs []taskgraph.Access) {
 // a jb-wide panel.
 func (st *graphStep) addPrep(k, c, jb, cw int, accs ...taskgraph.Access) {
 	st.g.Add(taskgraph.Task{
-		Name: taskgraph.Name("prep(%d,%d)", k, c), Codelet: "lu.trsm", Priority: 2,
+		Name: taskgraph.Name("prep(%d,%d)", k, c), Codelet: st.s.trsm, Priority: 2,
 		Flops: float64(jb) * float64(jb) * float64(cw),
-		Costs: st.s.trsmCosts,
 	}, accs...)
 }
 
@@ -689,10 +701,9 @@ func (st *graphStep) addTileUpdates() {
 		for r := 0; r < st.nt; r++ {
 			rh := st.tw(r)
 			st.g.Add(taskgraph.Task{
-				Name: taskgraph.Name("upd(%d,%d,%d)", st.k, r, c), Codelet: "lu.gemm",
+				Name: taskgraph.Name("upd(%d,%d,%d)", st.k, r, c), Codelet: st.s.gemm,
 				Flops: 2 * float64(rh) * float64(cw) * float64(st.jb),
-				Shape: [3]int{rh, cw, st.jb},
-				Costs: st.s.gemmCosts,
+				Shape: [3]int{rh, cw, st.jb}, Rows: rh,
 			},
 				taskgraph.Access{H: st.ls[r], Mode: taskgraph.Read},
 				taskgraph.Access{H: st.us[c], Mode: taskgraph.Read},
@@ -732,22 +743,14 @@ func (st *graphStep) addBandUpdates() {
 		}
 		s.accs = accs
 		rows, bn, jb := st.trailing, bandN, st.jb
-		flops := 2 * float64(rows) * float64(bn) * float64(jb)
 		pri := 0
 		if c0 == 0 {
 			pri = 1 // feeds the look-ahead panel
 		}
 		st.g.Add(taskgraph.Task{
-			Name: taskgraph.Name("upd(%d,%d:%d)", st.k, c0, c0+w), Codelet: "lu.gemm",
-			Flops: flops, Shape: [3]int{rows, bn, jb}, Priority: pri,
-			Costs: s.gemmCosts,
-			Hybrid: &taskgraph.Hybrid{
-				Rows:       rows,
-				Part:       s.part,
-				GPUSeconds: func(r int) float64 { return s.el.GPU.Model().KernelSeconds(r, bn, jb) },
-				CPUSeconds: func(r int) float64 { return s.el.CPU.Core(0).Seconds(r, bn, jb, true) },
-				FillSkew:   true,
-			},
+			Name: taskgraph.Name("upd(%d,%d:%d)", st.k, c0, c0+w), Codelet: s.gemm,
+			Flops: 2 * float64(rows) * float64(bn) * float64(jb),
+			Shape: [3]int{rows, bn, jb}, Rows: rows, Priority: pri,
 		}, accs...)
 		c0 += w
 	}

@@ -46,3 +46,25 @@ func TestTimelineBookAllocFreeAndTraced(t *testing.T) {
 		}
 	}
 }
+
+// TestTimelineReadsLabels: a timeline's labels are read only by an observer
+// or a stretch hook, and ReadsLabels says so while either is installed.
+func TestTimelineReadsLabels(t *testing.T) {
+	tl := sim.NewTimeline("cpu0")
+	if tl.ReadsLabels() {
+		t.Fatal("a bare timeline reads its labels")
+	}
+	tl.SetObserver(func(sim.Span) {})
+	if !tl.ReadsLabels() {
+		t.Error("a timeline with an observer does not read its labels")
+	}
+	tl.SetObserver(nil)
+	tl.SetStretch(func(_ string, _, d sim.Time) sim.Time { return d })
+	if !tl.ReadsLabels() {
+		t.Error("a timeline with a stretch hook does not read its labels")
+	}
+	tl.SetStretch(nil)
+	if tl.ReadsLabels() {
+		t.Error("a timeline whose hooks were removed still reads its labels")
+	}
+}

@@ -55,6 +55,11 @@ func (t *Timeline) SetObserver(obs func(Span)) {
 	t.observer = obs
 }
 
+// ReadsLabels reports whether anything reads the labels of this timeline's
+// bookings — an observer or a stretch hook — so a caller whose label costs
+// an allocation can format it only then.
+func (t *Timeline) ReadsLabels() bool { return t.observer != nil || t.stretch != nil }
+
 // SetStretch installs a duration hook consulted on every booking: given the
 // operation's label, resolved start time and model duration, it returns the
 // duration actually booked. Fault injection uses this to model stall spans

@@ -196,17 +196,33 @@ func (s *Sweep) Graph() *taskgraph.Graph {
 		}
 	}
 
-	// One pair of cost functions for the codelet: a slab's cost is its work.
-	costs := taskgraph.Costs{
-		CPUSeconds: func(t *taskgraph.Task) float64 { return t.Flops / (CPUStencilGFLOPS * 1e9) },
-		GPUSeconds: func(t *taskgraph.Task) float64 { return t.Flops / (GPUStencilGFLOPS * 1e9) },
+	// One codelet for every slab. Its rows are the slab's XY-rows, each
+	// carrying NX cells, so a slab's cost is its work: the written slab
+	// divides cleanly along Y×Z.
+	rowFlops := flopsPerCell * float64(cfg.NX)
+	jacobi := &taskgraph.Codelet{Name: "stencil.jacobi",
+		CPUSeconds: func(_ *taskgraph.Task, rows int) float64 { return rowFlops * float64(rows) / (CPUStencilGFLOPS * 1e9) },
+		GPUSeconds: func(_ *taskgraph.Task, rows int) float64 { return rowFlops * float64(rows) / (GPUStencilGFLOPS * 1e9) },
+	}
+	if s.part != nil {
+		jacobi.Hybrid = &taskgraph.Hybrid{
+			Part: s.part,
+			// The memory-bound kernel runs at the same streaming rate on
+			// every core, so equal host shares are already balanced.
+			EqualShares: true,
+			// The halo reads divide with the written rows — the device half
+			// needs its row share plus a halo sliver, which the row fraction
+			// already bounds — so the upload scales with the split instead
+			// of shipping three whole slabs.
+			SplitReads: true,
+			FillSkew:   true,
+		}
 	}
 	for t := 0; t < cfg.Steps; t++ {
 		p := t % 2
 		for b := 0; b < nb; b++ {
 			z0 := b * cfg.BlockZ
 			z1 := z0 + depth(b)
-			flops := flopsPerCell * float64(cfg.NX) * float64(cfg.NY) * float64(depth(b))
 			var halo [4]taskgraph.Access
 			accs := append(halo[:0], taskgraph.Access{H: slabs[p][b], Mode: taskgraph.Read})
 			if b > 0 {
@@ -218,30 +234,9 @@ func (s *Sweep) Graph() *taskgraph.Graph {
 			accs = append(accs, taskgraph.Access{H: slabs[1-p][b], Mode: taskgraph.Write})
 			task := taskgraph.Task{
 				Name:    taskgraph.Name("jac(%d,%d)", t, b),
-				Codelet: "stencil.jacobi",
-				Flops:   flops,
-				Costs:   costs,
-			}
-			if s.part != nil {
-				// The splittable extent is the slab's XY-rows: the written
-				// slab divides cleanly along Y×Z, each row carrying NX cells.
-				// The memory-bound kernel runs at the same streaming rate
-				// on every core, so equal host shares are already balanced.
-				rows := cfg.NY * depth(b)
-				rowFlops := flopsPerCell * float64(cfg.NX)
-				task.Hybrid = &taskgraph.Hybrid{
-					Rows:        rows,
-					Part:        s.part,
-					GPUSeconds:  func(r int) float64 { return rowFlops * float64(r) / (GPUStencilGFLOPS * 1e9) },
-					CPUSeconds:  func(r int) float64 { return rowFlops * float64(r) / (CPUStencilGFLOPS * 1e9) },
-					EqualShares: true,
-					// The halo reads divide with the written rows — the device
-					// half needs its row share plus a halo sliver, which the
-					// row fraction already bounds — so the upload scales with
-					// the split instead of shipping three whole slabs.
-					SplitReads: true,
-					FillSkew:   true,
-				}
+				Codelet: jacobi,
+				Flops:   flopsPerCell * float64(cfg.NX) * float64(cfg.NY) * float64(depth(b)),
+				Rows:    cfg.NY * depth(b),
 			}
 			if s.buf[0] != nil {
 				task.Run = func() { s.updateSlab(s.buf[p], s.buf[1-p], z0, z1) }

@@ -17,7 +17,7 @@ type booking struct {
 	// devEnd and hostEnd are when each side finished, its transfers
 	// included; zero for a side that took no part.
 	devEnd, hostEnd sim.Time
-	devRows         int // hybrid: rows the device half owned
+	devRows         int // rows the device body owned
 }
 
 // book places t as the chosen class on the timelines, moves the data its
@@ -52,8 +52,8 @@ func (r *run) bookCPU(t *Task, core int, readyAt sim.Time) booking {
 			start = max(start, r.res.WriteBack(a.H.id).End)
 		}
 	}
-	sp := r.cores[core].Work(t.Name, t.Costs.CPUSeconds(t), start)
-	r.s.rates.ObserveClass(t.Codelet, ClassCPU, t.Flops, sp.Duration())
+	sp := r.cores[core].Work(t.Name, t.Codelet.CPUSeconds(t, t.Rows), start)
+	r.s.rates.ObserveClass(t.Codelet.Name, ClassCPU, t.Flops, sp.Duration())
 	// A host write invalidates any device copy.
 	for _, a := range t.Accesses {
 		if a.Mode != Read {
@@ -89,14 +89,14 @@ func (r *run) bookGPU(t *Task, p *devicePlan, readyAt sim.Time) booking {
 		}
 	}
 	r.bookHead(p, readyAt)
-	sp := r.dev.Kernel(t.Name, t.Costs.GPUSeconds(t), r.deps...)
+	sp := r.dev.Kernel(t.Name, t.Codelet.GPUSeconds(t, t.Rows), r.deps...)
 	// The stream window is free again before late residents claim room.
 	res.Release()
 	end := r.bookStreams(p, sp)
 	if res.Err() != nil {
 		return booking{} // an aborted placement teaches the rates nothing
 	}
-	r.s.rates.ObserveClass(t.Codelet, ClassGPU, t.Flops, p.boundBy(sp.Duration()))
+	r.s.rates.ObserveClass(t.Codelet.Name, ClassGPU, t.Flops, p.boundBy(sp.Duration()))
 	// Written handles that are device-resident are now newer than the host;
 	// streamed shares already drained, so the host copy stays authoritative
 	// for them.
@@ -106,16 +106,16 @@ func (r *run) bookGPU(t *Task, p *devicePlan, readyAt sim.Time) booking {
 		}
 	}
 	r.rep.TasksGPU++
-	return booking{class: ClassGPU, device: "gpu", sp: sp, devEnd: end}
+	return booking{class: ClassGPU, device: "gpu", sp: sp, devEnd: end, devRows: t.Rows}
 }
 
 // bookHybrid books the split body: the device half owns c.hybRows rows for
 // the duration of the task, the host cores share the rest, and the join
 // leaves the host copy of every written handle authoritative.
 func (r *run) bookHybrid(t *Task, c *candidates, readyAt sim.Time) booking {
-	h, m1, p := t.Hybrid, c.hybRows, &c.hybPlan
+	cl, h, m1, p := t.Codelet, t.Codelet.Hybrid, c.hybRows, &c.hybPlan
 	hostReady := r.stageHybrid(t, m1, p, readyAt)
-	sp := r.dev.Kernel(t.Name, h.GPUSeconds(m1), r.deps...)
+	sp := r.dev.Kernel(t.Name, cl.GPUSeconds(t, m1), r.deps...)
 
 	// Join: the device's rows of every written handle stream back — under
 	// the kernel for the streamed share, at the drain for held shares and
@@ -128,7 +128,7 @@ func (r *run) bookHybrid(t *Task, c *candidates, readyAt sim.Time) booking {
 		if p.wStream && !r.res.Resident(a.H.id) {
 			continue // already streamed back under the kernel
 		}
-		fb := rowShare(a.H.bytes, m1, h.Rows)
+		fb := rowShare(a.H.bytes, m1, t.Rows)
 		gpuEnd = max(gpuEnd, r.dev.DownloadBytes(fb, sp.End).End)
 		r.rep.BytesOut += fb
 	}
@@ -145,8 +145,12 @@ func (r *run) bookHybrid(t *Task, c *candidates, readyAt sim.Time) booking {
 			continue
 		}
 		nUsed++
-		ssp := r.cores[ci].Work(fmt.Sprintf("%s+c%d", t.Name, ci), h.CPUSeconds(rc), hostReady)
-		coreWorks[ci] = t.Flops * float64(rc) / float64(h.Rows)
+		label := t.Name
+		if r.cores[ci].TL.ReadsLabels() {
+			label = fmt.Sprintf("%s+c%d", t.Name, ci)
+		}
+		ssp := r.cores[ci].Work(label, cl.CPUSeconds(t, rc), hostReady)
+		coreWorks[ci] = t.Flops * float64(rc) / float64(t.Rows)
 		coreTimes[ci] = float64(ssp.End - ssp.Start)
 		maxSlice = max(maxSlice, ssp.End-ssp.Start)
 		cpuEnd = max(cpuEnd, ssp.End)
@@ -174,7 +178,7 @@ func (r *run) bookHybrid(t *Task, c *candidates, readyAt sim.Time) booking {
 	} else {
 		measured = max(measured, maxSlice)
 	}
-	r.s.rates.ObserveClass(t.Codelet, ClassHyb, t.Flops, measured)
+	r.s.rates.ObserveClass(cl.Name, ClassHyb, t.Flops, measured)
 	tc := maxSlice
 	if h.FillSkew && cpuEnd > hostReady {
 		// Skew-filled slabs start before the kernel; measure them in the
@@ -195,7 +199,7 @@ func (r *run) bookHybrid(t *Task, c *candidates, readyAt sim.Time) booking {
 	if nUsed > 0 && nUsed < len(r.cores) {
 		tc = tc * sim.Time(nUsed) / sim.Time(len(r.cores))
 	}
-	h.Part.Observe(adaptive.Observation{Work: t.Flops, GSplit: float64(m1) / float64(h.Rows),
+	h.Part.Observe(adaptive.Observation{Work: t.Flops, GSplit: float64(m1) / float64(t.Rows),
 		TG: float64(tg), TC: float64(tc), CoreWorks: coreWorks, CoreTimes: coreTimes})
 	r.rep.TasksHyb++
 	return booking{class: ClassHyb, device: fmt.Sprintf("hyb(g%d)", m1), sp: sp,
@@ -206,7 +210,7 @@ func (r *run) bookHybrid(t *Task, c *candidates, readyAt sim.Time) booking {
 // kernel dependencies accumulate in r.deps, and the returned time is when the
 // host copy of everything the core slabs touch is current.
 func (r *run) stageHybrid(t *Task, m1 int, p *devicePlan, readyAt sim.Time) sim.Time {
-	h, res := t.Hybrid, &r.res
+	h, res := t.Codelet.Hybrid, &r.res
 	hostReady := readyAt
 	// Pure reads are needed whole on both sides: on the device for the
 	// kernel (cacheable, exactly like the GPU body) and current on the host
@@ -224,7 +228,7 @@ func (r *run) stageHybrid(t *Task, m1 int, p *devicePlan, readyAt sim.Time) sim.
 			// Fractional head share, booked individually; under rStream the
 			// bytes ride the in-stream instead (the head gate already counts
 			// the fractional readFresh).
-			r.stageShare(rowShare(a.H.bytes, m1, h.Rows), !p.rStream, readyAt)
+			r.stageShare(rowShare(a.H.bytes, m1, t.Rows), !p.rStream, readyAt)
 			continue
 		}
 		r.stageRead(a.H, p, readyAt)
@@ -241,7 +245,7 @@ func (r *run) stageHybrid(t *Task, m1 int, p *devicePlan, readyAt sim.Time) sim.
 		if a.Mode == Read {
 			continue
 		}
-		fb := rowShare(a.H.bytes, m1, h.Rows)
+		fb := rowShare(a.H.bytes, m1, t.Rows)
 		if res.Resident(a.H.id) {
 			if a.Mode == ReadWrite {
 				if res.Dirty(a.H.id) {
@@ -310,7 +314,7 @@ func (r *run) verify(t *Task, b *booking) sim.Time {
 	var verC float64
 	if b.class == ClassHyb {
 		rows = b.devRows
-		verC = abft.VerifySeconds(t.Hybrid.Rows-rows, nn, k)
+		verC = abft.VerifySeconds(t.Rows-rows, nn, k)
 	}
 	verG := abft.VerifySeconds(rows, nn, k)
 	gEnd := b.devEnd + verG
@@ -332,13 +336,7 @@ func (r *run) verify(t *Task, b *booking) sim.Time {
 		}
 		return end
 	}
-	var redoSec float64
-	if b.class == ClassHyb {
-		redoSec = t.Hybrid.GPUSeconds(rows)
-	} else {
-		redoSec = t.Costs.GPUSeconds(t)
-	}
-	redo := r.dev.Kernel(t.Name+"~redo", redoSec, sim.Span{Start: gEnd, End: gEnd})
+	redo := r.dev.Kernel(t.Name+"~redo", t.Codelet.GPUSeconds(t, b.devRows), sim.Span{Start: gEnd, End: gEnd})
 	rEnd := redo.End + verG
 	r.rep.VerifySeconds += verG
 	if pr != nil {

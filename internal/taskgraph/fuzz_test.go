@@ -5,12 +5,28 @@ import (
 	"reflect"
 	"testing"
 
+	"tianhe/internal/adaptive"
 	"tianhe/internal/element"
 )
 
+// fuzzHybrid are the decoder's two hybrid codelets, each shared by every
+// task that picks it: a fixed half split, each half costed in proportion to
+// its rows, one plain and one that refines the split by the cores' head start
+// and uploads only the device rows' share of its reads.
+var fuzzHybrid = [2]*Codelet{fuzzHybridCodelet(false), fuzzHybridCodelet(true)}
+
+func fuzzHybridCodelet(skew bool) *Codelet {
+	return &Codelet{Name: "c3",
+		CPUSeconds: func(t *Task, rows int) float64 { return t.Flops / 4e10 * float64(rows) / float64(t.Rows) },
+		GPUSeconds: func(t *Task, rows int) float64 { return t.Flops / 1e11 * float64(rows) / float64(t.Rows) },
+		Hybrid:     &Hybrid{Part: adaptive.NewStatic(0.5, 0), SplitReads: skew, FillSkew: skew},
+	}
+}
+
 // decodeGraph decodes arbitrary bytes into a task/dependency set: up to 24
-// tasks over six handles with random variants, access modes, priorities and
-// explicit After edges. A handle the bytes pick twice for one task is
+// tasks over six handles with random variants (CPU, GPU, both, or a shared
+// hybrid codelet over 1 to 64 rows), access modes, priorities and explicit
+// After edges. A handle the bytes pick twice for one task is
 // declared once, as Validate requires. ran counts each body's executions;
 // explicit lists, per task, the After edges asked for, in call order.
 func decodeGraph(data []byte) (g *Graph, ran []int, explicit [][]int) {
@@ -38,18 +54,19 @@ func decodeGraphInto(g *Graph, data []byte) (ran []int, explicit [][]int) {
 	ran = make([]int, n)
 	explicit = make([][]int, n)
 	for i := 0; i < n; i++ {
-		sel := next()
-		costs := Costs{}
-		cpuSec := float64(next()%50+1) / 1000
-		gpuSec := float64(next()%50+1) / 1000
-		switch sel % 3 {
+		sel, cpuByte, gpuByte := next(), next(), next()
+		cpuSec, gpuSec := float64(cpuByte%50+1)/1000, float64(gpuByte%50+1)/1000
+		var cl *Codelet
+		rows := 0
+		switch sel % 4 {
 		case 0:
-			costs.CPUSeconds = func(*Task) float64 { return cpuSec }
+			cl = cpuOnly("c0", cpuSec)
 		case 1:
-			costs.GPUSeconds = func(*Task) float64 { return gpuSec }
+			cl = gpuOnly("c1", gpuSec)
+		case 2:
+			cl = both("c2", cpuSec, gpuSec)
 		default:
-			costs.CPUSeconds = func(*Task) float64 { return cpuSec }
-			costs.GPUSeconds = func(*Task) float64 { return gpuSec }
+			cl, rows = fuzzHybrid[sel/4%2], int(cpuByte%64)+1
 		}
 		nAcc := int(next()) % 4
 		accs := make([]Access, 0, nAcc)
@@ -64,10 +81,10 @@ func decodeGraphInto(g *Graph, data []byte) (ran []int, explicit [][]int) {
 		i := i
 		task := g.Add(Task{
 			Name:     fmt.Sprintf("t%02d", i),
-			Codelet:  fmt.Sprintf("c%d", sel%4),
+			Codelet:  cl,
 			Flops:    float64(next()+1) * 1e6,
 			Priority: int(next() % 4),
-			Costs:    costs,
+			Rows:     rows,
 			Run:      func() { ran[i]++ },
 		}, accs...)
 		// Explicit extra edges to earlier tasks, beyond access inference.
@@ -84,7 +101,8 @@ func decodeGraphInto(g *Graph, data []byte) (ran []int, explicit [][]int) {
 // asserts the runtime's structural invariants: the scheduler never
 // deadlocks (Run returns), every task is scheduled and its body executes
 // exactly once, and no task starts before every dependency has finished —
-// under both serial and parallel body execution. Each graph is built on a
+// under both serial and parallel body execution, with hybrid tasks' split
+// staging, core slabs and joins among the bookings. Each graph is built on a
 // Graph that was Reset after holding (and running, on the same Scheduler) a
 // different one decoded from the tail of the input, and must come out with
 // the dependency lists of a freshly made graph.
@@ -94,6 +112,10 @@ func FuzzGraphSchedule(f *testing.F) {
 	f.Add([]byte{5, 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0, 7, 7})
 	f.Add([]byte{24, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 255, 254, 253})
 	f.Add([]byte{16, 0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 0x77, 0x66, 0x55, 0x44})
+	// Six tasks, five of them hybrid over both shared codelets (one a
+	// degenerate single row), chained through shared handles.
+	f.Add([]byte{5, 3, 63, 0, 2, 0, 1, 1, 1, 255, 0, 0, 7, 40, 0, 3, 0, 0, 1, 0, 2, 1, 255, 1, 0, 2, 10, 5, 1, 2, 2, 100, 0, 0,
+		3, 63, 0, 2, 2, 0, 3, 2, 200, 0, 1, 0, 7, 1, 0, 1, 3, 2, 200, 0, 0, 11, 0, 0, 1, 4, 1, 50, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh, _, _ := decodeGraph(data)
 		for _, par := range []int{1, 4} {

@@ -74,17 +74,22 @@ type Access struct {
 	Mode AccessMode
 }
 
-// Costs carries a codelet's per-device model durations. A nil entry means the
-// codelet has no implementation for that device; at least one must be set.
-// The functions belong to the codelet, not the task: they read what differs
-// between tasks (Shape, Flops) from the task they are handed, so a builder
-// makes one pair per codelet and every task of a loop shares it.
-type Costs struct {
-	// CPUSeconds returns t's model duration on one compute core.
-	CPUSeconds func(t *Task) float64
-	// GPUSeconds returns t's model duration on the GPU kernel queue
-	// (transfers are booked separately from the handle footprints).
-	GPUSeconds func(t *Task) float64
+// Codelet is one task class, shared by every task of the class (StarPU's
+// starpu_codelet): a builder makes it once, and its models read what differs
+// between tasks (Rows, Shape, Flops) from the task they are handed. A nil
+// model means no implementation for that device; at least one must be set.
+type Codelet struct {
+	// Name keys the measured-rate database: every task of the codelet shares
+	// the learned rates.
+	Name string
+	// CPUSeconds and GPUSeconds return the duration of rows of t's rows on
+	// one compute core and on the GPU kernel queue (transfers are booked
+	// separately); a whole-task body passes t.Rows.
+	CPUSeconds, GPUSeconds func(t *Task, rows int) float64
+	// Hybrid, when non-nil, adds the split CPU+GPU body as a third placement
+	// candidate. It needs both single-device models: the CPU body is the
+	// lost-GPU degradation path, the GPU body the degenerate split.
+	Hybrid *Hybrid
 }
 
 // Hybrid is the optional third implementation of a codelet: a body that
@@ -93,17 +98,15 @@ type Costs struct {
 // trailing update (level 1 GPU/CPU split, level 2 per-core split). The
 // scheduler treats it as a placement candidate alongside the whole-CPU and
 // whole-GPU bodies and books both halves: the device gets
-// round(Rows*Part.GSplit(Flops)) rows, the host cores share the rest. Data
-// semantics follow the row split — read handles are needed whole on both
-// sides, written handles are split, the device's rows streaming back at the
-// join so the host copy stays authoritative. The real host body (Task.Run) is
-// unchanged: like every placement, a hybrid booking is a timing decision, so
-// factors stay bit-identical whichever variant wins.
+// round(Rows*Part.GSplit(Flops)) rows, the host cores share the rest, each
+// half costed by the codelet's models at its row count. Data semantics follow
+// the row split — read handles are needed whole on both sides, written
+// handles are split, the device's rows streaming back at the join so the host
+// copy stays authoritative. The real host body (Task.Run) is unchanged: like
+// every placement, a hybrid booking is a timing decision, so factors stay
+// bit-identical whichever variant wins.
 type Hybrid struct {
-	// Rows is the splittable extent — the written tile's row count. Must be
-	// positive.
-	Rows int
-	// Part is the split oracle, shared by every hybrid task of a graph:
+	// Part is the split oracle, shared by every task of the codelet:
 	// GSplit(Flops) gives the device fraction (adaptive database_g, keyed by
 	// the task's work bucket) — fractions that round to 0 or Rows rows
 	// degrade the candidate to the pure CPU or GPU body — CSplits the
@@ -117,10 +120,6 @@ type Hybrid struct {
 	// by each host core, zero for cores that sat the split out. The two
 	// slices are the run's scratch, valid only during the call.
 	Part adaptive.Partitioner
-	// GPUSeconds models the kernel duration of a rows-high device half.
-	GPUSeconds func(rows int) float64
-	// CPUSeconds models the duration of a rows-high slab on one host core.
-	CPUSeconds func(rows int) float64
 	// EqualShares gives every usable core the same weight in the host half
 	// instead of Part's per-core shares: right for codelets that run at the
 	// same rate on every core, where the learned shares only add noise.
@@ -148,26 +147,23 @@ type Hybrid struct {
 type Task struct {
 	// Name labels the task in traces; unique within a graph.
 	Name string
-	// Codelet is the task's class name: it keys the measured-rate database,
-	// so every task of one codelet shares the learned CPU and GPU rates.
-	Codelet string
+	// Codelet is the task's class: its cost models and bodies, shared by
+	// every task of the class.
+	Codelet *Codelet
 	// Flops is the work estimate the rate feedback divides by.
 	Flops float64
-	// Shape carries (m, n, k) for tasks that are ABFT-verifiable: the
-	// checksum verification cost and the SDC strike geometry both need the
-	// dimensions. A zero shape opts the task out of verification.
+	// Shape carries the task's (m, n, k), which its codelet's models may
+	// read; a device placement's checksum verification cost and SDC strike
+	// geometry need it too. A zero shape opts the task out of verification.
 	Shape [3]int
 	// Priority orders the ready queue: higher-priority tasks are placed
 	// first. Builders use it to pull critical-path work (panel
 	// factorizations) ahead of bulk updates.
 	Priority int
-	// Costs are the per-device model durations.
-	Costs Costs
-	// Hybrid, when non-nil, adds the split CPU+GPU implementation as a third
-	// placement candidate. Hybrid tasks must declare both single-device
-	// costs: the CPU body is the lost-GPU degradation path, the GPU body the
-	// degenerate split.
-	Hybrid *Hybrid
+	// Rows is the task's row extent — the written tile's row count — which
+	// a whole-task body passes its codelet's models and a hybrid body
+	// splits. It must be positive when the codelet has a hybrid body.
+	Rows int
 	// Run is the optional real-arithmetic host body. Bodies of concurrent
 	// tasks must write only their declared Write/ReadWrite handles' data, so
 	// parallel execution stays bit-identical to serial.
@@ -273,16 +269,12 @@ func (g *Graph) Len() int { return len(g.tasks) }
 // t, so a caller's literal list stays on its stack: Add only copies it. Tasks
 // with no device variant at all panic: they could never run.
 func (g *Graph) Add(task Task, accs ...Access) *Task {
-	if task.Costs.CPUSeconds == nil && task.Costs.GPUSeconds == nil {
+	cl := task.Codelet
+	if cl == nil || cl.CPUSeconds == nil && cl.GPUSeconds == nil {
 		panic(fmt.Sprintf("taskgraph: task %q has no device variant", task.Name))
 	}
-	if h := task.Hybrid; h != nil {
-		if task.Costs.CPUSeconds == nil || task.Costs.GPUSeconds == nil {
-			panic(fmt.Sprintf("taskgraph: hybrid task %q must declare both single-device bodies", task.Name))
-		}
-		if h.Rows <= 0 || h.Part == nil || h.GPUSeconds == nil || h.CPUSeconds == nil {
-			panic(fmt.Sprintf("taskgraph: hybrid task %q has an incomplete hybrid descriptor", task.Name))
-		}
+	if h := cl.Hybrid; h != nil && (cl.CPUSeconds == nil || cl.GPUSeconds == nil || h.Part == nil || task.Rows <= 0) {
+		panic(fmt.Sprintf("taskgraph: hybrid task %q needs both single-device bodies, a split oracle and positive Rows", task.Name))
 	}
 	if task.Accesses != nil {
 		panic(fmt.Sprintf("taskgraph: task %q sets Accesses itself — pass them to Add", task.Name))

@@ -10,25 +10,38 @@ import (
 	"tianhe/internal/sim"
 )
 
-func cpuCost(s float64) Costs { return Costs{CPUSeconds: func(*Task) float64 { return s }} }
+// cpuOnly returns a CPU-only codelet whose tasks each take sec seconds.
+func cpuOnly(name string, sec float64) *Codelet {
+	return &Codelet{Name: name, CPUSeconds: func(*Task, int) float64 { return sec }}
+}
 
-func bothCosts(c, g float64) Costs {
-	return Costs{
-		CPUSeconds: func(*Task) float64 { return c },
-		GPUSeconds: func(*Task) float64 { return g },
+// gpuOnly returns a GPU-only codelet whose tasks each take sec seconds.
+func gpuOnly(name string, sec float64) *Codelet {
+	return &Codelet{Name: name, GPUSeconds: func(*Task, int) float64 { return sec }}
+}
+
+// both returns a codelet whose tasks each take cpuSec on a core and gpuSec on
+// the device.
+func both(name string, cpuSec, gpuSec float64) *Codelet {
+	return &Codelet{Name: name,
+		CPUSeconds: func(*Task, int) float64 { return cpuSec },
+		GPUSeconds: func(*Task, int) float64 { return gpuSec },
 	}
 }
+
+// unitCPU is the codelet of tasks whose cost does not matter to a test.
+var unitCPU = cpuOnly("", 1)
 
 func TestDependencyInference(t *testing.T) {
 	g := New()
 	h := g.NewHandle("x", 100)
 	o := g.NewHandle("y", 100)
 
-	w0 := g.Add(Task{Name: "w0", Costs: cpuCost(1)}, []Access{{h, Write}}...)
-	r1 := g.Add(Task{Name: "r1", Costs: cpuCost(1)}, []Access{{h, Read}, {o, Write}}...)
-	r2 := g.Add(Task{Name: "r2", Costs: cpuCost(1)}, []Access{{h, Read}}...)
-	w3 := g.Add(Task{Name: "w3", Costs: cpuCost(1)}, []Access{{h, ReadWrite}}...)
-	r4 := g.Add(Task{Name: "r4", Costs: cpuCost(1)}, []Access{{h, Read}}...)
+	w0 := g.Add(Task{Name: "w0", Codelet: unitCPU}, []Access{{h, Write}}...)
+	r1 := g.Add(Task{Name: "r1", Codelet: unitCPU}, []Access{{h, Read}, {o, Write}}...)
+	r2 := g.Add(Task{Name: "r2", Codelet: unitCPU}, []Access{{h, Read}}...)
+	w3 := g.Add(Task{Name: "w3", Codelet: unitCPU}, []Access{{h, ReadWrite}}...)
+	r4 := g.Add(Task{Name: "r4", Codelet: unitCPU}, []Access{{h, Read}}...)
 
 	// RAW: both readers depend on the writer.
 	if !reflect.DeepEqual(r1.Deps(), []int{w0.ID()}) {
@@ -53,8 +66,8 @@ func TestDependencyInference(t *testing.T) {
 
 func TestAfterAddsExplicitEdges(t *testing.T) {
 	g := New()
-	a := g.Add(Task{Name: "a", Costs: cpuCost(1)})
-	b := g.Add(Task{Name: "b", Costs: cpuCost(1)})
+	a := g.Add(Task{Name: "a", Codelet: unitCPU})
+	b := g.Add(Task{Name: "b", Codelet: unitCPU})
 	g.After(b, a, a) // duplicate collapses
 	if !reflect.DeepEqual(b.Deps(), []int{a.ID()}) {
 		t.Errorf("b deps = %v, want [a]", b.Deps())
@@ -66,20 +79,41 @@ func TestAfterAddsExplicitEdges(t *testing.T) {
 
 func TestValidateRejectsDuplicateNames(t *testing.T) {
 	g := New()
-	g.Add(Task{Name: "dup", Costs: cpuCost(1)})
-	g.Add(Task{Name: "dup", Costs: cpuCost(1)})
+	g.Add(Task{Name: "dup", Codelet: unitCPU})
+	g.Add(Task{Name: "dup", Codelet: unitCPU})
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate accepted duplicate task names")
 	}
 }
 
+// TestAddPanicsWithoutVariant: Add refuses, naming the task, every task its
+// codelet could never run or split.
 func TestAddPanicsWithoutVariant(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add accepted a task with no device variant")
-		}
-	}()
-	New().Add(Task{Name: "none"})
+	cpuModel := func(*Task, int) float64 { return 1 }
+	split := &Hybrid{Part: &fixedSplit{split: 0.5}}
+	for _, tc := range []struct {
+		name string
+		task Task
+	}{
+		{"nil codelet", Task{Name: "nil-codelet"}},
+		{"no body", Task{Name: "no-body", Codelet: &Codelet{Name: "none"}}},
+		{"hybrid without a GPU body", Task{Name: "half-hybrid", Rows: 8,
+			Codelet: &Codelet{Name: "h", CPUSeconds: cpuModel, Hybrid: split}}},
+		{"hybrid without a split oracle", Task{Name: "no-oracle", Rows: 8,
+			Codelet: &Codelet{Name: "h", CPUSeconds: cpuModel, GPUSeconds: cpuModel, Hybrid: &Hybrid{}}}},
+		{"hybrid without rows", Task{Name: "no-rows",
+			Codelet: &Codelet{Name: "h", CPUSeconds: cpuModel, GPUSeconds: cpuModel, Hybrid: split}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprintf("%q", tc.task.Name)) {
+					t.Fatalf("Add of %q panicked with %q, want a panic naming the task", tc.task.Name, msg)
+				}
+			}()
+			New().Add(tc.task)
+		})
+	}
 }
 
 // mapInferredDeps is the dependency inference Graph.Add and Graph.After did
@@ -179,7 +213,7 @@ func TestAddMatchesMapInference(t *testing.T) {
 			for _, a := range accs {
 				declared = append(declared, Access{hs[a.h], a.mode})
 			}
-			g.Add(Task{Name: fmt.Sprintf("t%d", i), Costs: cpuCost(1)}, declared...)
+			g.Add(Task{Name: fmt.Sprintf("t%d", i), Codelet: unitCPU}, declared...)
 		}
 		check(name, g, nil)
 	}
@@ -206,8 +240,8 @@ func TestValidateRejectsBadAccesses(t *testing.T) {
 	} {
 		g := New()
 		a, b := g.NewHandle("a", 8), g.NewHandle("b", 8)
-		g.Add(Task{Name: "ok", Costs: cpuCost(1)}, []Access{{a, Write}, {b, Write}}...)
-		g.Add(Task{Name: "bad", Costs: bothCosts(1, 1)}, tc.accs(a, b)...)
+		g.Add(Task{Name: "ok", Codelet: unitCPU}, []Access{{a, Write}, {b, Write}}...)
+		g.Add(Task{Name: "bad", Codelet: both("", 1, 1)}, tc.accs(a, b)...)
 		err := g.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.wants) || !strings.Contains(err.Error(), `task "bad"`) {
 			t.Errorf("%s: Validate = %v, want an error naming task \"bad\" that %s", tc.name, err, tc.wants)
@@ -220,8 +254,8 @@ func TestValidateRejectsBadAccesses(t *testing.T) {
 	// The same handle in two different tasks is the normal case.
 	g := New()
 	a := g.NewHandle("a", 8)
-	g.Add(Task{Name: "t0", Costs: cpuCost(1)}, []Access{{a, Write}}...)
-	g.Add(Task{Name: "t1", Costs: cpuCost(1)}, []Access{{a, Read}}...)
+	g.Add(Task{Name: "t0", Codelet: unitCPU}, []Access{{a, Write}}...)
+	g.Add(Task{Name: "t1", Codelet: unitCPU}, []Access{{a, Read}}...)
 	if err := g.Validate(); err != nil {
 		t.Errorf("Validate rejected one handle declared by two tasks: %v", err)
 	}

@@ -31,23 +31,22 @@ func (f *fixedSplit) Observe(o adaptive.Observation) {
 	f.obs = append(f.obs, o)
 }
 
-// hybTask builds a GEMM-like task whose hybrid body splits rows at the given
-// fraction, equally across the usable cores. The whole-device bodies cost
+// hybCodelet returns a GEMM-like codelet whose hybrid body splits rows at the
+// given fraction, equally across the usable cores. A whole task costs
 // cpuSec/gpuSec; both halves scale linearly with their row share (the CPU
 // model is per-core, so an equal three-core split finishes in a third of the
 // slab time).
-func hybTask(name string, rows int, split, cpuSec, gpuSec float64) Task {
-	return Task{
-		Name: name, Codelet: "hgemm", Flops: 1e9,
-		Costs: bothCosts(cpuSec, gpuSec),
-		Hybrid: &Hybrid{
-			Rows:        rows,
-			Part:        &fixedSplit{split: split},
-			GPUSeconds:  func(r int) float64 { return gpuSec * float64(r) / float64(rows) },
-			CPUSeconds:  func(r int) float64 { return cpuSec * float64(r) / float64(rows) },
-			EqualShares: true,
-		},
+func hybCodelet(split, cpuSec, gpuSec float64) *Codelet {
+	return &Codelet{Name: "hgemm",
+		CPUSeconds: func(t *Task, rows int) float64 { return cpuSec * float64(rows) / float64(t.Rows) },
+		GPUSeconds: func(t *Task, rows int) float64 { return gpuSec * float64(rows) / float64(t.Rows) },
+		Hybrid:     &Hybrid{Part: &fixedSplit{split: split}, EqualShares: true},
 	}
+}
+
+// hybTask builds a rows-high task of its own hybCodelet.
+func hybTask(name string, rows int, split, cpuSec, gpuSec float64) Task {
+	return Task{Name: name, Codelet: hybCodelet(split, cpuSec, gpuSec), Flops: 1e9, Rows: rows}
 }
 
 func TestHybridVariantWinsAndSplits(t *testing.T) {
@@ -64,7 +63,9 @@ func TestHybridVariantWinsAndSplits(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			tk := hybTask(fmt.Sprintf("upd%d", i), 300, 0.5, 3.0, 1.0)
 			if !hybrid {
-				tk.Hybrid = nil
+				pure := *tk.Codelet
+				pure.Hybrid = nil
+				tk.Codelet = &pure
 			}
 			g.Add(tk, Access{h, ReadWrite})
 		}
@@ -125,7 +126,7 @@ func TestHybridObserveFeedsSplitOracle(t *testing.T) {
 	g := New()
 	h := g.NewHandle("h", 1<<20)
 	tk := hybTask("upd", 200, 0.5, 3.0, 1.0)
-	oracle := tk.Hybrid.Part.(*fixedSplit)
+	oracle := tk.Codelet.Hybrid.Part.(*fixedSplit)
 	g.Add(tk, Access{h, ReadWrite})
 	if _, err := sch.Run(g, 0); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -289,16 +290,14 @@ func TestHybridResidencyAccounting(t *testing.T) {
 	h := g.NewHandle("tile", tile)
 	out := g.NewHandle("out", 64)
 	// 1: whole-GPU write leaves the tile device-dirty.
-	g.Add(Task{Name: "init", Codelet: "init", Flops: 1e9,
-		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{h, Write}}...)
+	g.Add(Task{Name: "init", Codelet: gpuOnly("init", 0.1), Flops: 1e9}, []Access{{h, Write}}...)
 	// 2: hybrid update of the same tile: the host half needs the device's
 	// newer values (whole write-back), the device half reads its rows in
 	// place (no upload), and the join downloads exactly the device share.
 	g.Add(hybTask("upd", 256, 0.5, 3.0, 1.0), Access{h, ReadWrite})
 	// 3: a whole-GPU reader re-uploads the tile: the host became
 	// authoritative at the hybrid join, so the stale device copy must be gone.
-	g.Add(Task{Name: "read", Codelet: "read", Flops: 1e9,
-		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{h, Read}, {out, Write}}...)
+	g.Add(Task{Name: "read", Codelet: gpuOnly("read", 0.1), Flops: 1e9}, []Access{{h, Read}, {out, Write}}...)
 	rep, err := sch.Run(g, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -334,8 +333,7 @@ func TestHybridWorkingSetNoDoubleCountNoLeak(t *testing.T) {
 	h := g.NewHandle("tile", tile)
 	out := g.NewHandle("out", 64)
 	// Make the tile resident and clean via a whole-GPU read.
-	g.Add(Task{Name: "warm", Codelet: "warm", Flops: 1e9,
-		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{h, Read}, {out, Write}}...)
+	g.Add(Task{Name: "warm", Codelet: gpuOnly("warm", 0.1), Flops: 1e9}, []Access{{h, Read}, {out, Write}}...)
 	// Repeated hybrid updates: each holds the resident copy (once) during
 	// its booking and releases its transient share at the join. Leaked
 	// shares of tile/2 bytes would overflow after two tasks.
@@ -365,11 +363,9 @@ func TestHybridTransientEvictsColdResidents(t *testing.T) {
 	b := g.NewHandle("b", big)
 	o1 := g.NewHandle("o1", 64)
 	o2 := g.NewHandle("o2", 64)
-	g.Add(Task{Name: "r1", Codelet: "r", Flops: 1e9,
-		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{a, Read}, {o1, Write}}...)
+	g.Add(Task{Name: "r1", Codelet: gpuOnly("r", 0.1), Flops: 1e9}, []Access{{a, Read}, {o1, Write}}...)
 	g.Add(hybTask("upd", 256, 0.5, 3.0, 1.0), Access{b, ReadWrite})
-	g.Add(Task{Name: "r2", Codelet: "r", Flops: 1e9,
-		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{a, Read}, {o2, Write}}...)
+	g.Add(Task{Name: "r2", Codelet: gpuOnly("r", 0.1), Flops: 1e9}, []Access{{a, Read}, {o2, Write}}...)
 	rep, err := sch.Run(g, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -400,8 +396,7 @@ func TestOversizedWrittenSetsStream(t *testing.T) {
 	sch := NewScheduler(el, Options{})
 	g := New()
 	c := g.NewHandle("c", huge)
-	g.Add(Task{Name: "upd", Codelet: "k", Flops: 1e9,
-		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.001 }}}, []Access{{c, ReadWrite}}...)
+	g.Add(Task{Name: "upd", Codelet: gpuOnly("k", 0.001), Flops: 1e9}, []Access{{c, ReadWrite}}...)
 	rep, err := sch.Run(g, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -432,11 +427,9 @@ func TestOversizedWrittenSetsStream(t *testing.T) {
 	a := g2.NewHandle("a", mem/2)
 	o := g2.NewHandle("o", 64)
 	b := g2.NewHandle("b", huge)
-	g2.Add(Task{Name: "r1", Codelet: "r", Flops: 1e9,
-		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{a, Read}, {o, Write}}...)
+	g2.Add(Task{Name: "r1", Codelet: gpuOnly("r", 0.1), Flops: 1e9}, []Access{{a, Read}, {o, Write}}...)
 	g2.Add(hybTask("hupd", 256, 0.5, 3.0, 1.0), Access{b, ReadWrite})
-	g2.Add(Task{Name: "r2", Codelet: "r", Flops: 1e9,
-		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{a, Read}, {o, Write}}...)
+	g2.Add(Task{Name: "r2", Codelet: gpuOnly("r", 0.1), Flops: 1e9}, []Access{{a, Read}, {o, Write}}...)
 	rep2, err := sch2.Run(g2, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -467,11 +460,9 @@ func TestRateSeedsPreventColdMisplacements(t *testing.T) {
 		// One launch-bound runt (rate 1e8 flops/s), then five big tasks
 		// whose honest device rate is 1e10.
 		h := g.NewHandle("h", 1<<20)
-		g.Add(Task{Name: "runt", Codelet: "k", Flops: 1e7,
-			Costs: bothCosts(0.11, 0.1)}, []Access{{h, ReadWrite}}...)
+		g.Add(Task{Name: "runt", Codelet: both("k", 0.11, 0.1), Flops: 1e7}, []Access{{h, ReadWrite}}...)
 		for i := 0; i < 5; i++ {
-			g.Add(Task{Name: fmt.Sprintf("big%d", i), Codelet: "k", Flops: 1e9,
-				Costs: bothCosts(0.12, 0.1)}, []Access{{h, ReadWrite}}...)
+			g.Add(Task{Name: fmt.Sprintf("big%d", i), Codelet: both("k", 0.12, 0.1), Flops: 1e9}, []Access{{h, ReadWrite}}...)
 		}
 		return g
 	}
@@ -494,8 +485,7 @@ func TestRateSeedsPreventColdMisplacements(t *testing.T) {
 	warmup := New()
 	hw := warmup.NewHandle("hw", 1<<20)
 	for i := 0; i < 6; i++ {
-		warmup.Add(Task{Name: fmt.Sprintf("w%d", i), Codelet: "k", Flops: 1e9,
-			Costs: bothCosts(0.12, 0.1)}, []Access{{hw, ReadWrite}}...)
+		warmup.Add(Task{Name: fmt.Sprintf("w%d", i), Codelet: both("k", 0.12, 0.1), Flops: 1e9}, []Access{{hw, ReadWrite}}...)
 	}
 	if _, err := schW.Run(warmup, 0); err != nil {
 		t.Fatal(err)

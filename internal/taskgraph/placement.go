@@ -42,15 +42,15 @@ func (c *candidates) choose() Class {
 // an earliest start plus the blended duration.
 func (r *run) estimate(c *candidates, t *Task, readyAt sim.Time, gpuOK bool) {
 	*c = candidates{gpu: never, cpu: never, hyb: never, core: -1}
-	rates := r.s.rates
+	rates, cl := r.s.rates, t.Codelet
 	if gpuOK {
 		c.gpuPlan = r.planDevice(t, 1, 1, false, readyAt)
-		model := c.gpuPlan.boundBy(t.Costs.GPUSeconds(t))
-		c.gpu = c.gpuPlan.start + rates.EstimateClass(t.Codelet, ClassGPU, t.Flops, model)
+		model := c.gpuPlan.boundBy(cl.GPUSeconds(t, t.Rows))
+		c.gpu = c.gpuPlan.start + rates.EstimateClass(cl.Name, ClassGPU, t.Flops, model)
 	}
-	cpuOK := t.Costs.CPUSeconds != nil
+	cpuOK := cl.CPUSeconds != nil
 	if cpuOK {
-		est := rates.EstimateClass(t.Codelet, ClassCPU, t.Flops, t.Costs.CPUSeconds(t))
+		est := rates.EstimateClass(cl.Name, ClassCPU, t.Flops, cl.CPUSeconds(t, t.Rows))
 		for ci := range r.cores {
 			if fin := r.coreFree(ci, readyAt) + est; fin < c.cpu {
 				c.cpu, c.core = fin, ci
@@ -60,7 +60,7 @@ func (r *run) estimate(c *candidates, t *Task, readyAt sim.Time, gpuOK bool) {
 	// The split body occupies the device queue and the host cores at once.
 	// It is ineligible while the device is down (the CPU body is the
 	// degradation path) and when the split rounds to a whole-device placement.
-	if t.Hybrid != nil && gpuOK && cpuOK {
+	if cl.Hybrid != nil && gpuOK && cpuOK {
 		r.estimateHybrid(t, readyAt, c)
 	}
 }
@@ -94,9 +94,9 @@ func (z *splitSizer) coreFree(ci int) sim.Time { return max(z.readyAt, z.avail[c
 // across the cores that can join — and ranks it like the single-device
 // candidates.
 func (r *run) estimateHybrid(t *Task, readyAt sim.Time, c *candidates) {
-	h := t.Hybrid
-	m1 := int(math.Round(float64(h.Rows) * h.Part.GSplit(t.Flops)))
-	if m1 <= 0 || m1 >= h.Rows {
+	cl, h := t.Codelet, t.Codelet.Hybrid
+	m1 := int(math.Round(float64(t.Rows) * h.Part.GSplit(t.Flops)))
+	if m1 <= 0 || m1 >= t.Rows {
 		return
 	}
 	z := &r.sizer
@@ -106,7 +106,7 @@ func (r *run) estimateHybrid(t *Task, readyAt sim.Time, c *candidates) {
 	// the device — a synchronized split that waited for every core would
 	// serialize behind whatever the slowest core is doing. If no core is free
 	// in time, fall back to the fully synchronized split.
-	p := r.planDevice(t, m1, h.Rows, h.SplitReads, readyAt)
+	p := r.planDevice(t, m1, t.Rows, h.SplitReads, readyAt)
 	planned := m1
 	z.nUsable = 0
 	for ci, core := range r.cores {
@@ -122,10 +122,10 @@ func (r *run) estimateHybrid(t *Task, readyAt sim.Time, c *candidates) {
 		}
 		z.nUsable = len(r.cores)
 	}
-	m2 := h.Rows - m1
+	m2 := t.Rows - m1
 	if z.nUsable < len(r.cores) {
 		m2 = m2 * z.nUsable / len(r.cores)
-		m1 = h.Rows - m2
+		m1 = t.Rows - m2
 	}
 	if m2 <= 0 {
 		return
@@ -159,15 +159,15 @@ func (r *run) estimateHybrid(t *Task, readyAt sim.Time, c *candidates) {
 	// Folding per-resource queue skew into the measured rate would let one
 	// congested wavefront poison the class forever.
 	if m1 != planned {
-		p = r.planDevice(t, m1, h.Rows, h.SplitReads, readyAt)
+		p = r.planDevice(t, m1, t.Rows, h.SplitReads, readyAt)
 	}
 	start := p.start
-	intrinsic := p.boundBy(h.GPUSeconds(m1))
+	intrinsic := p.boundBy(cl.GPUSeconds(t, m1))
 	for ci, rc := range shares {
 		if rc == 0 {
 			continue
 		}
-		d := h.CPUSeconds(rc)
+		d := cl.CPUSeconds(t, rc)
 		if h.FillSkew {
 			// Skew-filled slabs start before the kernel and end at the join
 			// by construction: measure them in the kernel-start frame, like
@@ -179,7 +179,7 @@ func (r *run) estimateHybrid(t *Task, readyAt sim.Time, c *candidates) {
 		}
 		intrinsic = max(intrinsic, d)
 	}
-	c.hyb = start + r.s.rates.EstimateClass(t.Codelet, ClassHyb, t.Flops, intrinsic)
+	c.hyb = start + r.s.rates.EstimateClass(cl.Name, ClassHyb, t.Flops, intrinsic)
 	c.hybPlan, c.hybRows, c.shares = p, m1, shares
 	z.shares = shares
 }
@@ -191,8 +191,8 @@ func (r *run) estimateHybrid(t *Task, readyAt sim.Time, c *candidates) {
 // rows and host shares (rewritten in place).
 func (r *run) fillSkew(m1 int, shares []int) (int, []int) {
 	z := &r.sizer
-	h := z.t.Hybrid
-	m2 := h.Rows - m1
+	rows := z.t.Rows
+	m2 := rows - m1
 	// Two passes close the fixed point (the join barely moves once the
 	// device share is near its final value).
 	for pass := 0; pass < 2 && z.wsum > 0; pass++ {
@@ -200,11 +200,11 @@ func (r *run) fillSkew(m1 int, shares []int) (int, []int) {
 		if !ok {
 			break
 		}
-		if total > h.Rows-1 {
+		if total > rows-1 {
 			// The cores could swallow the whole task before the device half
 			// finishes; keep one device row so the booking stays a genuine
 			// split.
-			scale := float64(h.Rows-1) / float64(total)
+			scale := float64(rows-1) / float64(total)
 			total = 0
 			for ci := range shares {
 				shares[ci] = int(float64(shares[ci]) * scale)
@@ -212,7 +212,7 @@ func (r *run) fillSkew(m1 int, shares []int) (int, []int) {
 			}
 		}
 		m2 = total
-		m1 = h.Rows - m2
+		m1 = rows - m2
 	}
 	// The two-pass fixed point assumes the join moves slowly with the device
 	// share. Transfer-dominated codelets (SplitReads stencils, where the
@@ -225,17 +225,17 @@ func (r *run) fillSkew(m1 int, shares []int) (int, []int) {
 	if z.wsum > 0 && m2 > 0 {
 		tol := max(m2/8, 2)
 		if got, _ := r.capacity(m1, z.caps); got+tol < m2 || got > m2+tol {
-			lo, hi := 1, h.Rows-1
+			lo, hi := 1, rows-1
 			for lo < hi {
 				mid := (lo + hi) / 2
-				if c, _ := r.capacity(mid, z.caps); c >= h.Rows-mid {
+				if c, _ := r.capacity(mid, z.caps); c >= rows-mid {
 					hi = mid
 				} else {
 					lo = mid + 1
 				}
 			}
 			m1 = lo
-			m2 = h.Rows - m1
+			m2 = rows - m1
 			weights := z.fr
 			if got, _ := r.capacity(m1, z.caps); got > 0 {
 				for i, c := range z.caps {
@@ -248,12 +248,12 @@ func (r *run) fillSkew(m1 int, shares []int) (int, []int) {
 			for _, rc := range shares {
 				m2 += rc
 			}
-			m1 = h.Rows - m2
+			m1 = rows - m2
 		}
 	}
 	if m2 == 0 {
 		// Nothing to top up — degenerate back to the oracle's allocation.
-		shares = element.AllocRows(shares, h.Rows-m1, z.fr)
+		shares = element.AllocRows(shares, rows-m1, z.fr)
 	}
 	return m1, shares
 }
@@ -264,11 +264,11 @@ func (r *run) fillSkew(m1 int, shares []int) (int, []int) {
 // row no cost.
 func (r *run) capacity(m1 int, out []int) (total int, ok bool) {
 	z := &r.sizer
-	h := z.t.Hybrid
-	p := r.planDevice(z.t, m1, h.Rows, h.SplitReads, z.readyAt)
-	join := p.start + sim.Time(p.boundBy(h.GPUSeconds(m1)))
-	ref := max((h.Rows-m1)/z.nUsable, 1)
-	secPerRow := h.CPUSeconds(ref) / float64(ref)
+	t, cl := z.t, z.t.Codelet
+	p := r.planDevice(t, m1, t.Rows, cl.Hybrid.SplitReads, z.readyAt)
+	join := p.start + sim.Time(p.boundBy(cl.GPUSeconds(t, m1)))
+	ref := max((t.Rows-m1)/z.nUsable, 1)
+	secPerRow := cl.CPUSeconds(t, ref) / float64(ref)
 	if secPerRow <= 0 {
 		return 0, false
 	}
@@ -281,7 +281,7 @@ func (r *run) capacity(m1 int, out []int) (total int, ok bool) {
 		if budget <= 0 {
 			continue
 		}
-		rows := min(int(budget/secPerRow*z.fr[ci]*float64(z.nUsable)/z.wsum), h.Rows)
+		rows := min(int(budget/secPerRow*z.fr[ci]*float64(z.nUsable)/z.wsum), t.Rows)
 		out[ci] = rows
 		total += rows
 	}

@@ -28,14 +28,22 @@ type luScratch struct {
 // 2nt+nt² handles (piv is a constant) and 2+nt+nt² tasks.
 func luNames(nt int) int { return 2*nt + nt*nt + 2 + nt + nt*nt }
 
+// The LU iteration's codelets, made once: every task of a class shares one.
+var (
+	luPanel = &Codelet{Name: "lu.panel", CPUSeconds: luCPUSeconds}
+	luTrsm  = &Codelet{Name: "lu.trsm", CPUSeconds: luCPUSeconds}
+	luGemm  = &Codelet{Name: "lu.gemm", CPUSeconds: luCPUSeconds,
+		GPUSeconds: func(t *Task, _ int) float64 { return t.Flops / 80e9 }}
+)
+
+func luCPUSeconds(t *Task, _ int) float64 { return t.Flops / 4e9 }
+
 // luIterationGraph builds, on g, one LU iteration over an nt×nt trailing tile
 // grid the way the graph stepper does: panel, a trsm prep per column, the
 // tile updates column by column, and the look-ahead panel on column 0. Tiles
 // are 256 KiB, so on the 8 MiB device of the test the larger grids evict.
 func luIterationGraph(g *Graph, sc *luScratch, k, nt int) {
 	const tile = 256 << 10
-	cpu := func(t *Task) float64 { return t.Flops / 4e9 }
-	gpu := func(t *Task) float64 { return t.Flops / 80e9 }
 	piv := g.NewHandle("piv", 1024)
 	if cap(sc.handles) < 2*nt+nt*nt {
 		sc.handles = make([]*Handle, 2*nt+nt*nt)
@@ -52,16 +60,15 @@ func luIterationGraph(g *Graph, sc *luScratch, k, nt int) {
 	for _, l := range ls {
 		accs = append(accs, Access{l, Write})
 	}
-	g.Add(Task{Name: Name("panel(%d)", k), Codelet: "lu.panel", Flops: 2e8, Priority: 3,
-		Costs: Costs{CPUSeconds: cpu}}, accs...)
+	g.Add(Task{Name: Name("panel(%d)", k), Codelet: luPanel, Flops: 2e8, Priority: 3}, accs...)
 	for c := 0; c < nt; c++ {
-		g.Add(Task{Name: Name("prep(%d,%d)", k, c), Codelet: "lu.trsm", Flops: 1e8, Priority: 2,
-			Costs: Costs{CPUSeconds: cpu}}, Access{piv, Read}, Access{us[c], Write})
+		g.Add(Task{Name: Name("prep(%d,%d)", k, c), Codelet: luTrsm, Flops: 1e8, Priority: 2},
+			Access{piv, Read}, Access{us[c], Write})
 	}
 	for c := 0; c < nt; c++ {
 		for r := 0; r < nt; r++ {
-			g.Add(Task{Name: Name("upd(%d,%d,%d)", k, r, c), Codelet: "lu.gemm", Flops: 1e9,
-				Shape: [3]int{256, 256, 128}, Costs: Costs{CPUSeconds: cpu, GPUSeconds: gpu}},
+			g.Add(Task{Name: Name("upd(%d,%d,%d)", k, r, c), Codelet: luGemm, Flops: 1e9,
+				Shape: [3]int{256, 256, 128}},
 				Access{ls[r], Read}, Access{us[c], Read}, Access{ts[r*nt+c], ReadWrite})
 		}
 	}
@@ -69,8 +76,7 @@ func luIterationGraph(g *Graph, sc *luScratch, k, nt int) {
 	for r := 0; r < nt; r++ {
 		accs = append(accs, Access{ts[r*nt], ReadWrite})
 	}
-	next := g.Add(Task{Name: Name("panel(%d)", k+1), Codelet: "lu.panel", Flops: 1e8, Priority: 3,
-		Costs: Costs{CPUSeconds: cpu}}, accs...)
+	next := g.Add(Task{Name: Name("panel(%d)", k+1), Codelet: luPanel, Flops: 1e8, Priority: 3}, accs...)
 	g.After(next, g.Tasks()[0]) // an explicit edge, grown in place at the slab's tail
 	sc.accs = accs
 }
@@ -182,10 +188,10 @@ func TestReaderChainsAcrossReset(t *testing.T) {
 		hs := []*Handle{g.NewHandle("a", 8), g.NewHandle("b", 8)}
 		for r := 0; r < rounds; r++ {
 			for i := 0; i < readers; i++ {
-				g.Add(Task{Name: Name("r(%d,%d)", r, i), Costs: cpuCost(1)},
+				g.Add(Task{Name: Name("r(%d,%d)", r, i), Codelet: unitCPU},
 					Access{hs[i%2], Read}, Access{hs[(i+r)%2], Read})
 			}
-			g.Add(Task{Name: Name("w(%d)", r), Costs: cpuCost(1)}, Access{hs[r%2], ReadWrite})
+			g.Add(Task{Name: Name("w(%d)", r), Codelet: unitCPU}, Access{hs[r%2], ReadWrite})
 		}
 	}
 	deps := func(g *Graph) [][]int {
@@ -219,8 +225,8 @@ func TestAddZeroesCopiedMark(t *testing.T) {
 	// Add.
 	marked := func(g *Graph) Task {
 		h := g.NewHandle("h", 8)
-		w := g.Add(Task{Name: "w", Costs: cpuCost(1)}, Access{h, Write})
-		g.Add(Task{Name: "r", Costs: cpuCost(1)}, Access{h, Read})
+		w := g.Add(Task{Name: "w", Codelet: unitCPU}, Access{h, Write})
+		g.Add(Task{Name: "r", Codelet: unitCPU}, Access{h, Read})
 		if w.mark != 2 {
 			t.Fatalf("setup: the writer's mark is %d, want 2", w.mark)
 		}
@@ -243,9 +249,9 @@ func TestAddZeroesCopiedMark(t *testing.T) {
 		g, carried := tc.setup()
 		h := g.NewHandle("x", 8)
 		g.Add(carried, Access{h, Write})
-		r1 := g.Add(Task{Name: "x1", Costs: cpuCost(1)}, Access{h, Read})
-		r2 := g.Add(Task{Name: "x2", Costs: cpuCost(1)}, Access{h, Read})
-		w := g.Add(Task{Name: "x3", Costs: cpuCost(1)}, Access{h, ReadWrite})
+		r1 := g.Add(Task{Name: "x1", Codelet: unitCPU}, Access{h, Read})
+		r2 := g.Add(Task{Name: "x2", Codelet: unitCPU}, Access{h, Read})
+		w := g.Add(Task{Name: "x3", Codelet: unitCPU}, Access{h, ReadWrite})
 		for _, c := range []struct {
 			task *Task
 			want []int
@@ -269,7 +275,7 @@ func summary(r Report) Report {
 // typed messages (it once indexed out of range on the first case), and a
 // stale handle is skipped by Add and named by Validate.
 func TestGraphRejectsForeignAndStale(t *testing.T) {
-	add := func(g *Graph, name string) *Task { return g.Add(Task{Name: name, Costs: cpuCost(1)}) }
+	add := func(g *Graph, name string) *Task { return g.Add(Task{Name: name, Codelet: unitCPU}) }
 	// build returns a graph of n tasks and its last task.
 	build := func(prefix string, n int) (*Graph, *Task) {
 		g := New()
@@ -300,7 +306,7 @@ func TestGraphRejectsForeignAndStale(t *testing.T) {
 		}},
 		{"not yet added", func() (*Graph, *Task, *Task) {
 			g, mine := build("t", 2)
-			return g, mine, &Task{Name: "loose", Costs: cpuCost(1)}
+			return g, mine, &Task{Name: "loose", Codelet: unitCPU}
 		}},
 	} {
 		g, mine, other := tc.setup()
@@ -328,8 +334,8 @@ func TestGraphRejectsForeignAndStale(t *testing.T) {
 	old := g.NewHandle("old", 8)
 	g.Reset()
 	live := g.NewHandle("live", 8)
-	g.Add(Task{Name: "ok", Costs: cpuCost(1)}, Access{live, Write})
-	bad := g.Add(Task{Name: "bad", Costs: cpuCost(1)}, Access{live, Read}, Access{old, Write})
+	g.Add(Task{Name: "ok", Codelet: unitCPU}, Access{live, Write})
+	bad := g.Add(Task{Name: "bad", Codelet: unitCPU}, Access{live, Read}, Access{old, Write})
 	if !reflect.DeepEqual(bad.Deps(), []int{0}) {
 		t.Errorf("deps of the task declaring a stale handle = %v, want only the live handle's writer", bad.Deps())
 	}

@@ -414,7 +414,7 @@ func (s *Scheduler) Run(g *Graph, earliest sim.Time) (Report, error) {
 		finish[t.id] = end
 		r.rep.End = max(r.rep.End, end)
 		r.rep.TaskSpans = append(r.rep.TaskSpans, TaskSpan{
-			Name: t.Name, Codelet: t.Codelet, Device: b.device, Start: b.sp.Start, End: end,
+			Name: t.Name, Codelet: t.Codelet.Name, Device: b.device, Start: b.sp.Start, End: end,
 		})
 
 		for _, c := range children.of(t.id) {
@@ -456,8 +456,8 @@ func (r *run) settle() Report {
 // the task's ready time and whether its device variants are candidates.
 func (r *run) admit(t *Task, readyAt sim.Time) (at sim.Time, gpuOK, stalled bool) {
 	s, dev := r.s, r.dev
-	gpuOK = t.Costs.GPUSeconds != nil
-	cpuOK := t.Costs.CPUSeconds != nil
+	gpuOK = t.Codelet.GPUSeconds != nil
+	cpuOK := t.Codelet.CPUSeconds != nil
 	if gpuOK {
 		if !cpuOK && s.opts.GPUFallback && dev.LossAt(readyAt) == gpu.Outage {
 			readyAt = dev.Health().RestoredAt(readyAt)

@@ -36,9 +36,8 @@ func chainGraph(n int, cpuSec, gpuSec float64) *Graph {
 	for i := 0; i < n; i++ {
 		g.Add(Task{
 			Name:    fmt.Sprintf("t%02d", i),
-			Codelet: "step",
+			Codelet: both("step", cpuSec, gpuSec),
 			Flops:   1e9,
-			Costs:   bothCosts(cpuSec, gpuSec),
 		}, []Access{{h, ReadWrite}}...)
 	}
 	return g
@@ -52,10 +51,10 @@ func TestSchedulerDeterministic(t *testing.T) {
 		a := g.NewHandle("a", 4096)
 		b := g.NewHandle("b", 4096)
 		c := g.NewHandle("c", 4096)
-		g.Add(Task{Name: "wa", Codelet: "gen", Flops: 1e8, Costs: bothCosts(0.02, 0.01)}, []Access{{a, Write}}...)
-		g.Add(Task{Name: "wb", Codelet: "gen", Flops: 1e8, Costs: bothCosts(0.02, 0.01)}, []Access{{b, Write}}...)
-		g.Add(Task{Name: "mul", Codelet: "mul", Flops: 1e9, Costs: bothCosts(0.4, 0.05)}, []Access{{a, Read}, {b, Read}, {c, Write}}...)
-		g.Add(Task{Name: "post", Codelet: "post", Flops: 1e7, Costs: cpuCost(0.01)}, []Access{{c, ReadWrite}}...)
+		g.Add(Task{Name: "wa", Codelet: both("gen", 0.02, 0.01), Flops: 1e8}, []Access{{a, Write}}...)
+		g.Add(Task{Name: "wb", Codelet: both("gen", 0.02, 0.01), Flops: 1e8}, []Access{{b, Write}}...)
+		g.Add(Task{Name: "mul", Codelet: both("mul", 0.4, 0.05), Flops: 1e9}, []Access{{a, Read}, {b, Read}, {c, Write}}...)
+		g.Add(Task{Name: "post", Codelet: cpuOnly("post", 0.01), Flops: 1e7}, []Access{{c, ReadWrite}}...)
 		rep, err := sch.Run(g, 0)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
@@ -78,8 +77,8 @@ func TestSchedulerPlacement(t *testing.T) {
 	h := g.NewHandle("h", 1024)
 	o := g.NewHandle("o", 1024)
 	// Strongly GPU-favored task, then a CPU-only consumer.
-	g.Add(Task{Name: "big", Codelet: "big", Flops: 1e10, Costs: bothCosts(5, 0.05)}, []Access{{h, Write}}...)
-	g.Add(Task{Name: "host", Codelet: "host", Flops: 1e6, Costs: cpuCost(0.001)}, []Access{{h, Read}, {o, Write}}...)
+	g.Add(Task{Name: "big", Codelet: both("big", 5, 0.05), Flops: 1e10}, []Access{{h, Write}}...)
+	g.Add(Task{Name: "host", Codelet: cpuOnly("host", 0.001), Flops: 1e6}, []Access{{h, Read}, {o, Write}}...)
 	rep, err := sch.Run(g, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -110,11 +109,10 @@ func TestSchedulerResidencySkipsRepeatUploads(t *testing.T) {
 	g := New()
 	shared := g.NewHandle("shared", 1<<20)
 	outs := make([]*Handle, 3)
-	g.Add(Task{Name: "init", Codelet: "init", Flops: 1e9, Costs: bothCosts(2, 0.02)}, []Access{{shared, Write}}...)
+	g.Add(Task{Name: "init", Codelet: both("init", 2, 0.02), Flops: 1e9}, []Access{{shared, Write}}...)
 	for i := range outs {
 		outs[i] = g.NewHandle(fmt.Sprintf("out%d", i), 1024)
-		g.Add(Task{Name: fmt.Sprintf("use%d", i), Codelet: "use", Flops: 1e9,
-			Costs: bothCosts(2, 0.02)}, []Access{{shared, Read}, {outs[i], Write}}...)
+		g.Add(Task{Name: fmt.Sprintf("use%d", i), Codelet: both("use", 2, 0.02), Flops: 1e9}, []Access{{shared, Read}, {outs[i], Write}}...)
 	}
 	rep, err := sch.Run(g, 0)
 	if err != nil {
@@ -223,9 +221,8 @@ func TestSchedulerABFTCountsStrikes(t *testing.T) {
 	h := g.NewHandle("h", 1<<20)
 	for i := 0; i < 40; i++ {
 		g.Add(Task{
-			Name: fmt.Sprintf("k%02d", i), Codelet: "gemm", Flops: 1e9,
+			Name: fmt.Sprintf("k%02d", i), Codelet: gpuOnly("gemm", 0.2), Flops: 1e9,
 			Shape: [3]int{512, 512, 512},
-			Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.2 }},
 		}, []Access{{h, ReadWrite}}...)
 	}
 	rep, err := sch.Run(g, 0)
@@ -255,9 +252,8 @@ func TestSchedulerABFTCountsStrikes(t *testing.T) {
 	h2 := g2.NewHandle("h", 1<<20)
 	for i := 0; i < 40; i++ {
 		g2.Add(Task{
-			Name: fmt.Sprintf("k%02d", i), Codelet: "gemm", Flops: 1e9,
+			Name: fmt.Sprintf("k%02d", i), Codelet: gpuOnly("gemm", 0.2), Flops: 1e9,
 			Shape: [3]int{512, 512, 512},
-			Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.2 }},
 		}, []Access{{h2, ReadWrite}}...)
 	}
 	rep2, err := sch2.Run(g2, 0)
@@ -281,10 +277,10 @@ func TestSchedulerBodiesRunExactlyOnceAnyPar(t *testing.T) {
 		ha := g.NewHandle("ha", 64)
 		hb := g.NewHandle("hb", 64)
 		ho := g.NewHandle("ho", 64)
-		g.Add(Task{Name: "src", Costs: cpuCost(0.01), Run: func() { data[0] = 1 }}, []Access{{h0, Write}}...)
-		g.Add(Task{Name: "ma", Costs: cpuCost(0.01), Run: func() { data[1] = data[0] + 1 }}, []Access{{h0, Read}, {ha, Write}}...)
-		g.Add(Task{Name: "mb", Costs: cpuCost(0.01), Run: func() { data[2] = data[0] + 2 }}, []Access{{h0, Read}, {hb, Write}}...)
-		g.Add(Task{Name: "join", Costs: cpuCost(0.01), Run: func() { data[3] = data[1] * data[2] }}, []Access{{ha, Read}, {hb, Read}, {ho, Write}}...)
+		g.Add(Task{Name: "src", Codelet: cpuOnly("", 0.01), Run: func() { data[0] = 1 }}, []Access{{h0, Write}}...)
+		g.Add(Task{Name: "ma", Codelet: cpuOnly("", 0.01), Run: func() { data[1] = data[0] + 1 }}, []Access{{h0, Read}, {ha, Write}}...)
+		g.Add(Task{Name: "mb", Codelet: cpuOnly("", 0.01), Run: func() { data[2] = data[0] + 2 }}, []Access{{h0, Read}, {hb, Write}}...)
+		g.Add(Task{Name: "join", Codelet: cpuOnly("", 0.01), Run: func() { data[3] = data[1] * data[2] }}, []Access{{ha, Read}, {hb, Read}, {ho, Write}}...)
 		if _, err := sch.Run(g, 0); err != nil {
 			t.Fatalf("par %d: %v", par, err)
 		}
@@ -300,7 +296,7 @@ func TestSchedulerFinalDrainFlushesDirtyHandles(t *testing.T) {
 	sch := NewScheduler(el, Options{})
 	g := New()
 	h := g.NewHandle("h", 1<<20)
-	g.Add(Task{Name: "only", Codelet: "only", Flops: 1e9, Costs: bothCosts(3, 0.02)}, []Access{{h, Write}}...)
+	g.Add(Task{Name: "only", Codelet: both("only", 3, 0.02), Flops: 1e9}, []Access{{h, Write}}...)
 	rep, err := sch.Run(g, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -330,8 +326,7 @@ func TestWorkingSetOverflowIsATypedError(t *testing.T) {
 	b := g.NewHandle("b", 600<<10)
 	o := g.NewHandle("o", 64)
 	// Both reads must be resident at once; together they exceed the device.
-	g.Add(Task{Name: "big", Codelet: "k", Flops: 1e9,
-		Costs: Costs{GPUSeconds: func(*Task) float64 { return 0.1 }}}, []Access{{a, Read}, {b, Read}, {o, Write}}...)
+	g.Add(Task{Name: "big", Codelet: gpuOnly("k", 0.1), Flops: 1e9}, []Access{{a, Read}, {b, Read}, {o, Write}}...)
 	_, err := sch.Run(g, 0)
 	if !errors.Is(err, gpu.ErrWorkingSet) {
 		t.Fatalf("Run error = %v, want ErrWorkingSet", err)
