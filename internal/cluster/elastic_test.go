@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"tianhe/internal/element"
 	"tianhe/internal/matrix"
 	"tianhe/internal/sim"
 )
@@ -118,5 +119,25 @@ func TestElasticQuorumFloorRejected(t *testing.T) {
 		Failures: []FailureSpec{{Rank: 0, At: 0}, {Rank: 1, At: sim.Time(1)}}})
 	if err == nil {
 		t.Fatal("expected quorum-floor rejection")
+	}
+}
+
+// SolveElastic with no failures is the 2-D solver on a 1 x Q grid: x and the
+// residual agree bit for bit, with the grid's look-ahead off and on.
+func TestElasticMatchesGrid1xQ(t *testing.T) {
+	for _, s := range []struct{ n, nb, q int }{{512, 64, 4}, {768, 64, 4}, {640, 32, 3}, {384, 32, 2}} {
+		el, err := SolveElastic(ElasticConfig{N: s.n, NB: s.nb, Ranks: s.q, Seed: 2009})
+		if err != nil {
+			t.Fatalf("%+v elastic: %v", s, err)
+		}
+		for _, la := range []bool{false, true} {
+			g, err := SolveDistributed2D(Dist2DConfig{N: s.n, NB: s.nb, P: 1, Q: s.q, Seed: 2009, Variant: element.ACMLGBoth, Lookahead: la})
+			if err != nil {
+				t.Fatalf("%+v grid lookahead=%v: %v", s, la, err)
+			}
+			if d := matrix.VecMaxDiff(el.X, g.X); d != 0 || el.Residual != g.Residual {
+				t.Errorf("%+v lookahead=%v: x differs by %g, residuals %g vs %g", s, la, d, el.Residual, g.Residual)
+			}
+		}
 	}
 }

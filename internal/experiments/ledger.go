@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"tianhe/internal/hpl"
 	"tianhe/internal/linpacksim"
 	"tianhe/internal/perfmodel"
+	"tianhe/internal/sweep"
 	"tianhe/internal/telemetry"
 )
 
@@ -140,6 +142,9 @@ func Ledger(seed uint64, par int, tel *telemetry.Telemetry) ([]Row, error) {
 		return nil, err
 	}
 	if err := l.sdc(seed, tel, par); err != nil {
+		return nil, err
+	}
+	if err := l.dist2d(seed, par); err != nil {
 		return nil, err
 	}
 	if err := l.elastic(seed, tel, par); err != nil {
@@ -541,6 +546,45 @@ func (l *ledger) sdc(seed uint64, tel *telemetry.Telemetry, par int) error {
 func (l *ledger) linpackArm(id, what string, res linpacksim.Result) {
 	l.add(id+"seconds", "makespan, "+what, "s", res.Seconds)
 	l.add(id+"gflops", "Linpack, "+what, "GFLOPS", res.GFLOPS)
+}
+
+// dist2dGrids are the P x Q grids of the dist2d.* rows.
+var dist2dGrids = [][2]int{{1, 4}, {2, 2}, {2, 4}}
+
+// dist2d adds the real 2-D solver's makespan and residual at N=768, NB=64
+// with ACMLG+both elements, on each of dist2dGrids without and with depth-1
+// look-ahead: the small-scale twin of Figs 11-12, pinned as absolute
+// virtual numbers.
+func (l *ledger) dist2d(seed uint64, par int) error {
+	l.figure = "dist2d"
+	const n, nb = 768, 64
+	var cfgs []cluster.Dist2DConfig
+	for _, g := range dist2dGrids {
+		for _, la := range []bool{false, true} {
+			cfgs = append(cfgs, cluster.Dist2DConfig{N: n, NB: nb, P: g[0], Q: g[1], Seed: seed, Variant: element.ACMLGBoth, Lookahead: la})
+		}
+	}
+	type solve struct {
+		res cluster.DistResult
+		err error
+	}
+	solves := sweep.Map(context.Background(), par, cfgs, func(_ int, cfg cluster.Dist2DConfig) solve {
+		res, err := cluster.SolveDistributed2D(cfg)
+		return solve{res, err}
+	})
+	for i, cfg := range cfgs {
+		id, what := fmt.Sprintf("dist2d.%dx%d", cfg.P, cfg.Q), "no look-ahead"
+		if cfg.Lookahead {
+			id, what = id+"-la", "depth-1 look-ahead"
+		}
+		if err := solves[i].err; err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+		at := fmt.Sprintf(", real N=%d NB=%d on a %dx%d grid, %s", n, nb, cfg.P, cfg.Q, what)
+		l.add(id+".seconds", "makespan"+at, "s", solves[i].res.Seconds)
+		l.add(id+".residual", "scaled residual"+at, "ratio", solves[i].res.Residual)
+	}
+	return nil
 }
 
 // elastic adds the elastic-recovery comparison, held to ElasticVerdict: the
