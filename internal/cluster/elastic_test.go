@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 
 	"tianhe/internal/element"
@@ -139,5 +140,26 @@ func TestElasticMatchesGrid1xQ(t *testing.T) {
 				t.Errorf("%+v lookahead=%v: x differs by %g, residuals %g vs %g", s, la, d, el.Residual, g.Residual)
 			}
 		}
+	}
+}
+
+// Two deaths at one boundary that take two members of a parity stripe
+// exceed the XOR code's strength of one. Every survivor derives the same
+// plan, so all of them stop there and the solve returns a
+// ParityExceededError rather than crashing the process.
+func TestElasticStripeDoubleDeathIsAnError(t *testing.T) {
+	cfg := ElasticConfig{N: 256, NB: 32, Ranks: 4, Seed: 42}
+	healthy, err := SolveElastic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Failures = []FailureSpec{{Rank: 1, At: healthy.Seconds / 2}, {Rank: 2, At: healthy.Seconds / 2}}
+	_, err = SolveElastic(cfg)
+	var pe *ParityExceededError
+	if !errors.As(err, &pe) {
+		t.Fatalf("got %v, want a ParityExceededError", err)
+	}
+	if len(pe.Failed) != 2 || pe.Failed[0] != 1 || pe.Failed[1] != 2 || pe.Col >= pe.Iter {
+		t.Fatalf("error %+v: want ranks [1 2] lost together and a factored column", pe)
 	}
 }

@@ -28,7 +28,7 @@ func sameBlock(got, want *matrix.Dense) error {
 // TestRanksGenerateOwnedBlocks: each rank generates exactly what it owns,
 // equal bit for bit to the matching view of hpl.Generate — every local
 // block of the 2-D solver on 2x2 and 1x4 grids (and the augmented column's
-// b), and every block-column an elastic rank owns.
+// b), and every block-column an elastic rank owns under a shrunk layout.
 func TestRanksGenerateOwnedBlocks(t *testing.T) {
 	const n, nb, seed = 768, 64, 2009
 	a, b := hpl.Generate(n, seed)
@@ -42,10 +42,10 @@ func TestRanksGenerateOwnedBlocks(t *testing.T) {
 	for _, g := range [][2]int{{2, 2}, {1, 4}} {
 		cfg := Dist2DConfig{N: n, NB: nb, P: g[0], Q: g[1], Seed: seed, Variant: element.ACMLGBoth}
 		mpi.NewWorld(mpi.Config{Size: g[0] * g[1]}).Run(func(c *mpi.Comm) {
-			st := newState2d(c, cfg, hpl.RHS(n, seed))
+			st := newState2d(c, cfg, b, nil)
 			for bi := st.p; bi < st.nRowBlocks; bi += cfg.P {
 				for bj := st.q; bj < st.nColBlocks; bj += cfg.Q {
-					got := st.local.View(st.localRow(bi*nb), st.localColOfBlock(bj), nb, nb)
+					got := st.local.View(st.localRow(bi*nb), st.lcol[bj], nb, nb)
 					want := matrix.NewDense(nb, nb)
 					if bj < st.nRowBlocks {
 						want = a.View(bi*nb, bj*nb, nb, nb)
@@ -59,20 +59,33 @@ func TestRanksGenerateOwnedBlocks(t *testing.T) {
 			}
 		})
 	}
-	cfg := ElasticConfig{N: n, NB: nb, Ranks: 4, Seed: seed, StartLive: rcv.NewMembership(4).Live}
-	cfg.StartOwners = rcv.Cyclic(n/nb, cfg.StartLive).Owners
-	mpi.NewWorld(mpi.Config{Size: cfg.Ranks}).Run(func(c *mpi.Comm) {
-		st := newElasticRank(c, cfg, n/nb, hpl.RHS(n, seed))
-		for bj, o := range cfg.StartOwners {
-			col := st.cols[bj]
-			if held := col != nil; held != (o == c.Rank()) {
+	// An elastic rank holds its columns whole, in ascending global order,
+	// under any ownership table: here a survivors-only one.
+	live := []int{0, 2, 3}
+	ecfg := ElasticConfig{N: n, NB: nb, Ranks: 4, Seed: seed, StartLive: live, StartOwners: rcv.Cyclic(n/nb+1, live).Owners}
+	cfg := Dist2DConfig{N: n, NB: nb, P: 1, Q: 4, Seed: seed, Variant: element.ACMLGBoth}
+	mpi.NewWorld(mpi.Config{Size: 4}).Run(func(c *mpi.Comm) {
+		if c.Rank() == 1 {
+			return
+		}
+		st := newState2d(c, cfg, b, &ecfg)
+		for bj, o := range ecfg.StartOwners {
+			held := st.lcol[bj+1] > st.lcol[bj]
+			if held != (o == c.Rank()) {
 				fail(fmt.Errorf("elastic rank %d: holds column %d = %v, owner %d", c.Rank(), bj, held, o))
 				continue
 			}
-			if col != nil {
-				if err := sameBlock(col, a.View(0, bj*nb, n, nb)); err != nil {
-					fail(fmt.Errorf("elastic rank %d column %d: %v", c.Rank(), bj, err))
-				}
+			if !held {
+				continue
+			}
+			want := matrix.NewDense(n, nb)
+			if bj < n/nb {
+				want = a.View(0, bj*nb, n, nb)
+			} else {
+				copy(want.Col(0), b)
+			}
+			if err := sameBlock(st.local.View(0, st.lcol[bj], n, nb), want); err != nil {
+				fail(fmt.Errorf("elastic rank %d column %d: %v", c.Rank(), bj, err))
 			}
 		}
 	})

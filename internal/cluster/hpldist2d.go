@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tianhe/internal/adaptive"
 	"tianhe/internal/blas"
@@ -13,6 +14,8 @@ import (
 	"tianhe/internal/matrix"
 	"tianhe/internal/mpi"
 	"tianhe/internal/perfmodel"
+	rcv "tianhe/internal/recover"
+	"tianhe/internal/sim"
 )
 
 // Dist2DConfig describes a real distributed solve on a P x Q block-cyclic
@@ -59,16 +62,33 @@ type state2d struct {
 	g      grid.Grid
 	p, q   int
 	local  *matrix.Dense // localRows x localCols, augmented layout
+	el     *element.Element
 	runner *hybrid.Runner
 
+	// The block-column ownership table: colOwner[bj] is the process column
+	// that owns global block-column bj, the augmented one last. It starts
+	// cyclic; only the recovery layer's shrink remaps it (P = 1). liveCols
+	// are the process columns still running, ascending, and ranks the
+	// grid's live ranks, ascending. lcol[bj] is the local column offset of
+	// block-column bj, or where it would sit: a rank stores its owned
+	// columns in ascending global order, so lcol[nColBlocks] is the local
+	// width.
+	colOwner []int
+	liveCols []int
+	ranks    []int
+	lcol     []int
+
+	// rec is the recovery layer (heartbeat, parity, shrink and rebuild) of
+	// an elastic solve; nil on a plain grid.
+	rec *elasticState
+
 	// Send-side scratch, refilled at every step: mpi.Send copies, so what a
-	// rank sends from its own storage needs no fresh buffer. A root keeps
-	// viewing its packed panel and U12 through the updates, and under
-	// look-ahead panel k+1 is packed while panel k is still in use, so the
-	// pack buffers alternate by parity of k.
-	pack            [2][]float64
-	u12, pivot, seg []float64
-	lpiv            []int // one panel's pivots as local rows, for applyTrailingSwaps
+	// rank sends from its own storage needs no fresh buffer. A root packs
+	// its panel and U12 into storage taken from the world instead, since it
+	// keeps viewing them through the updates, and hands them back with the
+	// receivers' copies.
+	pivot, seg []float64
+	lpiv       []int // one panel's pivots as local rows, for applyTrailingSwaps
 
 	nRowBlocks int // N/NB
 	nColBlocks int // N/NB + 1 (augmented)
@@ -84,20 +104,36 @@ func SolveDistributed2D(cfg Dist2DConfig) (DistResult, error) {
 		return DistResult{}, fmt.Errorf("cluster: invalid %dx%d grid", cfg.P, cfg.Q)
 	}
 	b := hpl.RHS(cfg.N, cfg.Seed)
+	xs, _, end := solveGrid(cfg, b, nil)
+	return finishSolve(cfg.N, cfg.Seed, b, xs, end)
+}
 
+// solveGrid runs the 2D loop on every rank of a fresh P x Q world and
+// returns each rank's solution, its state and the makespan. A non-nil ec
+// switches the recovery layer on (SolveElastic, P = 1): only ec.StartLive
+// run, over ec.StartOwners, and a rank that dies or stops on an error
+// returns no solution.
+func solveGrid(cfg Dist2DConfig, b []float64, ec *ElasticConfig) ([][]float64, []*state2d, sim.Time) {
 	world := mpi.NewWorld(mpi.Config{Size: cfg.P * cfg.Q})
-	results := make([][]float64, world.Size())
+	xs := make([][]float64, world.Size())
+	states := make([]*state2d, world.Size())
 	end := world.Run(func(c *mpi.Comm) {
-		st := newState2d(c, cfg, b)
-		st.factor()
-		results[c.Rank()] = st.backSolve()
+		if ec != nil && !slices.Contains(ec.StartLive, c.Rank()) {
+			return // not part of this (pre-shrunk) run
+		}
+		st := newState2d(c, cfg, b, ec)
+		states[c.Rank()] = st
+		if st.factor() {
+			xs[c.Rank()] = st.backSolve()
+		}
 	})
-	return finishSolve(cfg.N, cfg.Seed, b, results, end)
+	return xs, states, end
 }
 
 // newState2d sets up one rank: it generates the blocks of A it owns and
-// takes its rows of b into the augmented column.
-func newState2d(c *mpi.Comm, cfg Dist2DConfig, b []float64) *state2d {
+// takes its rows of b into the augmented column. The ownership table is
+// cyclic unless ec (an elastic solve) names its own.
+func newState2d(c *mpi.Comm, cfg Dist2DConfig, b []float64, ec *ElasticConfig) *state2d {
 	g := grid.New(cfg.P, cfg.Q)
 	p, q := g.Coords(c.Rank())
 	st := &state2d{
@@ -106,6 +142,14 @@ func newState2d(c *mpi.Comm, cfg Dist2DConfig, b []float64) *state2d {
 		nColBlocks: cfg.N/cfg.NB + 1,
 		lpiv:       make([]int, cfg.NB),
 	}
+	st.liveCols = rcv.NewMembership(cfg.Q).Live
+	st.colOwner = rcv.Cyclic(st.nColBlocks, st.liveCols).Owners
+	if ec != nil {
+		st.liveCols, st.colOwner = ec.StartLive, ec.StartOwners
+		st.rec = &elasticState{cfg: *ec}
+		st.rec.refreshStripes(st.colOwner, st.liveCols)
+	}
+	st.layout()
 	el := element.New(element.Config{
 		Seed:        cfg.Seed + uint64(c.Rank())*977,
 		JitterSigma: -1,
@@ -116,31 +160,50 @@ func newState2d(c *mpi.Comm, cfg Dist2DConfig, b []float64) *state2d {
 	if cfg.Variant.Adaptive() {
 		part = adaptive.NewAdaptive(32, hpl.LinpackFlops(cfg.N), el.InitialGSplit(), el.CPU.NumCores())
 	}
-	st.runner = hybrid.New(el, cfg.Variant, part)
+	st.el, st.runner = el, hybrid.New(el, cfg.Variant, part)
 
 	// Fill the owned blocks of the augmented matrix [A | b 0...].
-	st.local = matrix.NewDense(st.localRows(), st.localCols())
-	nb := cfg.NB
-	for bi := p; bi < st.nRowBlocks; bi += cfg.P {
-		for bj := q; bj < st.nColBlocks; bj += cfg.Q {
-			dst := st.local.View(st.localRow(bi*nb), st.localColOfBlock(bj), nb, nb)
-			if bj < st.nRowBlocks { // regular block of A
-				hpl.FillMatrix(dst, cfg.N, cfg.Seed, bi*nb, bj*nb)
-				continue
-			}
-			// Augmented block: first column carries b, the rest stay zero.
-			copy(dst.Col(0), b[bi*nb:])
+	st.local = matrix.NewDense(grid.CyclicBlocks(st.nRowBlocks, p, cfg.P)*cfg.NB, st.lcol[st.nColBlocks])
+	for bj, pc := range st.colOwner {
+		if pc == q {
+			st.fillColumn(st.local.View(0, st.lcol[bj], st.local.Rows, cfg.NB), bj, b)
 		}
 	}
 	return st
 }
 
-func (st *state2d) localRows() int {
-	return grid.CyclicBlocks(st.nRowBlocks, st.p, st.cfg.P) * st.cfg.NB
+// fillColumn generates this rank's rows of block-column bj into dst: the
+// test matrix's blocks, or for the augmented block-column b in its first
+// column and zeros in the rest.
+func (st *state2d) fillColumn(dst *matrix.Dense, bj int, b []float64) {
+	nb := st.cfg.NB
+	for bi := st.p; bi < st.nRowBlocks; bi += st.cfg.P {
+		blk := dst.View(st.localRow(bi*nb), 0, nb, nb)
+		if bj < st.nRowBlocks {
+			hpl.FillMatrix(blk, st.cfg.N, st.cfg.Seed, bi*nb, bj*nb)
+			continue
+		}
+		blk.Zero()
+		copy(blk.Col(0), b[bi*nb:])
+	}
 }
 
-func (st *state2d) localCols() int {
-	return grid.CyclicBlocks(st.nColBlocks, st.q, st.cfg.Q) * st.cfg.NB
+// layout derives the local column offsets and the live ranks from the
+// ownership table and the live process columns.
+func (st *state2d) layout() {
+	st.lcol = make([]int, st.nColBlocks+1)
+	for bj, pc := range st.colOwner {
+		st.lcol[bj+1] = st.lcol[bj]
+		if pc == st.q {
+			st.lcol[bj+1] += st.cfg.NB
+		}
+	}
+	st.ranks = st.ranks[:0]
+	for p := 0; p < st.cfg.P; p++ {
+		for _, q := range st.liveCols {
+			st.ranks = append(st.ranks, st.g.Rank(p, q))
+		}
+	}
 }
 
 // localRow maps a global row this rank's process row owns to local storage.
@@ -154,12 +217,6 @@ func (st *state2d) rowOwner(gr int) int { return grid.CyclicOwner(gr/st.cfg.NB, 
 // ownsRow reports whether this rank's process row owns global row gr.
 func (st *state2d) ownsRow(gr int) bool { return st.rowOwner(gr) == st.p }
 
-// localColOfBlock maps a global column block this rank owns to its local
-// column offset.
-func (st *state2d) localColOfBlock(bj int) int {
-	return grid.CyclicLocalIndex(bj, st.cfg.Q) * st.cfg.NB
-}
-
 // firstLocalRowAtOrAbove returns the first local row whose global row is
 // >= gr (local rows are ascending in global row).
 func (st *state2d) firstLocalRowAtOrAbove(gr int) int {
@@ -170,12 +227,6 @@ func (st *state2d) firstLocalRowAtOrAbove(gr int) int {
 	return below
 }
 
-// firstLocalColOfTrailing returns the first local column with global block
-// index > k.
-func (st *state2d) firstLocalColOfTrailing(k int) int {
-	return grid.CyclicBlocks(k+1, st.q, st.cfg.Q) * st.cfg.NB
-}
-
 func (st *state2d) colGroup(pcol int) []int {
 	out := make([]int, st.cfg.P)
 	for p := 0; p < st.cfg.P; p++ {
@@ -184,17 +235,18 @@ func (st *state2d) colGroup(pcol int) []int {
 	return out
 }
 
+// rowGroup returns the live ranks of process row prow; a process column's
+// index in liveCols is its position in the group.
 func (st *state2d) rowGroup(prow int) []int {
-	out := make([]int, st.cfg.Q)
-	for q := 0; q < st.cfg.Q; q++ {
-		out[q] = st.g.Rank(prow, q)
+	out := make([]int, len(st.liveCols))
+	for i, q := range st.liveCols {
+		out[i] = st.g.Rank(prow, q)
 	}
 	return out
 }
 
 // panel2d is one rank's copy of a broadcast panel: the pivots and the
-// piece, which views buf, the payload it arrived in (a root's own pack
-// buffer).
+// piece, which views buf, the payload it arrived in (a root's own pack).
 type panel2d struct {
 	buf   []float64
 	piece *matrix.Dense
@@ -202,14 +254,18 @@ type panel2d struct {
 }
 
 // factor runs the 2D right-looking panel loop, optionally with depth-1
-// look-ahead.
-func (st *state2d) factor() {
+// look-ahead. It reports whether this rank finished the factorization: under
+// the recovery layer a rank may die on schedule or stop on an error.
+func (st *state2d) factor() bool {
 	nb := st.cfg.NB
 	// With look-ahead, panel k was factored and broadcast during iteration
 	// k-1 and is carried here.
 	var cur panel2d
 	for k := 0; k < st.nRowBlocks; k++ {
-		pcol := grid.CyclicOwner(k, st.cfg.Q)
+		if st.rec != nil && !st.boundary(k) {
+			return false
+		}
+		pcol := st.colOwner[k]
 		prow := grid.CyclicOwner(k, st.cfg.P)
 		row0 := k * nb
 
@@ -235,7 +291,7 @@ func (st *state2d) factor() {
 			// Look-ahead: the next panel's owner column updates just that
 			// block column, factors panel k+1 and launches its broadcast —
 			// all while the other ranks chew on the bulk update.
-			nextCol := grid.CyclicOwner(k+1, st.cfg.Q)
+			nextCol := st.colOwner[k+1]
 			if st.q == nextCol {
 				st.updateRange(k, prow, cur.piece, u12, 0, nb)
 				next = st.panelBcast(k+1, nextCol, st.panelFactor(k+1))
@@ -249,16 +305,17 @@ func (st *state2d) factor() {
 			st.updateRange(k, prow, cur.piece, u12, 0, -1)
 		}
 
-		// Panel k and U12 are spent: receivers hand their payloads back,
-		// roots keep their scratch.
-		if st.q != pcol {
-			st.comm.Release(cur.buf)
-		}
-		if u12 != nil && st.p != prow {
+		// Panel k and U12 are spent: every rank hands its copy back.
+		st.comm.Release(cur.buf)
+		if u12 != nil {
 			st.comm.Release(u12.Data)
+		}
+		if st.rec != nil {
+			st.endIteration(k, cur.ipiv)
 		}
 		cur = next
 	}
+	return true
 }
 
 // panelFactor runs the collaborative unblocked factorization of panel k
@@ -266,10 +323,26 @@ func (st *state2d) factor() {
 func (st *state2d) panelFactor(k int) []int {
 	nb := st.cfg.NB
 	row0 := k * nb
-	lc := st.localColOfBlock(k)
+	lc := st.lcol[k]
+	ipiv := make([]int, nb)
+	if st.cfg.P == 1 {
+		// A process column of one holds the whole panel, so it factors it
+		// with HPL's recursive panel. By the BLAS accumulation-order
+		// contract (DESIGN.md §5) that leaves the bits of the loop below,
+		// whose per-column time it books; a singular step is left unscaled
+		// by both.
+		pv := st.local.View(row0, lc, st.local.Rows-row0, nb)
+		_ = hpl.PanelFactor(pv, ipiv)
+		for j := range ipiv {
+			if rows := pv.Rows - j - 1; rows > 0 && pv.At(j, j) != 0 {
+				advance(st.comm, 2*float64(rows)*float64(nb-j), 10)
+			}
+			ipiv[j] += row0
+		}
+		return ipiv
+	}
 	group := st.colGroup(st.q)
 	myIdx := st.p
-	ipiv := make([]int, nb)
 	// Local row lr of the panel is panelRow(lr), its column jj at jj*ld.
 	ld := st.local.Stride
 	panelRow := func(lr int) []float64 { return st.local.Data[lc*ld+lr:] }
@@ -361,8 +434,7 @@ func (st *state2d) globalRowOfLocal(lr int) int {
 }
 
 // panelBcast distributes the pivots and each process row's panel piece along
-// the process rows; every rank returns its copy of the panel. The root packs
-// into its pack buffer of k's parity.
+// the process rows; every rank returns its copy of the panel.
 func (st *state2d) panelBcast(k, pcol int, ipiv []int) panel2d {
 	nb := st.cfg.NB
 	row0 := k * nb
@@ -372,10 +444,9 @@ func (st *state2d) panelBcast(k, pcol int, ipiv []int) panel2d {
 
 	var payload []float64
 	if st.q == pcol {
-		st.pack[k&1] = packPanel(st.pack[k&1], ipiv, st.local.View(start, st.localColOfBlock(k), pieceRows, nb))
-		payload = st.pack[k&1]
+		payload = packPanel(st.comm.Take(nb+pieceRows*nb), ipiv, st.local.View(start, st.lcol[k], pieceRows, nb))
 	}
-	payload = st.comm.GroupBcast(group, pcol, tag2dPanelBcast, payload)
+	payload = st.comm.GroupBcast(group, slices.Index(st.liveCols, pcol), tag2dPanelBcast, payload)
 	piece, ipiv := unpackPanel(payload, pieceRows, nb)
 	return panel2d{buf: payload, piece: piece, ipiv: ipiv}
 }
@@ -389,7 +460,7 @@ func (st *state2d) panelBcast(k, pcol int, ipiv []int) panel2d {
 // between the runs. Every other process row only answers the exchanges that
 // reach its rows.
 func (st *state2d) applyTrailingSwaps(k, row0 int, ipiv []int) {
-	c0 := st.firstLocalColOfTrailing(k)
+	c0 := st.lcol[k+1] // the first local column right of block-column k
 	cols := st.local.Cols - c0
 	if cols <= 0 {
 		// Peers with zero columns are skipped symmetrically: both sides
@@ -445,7 +516,7 @@ func (st *state2d) exchangeRow(myRow, peerP, c0, cols int) {
 func (st *state2d) computeAndBcastU12(k, prow int, piece *matrix.Dense) *matrix.Dense {
 	nb := st.cfg.NB
 	row0 := k * nb
-	c0 := st.firstLocalColOfTrailing(k)
+	c0 := st.lcol[k+1] // the first local column right of block-column k
 	cols := st.local.Cols - c0
 	group := st.colGroup(st.q)
 
@@ -456,8 +527,7 @@ func (st *state2d) computeAndBcastU12(k, prow int, piece *matrix.Dense) *matrix.
 		u12 := st.local.View(st.localRow(row0), c0, nb, cols)
 		blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, l11, u12)
 		advance(st.comm, float64(nb)*float64(nb)*float64(cols), perfmodel.HostTrsmGFLOPS)
-		st.u12 = reuse(st.u12, nb*cols)
-		payload = st.u12
+		payload = st.comm.Take(nb * cols)
 		for j := 0; j < cols; j++ {
 			copy(payload[j*nb:], u12.Col(j))
 		}
@@ -465,8 +535,8 @@ func (st *state2d) computeAndBcastU12(k, prow int, piece *matrix.Dense) *matrix.
 	if cols == 0 {
 		return nil
 	}
-	// The payload is this rank's own (its scratch, or a received copy it
-	// releases once the updates are done), so U12 views it.
+	// The payload is this rank's own (taken or received, released once the
+	// updates are done), so U12 views it.
 	return matrix.FromColMajor(nb, cols, nb, st.comm.GroupBcast(group, prow, tag2dU12, payload))
 }
 
@@ -478,22 +548,13 @@ func (st *state2d) computeAndBcastU12(k, prow int, piece *matrix.Dense) *matrix.
 func (st *state2d) updateRange(k, prow int, piece *matrix.Dense, u12 *matrix.Dense, colOff, count int) {
 	nb := st.cfg.NB
 	row0 := k * nb
-	c0 := st.firstLocalColOfTrailing(k)
+	c0 := st.lcol[k+1] // the first local column right of block-column k
 	cols := st.local.Cols - c0
-	if u12 == nil {
+	if u12 == nil || colOff >= cols {
 		return
 	}
-	if count < 0 {
+	if count < 0 || colOff+count > cols {
 		count = cols - colOff
-	}
-	if colOff >= cols {
-		return
-	}
-	if colOff+count > cols {
-		count = cols - colOff
-	}
-	if count <= 0 {
-		return
 	}
 	// L21: the piece minus the diagonal block when my process row owns it.
 	skip := 0
@@ -519,16 +580,16 @@ func (st *state2d) updateRange(k, prow int, piece *matrix.Dense, u12 *matrix.Den
 func (st *state2d) backSolve() []float64 {
 	nb := st.cfg.NB
 	n := st.cfg.N
-	qb := grid.CyclicOwner(st.nRowBlocks, st.cfg.Q) // owner column of the augmented block
-	lcB := -1
+	qb := st.colOwner[st.nRowBlocks] // owner column of the augmented block
+	var y []float64                  // my rows of the augmented column, on its owners
 	if st.q == qb {
-		lcB = st.localColOfBlock(st.nRowBlocks)
+		y = st.local.Col(st.lcol[st.nRowBlocks])
 	}
 	x := make([]float64, n)
 
 	for k := st.nRowBlocks - 1; k >= 0; k-- {
 		prow := grid.CyclicOwner(k, st.cfg.P)
-		pcol := grid.CyclicOwner(k, st.cfg.Q)
+		pcol := st.colOwner[k]
 		row0 := k * nb
 		diag := st.g.Rank(prow, pcol)
 		yHolder := st.g.Rank(prow, qb)
@@ -536,11 +597,8 @@ func (st *state2d) backSolve() []float64 {
 		// Move y_k to the diagonal owner, solve, and broadcast x_k.
 		var xk []float64
 		if st.comm.Rank() == yHolder {
-			yk := make([]float64, nb)
 			lr := st.localRow(row0)
-			for i := 0; i < nb; i++ {
-				yk[i] = st.local.At(lr+i, lcB)
-			}
+			yk := slices.Clone(y[lr : lr+nb])
 			if yHolder != diag {
 				st.comm.Send(diag, tag2dSolveY, yk)
 			} else {
@@ -551,34 +609,33 @@ func (st *state2d) backSolve() []float64 {
 			if xk == nil {
 				xk = st.comm.Recv(yHolder, tag2dSolveY)
 			}
-			ukk := st.local.View(st.localRow(row0), st.localColOfBlock(k), nb, nb)
+			ukk := st.local.View(st.localRow(row0), st.lcol[k], nb, nb)
 			blas.Dtrsv(blas.Upper, blas.NoTrans, blas.NonUnit, ukk, xk)
 			advance(st.comm, float64(nb)*float64(nb), 4)
 		}
-		xk = st.comm.Bcast(diag, tag2dSolveX, xk)
+		xk = st.comm.GroupBcast(st.ranks, slices.Index(st.ranks, diag), tag2dSolveX, xk)
 		copy(x[row0:row0+nb], xk)
 
 		// Eliminate block column k from the rows above: the column owners
 		// compute their deltas and ship them to the y holders in their
 		// process row.
 		rowsAbove := st.firstLocalRowAtOrAbove(row0)
-		if st.q == pcol && rowsAbove > 0 {
-			uTop := st.local.View(0, st.localColOfBlock(k), rowsAbove, nb)
-			delta := make([]float64, rowsAbove)
-			blas.Dgemv(blas.NoTrans, 1, uTop, xk, 0, delta)
+		var delta []float64
+		switch {
+		case rowsAbove == 0:
+		case st.q == pcol:
+			delta = make([]float64, rowsAbove)
+			blas.Dgemv(blas.NoTrans, 1, st.local.View(0, st.lcol[k], rowsAbove, nb), xk, 0, delta)
 			advance(st.comm, 2*float64(rowsAbove)*float64(nb), 4)
-			if st.q == qb {
-				for i := 0; i < rowsAbove; i++ {
-					st.local.Set(i, lcB, st.local.At(i, lcB)-delta[i])
-				}
-			} else {
+			if st.q != qb {
 				st.comm.Send(st.g.Rank(st.p, qb), tag2dSolveDelta, delta)
+				delta = nil
 			}
-		} else if st.q == qb && pcol != qb && rowsAbove > 0 {
-			delta := st.comm.Recv(st.g.Rank(st.p, pcol), tag2dSolveDelta)
-			for i := 0; i < rowsAbove; i++ {
-				st.local.Set(i, lcB, st.local.At(i, lcB)-delta[i])
-			}
+		case st.q == qb:
+			delta = st.comm.Recv(st.g.Rank(st.p, pcol), tag2dSolveDelta)
+		}
+		for i, d := range delta {
+			y[i] -= d
 		}
 	}
 	return x

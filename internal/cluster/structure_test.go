@@ -10,11 +10,11 @@ import (
 )
 
 // maxSolverLoops is how many functions may drive ranks through an mpi world:
-// SolveDistributed2D (every P x Q grid, the 1-D layout included) and
-// SolveElastic (ownership table, survives deaths). A third was once forked
-// off for the 1 x Q case; the next layout is a configuration of one of these
-// two, not another loop.
-const maxSolverLoops = 2
+// the 2D loop's solveGrid, which runs every P x Q grid, the 1-D layout and
+// the elastic solver's 1 x Q grid with its recovery layer included. Forks
+// for the 1 x Q case and for elastic recovery were folded back into it; the
+// next layout is a configuration of this loop, not another one.
+const maxSolverLoops = 1
 
 // packageFuncs parses the package's non-test files and returns every
 // function declaration with a body.
@@ -40,7 +40,7 @@ func packageFuncs(t *testing.T) []*ast.FuncDecl {
 	return fns
 }
 
-func TestTwoSolverLoops(t *testing.T) {
+func TestOneSolverLoop(t *testing.T) {
 	var loops []string
 	worlds := 0
 	for _, fn := range packageFuncs(t) {

@@ -306,6 +306,16 @@ func (c *Comm) Release(buf []float64) {
 	c.world.mu.Unlock()
 }
 
+// Take returns storage of n values from the world's recycled payloads,
+// allocating only when none fits. It holds whatever its last user left in
+// it. The rank owns it as it owns a received payload: it may send from it,
+// keep it, or Release it when finished.
+func (c *Comm) Take(n int) []float64 {
+	c.world.mu.Lock()
+	defer c.world.mu.Unlock()
+	return c.world.payloads.Get(n)
+}
+
 // Recv blocks until a message from src with the given tag arrives, returning
 // its payload and synchronizing this rank's clock with the arrival time.
 // src == Any matches any source. The payload belongs to the receiving rank

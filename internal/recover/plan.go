@@ -11,15 +11,21 @@ type Source int
 const (
 	// FromParity: XOR the stripe's surviving member columns into the parity
 	// block — bit-exact, one column of traffic per survivor in the stripe.
-	// Only factored columns are parity-protected (they are write-once
-	// modulo pivot swaps, which the holder mirrors).
+	// Only factored columns are parity-protected: a factored column is
+	// final, since the distributed LU never swaps its rows again, so the
+	// parity block always equals the XOR of its members.
 	FromParity Source = iota
-	// FromReplay: regenerate the column from the deterministic matrix
-	// generator and replay the factorization's effect on it — pivot swaps,
-	// panel triangular solve, trailing update — from the survivors' panel
-	// history. Exact because every per-column update is computed
-	// independently of ownership. Used for trailing (not yet factored)
-	// columns, and as the fallback when a stripe lost its holder too.
+	// FromReplay: regenerate the column from the deterministic generator
+	// (the right-hand side's from its own) and replay the factorization's
+	// effect on it — each iteration's pivot swaps, panel triangular solve
+	// and trailing update — from the factored prefix, whose panels stand as
+	// they were broadcast. Exact because, by the BLAS accumulation-order
+	// contract, a column's bits do not depend on which element updates it
+	// or on what else that element holds. Used for trailing (not yet
+	// factored) columns. A factored column whose stripe also lost its
+	// holder or another member is marked FromReplay too: it is beyond the
+	// code's strength, and a solver holding no panel history for it cannot
+	// rebuild it.
 	FromReplay
 )
 
