@@ -28,7 +28,8 @@ test:
 # commits (Figs 8-13, the power accounting, the ablations, the ABFT overhead
 # table, the graph-LU study's graphlu.* rows, the serving sweeps' serve.*
 # rows, the fault scenarios' fault.* rows, the silent-data-corruption
-# sweeps' sdc.* rows and the elastic-recovery comparison's elastic.* rows)
+# sweeps' sdc.* rows, the real 2-D solver's dist2d.* rows and the
+# elastic-recovery comparison's elastic.* rows)
 # into a fresh file and diffs it against the committed BENCH_paper.json. The
 # rows are deterministic in the seed and identical for every -par, so any
 # line in the diff is a named row that moved; a run that breaks its contract
@@ -56,6 +57,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzFillMatrix$$' -fuzztime 10s ./internal/hpl
 	go test -run '^$$' -fuzz '^FuzzFleetKernel$$' -fuzztime 10s ./internal/cluster
 	go test -run '^$$' -fuzz '^FuzzDatabaseGJSON$$' -fuzztime 10s ./internal/adaptive
+	go test -run '^$$' -fuzz '^FuzzMakePlan$$' -fuzztime 10s ./internal/recover
 
 bench:
 	go test -run xxx -bench . -benchtime 10x .
