@@ -5,8 +5,9 @@
 // (graphlu.* rows), the 1200-client serving sweeps, healthy and under
 // lost-gpu (serve.* rows), the fault scenarios across the partitioning
 // policies, the flaky-net storm and the element-fail restarts (fault.*
-// rows), the silent-data-corruption sweeps (sdc.* rows) and the elastic
-// recovery against checkpoint/restart (elastic.* rows). Each number is one
+// rows), the silent-data-corruption sweeps (sdc.* rows), the real 2-D
+// solver on three grids (dist2d.* rows) and the elastic recovery against
+// checkpoint/restart (elastic.* rows). Each number is one
 // row, with the paper's value, the deviation and the accepted band where
 // the paper gives one. The committed copy is BENCH_paper.json; `make
 // paperbench` diffs a fresh run against it. The rows are deterministic in

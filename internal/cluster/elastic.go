@@ -212,7 +212,7 @@ func SolveElastic(cfg ElasticConfig) (ElasticResult, error) {
 			continue
 		}
 		parityBytes += st.rec.parityBytes
-		if e := st.rec.err; e != nil && (err == nil || err == errPeerRebuild) {
+		if e := st.rec.err; e != nil && (err == nil || errors.Is(err, errPeerRebuild)) {
 			err = e
 		}
 		if root == nil && xs[st.comm.Rank()] != nil {

@@ -110,8 +110,9 @@ var variantSlug = []string{"cpu", "acmlg", "adaptive", "pipe", "both"}
 // Ledger runs every figure of Section VI once — Figs 8–13, the
 // training-energy and Green500 accounting, ablations 1–7 and the ABFT
 // overhead table — then the graph-LU study, the serving sweeps, the fault
-// scenarios (fault.* rows), the silent-data-corruption sweeps (sdc.*) and
-// the elastic-recovery comparison (elastic.*), and returns one row per
+// scenarios (fault.* rows), the silent-data-corruption sweeps (sdc.*), the
+// real 2-D solver (dist2d.*) and the elastic-recovery comparison
+// (elastic.*), and returns one row per
 // reported number, annotated from paperRows. The rows are deterministic in
 // seed and identical for every par; tel (nil for none) records the Fig. 8,
 // 9 and 10 runs and the fault, sdc and elastic runs, and changes no row.
