@@ -188,8 +188,18 @@ func SolveElastic(cfg ElasticConfig) (ElasticResult, error) {
 	if cfg.StartOwners == nil {
 		cfg.StartOwners = rcv.Cyclic(ncols, cfg.StartLive).Owners
 	}
+	for i, r := range cfg.StartLive {
+		if r < 0 || r >= cfg.Ranks || (i > 0 && r <= cfg.StartLive[i-1]) {
+			return ElasticResult{}, fmt.Errorf("cluster: live ranks %v are not ascending ranks below %d", cfg.StartLive, cfg.Ranks)
+		}
+	}
 	if len(cfg.StartOwners) != ncols {
 		return ElasticResult{}, fmt.Errorf("cluster: %d block-column owners for %d block-columns", len(cfg.StartOwners), ncols)
+	}
+	for _, o := range cfg.StartOwners {
+		if !slices.Contains(cfg.StartLive, o) {
+			return ElasticResult{}, fmt.Errorf("cluster: block-column owner %d is not among the live ranks %v", o, cfg.StartLive)
+		}
 	}
 	if len(cfg.Failures) > 0 {
 		if cfg.DisableParity {

@@ -163,3 +163,25 @@ func TestElasticStripeDoubleDeathIsAnError(t *testing.T) {
 		t.Fatalf("error %+v: want ranks [1 2] lost together and a factored column", pe)
 	}
 }
+
+// A pre-shrunk start is checked up front: live ranks must be ascending
+// ranks of the world, and every block-column, the right-hand side's too,
+// must have a live owner.
+func TestElasticRejectsBadStartLayout(t *testing.T) {
+	base := ElasticConfig{N: 128, NB: 32, Ranks: 3, Seed: 1}
+	for _, c := range []struct {
+		name        string
+		live, owner []int
+	}{
+		{"rank outside the world", []int{0, 3}, nil},
+		{"live not ascending", []int{2, 0}, nil},
+		{"owners without rhs", nil, []int{0, 1, 2, 0}},
+		{"owner not live", []int{0, 2}, []int{0, 1, 2, 0, 2}},
+	} {
+		cfg := base
+		cfg.StartLive, cfg.StartOwners = c.live, c.owner
+		if _, err := SolveElastic(cfg); err == nil {
+			t.Errorf("%s: live %v, owners %v accepted", c.name, c.live, c.owner)
+		}
+	}
+}

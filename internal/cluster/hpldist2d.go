@@ -77,6 +77,9 @@ type state2d struct {
 	liveCols []int
 	ranks    []int
 	lcol     []int
+	// My process column's ranks by process row, and my process row's live
+	// ranks, where a process column's index in liveCols is its position.
+	colGroup, rowGroup []int
 
 	// rec is the recovery layer (heartbeat, parity, shrink and rebuild) of
 	// an elastic solve; nil on a plain grid.
@@ -188,8 +191,8 @@ func (st *state2d) fillColumn(dst *matrix.Dense, bj int, b []float64) {
 	}
 }
 
-// layout derives the local column offsets and the live ranks from the
-// ownership table and the live process columns.
+// layout derives the local column offsets and the groups of live ranks
+// from the ownership table and the live process columns.
 func (st *state2d) layout() {
 	st.lcol = make([]int, st.nColBlocks+1)
 	for bj, pc := range st.colOwner {
@@ -198,10 +201,14 @@ func (st *state2d) layout() {
 			st.lcol[bj+1] += st.cfg.NB
 		}
 	}
-	st.ranks = st.ranks[:0]
+	st.ranks, st.colGroup, st.rowGroup = st.ranks[:0], st.colGroup[:0], st.rowGroup[:0]
 	for p := 0; p < st.cfg.P; p++ {
+		st.colGroup = append(st.colGroup, st.g.Rank(p, st.q))
 		for _, q := range st.liveCols {
 			st.ranks = append(st.ranks, st.g.Rank(p, q))
+			if p == st.p {
+				st.rowGroup = append(st.rowGroup, st.g.Rank(p, q))
+			}
 		}
 	}
 }
@@ -225,24 +232,6 @@ func (st *state2d) firstLocalRowAtOrAbove(gr int) int {
 		return below + gr%st.cfg.NB
 	}
 	return below
-}
-
-func (st *state2d) colGroup(pcol int) []int {
-	out := make([]int, st.cfg.P)
-	for p := 0; p < st.cfg.P; p++ {
-		out[p] = st.g.Rank(p, pcol)
-	}
-	return out
-}
-
-// rowGroup returns the live ranks of process row prow; a process column's
-// index in liveCols is its position in the group.
-func (st *state2d) rowGroup(prow int) []int {
-	out := make([]int, len(st.liveCols))
-	for i, q := range st.liveCols {
-		out[i] = st.g.Rank(prow, q)
-	}
-	return out
 }
 
 // panel2d is one rank's copy of a broadcast panel: the pivots and the
@@ -341,7 +330,7 @@ func (st *state2d) panelFactor(k int) []int {
 		}
 		return ipiv
 	}
-	group := st.colGroup(st.q)
+	group := st.colGroup
 	myIdx := st.p
 	// Local row lr of the panel is panelRow(lr), its column jj at jj*ld.
 	ld := st.local.Stride
@@ -440,7 +429,7 @@ func (st *state2d) panelBcast(k, pcol int, ipiv []int) panel2d {
 	row0 := k * nb
 	start := st.firstLocalRowAtOrAbove(row0)
 	pieceRows := st.local.Rows - start
-	group := st.rowGroup(st.p)
+	group := st.rowGroup
 
 	var payload []float64
 	if st.q == pcol {
@@ -518,7 +507,7 @@ func (st *state2d) computeAndBcastU12(k, prow int, piece *matrix.Dense) *matrix.
 	row0 := k * nb
 	c0 := st.lcol[k+1] // the first local column right of block-column k
 	cols := st.local.Cols - c0
-	group := st.colGroup(st.q)
+	group := st.colGroup
 
 	var payload []float64
 	if st.p == prow && cols > 0 {
