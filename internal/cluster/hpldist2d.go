@@ -77,8 +77,9 @@ type state2d struct {
 	liveCols []int
 	ranks    []int
 	lcol     []int
-	// My process column's ranks by process row, and my process row's live
-	// ranks, where a process column's index in liveCols is its position.
+	// colGroup is my process column's ranks in process-row order, rowGroup
+	// my process row's live ranks in liveCols order, so a process column's
+	// index in liveCols is its index in the group.
 	colGroup, rowGroup []int
 
 	// rec is the recovery layer (heartbeat, parity, shrink and rebuild) of
