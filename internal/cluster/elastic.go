@@ -274,17 +274,16 @@ func (st *state2d) boundary(k int) bool {
 	return st.rec.err == nil
 }
 
-// endIteration records iteration k's pivots, relative to its panel, and
-// folds column k, now final, into its stripe's parity block: the owner
-// ships the column to the holder, the holder XORs it in.
+// endIteration keeps iteration k's pivots (this rank's unpacked copy, spent
+// by the loop), made relative to the panel, and folds column k, now final,
+// into its stripe's parity block: the owner ships the column to the
+// holder, the holder XORs it in.
 func (st *state2d) endIteration(k int, ipiv []int) {
 	r := st.rec
-	row0 := k * st.cfg.NB
-	rel := make([]int, len(ipiv))
-	for j, gp := range ipiv {
-		rel[j] = gp - row0
+	for j := range ipiv {
+		ipiv[j] -= k * st.cfg.NB
 	}
-	r.pivots = append(r.pivots, rel)
+	r.pivots = append(r.pivots, ipiv)
 
 	s := rcv.StripeOf(r.stripes, k)
 	if s == nil {
