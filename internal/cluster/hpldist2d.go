@@ -90,7 +90,9 @@ type state2d struct {
 	// rank sends from its own storage needs no fresh buffer. A root packs
 	// its panel and U12 into storage taken from the world instead, since it
 	// keeps viewing them through the updates, and hands them back with the
-	// receivers' copies.
+	// receivers' copies: on a 1 x Q grid every rank is a root, and the
+	// payloads the others released serve it instead of pack buffers of its
+	// own.
 	pivot, seg []float64
 	lpiv       []int // one panel's pivots as local rows, for applyTrailingSwaps
 
@@ -315,22 +317,6 @@ func (st *state2d) panelFactor(k int) []int {
 	row0 := k * nb
 	lc := st.lcol[k]
 	ipiv := make([]int, nb)
-	if st.cfg.P == 1 {
-		// A process column of one holds the whole panel, so it factors it
-		// with HPL's recursive panel. By the BLAS accumulation-order
-		// contract (DESIGN.md §5) that leaves the bits of the loop below,
-		// whose per-column time it books; a singular step is left unscaled
-		// by both.
-		pv := st.local.View(row0, lc, st.local.Rows-row0, nb)
-		_ = hpl.PanelFactor(pv, ipiv)
-		for j := range ipiv {
-			if rows := pv.Rows - j - 1; rows > 0 && pv.At(j, j) != 0 {
-				advance(st.comm, 2*float64(rows)*float64(nb-j), 10)
-			}
-			ipiv[j] += row0
-		}
-		return ipiv
-	}
 	group := st.colGroup
 	myIdx := st.p
 	// Local row lr of the panel is panelRow(lr), its column jj at jj*ld.
