@@ -10,6 +10,7 @@ import (
 	"tianhe/internal/element"
 	"tianhe/internal/hpl"
 	"tianhe/internal/matrix"
+	"tianhe/internal/perfmodel"
 	rcv "tianhe/internal/recover"
 	"tianhe/internal/sim"
 	"tianhe/internal/taskgraph"
@@ -47,26 +48,18 @@ import (
 // replay — scheduled on its element like any other work. Parity is then
 // re-encoded under the shrunk layout and the loop resumes forward. No
 // rollback: no survivor recomputes anything.
-const (
-	elasticMemGBps = 8.0 // GB/s for generator reads and XOR folds
-	elasticMemBps  = elasticMemGBps * 1e9
-	replayCPURate  = 18e9 // flops/s for the rebuild codelet's CPU variant
-	replayGPURate  = 80e9 // flops/s for the rebuild codelet's GPU variant
-)
 
-// The rebuild graph's codelets. XOR folds and regeneration each stream 8
-// bytes per flop of work at memory rate; the replay codelet's cost is its
-// work, whichever column and iteration.
+// The rebuild graph's own codelets: XOR folds and regeneration each stream 8
+// bytes per flop of work at the host's memory rate. Replay takes hpl's LU
+// codelets.
 var (
-	rebuildXOR    = &taskgraph.Codelet{Name: "rebuild.xor", CPUSeconds: rebuildMemSeconds}
-	rebuildGen    = &taskgraph.Codelet{Name: "rebuild.gen", CPUSeconds: rebuildMemSeconds}
-	rebuildReplay = &taskgraph.Codelet{Name: "rebuild.replay",
-		CPUSeconds: func(t *taskgraph.Task, _ int) float64 { return t.Flops / replayCPURate },
-		GPUSeconds: func(t *taskgraph.Task, _ int) float64 { return t.Flops / replayGPURate },
-	}
+	rebuildXOR = &taskgraph.Codelet{Name: "rebuild.xor", CPUSeconds: rebuildMemSeconds}
+	rebuildGen = &taskgraph.Codelet{Name: "rebuild.gen", CPUSeconds: rebuildMemSeconds}
 )
 
-func rebuildMemSeconds(t *taskgraph.Task, _ int) float64 { return 8 * t.Flops / elasticMemBps }
+func rebuildMemSeconds(t *taskgraph.Task, _ int) float64 {
+	return 8 * t.Flops / (perfmodel.HostMemGBps * 1e9)
+}
 
 // Tags for the recovery layer's communication phases, clear of the 2D
 // loop's (+k%8 rotation within each 16-wide band).
@@ -298,7 +291,7 @@ func (st *state2d) endIteration(k int, ipiv []int) {
 		col := st.comm.Recv(owner, tagEParity+k%8)
 		rcv.XORInto(st.parityBlock(s.Index), col)
 		st.comm.Release(col)
-		advance(st.comm, float64(8*st.cfg.N*st.cfg.NB), elasticMemGBps) // XOR fold at memory rate
+		advance(st.comm, float64(8*st.cfg.N*st.cfg.NB), perfmodel.HostMemGBps) // XOR fold at memory rate
 	}
 }
 
@@ -411,7 +404,7 @@ func (st *state2d) recoverFrom(failed []int, k int) error {
 				}
 			}
 		}
-		advance(st.comm, float64(folded)*float64(8*n*nb), elasticMemGBps)
+		advance(st.comm, float64(folded)*float64(8*n*nb), perfmodel.HostMemGBps)
 		// The received prefix and the XOR-rebuilt columns are spent; this
 		// rank's own columns are in its local storage.
 		for i, col := range factored {
@@ -463,7 +456,7 @@ func (st *state2d) adopt(plan rcv.Plan) {
 func (st *state2d) runRebuildGraph(plan rcv.Plan, factored [][]float64, parityIn map[int][]float64) error {
 	n, nb, k := st.cfg.N, st.cfg.NB, plan.Iter
 	me := st.comm.Rank()
-	g := taskgraph.New()
+	g, lu := taskgraph.New(), hpl.NewLUCodelets(st.el)
 	colBytes := int64(8 * n * nb)
 	colH := make([]*taskgraph.Handle, st.nColBlocks)
 	handle := func(b int) *taskgraph.Handle {
@@ -519,7 +512,12 @@ func (st *state2d) runRebuildGraph(plan rcv.Plan, factored [][]float64, parityIn
 			continue
 		}
 		// Replay chain: regenerate (the right-hand side from hpl.RHS),
-		// then apply iterations 0..k-1 with the live loop's arithmetic.
+		// then apply iterations 0..k-1 as the live loop does, each as a
+		// prep (the panel's swaps, then the U12 solve) and a column update.
+		// Panel i is rows i*NB and down of factored column i as it was
+		// broadcast (the 2D loop never swaps it again), so by the BLAS
+		// accumulation-order contract these equal, bit for bit, what the
+		// live loop's whole-block calls computed for this column.
 		g.Add(taskgraph.Task{
 			Name:    fmt.Sprintf("gen%03d", rb.Col),
 			Codelet: rebuildGen,
@@ -533,47 +531,46 @@ func (st *state2d) runRebuildGraph(plan rcv.Plan, factored [][]float64, parityIn
 			},
 		}, taskgraph.Access{H: handle(rb.Col), Mode: taskgraph.Write})
 		for i := 0; i < k; i++ {
-			m := n - i*nb
+			row0, m := i*nb, n-i*nb
+			panel := func() *matrix.Dense { return matrix.FromColMajor(m, nb, n, factored[i][row0:]) }
+			u12 := dst.View(row0, 0, nb, nb)
+			accs := []taskgraph.Access{{H: handle(rb.Col), Mode: taskgraph.ReadWrite}, {H: handle(i), Mode: taskgraph.Read}}
 			g.Add(taskgraph.Task{
-				Name:     fmt.Sprintf("rep%03d.%03d", rb.Col, i),
-				Codelet:  rebuildReplay,
+				Name:     fmt.Sprintf("prep%03d.%03d", rb.Col, i),
+				Codelet:  lu.Trsm,
+				Flops:    float64(nb) * float64(nb) * float64(nb),
+				Shape:    [3]int{nb, nb, nb},
+				Priority: 1,
+				Run: func() {
+					blas.Dlaswp(dst.View(row0, 0, m, nb), st.rec.pivots[i], 0, nb)
+					blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, panel().View(0, 0, nb, nb), u12)
+				},
+			}, accs...)
+			if m == nb {
+				continue
+			}
+			g.Add(taskgraph.Task{
+				Name:     fmt.Sprintf("upd%03d.%03d", rb.Col, i),
+				Codelet:  lu.Gemm,
 				Flops:    2 * float64(m-nb) * float64(nb) * float64(nb),
 				Shape:    [3]int{m - nb, nb, nb},
+				Rows:     m - nb,
 				Priority: 1,
-				Run:      func() { st.replayIteration(dst, factored[i], i) },
-			},
-				taskgraph.Access{H: handle(rb.Col), Mode: taskgraph.ReadWrite},
-				taskgraph.Access{H: handle(i), Mode: taskgraph.Read})
+				Run: func() {
+					blas.Dgemm(blas.NoTrans, blas.NoTrans, -1, panel().View(nb, 0, m-nb, nb), u12, 1, dst.View(row0+nb, 0, m-nb, nb))
+				},
+			}, accs...)
 		}
 	}
 	if g.Len() == 0 {
 		return nil
 	}
-	rep, err := taskgraph.NewScheduler(st.el, taskgraph.Options{}).Run(g, st.comm.Now())
+	rep, err := taskgraph.NewScheduler(st.el, taskgraph.Options{RateSeeds: hpl.GraphRateSeeds(st.el, nb)}).Run(g, st.comm.Now())
 	if err != nil {
 		return fmt.Errorf("cluster: rank %d rebuild graph: %w", me, err)
 	}
 	st.comm.Sync(rep.End)
 	return nil
-}
-
-// replayIteration applies iteration i to one regenerated trailing column:
-// the pivot swaps, the triangular solve and the trailing GEMM against panel
-// i, which is rows i*NB and down of factored column i as it was broadcast
-// (the 2D loop never swaps it again). By the BLAS accumulation-order
-// contract this equals, bit for bit, what the live loop's whole-block calls
-// compute for this column.
-func (st *state2d) replayIteration(col *matrix.Dense, factored []float64, i int) {
-	n, nb := st.cfg.N, st.cfg.NB
-	row0 := i * nb
-	m := n - row0
-	panel := matrix.FromColMajor(m, nb, n, factored[row0:])
-	blas.Dlaswp(col.View(row0, 0, m, nb), st.rec.pivots[i], 0, nb)
-	u12 := col.View(row0, 0, nb, nb)
-	blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, panel.View(0, 0, nb, nb), u12)
-	if m > nb {
-		blas.Dgemm(blas.NoTrans, blas.NoTrans, -1, panel.View(nb, 0, m-nb, nb), u12, 1, col.View(row0+nb, 0, m-nb, nb))
-	}
 }
 
 // gatherFactors assembles the global factored matrix — the byte-identity

@@ -114,7 +114,7 @@ func SimulateElastic(cfg ElasticSimConfig) ElasticSimResult {
 		// prefix like any trailing column), so only the excess of the encode
 		// pipeline over the iteration lands on the critical path.
 		if cfg.Parity && q >= 2 {
-			enc := linkSec(colBytes) + float64(colBytes)/(elasticMemGBps*1e9)
+			enc := linkSec(colBytes) + float64(colBytes)/(perfmodel.HostMemGBps*1e9)
 			if enc > t {
 				res.EncodeSeconds += enc - t
 				t = enc
@@ -155,10 +155,11 @@ func SimulateElastic(cfg ElasticSimConfig) ElasticSimResult {
 		// adopters so only the per-adopter share serializes.
 		perAdopterPar := (lostFactored + adopters - 1) / adopters
 		rec += float64(float64(perAdopterPar) * float64(q-1) *
-			(linkSec(colBytes) + float64(colBytes)/(elasticMemGBps*1e9)))
+			(linkSec(colBytes) + float64(colBytes)/(perfmodel.HostMemGBps*1e9)))
 		// Replays: each lost trailing column regenerates and re-applies the
-		// kf factored iterations on the adopter's GPU; the panel history
-		// ships once per adopter (the factored prefix, pipelined).
+		// kf factored iterations' GEMMs on the adopter's GPU at a flat rate;
+		// the panel history ships once per adopter (the factored prefix, pipelined).
+		const replayRate = 80e9 // flops/s
 		var replayFlops float64
 		for i := 0; i < kf; i++ {
 			m := cfg.N - i*nb
@@ -168,11 +169,11 @@ func SimulateElastic(cfg ElasticSimConfig) ElasticSimResult {
 		}
 		perAdopterRep := (lostTrailing + adopters - 1) / adopters
 		rec += float64(float64(kf) * linkSec(colBytes))
-		rec += float64(perAdopterRep) * replayFlops / replayGPURate
+		rec += float64(perAdopterRep) * replayFlops / replayRate
 		// Re-encode: stripes that lost their holder plus the rebuilt columns'
 		// new stripes re-fold from live columns.
 		reencode := kf/adopters + lostFactored
-		rec += float64(float64(reencode) * (linkSec(colBytes) + float64(colBytes)/(elasticMemGBps*1e9)))
+		rec += float64(float64(reencode) * (linkSec(colBytes) + float64(colBytes)/(perfmodel.HostMemGBps*1e9)))
 		res.RecoverySeconds = rec
 		res.Seconds += rec
 

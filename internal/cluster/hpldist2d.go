@@ -395,7 +395,7 @@ func (st *state2d) panelFactor(k int) []int {
 				trail := st.local.View(below, lc+j+1, rows, nb-j-1)
 				blas.Dger(-1, colj.Col(0), pivRow[j+1:], trail)
 			}
-			advance(st.comm, 2*float64(rows)*float64(nb-j), 10)
+			advance(st.comm, 2*float64(rows)*float64(nb-j), perfmodel.HostRank1GFLOPS)
 		}
 		if myIdx != widx {
 			st.comm.Release(payload)
@@ -587,7 +587,7 @@ func (st *state2d) backSolve() []float64 {
 			}
 			ukk := st.local.View(st.localRow(row0), st.lcol[k], nb, nb)
 			blas.Dtrsv(blas.Upper, blas.NoTrans, blas.NonUnit, ukk, xk)
-			advance(st.comm, float64(nb)*float64(nb), 4)
+			advance(st.comm, float64(nb)*float64(nb), perfmodel.HostBackSolveGFLOPS)
 		}
 		xk = st.comm.GroupBcast(st.ranks, slices.Index(st.ranks, diag), tag2dSolveX, xk)
 		copy(x[row0:row0+nb], xk)
@@ -602,7 +602,7 @@ func (st *state2d) backSolve() []float64 {
 		case st.q == pcol:
 			delta = make([]float64, rowsAbove)
 			blas.Dgemv(blas.NoTrans, 1, st.local.View(0, st.lcol[k], rowsAbove, nb), xk, 0, delta)
-			advance(st.comm, 2*float64(rowsAbove)*float64(nb), 4)
+			advance(st.comm, 2*float64(rowsAbove)*float64(nb), perfmodel.HostBackSolveGFLOPS)
 			if st.q != qb {
 				st.comm.Send(st.g.Rank(st.p, qb), tag2dSolveDelta, delta)
 				delta = nil

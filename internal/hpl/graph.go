@@ -12,11 +12,6 @@ import (
 	"tianhe/internal/taskgraph"
 )
 
-// graphSwapGBps is the host bandwidth of pivot row swaps in GB/s: pure memory
-// traffic. The panel and triangular-solve codelets run at the perfmodel host
-// rates.
-const graphSwapGBps = 4.0
-
 // GraphOptions configures a graph-expressed factorization.
 type GraphOptions struct {
 	// NB is the blocking factor; values <= 0 select a default of 64.
@@ -125,8 +120,7 @@ type luBuilder struct {
 	iterStart []int
 	accs      []taskgraph.Access // scratch for column-long access lists
 
-	// The codelets, each shared by all its tasks.
-	panel, swap, trsm, gemm *taskgraph.Codelet
+	cs LUCodelets
 }
 
 func (b *luBuilder) tile(r, c int) *taskgraph.Handle { return b.tiles[r*b.geo.t+c] }
@@ -134,11 +128,11 @@ func (b *luBuilder) tile(r, c int) *taskgraph.Handle { return b.tiles[r*b.geo.t+
 // newLUBuilder registers the handles and makes the codelets.
 func newLUBuilder(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs []error, opts GraphOptions) *luBuilder {
 	geo := luTiles{n: n, nb: opts.NB, t: (n + opts.NB - 1) / opts.NB}
-	core, gpu := el.CPU.Core(0), el.GPU
 	b := &luBuilder{
 		g: taskgraph.New(), geo: geo, a: a, ipiv: ipiv, errs: errs, opts: opts,
 		tiles: make([]*taskgraph.Handle, geo.t*geo.t),
 		pivs:  make([]*taskgraph.Handle, geo.t),
+		cs:    NewLUCodelets(el),
 	}
 	for r := 0; r < geo.t; r++ {
 		for c := 0; c < geo.t; c++ {
@@ -149,34 +143,57 @@ func newLUBuilder(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs 
 	for k := 0; k < geo.t; k++ {
 		b.pivs[k] = b.g.NewHandle(taskgraph.Name("piv(%d)", k), 8*int64(geo.width(k)))
 	}
-	b.panel = &taskgraph.Codelet{Name: "lu.panel",
-		CPUSeconds: func(t *taskgraph.Task, _ int) float64 { return t.Flops / (perfmodel.HostPanelGFLOPS * 1e9) }}
-	// A swap moves the pivot rows of its jb×cw Shape; a prep swaps, then
-	// solves.
-	swapSeconds := func(t *taskgraph.Task, _ int) float64 {
-		return 16 * float64(t.Shape[0]) * float64(t.Shape[1]) / (graphSwapGBps * 1e9)
-	}
-	b.swap = &taskgraph.Codelet{Name: "lu.swap", CPUSeconds: swapSeconds}
-	b.trsm = &taskgraph.Codelet{Name: "lu.trsm", CPUSeconds: func(t *taskgraph.Task, _ int) float64 {
-		return swapSeconds(t, 0) + t.Flops/(perfmodel.HostTrsmGFLOPS*1e9)
-	}}
-	// An update's rows are its tile's rows; a rows-high slab of it has the
-	// shape (rows, Shape[1], Shape[2]).
-	b.gemm = &taskgraph.Codelet{Name: "lu.gemm",
-		CPUSeconds: func(t *taskgraph.Task, rows int) float64 { return core.Seconds(rows, t.Shape[1], t.Shape[2], false) },
-		GPUSeconds: func(t *taskgraph.Task, rows int) float64 {
-			return gpu.Model().KernelSeconds(rows, t.Shape[1], t.Shape[2])
-		},
-	}
 	if opts.Hybrid {
 		// The split oracle starts from the element's peak ratio and buckets
 		// by tile work: full NB³ update tiles land in the top bucket, the
 		// narrower edge tiles in lower ones — the same shape keying the
 		// monolithic loop's database_g uses for trailing updates.
 		maxWork := 2 * float64(opts.NB) * float64(opts.NB) * float64(opts.NB)
-		b.gemm.Hybrid = &taskgraph.Hybrid{Part: adaptive.NewAdaptive(64, maxWork, el.InitialGSplit(), el.CPU.NumCores())}
+		b.cs.Gemm.Hybrid = &taskgraph.Hybrid{Part: adaptive.NewAdaptive(64, maxWork, el.InitialGSplit(), el.CPU.NumCores())}
 	}
 	return b
+}
+
+// LUCodelets are the LU factorization's four task classes, each shared by
+// every task of its class that a graph books.
+type LUCodelets struct {
+	Panel, Swap, Trsm, Gemm *taskgraph.Codelet
+}
+
+// NewLUCodelets makes the LU codelets priced on el, fresh on every call so a
+// caller may arm or clear a variant on its own copy:
+//
+//	lu.panel  the recursive panel factor, its Flops at the host panel rate
+//	lu.swap   pivot row swaps of a jb×cw Shape at the host swap bandwidth
+//	lu.trsm   a swap, then the U12 solve's Flops at the host TRSM rate
+//	lu.gemm   a trailing-update DGEMM of Shape (rows, n, k) on core 0 or the GPU
+//
+// A rows-high slab of an update has the shape (rows, Shape[1], Shape[2]).
+// Core 0 is priced with its L2 neighbour idle.
+func NewLUCodelets(el *element.Element) LUCodelets {
+	core, gpu := el.CPU.Core(0), el.GPU
+	swapSeconds := func(t *taskgraph.Task, _ int) float64 {
+		return 16 * float64(t.Shape[0]) * float64(t.Shape[1]) / (perfmodel.HostSwapGBps * 1e9)
+	}
+	return LUCodelets{
+		Panel: &taskgraph.Codelet{Name: "lu.panel",
+			CPUSeconds: func(t *taskgraph.Task, _ int) float64 { return t.Flops / (perfmodel.HostPanelGFLOPS * 1e9) }},
+		Swap: &taskgraph.Codelet{Name: "lu.swap", CPUSeconds: swapSeconds},
+		Trsm: &taskgraph.Codelet{Name: "lu.trsm", CPUSeconds: func(t *taskgraph.Task, _ int) float64 {
+			return swapSeconds(t, 0) + t.Flops/(perfmodel.HostTrsmGFLOPS*1e9)
+		}},
+		Gemm: &taskgraph.Codelet{Name: "lu.gemm",
+			CPUSeconds: func(t *taskgraph.Task, rows int) float64 { return core.Seconds(rows, t.Shape[1], t.Shape[2], false) },
+			GPUSeconds: func(t *taskgraph.Task, rows int) float64 {
+				return gpu.Model().KernelSeconds(rows, t.Shape[1], t.Shape[2])
+			},
+		},
+	}
+}
+
+// PanelFlops is the work of factoring a height×width panel.
+func PanelFlops(height, width int) float64 {
+	return float64(width) * float64(width) * (float64(height) - float64(width)/3)
 }
 
 // colAccesses declares, in the builder's scratch, the footprint of a
@@ -198,8 +215,8 @@ func (b *luBuilder) addPanel(k int) {
 	mp := b.geo.n - j // panel height
 	panel := taskgraph.Task{
 		Name:     taskgraph.Name("panel(%d)", k),
-		Codelet:  b.panel,
-		Flops:    float64(jb) * float64(jb) * (float64(mp) - float64(jb)/3),
+		Codelet:  b.cs.Panel,
+		Flops:    PanelFlops(mp, jb),
 		Priority: 3,
 	}
 	if a != nil {
@@ -240,7 +257,7 @@ func (b *luBuilder) addSwapsAndPreps(k int) {
 		if c < k {
 			t := taskgraph.Task{
 				Name:     taskgraph.Name("swap(%d,%d)", k, c),
-				Codelet:  b.swap,
+				Codelet:  b.cs.Swap,
 				Shape:    [3]int{jb, cw, jb},
 				Priority: 1,
 			}
@@ -252,7 +269,7 @@ func (b *luBuilder) addSwapsAndPreps(k int) {
 		}
 		t := taskgraph.Task{
 			Name:     taskgraph.Name("prep(%d,%d)", k, c),
-			Codelet:  b.trsm,
+			Codelet:  b.cs.Trsm,
 			Flops:    float64(jb) * float64(jb) * float64(cw),
 			Shape:    [3]int{jb, cw, jb},
 			Priority: 2,
@@ -280,7 +297,7 @@ func (b *luBuilder) addUpdates(k int) {
 			r0, rh := b.geo.off(r), b.geo.width(r)
 			t := taskgraph.Task{
 				Name:    taskgraph.Name("upd(%d,%d,%d)", k, r, c),
-				Codelet: b.gemm,
+				Codelet: b.cs.Gemm,
 				Flops:   2 * float64(rh) * float64(cw) * float64(jb),
 				Shape:   [3]int{rh, cw, jb},
 				Rows:    rh,
@@ -311,8 +328,9 @@ func GraphRateSeeds(el *element.Element, nb int) []taskgraph.RateSeed {
 	cpuRate := core.Model.Rate(nb, nb, nb, false) * 1e9
 	gpuRate := el.GPU.Model().Rate(nb, nb, nb) * 1e9
 	// The hybrid body runs the device half and all host cores concurrently;
-	// a balanced split joins at roughly the sum of the sides' rates.
-	hybRate := gpuRate + float64(el.CPU.NumCores())*cpuRate
+	// a balanced split joins at roughly the sum of the sides' rates. Both
+	// products are rounded before the add, so no FMA shifts the seed.
+	hybRate := float64(gpuRate) + float64(float64(el.CPU.NumCores())*cpuRate)
 	return []taskgraph.RateSeed{
 		{Codelet: "lu.panel", Class: taskgraph.ClassCPU, Rate: perfmodel.HostPanelGFLOPS * 1e9},
 		{Codelet: "lu.trsm", Class: taskgraph.ClassCPU, Rate: perfmodel.HostTrsmGFLOPS * 1e9},

@@ -308,11 +308,11 @@ type Sim struct {
 	// that long access lists (panels, bands) are assembled in before Add
 	// copies them. The codelets are made once: their models read the task
 	// they are handed.
-	graph             *taskgraph.Graph
-	handles           []*taskgraph.Handle
-	names             handleNames
-	accs              []taskgraph.Access
-	panel, trsm, gemm *taskgraph.Codelet
+	graph   *taskgraph.Graph
+	handles []*taskgraph.Handle
+	names   handleNames
+	accs    []taskgraph.Access
+	lu      hpl.LUCodelets
 }
 
 // handleNames are the graph stepper's handle names, formatted once for the
@@ -405,26 +405,15 @@ func NewSim(cfg Config) *Sim {
 			Verify:      s.abftOn,
 			SDC:         cfg.SDC,
 			GPUFallback: cfg.Variant.Adaptive(),
-			RateSeeds:   s.graphRateSeeds(nb),
+			RateSeeds:   hpl.GraphRateSeeds(el, nb),
 		})
 		s.graph = taskgraph.New()
-		// An update's rows are its tile's or band's rows: a rows-high slab
-		// of it has the shape (rows, Shape[1], Shape[2]).
-		s.panel = &taskgraph.Codelet{Name: "lu.panel",
-			CPUSeconds: func(t *taskgraph.Task, _ int) float64 { return t.Flops / (perfmodel.HostPanelGFLOPS * 1e9) }}
-		s.trsm = &taskgraph.Codelet{Name: "lu.trsm",
-			CPUSeconds: func(t *taskgraph.Task, _ int) float64 { return t.Flops / (perfmodel.HostTrsmGFLOPS * 1e9) }}
-		s.gemm = &taskgraph.Codelet{Name: "lu.gemm",
-			CPUSeconds: func(t *taskgraph.Task, rows int) float64 {
-				return el.CPU.Core(0).Seconds(rows, t.Shape[1], t.Shape[2], true)
-			}}
-		if cfg.Variant.UsesGPU() {
-			s.gemm.GPUSeconds = func(t *taskgraph.Task, rows int) float64 {
-				return el.GPU.Model().KernelSeconds(rows, t.Shape[1], t.Shape[2])
-			}
+		s.lu = hpl.NewLUCodelets(el)
+		if !cfg.Variant.UsesGPU() {
+			s.lu.Gemm.GPUSeconds = nil
 		}
 		if s.bandMode() {
-			s.gemm.Hybrid = &taskgraph.Hybrid{Part: part, FillSkew: true}
+			s.lu.Gemm.Hybrid = &taskgraph.Hybrid{Part: part, FillSkew: true}
 		}
 		// The monolithic pipeline's convention is that each iteration's
 		// host-side factor+prep overlaps the update it feeds — including
@@ -447,27 +436,6 @@ func NewSim(cfg Config) *Sim {
 // bands with the split CPU+GPU body.
 func (s *Sim) bandMode() bool {
 	return s.cfg.GraphHybrid && s.cfg.Variant.UsesGPU() && s.part != nil
-}
-
-// graphRateSeeds returns the perfmodel-derived cold-start priors for the
-// graph mode's codelets at blocking nb, so the first iteration's placements
-// rank variants by the model instead of an optimistic default (a checkpoint
-// restore overwrites the whole database, so restored rates still win).
-func (s *Sim) graphRateSeeds(nb int) []taskgraph.RateSeed {
-	cpuRate := s.el.CPU.Core(0).Model.Rate(nb, nb, nb, true) * 1e9
-	seeds := []taskgraph.RateSeed{
-		{Codelet: "lu.panel", Class: taskgraph.ClassCPU, Rate: perfmodel.HostPanelGFLOPS * 1e9},
-		{Codelet: "lu.trsm", Class: taskgraph.ClassCPU, Rate: perfmodel.HostTrsmGFLOPS * 1e9},
-		{Codelet: "lu.gemm", Class: taskgraph.ClassCPU, Rate: cpuRate},
-	}
-	if s.cfg.Variant.UsesGPU() {
-		gpuRate := s.el.GPU.Model().Rate(nb, nb, nb) * 1e9
-		seeds = append(seeds,
-			taskgraph.RateSeed{Codelet: "lu.gemm", Class: taskgraph.ClassGPU, Rate: gpuRate},
-			taskgraph.RateSeed{Codelet: "lu.gemm", Class: taskgraph.ClassHyb,
-				Rate: gpuRate + float64(s.el.CPU.NumCores())*cpuRate})
-	}
-	return seeds
 }
 
 // Done reports whether every column has been factored.
@@ -644,16 +612,16 @@ func (s *Sim) newGraphStep(j, jb, trailing int) graphStep {
 // addPanel books the recursive factorization of the height×width panel.
 func (st *graphStep) addPanel(k, height, width int, accs []taskgraph.Access) {
 	st.g.Add(taskgraph.Task{
-		Name: taskgraph.Name("panel(%d)", k), Codelet: st.s.panel, Priority: 3,
-		Flops: float64(width) * float64(width) * (float64(height) - float64(width)/3),
+		Name: taskgraph.Name("panel(%d)", k), Codelet: st.s.lu.Panel, Priority: 3,
+		Flops: hpl.PanelFlops(height, width),
 	}, accs...)
 }
 
 // addPrep books the U12 triangular solve of one cw-wide column block against
-// a jb-wide panel.
+// a jb-wide panel. It carries no Shape, so lu.trsm prices the solve alone.
 func (st *graphStep) addPrep(k, c, jb, cw int, accs ...taskgraph.Access) {
 	st.g.Add(taskgraph.Task{
-		Name: taskgraph.Name("prep(%d,%d)", k, c), Codelet: st.s.trsm, Priority: 2,
+		Name: taskgraph.Name("prep(%d,%d)", k, c), Codelet: st.s.lu.Trsm, Priority: 2,
 		Flops: float64(jb) * float64(jb) * float64(cw),
 	}, accs...)
 }
@@ -701,7 +669,7 @@ func (st *graphStep) addTileUpdates() {
 		for r := 0; r < st.nt; r++ {
 			rh := st.tw(r)
 			st.g.Add(taskgraph.Task{
-				Name: taskgraph.Name("upd(%d,%d,%d)", st.k, r, c), Codelet: st.s.gemm,
+				Name: taskgraph.Name("upd(%d,%d,%d)", st.k, r, c), Codelet: st.s.lu.Gemm,
 				Flops: 2 * float64(rh) * float64(cw) * float64(st.jb),
 				Shape: [3]int{rh, cw, st.jb}, Rows: rh,
 			},
@@ -748,7 +716,7 @@ func (st *graphStep) addBandUpdates() {
 			pri = 1 // feeds the look-ahead panel
 		}
 		st.g.Add(taskgraph.Task{
-			Name: taskgraph.Name("upd(%d,%d:%d)", st.k, c0, c0+w), Codelet: s.gemm,
+			Name: taskgraph.Name("upd(%d,%d:%d)", st.k, c0, c0+w), Codelet: s.lu.Gemm,
 			Flops: 2 * float64(rows) * float64(bn) * float64(jb),
 			Shape: [3]int{rows, bn, jb}, Rows: rows, Priority: pri,
 		}, accs...)

@@ -43,6 +43,19 @@ const (
 	// HostTrsmGFLOPS is the host rate of the U12 triangular solve, a BLAS3
 	// operation running slightly below the straight DGEMM rate.
 	HostTrsmGFLOPS = 26.0
+	// HostRank1GFLOPS is the host rate of a panel's column scalings and
+	// rank-1 updates when they run one column at a time, as the distributed
+	// solver's collaborative panel does: BLAS2, bound by memory.
+	HostRank1GFLOPS = 10.0
+	// HostBackSolveGFLOPS is the host rate of the back substitution's
+	// triangular and matrix-vector steps: BLAS2 on one right-hand side.
+	HostBackSolveGFLOPS = 4.0
+	// HostSwapGBps is the host bandwidth of pivot row swaps: pure memory
+	// traffic, two reads and two writes per swapped element pair.
+	HostSwapGBps = 4.0
+	// HostMemGBps is the host's streaming memory rate: generator reads and
+	// XOR folds of parity blocks.
+	HostMemGBps = 8.0
 
 	// HostLinkGBps is the host-memory to PCI-E buffer copy bandwidth for
 	// plain pageable transfers ("on the order of hundreds of MBps").
