@@ -1,8 +1,8 @@
 // linpack_single runs the Linpack benchmark two ways on one compute
-// element: a real, residual-checked solve at laptop scale driving the
-// hybrid executor for every trailing update, and the timing simulation at
-// the paper's headline size N = 46000-class, reproducing the 196.7 GFLOPS /
-// 70.1%-of-peak result of Figure 9.
+// element: a real, residual-checked solve at laptop scale whose trailing
+// updates run on the built-in BLAS DGEMM across four workers, and the timing
+// simulation at the paper's headline size N = 46000-class, reproducing the
+// 196.7 GFLOPS / 70.1%-of-peak result of Figure 9.
 package main
 
 import (

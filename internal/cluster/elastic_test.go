@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"tianhe/internal/element"
@@ -143,24 +144,36 @@ func TestElasticMatchesGrid1xQ(t *testing.T) {
 	}
 }
 
-// Two deaths at one boundary that take two members of a parity stripe
-// exceed the XOR code's strength of one. Every survivor derives the same
-// plan, so all of them stop there and the solve returns a
-// ParityExceededError rather than crashing the process.
+// Two deaths at one boundary that take two members of a parity stripe, or a
+// member and the stripe's holder, exceed the XOR code's strength of one.
+// Every survivor derives the same plan, so all of them stop there and the
+// solve returns a ParityExceededError rather than crashing the process.
 func TestElasticStripeDoubleDeathIsAnError(t *testing.T) {
 	cfg := ElasticConfig{N: 256, NB: 32, Ranks: 4, Seed: 42}
 	healthy, err := SolveElastic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Failures = []FailureSpec{{Rank: 1, At: healthy.Seconds / 2}, {Rank: 2, At: healthy.Seconds / 2}}
-	_, err = SolveElastic(cfg)
-	var pe *ParityExceededError
-	if !errors.As(err, &pe) {
-		t.Fatalf("got %v, want a ParityExceededError", err)
-	}
-	if len(pe.Failed) != 2 || pe.Failed[0] != 1 || pe.Failed[1] != 2 || pe.Col >= pe.Iter {
-		t.Fatalf("error %+v: want ranks [1 2] lost together and a factored column", pe)
+	for _, c := range []struct {
+		name string
+		want ParityExceededError
+	}{
+		{"two stripe members", ParityExceededError{Failed: []int{1, 2}, Iter: 3, Col: 1}},
+		{"column 0's owner and its stripe's holder", ParityExceededError{Failed: []int{0, 3}, Iter: 3, Col: 0}},
+	} {
+		cfg := cfg
+		for _, r := range c.want.Failed {
+			cfg.Failures = append(cfg.Failures, FailureSpec{Rank: r, At: healthy.Seconds / 2})
+		}
+		_, err := SolveElastic(cfg)
+		var pe *ParityExceededError
+		if !errors.As(err, &pe) {
+			t.Errorf("%s: got %v, want a ParityExceededError", c.name, err)
+			continue
+		}
+		if !slices.Equal(pe.Failed, c.want.Failed) || pe.Iter != c.want.Iter || pe.Col != c.want.Col {
+			t.Errorf("%s: error %+v, want %+v", c.name, *pe, c.want)
+		}
 	}
 }
 

@@ -164,7 +164,7 @@ func (r residual) scaled(b []float64) float64 {
 		}
 	}
 	eps := math.Nextafter(1, 2) - 1
-	den := eps * (anorm*matrix.VecNormInf(r.x) + matrix.VecNormInf(b)) * float64(len(r.ax))
+	den := eps * (float64(anorm*matrix.VecNormInf(r.x)) + matrix.VecNormInf(b)) * float64(len(r.ax))
 	if den == 0 {
 		if rinf == 0 {
 			return 0

@@ -6,6 +6,7 @@ import (
 
 	"tianhe/internal/element"
 	"tianhe/internal/fault"
+	"tianhe/internal/sim"
 )
 
 func graphConfig(lookahead int) Config {
@@ -58,6 +59,30 @@ func TestGraphCheckpointRoundTripBitForBit(t *testing.T) {
 		if got.Seconds != ref.Seconds || got.GFLOPS != ref.GFLOPS {
 			t.Fatalf("%v: round-tripped graph run %v s / %v GFLOPS, uninterrupted %v s / %v GFLOPS",
 				v, got.Seconds, got.GFLOPS, ref.Seconds, ref.GFLOPS)
+		}
+	}
+}
+
+// TestGraphCPUOnlyNeverTouchesTheDevice: hpl's LU codelet set carries a GPU
+// model, and a CPU-only stepper clears it on its own copy, so at either
+// look-ahead depth neither the GPU queue nor its DMA engine books a span.
+func TestGraphCPUOnlyNeverTouchesTheDevice(t *testing.T) {
+	for _, lookahead := range []int{0, 1} {
+		s := NewSim(Config{N: 1024, Variant: element.CPUOnly, Seed: 2009, Graph: true, Lookahead: lookahead})
+		dev := s.Element().GPU
+		booked := 0
+		for _, tl := range []*sim.Timeline{dev.Queue, dev.DMA} {
+			tl.SetObserver(func(sim.Span) { booked++ })
+		}
+		for !s.Done() {
+			s.Step()
+		}
+		if res := s.Result(); s.Err() != nil || res.Iterations < 2 {
+			t.Fatalf("look-ahead %d: run stopped after %d iterations: %v", lookahead, res.Iterations, s.Err())
+		}
+		if booked != 0 || dev.Queue.Busy() != 0 || dev.DMA.Busy() != 0 {
+			t.Errorf("look-ahead %d: the device booked %d spans (queue busy %v s, DMA busy %v s)",
+				lookahead, booked, dev.Queue.Busy(), dev.DMA.Busy())
 		}
 	}
 }

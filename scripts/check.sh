@@ -72,8 +72,10 @@ fi
 # ...the scale and elastic models, with every product they inline from
 # other packages, round theirs too: none may fuse; nor may the stencil row
 # contract's products, nor the uniform fills and norms of internal/matrix,
-# nor the serving batcher's learned rates and batch target...
-for pkg in cluster stencil matrix serve; do
+# nor the serving batcher's learned rates and batch target, nor the LU
+# codelets' rate seeds and the residual's denominator in internal/hpl and
+# the graph stepper that schedules them...
+for pkg in cluster stencil matrix serve hpl linpacksim; do
     set -- $(fusedcount ./internal/$pkg "")
     if [ "$1" != 0 ]; then
         echo "check.sh: $1 fused multiply-adds in the arm64 build of internal/$pkg" >&2
