@@ -51,7 +51,7 @@ const (
 	// triangular and matrix-vector steps: BLAS2 on one right-hand side.
 	HostBackSolveGFLOPS = 4.0
 	// HostSwapGBps is the host bandwidth of pivot row swaps: pure memory
-	// traffic, two reads and two writes per swapped element pair.
+	// traffic.
 	HostSwapGBps = 4.0
 	// HostMemGBps is the host's streaming memory rate: generator reads and
 	// XOR folds of parity blocks.
