@@ -55,6 +55,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzComposedScenarios$$' -fuzztime 10s ./internal/linpacksim
 	go test -run '^$$' -fuzz '^FuzzPanelCodec$$' -fuzztime 10s ./internal/cluster
 	go test -run '^$$' -fuzz '^FuzzFillMatrix$$' -fuzztime 10s ./internal/hpl
+	go test -run '^$$' -fuzz '^FuzzDgetrfShapes$$' -fuzztime 10s ./internal/hpl
 	go test -run '^$$' -fuzz '^FuzzFleetKernel$$' -fuzztime 10s ./internal/cluster
 	go test -run '^$$' -fuzz '^FuzzDatabaseGJSON$$' -fuzztime 10s ./internal/adaptive
 	go test -run '^$$' -fuzz '^FuzzMakePlan$$' -fuzztime 10s ./internal/recover

@@ -12,9 +12,9 @@ import (
 // Allocation ceilings of one Run and one GraphRun at N=512, NB=64, where
 // the matrix alone is 2 MB. Both factor the generated matrix in place and
 // verify against the regenerated one (GeneratedResidual), so neither holds a
-// second copy of A. Measured 2.07 MB (Run) and 2.33 MB (GraphRun, its
-// element built beforehand); with a clone of A kept for the check they were
-// 4.07 and 4.33 MB. The ceilings sit about 20 % above the measurements, and
+// second copy of A. Measured 2.14 MB (Run; 2.07 before its LU ran as a task
+// graph) and 2.33 MB (GraphRun, its element built beforehand); with a clone
+// of A kept for the check they were 4.07 and 4.33 MB. The ceilings sit about 20 % above the measurements, and
 // Run's is 1.25 matrices: a copy of A cannot come back unnoticed.
 const (
 	runAllocCeilingMB      = 2.5
@@ -42,14 +42,15 @@ const (
 
 // wholeGraphHybridAllocsPerTaskCeiling bounds the allocations per task of
 // building the hybrid whole-factorization graph at the same size and running
-// it once with the LU rate seeds. Measured 2.55 on amd64; it was 9.55 while
-// every trailing update carried its own hybrid descriptor and two row-cost
-// closures and every core slab of a hybrid booking formatted its label
-// whether or not anything read it, and 13.8 while every trailing update
-// carried three adapter closures around the split oracle and each hybrid
-// booking made its two level-2 feedback slices. The ceiling sits about 15 %
-// above the measurement.
-const wholeGraphHybridAllocsPerTaskCeiling = 2.95
+// it once with the LU rate seeds. Measured 1.10 on amd64; it was 2.55 while
+// every hybrid booking formatted its hyb(gN) device label afresh (the string
+// and the boxed row count), 9.55 while every trailing update carried its own
+// hybrid descriptor and two row-cost closures and every core slab of a
+// hybrid booking formatted its label whether or not anything read it, and
+// 13.8 while every trailing update carried three adapter closures around the
+// split oracle and each hybrid booking made its two level-2 feedback slices.
+// The ceiling sits about 15 % above the measurement.
+const wholeGraphHybridAllocsPerTaskCeiling = 1.26
 
 // allocMB returns the megabytes f allocates.
 func allocMB(f func()) float64 {

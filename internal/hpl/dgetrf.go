@@ -12,6 +12,7 @@ import (
 	"tianhe/internal/blas"
 	"tianhe/internal/matrix"
 	"tianhe/internal/sweep"
+	"tianhe/internal/taskgraph"
 )
 
 // GemmFunc computes C = alpha*A*B + beta*C (NoTrans/NoTrans). The hybrid
@@ -22,14 +23,15 @@ type GemmFunc func(alpha float64, a, b *matrix.Dense, beta float64, c *matrix.De
 type Options struct {
 	// NB is the blocking factor; values <= 0 select a default of 64.
 	NB int
-	// Gemm performs the trailing update; nil selects the built-in BLAS.
+	// Gemm, when set, performs each panel's whole trailing update in one
+	// call, from a Dgetrf worker, in panel order and never concurrently with
+	// itself; nil runs the update as one built-in BLAS task per block column.
 	Gemm GemmFunc
-	// Workers is how many goroutines Dgetrf's column-slab phases run on (the
-	// trailing swaps and U12 solve, the deferred left swaps), and the
-	// built-in Gemm's too; Run also fills and verifies the test matrix on
-	// them. Values <= 0 select runtime.GOMAXPROCS(0). Every count gives the
-	// same bits: workers own disjoint columns (or, in the residual, rows),
-	// and no element's arithmetic depends on where a slab boundary falls.
+	// Workers is how many goroutines Dgetrf runs its graph's tasks on;
+	// Run also fills and verifies the test matrix on them. Values <= 0
+	// select runtime.GOMAXPROCS(0). Every count gives the same bits: tasks
+	// own disjoint columns (or, in the residual, rows), and no element's
+	// arithmetic depends on which worker runs it or when.
 	Workers int
 }
 
@@ -38,12 +40,6 @@ func (o Options) withDefaults() Options {
 		o.NB = 64
 	}
 	o.Workers = sweep.Workers(o.Workers)
-	if o.Gemm == nil {
-		w := o.Workers
-		o.Gemm = func(alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense) {
-			blas.DgemmParallel(blas.NoTrans, blas.NoTrans, alpha, a, b, beta, c, w)
-		}
-	}
 	return o
 }
 
@@ -127,64 +123,20 @@ func PanelFactor(a *matrix.Dense, ipiv []int) error {
 
 // Dgetrf computes the blocked right-looking LU factorization with partial
 // pivoting of the square (or tall) matrix a, storing L (unit lower) and U in
-// place and the pivot sequence in ipiv. Each NB-wide panel runs three phases:
-//
-//   - PanelFactor factors the panel on the caller's goroutine;
-//   - the columns right of it take the panel's row swaps and then the U12
-//     solve against L11, one NB-multiple column slab at a time on
-//     opts.Workers goroutines, so a slab is solved while its swapped rows
-//     are still in cache;
-//   - opts.Gemm performs the trailing update A22 -= L21·U12, where >90% of
-//     the flops go at HPL block sizes, called once per panel from the
-//     caller's goroutine, so a hybrid Gemm sees the whole update.
-//
-// The swaps a panel's pivots owe the finished L columns left of it are
-// deferred: nothing reads a finished L block before the end, so after the
-// last panel each block column takes every later panel's pivots in one
-// pass, in panel order, slab-parallel, and stays in cache for all of them.
-// Every split gives the same bits: a row swap and the U12 solve act on each
-// column alone, and Gemm obeys the accumulation-order contract, so the
-// factors, pivots and any ErrSingular step do not depend on opts.Workers.
+// place and the pivot sequence in ipiv. It runs the host form of the LU
+// graph (BuildLUGraph with no element) on opts.Workers goroutines through
+// taskgraph.Execute: per NB-wide panel, the panel factor, then per block
+// column right of it the swaps, the U12 solve and the trailing update below
+// (>90% of the flops), and off the critical path the swaps of the finished
+// L columns. The update feeding panel k+1 outranks the rest, which panel k+1
+// then overlaps: HPL's look-ahead, from the dataflow. Swaps and solves act
+// on each column alone and updates obey the accumulation-order contract, so
+// the factors, pivots and returned ErrSingular (the lowest panel's) do not
+// depend on opts.Workers.
 func Dgetrf(a *matrix.Dense, ipiv []int, opts Options) error {
 	opts = opts.withDefaults()
-	m, n, nb, w := a.Rows, a.Cols, opts.NB, opts.Workers
-	if m < n {
-		panic("hpl: Dgetrf requires m >= n")
-	}
-	if len(ipiv) < n {
-		panic("hpl: ipiv too short")
-	}
-	var firstErr error
-	for j := 0; j < n; j += nb {
-		jb := min(nb, n-j)
-		if err := PanelFactor(a.View(j, j, m-j, jb), ipiv[j:j+jb]); err != nil && firstErr == nil {
-			firstErr = ErrSingular{Step: j + err.(ErrSingular).Step}
-		}
-		// Rebase panel-relative pivots to absolute row indices.
-		for k := j; k < j+jb; k++ {
-			ipiv[k] += j
-		}
-		right := j + jb
-		if right == n {
-			break
-		}
-		l11 := a.View(j, j, jb, jb)
-		blas.ForSlabs(n-right, nb, w, func(c0, c1 int) {
-			c0, cw := right+c0, c1-c0
-			blas.Dlaswp(a.View(0, c0, m, cw), ipiv, j, j+jb)
-			// U12 = L11^{-1} * A12
-			blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, l11, a.View(j, c0, jb, cw))
-		})
-		// A22 -= L21 * U12: the hot DGEMM.
-		if right < m {
-			opts.Gemm(-1, a.View(right, j, m-right, jb), a.View(j, right, jb, n-right), 1, a.View(right, right, m-right, n-right))
-		}
-	}
-	// The deferred left swaps: block column [c0, c0+nb) takes the pivots of
-	// every panel after its own, ipiv[c0+nb:n]. The last block column has
-	// none.
-	blas.ForSlabs(max(n-1, 0)/nb*nb, nb, w, func(c0, c1 int) {
-		blas.Dlaswp(a.View(0, c0, m, c1-c0), ipiv, c1, n)
-	})
-	return firstErr
+	errs := make([]error, (a.Cols+opts.NB-1)/opts.NB)
+	g := buildLU(a.Cols, a, ipiv, nil, errs, GraphOptions{NB: opts.NB, Lookahead: -1}, opts.Gemm)
+	taskgraph.Execute(g, opts.Workers)
+	return firstErr(errs)
 }

@@ -49,6 +49,14 @@ func (g luTiles) off(i int) int { return i * g.nb }
 
 func (g luTiles) width(i int) int { return min(g.nb, g.n-i*g.nb) }
 
+// span is the extent of blocks [i, end), the last block ending at limit.
+func (g luTiles) span(i, end, limit int) int {
+	if end >= g.t {
+		return limit - g.off(i)
+	}
+	return g.off(end) - g.off(i)
+}
+
 // BuildLUGraph expresses the whole blocked right-looking LU factorization of
 // an n×n matrix as a task graph over its NB-tile grid. Per block column k
 // the monolithic loop's four phases become four codelets:
@@ -70,19 +78,61 @@ func (g luTiles) width(i int) int { return min(g.nb, g.n-i*g.nb) }
 // topology with no bodies — the virtual form graphtrace and the experiments
 // schedule at Fig-8 problem sizes. errs, when non-nil, must have one slot
 // per block column; panel bodies record singular pivots there.
+//
+// A nil element builds the host form Dgetrf runs on taskgraph.Execute, for
+// an a of n columns and n or more rows: one handle per block column and the
+// updates of addUpdates' host form. It is never placed: Hybrid is ignored.
 func BuildLUGraph(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs []error, opts GraphOptions) *taskgraph.Graph {
+	return buildLU(n, a, ipiv, el, errs, opts, nil)
+}
+
+// buildLU is BuildLUGraph with a seam for the host form: a non-nil gemm
+// makes each panel's update one call of it over the whole trailing matrix.
+func buildLU(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs []error, opts GraphOptions, gemm GemmFunc) *taskgraph.Graph {
 	opts = opts.withDefaults()
+	m := n
 	if a != nil {
-		if a.Rows != a.Cols || a.Rows != n {
-			panic("hpl: BuildLUGraph requires a square n×n matrix")
+		if m = a.Rows; a.Cols != n || m < n || el != nil && m != n {
+			panic("hpl: BuildLUGraph requires an n×n matrix, or n columns and m >= n rows with no element")
 		}
 		if len(ipiv) < n {
 			panic("hpl: ipiv too short")
 		}
 	}
-	b := newLUBuilder(n, a, ipiv, el, errs, opts)
-	b.g.Grow(luCounts(b.geo.t))
-	for k := 0; k < b.geo.t; k++ {
+	geo := luTiles{n: n, nb: opts.NB, t: (n + opts.NB - 1) / opts.NB}
+	b := &luBuilder{
+		g: taskgraph.New(), geo: geo, m: m, a: a, ipiv: ipiv, errs: errs, opts: opts,
+		rowStep: 1, colStep: 1, gemm: dgemm,
+		pivs: make([]*taskgraph.Handle, geo.t),
+		cs:   NewLUCodelets(el),
+	}
+	if gemm != nil {
+		b.gemm, b.colStep = gemm, geo.t
+	}
+	if el == nil {
+		b.rowStep = max(geo.t, 1)
+	} else {
+		b.g.Grow(luCounts(geo.t))
+	}
+	b.tiles = make([]*taskgraph.Handle, 0, geo.t*geo.t/b.rowStep)
+	for r := 0; r < geo.t; r += b.rowStep {
+		for c := 0; c < geo.t; c++ {
+			b.tiles = append(b.tiles, b.g.NewHandle(taskgraph.Name("t(%d,%d)", r, c),
+				8*int64(geo.span(r, r+b.rowStep, m))*int64(geo.width(c))))
+		}
+	}
+	for k := range b.pivs {
+		b.pivs[k] = b.g.NewHandle(taskgraph.Name("piv(%d)", k), 8*int64(geo.width(k)))
+	}
+	if opts.Hybrid && el != nil {
+		// The split oracle starts from the element's peak ratio and buckets
+		// by tile work: full NB³ update tiles land in the top bucket, the
+		// narrower edge tiles in lower ones — the same shape keying the
+		// monolithic loop's database_g uses for trailing updates.
+		maxWork := 2 * float64(opts.NB) * float64(opts.NB) * float64(opts.NB)
+		b.cs.Gemm.Hybrid = &taskgraph.Hybrid{Part: adaptive.NewAdaptive(64, maxWork, el.InitialGSplit(), el.CPU.NumCores())}
+	}
+	for k := 0; k < geo.t; k++ {
 		b.iterStart = append(b.iterStart, b.g.Len())
 		b.addPanel(k)
 		b.addSwapsAndPreps(k)
@@ -108,10 +158,15 @@ func luCounts(t int) (tasks, reads int) {
 type luBuilder struct {
 	g    *taskgraph.Graph
 	geo  luTiles
+	m    int           // rows: n, or more in a tall host form
 	a    *matrix.Dense // nil builds the virtual form, with no bodies
 	ipiv []int
 	errs []error
 	opts GraphOptions
+	// rowStep and colStep are the row and column blocks an update spans (a
+	// host-form handle too spans every row block), and gemm its body.
+	rowStep, colStep int
+	gemm             GemmFunc
 
 	tiles []*taskgraph.Handle // one per matrix tile, row-major t×t
 	pivs  []*taskgraph.Handle // one per panel's pivot block
@@ -123,36 +178,7 @@ type luBuilder struct {
 	cs LUCodelets
 }
 
-func (b *luBuilder) tile(r, c int) *taskgraph.Handle { return b.tiles[r*b.geo.t+c] }
-
-// newLUBuilder registers the handles and makes the codelets.
-func newLUBuilder(n int, a *matrix.Dense, ipiv []int, el *element.Element, errs []error, opts GraphOptions) *luBuilder {
-	geo := luTiles{n: n, nb: opts.NB, t: (n + opts.NB - 1) / opts.NB}
-	b := &luBuilder{
-		g: taskgraph.New(), geo: geo, a: a, ipiv: ipiv, errs: errs, opts: opts,
-		tiles: make([]*taskgraph.Handle, geo.t*geo.t),
-		pivs:  make([]*taskgraph.Handle, geo.t),
-		cs:    NewLUCodelets(el),
-	}
-	for r := 0; r < geo.t; r++ {
-		for c := 0; c < geo.t; c++ {
-			b.tiles[r*geo.t+c] = b.g.NewHandle(taskgraph.Name("t(%d,%d)", r, c),
-				8*int64(geo.width(r))*int64(geo.width(c)))
-		}
-	}
-	for k := 0; k < geo.t; k++ {
-		b.pivs[k] = b.g.NewHandle(taskgraph.Name("piv(%d)", k), 8*int64(geo.width(k)))
-	}
-	if opts.Hybrid {
-		// The split oracle starts from the element's peak ratio and buckets
-		// by tile work: full NB³ update tiles land in the top bucket, the
-		// narrower edge tiles in lower ones — the same shape keying the
-		// monolithic loop's database_g uses for trailing updates.
-		maxWork := 2 * float64(opts.NB) * float64(opts.NB) * float64(opts.NB)
-		b.cs.Gemm.Hybrid = &taskgraph.Hybrid{Part: adaptive.NewAdaptive(64, maxWork, el.InitialGSplit(), el.CPU.NumCores())}
-	}
-	return b
-}
+func (b *luBuilder) tile(r, c int) *taskgraph.Handle { return b.tiles[r/b.rowStep*b.geo.t+c] }
 
 // LUCodelets are the LU factorization's four task classes, each shared by
 // every task of its class that a graph books.
@@ -169,9 +195,9 @@ type LUCodelets struct {
 //	lu.gemm   a trailing-update DGEMM of Shape (rows, n, k) on core 0 or the GPU
 //
 // A rows-high slab of an update has the shape (rows, Shape[1], Shape[2]).
-// Core 0 is priced with its L2 neighbour idle.
+// Core 0 is priced with its L2 neighbour idle. A nil element's set, the
+// host form's, is never priced: that form is run, not placed.
 func NewLUCodelets(el *element.Element) LUCodelets {
-	core, gpu := el.CPU.Core(0), el.GPU
 	swapSeconds := func(t *taskgraph.Task, _ int) float64 {
 		return 16 * float64(t.Shape[0]) * float64(t.Shape[1]) / (perfmodel.HostSwapGBps * 1e9)
 	}
@@ -183,9 +209,11 @@ func NewLUCodelets(el *element.Element) LUCodelets {
 			return swapSeconds(t, 0) + t.Flops/(perfmodel.HostTrsmGFLOPS*1e9)
 		}},
 		Gemm: &taskgraph.Codelet{Name: "lu.gemm",
-			CPUSeconds: func(t *taskgraph.Task, rows int) float64 { return core.Seconds(rows, t.Shape[1], t.Shape[2], false) },
+			CPUSeconds: func(t *taskgraph.Task, rows int) float64 {
+				return el.CPU.Core(0).Seconds(rows, t.Shape[1], t.Shape[2], false)
+			},
 			GPUSeconds: func(t *taskgraph.Task, rows int) float64 {
-				return gpu.Model().KernelSeconds(rows, t.Shape[1], t.Shape[2])
+				return el.GPU.Model().KernelSeconds(rows, t.Shape[1], t.Shape[2])
 			},
 		},
 	}
@@ -201,7 +229,7 @@ func PanelFlops(height, width int) float64 {
 // reaches above it), followed by extra.
 func (b *luBuilder) colAccesses(k, c int, mode taskgraph.AccessMode, extra ...taskgraph.Access) []taskgraph.Access {
 	accs := b.accs[:0]
-	for r := k; r < b.geo.t; r++ {
+	for r := k; r < b.geo.t; r += b.rowStep {
 		accs = append(accs, taskgraph.Access{H: b.tile(r, c), Mode: mode})
 	}
 	b.accs = append(accs, extra...)
@@ -212,7 +240,7 @@ func (b *luBuilder) colAccesses(k, c int, mode taskgraph.AccessMode, extra ...ta
 func (b *luBuilder) addPanel(k int) {
 	a, ipiv, errs := b.a, b.ipiv, b.errs
 	j, jb := b.geo.off(k), b.geo.width(k)
-	mp := b.geo.n - j // panel height
+	mp := b.m - j // panel height
 	panel := taskgraph.Task{
 		Name:     taskgraph.Name("panel(%d)", k),
 		Codelet:  b.cs.Panel,
@@ -246,7 +274,7 @@ func (b *luBuilder) addPanel(k int) {
 // task keeps a cost function of its own, and being host-only they are never
 // verified.
 func (b *luBuilder) addSwapsAndPreps(k int) {
-	a, ipiv, n := b.a, b.ipiv, b.geo.n
+	a, ipiv, m := b.a, b.ipiv, b.m
 	j, jb := b.geo.off(k), b.geo.width(k)
 	for c := 0; c < b.geo.t; c++ {
 		if c == k {
@@ -262,7 +290,7 @@ func (b *luBuilder) addSwapsAndPreps(k int) {
 				Priority: 1,
 			}
 			if a != nil {
-				t.Run = func() { blas.Dlaswp(a.View(0, c0, n, cw), ipiv, j, j+jb) }
+				t.Run = func() { blas.Dlaswp(a.View(0, c0, m, cw), ipiv, j, j+jb) }
 			}
 			b.g.Add(t, b.colAccesses(k, c, taskgraph.ReadWrite, pivots)...)
 			continue
@@ -276,7 +304,7 @@ func (b *luBuilder) addSwapsAndPreps(k int) {
 		}
 		if a != nil {
 			t.Run = func() {
-				blas.Dlaswp(a.View(0, c0, n, cw), ipiv, j, j+jb)
+				blas.Dlaswp(a.View(0, c0, m, cw), ipiv, j, j+jb)
 				blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit,
 					1, a.View(j, j, jb, jb), a.View(j, c0, jb, cw))
 			}
@@ -287,34 +315,48 @@ func (b *luBuilder) addSwapsAndPreps(k int) {
 }
 
 // addUpdates books iteration k's trailing update, upd(k,r,c) for every tile
-// below and right of the diagonal block, column by column.
+// below and right of the diagonal block, column by column. A host-form
+// update spans every row below the panel and colStep block columns — one, or
+// all of them with a gemm seam, which then sees one call per panel, in panel
+// order — and the one feeding panel k+1 takes the panel's priority.
 func (b *luBuilder) addUpdates(k int) {
-	a := b.a
+	a, t, gemm, step := b.a, b.geo.t, b.gemm, b.rowStep
 	j, jb := b.geo.off(k), b.geo.width(k)
-	for c := k + 1; c < b.geo.t; c++ {
-		c0, cw := b.geo.off(c), b.geo.width(c)
-		for r := k + 1; r < b.geo.t; r++ {
-			r0, rh := b.geo.off(r), b.geo.width(r)
-			t := taskgraph.Task{
+	for c := k + 1; c < t; c += b.colStep {
+		c0, cw := b.geo.off(c), b.geo.span(c, c+b.colStep, b.geo.n)
+		for r := k + 1; r < t; r += step {
+			r0, rh := b.geo.off(r), b.geo.span(r, r+step, b.m)
+			task := taskgraph.Task{
 				Name:    taskgraph.Name("upd(%d,%d,%d)", k, r, c),
 				Codelet: b.cs.Gemm,
 				Flops:   2 * float64(rh) * float64(cw) * float64(jb),
 				Shape:   [3]int{rh, cw, jb},
 				Rows:    rh,
 			}
+			if step > 1 && c == k+1 { // the host form's look-ahead update
+				task.Priority = 3
+			}
 			if a != nil {
-				t.Run = func() {
-					blas.Dgemm(blas.NoTrans, blas.NoTrans,
-						-1, a.View(r0, j, rh, jb), a.View(j, c0, jb, cw),
-						1, a.View(r0, c0, rh, cw))
+				task.Run = func() {
+					gemm(-1, a.View(r0, j, rh, jb), a.View(j, c0, jb, cw), 1, a.View(r0, c0, rh, cw))
 				}
 			}
-			b.g.Add(t,
-				taskgraph.Access{H: b.tile(r, k), Mode: taskgraph.Read},
-				taskgraph.Access{H: b.tile(k, c), Mode: taskgraph.Read},
-				taskgraph.Access{H: b.tile(r, c), Mode: taskgraph.ReadWrite})
+			accs := append(b.accs[:0], taskgraph.Access{H: b.tile(r, k), Mode: taskgraph.Read})
+			if step == 1 { // a host-form handle holds U12 with the rows it updates
+				accs = append(accs, taskgraph.Access{H: b.tile(k, c), Mode: taskgraph.Read})
+			}
+			for cc := c; cc < min(c+b.colStep, t); cc++ {
+				accs = append(accs, taskgraph.Access{H: b.tile(r, cc), Mode: taskgraph.ReadWrite})
+			}
+			b.accs = accs
+			b.g.Add(task, accs...)
 		}
 	}
+}
+
+// dgemm is the updates' body unless a seam replaces it.
+func dgemm(alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense) {
+	blas.Dgemm(blas.NoTrans, blas.NoTrans, alpha, a, b, beta, c)
 }
 
 // GraphRateSeeds returns perfmodel-derived cold-start priors for the LU
@@ -343,23 +385,15 @@ func GraphRateSeeds(el *element.Element, nb int) []taskgraph.RateSeed {
 // GraphDgetrf factors a in place through the task graph runtime: the blocked
 // factorization is expressed as a dataflow graph over a's NB-tile grid,
 // placed tile by tile on the element's CPU cores and GPU by the affinity
-// scheduler, and the host bodies then execute in dependency order. The
-// numerical result — factors, pivots, and any singularity verdict — is
-// bit-identical to Dgetrf with the same NB, at any look-ahead depth and any
-// body parallelism, because the decomposition never splits a DGEMM's
-// summation depth and every other codelet is column-independent.
+// scheduler, and the host bodies then run through taskgraph.Execute on
+// opts.Sched.Par workers. The result — factors, pivots, and the lowest
+// panel's ErrSingular — is bit-identical to Dgetrf with the same NB, at any
+// look-ahead depth and any body parallelism: the decomposition never splits
+// a DGEMM's summation depth and every other codelet is column-independent.
 func GraphDgetrf(a *matrix.Dense, ipiv []int, el *element.Element, opts GraphOptions) (taskgraph.Report, error) {
 	opts = opts.withDefaults()
-	if a.Rows != a.Cols {
-		panic("hpl: GraphDgetrf requires a square matrix")
-	}
-	n := a.Rows
-	if len(ipiv) < n {
-		panic("hpl: ipiv too short")
-	}
-	nblocks := (n + opts.NB - 1) / opts.NB
-	errs := make([]error, nblocks)
-	g := BuildLUGraph(n, a, ipiv, el, errs, opts)
+	errs := make([]error, (a.Cols+opts.NB-1)/opts.NB)
+	g := BuildLUGraph(a.Cols, a, ipiv, el, errs, opts)
 	// Model-derived seeds follow any caller-provided ones; Seed is
 	// first-wins, so explicit priors (or a restored checkpoint's rates)
 	// still take precedence.
@@ -372,12 +406,17 @@ func GraphDgetrf(a *matrix.Dense, ipiv []int, el *element.Element, opts GraphOpt
 	if rep.Stalled {
 		return rep, fmt.Errorf("hpl: graph factorization stalled waiting for the GPU (no CPU fallback)")
 	}
-	for _, e := range errs {
-		if e != nil {
-			return rep, e
+	return rep, firstErr(errs)
+}
+
+// firstErr returns the lowest panel's error in errs, or nil.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return rep, nil
+	return nil
 }
 
 // GraphRun executes the full Linpack workflow — generate, factor, solve,

@@ -2,6 +2,7 @@ package hpl
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"tianhe/internal/blas"
 	"tianhe/internal/matrix"
 	"tianhe/internal/sim"
+	"tianhe/internal/taskgraph"
 )
 
 // reconstructLU multiplies the packed factors back together and applies the
@@ -173,8 +175,8 @@ func TestDgetrfSingularLaterStep(t *testing.T) {
 }
 
 // dgetrfEager is the blocked loop with each panel's pivots applied at once
-// to every finished column left of it, the order Dgetrf defers: the
-// reference the deferred pass is held to.
+// to every finished column left of it, where Dgetrf's swap tasks apply them
+// whenever the executor gets to them: the reference those are held to.
 func dgetrfEager(a *matrix.Dense, ipiv []int, nb int) error {
 	m, n := a.Rows, a.Cols
 	var firstErr error
@@ -264,6 +266,62 @@ func TestDgetrfWorkersIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDgetrfShapes holds Dgetrf to dgetrfEager bit for bit — factors,
+// pivots and the ErrSingular step — over fuzzed shapes: n columns and n +
+// extra%64 rows, NB = nb%64 (0 is 64) so that last tiles are ragged, n < NB
+// and NB = 1 all come up, 1 to 8 workers, and zero, when positive, clearing
+// column (zero-1)%n. A square matrix is Generate(n, seed), a tall one filled
+// from NewRNG(seed). Square shapes of at most 16 tiles a side also hold
+// GraphDgetrf at Par 1 and 3 to the same bits; a larger tile graph costs
+// more per input than a fuzz run can spend. The seed corpus is
+// TestDgetrfWorkersIdentical's four cases.
+func FuzzDgetrfShapes(f *testing.F) {
+	f.Add(uint8(160), uint8(0), uint8(48), uint8(1), uint8(0), uint64(7))
+	f.Add(uint8(160), uint8(40), uint8(48), uint8(2), uint8(0), uint64(11))
+	f.Add(uint8(160), uint8(0), uint8(48), uint8(3), uint8(1), uint64(9))
+	f.Add(uint8(160), uint8(0), uint8(48), uint8(7), uint8(101), uint64(9))
+	f.Fuzz(func(t *testing.T, n8, extra, nb8, workers8, zero uint8, seed uint64) {
+		n, nb, workers := max(int(n8), 1), int(nb8)%64, int(workers8)%8+1
+		if nb == 0 {
+			nb = 64
+		}
+		var a *matrix.Dense
+		if m := n + int(extra)%64; m == n {
+			a, _ = Generate(n, seed)
+		} else {
+			a = matrix.NewDense(m, n)
+			a.FillRandom(sim.NewRNG(seed))
+		}
+		if zero > 0 {
+			clear(a.Col((int(zero) - 1) % n))
+		}
+		want, wantPiv := a.Clone(), make([]int, n)
+		wantErr := dgetrfEager(want, wantPiv, nb)
+		check := func(what string, got *matrix.Dense, gotPiv []int, err error) {
+			if err != wantErr {
+				t.Errorf("%s: error %v, want the eager loop's %v", what, err, wantErr)
+			}
+			if !slices.Equal(gotPiv, wantPiv) {
+				t.Errorf("%s: pivots differ from the eager loop's", what)
+			}
+			if !sameBits(got, want) {
+				t.Errorf("%s: factors differ from the eager loop's (max diff %g)", what, got.MaxDiff(want))
+			}
+		}
+		got, gotPiv := a.Clone(), make([]int, n)
+		err := Dgetrf(got, gotPiv, Options{NB: nb, Workers: workers})
+		check(fmt.Sprintf("Dgetrf %dx%d NB %d, %d workers", a.Rows, n, nb, workers), got, gotPiv, err)
+		if a.Rows != n || (n+nb-1)/nb > 16 {
+			return
+		}
+		for _, par := range []int{1, 3} {
+			got, gotPiv := a.Clone(), make([]int, n)
+			_, err := GraphDgetrf(got, gotPiv, testElement(), GraphOptions{NB: nb, Lookahead: 1, Sched: taskgraph.Options{Par: par}})
+			check(fmt.Sprintf("GraphDgetrf %d NB %d, par %d", n, nb, par), got, gotPiv, err)
+		}
+	})
 }
 
 func TestSolveKnownSystem(t *testing.T) {

@@ -202,7 +202,12 @@ func (r *run) bookHybrid(t *Task, c *candidates, readyAt sim.Time) booking {
 	h.Part.Observe(adaptive.Observation{Work: t.Flops, GSplit: float64(m1) / float64(t.Rows),
 		TG: float64(tg), TC: float64(tc), CoreWorks: coreWorks, CoreTimes: coreTimes})
 	r.rep.TasksHyb++
-	return booking{class: ClassHyb, device: fmt.Sprintf("hyb(g%d)", m1), sp: sp,
+	label, ok := r.s.hybLabels[m1]
+	if !ok {
+		label = fmt.Sprintf("hyb(g%d)", m1)
+		r.s.hybLabels[m1] = label
+	}
+	return booking{class: ClassHyb, device: label, sp: sp,
 		devEnd: gpuEnd, hostEnd: cpuEnd, devRows: m1}
 }
 

@@ -36,8 +36,8 @@ type Options struct {
 	// Cells already warmed (a shared or checkpoint-restored database) are
 	// left alone.
 	RateSeeds []RateSeed
-	// Par is the host worker count real task bodies execute on; <= 1 runs
-	// them serially in schedule order. Placement and every booking are
+	// Par is the host worker count Execute runs real task bodies on; <= 1
+	// runs them serially in creation order. Placement and every booking are
 	// serial regardless, so timing is byte-identical across Par values, and
 	// bodies write disjoint declared handles, so data is too.
 	Par int
@@ -171,6 +171,8 @@ type Scheduler struct {
 
 	gate    gpu.LossGate
 	taskSeq int
+	// hybLabels holds hybrid placements' TaskSpan labels by device rows.
+	hybLabels map[int]string
 
 	run run
 }
@@ -182,11 +184,12 @@ func NewScheduler(el *element.Element, opts Options) *Scheduler {
 		rates.Seed(sd.Codelet, sd.Class, sd.Rate)
 	}
 	s := &Scheduler{
-		el:     el,
-		opts:   opts,
-		rates:  rates,
-		probes: newSchedProbes(opts.Telemetry),
-		gate:   gpu.NewLossGate(el.GPU),
+		el:        el,
+		opts:      opts,
+		rates:     rates,
+		probes:    newSchedProbes(opts.Telemetry),
+		gate:      gpu.NewLossGate(el.GPU),
+		hybLabels: map[int]string{},
 	}
 	s.run = s.emptyRun()
 	return s
@@ -375,9 +378,9 @@ func (s *Scheduler) newRun(g *Graph, earliest sim.Time) *run {
 
 // Run schedules and executes the graph, with no task starting before
 // earliest. Placement is a serial deterministic list-scheduling loop; real
-// host bodies then execute (serially or on Options.Par workers) in an order
-// consistent with the dependency DAG. A task whose own handles overflow device
-// memory aborts the run with gpu.ErrWorkingSet.
+// host bodies then execute through Execute on Options.Par workers. A task
+// whose own handles overflow device memory aborts the run with
+// gpu.ErrWorkingSet.
 func (s *Scheduler) Run(g *Graph, earliest sim.Time) (Report, error) {
 	if err := g.validate(&s.run.val); err != nil {
 		return Report{}, err
@@ -431,7 +434,7 @@ func (s *Scheduler) Run(g *Graph, earliest sim.Time) (Report, error) {
 
 	r.res.Drain()
 	r.settle()
-	s.runBodies(tasks, children)
+	execute(tasks, children, s.opts.Par)
 	s.probes.flush(&r.rep, s.opts.Verify)
 	return r.rep, nil
 }
@@ -486,22 +489,19 @@ func (r *run) admit(t *Task, readyAt sim.Time) (at sim.Time, gpuOK, stalled bool
 	return readyAt, gpuOK, false
 }
 
-// runBodies executes the real host bodies. Serial mode walks the placement
-// order (a topological order); parallel mode runs a worker pool over the
-// dependency DAG. Bodies write disjoint declared handles, so both orders
-// produce bit-identical data.
-func (s *Scheduler) runBodies(tasks []*Task, children childIndex) {
-	any := false
-	for _, t := range tasks {
-		if t.Run != nil {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	if s.opts.Par <= 1 {
+// Execute runs g's Run bodies in dependency order on workers goroutines, the
+// caller's among them, with no placement. A freed worker takes the ready task
+// of highest Priority, then the earliest created, from one heap under one
+// mutex; workers <= 1 runs them in creation order. Bodies write only their
+// declared handles, so every order gives the same data.
+func Execute(g *Graph, workers int) {
+	var children childIndex
+	children.build(g.tasks)
+	execute(g.tasks, children, workers)
+}
+
+func execute(tasks []*Task, children childIndex, workers int) {
+	if workers <= 1 {
 		for _, t := range tasks {
 			if t.Run != nil {
 				t.Run()
@@ -509,44 +509,48 @@ func (s *Scheduler) runBodies(tasks []*Task, children childIndex) {
 		}
 		return
 	}
-	n := len(tasks)
-	indeg := make([]int, n)
-	for _, t := range tasks {
-		indeg[t.id] = len(t.deps)
-	}
-	queue := make(chan int, n)
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(n)
-	// Seed the roots before any worker starts, so the indegree slice is
-	// touched by exactly one goroutine at a time (workers under mu).
+	wake := sync.NewCond(&mu)
+	var ready readyHeap
+	indeg, left := make([]int, len(tasks)), len(tasks)
 	for _, t := range tasks {
-		if indeg[t.id] == 0 {
-			queue <- t.id
+		if indeg[t.id] = len(t.deps); len(t.deps) == 0 {
+			ready.push(readyItem{id: t.id, priority: t.Priority})
 		}
 	}
-	workers := s.opts.Par
-	if workers > n {
-		workers = n
-	}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for id := range queue {
-				if fn := tasks[id].Run; fn != nil {
-					fn()
-				}
-				mu.Lock()
-				for _, c := range children.of(id) {
-					indeg[c]--
-					if indeg[c] == 0 {
-						queue <- c // buffered to n: never blocks
-					}
-				}
-				mu.Unlock()
-				wg.Done()
+	work := func() {
+		mu.Lock()
+		for left > 0 {
+			if len(ready) == 0 {
+				wake.Wait()
+				continue
 			}
+			id := ready.pop().id
+			mu.Unlock()
+			if fn := tasks[id].Run; fn != nil {
+				fn()
+			}
+			mu.Lock()
+			for _, c := range children.of(id) {
+				if indeg[c]--; indeg[c] == 0 {
+					ready.push(readyItem{id: c, priority: tasks[c].Priority})
+					wake.Signal()
+				}
+			}
+			if left--; left == 0 {
+				wake.Broadcast()
+			}
+		}
+		mu.Unlock()
+	}
+	var wg sync.WaitGroup
+	for range min(workers, len(tasks)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
-	close(queue)
 }

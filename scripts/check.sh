@@ -105,6 +105,10 @@ go run ./cmd/tianhelint -tests -par 8
 # ledger rows must match across parallelism.
 if [ "$(go env CGO_ENABLED)" = "1" ]; then
     go test -race ./...
+    # The dataflow executor under both LU drivers is lock-based code whose
+    # bugs show only under some interleavings: run its tests and the drivers'
+    # bitwise tests twenty times more under the detector.
+    go test -race -count=20 -run 'TestExecuteTakesHighestPriority|TestExecuteRunsEachBodyOnceAfterItsDeps|TestDgetrfWorkersIdentical|TestGraphDgetrfMatchesMonolithic' ./internal/taskgraph ./internal/hpl
     # Every testing.AllocsPerRun budget skips itself under the detector (its
     # shadow memory allocates), so the race run above gates none of them:
     # run them plainly. A few seconds.
