@@ -74,7 +74,7 @@ func Expect(alpha float64, a, b *matrix.Dense, beta float64, c0 *matrix.Dense) C
 		col := b.Col(j)
 		s := 0.0
 		for p, v := range col {
-			s += u[p] * v
+			s += float64(u[p] * v)
 		}
 		chk.ColSum[j] = alpha * s
 	}
@@ -94,20 +94,20 @@ func Expect(alpha float64, a, b *matrix.Dense, beta float64, c0 *matrix.Dense) C
 		col := a.Col(p)
 		w := alpha * v[p]
 		for i, av := range col {
-			chk.RowSum[i] += av * w
+			chk.RowSum[i] += float64(av * w)
 		}
 	}
 
 	maxA, maxB := a.MaxAbs(), b.MaxAbs()
-	mag := math.Abs(alpha) * maxA * maxB * float64(k)
+	mag := float64(math.Abs(alpha) * maxA * maxB * float64(k))
 	if beta != 0 {
 		maxC := c0.MaxAbs()
-		mag += math.Abs(beta) * maxC
+		mag += float64(math.Abs(beta) * maxC)
 		for j := 0; j < n; j++ {
 			col := c0.Col(j)
 			for i, v := range col {
-				chk.RowSum[i] += beta * v
-				chk.ColSum[j] += beta * v
+				chk.RowSum[i] += float64(beta * v)
+				chk.ColSum[j] += float64(beta * v)
 			}
 		}
 	}
@@ -219,7 +219,7 @@ const HostVerifyGFLOPS = 8.0
 // DGEMM task with inner dimension k: the two input checksum passes
 // (2k(m+n)), the output row/column sums (2mn), and the comparisons.
 func VerifyFlops(m, n, k int) float64 {
-	return 2*float64(k)*float64(m+n) + 2*float64(m)*float64(n) + 2*float64(m+n)
+	return float64(2*float64(k)*float64(m+n)) + float64(2*float64(m)*float64(n)) + float64(2*float64(m+n))
 }
 
 // VerifySeconds is the virtual-time cost of verifying one task at the host

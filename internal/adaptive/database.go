@@ -88,7 +88,7 @@ func (d *DatabaseG) Lookup(work float64) float64 {
 	i := d.index(work)
 	v := d.buckets[i]
 	if d.trust.Warming() && d.stale[i] {
-		v = d.initial + (v-d.initial)*d.trust.Weight()
+		v = d.initial + float64((v-d.initial)*d.trust.Weight())
 	}
 	return v
 }

@@ -56,7 +56,7 @@ func (t *Trust) Weight() float64 { return t.weight }
 
 // Step records one accepted observation during a re-warm.
 func (t *Trust) Step() {
-	t.weight = 1 - (1-t.weight)*t.decay
+	t.weight = 1 - float64((1-t.weight)*t.decay)
 	if t.weight > trustRestored {
 		t.warming = false
 	}

@@ -24,6 +24,19 @@ func FuzzDgemmContract(f *testing.F) {
 	f.Add(130, 3, 258, 1.5, 0.5, uint64(4), uint64(0)) // straddles MC/KC/NR fringes
 	f.Add(6, 513, 2, -1.0, 0.0, uint64(5), uint64(0))
 	f.Add(70, 63, 64, -1.0, 1.0, uint64(6), ^uint64(1)) // LU's [b | 0 … 0] block column
+	// K around the SIMD multiplier pack's 4-step chunks: tail only, one
+	// chunk, chunks and a tail, whole chunks, and chunks past the K block,
+	// with and without all-zero groups.
+	f.Add(10, 3, 3, 1.0, 1.0, uint64(15), uint64(0))
+	f.Add(12, 2, 4, -1.0, 0.0, uint64(16), uint64(0b1))
+	f.Add(17, 4, 7, -1.0, 1.0, uint64(7), uint64(0))
+	f.Add(9, 5, 8, 1.0, 0.5, uint64(8), uint64(0))
+	f.Add(16, 7, 9, 0.5, 0.0, uint64(9), uint64(0b10))
+	f.Add(33, 8, 15, 2.0, -1.0, uint64(10), uint64(0xf0))
+	f.Add(24, 12, 16, -1.0, 1.0, uint64(11), uint64(0xf0f))
+	f.Add(40, 6, 17, 1.0, 1.0, uint64(12), uint64(0))
+	f.Add(19, 9, 264, -1.0, 0.5, uint64(13), uint64(0xf))
+	f.Add(21, 5, 263, 1.5, 0.0, uint64(14), uint64(0))
 	f.Fuzz(func(t *testing.T, m, n, k int, alpha, beta float64, seed, zeroCols uint64) {
 		// Bound shapes so a fuzz iteration stays fast; fringe coverage
 		// only needs dimensions around the kernel tiles, the 128-column

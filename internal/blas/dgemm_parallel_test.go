@@ -10,31 +10,13 @@ import (
 	"tianhe/internal/sim/simtest"
 )
 
-// packedOpCase checks Dgemm and DgemmParallel against the
-// naive oracle for one shape/op combination.
-func packedOpCase(t *testing.T, tA, tB Transpose, m, n, k int, alpha, beta float64, seed uint64) {
-	t.Helper()
-	r := sim.NewRNG(seed)
-	a, b := randOp(r, tA, m, k), randOp(r, tB, k, n)
-	c0 := randDense(r, m, n)
-
-	want := c0.Clone()
-	DgemmNaive(tA, tB, alpha, a, b, beta, want)
-
-	got := c0.Clone()
-	Dgemm(tA, tB, alpha, a, b, beta, got)
-	if d := got.MaxDiff(want); d > 1e-11 {
-		t.Fatalf("Dgemm(%v,%v,%dx%dx%d) diff=%v", tA, tB, m, n, k, d)
-	}
-
-	gotP := c0.Clone()
-	DgemmParallel(tA, tB, alpha, a, b, beta, gotP, 4)
-	if d := gotP.MaxDiff(want); d > 1e-11 {
-		t.Fatalf("DgemmParallel(%v,%v,%dx%dx%d) diff=%v", tA, tB, m, n, k, d)
-	}
-}
-
+// TestDgemmPackedOpAllCombos checks Dgemm and DgemmParallel against the
+// naive oracle for all four (tA, tB) pairs. Each shape draws one logical
+// op(A), op(B) and C, and the naive product is formed once; every pair
+// stores the same operands (transposed where it asks for Trans), so all
+// four are checked against that one oracle.
 func TestDgemmPackedOpAllCombos(t *testing.T) {
+	const alpha, beta = 1.25, 0.5
 	combos := []struct{ tA, tB Transpose }{
 		{NoTrans, NoTrans}, {Trans, NoTrans}, {NoTrans, Trans}, {Trans, Trans},
 	}
@@ -46,9 +28,30 @@ func TestDgemmPackedOpAllCombos(t *testing.T) {
 		{33, gemmNC + 77, 31},
 		{150, 600, 300},
 	}
-	for i, cb := range combos {
-		for j, s := range shapes {
-			packedOpCase(t, cb.tA, cb.tB, s[0], s[1], s[2], 1.25, 0.5, uint64(500+10*i+j))
+	for j, s := range shapes {
+		m, n, k := s[0], s[1], s[2]
+		r := sim.NewRNG(uint64(500 + j))
+		opA, opB, c0 := randDense(r, m, k), randDense(r, k, n), randDense(r, m, n)
+		want := c0.Clone()
+		DgemmNaive(NoTrans, NoTrans, alpha, opA, opB, beta, want)
+		for _, cb := range combos {
+			a, b := opA, opB
+			if cb.tA == Trans {
+				a = opA.Transpose()
+			}
+			if cb.tB == Trans {
+				b = opB.Transpose()
+			}
+			got := c0.Clone()
+			Dgemm(cb.tA, cb.tB, alpha, a, b, beta, got)
+			if d := got.MaxDiff(want); d > 1e-11 {
+				t.Fatalf("Dgemm(%v,%v,%dx%dx%d) diff=%v", cb.tA, cb.tB, m, n, k, d)
+			}
+			gotP := c0.Clone()
+			DgemmParallel(cb.tA, cb.tB, alpha, a, b, beta, gotP, 4)
+			if d := gotP.MaxDiff(want); d > 1e-11 {
+				t.Fatalf("DgemmParallel(%v,%v,%dx%dx%d) diff=%v", cb.tA, cb.tB, m, n, k, d)
+			}
 		}
 	}
 }

@@ -46,13 +46,14 @@ func Dtrsm(side Side, uplo Uplo, tA Transpose, diag Diag, alpha float64, a, b *m
 // left-looking, one group of four columns of B at a time. Each 8-row block
 // of X first takes every row already solved as one gemmTile K run, with the
 // multipliers -X[l,j] the GEMM driver would form for alpha = -1, then
-// trsmDiag solves it against its diagonal block of L. Solved rows are
-// consumed in K blocks of gemmKC: once a K block is solved, it is applied to
-// every row below it in one call, unless its multipliers are all zero (a
-// group of columns of B that are zero so far). Element X[i,j] thus receives
-// (-X[l,j])*L[i,l] rounded, for l = 0..i-1 in ascending order with zero
-// multipliers skipped, and any NonUnit divide last — exactly what Dtrsv does
-// to that column, so the two agree bit for bit.
+// trsmBlock solves it against its diagonal block of L and writes its
+// multipliers. Solved rows are consumed in K blocks of gemmKC: once a K
+// block is solved, it is applied to every row below it in one call, unless
+// its multipliers are all zero (a group of columns of B that are zero so
+// far). Element X[i,j] thus receives (-X[l,j])*L[i,l] rounded, for
+// l = 0..i-1 in ascending order with zero multipliers skipped, and any
+// NonUnit divide last — exactly what Dtrsv does to that column, so the two
+// agree bit for bit.
 func dtrsmLeftLower(diag Diag, a, b *matrix.Dense) {
 	n, lda, ldb := a.Rows, a.Stride, b.Stride
 	var mult [gemmKC * gemmNR]float64
@@ -68,19 +69,8 @@ func dtrsmLeftLower(diag Diag, a, b *matrix.Dense) {
 				if live {
 					gemmTile(i0-k0, clean, rows, nr, a.Data[k0*lda+i0:], lda, &mult, x[i0:], ldb)
 				}
-				trsmDiag(diag, rows, nr, a.Data[i0*lda+i0:], lda, x[i0:], ldb)
-				zero := rows // the block's first row with a zero multiplier
-				for jj := 0; jj < gemmNR; jj++ {
-					src := min(jj, nr-1) * ldb // missing columns repeat the last, as gemmTile asks
-					for l, v := range x[src+i0 : src+i0+rows] {
-						mult[(i0-k0+l)*gemmNR+jj] = -v
-						if v == 0 {
-							zero = min(zero, l)
-						} else {
-							live = true
-						}
-					}
-				}
+				zero, nz := trsmBlock(diag, rows, nr, a.Data[i0*lda+i0:], lda, x[i0:], ldb, mult[(i0-k0)*gemmNR:])
+				live = live || nz
 				if clean == i0-k0 {
 					clean += zero
 				}
@@ -92,10 +82,21 @@ func dtrsmLeftLower(diag Diag, a, b *matrix.Dense) {
 	}
 }
 
-// trsmDiag finishes the rows x nr block of X at x (rows <= gemmMR) against
-// the diagonal block of L at l: per column, Dtrsv's loop on the block, each
-// pivot updating only the rows below it.
-func trsmDiag(diag Diag, rows, nr int, l []float64, ldl int, x []float64, ldx int) {
+// trsmBlock finishes the rows x nr block of X at x (rows <= gemmMR) against
+// the diagonal block of L at l — per column, Dtrsv's loop on the block,
+// each pivot updating only the rows below it — and writes its multipliers
+// mult[i*gemmNR+jj] = -X[i,jj], a missing column repeating the last real
+// one. It returns the block's first row holding a zero multiplier (rows if
+// none) and whether any multiplier is non-zero. A full block goes through
+// the AVX2 body, which solves the four columns in lanes, each lane skipping
+// the steps whose multiplier is zero.
+func trsmBlock(diag Diag, rows, nr int, l []float64, ldl int, x []float64, ldx int, mult []float64) (zero int, live bool) {
+	if rows == gemmMR && useKernel != kernelPortable {
+		_ = l[(gemmMR-1)*ldl+gemmMR-1]
+		col := func(jj int) *float64 { return &x[min(jj, nr-1)*ldx:][:gemmMR][0] }
+		m := (*[gemmMR * gemmNR]float64)(mult)
+		return trsmDiagAVX2(diag == NonUnit, &l[0], ldl, col(0), col(1), col(2), col(3), &m[0])
+	}
 	for jj := 0; jj < nr; jj++ {
 		xj := x[jj*ldx : jj*ldx+rows]
 		if rows == gemmMR {
@@ -113,9 +114,22 @@ func trsmDiag(diag Diag, rows, nr int, l []float64, ldl int, x []float64, ldx in
 			}
 		}
 	}
+	zero = rows
+	for jj := 0; jj < gemmNR; jj++ {
+		src := min(jj, nr-1) * ldx
+		for i, v := range x[src : src+rows] {
+			mult[i*gemmNR+jj] = -v
+			if v == 0 {
+				zero = min(zero, i)
+			} else {
+				live = true
+			}
+		}
+	}
+	return zero, live
 }
 
-// trsmDiag8 is trsmDiag's loop on one column of a full 8-row block, unrolled
+// trsmDiag8 is trsmBlock's loop on one column of a full 8-row block, unrolled
 // so the column stays in registers: the same operations in the same order.
 func trsmDiag8(nonUnit bool, l []float64, ldl int, x *[gemmMR]float64) {
 	col := func(p int) *[gemmMR]float64 { return (*[gemmMR]float64)(l[p*ldl:]) }

@@ -351,3 +351,60 @@ func TestSwapRows(t *testing.T) {
 		t.Fatal("self swap must not modify")
 	}
 }
+
+// TestTrsmBlockMatchesPortable: every kernel solves a diagonal block and
+// writes its multipliers, first zero row and live flag exactly as the
+// portable loop does, for Unit and NonUnit, 1 to 4 columns (a short group
+// repeats its last column), with zero pivots (rows of X that are zero when
+// reached, so their step is skipped, and zeros on L's diagonal under
+// NonUnit), and with NaN and ±Inf in X and L.
+func TestTrsmBlockMatchesPortable(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		r := sim.NewRNG(8128)
+		for trial := 0; trial < 600; trial++ {
+			rows, nr := gemmMR, 1+r.Intn(gemmNR)
+			if trial%5 == 4 {
+				rows = 1 + r.Intn(gemmMR)
+			}
+			l := offsetView(r, rows, rows)
+			x := offsetView(r, rows, nr)
+			for p := 0; p < rows; p++ {
+				if r.Intn(3) == 0 {
+					l.Set(p, p, 0)
+				}
+				if r.Intn(3) == 0 {
+					for jj := 0; jj < nr; jj++ {
+						if r.Intn(2) == 0 {
+							// With L's column p above it zero, x[p] is still
+							// zero when its pivot is reached.
+							x.Set(p, jj, math.Copysign(0, float64(r.Intn(2))-0.5))
+							for q := 0; q < p; q++ {
+								l.Set(p, q, 0)
+							}
+						}
+					}
+				}
+			}
+			if trial%2 == 1 {
+				x.Set(r.Intn(rows), r.Intn(nr), multiplierSpecials[2+r.Intn(3)])
+				l.Set(r.Intn(rows), r.Intn(rows), multiplierSpecials[2+r.Intn(3)])
+			}
+			for _, diag := range []Diag{Unit, NonUnit} {
+				got, want := x.Clone(), x.Clone()
+				var gotMult, wantMult [gemmMR * gemmNR]float64
+				gotZero, gotLive := trsmBlock(diag, rows, nr, l.Data, l.Stride, got.Data, got.Stride, gotMult[:])
+				var wantZero int
+				var wantLive bool
+				withKernel(kernelPortable, func() {
+					wantZero, wantLive = trsmBlock(diag, rows, nr, l.Data, l.Stride, want.Data, want.Stride, wantMult[:])
+				})
+				if !sameBits(got.Data, want.Data) || !sameBits(gotMult[:rows*gemmNR], wantMult[:rows*gemmNR]) ||
+					gotZero != wantZero || gotLive != wantLive {
+					t.Fatalf("trial %d: %dx%d block, diag %v: zero %d live %v, want %d %v (X equal %v, multipliers equal %v)",
+						trial, rows, nr, diag, gotZero, gotLive, wantZero, wantLive,
+						sameBits(got.Data, want.Data), sameBits(gotMult[:], wantMult[:]))
+				}
+			}
+		}
+	})
+}

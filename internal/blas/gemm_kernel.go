@@ -22,13 +22,14 @@ import (
 // rebuild rely on.
 //
 // One driver (gemmCols) walks K blocks, row blocks and groups of four C
-// columns; per group it writes the multipliers into a small panel and hands
-// the block to gemmTile, which runs it on three kernels with that contract:
-// on amd64 a 16x4 AVX-512F and an 8x4 AVX2 assembly kernel for every run of
-// K steps without a zero multiplier — a tile with fewer than 8 rows or 4
-// columns goes through a padded scratch tile — and gemmPortable for the K
-// steps with a zero multiplier and for every tile on other hosts. A group
-// whose multipliers are all zero never reaches gemmTile.
+// columns; per group packMult writes the multipliers into a small panel,
+// and the driver hands the block to gemmTile, which runs it on three
+// kernels with that contract: on amd64 a 16x4 AVX-512F and an 8x4 AVX2
+// assembly kernel for every run of K steps without a zero multiplier — a
+// tile with fewer than 8 rows or 4 columns goes through a padded scratch
+// tile — and gemmPortable for the K steps with a zero multiplier and for
+// every tile on other hosts. A group whose multipliers are all zero never
+// reaches gemmTile.
 const (
 	gemmMR = 8   // AVX2 kernel tile rows; the AVX-512 kernel takes 2*gemmMR
 	gemmNR = 4   // kernel tile columns
@@ -118,18 +119,7 @@ func gemmCols(tA, tB Transpose, alpha float64, a, b *matrix.Dense, beta float64,
 				// A column missing from a short group repeats the last real
 				// one, as gemmTile asks.
 				col := func(jj int) []float64 { return b.Data[(j+min(jj, nr-1))*bj+l0*bl:] }
-				b0, b1, b2, b3 := col(0), col(1), col(2), col(3)
-				clean := kc   // the first step with a zero multiplier
-				live := false // whether any multiplier is non-zero
-				for l := 0; l < kc; l++ {
-					p := l * bl
-					m0, m1, m2, m3 := alpha*b0[p], alpha*b1[p], alpha*b2[p], alpha*b3[p]
-					*(*[gemmNR]float64)(mult[l*gemmNR:]) = [gemmNR]float64{m0, m1, m2, m3}
-					if m0 == 0 || m1 == 0 || m2 == 0 || m3 == 0 {
-						clean = min(clean, l)
-					}
-					live = live || m0 != 0 || m1 != 0 || m2 != 0 || m3 != 0
-				}
+				clean, live := packMult(kc, alpha, col(0), col(1), col(2), col(3), bl, &mult)
 				// Every step of an all-zero group is skipped: the block of C
 				// keeps its values, NaN in A or not.
 				if live {
@@ -138,6 +128,34 @@ func gemmCols(tA, tB Transpose, alpha float64, a, b *matrix.Dense, beta float64,
 			}
 		}
 	}
+}
+
+// packMult writes the multipliers alpha*bjj[l*bl] of kc K steps into
+// mult[l*gemmNR+jj] and returns the first step with a zero multiplier (kc
+// if none) and whether any multiplier is non-zero. Unit-stride columns (a
+// NoTrans B) go through the AVX2 body in whole chunks of four steps, each
+// multiplier formed and compared exactly as the loop below does; the loop
+// takes the steps after the last chunk, and every step of a strided B.
+func packMult(kc int, alpha float64, b0, b1, b2, b3 []float64, bl int, mult *[gemmKC * gemmNR]float64) (clean int, live bool) {
+	clean, l := kc, 0
+	if bl == 1 && kc >= 4 && useKernel != kernelPortable {
+		l = kc &^ 3
+		var first int
+		first, live = packMultAVX2(l, alpha, &b0[:l][0], &b1[:l][0], &b2[:l][0], &b3[:l][0], &mult[0])
+		if first < l {
+			clean = first
+		}
+	}
+	for ; l < kc; l++ {
+		p := l * bl
+		m0, m1, m2, m3 := alpha*b0[p], alpha*b1[p], alpha*b2[p], alpha*b3[p]
+		*(*[gemmNR]float64)(mult[l*gemmNR:]) = [gemmNR]float64{m0, m1, m2, m3}
+		if m0 == 0 || m1 == 0 || m2 == 0 || m3 == 0 {
+			clean = min(clean, l)
+		}
+		live = live || m0 != 0 || m1 != 0 || m2 != 0 || m3 != 0
+	}
+	return clean, live
 }
 
 // gemmTile applies kc K steps to the mc x nr block of C at c, with

@@ -227,3 +227,77 @@ func randomCuts(r *sim.RNG, n int) []int {
 	}
 	return cuts
 }
+
+// multiplierSpecials are the values the multiplier panel treats specially:
+// the zeros that are skipped and the non-finite values that are not.
+var multiplierSpecials = []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+
+// packPanel runs packMult over the first kc rows of the nr columns of op(B)
+// as gemmCols lays them out.
+func packPanel(tB Transpose, alpha float64, b *matrix.Dense, kc, nr int) (mult [gemmKC * gemmNR]float64, clean int, live bool) {
+	bj, bl := b.Stride, 1
+	if tB == Trans {
+		bj, bl = 1, b.Stride
+	}
+	col := func(jj int) []float64 { return b.Data[min(jj, nr-1)*bj:] }
+	clean, live = packMult(kc, alpha, col(0), col(1), col(2), col(3), bl, &mult)
+	return mult, clean, live
+}
+
+// TestPackMultMatchesPortable: every kernel forms the multiplier panel, its
+// first zero step and its live flag exactly as the portable loop does, with
+// a zero, -0, NaN or ±Inf multiplier at a step either side of the SIMD
+// body's 4-step chunks or at the last step, in every column of a 1- to
+// 4-column group (a short group repeats its last column), for a strided
+// (Trans) B as well, and for all-zero groups. K = 257 takes one step past
+// the K block, so it is checked through Dgemm against the literal contract.
+func TestPackMultMatchesPortable(t *testing.T) {
+	kcs := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 64, 255, 256, 257}
+	forEachKernel(t, func(t *testing.T) {
+		r := sim.NewRNG(4096)
+		for _, kc := range kcs {
+			for nr := 1; nr <= gemmNR; nr++ {
+				for _, tB := range []Transpose{NoTrans, Trans} {
+					for _, alpha := range []float64{1, -0.37} {
+						for si, special := range multiplierSpecials {
+							for _, step := range []int{0, 3, 4, 7, 8, 15, kc - 1, -1} {
+								if step >= kc {
+									continue
+								}
+								b := offsetView(r, kc, nr)
+								if tB == Trans {
+									b = offsetView(r, nr, kc)
+								}
+								switch {
+								case step < 0 && si < 2:
+									b.Fill(special) // an all-zero group
+								case step >= 0:
+									opView(tB, b, step, r.Intn(nr), 1, 1).Set(0, 0, special)
+								}
+								if kc > gemmKC {
+									a, c := offsetView(r, 11, kc), offsetView(r, 11, nr)
+									want := c.Clone()
+									contractGemm(NoTrans, tB, alpha, a, b, 1, want)
+									Dgemm(NoTrans, tB, alpha, a, b, 1, c)
+									if !sameBits(c.Clone().Data, want.Data) {
+										t.Fatalf("kc %d nr %d %v: %v at step %d departs from the contract", kc, nr, tB, special, step)
+									}
+									continue
+								}
+								got, gotClean, gotLive := packPanel(tB, alpha, b, kc, nr)
+								var want [gemmKC * gemmNR]float64
+								var wantClean int
+								var wantLive bool
+								withKernel(kernelPortable, func() { want, wantClean, wantLive = packPanel(tB, alpha, b, kc, nr) })
+								if !sameBits(got[:], want[:]) || gotClean != wantClean || gotLive != wantLive {
+									t.Fatalf("kc %d nr %d %v alpha %v: %v at step %d gives clean %d live %v, want %d %v (panels equal: %v)",
+										kc, nr, tB, alpha, special, step, gotClean, gotLive, wantClean, wantLive, sameBits(got[:], want[:]))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}

@@ -1,16 +1,19 @@
 // Package blas implements the dense linear-algebra kernels the Linpack
 // reproduction needs: the Level 1/2/3 BLAS routines used by HPL (DGEMM,
 // DTRSM, DGER, DLASWP, ...) in Go, with amd64 assembly micro-kernels (AVX2
-// and AVX-512F, chosen from CPUID) under every Level-3 call and a portable
-// Go kernel with the same contract (gemm_kernel.go) everywhere else — no
-// cgo. All matrices are
-// column-major matrix.Dense views; vectors are contiguous []float64 slices
-// (the unit-stride case is the only one HPL exercises).
+// and AVX-512F, chosen from CPUID) under every Level-3 call, an AVX2 body
+// under Daxpy, and portable Go loops with the same contract
+// (gemm_kernel.go) everywhere else — no cgo. All matrices are column-major matrix.Dense views; vectors
+// are contiguous []float64 slices (the unit-stride case is the only one HPL
+// exercises).
 package blas
 
 import "math"
 
-// Daxpy computes y += alpha*x over equal-length slices.
+// Daxpy computes y += alpha*x over equal-length slices, each product
+// rounded before it is added. x and y may be the same slice, but must not
+// otherwise overlap: the SIMD bodies read a run of x before they write the
+// run of y, where the loop reads one element at a time.
 func Daxpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("blas: Daxpy length mismatch")
@@ -18,6 +21,18 @@ func Daxpy(alpha float64, x, y []float64) {
 	if alpha == 0 {
 		return
 	}
+	i := 0
+	if useKernel != kernelPortable && len(x) >= 4 {
+		i = len(x) &^ 3
+		daxpyAVX2(alpha, &x[0], &y[0], i)
+	}
+	daxpyGo(alpha, x[i:], y[i:])
+}
+
+// daxpyGo is Daxpy's loop in plain Go: the whole of it where there is no
+// SIMD body, the tail where there is, and the oracle the bodies are tested
+// against.
+func daxpyGo(alpha float64, x, y []float64) {
 	// The float64 conversion rounds the product before the add, so the
 	// compiler may not fuse the two into an FMA (it would on arm64 or with
 	// GOAMD64=v3) and results do not depend on the build architecture.

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"tianhe/internal/sim"
+	"tianhe/internal/sim/simtest"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -136,4 +137,59 @@ func TestDaxpyLinearity(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDaxpyMatchesPortable: every kernel's Daxpy equals the portable loop
+// bit for bit at every length 0-70 (whole SIMD runs, their tails, and
+// lengths too short for a run), at slice offsets 0-7 of x and y, with
+// alpha ±0, ±1, subnormal, NaN and Inf, with non-finite entries in x and y,
+// and with x and y the same slice. Memory around y is left alone.
+func TestDaxpyMatchesPortable(t *testing.T) {
+	alphas := []float64{0, math.Copysign(0, -1), 1, -1, 5e-324, math.NaN(), math.Inf(1), 0.37}
+	forEachKernel(t, func(t *testing.T) {
+		r := sim.NewRNG(70)
+		for n := 0; n <= 70; n++ {
+			for off := 0; off < 8; off++ {
+				for _, alpha := range alphas {
+					xs, ys := randSlice(r, n+16), randSlice(r, n+16)
+					if n > 0 && off%2 == 1 {
+						xs[off+r.Intn(n)] = multiplierSpecials[r.Intn(len(multiplierSpecials))]
+						ys[7-off+r.Intn(n)] = multiplierSpecials[r.Intn(len(multiplierSpecials))]
+					}
+					x, y := xs[off:off+n], ys[7-off:7-off+n]
+					want := append([]float64(nil), ys...)
+					withKernel(kernelPortable, func() { Daxpy(alpha, x, want[7-off:7-off+n]) })
+					Daxpy(alpha, x, y)
+					if !sameBits(ys, want) {
+						t.Fatalf("n %d offsets %d/%d alpha %v: Daxpy departs from the portable loop", n, off, 7-off, alpha)
+					}
+					want = append(want[:0], ys...)
+					withKernel(kernelPortable, func() { Daxpy(alpha, want[7-off:7-off+n], want[7-off:7-off+n]) })
+					Daxpy(alpha, y, y)
+					if !sameBits(ys, want) {
+						t.Fatalf("n %d offset %d alpha %v: Daxpy(x, x) departs from the portable loop", n, 7-off, alpha)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestDaxpyDgerNoAlloc: Daxpy, and Dger on a 2-D panel's 384x63 trailing
+// block, allocate nothing on any kernel.
+func TestDaxpyDgerNoAlloc(t *testing.T) {
+	if simtest.RaceEnabled {
+		t.Skip("race-detector shadow memory skews allocation accounting")
+	}
+	r := sim.NewRNG(6)
+	x, y := randSlice(r, 384), randSlice(r, 63)
+	a := randDense(r, 384, 63)
+	forEachKernel(t, func(t *testing.T) {
+		if avg := testing.AllocsPerRun(20, func() { Daxpy(1e-9, x, a.Col(0)) }); avg != 0 {
+			t.Fatalf("Daxpy allocates %v objects per call", avg)
+		}
+		if avg := testing.AllocsPerRun(20, func() { Dger(-1e-9, x, y, a) }); avg != 0 {
+			t.Fatalf("Dger allocates %v objects per call", avg)
+		}
+	})
 }

@@ -173,7 +173,7 @@ func (e *Element) RecordUtilization(gpuQueue, cpuCores *telemetry.Gauge) {
 // an E5540 socket at the standard GPU clock).
 func (e *Element) PeakGFLOPS() float64 {
 	g := e.GPU.Model().PeakGFLOPS
-	return g + perfmodel.CoresPerCPU*e.cfg.Xeon.CoreGFLOPS()
+	return g + float64(perfmodel.CoresPerCPU*e.cfg.Xeon.CoreGFLOPS())
 }
 
 // InitialGSplit returns the peak-ratio split the databases start from:

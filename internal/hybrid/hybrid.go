@@ -186,7 +186,7 @@ func (r *Runner) gpuRows(m int, work float64) int {
 	if r.part == nil {
 		return m
 	}
-	return min(max(int(float64(m)*r.part.GSplit(work)+0.5), 0), m)
+	return min(max(int(float64(float64(m)*r.part.GSplit(work))+0.5), 0), m)
 }
 
 // admit passes the planned GPU row count m1 through the device's loss gate

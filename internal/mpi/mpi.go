@@ -252,7 +252,7 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 			}
 			// The lost attempt occupies the wire, then the sender waits out
 			// the (doubling) retransmission timeout before trying again.
-			backoff := c.world.retryTimeout * sim.Time(int(1)<<(attempts-1))
+			backoff := sim.Time(c.world.retryTimeout * sim.Time(int(1)<<(attempts-1)))
 			c.clock.Advance(dur + backoff)
 			attempts++
 			if pr := c.world.probes; pr != nil {

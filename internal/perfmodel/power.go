@@ -14,7 +14,7 @@ const (
 
 // SystemPowerKW returns the draw of the given number of cabinets.
 func SystemPowerKW(cabinets int) float64 {
-	return CabinetPowerKW * float64(cabinets)
+	return float64(CabinetPowerKW * float64(cabinets))
 }
 
 // TrainingEnergyKWh returns the energy cost of a Qilin-style training phase:

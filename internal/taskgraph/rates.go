@@ -128,7 +128,7 @@ func (db *RateDB) ObserveClass(codelet string, cls Class, flops, seconds float64
 	if r.Count == 0 {
 		r.Rate = rate
 	} else {
-		r.Rate += rateAlpha * (rate - r.Rate)
+		r.Rate += float64(rateAlpha * (rate - r.Rate))
 	}
 	r.Count++
 	if cls.device() && db.trust.Warming() {
@@ -167,7 +167,7 @@ func (db *RateDB) EstimateClass(codelet string, cls Class, flops, modelSeconds f
 	if cls.device() && db.trust.Warming() {
 		w *= db.trust.Weight()
 	}
-	return (1-w)*modelSeconds + w*flops/r.Rate
+	return float64((1-w)*modelSeconds) + w*flops/r.Rate
 }
 
 // Quarantine freezes the device classes during an outage: estimates keep

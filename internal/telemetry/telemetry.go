@@ -343,7 +343,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	target := q * float64(total)
+	target := float64(q * float64(total))
 	var cum float64
 	for i := range h.counts {
 		n := float64(h.counts[i].Load())
@@ -363,7 +363,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 			return hi
 		}
 		frac := (target - cum) / n
-		return lo + (hi-lo)*frac
+		return lo + float64((hi-lo)*frac)
 	}
 	return h.bounds[len(h.bounds)-1]
 }

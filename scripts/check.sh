@@ -44,44 +44,28 @@ ledgermatches purego go run -tags purego ./cmd/figures
 # from when the tests run under GOARCH=386 (CI does).
 GOARCH=386 go build ./...
 ledgermatches 386 env GOARCH=386 go run ./cmd/figures
-# fusedcount PKG FUNC prints the fused multiply-adds in the arm64 -S listing
-# of PKG outside function FUNC, then those inside it (the build cache
-# replays the listing, so this stays cheap).
+# fusedcount PATTERN FUNC prints the fused multiply-adds in the arm64 -S
+# listing of the packages PATTERN names outside function FUNC, then those
+# inside it (the build cache replays the listing, so this stays cheap).
 fusedcount() {
     GOARCH=arm64 go build -gcflags=-S "$1" 2>&1 | awk -v allow="$2" '
         / STEXT / { fn = $1; next }
         /[[:space:]](FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]/ { if (fn == allow) inside++; else outside++ }
         END { print outside + 0, inside + 0 }'
 }
-# The accumulation-order contract rounds every product before its add: no
-# fused multiply-add may appear in internal/blas on arm64, where the compiler
-# fuses a*b+c unless the product is rounded explicitly...
-set -- $(fusedcount ./internal/blas "")
-if [ "$1" != 0 ]; then
-    echo "check.sh: $1 fused multiply-adds in the arm64 build of internal/blas" >&2
-    exit 1
-fi
-# ...the variate contract likewise, except for the exp transcription's
-# math.FMA calls, which fuse where exp_amd64.s does and nowhere else...
-set -- $(fusedcount ./internal/sim tianhe/internal/sim.Exp)
+# Every committed number rounds each product before its add: on arm64,
+# where the compiler fuses a*b+c unless the product is rounded explicitly,
+# no fused multiply-add may appear anywhere in internal/ — the BLAS
+# accumulation-order contract, the variates, the models, the rates and
+# checksums, and every product one package inlines from another — except
+# the exp transcription's math.FMA calls, which fuse where exp_amd64.s does
+# and nowhere else...
+set -- $(fusedcount ./internal/... tianhe/internal/sim.Exp)
 fmas=$(grep -c 'math\.FMA(' internal/sim/variate.go)
 if [ "$1" != 0 ] || [ "$2" != "$fmas" ]; then
-    echo "check.sh: internal/sim on arm64 fuses $1 multiply-adds outside Exp and $2 inside it (want 0 and $fmas)" >&2
+    echo "check.sh: internal/ on arm64 fuses $1 multiply-adds outside sim.Exp and $2 inside it (want 0 and $fmas)" >&2
     exit 1
 fi
-# ...the scale and elastic models, with every product they inline from
-# other packages, round theirs too: none may fuse; nor may the stencil row
-# contract's products, nor the uniform fills and norms of internal/matrix,
-# nor the serving batcher's learned rates and batch target, nor the LU
-# codelets' rate seeds and the residual's denominator in internal/hpl and
-# the graph stepper that schedules them...
-for pkg in cluster stencil matrix serve hpl linpacksim; do
-    set -- $(fusedcount ./internal/$pkg "")
-    if [ "$1" != 0 ]; then
-        echo "check.sh: $1 fused multiply-adds in the arm64 build of internal/$pkg" >&2
-        exit 1
-    fi
-done
 # ...and the bitwise tests must hold at the amd64 level that has FMA.
 GOAMD64=v3 go test ./internal/blas ./internal/hpl ./internal/sim ./internal/cluster ./internal/stencil
 # gofmt -l names every file that differs from canonical formatting; any
